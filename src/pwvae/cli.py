@@ -170,18 +170,23 @@ def _cmd_synth(args) -> int:
 
 
 def _model_dims(args) -> dict:
+    """Latent sizes from the flags; an unset flag takes its default, an explicit 0 reaches validation."""
+
+    def given(value, default):
+        return default if value is None else value
+
     if args.variant == "g":
         if args.pieces is not None or args.piece_dims is not None:
             raise UsageError("--pieces/--piece-dims are not valid with --variant g")
-        return {"gauss_dims": args.gauss_dims or 50, "piece_dims": 0, "n_pieces": 2}
+        return {"gauss_dims": given(args.gauss_dims, 50), "piece_dims": 0, "n_pieces": 2}
     if args.variant == "p":
         if args.gauss_dims is not None:
             raise UsageError("--gauss-dims is not valid with --variant p")
-        return {"gauss_dims": 0, "piece_dims": args.piece_dims or 50, "n_pieces": args.pieces or 3}
+        return {"gauss_dims": 0, "piece_dims": given(args.piece_dims, 50), "n_pieces": given(args.pieces, 3)}
     return {
-        "gauss_dims": args.gauss_dims or 50,
-        "piece_dims": args.piece_dims or 50,
-        "n_pieces": args.pieces or 3,
+        "gauss_dims": given(args.gauss_dims, 50),
+        "piece_dims": given(args.piece_dims, 50),
+        "n_pieces": given(args.pieces, 3),
     }
 
 

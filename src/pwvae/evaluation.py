@@ -4,7 +4,9 @@ Perplexity is exp(-(1/D) sum_n bound_n / L_n) over D documents with L_n
 tokens each, where the sampled variational bound stands in for the exact
 log-likelihood.  Per-document noise streams are derived from the document
 content, so identical documents always receive identical noise and
-duplicating a corpus leaves the report unchanged.
+duplicating a corpus leaves the report unchanged.  Documents are
+evaluated as rows, ``EVAL_BLOCK`` at a time, which bounds memory for any
+corpus size.
 
 Iterative inference refines one document's posterior parameters by plain
 gradient ascent on its bound while the model and the prior stay frozen.
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import gaussian, piecewise
 from .corpus import Corpus, Document
-from .nvdm import NvdmModel, decode_logprob, draw_noises, elbo, encode, posterior_bound
+from .nvdm import NvdmModel, batch_bound, decode_logprob, draw_noises, encode, posterior_bound, stack_noises
 from .tensor import Tape, Tensor
 
 __all__ = [
@@ -35,6 +37,10 @@ __all__ = [
     "evaluate_iterative",
     "sample_prior_docs",
 ]
+
+
+# Documents per forward pass in ``evaluate``.
+EVAL_BLOCK = 64
 
 
 def _doc_rng(root: int, doc: Document, purpose: int) -> np.random.Generator:
@@ -92,13 +98,15 @@ def evaluate(
     """Sampled-bound perplexity over a corpus under the amortised posterior."""
     if len(corpus) == 0:
         raise ValueError("evaluate: empty corpus")
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
     root = _root(rng)
     bounds = np.zeros(len(corpus))
-    tokens = np.zeros(len(corpus))
-    for i, doc in enumerate(corpus.docs):
-        rep = elbo(model, corpus, doc, kl_weight=kl_weight, num_samples=num_samples, rng=_doc_rng(root, doc, 0))
-        bounds[i] = rep.bound
-        tokens[i] = doc.token_count
+    for lo in range(0, len(corpus), EVAL_BLOCK):
+        docs = corpus.docs[lo : lo + EVAL_BLOCK]
+        noises = stack_noises([draw_noises(model, num_samples, _doc_rng(root, doc, 0)) for doc in docs])
+        bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noises, kl_weight=kl_weight).bounds
+    tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
     return _aggregate(bounds, tokens, num_samples, "amortized")
 
 
@@ -137,14 +145,19 @@ def _amortized_posterior_arrays(model: NvdmModel, corpus: Corpus, doc: Document)
     return mu, raw_sigma, raw_a
 
 
+def _row(values: np.ndarray | None) -> Tensor | None:
+    """One document's parameter vector as the (1, dims) row that ``posterior_bound`` takes."""
+    return None if values is None else Tensor(values[None, :])
+
+
 def _tracked_bound(model, corpus, doc, mu, raw_sigma, raw_a, kl_weight, noises) -> float:
     rep = posterior_bound(
         model,
         corpus,
         doc,
-        gauss_mu=Tensor(mu) if mu is not None else None,
-        gauss_raw_sigma=Tensor(raw_sigma) if raw_sigma is not None else None,
-        piece_raw_a=Tensor(raw_a) if raw_a is not None else None,
+        gauss_mu=_row(mu),
+        gauss_raw_sigma=_row(raw_sigma),
+        piece_raw_a=_row(raw_a),
         kl_weight=kl_weight,
         noises=noises,
     )
@@ -187,9 +200,7 @@ def iterative_inference(
     steps_run = 0
 
     for _ in range(steps_max):
-        mu_t = Tensor(mu) if mu is not None else None
-        sig_t = Tensor(raw_sigma) if raw_sigma is not None else None
-        a_t = Tensor(raw_a) if raw_a is not None else None
+        mu_t, sig_t, a_t = _row(mu), _row(raw_sigma), _row(raw_a)
         with Tape() as tape:
             rep = posterior_bound(
                 model,
@@ -214,10 +225,10 @@ def iterative_inference(
             tape.backward(rep.bound_node)
             grads = {}
             if mu_t is not None:
-                grads["mu"] = tape.grad(mu_t)
-                grads["raw_sigma"] = tape.grad(sig_t)
+                grads["mu"] = tape.grad(mu_t)[0]
+                grads["raw_sigma"] = tape.grad(sig_t)[0]
             if a_t is not None:
-                grads["raw_a"] = tape.grad(a_t)
+                grads["raw_a"] = tape.grad(a_t)[0]
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         scale = clip_norm / norm if norm > clip_norm else 1.0
         if mu is not None:
@@ -282,7 +293,7 @@ def evaluate_iterative(
             stop_patience=stop_patience,
             clip_norm=clip_norm,
             kl_weight=kl_weight,
-            rng=np.random.default_rng(np.random.SeedSequence([root, 3, i])),
+            rng=_doc_rng(root, doc, 3),
         )
         refinements.append(res)
         final_rng = _doc_rng(root, doc, 4)
@@ -290,9 +301,9 @@ def evaluate_iterative(
             model,
             corpus,
             doc,
-            gauss_mu=Tensor(res.gauss_mu) if res.gauss_mu is not None else None,
-            gauss_raw_sigma=Tensor(res.gauss_raw_sigma) if res.gauss_raw_sigma is not None else None,
-            piece_raw_a=Tensor(res.piece_raw_a) if res.piece_raw_a is not None else None,
+            gauss_mu=_row(res.gauss_mu),
+            gauss_raw_sigma=_row(res.gauss_raw_sigma),
+            piece_raw_a=_row(res.piece_raw_a),
             kl_weight=kl_weight,
             noises=draw_noises(model, num_samples, final_rng),
         )

@@ -6,6 +6,10 @@ through a softplus plus a small floor.  The posterior interpolates the
 prior parameters with data-driven estimates through learned gate vectors
 that start at zero, so an untrained posterior equals the prior exactly.
 Gates are used raw: squashing them would break that initial identity.
+
+Priors are (G,) vectors; posteriors are (G,) for one document or (B, G)
+rows for a batch, against which the prior parameters and the gates are
+broadcast.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, affine, mul, scale_shift, softplus, sqrt
+from .tensor import Tensor, add, affine, log, mul, scale_shift, softplus, sqrt, sum_last
 
 __all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "prior_forward", "posterior_forward", "sample", "sample_with_noise", "kl"]
 
@@ -24,7 +28,7 @@ VAR_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Mean and (diagonal) variance vectors of one Gaussian."""
+    """Mean and (diagonal) variance of one Gaussian, or of one per row."""
 
     mu: Tensor
     var: Tensor
@@ -37,7 +41,7 @@ class GaussianParams:
 
     @property
     def dim(self) -> int:
-        return self.mu.data.size
+        return self.mu.data.shape[-1]
 
 
 @dataclass
@@ -89,7 +93,7 @@ def posterior_forward(head: GaussianHead, prior: GaussianParams, enc: Tensor) ->
 
 
 def sample_with_noise(g: GaussianParams, eps: np.ndarray) -> Tensor:
-    """Reparametrised sample z = mu + sqrt(var) * eps for fixed noise eps."""
+    """Reparametrised sample z = mu + sqrt(var) * eps for fixed noise eps of the same shape."""
     return add(g.mu, mul(sqrt(g.var), Tensor(eps)))
 
 
@@ -98,15 +102,15 @@ def sample(g: GaussianParams, rng: np.random.Generator) -> Tensor:
 
 
 def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:
-    """Closed-form KL(post || prior) for diagonal Gaussians, as a taped scalar.
+    """Closed-form KL(post || prior) for diagonal Gaussians, as a taped value.
+
+    A scalar for vector parameters, one value per row for (B, G) rows:
 
     sum_d [ 0.5 log(var_prior/var_post)
             + (var_post + (mu_post - mu_prior)^2) / (2 var_prior) - 0.5 ]
     """
     if post.dim != prior.dim:
         raise ValueError(f"kl: dimensions differ ({post.dim} vs {prior.dim})")
-    from .tensor import log, sum_all
-
     dmu = post.mu - prior.mu
     terms = 0.5 * (log(prior.var) - log(post.var)) + (post.var + dmu * dmu) / (2.0 * prior.var) - 0.5
-    return sum_all(terms)
+    return sum_last(terms)

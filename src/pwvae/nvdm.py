@@ -11,6 +11,17 @@ KL terms are computed on the unshifted parametrisation.  The variational
 bound for one document is the count-weighted reconstruction
 log-likelihood, averaged over posterior samples, minus the weighted sum
 of the per-family KL terms.
+
+Documents are rows: a batch of B documents is encoded, sampled and
+decoded as (B, ·) matrices, and one bound assembly (``_bound_rows``)
+returns every document's bound, reconstruction and KL terms together with
+their taped sum.  ``batch_bound`` runs it under the amortised posterior
+for training and evaluation; ``elbo`` (amortised posterior) and
+``posterior_bound`` (posterior parameters supplied directly, for
+iterative inference) are its single-document callers.  Noise is a list
+with one (eps_gauss, eps_piece) pair per posterior sample, each a (B, dims)
+matrix whose rows belong to the documents in order; ``stack_noises``
+builds it from each document's own ``draw_noises`` draws.
 """
 
 from __future__ import annotations
@@ -29,10 +40,14 @@ from .tensor import (
     affine,
     concat,
     dot,
+    exp_clamped,
     log_softmax,
     matvec,
     prelu,
+    scale_shift,
+    softplus,
     softsign,
+    sum_all,
 )
 
 __all__ = [
@@ -40,11 +55,15 @@ __all__ = [
     "ACTIVATIONS",
     "NvdmModel",
     "ElboReport",
+    "RowBounds",
     "init_model",
     "param_shapes",
     "encode",
     "decode_logprob",
     "combine_latents",
+    "draw_noises",
+    "stack_noises",
+    "batch_bound",
     "elbo",
     "posterior_bound",
 ]
@@ -170,6 +189,31 @@ class ElboReport:
     bound_node: Tensor | None = field(default=None, compare=False, repr=False)
 
 
+@dataclass
+class RowBounds:
+    """Variational bounds of a batch of documents, one entry per row.
+
+    KL terms are clamped at zero; ``total`` is the taped sum of ``bounds``.
+    """
+
+    bounds: np.ndarray
+    reconstruction: np.ndarray
+    kl_gaussian: np.ndarray
+    kl_piecewise: np.ndarray
+    total: Tensor = field(compare=False, repr=False)
+
+    def single(self, samples_used: int) -> ElboReport:
+        """The report of a one-document batch."""
+        return ElboReport(
+            reconstruction=float(self.reconstruction[0]),
+            kl_gaussian=float(self.kl_gaussian[0]),
+            kl_piecewise=float(self.kl_piecewise[0]),
+            bound=float(self.bounds[0]),
+            samples_used=samples_used,
+            bound_node=self.total,
+        )
+
+
 def _validate_config(variant, vocab_size, hidden, gauss_dims, piece_dims, n_pieces, activation):
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -242,17 +286,17 @@ def _activate(model: NvdmModel, t: Tensor, layer: int) -> Tensor:
 
 
 def encode(model: NvdmModel, x: Tensor) -> Tensor:
-    """Bag-of-words MLP encoding of a dense document vector."""
-    if x.data.shape != (model.vocab_size,):
-        raise ShapeError(f"encode: expected document vector of shape ({model.vocab_size},), got {x.data.shape}")
+    """Bag-of-words MLP encoding of a dense document vector or of (B, V) document rows."""
+    if x.data.ndim not in (1, 2) or x.data.shape[-1] != model.vocab_size:
+        raise ShapeError(f"encode: expected document vectors of shape ({model.vocab_size},) or (B, {model.vocab_size}), got {x.data.shape}")
     h = _activate(model, affine(x, model.params["enc_w0"], model.params["enc_b0"]), 0)
     return _activate(model, affine(h, model.params["enc_w1"], model.params["enc_b1"]), 1)
 
 
 def decode_logprob(model: NvdmModel, z: Tensor) -> Tensor:
-    """Word log-probabilities for a latent vector: log_softmax(-R z + b)."""
-    if z.data.shape != (model.latent_dim,):
-        raise ShapeError(f"decode: expected latent vector of shape ({model.latent_dim},), got {z.data.shape}")
+    """Word log-probabilities for a latent vector or (B, L) rows: log_softmax(-R z + b)."""
+    if z.data.ndim not in (1, 2) or z.data.shape[-1] != model.latent_dim:
+        raise ShapeError(f"decode: expected latent vectors of shape ({model.latent_dim},) or (B, {model.latent_dim}), got {z.data.shape}")
     logits = -matvec(model.params["dec_r"], z) + model.params["dec_b"]
     return log_softmax(logits)
 
@@ -281,26 +325,26 @@ def _posterior_from_encoder(model: NvdmModel, enc: Tensor):
     return gauss_prior, gauss_post, a_prior, a_post
 
 
-def _bound_given_posteriors(
+def _bound_rows(
     model: NvdmModel,
-    counts_t: Tensor,
+    counts: Tensor,
     gauss_prior: GaussianParams | None,
     gauss_post: GaussianParams | None,
     a_prior: Tensor | None,
     a_post: Tensor | None,
     kl_weight: float,
     noises,
-):
-    """Shared bound assembly; ``noises`` is a list of (eps_gauss, eps_piece)."""
+) -> RowBounds:
+    """The one bound assembly: (B, V) counts, (B, ·) posteriors, stacked noises."""
     recon = None
     for eps_g, eps_p in noises:
         z_g = gaussian.sample_with_noise(gauss_post, eps_g) if gauss_post is not None else None
         z_p = None
         if a_post is not None:
             z01 = piecewise.sample_through(a_post, eps_p, model.piece_dims, model.n_pieces)
-            z_p = 2.0 * z01 - 1.0
+            z_p = scale_shift(z01, 2.0, -1.0)
         z = combine_latents(z_g, z_p)
-        term = dot(counts_t, decode_logprob(model, z))
+        term = dot(counts, decode_logprob(model, z))
         recon = term if recon is None else recon + term
     recon = recon * (1.0 / len(noises))
 
@@ -311,19 +355,17 @@ def _bound_given_posteriors(
         if term is not None:
             kl_total = term if kl_total is None else kl_total + term
     bound = recon - kl_weight * kl_total
-
-    report = ElboReport(
-        reconstruction=float(recon),
-        kl_gaussian=max(float(kl_g_t), 0.0) if kl_g_t is not None else 0.0,
-        kl_piecewise=max(float(kl_p_t), 0.0) if kl_p_t is not None else 0.0,
-        bound=float(bound),
-        samples_used=len(noises),
-        bound_node=bound,
+    return RowBounds(
+        bounds=bound.data,
+        reconstruction=recon.data,
+        kl_gaussian=np.maximum(kl_g_t.data, 0.0) if kl_g_t is not None else np.zeros(recon.data.shape),
+        kl_piecewise=np.maximum(kl_p_t.data, 0.0) if kl_p_t is not None else np.zeros(recon.data.shape),
+        total=sum_all(bound),
     )
-    return report
 
 
 def draw_noises(model: NvdmModel, num_samples: int, rng: np.random.Generator):
+    """One document's noise: ``num_samples`` (eps_gauss, eps_piece) vector pairs."""
     noises = []
     for _ in range(num_samples):
         eps_g = rng.standard_normal(model.gauss_dims) if model.gauss_dims > 0 else None
@@ -332,12 +374,32 @@ def draw_noises(model: NvdmModel, num_samples: int, rng: np.random.Generator):
     return noises
 
 
-def _document_inputs(model: NvdmModel, corpus: Corpus, doc: Document):
-    if doc.token_count < 1:
-        raise ValueError(f"document {doc.doc_id!r} has no tokens")
+def stack_noises(per_doc):
+    """Stack documents' ``draw_noises`` results into one (B, dims) pair per sample."""
+    sizes = {len(noises) for noises in per_doc}
+    if len(sizes) != 1 or 0 in sizes:
+        raise ValueError("stack_noises: every document needs the same, non-zero number of samples")
+    return [tuple(None if parts[0] is None else np.array(parts) for parts in zip(*sample)) for sample in zip(*per_doc)]
+
+
+def _check_documents(model: NvdmModel, corpus: Corpus, docs) -> None:
     if corpus.vocab_size != model.vocab_size:
         raise ShapeError(f"corpus vocabulary size {corpus.vocab_size} != model vocabulary size {model.vocab_size}")
-    return Tensor(corpus.dense(doc)), Tensor(corpus.dense_counts(doc))
+    for doc in docs:
+        if doc.token_count < 1:
+            raise ValueError(f"document {doc.doc_id!r} has no tokens")
+
+
+def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: float = 1.0) -> RowBounds:
+    """Variational bounds of a batch of documents under the amortised posterior.
+
+    ``noises`` comes from ``stack_noises``, with one row per document.
+    """
+    _check_documents(model, corpus, docs)
+    x = Tensor([corpus.dense(doc) for doc in docs])
+    counts = Tensor([corpus.dense_counts(doc) for doc in docs])
+    gauss_prior, gauss_post, a_prior, a_post = _posterior_from_encoder(model, encode(model, x))
+    return _bound_rows(model, counts, gauss_prior, gauss_post, a_prior, a_post, kl_weight, noises)
 
 
 def elbo(
@@ -352,11 +414,8 @@ def elbo(
     """Variational bound of one document under the amortised posterior."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    x, counts_t = _document_inputs(model, corpus, doc)
-    enc = encode(model, x)
-    gauss_prior, gauss_post, a_prior, a_post = _posterior_from_encoder(model, enc)
-    noises = draw_noises(model, num_samples, rng)
-    return _bound_given_posteriors(model, counts_t, gauss_prior, gauss_post, a_prior, a_post, kl_weight, noises)
+    noises = stack_noises([draw_noises(model, num_samples, rng)])
+    return batch_bound(model, corpus, [doc], noises, kl_weight=kl_weight).single(num_samples)
 
 
 def posterior_bound(
@@ -372,13 +431,13 @@ def posterior_bound(
 ) -> ElboReport:
     """Bound with posterior parameters supplied directly (encoder bypassed).
 
-    Used by iterative per-document inference: the Gaussian posterior is
-    (mu, softplus(raw_sigma) + floor) and the piecewise posterior weights
-    are exp(clamp(raw_a)); priors come from the (frozen) model.
+    Used by iterative per-document inference: the parameters are (1, dims)
+    rows, the Gaussian posterior is (mu, softplus(raw_sigma) + floor) and
+    the piecewise posterior weights are exp(clamp(raw_a)); priors come from
+    the (frozen) model.  ``noises`` is the document's ``draw_noises`` result.
     """
-    from .tensor import exp_clamped, softplus
-
-    _, counts_t = _document_inputs(model, corpus, doc)
+    _check_documents(model, corpus, [doc])
+    counts = Tensor([corpus.dense_counts(doc)])
     gauss_prior = gauss_post = None
     a_prior = a_post = None
     if model.gauss_dims > 0:
@@ -387,4 +446,5 @@ def posterior_bound(
     if model.piece_dims > 0:
         a_prior = piecewise.head_forward(model.piecewise_prior_head())
         a_post = exp_clamped(piece_raw_a, -piecewise.CLAMP, piecewise.CLAMP)
-    return _bound_given_posteriors(model, counts_t, gauss_prior, gauss_post, a_prior, a_post, kl_weight, noises)
+    rows = _bound_rows(model, counts, gauss_prior, gauss_post, a_prior, a_post, kl_weight, stack_noises([noises]))
+    return rows.single(len(noises))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, affine, custom_op, exp_clamped
+from .tensor import Tensor, _unbroadcast, affine, custom_op, exp_clamped
 
 __all__ = [
     "DomainError",
@@ -108,59 +108,65 @@ def cdf_rows(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.where(z >= 1.0, 1.0, np.where(z <= 0.0, 0.0, val))
 
 
-def _segment_of_eps(a: np.ndarray, eps: np.ndarray):
+def _active_segment(a: np.ndarray, eps: np.ndarray):
+    """Per row: the segment that noise eps selects, its weight, the weight before it, the total."""
     cum = np.cumsum(a, axis=1)
     total = cum[:, -1]
     bounds = cum / total[:, None]
     idx = np.minimum(np.sum(bounds <= eps[:, None], axis=1), a.shape[1] - 1)
-    return idx, cum, total
-
-
-def inverse_cdf_rows(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    d, n = a.shape
-    idx, cum, total = _segment_of_eps(a, eps)
-    rows = np.arange(d)
-    a_sel = a[rows, idx]
+    rows = np.arange(a.shape[0])
     prev = np.where(idx > 0, cum[rows, np.maximum(idx - 1, 0)], 0.0)
+    return idx, a[rows, idx], prev, total
+
+
+def _inverse_cdf(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
+    idx, a_sel, prev, total = segment
+    n = a.shape[1]
     z = idx / n + (total * eps - prev) / (n * a_sel)
-    z = np.clip(z, 0.0, 1.0)
+    z = np.minimum(np.maximum(z, 0.0), 1.0)
     return np.where(eps <= 0.0, 0.0, np.where(eps >= 1.0, 1.0, z))
 
 
-def sample_grad_rows(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """d z / d a_k for z = inverse_cdf(a, eps) with eps held fixed, per row."""
-    d, n = a.shape
-    idx, cum, total = _segment_of_eps(a, eps)
-    rows = np.arange(d)
-    a_sel = a[rows, idx]
-    prev = np.where(idx > 0, cum[rows, np.maximum(idx - 1, 0)], 0.0)
+def _sample_grad(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
+    idx, a_sel, prev, total = segment
+    n = a.shape[1]
     cols = np.arange(n)[None, :]
     before = cols < idx[:, None]
     after = cols > idx[:, None]
     grad = np.where(before, (eps - 1.0)[:, None], np.where(after, eps[:, None], 0.0))
     grad = grad / (n * a_sel)[:, None]
-    grad[rows, idx] = (eps * (a_sel - total) + prev) / (n * a_sel * a_sel)
+    grad[np.arange(a.shape[0]), idx] = (eps * (a_sel - total) + prev) / (n * a_sel * a_sel)
     return grad
 
 
-def kl_rows(post: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """KL(post || prior) per row; both (d, n) weight matrices.
+def inverse_cdf_rows(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    return _inverse_cdf(a, eps, _active_segment(a, eps))
 
-    Closed form: (1/n)(1/K_post) sum_i a_i_post (log a_i_post - log a_i_prior)
-    + log K_prior - log K_post.  The 1/n factors cancel against the raw
-    weight sums A = n*K used below.
+
+def sample_grad_rows(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """d z / d a_k for z = inverse_cdf(a, eps) with eps held fixed, per row."""
+    return _sample_grad(a, eps, _active_segment(a, eps))
+
+
+def kl_rows(post: np.ndarray, prior: np.ndarray) -> np.ndarray:
+    """KL(post || prior) per row; weights lie along the last axis.
+
+    The prior broadcasts against the posterior, as (d, n) against
+    (B, d, n).  Closed form: (1/n)(1/K_post) sum_i a_i_post (log a_i_post -
+    log a_i_prior) + log K_prior - log K_post.  The 1/n factors cancel
+    against the raw weight sums A = n*K used below.
     """
-    a_post_sum = post.sum(axis=1)
-    a_prior_sum = prior.sum(axis=1)
-    s = np.sum(post * (np.log(post) - np.log(prior)), axis=1)
+    a_post_sum = post.sum(axis=-1)
+    a_prior_sum = prior.sum(axis=-1)
+    s = np.sum(post * (np.log(post) - np.log(prior)), axis=-1)
     v = s / a_post_sum + np.log(a_prior_sum) - np.log(a_post_sum)
     return np.maximum(v, 0.0)
 
 
 def kl_grad_rows(post: np.ndarray, prior: np.ndarray):
-    a_post_sum = post.sum(axis=1, keepdims=True)
-    a_prior_sum = prior.sum(axis=1, keepdims=True)
-    s = np.sum(post * (np.log(post) - np.log(prior)), axis=1, keepdims=True)
+    a_post_sum = post.sum(axis=-1, keepdims=True)
+    a_prior_sum = prior.sum(axis=-1, keepdims=True)
+    s = np.sum(post * (np.log(post) - np.log(prior)), axis=-1, keepdims=True)
     d_post = (np.log(post) - np.log(prior) + 1.0) / a_post_sum - s / (a_post_sum**2) - 1.0 / a_post_sum
     d_prior = -post / (a_post_sum * prior) + 1.0 / a_prior_sum
     return d_post, d_prior
@@ -264,30 +270,44 @@ def head_forward(head: PiecewiseHead, enc: Tensor | None = None) -> Tensor:
 def sample_through(a_flat: Tensor, eps: np.ndarray, dims: int, pieces: int) -> Tensor:
     """Inverse-CDF samples for each latent dimension, differentiable in the weights.
 
-    ``eps`` is the fixed uniform noise (one value per dimension); its
-    values are captured for the backward rule, which applies the exact
-    derivative of the active segment's expression and zero for segment
-    selection.
+    ``a_flat`` is one (dims*pieces,) weight vector or (B, dims*pieces)
+    rows, and ``eps`` the fixed uniform noise of matching shape (dims,) or
+    (B, dims).  Every (row, dimension) pair becomes one row of the
+    vectorised core.  The noise values are captured for the backward rule,
+    which applies the exact derivative of the active segment's expression
+    and zero for segment selection.
     """
-    a = a_flat.data.reshape(dims, pieces)
-    z = inverse_cdf_rows(a, eps)
+    a = a_flat.data.reshape(-1, pieces)
     eps = np.array(eps, dtype=np.float64)
+    if eps.shape != a_flat.data.shape[:-1] + (dims,):
+        raise ValueError(f"sample_through: noise shape {eps.shape} does not match weights {a_flat.data.shape}")
+    flat_eps = eps.reshape(-1)
+    segment = _active_segment(a, flat_eps)
+    z = _inverse_cdf(a, flat_eps, segment).reshape(eps.shape)
 
     def backward(g):
-        return ((g[:, None] * sample_grad_rows(a, eps)).reshape(-1),)
+        return ((g.reshape(-1, 1) * _sample_grad(a, flat_eps, segment)).reshape(a_flat.data.shape),)
 
     return custom_op(z, (a_flat,), backward)
 
 
 def kl_between(post_flat: Tensor, prior_flat: Tensor, dims: int, pieces: int) -> Tensor:
-    """Total KL(post || prior) summed over latent dimensions, as a taped scalar."""
-    post = post_flat.data.reshape(dims, pieces)
-    prior = prior_flat.data.reshape(dims, pieces)
-    value = kl_rows(post, prior).sum()
+    """KL(post || prior) summed over latent dimensions, as a taped value.
+
+    A (dims*pieces,) posterior gives a scalar, and (B, dims*pieces) rows
+    give one value per row; a (dims*pieces,) prior is broadcast against
+    the posterior rows, and its gradient summed over them.
+    """
+    post = post_flat.data.reshape(post_flat.data.shape[:-1] + (dims, pieces))
+    prior = prior_flat.data.reshape(prior_flat.data.shape[:-1] + (dims, pieces))
+    value = kl_rows(post, prior).sum(axis=-1)
 
     def backward(g):
         d_post, d_prior = kl_grad_rows(post, prior)
-        s = float(g.reshape(()))
-        return (s * d_post.reshape(-1), s * d_prior.reshape(-1))
+        s = np.asarray(g)[..., None, None]
+        return (
+            (s * d_post).reshape(post_flat.data.shape),
+            _unbroadcast((s * d_prior).reshape(post_flat.data.shape), prior_flat.data.shape),
+        )
 
     return custom_op(value, (post_flat, prior_flat), backward)

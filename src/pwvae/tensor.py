@@ -5,6 +5,19 @@ block every operation additionally records a backward rule; calling
 ``Tape.backward`` on a scalar result then accumulates gradients for every
 tensor that participated, visiting operations in exact reverse execution
 order.  Outside a tape the same functions are plain forward computations.
+A backward rule may defer an expensive input gradient (``matvec`` defers
+both of its products); the tape computes it only once it is needed, so a
+frozen weight or an input document whose gradient nobody reads costs
+nothing.
+
+Row convention: a batch of documents is a (B, n) matrix with one document
+per row, and a single document is either an (n,) vector or a (1, n) row.
+``matvec``/``affine`` multiply every row by the same weight matrix, so the
+weight gradient of a whole batch is one product ``g.T @ x``;
+``log_softmax``, ``dot``, ``sum_last`` and ``concat`` act along the last
+axis.  In ``add``, ``sub``, ``mul``, ``div`` and ``prelu`` an operand whose
+shape is the trailing shape of the other (a (n,) parameter against (B, n)
+rows) is broadcast, and its gradient is summed over the broadcast axes.
 
 Tensors are immutable once created and a tape is rebuilt for every
 forward pass, so independent tapes may run concurrently over disjoint
@@ -33,6 +46,7 @@ __all__ = [
     "affine",
     "dot",
     "sum_all",
+    "sum_last",
     "concat",
     "exp_clamped",
     "log",
@@ -85,7 +99,7 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
-    # Arithmetic sugar; Tensor-Tensor ops require identical shapes,
+    # Arithmetic sugar; Tensor-Tensor ops broadcast a trailing shape,
     # python scalars broadcast elementwise.
     def __add__(self, other):
         if isinstance(other, Tensor):
@@ -142,15 +156,10 @@ def _stack() -> list:
         return _LOCAL.stack
 
 
-def _active():
-    s = _stack()
-    return s[-1] if s else None
-
-
 def _record(out: Tensor, inputs, backward) -> None:
-    tape = _active()
-    if tape is not None:
-        tape._records.append((out, inputs, backward))
+    stack = getattr(_LOCAL, "stack", None)
+    if stack:
+        stack[-1]._records.append((out, inputs, backward))
 
 
 class Tape:
@@ -180,72 +189,100 @@ class Tape:
             raise TapeError("backward already ran on this tape; higher-order gradients are unsupported")
         if root.data.size != 1:
             raise TapeError(f"backward needs a scalar root, got shape {root.data.shape}")
-        grads: dict[Tensor, np.ndarray] = {root: np.ones_like(root.data)}
+        grads = {root: np.ones_like(root.data)}
         for out, inputs, backward in reversed(self._records):
             g = grads.get(out)
             if g is None:
                 continue
+            if callable(g):
+                g = grads[out] = g()
             for tensor, gi in zip(inputs, backward(g)):
                 if gi is None:
                     continue
                 acc = grads.get(tensor)
                 if acc is None:
                     # Copy: backward rules may hand back views of g itself.
-                    grads[tensor] = np.array(gi, dtype=np.float64)
+                    # A deferred gradient is computed fresh once it is needed.
+                    grads[tensor] = gi if callable(gi) else np.array(gi, dtype=np.float64)
                 else:
-                    acc += gi
+                    if callable(acc):
+                        acc = grads[tensor] = acc()
+                    acc += gi() if callable(gi) else gi
         self._grads = grads
 
     def grad(self, t: Tensor) -> np.ndarray:
         if self._grads is None:
             raise TapeError("backward has not run on this tape")
         g = self._grads.get(t)
-        return np.zeros_like(t.data) if g is None else g
+        if g is None:
+            return np.zeros_like(t.data)
+        if callable(g):
+            g = self._grads[t] = g()
+        return g
 
 
 def custom_op(values, inputs, backward) -> Tensor:
     """Wrap externally computed values as one taped operation.
 
     ``backward`` maps the output gradient to a tuple of input gradients
-    aligned with ``inputs``.
+    aligned with ``inputs``.  An entry may be None (no gradient) or a
+    function of no arguments returning a fresh array, which the tape calls
+    only once that input's gradient is needed.
     """
     out = _wrap(np.asarray(values, dtype=np.float64))
     _record(out, tuple(inputs), backward)
     return out
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+    """Equal shapes, or one operand's shape is the trailing shape of the other's."""
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
+        return
+    short, long = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
+    if long[len(long) - len(short) :] != short:
+        raise ShapeError(f"{op}: shapes {sa} and {sb} do not broadcast")
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient over the axes along which an operand of ``shape`` was broadcast."""
+    if g.shape == shape:
+        return g
+    lead = g.shape[: g.ndim - len(shape)]
+    g = g.reshape(g.shape[len(lead) :]) if all(n == 1 for n in lead) else g.sum(axis=tuple(range(len(lead))))
+    ones = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=ones, keepdims=True) if ones else g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
+    _check_broadcast(a, b, "add")
+    sa, sb = a.data.shape, b.data.shape
     out = _wrap(a.data + b.data)
-    _record(out, (a, b), lambda g: (g, g))
+    _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
+    _check_broadcast(a, b, "sub")
+    sa, sb = a.data.shape, b.data.shape
     out = _wrap(a.data - b.data)
-    _record(out, (a, b), lambda g: (g, -g))
+    _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
+    _check_broadcast(a, b, "mul")
     ad, bd = a.data, b.data
     out = _wrap(ad * bd)
-    _record(out, (a, b), lambda g: (g * bd, g * ad))
+    _record(out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
     return out
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "div")
+    _check_broadcast(a, b, "div")
     ad, bd = a.data, b.data
     out = _wrap(ad / bd)
-    _record(out, (a, b), lambda g: (g / bd, -g * ad / (bd * bd)))
+    _record(out, (a, b), lambda g: (_unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)))
     return out
 
 
@@ -257,26 +294,33 @@ def scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:
 
 
 def matvec(w: Tensor, x: Tensor) -> Tensor:
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise ShapeError(f"matvec: matrix {w.data.shape} does not conform with vector {x.data.shape}")
+    """w @ x for a vector x (m,), or each row of x (B, m) times w; w is (k, m).
+
+    The weight gradient is the single product g.T @ x over all rows.
+    """
     wd, xd = w.data, x.data
-    out = _wrap(wd @ xd)
-    _record(out, (w, x), lambda g: (np.outer(g, xd), wd.T @ g))
+    if wd.ndim != 2 or xd.ndim not in (1, 2) or wd.shape[1] != xd.shape[-1]:
+        raise ShapeError(f"matvec: matrix {wd.shape} does not conform with input {xd.shape}")
+    out = _wrap(xd @ wd.T)
+
+    # Both products are deferred, so a frozen weight or an input document
+    # whose gradient nobody reads costs nothing.
+    _record(out, (w, x), lambda g: (lambda: np.atleast_2d(g).T @ np.atleast_2d(xd), lambda: g @ wd))
     return out
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b for matrix w (k, m), vectors x (m,) and b (k,)."""
+    """w @ x + b for matrix w (k, m), input x (m,) or (B, m), and bias b (k,)."""
     return add(matvec(w, x), b)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ShapeError(f"dot: expected vectors, got {a.data.shape} and {b.data.shape}")
-    _same_shape(a, b, "dot")
+    """Inner product along the last axis: a scalar for vectors, (B,) for (B, n) rows."""
+    if a.data.shape != b.data.shape or a.data.ndim == 0:
+        raise ShapeError(f"dot: expected operands of one shape, got {a.data.shape} and {b.data.shape}")
     ad, bd = a.data, b.data
-    out = _wrap(np.asarray(ad @ bd))
-    _record(out, (a, b), lambda g: (g * bd, g * ad))
+    out = _wrap((ad[..., None, :] @ bd[..., :, None])[..., 0, 0])
+    _record(out, (a, b), lambda g: (g[..., None] * bd, g[..., None] * ad))
     return out
 
 
@@ -287,22 +331,30 @@ def sum_all(x: Tensor) -> Tensor:
     return out
 
 
+def sum_last(x: Tensor) -> Tensor:
+    """Sum along the last axis: a scalar for a vector, (B,) for (B, n) rows."""
+    xd = x.data
+    out = _wrap(np.asarray(xd.sum(axis=-1)))
+    _record(out, (x,), lambda g: (g[..., None] * np.ones_like(xd),))
+    return out
+
+
 def concat(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ShapeError(f"concat: expected vectors, got {a.data.shape} and {b.data.shape}")
-    na = a.data.shape[0]
-    out = _wrap(np.concatenate([a.data, b.data]))
-    _record(out, (a, b), lambda g: (g[:na], g[na:]))
+    """Concatenation along the last axis; leading axes must agree."""
+    if a.data.ndim == 0 or a.data.shape[:-1] != b.data.shape[:-1]:
+        raise ShapeError(f"concat: shapes {a.data.shape} and {b.data.shape} differ before the last axis")
+    na = a.data.shape[-1]
+    out = _wrap(np.concatenate([a.data, b.data], axis=-1))
+    _record(out, (a, b), lambda g: (g[..., :na], g[..., na:]))
     return out
 
 
 def exp_clamped(x: Tensor, lo: float = -30.0, hi: float = 30.0) -> Tensor:
     """exp of x clamped to [lo, hi]; gradient is zero outside the clamp range."""
     xd = x.data
-    out_data = np.exp(np.clip(xd, lo, hi))
-    inside = (xd >= lo) & (xd <= hi)
+    out_data = np.exp(np.minimum(np.maximum(xd, lo), hi))
     out = _wrap(out_data)
-    _record(out, (x,), lambda g: (g * out_data * inside,))
+    _record(out, (x,), lambda g: (g * out_data * ((xd >= lo) & (xd <= hi)),))
     return out
 
 
@@ -350,34 +402,33 @@ def softsign(x: Tensor) -> Tensor:
 def prelu(x: Tensor, leak: Tensor) -> Tensor:
     """Elementwise x if x > 0 else leak*x; at exactly 0 the derivative is 1.
 
-    ``leak`` is either a single learnable value or one value per element.
+    ``leak`` is a single learnable value, one value per element, or one
+    value per column of (B, n) rows.
     """
     xd, ld = x.data, leak.data
-    if ld.shape != xd.shape and ld.size != 1:
+    if ld.size != 1 and (ld.ndim > xd.ndim or xd.shape[xd.ndim - ld.ndim :] != ld.shape):
         raise ShapeError(f"prelu: leak shape {ld.shape} does not match input shape {xd.shape}")
-    lk = ld if ld.shape == xd.shape else float(ld.reshape(()))
+    lk = ld if ld.size != 1 else float(ld.reshape(()))
     out = _wrap(np.where(xd > 0, xd, lk * xd))
 
     def backward(g):
         gx = g * np.where(xd >= 0, 1.0, lk)
         gl = g * np.where(xd < 0, xd, 0.0)
-        if ld.shape != xd.shape:
-            gl = np.asarray(gl.sum()).reshape(ld.shape)
-        return (gx, gl)
+        return (gx, _unbroadcast(gl, ld.shape))
 
     _record(out, (x, leak), backward)
     return out
 
 
 def log_softmax(x: Tensor) -> Tensor:
-    """Log-probabilities of a logit vector, stabilised by max subtraction."""
+    """Log-probabilities along the last axis, stabilised by max subtraction."""
     xd = x.data
-    if xd.ndim != 1:
-        raise ShapeError(f"log_softmax: expected a vector, got shape {xd.shape}")
-    if not np.all(np.isfinite(xd)):
+    if xd.ndim not in (1, 2):
+        raise ShapeError(f"log_softmax: expected a vector or (B, n) rows, got shape {xd.shape}")
+    if not np.isfinite(xd).all():
         raise ValueError("log_softmax: logits must be finite")
-    shifted = xd - xd.max()
-    out_data = shifted - np.log(np.exp(shifted).sum())
+    shifted = xd - xd.max(axis=-1, keepdims=True)
+    out_data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = _wrap(out_data)
-    _record(out, (x,), lambda g: (g - np.exp(out_data) * g.sum(),))
+    _record(out, (x,), lambda g: (g - np.exp(out_data) * g.sum(axis=-1, keepdims=True),))
     return out

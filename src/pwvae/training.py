@@ -1,15 +1,20 @@
 """Mini-batch training: Adam, global-norm gradient clipping, early stopping.
 
-Per batch the trainer records the mean variational bound of the batch on
-one tape (one posterior sample per document), backpropagates, clips the
-global gradient norm, and takes one Adam step on the negative bound.
-After each epoch the validation bound is estimated with several samples
-per document; training stops once it has not improved for ``patience``
-epochs and the parameters from the best epoch are returned.
+One tape per shard, documents as rows: a batch's documents are stacked
+into (B, V) matrices and run through one forward pass of the bound (one
+posterior sample per document) and one ``Tape.backward``, so every weight
+gradient is a single matrix product over the batch.  The trainer divides
+by the batch size to get the mean-bound gradient, clips its global norm
+and takes one Adam step on the negative bound.  After each epoch the
+validation bound is estimated with several samples per document; training
+stops once it has not improved for ``patience`` epochs and the parameters
+from the best epoch are returned.
 
-Per-document sampling noise is keyed by (seed, stream, step, slot), so a
-single-threaded run is bit-reproducible and sharding a batch across
-threads does not change which noise a document receives.
+Per-document sampling noise is keyed by (seed, stream, step, slot), where
+the slot is the document's position in the batch, and stacked row by row
+in that draw order.  A seeded run is therefore bit-reproducible, and
+neither the batch's size nor sharding it over ``threads`` (each shard one
+batched tape) changes which noise a document receives.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import evaluation
 from .corpus import Corpus
-from .nvdm import NvdmModel, elbo
+from .nvdm import NvdmModel, batch_bound, draw_noises, stack_noises
 from .tensor import Tape, Tensor
 
 __all__ = [
@@ -139,25 +144,27 @@ class TrainResult:
     valid_bounds: list[float]
 
 
+def _slot_noises(model: NvdmModel, seed: int, step: int, slots):
+    """One posterior sample per batch slot, stacked in slot order."""
+    return stack_noises([draw_noises(model, 1, np.random.default_rng((seed, _STREAM_BATCH_NOISE, step, slot))) for slot in slots])
+
+
 def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, seed: int, step: int, slots):
-    """Sum of per-document bound gradients over one shard (one tape)."""
+    """Summed bound gradients of one shard: one forward and one backward over its documents as rows."""
+    docs = [corpus.docs[di] for di in doc_indices]
+    noises = _slot_noises(model, seed, step, slots)
     with Tape() as tape:
-        total = None
-        recon = kl_g = kl_p = 0.0
-        for slot, di in zip(slots, doc_indices):
-            rng = np.random.default_rng((seed, _STREAM_BATCH_NOISE, step, slot))
-            rep = elbo(model, corpus, corpus.docs[di], kl_weight=w, num_samples=1, rng=rng)
-            total = rep.bound_node if total is None else total + rep.bound_node
-            recon += rep.reconstruction
-            kl_g += rep.kl_gaussian
-            kl_p += rep.kl_piecewise
-        tape.backward(total)
+        rows = batch_bound(model, corpus, docs, noises, kl_weight=w)
+        tape.backward(rows.total)
         grads = {name: tape.grad(t) for name, t in model.named_parameters()}
-    return grads, float(total), recon, kl_g, kl_p
+    return grads, float(rows.total), float(rows.reconstruction.sum()), float(rows.kl_gaussian.sum()), float(rows.kl_piecewise.sum())
 
 
 def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, config: TrainConfig, step: int):
-    """Mean-bound gradients for one mini-batch, optionally sharded over threads."""
+    """Mean-bound gradients for one mini-batch, optionally sharded over threads.
+
+    Slots are positions in the batch; shard i takes slots i, i + shards, ...
+    """
     n = len(batch)
     shards = min(config.threads, n)
     chunks = [batch[i::shards] for i in range(shards)] if shards > 1 else [batch]

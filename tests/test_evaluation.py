@@ -69,6 +69,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluation.evaluate(fresh_model(), replace(corpus, docs=()), num_samples=1, rng=np.random.default_rng(0))
 
+    def test_blocks_match_single_document_evaluation(self):
+        """Across block boundaries each bound equals the document's own evaluation."""
+        big = cio.make_synthetic_bimodal(2 * evaluation.EVAL_BLOCK + 7, 20, seed=33)
+        model = fresh_model("h", seed=34)
+        model = model.replaced({"dec_r": np.random.default_rng(35).normal(size=(20, 4)), "g_alpha_mu": np.full(2, 0.5), "g_alpha_sigma": np.full(2, 0.3)})
+        report = evaluation.evaluate(model, big, num_samples=3, rng=np.random.default_rng(36))
+        for i, doc in enumerate(big.docs):
+            alone = evaluation.evaluate(model, replace(big, docs=(doc,)), num_samples=3, rng=np.random.default_rng(36))
+            assert report.per_doc_bounds[i] == pytest.approx(alone.per_doc_bounds[0], rel=1e-12), i
+        again = evaluation.evaluate(model, big, num_samples=3, rng=np.random.default_rng(36))
+        np.testing.assert_array_equal(again.per_doc_bounds, report.per_doc_bounds)
+        assert again.to_tsv() == report.to_tsv()
+
     def test_tsv_round_trip_fields(self, corpus):
         model = fresh_model("h", seed=10)
         report = evaluation.evaluate(model, corpus, num_samples=2, rng=np.random.default_rng(11))
@@ -132,6 +145,20 @@ class TestIterativeInference:
         assert len(refinements) == len(small)
         for res in refinements:
             assert res.bound >= res.initial_bound
+
+    def test_duplicating_corpus_leaves_iterative_bounds_unchanged(self, corpus):
+        """Refinement noise is keyed by document content, not by position."""
+        small = replace(corpus, docs=corpus.docs[:3])
+        doubled = replace(corpus, docs=corpus.docs[2::-1] + corpus.docs[:3])
+        model = fresh_model("h", seed=37)
+        model = model.replaced({"dec_r": np.random.default_rng(38).normal(size=(20, 4)) * 0.5})
+        settings = dict(num_samples=2, steps_max=15, stop_patience=4)
+        report, refinements = evaluation.evaluate_iterative(model, small, rng=np.random.default_rng(39), **settings)
+        report2, refinements2 = evaluation.evaluate_iterative(model, doubled, rng=np.random.default_rng(39), **settings)
+        for j, i in enumerate([2, 1, 0, 0, 1, 2]):
+            assert report2.per_doc_bounds[j] == report.per_doc_bounds[i]
+            assert refinements2[j].bound == refinements[i].bound
+            assert refinements2[j].steps == refinements[i].steps
 
 
 class TestSamplePriorDocs:

@@ -372,3 +372,44 @@ class TestTapedOps:
         assert float(kl_node) == pytest.approx(expect, rel=1e-12)
         num = numerical_grad(lambda flat: float(pw.kl_rows(flat.reshape(3, 5), prior).sum()), post.reshape(-1))
         assert max_rel_err(tape.grad(post_t), num) < 1e-6
+
+
+class TestTapedRows:
+    """(B, dims*pieces) rows give the per-row results of the vector path."""
+
+    def test_sample_through_rows_match_vectors(self):
+        rng = np.random.default_rng(120)
+        a = np.exp(rng.uniform(-1, 1, size=(4, 6)))
+        eps = rng.uniform(0.05, 0.95, size=(4, 2))
+        weights = rng.normal(size=(4, 2))
+        with T.Tape() as tape:
+            a_t = T.Tensor(a)
+            z = pw.sample_through(a_t, eps, 2, 3)
+            tape.backward(T.sum_all(T.mul(z, T.Tensor(weights))))
+        for i in range(4):
+            with T.Tape() as row_tape:
+                row_t = T.Tensor(a[i])
+                z_row = pw.sample_through(row_t, eps[i], 2, 3)
+                row_tape.backward(T.dot(z_row, T.Tensor(weights[i])))
+            np.testing.assert_allclose(z.data[i], z_row.data, rtol=1e-15)
+            np.testing.assert_allclose(tape.grad(a_t)[i], row_tape.grad(row_t), rtol=1e-14)
+
+    def test_kl_between_rows_broadcast_the_prior(self):
+        rng = np.random.default_rng(121)
+        post = np.exp(rng.uniform(-1, 1, size=(3, 10)))
+        prior = np.exp(rng.uniform(-1, 1, size=10))
+        with T.Tape() as tape:
+            post_t, prior_t = T.Tensor(post), T.Tensor(prior)
+            kl_rows_t = pw.kl_between(post_t, prior_t, 2, 5)
+            tape.backward(T.sum_all(kl_rows_t))
+        assert kl_rows_t.data.shape == (3,)
+        prior_grad = np.zeros(10)
+        for i in range(3):
+            with T.Tape() as row_tape:
+                row_post, row_prior = T.Tensor(post[i]), T.Tensor(prior)
+                kl_row = pw.kl_between(row_post, row_prior, 2, 5)
+                row_tape.backward(kl_row)
+            assert kl_rows_t.data[i] == pytest.approx(float(kl_row), rel=1e-14)
+            np.testing.assert_allclose(tape.grad(post_t)[i], row_tape.grad(row_post), rtol=1e-14)
+            prior_grad += row_tape.grad(row_prior)
+        np.testing.assert_allclose(tape.grad(prior_t), prior_grad, rtol=1e-12)

@@ -280,3 +280,69 @@ class TestDeterminismAndImmutability:
         for t in threads:
             t.join()
         assert results == {0: 2.0, 1: 4.0, 2: 6.0, 3: 8.0}
+
+
+class TestRows:
+    """(B, n) rows: batched products, last-axis reductions, broadcast gradients."""
+
+    def test_row_ops_match_finite_differences(self):
+        rng = np.random.default_rng(22)
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=5)
+        for wrt in range(3):
+            assert max_rel_err(taped_grad(T.affine, x, w, b, wrt=wrt), fd_grad(T.affine, [x, w, b], wrt)) < 1e-6
+        rows, other = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+        for op in (T.dot, T.concat):
+            for wrt in (0, 1):
+                assert max_rel_err(taped_grad(op, rows, other, wrt=wrt), fd_grad(op, [rows, other], wrt)) < 1e-6, op.__name__
+        for op in (T.log_softmax, T.sum_last):
+            assert max_rel_err(taped_grad(op, rows), fd_grad(op, [rows], 0)) < 1e-6, op.__name__
+
+    def test_rows_equal_stacked_vectors(self):
+        rng = np.random.default_rng(23)
+        x, w = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        rows = T.log_softmax(T.matvec(T.Tensor(w), T.Tensor(x))).data
+        for i in range(4):
+            np.testing.assert_allclose(rows[i], T.log_softmax(T.matvec(T.Tensor(w), T.Tensor(x[i]))).data, rtol=1e-14)
+        np.testing.assert_allclose(T.dot(T.Tensor(x), T.Tensor(x)).data, np.sum(x * x, axis=1), rtol=1e-14)
+        np.testing.assert_array_equal(T.concat(T.Tensor(x), T.Tensor(w[:4])).data, np.hstack([x, w[:4]]))
+
+    def test_weight_gradient_is_sum_of_outer_products(self):
+        rng = np.random.default_rng(24)
+        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=5)
+        ana = taped_grad(T.affine, x, w, b, wrt=1)
+        np.testing.assert_allclose(ana, sum(np.outer(np.ones(5), row) for row in x), rtol=1e-12)
+
+    def test_vector_operand_broadcasts_and_sums_its_gradient(self):
+        rng = np.random.default_rng(25)
+        rows, vec = rng.normal(size=(4, 3)), rng.normal(size=3) + 3.0
+        for op in (T.add, T.sub, T.mul, T.div):
+            for args in ((rows, vec), (vec, rows)):
+                for wrt in (0, 1):
+                    ana = taped_grad(op, *args, wrt=wrt)
+                    assert ana.shape == args[wrt].shape
+                    assert max_rel_err(ana, fd_grad(op, list(args), wrt)) < 1e-6, op.__name__
+        leak = rng.uniform(0.1, 0.9, size=3)
+        ana = taped_grad(T.prelu, rows, leak, wrt=1)
+        assert max_rel_err(ana, fd_grad(T.prelu, [rows, leak], 1)) < 1e-6
+
+    def test_shapes_that_do_not_broadcast_are_rejected(self):
+        with pytest.raises(T.ShapeError, match="broadcast"):
+            T.add(T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros(4)))
+        with pytest.raises(T.ShapeError):
+            T.dot(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
+        with pytest.raises(T.ShapeError):
+            T.concat(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 3))))
+        with pytest.raises(T.ShapeError, match="conform"):
+            T.matvec(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))))
+
+    def test_deferred_gradients_accumulate_like_eager_ones(self):
+        # The weight enters twice, so its deferred parts are summed.
+        rng = np.random.default_rng(26)
+        w, x = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+        with T.Tape() as tape:
+            wt, xt = T.Tensor(w), T.Tensor(x)
+            y = T.add(T.matvec(wt, xt), T.matvec(wt, T.scale_shift(xt, 2.0, 0.0)))
+            tape.backward(T.sum_all(y))
+        np.testing.assert_allclose(tape.grad(wt), 3.0 * np.ones((3, 1)) * x.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(tape.grad(xt), 3.0 * np.ones((4, 1)) * w.sum(axis=0), rtol=1e-12)
+        assert tape.grad(wt) is tape.grad(wt)

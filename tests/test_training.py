@@ -185,3 +185,79 @@ class TestConfigValidation:
             TrainConfig(patience=0)
         with pytest.raises(ValueError):
             TrainConfig(clip_norm=0.0)
+
+
+def randomized(model, seed, scale=0.3):
+    """Copy of the model with every parameter perturbed, gates included."""
+    rng = np.random.default_rng(seed)
+    return model.replaced({name: t.data + scale * rng.normal(size=t.data.shape) for name, t in model.named_parameters()})
+
+
+VARIANT_DIMS = {
+    "g": dict(gauss_dims=3),
+    "p": dict(piece_dims=2, n_pieces=3),
+    "h": dict(gauss_dims=2, piece_dims=2, n_pieces=4),
+}
+
+
+class TestBatchedShard:
+    """One batched tape per shard against one single-document tape per document."""
+
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    def test_shard_matches_sum_of_single_document_tapes(self, small_corpus, variant):
+        from pwvae.tensor import Tape
+
+        train_c, _ = small_corpus
+        model = randomized(nvdm.init_model(variant, 20, hidden=5, seed=40, **VARIANT_DIMS[variant]), seed=41)
+        seed, step, w = 42, 3, 0.7
+        doc_indices = [7, 2, 19, 11, 4, 30]
+        slots = list(range(len(doc_indices)))
+        grads, bound, recon, kl_g, kl_p = training._shard_gradients(model, train_c, doc_indices, w, seed, step, slots)
+
+        ref_grads = {name: np.zeros_like(t.data) for name, t in model.named_parameters()}
+        ref_bound = ref_recon = ref_kl_g = ref_kl_p = 0.0
+        for slot, di in zip(slots, doc_indices):
+            # The trainer's noise key: (seed, batch-noise stream 2, step, slot).
+            rng = np.random.default_rng((seed, 2, step, slot))
+            with Tape() as tape:
+                rep = nvdm.elbo(model, train_c, train_c.docs[di], kl_weight=w, num_samples=1, rng=rng)
+                tape.backward(rep.bound_node)
+            for name, t in model.named_parameters():
+                ref_grads[name] += tape.grad(t)
+            ref_bound += rep.bound
+            ref_recon += rep.reconstruction
+            ref_kl_g += rep.kl_gaussian
+            ref_kl_p += rep.kl_piecewise
+
+        assert bound == pytest.approx(ref_bound, rel=1e-10)
+        assert recon == pytest.approx(ref_recon, rel=1e-10)
+        assert kl_g == pytest.approx(ref_kl_g, rel=1e-10, abs=1e-12)
+        assert kl_p == pytest.approx(ref_kl_p, rel=1e-10, abs=1e-12)
+        for name in ref_grads:
+            assert np.any(ref_grads[name] != 0.0), name
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12, err_msg=name)
+
+    def test_noise_and_bound_depend_on_slot_only(self, small_corpus):
+        """A document keeps its noise and bound whatever the batch's size and order."""
+        train_c, _ = small_corpus
+        model = randomized(nvdm.init_model("h", 20, hidden=5, seed=43, **VARIANT_DIMS["h"]), seed=44)
+        seed, step = 45, 2
+        docs = [train_c.docs[i] for i in range(10)]
+        slots = list(range(10))
+        full_noise = training._slot_noises(model, seed, step, slots)
+        full = nvdm.batch_bound(model, train_c, docs, full_noise).bounds
+
+        for subset in ([3], [9, 0, 4], [5, 6, 7, 8, 1]):
+            noise = training._slot_noises(model, seed, step, subset)
+            for (eps_g, eps_p), (full_g, full_p) in zip(noise, full_noise):
+                np.testing.assert_array_equal(eps_g, full_g[subset])
+                np.testing.assert_array_equal(eps_p, full_p[subset])
+            part = nvdm.batch_bound(model, train_c, [docs[s] for s in subset], noise).bounds
+            np.testing.assert_allclose(part, full[subset], rtol=1e-12)
+
+        # Reversing the batch together with its slots leaves the gradients unchanged.
+        forward = training._shard_gradients(model, train_c, slots, 1.0, seed, step, slots)
+        backward = training._shard_gradients(model, train_c, slots[::-1], 1.0, seed, step, slots[::-1])
+        assert backward[1] == pytest.approx(forward[1], rel=1e-12)
+        for name in forward[0]:
+            np.testing.assert_allclose(backward[0][name], forward[0][name], rtol=1e-10, atol=1e-13, err_msg=name)
