@@ -3,7 +3,6 @@
 from .corpus import Corpus, Document, load_corpus, make_synthetic_bimodal, save_corpus
 from .gaussian import GaussianHead, GaussianParams
 from .nvdm import ElboReport, NvdmModel, elbo, init_model
-from .piecewise import PiecewiseHead, PiecewiseParams
 from .tensor import Tape, Tensor
 
 __version__ = "0.1.0"
@@ -15,8 +14,6 @@ __all__ = [
     "GaussianHead",
     "GaussianParams",
     "NvdmModel",
-    "PiecewiseHead",
-    "PiecewiseParams",
     "Tape",
     "Tensor",
     "__version__",

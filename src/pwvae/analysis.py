@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gaussian, piecewise
 from .corpus import Corpus
-from .nvdm import NvdmModel, encode
+from .nvdm import NvdmModel, amortized_posterior, encode, priors
 from .tensor import Tape, Tensor
 
 __all__ = ["UnknownTokenError", "word_neighbors", "kl_sensitivity", "export_posterior_means"]
@@ -62,14 +62,11 @@ def word_neighbors(model: NvdmModel, vocab, query: str, k: int):
 
 
 def _family_kl_node(model: NvdmModel, enc, family: str):
+    prior = priors(model)
+    gauss_post, piece_raw = amortized_posterior(model, enc, prior)
     if family == "gaussian":
-        head = model.gaussian_head()
-        prior = gaussian.prior_forward(head)
-        post = gaussian.posterior_forward(head, prior, enc)
-        return gaussian.kl(post, prior)
-    a_prior = piecewise.head_forward(model.piecewise_prior_head())
-    a_post = piecewise.head_forward(model.piecewise_post_head(), enc)
-    return piecewise.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces)
+        return gaussian.kl(gauss_post, prior[0])
+    return piecewise.kl_between(piecewise.head_forward(piece_raw), prior[1], model.piece_dims, model.n_pieces)
 
 
 def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
@@ -115,15 +112,14 @@ def export_posterior_means(model: NvdmModel, corpus: Corpus, out_path: str) -> i
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("# per-document posterior means\n")
         fh.write(f"# doc_id label mu[{model.gauss_dims}] piecewise_mean[{model.piece_dims}]\n")
+        prior = priors(model)
         for doc in corpus.docs:
-            enc = encode(model, Tensor(corpus.dense(doc)))
+            gauss_post, piece_raw = amortized_posterior(model, encode(model, Tensor(corpus.dense(doc))), prior)
             values: list[float] = []
-            if model.gauss_dims > 0:
-                head = model.gaussian_head()
-                post = gaussian.posterior_forward(head, gaussian.prior_forward(head), enc)
-                values.extend(post.mu.data)
-            if model.piece_dims > 0:
-                a = piecewise.head_forward(model.piecewise_post_head(), enc)
+            if gauss_post is not None:
+                values.extend(gauss_post.mu.data)
+            if piece_raw is not None:
+                a = piecewise.head_forward(piece_raw)
                 values.extend(piecewise.mean_rows(a.data.reshape(model.piece_dims, model.n_pieces)))
             label = doc.label if doc.label is not None else "-"
             fh.write("\t".join([doc.doc_id, label] + [f"{v:.10g}" for v in values]) + "\n")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gaussian, piecewise
 from .corpus import Corpus, Document
-from .nvdm import NvdmModel, batch_bound, decode_logprob, draw_noises, encode, posterior_bound, stack_noises
+from .nvdm import NvdmModel, amortized_posterior, batch_bound, decode_logprob, draw_noises, encode, posterior_bound, priors, stack_noises
 from .tensor import Tape, Tensor
 
 __all__ = [
@@ -130,18 +130,14 @@ def _inverse_softplus(y: np.ndarray) -> np.ndarray:
 
 
 def _amortized_posterior_arrays(model: NvdmModel, corpus: Corpus, doc: Document):
-    x = Tensor(corpus.dense(doc))
-    enc = encode(model, x)
+    enc = encode(model, Tensor(corpus.dense(doc)))
+    gauss_post, piece_raw = amortized_posterior(model, enc, priors(model))
     mu = raw_sigma = raw_a = None
-    if model.gauss_dims > 0:
-        head = model.gaussian_head()
-        prior = gaussian.prior_forward(head)
-        post = gaussian.posterior_forward(head, prior, enc)
-        mu = np.array(post.mu.data)
-        raw_sigma = _inverse_softplus(np.maximum(post.var.data - gaussian.VAR_FLOOR, 1e-300))
-    if model.piece_dims > 0:
-        a_post = piecewise.head_forward(model.piecewise_post_head(), enc)
-        raw_a = np.clip(np.log(a_post.data), -piecewise.CLAMP, piecewise.CLAMP)
+    if gauss_post is not None:
+        mu = np.array(gauss_post.mu.data)
+        raw_sigma = _inverse_softplus(np.maximum(gauss_post.var.data - gaussian.VAR_FLOOR, 1e-300))
+    if piece_raw is not None:
+        raw_a = np.clip(piece_raw.data, -piecewise.CLAMP, piecewise.CLAMP)
     return mu, raw_sigma, raw_a
 
 
@@ -186,6 +182,8 @@ def iterative_inference(
     the best-seen parameters and bound; a non-finite bound aborts the
     refinement and reports the amortised starting point.
     """
+    if eval_samples < 1:
+        raise ValueError("eval_samples must be >= 1")
     root = _root(rng)
     track_rng = _doc_rng(root, doc, 1)
     step_rng = _doc_rng(root, doc, 2)
@@ -278,6 +276,8 @@ def evaluate_iterative(
     """
     if len(corpus) == 0:
         raise ValueError("evaluate_iterative: empty corpus")
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
     root = _root(rng)
     bounds = np.zeros(len(corpus))
     tokens = np.zeros(len(corpus))
@@ -326,17 +326,16 @@ def sample_prior_docs(
     lists when a vocabulary is given, word-id lists otherwise.
     """
     top_k = max(0, min(top_k, model.vocab_size))
+    gauss_prior, a_prior = priors(model)
     out = []
     for _ in range(num_docs):
-        z_g = z_p = None
-        if model.gauss_dims > 0:
-            prior = gaussian.prior_forward(model.gaussian_head())
-            z_g = gaussian.sample(prior, rng).data
-        if model.piece_dims > 0:
-            a = piecewise.head_forward(model.piecewise_prior_head()).data.reshape(model.piece_dims, model.n_pieces)
-            z01 = piecewise.inverse_cdf_rows(a, rng.random(model.piece_dims))
-            z_p = piecewise.shift_to_signed(z01)
-        z = np.concatenate([part for part in (z_g, z_p) if part is not None])
+        parts = []
+        if gauss_prior is not None:
+            parts.append(gaussian.sample_with_noise(gauss_prior, rng.standard_normal(model.gauss_dims)).data)
+        if a_prior is not None:
+            a = a_prior.data.reshape(model.piece_dims, model.n_pieces)
+            parts.append(2.0 * piecewise.inverse_cdf_rows(a, rng.random(model.piece_dims)) - 1.0)
+        z = np.concatenate(parts)
         logp = decode_logprob(model, Tensor(z)).data
         order = np.argsort(-logp, kind="stable")[:top_k]
         out.append([vocab[i] for i in order] if vocab is not None else list(map(int, order)))

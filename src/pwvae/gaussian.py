@@ -1,11 +1,12 @@
 """Diagonal Gaussian latent variables with a learned prior and gated posterior.
 
-The prior mean is a linear map of the conditioning encoding (or a bare
-bias vector when there is nothing to condition on) and the variance goes
-through a softplus plus a small floor.  The posterior interpolates the
-prior parameters with data-driven estimates through learned gate vectors
-that start at zero, so an untrained posterior equals the prior exactly.
-Gates are used raw: squashing them would break that initial identity.
+The prior is unconditioned: its mean is a bias vector and its variance a
+softplus of another, plus a small floor.  The posterior interpolates the
+prior parameters with data-driven estimates from the encoding through
+learned gate vectors that start at zero, so an untrained posterior equals
+the prior exactly.  Gates are used raw: squashing them would break that
+initial identity.  Samples are reparametrised, z = mu + sqrt(var) * eps,
+for noise eps drawn by the caller.
 
 Priors are (G,) vectors; posteriors are (G,) for one document or (B, G)
 rows for a batch, against which the prior parameters and the gates are
@@ -20,7 +21,7 @@ import numpy as np
 
 from .tensor import Tensor, add, affine, log, mul, scale_shift, softplus, sqrt, sum_last
 
-__all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "prior_forward", "posterior_forward", "sample", "sample_with_noise", "kl"]
+__all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "prior_forward", "posterior_forward", "sample_with_noise", "kl"]
 
 # Added after the softplus; keeps KL terms away from log(0).
 VAR_FLOOR = 1e-8
@@ -46,15 +47,12 @@ class GaussianParams:
 
 @dataclass
 class GaussianHead:
-    """Prior and posterior parameter maps plus the posterior gate vectors.
+    """Prior biases, posterior parameter maps and the posterior gate vectors.
 
-    Prior weights may be None (bias-only prior) for unconditioned models.
     Gates ``alpha_mu`` and ``alpha_sigma`` are initialised to zero.
     """
 
-    prior_w_mu: Tensor | None
     prior_b_mu: Tensor
-    prior_w_sigma: Tensor | None
     prior_b_sigma: Tensor
     post_w_mu: Tensor
     post_b_mu: Tensor
@@ -64,16 +62,9 @@ class GaussianHead:
     alpha_sigma: Tensor
 
 
-def prior_forward(head: GaussianHead, enc: Tensor | None = None) -> GaussianParams:
-    """Prior mean and variance; variance = softplus(linear) + floor."""
-    if head.prior_w_mu is None or enc is None:
-        if head.prior_w_mu is not None:
-            raise ValueError("prior_forward: head has prior weights but no encoding was given")
-        pre_mu, pre_sigma = head.prior_b_mu, head.prior_b_sigma
-    else:
-        pre_mu = affine(enc, head.prior_w_mu, head.prior_b_mu)
-        pre_sigma = affine(enc, head.prior_w_sigma, head.prior_b_sigma)
-    return GaussianParams(mu=pre_mu, var=softplus(pre_sigma) + VAR_FLOOR)
+def prior_forward(head: GaussianHead) -> GaussianParams:
+    """Prior mean and variance: mu = b_mu, var = softplus(b_sigma) + floor."""
+    return GaussianParams(mu=head.prior_b_mu, var=softplus(head.prior_b_sigma) + VAR_FLOOR)
 
 
 def posterior_forward(head: GaussianHead, prior: GaussianParams, enc: Tensor) -> GaussianParams:
@@ -95,10 +86,6 @@ def posterior_forward(head: GaussianHead, prior: GaussianParams, enc: Tensor) ->
 def sample_with_noise(g: GaussianParams, eps: np.ndarray) -> Tensor:
     """Reparametrised sample z = mu + sqrt(var) * eps for fixed noise eps of the same shape."""
     return add(g.mu, mul(sqrt(g.var), Tensor(eps)))
-
-
-def sample(g: GaussianParams, rng: np.random.Generator) -> Tensor:
-    return sample_with_noise(g, rng.standard_normal(g.dim))
 
 
 def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:

@@ -12,6 +12,12 @@ bound for one document is the count-weighted reconstruction
 log-likelihood, averaged over posterior samples, minus the weighted sum
 of the per-family KL terms.
 
+``priors`` and ``amortized_posterior`` build every latent distribution
+the package uses; both priors come from bias vectors alone.  The
+piecewise posterior is carried as its pre-activation ``W enc + b``, the
+starting point of iterative inference; ``piecewise.head_forward`` maps
+it to weights.
+
 Documents are rows: a batch of B documents is encoded, sampled and
 decoded as (B, ·) matrices, and one bound assembly (``_bound_rows``)
 returns every document's bound, reconstruction and KL terms together with
@@ -26,21 +32,19 @@ builds it from each document's own ``draw_noises`` draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import gaussian, piecewise
 from .corpus import Corpus, Document
 from .gaussian import GaussianHead, GaussianParams
-from .piecewise import PiecewiseHead
 from .tensor import (
     ShapeError,
     Tensor,
     affine,
     concat,
     dot,
-    exp_clamped,
     log_softmax,
     matvec,
     prelu,
@@ -61,6 +65,8 @@ __all__ = [
     "encode",
     "decode_logprob",
     "combine_latents",
+    "priors",
+    "amortized_posterior",
     "draw_noises",
     "stack_noises",
     "batch_bound",
@@ -151,30 +157,8 @@ class NvdmModel:
         )
 
     def gaussian_head(self) -> GaussianHead:
-        p = self.params
-        return GaussianHead(
-            prior_w_mu=None,
-            prior_b_mu=p["g_prior_b_mu"],
-            prior_w_sigma=None,
-            prior_b_sigma=p["g_prior_b_sigma"],
-            post_w_mu=p["g_post_w_mu"],
-            post_b_mu=p["g_post_b_mu"],
-            post_w_sigma=p["g_post_w_sigma"],
-            post_b_sigma=p["g_post_b_sigma"],
-            alpha_mu=p["g_alpha_mu"],
-            alpha_sigma=p["g_alpha_sigma"],
-        )
-
-    def piecewise_prior_head(self) -> PiecewiseHead:
-        return PiecewiseHead(weight=None, bias=self.params["p_prior_b_a"], dims=self.piece_dims, pieces=self.n_pieces)
-
-    def piecewise_post_head(self) -> PiecewiseHead:
-        return PiecewiseHead(
-            weight=self.params["p_post_w_a"],
-            bias=self.params["p_post_b_a"],
-            dims=self.piece_dims,
-            pieces=self.n_pieces,
-        )
+        """The Gaussian head over this model's ``g_<field>`` parameters."""
+        return GaussianHead(**{f.name: self.params[f"g_{f.name}"] for f in fields(GaussianHead)})
 
 
 @dataclass
@@ -312,30 +296,35 @@ def combine_latents(z_gauss: Tensor | None, z_piece: Tensor | None) -> Tensor:
     return concat(z_gauss, z_piece)
 
 
-def _posterior_from_encoder(model: NvdmModel, enc: Tensor):
-    gauss_prior = gauss_post = None
-    a_prior = a_post = None
+def priors(model: NvdmModel) -> tuple[GaussianParams | None, Tensor | None]:
+    """(Gaussian (G,) parameters, flat (P·n,) piecewise weights); None for an absent family."""
+    gauss_prior = a_prior = None
     if model.gauss_dims > 0:
-        head = model.gaussian_head()
-        gauss_prior = gaussian.prior_forward(head)
-        gauss_post = gaussian.posterior_forward(head, gauss_prior, enc)
+        gauss_prior = gaussian.prior_forward(model.gaussian_head())
     if model.piece_dims > 0:
-        a_prior = piecewise.head_forward(model.piecewise_prior_head())
-        a_post = piecewise.head_forward(model.piecewise_post_head(), enc)
-    return gauss_prior, gauss_post, a_prior, a_post
+        a_prior = piecewise.head_forward(model.params["p_prior_b_a"])
+    return gauss_prior, a_prior
 
 
-def _bound_rows(
-    model: NvdmModel,
-    counts: Tensor,
-    gauss_prior: GaussianParams | None,
-    gauss_post: GaussianParams | None,
-    a_prior: Tensor | None,
-    a_post: Tensor | None,
-    kl_weight: float,
-    noises,
-) -> RowBounds:
-    """The one bound assembly: (B, V) counts, (B, ·) posteriors, stacked noises."""
+def amortized_posterior(model: NvdmModel, enc: Tensor, prior) -> tuple[GaussianParams | None, Tensor | None]:
+    """(Gaussian parameters, piecewise pre-activation W enc + b); None for an absent family.
+
+    ``enc`` is one encoding or (B, H) rows.  ``prior`` is ``priors(model)``,
+    which the gated Gaussian posterior interpolates.
+    """
+    gauss_post = piece_raw = None
+    if model.gauss_dims > 0:
+        gauss_post = gaussian.posterior_forward(model.gaussian_head(), prior[0], enc)
+    if model.piece_dims > 0:
+        piece_raw = affine(enc, model.params["p_post_w_a"], model.params["p_post_b_a"])
+    return gauss_post, piece_raw
+
+
+def _bound_rows(model: NvdmModel, counts: Tensor, prior, posterior, kl_weight: float, noises) -> RowBounds:
+    """The one bound assembly: (B, V) counts, ``priors``, (B, ·) posterior rows, stacked noises."""
+    gauss_prior, a_prior = prior
+    gauss_post, piece_raw = posterior
+    a_post = piecewise.head_forward(piece_raw) if piece_raw is not None else None
     recon = None
     for eps_g, eps_p in noises:
         z_g = gaussian.sample_with_noise(gauss_post, eps_g) if gauss_post is not None else None
@@ -398,8 +387,9 @@ def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: fl
     _check_documents(model, corpus, docs)
     x = Tensor([corpus.dense(doc) for doc in docs])
     counts = Tensor([corpus.dense_counts(doc) for doc in docs])
-    gauss_prior, gauss_post, a_prior, a_post = _posterior_from_encoder(model, encode(model, x))
-    return _bound_rows(model, counts, gauss_prior, gauss_post, a_prior, a_post, kl_weight, noises)
+    prior = priors(model)
+    posterior = amortized_posterior(model, encode(model, x), prior)
+    return _bound_rows(model, counts, prior, posterior, kl_weight, noises)
 
 
 def elbo(
@@ -433,18 +423,14 @@ def posterior_bound(
 
     Used by iterative per-document inference: the parameters are (1, dims)
     rows, the Gaussian posterior is (mu, softplus(raw_sigma) + floor) and
-    the piecewise posterior weights are exp(clamp(raw_a)); priors come from
-    the (frozen) model.  ``noises`` is the document's ``draw_noises`` result.
+    the piecewise posterior weights are ``piecewise.head_forward(raw_a)``;
+    priors come from the (frozen) model.  ``noises`` is the document's
+    ``draw_noises`` result.
     """
     _check_documents(model, corpus, [doc])
     counts = Tensor([corpus.dense_counts(doc)])
-    gauss_prior = gauss_post = None
-    a_prior = a_post = None
+    gauss_post = None
     if model.gauss_dims > 0:
-        gauss_prior = gaussian.prior_forward(model.gaussian_head())
         gauss_post = GaussianParams(mu=gauss_mu, var=softplus(gauss_raw_sigma) + gaussian.VAR_FLOOR)
-    if model.piece_dims > 0:
-        a_prior = piecewise.head_forward(model.piecewise_prior_head())
-        a_post = exp_clamped(piece_raw_a, -piecewise.CLAMP, piecewise.CLAMP)
-    rows = _bound_rows(model, counts, gauss_prior, gauss_post, a_prior, a_post, kl_weight, stack_noises([noises]))
+    rows = _bound_rows(model, counts, priors(model), (gauss_post, piece_raw_a), kl_weight, stack_noises([noises]))
     return rows.single(len(noises))

@@ -3,10 +3,13 @@
 A distribution with n equal-width segments and positive weights a_1..a_n
 has density a_i / K on segment i, where K_i = a_i / n and K = sum_i K_i,
 so the density integrates to exactly 1.  Segments are half open,
-[(i-1)/n, i/n), with the last segment closed at 1.  The module provides
-the density, CDF, closed-form inverse CDF (for inverse transform
-sampling), the closed-form KL divergence between two such distributions,
-and exact pathwise derivatives of samples with respect to the weights.
+[(i-1)/n, i/n), with the last segment closed at 1.  The ``*_rows`` core
+takes one distribution per row of a (d, n) array and gives the density,
+CDF, closed-form inverse CDF (for inverse transform sampling), exact
+pathwise derivatives of samples with respect to the weights, and the
+closed-form KL divergence and mean.  ``head_forward`` maps
+pre-activations to weights; ``sample_through`` and ``kl_between`` are
+the core as taped operations.
 
 Derivatives of the segment-selection indicators are fixed to zero: the
 probability of drawing a value exactly at a changing point is zero, so
@@ -17,70 +20,27 @@ segment, consistent with the half-open convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast, affine, custom_op, exp_clamped
+from .tensor import Tensor, _unbroadcast, custom_op, exp_clamped
 
 __all__ = [
-    "DomainError",
-    "PiecewiseParams",
-    "PiecewiseHead",
-    "pdf",
-    "cdf",
-    "inverse_cdf",
-    "sample",
-    "sample_grad",
-    "kl",
-    "kl_grad",
-    "mean",
-    "shift_to_signed",
+    "CLAMP",
+    "pdf_rows",
+    "cdf_rows",
+    "inverse_cdf_rows",
+    "sample_grad_rows",
+    "kl_rows",
+    "kl_grad_rows",
+    "mean_rows",
     "head_forward",
     "sample_through",
     "kl_between",
-    "CLAMP",
 ]
 
 # Pre-exponential clamp for weight heads; prevents overflow while leaving
 # training-scale values untouched.
 CLAMP = 30.0
-
-
-class DomainError(ValueError):
-    """Argument outside the distribution's [0, 1] support."""
-
-
-@dataclass(frozen=True)
-class PiecewiseParams:
-    """Weights of one piecewise constant variable (n = len(a) segments)."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.a, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"PiecewiseParams: need a vector of at least 2 weights, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("PiecewiseParams: weights must be finite and strictly positive")
-        arr.flags.writeable = False
-        object.__setattr__(self, "a", arr)
-
-    @property
-    def n(self) -> int:
-        return self.a.size
-
-    @property
-    def normalizer(self) -> float:
-        """K = sum_i a_i / n."""
-        return float(self.a.sum() / self.n)
-
-
-def _check_unit(value: float, name: str) -> float:
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {v}")
-    return v
 
 
 # Row-vectorised core: `a` has shape (d, n), one distribution per row.
@@ -180,90 +140,18 @@ def mean_rows(a: np.ndarray) -> np.ndarray:
     return masses @ midpoints
 
 
-# Scalar API over PiecewiseParams.
-
-
-def pdf(p: PiecewiseParams, z: float) -> float:
-    z = _check_unit(z, "z")
-    return float(pdf_rows(p.a[None, :], np.array([z]))[0])
-
-
-def cdf(p: PiecewiseParams, z: float) -> float:
-    z = _check_unit(z, "z")
-    return float(cdf_rows(p.a[None, :], np.array([z]))[0])
-
-
-def inverse_cdf(p: PiecewiseParams, eps: float) -> float:
-    eps = _check_unit(eps, "eps")
-    return float(inverse_cdf_rows(p.a[None, :], np.array([eps]))[0])
-
-
-def sample(p: PiecewiseParams, rng: np.random.Generator) -> float:
-    """Inverse transform sample: draw eps ~ Uniform(0,1), map through the inverse CDF."""
-    return inverse_cdf(p, float(rng.random()))
-
-
-def sample_grad(p: PiecewiseParams, eps: float) -> np.ndarray:
-    eps = _check_unit(eps, "eps")
-    return sample_grad_rows(p.a[None, :], np.array([eps]))[0]
-
-
-def _check_same_n(post: PiecewiseParams, prior: PiecewiseParams) -> None:
-    if post.n != prior.n:
-        raise ValueError(f"kl: piece counts differ ({post.n} vs {prior.n})")
-
-
-def kl(post: PiecewiseParams, prior: PiecewiseParams) -> float:
-    _check_same_n(post, prior)
-    return float(kl_rows(post.a[None, :], prior.a[None, :])[0])
-
-
-def kl_grad(post: PiecewiseParams, prior: PiecewiseParams):
-    _check_same_n(post, prior)
-    d_post, d_prior = kl_grad_rows(post.a[None, :], prior.a[None, :])
-    return d_post[0], d_prior[0]
-
-
-def mean(p: PiecewiseParams) -> float:
-    return float(mean_rows(p.a[None, :])[0])
-
-
-def shift_to_signed(z):
-    """Map [0, 1] samples onto [-1, 1]: z' = 2z - 1.
-
-    Applied to samples before they enter the decoder; KL terms stay on the
-    unshifted parametrisation.
-    """
-    return 2.0 * np.asarray(z, dtype=np.float64) - 1.0 if np.ndim(z) else 2.0 * float(z) - 1.0
-
-
 # Taped operations used inside models.  Weight tensors are flat
-# (dims * pieces,) vectors laid out row major, one row per latent
-# dimension.
+# (dims * pieces,) vectors or (B, dims * pieces) rows laid out row major,
+# one group of ``pieces`` weights per latent dimension.
 
 
-@dataclass
-class PiecewiseHead:
-    """Linear-exponential map from an encoding to per-dimension weights.
+def head_forward(raw: Tensor) -> Tensor:
+    """Weights a = exp(clamp(raw, -CLAMP, CLAMP)) from pre-activations of any shape.
 
-    ``weight`` may be None for heads conditioned on nothing, in which case
-    the weights come from the bias alone.
+    The one map from pre-activations to piecewise weights: the prior's
+    bias, the amortised posterior's ``W enc + b`` and a refined posterior
+    all go through it.
     """
-
-    weight: Tensor | None
-    bias: Tensor
-    dims: int
-    pieces: int
-
-
-def head_forward(head: PiecewiseHead, enc: Tensor | None = None) -> Tensor:
-    """Weights a = exp(clamp(W enc + b)) as a flat (dims*pieces,) tensor."""
-    if head.weight is None or enc is None:
-        if head.weight is not None:
-            raise ValueError("head_forward: head has a weight matrix but no encoding was given")
-        raw = head.bias
-    else:
-        raw = affine(enc, head.weight, head.bias)
     return exp_clamped(raw, -CLAMP, CLAMP)
 
 

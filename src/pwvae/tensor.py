@@ -35,7 +35,6 @@ __all__ = [
     "Tape",
     "ShapeError",
     "TapeError",
-    "as_tensor",
     "custom_op",
     "add",
     "sub",
@@ -130,10 +129,6 @@ class Tensor:
 
     def __neg__(self):
         return scale_shift(self, -1.0, 0.0)
-
-
-def as_tensor(values) -> Tensor:
-    return values if isinstance(values, Tensor) else Tensor(values)
 
 
 def _wrap(values: np.ndarray) -> Tensor:

@@ -70,8 +70,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1 or self.threads < 1:
             raise ValueError("batch_size, max_epochs, patience, and threads must be >= 1")
-        if self.learning_rate < 0 or self.clip_norm <= 0 or self.kl_anneal_batches < 0:
+        if not (self.learning_rate >= 0 and self.clip_norm > 0) or self.kl_anneal_batches < 0:
             raise ValueError("learning_rate must be >= 0, clip_norm > 0, kl_anneal_batches >= 0")
+        if self.valid_samples < 1:
+            raise ValueError("valid_samples must be >= 1")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0.0:
+            raise ValueError("adam_eps must be > 0")
 
 
 def kl_weight(step: int, config: TrainConfig) -> float:

@@ -1,5 +1,7 @@
 """Word neighbours, KL word-sensitivity counts, and posterior-mean export."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,13 +87,13 @@ class TestExportMeans:
         model = model.replaced({"p_post_w_a": np.zeros((6, 4)), "p_post_b_a": np.zeros(6)})
         out = str(tmp_path / "means.tsv")
         analysis.export_posterior_means(model, corpus, out)
-        rows = [line.split("\t") for line in open(out) if not line.startswith("#")]
+        rows = [line.split("\t") for line in Path(out).read_text().splitlines() if not line.startswith("#")]
         for row in rows:
             assert [float(v) for v in row[2:]] == [0.5, 0.5]
 
     def test_closed_form_matches_monte_carlo(self):
         a = np.array([1.0, 3.0])
-        closed = pw.mean(pw.PiecewiseParams(a))
+        closed = float(pw.mean_rows(a[None, :])[0])
         assert closed == pytest.approx(0.625, abs=1e-12)
         rng = np.random.default_rng(6)
         draws = pw.inverse_cdf_rows(np.tile(a, (100_000, 1)), rng.random(100_000))
@@ -102,7 +104,7 @@ class TestExportMeans:
         model = model_for(corpus, variant="h", seed=7)
         out = str(tmp_path / "means.tsv")
         written = analysis.export_posterior_means(model, corpus, out)
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         header = [line for line in lines if line.startswith("#")]
         data = [line for line in lines if not line.startswith("#")]
         assert written == len(corpus)
@@ -117,7 +119,7 @@ class TestExportMeans:
         model = model_for(corpus, variant="p", seed=8)
         out = str(tmp_path / "means.tsv")
         analysis.export_posterior_means(model, corpus, out)
-        for line in open(out):
+        for line in Path(out).read_text().splitlines():
             if line.startswith("#"):
                 continue
             values = [float(v) for v in line.split("\t")[2:]]

@@ -1,5 +1,7 @@
 """Checkpoint format: losslessness and byte stability."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ class TestRoundTrip:
         ck.save_checkpoint(model, p1)
         loaded = ck.load_checkpoint(p1)
         ck.save_checkpoint(loaded, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_values_round_trip_exactly(self, tmp_path):
         model = perturbed(nvdm.init_model("h", 7, hidden=3, gauss_dims=2, piece_dims=1, n_pieces=4, seed=3), seed=4)
@@ -49,7 +51,7 @@ class TestRoundTrip:
         model = nvdm.init_model("g", 5, hidden=2, gauss_dims=1, seed=6)
         path = str(tmp_path / "m.ckpt")
         ck.save_checkpoint(model, path)
-        assert open(path).readline().rstrip("\n") == "pwvae-ckpt v1"
+        assert Path(path).read_text().splitlines()[0] == "pwvae-ckpt v1"
 
 
 class TestErrors:

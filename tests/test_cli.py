@@ -38,6 +38,14 @@ def test_explicit_zero_is_rejected_not_replaced_by_default(data, tmp_path, capsy
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_bad_config_value_exits_before_training(data, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("adam_beta1 = 1.0\n", encoding="utf-8")
+    assert cli.main(train_args(data, tmp_path, "g", "--config", str(config))) == cli.RUNTIME_ERROR
+    assert "adam_beta1 and adam_beta2 must lie in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_explicit_dimensions_reach_the_model(data, tmp_path, capsys):
     flags = ("--gauss-dims", "2", "--piece-dims", "3", "--pieces", "4")
     assert cli.main(train_args(data, tmp_path, "h", *flags)) == 0

@@ -1,6 +1,7 @@
 """Corpus file formats, filtering rules, and the synthetic generator."""
 
 import gzip
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestRoundTrip:
         p1, p2 = str(tmp_path / "a.docs"), str(tmp_path / "b.docs")
         cio.save_corpus(corpus, str(tmp_path / "a.vocab"), p1)
         cio.save_corpus(corpus, str(tmp_path / "b.vocab"), p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 class TestSynthetic:

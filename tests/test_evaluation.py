@@ -161,6 +161,26 @@ class TestIterativeInference:
             assert refinements2[j].steps == refinements[i].steps
 
 
+class TestSampleCounts:
+    """Bad sample counts fail before any document is refined."""
+
+    def test_evaluate_iterative_rejects_zero_samples(self, corpus, monkeypatch):
+        def refine(*args, **kwargs):
+            raise AssertionError("a document was refined")
+
+        monkeypatch.setattr(evaluation, "iterative_inference", refine)
+        with pytest.raises(ValueError, match="num_samples must be >= 1"):
+            evaluation.evaluate_iterative(fresh_model("h"), corpus, num_samples=0, rng=np.random.default_rng(0))
+
+    def test_iterative_inference_rejects_zero_eval_samples(self, corpus, monkeypatch):
+        def bound(*args, **kwargs):
+            raise AssertionError("a bound was computed")
+
+        monkeypatch.setattr(evaluation, "posterior_bound", bound)
+        with pytest.raises(ValueError, match="eval_samples must be >= 1"):
+            evaluation.iterative_inference(fresh_model("h"), corpus, corpus.docs[0], eval_samples=0, rng=np.random.default_rng(0))
+
+
 class TestSamplePriorDocs:
     def test_zero_decoder_breaks_ties_by_word_id(self):
         model = fresh_model("h", seed=24)

@@ -164,6 +164,21 @@ class TestElbo:
         b = nvdm.elbo(model, corpus, corpus.docs[0], num_samples=5, rng=np.random.default_rng(6))
         assert a.bound == b.bound and a.reconstruction == b.reconstruction
 
+    def test_piecewise_samples_enter_decoder_signed(self):
+        """The decoder sees a piecewise sample z in [0, 1] as 2z - 1."""
+        vocab = ("w0", "w1", "w2")
+        doc = Document("0", np.array([0, 2]), np.array([1, 3]))
+        corpus = Corpus(vocab=vocab, docs=(doc,))
+        model = nvdm.init_model("p", 3, hidden=2, piece_dims=1, n_pieces=2, seed=0)
+        r = np.array([[0.7], [-1.3], [0.4]])
+        model = model.replaced({"dec_r": r, "p_post_w_a": np.zeros((2, 2))})
+        counts = corpus.dense_counts(doc)
+        for eps, signed in ((0.0, -1.0), (0.5, 0.0), (1.0, 1.0)):
+            rows = nvdm.batch_bound(model, corpus, [doc], [(None, np.array([[eps]]))], kl_weight=0.0)
+            logits = -r[:, 0] * signed
+            logp = logits - np.log(np.exp(logits).sum())
+            assert rows.reconstruction[0] == pytest.approx(counts @ logp, rel=1e-14)
+
     def test_log1p_transform_changes_encoder_input_only(self):
         vocab = tuple(f"w{i}" for i in range(4))
         doc = Document("0", np.array([1]), np.array([2]))
@@ -221,7 +236,7 @@ class TestLowerBound:
         corpus = Corpus(vocab=vocab, docs=docs)
         model = randomized(nvdm.init_model("p", 4, hidden=3, piece_dims=1, n_pieces=2, seed=22), seed=23, scale=0.5)
 
-        a_prior = pw.head_forward(model.piecewise_prior_head()).data.reshape(1, 2)
+        a_prior = nvdm.priors(model)[1].data.reshape(1, 2)
         m = 100_000
         grid = (np.arange(m) + 0.5) / m
         prior_pdf = pw.pdf_rows(np.tile(a_prior, (m, 1)), grid)

@@ -12,7 +12,17 @@ from gradcheck import max_rel_err, numerical_grad
 
 
 def random_params(rng, n):
-    return pw.PiecewiseParams(np.exp(rng.uniform(-2.0, 2.0, size=n)))
+    return np.exp(rng.uniform(-2.0, 2.0, size=n))
+
+
+def at(fn, a, x):
+    """Row function ``fn`` for the single distribution ``a`` at the point, noise or prior ``x``."""
+    return fn(np.asarray(a, dtype=np.float64)[None, :], np.array([x], dtype=np.float64))[0]
+
+
+def kl_grad(post, prior):
+    d_post, d_prior = pw.kl_grad_rows(post[None, :], prior[None, :])
+    return d_post[0], d_prior[0]
 
 
 def aligned_grid(n, target):
@@ -22,24 +32,24 @@ def aligned_grid(n, target):
     return (np.arange(m) + 0.5) / m, m
 
 
-def quadrature_pdf_mass(p, target=10_000):
-    grid, m = aligned_grid(p.n, target)
-    vals = pw.pdf_rows(np.tile(p.a, (m, 1)), grid)
+def quadrature_pdf_mass(a, target=10_000):
+    grid, m = aligned_grid(a.size, target)
+    vals = pw.pdf_rows(np.tile(a, (m, 1)), grid)
     return vals.sum() / m
 
 
 def quadrature_kl(post, prior, target=100_000):
-    grid, m = aligned_grid(post.n, target)
-    q = pw.pdf_rows(np.tile(post.a, (m, 1)), grid)
-    r = pw.pdf_rows(np.tile(prior.a, (m, 1)), grid)
+    grid, m = aligned_grid(post.size, target)
+    q = pw.pdf_rows(np.tile(post, (m, 1)), grid)
+    r = pw.pdf_rows(np.tile(prior, (m, 1)), grid)
     return float(np.sum(q * np.log(q / r)) / m)
 
 
-def bisect_inverse_cdf(p, eps, iters=80):
+def bisect_inverse_cdf(a, eps, iters=80):
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if pw.cdf(p, mid) < eps:
+        if at(pw.cdf_rows, a, mid) < eps:
             lo = mid
         else:
             hi = mid
@@ -55,174 +65,148 @@ def ks_uniform(samples):
 
 class TestDensity:
     def test_uniform_density(self):
-        p = pw.PiecewiseParams([1.0, 1.0])
-        assert pw.pdf(p, 0.3) == 1.0
+        assert at(pw.pdf_rows, [1.0, 1.0], 0.3) == 1.0
 
     def test_hand_integrated_density(self):
-        p = pw.PiecewiseParams([1.0, 3.0])
-        assert pw.pdf(p, 0.25) == pytest.approx(0.5, abs=1e-15)
-        assert pw.pdf(p, 0.75) == pytest.approx(1.5, abs=1e-15)
+        a = [1.0, 3.0]
+        assert at(pw.pdf_rows, a, 0.25) == pytest.approx(0.5, abs=1e-15)
+        assert at(pw.pdf_rows, a, 0.75) == pytest.approx(1.5, abs=1e-15)
 
     def test_mass_integrates_to_one(self):
         rng = np.random.default_rng(100)
         for n in (2, 3, 5, 10):
             for _ in range(25):
-                p = random_params(rng, n)
-                assert abs(quadrature_pdf_mass(p) - 1.0) < 1e-8
-
-    def test_domain_errors(self):
-        p = pw.PiecewiseParams([1.0, 1.0])
-        for fn in (pw.pdf, pw.cdf, pw.inverse_cdf):
-            with pytest.raises(pw.DomainError):
-                fn(p, -0.01)
-            with pytest.raises(pw.DomainError):
-                fn(p, 1.01)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            pw.PiecewiseParams([1.0])
-        with pytest.raises(ValueError):
-            pw.PiecewiseParams([1.0, -1.0])
-        with pytest.raises(ValueError):
-            pw.PiecewiseParams([1.0, np.inf])
+                a = random_params(rng, n)
+                assert abs(quadrature_pdf_mass(a) - 1.0) < 1e-8
 
 
 class TestCdf:
     def test_uniform_cdf_is_identity(self):
-        p = pw.PiecewiseParams([1.0, 1.0])
         for z in np.linspace(0, 1, 17):
-            assert pw.cdf(p, float(z)) == pytest.approx(z, abs=1e-15)
+            assert at(pw.cdf_rows, [1.0, 1.0], float(z)) == pytest.approx(z, abs=1e-15)
 
     def test_hand_integrated_cdf(self):
-        p = pw.PiecewiseParams([1.0, 3.0])
-        assert pw.cdf(p, 0.5) == pytest.approx(0.25, abs=1e-15)
-        assert pw.cdf(p, 0.75) == pytest.approx(0.625, abs=1e-15)
+        a = [1.0, 3.0]
+        assert at(pw.cdf_rows, a, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert at(pw.cdf_rows, a, 0.75) == pytest.approx(0.625, abs=1e-15)
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(101)
         for n in (2, 3, 5, 10):
-            p = random_params(rng, n)
-            assert pw.cdf(p, 0.0) == 0.0
-            assert pw.cdf(p, 1.0) == 1.0
+            a = random_params(rng, n)
+            assert at(pw.cdf_rows, a, 0.0) == 0.0
+            assert at(pw.cdf_rows, a, 1.0) == 1.0
 
     def test_monotone(self):
         rng = np.random.default_rng(102)
-        p = random_params(rng, 5)
+        a = random_params(rng, 5)
         zs = np.linspace(0, 1, 301)
-        vals = [pw.cdf(p, float(z)) for z in zs]
+        vals = [at(pw.cdf_rows, a, float(z)) for z in zs]
         assert np.all(np.diff(vals) >= 0)
 
 
 class TestInverseCdf:
     def test_uniform_identity(self):
-        p = pw.PiecewiseParams([1.0, 1.0])
-        assert pw.inverse_cdf(p, 0.7) == pytest.approx(0.7, abs=1e-15)
+        assert at(pw.inverse_cdf_rows, [1.0, 1.0], 0.7) == pytest.approx(0.7, abs=1e-15)
 
     def test_hand_round_trip(self):
-        p = pw.PiecewiseParams([1.0, 3.0])
-        assert pw.inverse_cdf(p, 0.625) == pytest.approx(0.75, abs=1e-15)
+        assert at(pw.inverse_cdf_rows, [1.0, 3.0], 0.625) == pytest.approx(0.75, abs=1e-15)
 
     def test_round_trip_and_bisection_oracle(self):
         rng = np.random.default_rng(103)
         for n in (2, 3, 5, 10):
-            p = random_params(rng, n)
+            a = random_params(rng, n)
             eps = rng.random(1000)
-            z = pw.inverse_cdf_rows(np.tile(p.a, (1000, 1)), eps)
-            back = pw.cdf_rows(np.tile(p.a, (1000, 1)), z)
+            z = pw.inverse_cdf_rows(np.tile(a, (1000, 1)), eps)
+            back = pw.cdf_rows(np.tile(a, (1000, 1)), z)
             assert np.max(np.abs(back - eps)) < 1e-12
             for e in eps[:25]:
-                assert abs(pw.inverse_cdf(p, float(e)) - bisect_inverse_cdf(p, float(e))) < 1e-10
+                assert abs(at(pw.inverse_cdf_rows, a, float(e)) - bisect_inverse_cdf(a, float(e))) < 1e-10
 
     def test_boundary_mass_assigns_right_segment(self):
-        p = pw.PiecewiseParams([1.0, 3.0])
         # Cumulative mass of segment 1 is 0.25; exactly there, use segment 2.
-        assert pw.inverse_cdf(p, 0.25) == pytest.approx(0.5, abs=1e-15)
+        assert at(pw.inverse_cdf_rows, [1.0, 3.0], 0.25) == pytest.approx(0.5, abs=1e-15)
 
     def test_endpoints(self):
-        p = pw.PiecewiseParams([2.0, 5.0, 1.0])
-        assert pw.inverse_cdf(p, 0.0) == 0.0
-        assert pw.inverse_cdf(p, 1.0) == 1.0
+        a = [2.0, 5.0, 1.0]
+        assert at(pw.inverse_cdf_rows, a, 0.0) == 0.0
+        assert at(pw.inverse_cdf_rows, a, 1.0) == 1.0
 
 
 class TestSampling:
     def test_uniform_params_pass_ks(self):
-        p = pw.PiecewiseParams([1.0, 1.0])
         rng = np.random.default_rng(104)
-        samples = pw.inverse_cdf_rows(np.tile(p.a, (100_000, 1)), rng.random(100_000))
+        samples = pw.inverse_cdf_rows(np.tile([1.0, 1.0], (100_000, 1)), rng.random(100_000))
         assert ks_uniform(samples) < 0.006
 
     def test_mass_above_half(self):
-        p = pw.PiecewiseParams([1.0, 3.0])
         rng = np.random.default_rng(105)
-        samples = pw.inverse_cdf_rows(np.tile(p.a, (100_000, 1)), rng.random(100_000))
+        samples = pw.inverse_cdf_rows(np.tile([1.0, 3.0], (100_000, 1)), rng.random(100_000))
         assert abs(np.mean(samples >= 0.5) - 0.75) < 0.01
 
     def test_fixed_seed_reproducible(self):
-        p = pw.PiecewiseParams([0.5, 2.0, 1.0])
-        a = [pw.sample(p, np.random.default_rng(42)) for _ in range(5)]
-        b = [pw.sample(p, np.random.default_rng(42)) for _ in range(5)]
+        weights = [0.5, 2.0, 1.0]
+        a = [at(pw.inverse_cdf_rows, weights, np.random.default_rng(42).random()) for _ in range(5)]
+        b = [at(pw.inverse_cdf_rows, weights, np.random.default_rng(42).random()) for _ in range(5)]
         assert a == b
 
     def test_histogram_matches_analytic_masses(self):
         rng = np.random.default_rng(106)
         for n in (2, 3, 5):
-            p = random_params(rng, n)
-            draws = pw.inverse_cdf_rows(np.tile(p.a, (100_000, 1)), rng.random(100_000))
+            a = random_params(rng, n)
+            draws = pw.inverse_cdf_rows(np.tile(a, (100_000, 1)), rng.random(100_000))
             bins = np.minimum((draws * n).astype(int), n - 1)
             empirical = np.bincount(bins, minlength=n) / len(draws)
-            masses = p.a / p.a.sum()
+            masses = a / a.sum()
             tv = 0.5 * np.abs(empirical - masses).sum()
             assert tv < 0.01
 
 
 class TestSampleGrad:
     def test_matches_finite_differences_uniform(self):
-        p = pw.PiecewiseParams([1.0, 1.0])
+        uniform = np.array([1.0, 1.0])
         for eps in (0.1, 0.25, 0.6, 0.9):
-            ana = pw.sample_grad(p, eps)
-            num = numerical_grad(lambda a: pw.inverse_cdf(pw.PiecewiseParams(a), eps), p.a)
+            ana = at(pw.sample_grad_rows, uniform, eps)
+            num = numerical_grad(lambda a: at(pw.inverse_cdf_rows, a, eps), uniform)
             assert max_rel_err(ana, num) < 1e-6
 
     def test_matches_finite_differences_random(self):
         rng = np.random.default_rng(107)
         for n in (2, 3, 5, 10):
-            p = random_params(rng, n)
+            weights = random_params(rng, n)
             for _ in range(5):
                 eps = float(rng.uniform(0.05, 0.95))
-                ana = pw.sample_grad(p, eps)
-                num = numerical_grad(lambda a: pw.inverse_cdf(pw.PiecewiseParams(a), eps), p.a)
+                ana = at(pw.sample_grad_rows, weights, eps)
+                num = numerical_grad(lambda a: at(pw.inverse_cdf_rows, a, eps), weights)
                 assert max_rel_err(ana, num) < 1e-6
 
     def test_opposite_signs_at_quarter(self):
-        p = pw.PiecewiseParams([1.0, 1.0])
-        g = pw.sample_grad(p, 0.25)
+        g = at(pw.sample_grad_rows, [1.0, 1.0], 0.25)
         assert g[0] < 0 < g[1]
 
     def test_zero_noise_gives_zero_gradient(self):
         rng = np.random.default_rng(108)
-        p = random_params(rng, 4)
-        np.testing.assert_array_equal(pw.sample_grad(p, 0.0), np.zeros(4))
-        np.testing.assert_array_equal(pw.sample_grad(p, 1.0), np.zeros(4))
+        a = random_params(rng, 4)
+        np.testing.assert_array_equal(at(pw.sample_grad_rows, a, 0.0), np.zeros(4))
+        np.testing.assert_array_equal(at(pw.sample_grad_rows, a, 1.0), np.zeros(4))
 
 
 class TestKl:
     def test_identical_distributions(self):
         rng = np.random.default_rng(109)
         for n in (2, 3, 5):
-            p = random_params(rng, n)
-            assert abs(pw.kl(p, p)) < 1e-14
+            a = random_params(rng, n)
+            assert abs(at(pw.kl_rows, a, a)) < 1e-14
 
     def test_hand_case(self):
-        post = pw.PiecewiseParams([1.0, 3.0])
-        prior = pw.PiecewiseParams([1.0, 1.0])
-        assert pw.kl(post, prior) == pytest.approx(0.75 * np.log(3.0) - np.log(2.0), abs=1e-9)
+        assert at(pw.kl_rows, [1.0, 3.0], [1.0, 1.0]) == pytest.approx(0.75 * np.log(3.0) - np.log(2.0), abs=1e-9)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(110)
         for n in (2, 3, 5):
             for _ in range(34):
                 post, prior = random_params(rng, n), random_params(rng, n)
-                closed = pw.kl(post, prior)
+                closed = at(pw.kl_rows, post, prior)
                 quad = quadrature_kl(post, prior)
                 assert abs(closed - quad) <= 1e-6 * max(abs(quad), 1e-3)
 
@@ -230,26 +214,22 @@ class TestKl:
         rng = np.random.default_rng(111)
         for _ in range(200):
             n = int(rng.integers(2, 8))
-            assert pw.kl(random_params(rng, n), random_params(rng, n)) >= 0.0
-
-    def test_piece_count_mismatch(self):
-        with pytest.raises(ValueError, match="piece counts"):
-            pw.kl(pw.PiecewiseParams([1.0, 1.0]), pw.PiecewiseParams([1.0, 1.0, 1.0]))
+            assert at(pw.kl_rows, random_params(rng, n), random_params(rng, n)) >= 0.0
 
 
 class TestKlGrad:
     def test_zero_at_stationary_point(self):
         rng = np.random.default_rng(112)
-        p = random_params(rng, 4)
-        d_post, _ = pw.kl_grad(p, p)
+        a = random_params(rng, 4)
+        d_post, _ = kl_grad(a, a)
         np.testing.assert_allclose(d_post, 0.0, atol=1e-14)
 
     def test_hand_pair_matches_finite_differences(self):
-        post = pw.PiecewiseParams([1.0, 3.0])
-        prior = pw.PiecewiseParams([1.0, 1.0])
-        d_post, d_prior = pw.kl_grad(post, prior)
-        num_post = numerical_grad(lambda a: pw.kl(pw.PiecewiseParams(a), prior), post.a)
-        num_prior = numerical_grad(lambda a: pw.kl(post, pw.PiecewiseParams(a)), prior.a)
+        post = np.array([1.0, 3.0])
+        prior = np.array([1.0, 1.0])
+        d_post, d_prior = kl_grad(post, prior)
+        num_post = numerical_grad(lambda a: at(pw.kl_rows, a, prior), post)
+        num_prior = numerical_grad(lambda a: at(pw.kl_rows, post, a), prior)
         assert max_rel_err(d_post, num_post) < 1e-6
         assert max_rel_err(d_prior, num_prior) < 1e-6
 
@@ -257,35 +237,30 @@ class TestKlGrad:
         rng = np.random.default_rng(113)
         for n in (2, 3, 5):
             post, prior = random_params(rng, n), random_params(rng, n)
-            d_post, d_prior = pw.kl_grad(post, prior)
-            num_post = numerical_grad(lambda a: pw.kl(pw.PiecewiseParams(a), prior), post.a)
-            num_prior = numerical_grad(lambda a: pw.kl(post, pw.PiecewiseParams(a)), prior.a)
+            d_post, d_prior = kl_grad(post, prior)
+            num_post = numerical_grad(lambda a: at(pw.kl_rows, a, prior), post)
+            num_prior = numerical_grad(lambda a: at(pw.kl_rows, post, a), prior)
             assert max_rel_err(d_post, num_post) < 1e-6
             assert max_rel_err(d_prior, num_prior) < 1e-6
 
 
 class TestShiftAndMean:
-    def test_shift_to_signed(self):
-        assert pw.shift_to_signed(0.0) == -1.0
-        assert pw.shift_to_signed(0.5) == 0.0
-        assert pw.shift_to_signed(1.0) == 1.0
-
     def test_uniform_mean(self):
-        assert pw.mean(pw.PiecewiseParams([1.0, 1.0])) == pytest.approx(0.5, abs=1e-15)
+        assert pw.mean_rows(np.array([[1.0, 1.0]]))[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_hand_mean_and_monte_carlo(self):
-        p = pw.PiecewiseParams([1.0, 3.0])
-        assert pw.mean(p) == pytest.approx(0.625, abs=1e-12)
+        a = np.array([1.0, 3.0])
+        assert pw.mean_rows(np.array([a]))[0] == pytest.approx(0.625, abs=1e-12)
         rng = np.random.default_rng(114)
-        draws = pw.inverse_cdf_rows(np.tile(p.a, (100_000, 1)), rng.random(100_000))
+        draws = pw.inverse_cdf_rows(np.tile(a, (100_000, 1)), rng.random(100_000))
         se = draws.std() / np.sqrt(len(draws))
-        assert abs(draws.mean() - pw.mean(p)) < 3 * se
+        assert abs(draws.mean() - pw.mean_rows(np.array([a]))[0]) < 3 * se
 
 
 class TestMultiModality:
     def test_two_maximal_pieces(self):
-        p = pw.PiecewiseParams([3.0, 1.0, 3.0])
-        densities = p.a / p.normalizer
+        a = np.array([3.0, 1.0, 3.0])
+        densities = pw.pdf_rows(np.tile(a, (3, 1)), (np.arange(3) + 0.5) / 3)
         assert densities[0] == densities[2] > densities[1]
 
     def test_product_density_has_exponentially_many_modes(self):
@@ -303,13 +278,11 @@ class TestMultiModality:
 
 class TestHeadForward:
     def test_zero_bias_gives_uniform_weights(self):
-        head = pw.PiecewiseHead(weight=None, bias=T.Tensor(np.zeros(6)), dims=2, pieces=3)
-        out = pw.head_forward(head)
+        out = pw.head_forward(T.Tensor(np.zeros(6)))
         np.testing.assert_array_equal(out.data, np.ones(6))
 
     def test_clamp_prevents_overflow(self):
-        head = pw.PiecewiseHead(weight=None, bias=T.Tensor([30.0, 120.0]), dims=1, pieces=2)
-        out = pw.head_forward(head)
+        out = pw.head_forward(T.Tensor([30.0, 120.0]))
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, np.exp(30.0))
 
@@ -320,13 +293,11 @@ class TestHeadForward:
         bias = rng.normal(size=4) * 0.1
 
         def forward(w_arr, b_arr, e_arr):
-            head = pw.PiecewiseHead(weight=T.Tensor(w_arr), bias=T.Tensor(b_arr), dims=2, pieces=2)
-            return pw.head_forward(head, T.Tensor(e_arr))
+            return pw.head_forward(T.affine(T.Tensor(e_arr), T.Tensor(w_arr), T.Tensor(b_arr)))
 
         with T.Tape() as tape:
             w_t, b_t, e_t = T.Tensor(weight), T.Tensor(bias), T.Tensor(enc)
-            head = pw.PiecewiseHead(weight=w_t, bias=b_t, dims=2, pieces=2)
-            tape.backward(T.sum_all(pw.head_forward(head, e_t)))
+            tape.backward(T.sum_all(pw.head_forward(T.affine(e_t, w_t, b_t))))
         for tensor, arr, idx in ((w_t, weight, 0), (b_t, bias, 1), (e_t, enc, 2)):
             args = [weight, bias, enc]
 
@@ -344,7 +315,7 @@ class TestTapedOps:
         a = np.exp(rng.uniform(-1, 1, size=(3, 4)))
         eps = rng.random(3)
         z = pw.sample_through(T.Tensor(a.reshape(-1)), eps, 3, 4)
-        expect = [pw.inverse_cdf(pw.PiecewiseParams(a[i]), float(eps[i])) for i in range(3)]
+        expect = [at(pw.inverse_cdf_rows, a[i], float(eps[i])) for i in range(3)]
         np.testing.assert_allclose(z.data, expect, rtol=1e-15)
 
     def test_sample_through_gradient(self):
@@ -368,7 +339,7 @@ class TestTapedOps:
             post_t, prior_t = T.Tensor(post.reshape(-1)), T.Tensor(prior.reshape(-1))
             kl_node = pw.kl_between(post_t, prior_t, 3, 5)
             tape.backward(kl_node)
-        expect = sum(pw.kl(pw.PiecewiseParams(post[i]), pw.PiecewiseParams(prior[i])) for i in range(3))
+        expect = sum(at(pw.kl_rows, post[i], prior[i]) for i in range(3))
         assert float(kl_node) == pytest.approx(expect, rel=1e-12)
         num = numerical_grad(lambda flat: float(pw.kl_rows(flat.reshape(3, 5), prior).sum()), post.reshape(-1))
         assert max_rel_err(tape.grad(post_t), num) < 1e-6

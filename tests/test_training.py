@@ -186,6 +186,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(clip_norm=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("valid_samples", 0, "valid_samples must be >= 1"),
+            ("adam_beta1", 1.0, r"adam_beta1 and adam_beta2 must lie in \[0, 1\)"),
+            ("adam_beta1", -0.1, r"adam_beta1 and adam_beta2 must lie in \[0, 1\)"),
+            ("adam_beta2", 1.0, r"adam_beta1 and adam_beta2 must lie in \[0, 1\)"),
+            ("adam_beta2", float("nan"), r"adam_beta1 and adam_beta2 must lie in \[0, 1\)"),
+            ("adam_eps", 0.0, "adam_eps must be > 0"),
+            ("adam_eps", -1e-8, "adam_eps must be > 0"),
+            ("learning_rate", float("nan"), "learning_rate must be >= 0"),
+            ("clip_norm", float("nan"), "clip_norm > 0"),
+        ],
+    )
+    def test_rejects_bad_optimiser_and_validation_settings(self, field, value, message):
+        """Each fails at construction, not after an epoch or as a misleading divergence."""
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        TrainConfig(valid_samples=1, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
+
 
 def randomized(model, seed, scale=0.3):
     """Copy of the model with every parameter perturbed, gates included."""
