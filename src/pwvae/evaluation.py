@@ -1,4 +1,4 @@
-"""Test-time evaluation: sampled-bound perplexity and per-document refinement.
+"""Test-time evaluation: sampled-bound perplexity and iterative posterior refinement.
 
 Perplexity is exp(-(1/D) sum_n bound_n / L_n) over D documents with L_n
 tokens each, where the sampled variational bound stands in for the exact
@@ -8,13 +8,26 @@ duplicating a corpus leaves the report unchanged.  Documents are
 evaluated as rows, ``EVAL_BLOCK`` at a time, which bounds memory for any
 corpus size.
 
-Iterative inference refines one document's posterior parameters by plain
-gradient ascent on its bound while the model and the prior stay frozen.
-Each gradient step uses freshly drawn noise; progress tracking and the
-returned bound use a fixed noise set drawn once per document, so the
-best-seen bound is deterministic given the document and never falls below
-the amortised starting point, and a zero learning rate returns exactly
-the starting bound.
+Iterative inference refines posterior parameters by plain gradient ascent
+on the bound while the model and the prior stay frozen.  A block of
+documents is refined together: each step is one forward pass and one
+``Tape.backward`` over (B, dims) parameter rows, one row per document.
+Every row keeps its own state (best bound, steps since the last
+improvement, step count, abort flag) and its own gradient-norm clip, and
+only rows still refining move.  A row that stops, by patience or by a
+non-finite step bound, stays in the block with its parameters frozen and
+fixed filler noise, and its outputs are ignored: the block's composition
+never changes, because a row's matrix products can differ in the last
+bits with the rows around it.
+Each gradient step uses freshly drawn noise, and a document's step
+stream advances only on the steps it takes; progress tracking uses a
+fixed noise set drawn once per document, so the best-seen bound is
+deterministic given the block and never falls below the amortised
+starting point, and a zero learning rate returns exactly the starting
+bound.  ``evaluate_iterative`` refines each distinct document once, in
+blocks taken from the distinct documents sorted by content key, so a
+set of documents always forms the same blocks whatever the corpus order
+or duplication.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ import numpy as np
 
 from . import gaussian, piecewise
 from .corpus import Corpus, Document
-from .nvdm import NvdmModel, amortized_posterior, batch_bound, decode_logprob, draw_noises, encode, posterior_bound, priors, stack_noises
+from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, posterior_bound, priors, stack_noises
 from .tensor import Tape, Tensor
 
 __all__ = [
@@ -35,20 +48,29 @@ __all__ = [
     "evaluate",
     "iterative_inference",
     "evaluate_iterative",
-    "sample_prior_docs",
 ]
 
 
-# Documents per forward pass in ``evaluate``.
+# Documents per forward pass in ``evaluate`` and per refined block in
+# ``evaluate_iterative``.
 EVAL_BLOCK = 64
 
 
-def _doc_rng(root: int, doc: Document, purpose: int) -> np.random.Generator:
+def _content(doc: Document) -> tuple[bytes, bytes]:
+    """What a document's noise and results depend on: its term ids and counts."""
+    return doc.term_ids.tobytes(), doc.counts.tobytes()
+
+
+def _doc_key(doc: Document) -> int:
+    """Content key of a document: a digest of ``_content``."""
     digest = hashlib.blake2b(digest_size=8)
-    digest.update(doc.term_ids.tobytes())
-    digest.update(doc.counts.tobytes())
-    key = int.from_bytes(digest.digest(), "little")
-    return np.random.default_rng(np.random.SeedSequence([root, purpose, key]))
+    for part in _content(doc):
+        digest.update(part)
+    return int.from_bytes(digest.digest(), "little")
+
+
+def _doc_rng(root: int, doc: Document, purpose: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([root, purpose, _doc_key(doc)]))
 
 
 def _root(rng: np.random.Generator) -> int:
@@ -123,47 +145,49 @@ class RefinementResult:
     aborted: bool = False
 
 
+# Posterior parameters of a refined block, in ``posterior_bound``'s
+# keywords and ``RefinementResult``'s fields: (B, dims) rows, or None for
+# an absent family.
+_PARAMS = ("gauss_mu", "gauss_raw_sigma", "piece_raw_a")
+
+
 def _inverse_softplus(y: np.ndarray) -> np.ndarray:
     # log(expm1(y)), switching to the identity where expm1 would overflow.
     out = np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
     return out
 
 
-def _amortized_posterior_arrays(model: NvdmModel, corpus: Corpus, doc: Document):
-    enc = encode(model, Tensor(corpus.dense(doc)))
+def _amortized_rows(model: NvdmModel, corpus: Corpus, docs) -> dict:
+    enc = encode(model, Tensor([corpus.dense(doc) for doc in docs]))
     gauss_post, piece_raw = amortized_posterior(model, enc, priors(model))
-    mu = raw_sigma = raw_a = None
+    rows = dict.fromkeys(_PARAMS)
     if gauss_post is not None:
-        mu = np.array(gauss_post.mu.data)
-        raw_sigma = _inverse_softplus(np.maximum(gauss_post.var.data - gaussian.VAR_FLOOR, 1e-300))
+        rows["gauss_mu"] = np.array(gauss_post.mu.data)
+        rows["gauss_raw_sigma"] = _inverse_softplus(np.maximum(gauss_post.var.data - gaussian.VAR_FLOOR, 1e-300))
     if piece_raw is not None:
-        raw_a = np.clip(piece_raw.data, -piecewise.CLAMP, piecewise.CLAMP)
-    return mu, raw_sigma, raw_a
+        rows["piece_raw_a"] = np.clip(piece_raw.data, -piecewise.CLAMP, piecewise.CLAMP)
+    return rows
 
 
-def _row(values: np.ndarray | None) -> Tensor | None:
-    """One document's parameter vector as the (1, dims) row that ``posterior_bound`` takes."""
-    return None if values is None else Tensor(values[None, :])
+def _filler_noise(model: NvdmModel):
+    """One posterior sample of fixed noise for a row that no longer steps."""
+    eps_g = np.zeros(model.gauss_dims) if model.gauss_dims > 0 else None
+    eps_p = np.full(model.piece_dims, 0.5) if model.piece_dims > 0 else None
+    return [(eps_g, eps_p)]
 
 
-def _tracked_bound(model, corpus, doc, mu, raw_sigma, raw_a, kl_weight, noises) -> float:
-    rep = posterior_bound(
-        model,
-        corpus,
-        doc,
-        gauss_mu=_row(mu),
-        gauss_raw_sigma=_row(raw_sigma),
-        piece_raw_a=_row(raw_a),
-        kl_weight=kl_weight,
-        noises=noises,
-    )
-    return rep.bound
+def _counts(corpus: Corpus, docs) -> Tensor:
+    return Tensor([corpus.dense_counts(doc) for doc in docs])
+
+
+def _tensors(params: dict) -> dict:
+    return {name: None if rows is None else Tensor(rows) for name, rows in params.items()}
 
 
 def iterative_inference(
     model: NvdmModel,
     corpus: Corpus,
-    doc: Document,
+    docs,
     *,
     steps_max: int = 100,
     lr: float = 0.1,
@@ -171,89 +195,85 @@ def iterative_inference(
     clip_norm: float = 5.0,
     kl_weight: float = 1.0,
     eval_samples: int = 1,
-    rng: np.random.Generator,
-) -> RefinementResult:
-    """Per-document posterior refinement with the model frozen.
+    rngs,
+) -> list[RefinementResult]:
+    """Posterior refinement of a block of documents with the model frozen.
 
-    Starts from the amortised posterior (Gaussian mean and pre-softplus
-    sigma, pre-exponential piecewise weights), ascends the bound by plain
-    SGD with the training-style global-norm rescaling, and stops once the
-    tracked bound has not improved for ``stop_patience`` steps.  Returns
-    the best-seen parameters and bound; a non-finite bound aborts the
-    refinement and reports the amortised starting point.
+    ``docs`` are refined together as the rows of one block (callers keep
+    it to ``EVAL_BLOCK`` documents), and ``rngs`` holds one generator per
+    document, from which that document's tracking and step noise derive.
+    Each document starts from its amortised posterior (Gaussian mean and
+    pre-softplus sigma, pre-exponential piecewise weights), ascends its
+    bound by plain SGD with the training-style norm rescaling of its own
+    gradient, and stops once its tracked bound has not improved for
+    ``stop_patience`` steps.  Returns, per document, the best-seen
+    parameters and bound; a non-finite step bound aborts that document's
+    refinement, which then reports its best-seen parameters and the
+    amortised starting bound.
     """
     if eval_samples < 1:
         raise ValueError("eval_samples must be >= 1")
-    root = _root(rng)
-    track_rng = _doc_rng(root, doc, 1)
-    step_rng = _doc_rng(root, doc, 2)
-    mu, raw_sigma, raw_a = _amortized_posterior_arrays(model, corpus, doc)
+    docs = list(docs)
+    roots = [_root(rng) for rng in rngs]
+    if not docs or len(roots) != len(docs):
+        raise ValueError(f"iterative_inference: needs one generator per document, got {len(docs)} documents and {len(roots)} generators")
+    _check_documents(model, corpus, docs)
+    counts = _counts(corpus, docs)
+    step_rngs = [_doc_rng(root, doc, 2) for root, doc in zip(roots, docs)]
+    track_noises = stack_noises([draw_noises(model, eval_samples, _doc_rng(root, doc, 1)) for root, doc in zip(roots, docs)])
+    filler = _filler_noise(model)
 
-    eval_noises = draw_noises(model, eval_samples, track_rng)
-
-    best = {"mu": mu, "raw_sigma": raw_sigma, "raw_a": raw_a}
-    initial_bound = _tracked_bound(model, corpus, doc, mu, raw_sigma, raw_a, kl_weight, eval_noises)
-    best_bound = initial_bound
-    since_improve = 0
-    steps_run = 0
+    params = _amortized_rows(model, corpus, docs)
+    best = {name: None if rows is None else rows.copy() for name, rows in params.items()}
+    initial = posterior_bound(model, counts, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
+    best_bound = initial.copy()
+    since_improve = np.zeros(len(docs), dtype=np.int64)
+    steps = np.zeros(len(docs), dtype=np.int64)
+    aborted = np.zeros(len(docs), dtype=bool)
+    # Rows still refining.  The others never move again, so a row whose
+    # step bound went non-finite never takes its non-finite gradient.
+    live = np.ones(len(docs), dtype=bool)
 
     for _ in range(steps_max):
-        mu_t, sig_t, a_t = _row(mu), _row(raw_sigma), _row(raw_a)
+        noises = stack_noises([draw_noises(model, 1, rng) if on else filler for rng, on in zip(step_rngs, live)])
         with Tape() as tape:
-            rep = posterior_bound(
-                model,
-                corpus,
-                doc,
-                gauss_mu=mu_t,
-                gauss_raw_sigma=sig_t,
-                piece_raw_a=a_t,
-                kl_weight=kl_weight,
-                noises=draw_noises(model, 1, step_rng),
-            )
-            if not np.isfinite(rep.bound):
-                return RefinementResult(
-                    gauss_mu=best["mu"],
-                    gauss_raw_sigma=best["raw_sigma"],
-                    piece_raw_a=best["raw_a"],
-                    bound=initial_bound,
-                    initial_bound=initial_bound,
-                    steps=steps_run,
-                    aborted=True,
-                )
-            tape.backward(rep.bound_node)
-            grads = {}
-            if mu_t is not None:
-                grads["mu"] = tape.grad(mu_t)[0]
-                grads["raw_sigma"] = tape.grad(sig_t)[0]
-            if a_t is not None:
-                grads["raw_a"] = tape.grad(a_t)[0]
-        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        scale = clip_norm / norm if norm > clip_norm else 1.0
-        if mu is not None:
-            mu = mu + lr * scale * grads["mu"]
-            raw_sigma = raw_sigma + lr * scale * grads["raw_sigma"]
-        if raw_a is not None:
-            raw_a = raw_a + lr * scale * grads["raw_a"]
-        steps_run += 1
-
-        tracked = _tracked_bound(model, corpus, doc, mu, raw_sigma, raw_a, kl_weight, eval_noises)
-        if np.isfinite(tracked) and tracked > best_bound:
-            best_bound = tracked
-            best = {"mu": mu, "raw_sigma": raw_sigma, "raw_a": raw_a}
-            since_improve = 0
-        else:
-            since_improve += 1
-            if since_improve >= stop_patience:
+            tensors = _tensors(params)
+            stepped = posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **tensors)
+            failed = live & ~np.isfinite(stepped.bounds)
+            aborted |= failed
+            live &= ~failed
+            if not live.any():
                 break
+            tape.backward(stepped.total)
+            grads = {name: tape.grad(t) for name, t in tensors.items() if t is not None}
+        norm = np.sqrt(sum(np.sum(g * g, axis=1) for g in grads.values()))
+        step = lr * (clip_norm / np.maximum(norm, clip_norm))
+        for name, g in grads.items():
+            params[name][live] += step[live, None] * g[live]
+        steps[live] += 1
 
-    return RefinementResult(
-        gauss_mu=best["mu"],
-        gauss_raw_sigma=best["raw_sigma"],
-        piece_raw_a=best["raw_a"],
-        bound=best_bound,
-        initial_bound=initial_bound,
-        steps=steps_run,
-    )
+        tracked = posterior_bound(model, counts, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
+        improved = live & np.isfinite(tracked) & (tracked > best_bound)
+        best_bound[improved] = tracked[improved]
+        for name, rows in params.items():
+            if rows is not None:
+                best[name][improved] = rows[improved]
+        since_improve[improved] = 0
+        since_improve[live & ~improved] += 1
+        live &= since_improve < stop_patience
+        if not live.any():
+            break
+
+    return [
+        RefinementResult(
+            **{name: None if rows is None else rows[i] for name, rows in best.items()},
+            bound=float(initial[i] if aborted[i] else best_bound[i]),
+            initial_bound=float(initial[i]),
+            steps=int(steps[i]),
+            aborted=bool(aborted[i]),
+        )
+        for i in range(len(docs))
+    ]
 
 
 def evaluate_iterative(
@@ -270,8 +290,10 @@ def evaluate_iterative(
 ):
     """Refine every document, then re-estimate bounds at the refined posteriors.
 
-    Returns the refined EvalReport together with the per-document
-    refinement results (whose tracked bounds carry the hard
+    Each distinct document is refined and re-estimated once, in blocks of
+    ``EVAL_BLOCK`` taken in content-key order; duplicates share the
+    result.  Returns the refined EvalReport together with the
+    per-document refinement results (whose tracked bounds carry the hard
     best-at-least-initial guarantee).
     """
     if len(corpus) == 0:
@@ -279,64 +301,28 @@ def evaluate_iterative(
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     root = _root(rng)
-    bounds = np.zeros(len(corpus))
-    tokens = np.zeros(len(corpus))
-    refinements: list[RefinementResult] = []
-
-    for i, doc in enumerate(corpus.docs):
-        res = iterative_inference(
+    distinct = {_content(doc): doc for doc in corpus.docs}
+    keys = sorted(distinct, key=lambda key: _doc_key(distinct[key]))
+    refined = {}
+    for lo in range(0, len(keys), EVAL_BLOCK):
+        block = keys[lo : lo + EVAL_BLOCK]
+        docs = [distinct[key] for key in block]
+        results = iterative_inference(
             model,
             corpus,
-            doc,
+            docs,
             steps_max=steps_max,
             lr=lr,
             stop_patience=stop_patience,
             clip_norm=clip_norm,
             kl_weight=kl_weight,
-            rng=_doc_rng(root, doc, 3),
+            rngs=[_doc_rng(root, doc, 3) for doc in docs],
         )
-        refinements.append(res)
-        final_rng = _doc_rng(root, doc, 4)
-        rep = posterior_bound(
-            model,
-            corpus,
-            doc,
-            gauss_mu=_row(res.gauss_mu),
-            gauss_raw_sigma=_row(res.gauss_raw_sigma),
-            piece_raw_a=_row(res.piece_raw_a),
-            kl_weight=kl_weight,
-            noises=draw_noises(model, num_samples, final_rng),
-        )
-        bounds[i] = rep.bound
-        tokens[i] = doc.token_count
-    report = _aggregate(bounds, tokens, num_samples, "iterative")
-    return report, refinements
-
-
-def sample_prior_docs(
-    model: NvdmModel,
-    num_docs: int,
-    top_k: int,
-    rng: np.random.Generator,
-    vocab=None,
-):
-    """Top-k decoder words for draws from the learned prior.
-
-    Ties in log-probability break on the lower word id.  Returns token
-    lists when a vocabulary is given, word-id lists otherwise.
-    """
-    top_k = max(0, min(top_k, model.vocab_size))
-    gauss_prior, a_prior = priors(model)
-    out = []
-    for _ in range(num_docs):
-        parts = []
-        if gauss_prior is not None:
-            parts.append(gaussian.sample_with_noise(gauss_prior, rng.standard_normal(model.gauss_dims)).data)
-        if a_prior is not None:
-            a = a_prior.data.reshape(model.piece_dims, model.n_pieces)
-            parts.append(2.0 * piecewise.inverse_cdf_rows(a, rng.random(model.piece_dims)) - 1.0)
-        z = np.concatenate(parts)
-        logp = decode_logprob(model, Tensor(z)).data
-        order = np.argsort(-logp, kind="stable")[:top_k]
-        out.append([vocab[i] for i in order] if vocab is not None else list(map(int, order)))
-    return out
+        params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
+        noises = stack_noises([draw_noises(model, num_samples, _doc_rng(root, doc, 4)) for doc in docs])
+        final = posterior_bound(model, _counts(corpus, docs), kl_weight=kl_weight, noises=noises, **_tensors(params)).bounds
+        refined.update(zip(block, zip(results, final)))
+    picked = [refined[_content(doc)] for doc in corpus.docs]
+    bounds = np.array([bound for _, bound in picked])
+    tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
+    return _aggregate(bounds, tokens, num_samples, "iterative"), [res for res, _ in picked]

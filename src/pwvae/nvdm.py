@@ -22,9 +22,9 @@ Documents are rows: a batch of B documents is encoded, sampled and
 decoded as (B, ·) matrices, and one bound assembly (``_bound_rows``)
 returns every document's bound, reconstruction and KL terms together with
 their taped sum.  ``batch_bound`` runs it under the amortised posterior
-for training and evaluation; ``elbo`` (amortised posterior) and
-``posterior_bound`` (posterior parameters supplied directly, for
-iterative inference) are its single-document callers.  Noise is a list
+for training and evaluation; ``elbo`` (one document, amortised
+posterior) and ``posterior_bound`` (posterior parameter rows supplied
+directly, for iterative inference) are its other callers.  Noise is a list
 with one (eps_gauss, eps_piece) pair per posterior sample, each a (B, dims)
 matrix whose rows belong to the documents in order; ``stack_noises``
 builds it from each document's own ``draw_noises`` draws.
@@ -410,27 +410,25 @@ def elbo(
 
 def posterior_bound(
     model: NvdmModel,
-    corpus: Corpus,
-    doc: Document,
+    counts: Tensor,
     *,
     gauss_mu: Tensor | None,
     gauss_raw_sigma: Tensor | None,
     piece_raw_a: Tensor | None,
     kl_weight: float,
     noises,
-) -> ElboReport:
-    """Bound with posterior parameters supplied directly (encoder bypassed).
+) -> RowBounds:
+    """Bounds of a batch of documents with posterior parameters supplied directly (encoder bypassed).
 
-    Used by iterative per-document inference: the parameters are (1, dims)
-    rows, the Gaussian posterior is (mu, softplus(raw_sigma) + floor) and
-    the piecewise posterior weights are ``piecewise.head_forward(raw_a)``;
-    priors come from the (frozen) model.  ``noises`` is the document's
-    ``draw_noises`` result.
+    Used by iterative inference, which holds a block's (B, V) word
+    ``counts`` fixed while its posterior parameters move: the parameters
+    are (B, dims) rows, one per document, the Gaussian posterior is (mu,
+    softplus(raw_sigma) + floor) and the piecewise posterior weights are
+    ``piecewise.head_forward(raw_a)``; priors come from the (frozen)
+    model.  ``noises`` comes from ``stack_noises``, with one row per
+    document.
     """
-    _check_documents(model, corpus, [doc])
-    counts = Tensor([corpus.dense_counts(doc)])
     gauss_post = None
     if model.gauss_dims > 0:
         gauss_post = GaussianParams(mu=gauss_mu, var=softplus(gauss_raw_sigma) + gaussian.VAR_FLOOR)
-    rows = _bound_rows(model, counts, priors(model), (gauss_post, piece_raw_a), kl_weight, stack_noises([noises]))
-    return rows.single(len(noises))
+    return _bound_rows(model, counts, priors(model), (gauss_post, piece_raw_a), kl_weight, noises)

@@ -108,28 +108,34 @@ def sample_grad_rows(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return _sample_grad(a, eps, _active_segment(a, eps))
 
 
+def _kl_terms(post: np.ndarray, prior: np.ndarray):
+    """Raw weight sums, log weight ratios, their weighted sum and the unclamped KL, keeping the last axis."""
+    a_post_sum = post.sum(axis=-1, keepdims=True)
+    a_prior_sum = prior.sum(axis=-1, keepdims=True)
+    log_ratio = np.log(post) - np.log(prior)
+    s = np.sum(post * log_ratio, axis=-1, keepdims=True)
+    return a_post_sum, a_prior_sum, log_ratio, s, s / a_post_sum + np.log(a_prior_sum) - np.log(a_post_sum)
+
+
 def kl_rows(post: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """KL(post || prior) per row; weights lie along the last axis.
+    """KL(post || prior) per row, clamped at 0; weights lie along the last axis.
 
     The prior broadcasts against the posterior, as (d, n) against
     (B, d, n).  Closed form: (1/n)(1/K_post) sum_i a_i_post (log a_i_post -
     log a_i_prior) + log K_prior - log K_post.  The 1/n factors cancel
-    against the raw weight sums A = n*K used below.
+    against the raw weight sums A = n*K used below.  Rounding can take the
+    value of nearly proportional weights below 0, hence the clamp.
     """
-    a_post_sum = post.sum(axis=-1)
-    a_prior_sum = prior.sum(axis=-1)
-    s = np.sum(post * (np.log(post) - np.log(prior)), axis=-1)
-    v = s / a_post_sum + np.log(a_prior_sum) - np.log(a_post_sum)
-    return np.maximum(v, 0.0)
+    return np.maximum(_kl_terms(post, prior)[-1][..., 0], 0.0)
 
 
 def kl_grad_rows(post: np.ndarray, prior: np.ndarray):
-    a_post_sum = post.sum(axis=-1, keepdims=True)
-    a_prior_sum = prior.sum(axis=-1, keepdims=True)
-    s = np.sum(post * (np.log(post) - np.log(prior)), axis=-1, keepdims=True)
-    d_post = (np.log(post) - np.log(prior) + 1.0) / a_post_sum - s / (a_post_sum**2) - 1.0 / a_post_sum
+    """Gradients of ``kl_rows`` in the posterior and prior weights; 0 where the value was clamped."""
+    a_post_sum, a_prior_sum, log_ratio, s, value = _kl_terms(post, prior)
+    d_post = (log_ratio + 1.0) / a_post_sum - s / (a_post_sum**2) - 1.0 / a_post_sum
     d_prior = -post / (a_post_sum * prior) + 1.0 / a_prior_sum
-    return d_post, d_prior
+    clamped = value < 0.0
+    return np.where(clamped, 0.0, d_post), np.where(clamped, 0.0, d_prior)
 
 
 def mean_rows(a: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ into (B, V) matrices and run through one forward pass of the bound (one
 posterior sample per document) and one ``Tape.backward``, so every weight
 gradient is a single matrix product over the batch.  The trainer divides
 by the batch size to get the mean-bound gradient, clips its global norm
-and takes one Adam step on the negative bound.  After each epoch the
+and takes one Adam ascent step on the bound.  After each epoch the
 validation bound is estimated with several samples per document; training
 stops once it has not improved for ``patience`` epochs and the parameters
 from the best epoch are returned.
@@ -28,7 +28,7 @@ import numpy as np
 from . import evaluation
 from .corpus import Corpus
 from .nvdm import NvdmModel, batch_bound, draw_noises, stack_noises
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, _wrap
 
 __all__ = [
     "TrainConfig",
@@ -125,19 +125,35 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> dict[str, Tensor]:
-    """One bias-corrected Adam descent step on the given gradients."""
+    """One bias-corrected Adam ascent step; ``grads`` are gradients of the objective to maximise.
+
+    The moments are updated in place, and one scratch buffer per
+    parameter holds the temporaries; the new parameters are the only
+    other array allocated.
+    """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     out: dict[str, Tensor] = {}
     for name, t in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        out[name] = Tensor(t.data - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps))
+        g, m, v = grads[name], state.m[name], state.v[name]
+        scratch = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v *= b2
+        v += scratch
+        # p + lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += config.adam_eps
+        new = np.divide(m, c1)
+        new *= config.learning_rate
+        new /= scratch
+        new += t.data
+        out[name] = _wrap(new)
     return out
 
 
@@ -237,8 +253,7 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
             if not np.isfinite(bound) or not all(np.all(np.isfinite(g)) for g in grads.values()):
                 raise TrainingDiverged(_diagnostic(model, epoch, batches))
             grads = clip_gradients(grads, config.clip_norm)
-            neg = {name: -g for name, g in grads.items()}
-            params = adam_step(params, neg, state, config)
+            params = adam_step(params, grads, state, config)
             model = model.replaced(params)
             step += 1
             batches += 1

@@ -25,6 +25,16 @@ def fresh_model(variant="h", vocab=20, seed=0, **kw):
     return nvdm.init_model(variant, vocab, seed=seed, **defaults)
 
 
+def refinable_model(variant, seed):
+    """A fresh model with a random decoder and, for Gaussian latents, open gates, so refinement moves."""
+    model = fresh_model(variant, seed=seed)
+    rng = np.random.default_rng(seed)
+    updates = {"dec_r": rng.normal(size=(20, model.latent_dim)) * 0.5}
+    if model.gauss_dims:
+        updates.update(g_alpha_mu=np.full(2, 0.5), g_alpha_sigma=np.full(2, 0.3))
+    return model.replaced(updates)
+
+
 class TestEvaluate:
     def test_uniform_model_perplexity_is_vocab_size(self, corpus):
         model = fresh_model("h")
@@ -95,18 +105,28 @@ class TestIterativeInference:
     def test_lr_zero_returns_exactly_the_amortized_bound(self, corpus):
         model = fresh_model("h", seed=12)
         doc = corpus.docs[0]
-        res = evaluation.iterative_inference(
-            model, corpus, doc, steps_max=30, lr=0.0, stop_patience=5, rng=np.random.default_rng(13)
+        (res,) = evaluation.iterative_inference(
+            model, corpus, [doc], steps_max=30, lr=0.0, stop_patience=5, rngs=[np.random.default_rng(13)]
         )
         assert res.bound == res.initial_bound
         # Stops after stop_patience steps without improvement.
         assert res.steps == 5
 
+    def test_lr_zero_keeps_every_row_of_a_block_at_its_amortized_bound(self, corpus):
+        model = refinable_model("h", seed=45)
+        docs = corpus.docs[:10]
+        block = evaluation.iterative_inference(
+            model, corpus, docs, steps_max=30, lr=0.0, stop_patience=5, rngs=[np.random.default_rng((46, i)) for i in range(10)]
+        )
+        for res in block:
+            assert res.bound == res.initial_bound
+            assert res.steps == 5
+
     def test_best_bound_never_below_initial(self, corpus):
         model = fresh_model("h", seed=14)
         for i, doc in enumerate(corpus.docs[:10]):
-            res = evaluation.iterative_inference(
-                model, corpus, doc, steps_max=20, lr=0.1, stop_patience=5, rng=np.random.default_rng((15, i))
+            (res,) = evaluation.iterative_inference(
+                model, corpus, [doc], steps_max=20, lr=0.1, stop_patience=5, rngs=[np.random.default_rng((15, i))]
             )
             assert res.bound >= res.initial_bound
 
@@ -116,8 +136,8 @@ class TestIterativeInference:
         doc = cio.Document("0", np.array([0]), np.array([3]))
         one = cio.Corpus(vocab=vocab, docs=(doc,))
         model = nvdm.init_model("g", 1, hidden=2, gauss_dims=1, seed=16)
-        res = evaluation.iterative_inference(
-            model, one, doc, steps_max=50, lr=0.1, stop_patience=10, rng=np.random.default_rng(17)
+        (res,) = evaluation.iterative_inference(
+            model, one, [doc], steps_max=50, lr=0.1, stop_patience=10, rngs=[np.random.default_rng(17)]
         )
         # log P(doc) = 0 for a single-word vocabulary; KL is zero at init.
         assert abs(res.initial_bound) < 1e-9
@@ -128,8 +148,8 @@ class TestIterativeInference:
         model = model.replaced({"dec_r": np.random.default_rng(19).normal(size=(20, 4)) * 0.5})
         gains = []
         for i, doc in enumerate(corpus.docs[:8]):
-            res = evaluation.iterative_inference(
-                model, corpus, doc, steps_max=60, lr=0.1, stop_patience=10, rng=np.random.default_rng((20, i))
+            (res,) = evaluation.iterative_inference(
+                model, corpus, [doc], steps_max=60, lr=0.1, stop_patience=10, rngs=[np.random.default_rng((20, i))]
             )
             gains.append(res.bound - res.initial_bound)
         assert np.mean(gains) > 0.0
@@ -160,6 +180,71 @@ class TestIterativeInference:
             assert refinements2[j].bound == refinements[i].bound
             assert refinements2[j].steps == refinements[i].steps
 
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    def test_blocks_match_one_document_refinement(self, variant):
+        """Across a block boundary and with duplicates, every document refines as it does alone."""
+        distinct = cio.make_synthetic_bimodal(evaluation.EVAL_BLOCK + 5, 20, seed=40)
+        big = replace(distinct, docs=distinct.docs + distinct.docs[3:6])
+        assert len({(d.term_ids.tobytes(), d.counts.tobytes()) for d in big.docs}) == evaluation.EVAL_BLOCK + 5
+        model = refinable_model(variant, seed=41)
+        settings = dict(num_samples=3, steps_max=15, stop_patience=4)
+        report, refinements = evaluation.evaluate_iterative(model, big, rng=np.random.default_rng(42), **settings)
+        assert len({r.steps for r in refinements}) > 1
+        for i, doc in enumerate(big.docs):
+            alone, (res,) = evaluation.evaluate_iterative(model, replace(big, docs=(doc,)), rng=np.random.default_rng(42), **settings)
+            got = refinements[i]
+            assert (got.steps, got.aborted) == (res.steps, res.aborted), i
+            assert got.initial_bound == pytest.approx(res.initial_bound, rel=1e-12), i
+            assert got.bound == pytest.approx(res.bound, rel=1e-12), i
+            assert report.per_doc_bounds[i] == pytest.approx(alone.per_doc_bounds[0], rel=1e-12), i
+
+    def test_reordering_a_corpus_across_blocks_leaves_bounds_bit_identical(self):
+        """Blocks come from the content-sorted documents, so any order forms the same blocks.
+
+        At this size a row's matrix products differ in the last bits with
+        the block they sit in.
+        """
+        big = cio.make_synthetic_bimodal(evaluation.EVAL_BLOCK + 5, 200, seed=40)
+        model = nvdm.init_model("h", 200, hidden=50, gauss_dims=8, piece_dims=8, n_pieces=3, seed=41)
+        rng = np.random.default_rng(41)
+        model = model.replaced({"dec_r": rng.normal(size=(200, 16)) * 0.5, "g_alpha_mu": np.full(8, 0.5), "g_alpha_sigma": np.full(8, 0.3)})
+        settings = dict(num_samples=3, steps_max=15, stop_patience=4)
+        report, refinements = evaluation.evaluate_iterative(model, big, rng=np.random.default_rng(42), **settings)
+        report2, refinements2 = evaluation.evaluate_iterative(model, replace(big, docs=big.docs[::-1]), rng=np.random.default_rng(42), **settings)
+        np.testing.assert_array_equal(report2.per_doc_bounds[::-1], report.per_doc_bounds)
+        assert [r.bound for r in refinements2[::-1]] == [r.bound for r in refinements]
+
+    @pytest.mark.parametrize("variant", ["g", "h"])
+    def test_aborted_rows_leave_the_rest_of_the_block_refining(self, variant):
+        """At lr=1e300 the documents the encoder sees abort on step 1; the others keep refining.
+
+        The encoder ignores words 0-9, and every posterior built from a zero
+        encoding equals the prior exactly, so with a zero decoder the
+        documents of words 0-9 have zero gradients and never move.
+        """
+        words = np.arange(5)
+        docs = [cio.Document(str(i), words + (10 if i % 2 else 0), np.full(5, i + 1)) for i in range(8)]
+        block = cio.Corpus(vocab=tuple(f"w{i}" for i in range(20)), docs=tuple(docs))
+        model = fresh_model(variant, seed=47)
+        w0 = model.params["enc_w0"].data.copy()
+        w0[:, :10] = 0.0
+        updates = {"enc_w0": w0, "g_alpha_mu": np.full(2, 0.5), "g_alpha_sigma": np.full(2, 0.5)}
+        if variant == "h":
+            updates["p_post_b_a"] = np.random.default_rng(48).normal(size=6)
+            updates["p_prior_b_a"] = updates["p_post_b_a"]
+        model = model.replaced(updates)
+        settings = dict(steps_max=20, lr=1e300, stop_patience=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            together = evaluation.iterative_inference(model, block, docs, rngs=[np.random.default_rng((49, i)) for i in range(8)], **settings)
+            for i, (doc, got) in enumerate(zip(docs, together)):
+                (alone,) = evaluation.iterative_inference(model, block, [doc], rngs=[np.random.default_rng((49, i))], **settings)
+                assert (got.steps, got.aborted) == (alone.steps, alone.aborted), i
+                assert got.initial_bound == pytest.approx(alone.initial_bound, rel=1e-12), i
+                assert got.bound == pytest.approx(alone.bound, rel=1e-12), i
+                seen = i % 2 == 1
+                assert (got.aborted, got.steps) == ((True, 1) if seen else (False, 3)), i
+                assert got.bound == got.initial_bound
+
 
 class TestSampleCounts:
     """Bad sample counts fail before any document is refined."""
@@ -178,29 +263,5 @@ class TestSampleCounts:
 
         monkeypatch.setattr(evaluation, "posterior_bound", bound)
         with pytest.raises(ValueError, match="eval_samples must be >= 1"):
-            evaluation.iterative_inference(fresh_model("h"), corpus, corpus.docs[0], eval_samples=0, rng=np.random.default_rng(0))
+            evaluation.iterative_inference(fresh_model("h"), corpus, [corpus.docs[0]], eval_samples=0, rngs=[np.random.default_rng(0)])
 
-
-class TestSamplePriorDocs:
-    def test_zero_decoder_breaks_ties_by_word_id(self):
-        model = fresh_model("h", seed=24)
-        out = evaluation.sample_prior_docs(model, num_docs=2, top_k=5, rng=np.random.default_rng(25))
-        assert out[0] == [0, 1, 2, 3, 4]
-
-    def test_fixed_seed_identical(self):
-        model = fresh_model("h", seed=26)
-        model = model.replaced({"dec_r": np.random.default_rng(27).normal(size=(20, 4))})
-        a = evaluation.sample_prior_docs(model, 3, 4, np.random.default_rng(28))
-        b = evaluation.sample_prior_docs(model, 3, 4, np.random.default_rng(28))
-        assert a == b
-
-    def test_top_k_clipped_to_vocab(self):
-        model = fresh_model("g", seed=29)
-        out = evaluation.sample_prior_docs(model, 1, 100, np.random.default_rng(30))
-        assert len(out[0]) == 20
-
-    def test_vocab_mapping(self):
-        model = fresh_model("g", seed=31)
-        vocab = [f"tok{i}" for i in range(20)]
-        out = evaluation.sample_prior_docs(model, 1, 3, np.random.default_rng(32), vocab=vocab)
-        assert out[0] == ["tok0", "tok1", "tok2"]

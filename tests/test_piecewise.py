@@ -243,6 +243,28 @@ class TestKlGrad:
             assert max_rel_err(d_post, num_post) < 1e-6
             assert max_rel_err(d_prior, num_prior) < 1e-6
 
+    def test_clamped_value_has_zero_gradient(self):
+        """A proportional posterior whose raw KL rounds below 0 gets KL 0 and gradient 0."""
+        prior = np.array([[0.18, 0.46, 2.04], [1.0, 1.0, 1.0]])
+        post = np.array([3.31 * prior[0], [1.0, 3.0, 2.0]])
+        sums = post.sum(axis=1)
+        raw = np.sum(post * (np.log(post) - np.log(prior)), axis=1) / sums + np.log(prior.sum(axis=1)) - np.log(sums)
+        assert raw[0] < 0.0 < raw[1]
+        np.testing.assert_array_equal(pw.kl_rows(post, prior), [0.0, raw[1]])
+        d_post, d_prior = pw.kl_grad_rows(post, prior)
+        np.testing.assert_array_equal(d_post[0], 0.0)
+        np.testing.assert_array_equal(d_prior[0], 0.0)
+        np.testing.assert_array_equal(d_post[1], kl_grad(post[1], prior[1])[0])
+        assert np.all(d_post[1] != 0.0)
+
+        post_t, prior_t = T.Tensor(post.reshape(-1)), T.Tensor(prior.reshape(-1))
+        with T.Tape() as tape:
+            value = pw.kl_between(post_t, prior_t, 2, 3)
+            tape.backward(value)
+        assert float(value) == raw[1]
+        np.testing.assert_array_equal(tape.grad(post_t)[:3], 0.0)
+        np.testing.assert_array_equal(tape.grad(prior_t)[:3], 0.0)
+
 
 class TestShiftAndMean:
     def test_uniform_mean(self):

@@ -89,7 +89,8 @@ class TestAdam:
         state = training.adam_init(params)
         config = TrainConfig(learning_rate=0.1)
         for _ in range(300):
-            grads = {"x": 2.0 * params["x"].data}
+            # Ascending -x^2 descends x^2.
+            grads = {"x": -2.0 * params["x"].data}
             params = training.adam_step(params, grads, state, config)
         assert abs(params["x"].data[0]) < 1e-2
 
@@ -121,8 +122,7 @@ class TestTrainLoop:
         for step in range(10):
             grads, *_ = training._batch_gradients(current, tiny, list(range(10)), 1.0, config, step)
             grads = training.clip_gradients(grads, config.clip_norm)
-            neg = {k: -g for k, g in grads.items()}
-            current = current.replaced(training.adam_step(dict(current.params), neg, state, config))
+            current = current.replaced(training.adam_step(dict(current.params), grads, state, config))
         assert fixed_bound(current) > before
 
     def test_fixed_seed_identical_logs(self, small_corpus):
