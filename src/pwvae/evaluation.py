@@ -27,7 +27,9 @@ starting point, and a zero learning rate returns exactly the starting
 bound.  ``evaluate_iterative`` refines each distinct document once, in
 blocks taken from the distinct documents sorted by content key, so a
 set of documents always forms the same blocks whatever the corpus order
-or duplication.
+or duplication.  Refinement runs with one BLAS thread
+(``blas.one_thread``): a block's products are too small to gain from a
+split, and a split product waits for every thread to wake.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian, piecewise
+from .blas import one_thread
 from .corpus import Corpus, Document
 from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, posterior_bound, priors, stack_noises
 from .tensor import Tape, Tensor
@@ -184,6 +187,7 @@ def _tensors(params: dict) -> dict:
     return {name: None if rows is None else Tensor(rows) for name, rows in params.items()}
 
 
+@one_thread()
 def iterative_inference(
     model: NvdmModel,
     corpus: Corpus,
