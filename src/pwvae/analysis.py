@@ -62,11 +62,11 @@ def word_neighbors(model: NvdmModel, vocab, query: str, k: int):
 
 
 def _family_kl_node(model: NvdmModel, enc, family: str):
-    prior = priors(model)
-    gauss_post, piece_raw = amortized_posterior(model, enc, prior)
+    gauss_prior, a_prior = priors(model)
+    post = amortized_posterior(model, enc)
     if family == "gaussian":
-        return gaussian.kl(gauss_post, prior[0])
-    return piecewise.kl_between(piecewise.head_forward(piece_raw), prior[1], model.piece_dims, model.n_pieces)
+        return gaussian.kl(gaussian.from_raw(post["gauss_mu"], post["gauss_raw_sigma"]), gauss_prior)
+    return piecewise.kl_between(piecewise.head_forward(post["piece_raw_a"]), a_prior, model.piece_dims, model.n_pieces)
 
 
 def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
@@ -79,6 +79,8 @@ def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
     count.  Returns (gaussian_counts, piecewise_counts) over the
     vocabulary.
     """
+    if top_m < 1:
+        raise ValueError(f"top_m must be >= 1, got {top_m}")
     families = []
     if model.gauss_dims > 0:
         families.append("gaussian")
@@ -112,14 +114,13 @@ def export_posterior_means(model: NvdmModel, corpus: Corpus, out_path: str) -> i
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("# per-document posterior means\n")
         fh.write(f"# doc_id label mu[{model.gauss_dims}] piecewise_mean[{model.piece_dims}]\n")
-        prior = priors(model)
         for doc in corpus.docs:
-            gauss_post, piece_raw = amortized_posterior(model, encode(model, Tensor(corpus.dense(doc))), prior)
+            post = amortized_posterior(model, encode(model, Tensor(corpus.dense(doc))))
             values: list[float] = []
-            if gauss_post is not None:
-                values.extend(gauss_post.mu.data)
-            if piece_raw is not None:
-                a = piecewise.head_forward(piece_raw)
+            if post["gauss_mu"] is not None:
+                values.extend(post["gauss_mu"].data)
+            if post["piece_raw_a"] is not None:
+                a = piecewise.head_forward(post["piece_raw_a"])
                 values.extend(piecewise.mean_rows(a.data.reshape(model.piece_dims, model.n_pieces)))
             label = doc.label if doc.label is not None else "-"
             fh.write("\t".join([doc.doc_id, label] + [f"{v:.10g}" for v in values]) + "\n")

@@ -248,8 +248,7 @@ def _load_for_eval(args):
 
 def _cmd_eval(args) -> int:
     model, corpus = _load_for_eval(args)
-    report = evaluation.evaluate(model, corpus, args.samples, np.random.default_rng((args.seed, 0)), kl_weight=args.kl_weight)
-    sys.stdout.write(report.to_tsv())
+    # Refinement runs first, so that bad refinement settings fail before any report is written.
     if args.iterative:
         refined, refinements = evaluation.evaluate_iterative(
             model,
@@ -261,6 +260,9 @@ def _cmd_eval(args) -> int:
             stop_patience=args.inf_patience,
             kl_weight=args.kl_weight,
         )
+    report = evaluation.evaluate(model, corpus, args.samples, np.random.default_rng((args.seed, 0)), kl_weight=args.kl_weight)
+    sys.stdout.write(report.to_tsv())
+    if args.iterative:
         sys.stdout.write(refined.to_tsv())
         tracked_gain = float(np.mean([r.bound - r.initial_bound for r in refinements]))
         print(f"mean_tracked_refinement_gain\t{tracked_gain:.10g}")

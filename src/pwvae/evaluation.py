@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian, piecewise
+from . import piecewise
 from .blas import one_thread
 from .corpus import Corpus, Document
-from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, posterior_bound, priors, stack_noises
+from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, posterior_bound, stack_noises
 from .tensor import Tape, Tensor
 
 __all__ = [
@@ -125,6 +125,7 @@ def evaluate(
         raise ValueError("evaluate: empty corpus")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    _check_kl_weight(kl_weight)
     root = _root(rng)
     bounds = np.zeros(len(corpus))
     for lo in range(0, len(corpus), EVAL_BLOCK):
@@ -154,21 +155,11 @@ class RefinementResult:
 _PARAMS = ("gauss_mu", "gauss_raw_sigma", "piece_raw_a")
 
 
-def _inverse_softplus(y: np.ndarray) -> np.ndarray:
-    # log(expm1(y)), switching to the identity where expm1 would overflow.
-    out = np.where(y > 30.0, y, np.log(np.expm1(np.minimum(y, 30.0))))
-    return out
-
-
 def _amortized_rows(model: NvdmModel, corpus: Corpus, docs) -> dict:
     enc = encode(model, Tensor([corpus.dense(doc) for doc in docs]))
-    gauss_post, piece_raw = amortized_posterior(model, enc, priors(model))
-    rows = dict.fromkeys(_PARAMS)
-    if gauss_post is not None:
-        rows["gauss_mu"] = np.array(gauss_post.mu.data)
-        rows["gauss_raw_sigma"] = _inverse_softplus(np.maximum(gauss_post.var.data - gaussian.VAR_FLOOR, 1e-300))
-    if piece_raw is not None:
-        rows["piece_raw_a"] = np.clip(piece_raw.data, -piecewise.CLAMP, piecewise.CLAMP)
+    rows = {name: None if t is None else np.array(t.data) for name, t in amortized_posterior(model, enc).items()}
+    if rows["piece_raw_a"] is not None:
+        rows["piece_raw_a"] = np.clip(rows["piece_raw_a"], -piecewise.CLAMP, piecewise.CLAMP)
     return rows
 
 
@@ -185,6 +176,26 @@ def _counts(corpus: Corpus, docs) -> Tensor:
 
 def _tensors(params: dict) -> dict:
     return {name: None if rows is None else Tensor(rows) for name, rows in params.items()}
+
+
+def _check_kl_weight(kl_weight: float) -> None:
+    if not 0.0 <= kl_weight < np.inf:
+        raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
+
+
+def _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight, eval_samples) -> None:
+    """Reject refinement settings that would step downhill, never stop or misreport, before any work."""
+    if eval_samples < 1:
+        raise ValueError("eval_samples must be >= 1")
+    if steps_max < 0:
+        raise ValueError(f"steps_max must be >= 0, got {steps_max}")
+    if stop_patience < 1:
+        raise ValueError(f"stop_patience must be >= 1, got {stop_patience}")
+    if not 0.0 <= lr < np.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if not 0.0 < clip_norm < np.inf:
+        raise ValueError(f"clip_norm must be finite and > 0, got {clip_norm}")
+    _check_kl_weight(kl_weight)
 
 
 @one_thread()
@@ -215,8 +226,7 @@ def iterative_inference(
     refinement, which then reports its best-seen parameters and the
     amortised starting bound.
     """
-    if eval_samples < 1:
-        raise ValueError("eval_samples must be >= 1")
+    _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight, eval_samples)
     docs = list(docs)
     roots = [_root(rng) for rng in rngs]
     if not docs or len(roots) != len(docs):

@@ -1,15 +1,17 @@
 """Diagonal Gaussian latent variables with a learned prior and gated posterior.
 
-The prior is unconditioned: its mean is a bias vector and its variance a
-softplus of another, plus a small floor.  The posterior interpolates the
-prior parameters with data-driven estimates from the encoding through
-learned gate vectors that start at zero, so an untrained posterior equals
-the prior exactly.  Gates are used raw: squashing them would break that
-initial identity.  Samples are reparametrised, z = mu + sqrt(var) * eps,
-for noise eps drawn by the caller.
+Every Gaussian is held as pre-activations (mu, raw_sigma); ``from_raw``
+maps them to mean mu and variance softplus(raw_sigma) + floor, positive by
+construction.  The prior's pre-activations are two bias vectors.  The
+posterior's interpolate them with estimates from the encoding through
+gate vectors that start at zero, so an untrained posterior equals the
+prior exactly.  Gates are used raw, since squashing them would break that
+identity, and act before the softplus, so no gate value can make a
+variance <= 0.  Samples are reparametrised, z = mu + sqrt(var) * eps, for
+noise eps drawn by the caller.
 
 Priors are (G,) vectors; posteriors are (G,) for one document or (B, G)
-rows for a batch, against which the prior parameters and the gates are
+rows for a batch, against which the prior biases and the gates are
 broadcast.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .tensor import Tensor, add, affine, log, mul, scale_shift, softplus, sqrt, sum_last
 
-__all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "prior_forward", "posterior_forward", "sample_with_noise", "kl"]
+__all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "from_raw", "prior_forward", "posterior_forward", "sample_with_noise", "kl"]
 
 # Added after the softplus; keeps KL terms away from log(0).
 VAR_FLOOR = 1e-8
@@ -62,25 +64,32 @@ class GaussianHead:
     alpha_sigma: Tensor
 
 
+def from_raw(mu: Tensor, raw_sigma: Tensor) -> GaussianParams:
+    """Gaussian parameters from pre-activations: mean mu, var = softplus(raw_sigma) + floor."""
+    return GaussianParams(mu=mu, var=softplus(raw_sigma) + VAR_FLOOR)
+
+
 def prior_forward(head: GaussianHead) -> GaussianParams:
-    """Prior mean and variance: mu = b_mu, var = softplus(b_sigma) + floor."""
-    return GaussianParams(mu=head.prior_b_mu, var=softplus(head.prior_b_sigma) + VAR_FLOOR)
+    """Prior mean and variance, from the pre-activations (b_mu, b_sigma)."""
+    return from_raw(head.prior_b_mu, head.prior_b_sigma)
 
 
-def posterior_forward(head: GaussianHead, prior: GaussianParams, enc: Tensor) -> GaussianParams:
-    """Gated interpolation between the prior and a data-driven estimate.
+def posterior_forward(head: GaussianHead, enc: Tensor) -> tuple[Tensor, Tensor]:
+    """Posterior pre-activations (mu, raw_sigma): gated interpolation of the prior's and the encoder's.
 
-    mu = (1 - alpha_mu) * mu_prior + alpha_mu * (W enc + b), and the same
-    for the variance with its own gate; with zero gates the posterior is
-    the prior bit for bit.
+    mu = (1 - alpha_mu) * b_mu_prior + alpha_mu * (W_mu enc + b_mu), and
+    raw_sigma = (1 - alpha_sigma) * b_sigma_prior + alpha_sigma * (W_sigma enc + b_sigma);
+    ``from_raw`` maps them to the posterior.  With zero gates the
+    posterior is the prior bit for bit; with unit gates it ignores the
+    prior biases.
     """
     mu_hat = affine(enc, head.post_w_mu, head.post_b_mu)
-    var_hat = softplus(affine(enc, head.post_w_sigma, head.post_b_sigma)) + VAR_FLOOR
+    sigma_hat = affine(enc, head.post_w_sigma, head.post_b_sigma)
     keep_mu = scale_shift(head.alpha_mu, -1.0, 1.0)
     keep_sigma = scale_shift(head.alpha_sigma, -1.0, 1.0)
-    mu = add(mul(keep_mu, prior.mu), mul(head.alpha_mu, mu_hat))
-    var = add(mul(keep_sigma, prior.var), mul(head.alpha_sigma, var_hat))
-    return GaussianParams(mu=mu, var=var)
+    mu = add(mul(keep_mu, head.prior_b_mu), mul(head.alpha_mu, mu_hat))
+    raw_sigma = add(mul(keep_sigma, head.prior_b_sigma), mul(head.alpha_sigma, sigma_hat))
+    return mu, raw_sigma
 
 
 def sample_with_noise(g: GaussianParams, eps: np.ndarray) -> Tensor:

@@ -12,20 +12,22 @@ bound for one document is the count-weighted reconstruction
 log-likelihood, averaged over posterior samples, minus the weighted sum
 of the per-family KL terms.
 
-``priors`` and ``amortized_posterior`` build every latent distribution
-the package uses; both priors come from bias vectors alone.  The
-piecewise posterior is carried as its pre-activation ``W enc + b``, the
-starting point of iterative inference; ``piecewise.head_forward`` maps
-it to weights.
+``priors`` builds both priors from bias vectors alone.  Every posterior,
+amortised or refined, is carried as (B, dims) rows of pre-activations:
+the Gaussian ``gauss_mu`` and ``gauss_raw_sigma`` (``gaussian.from_raw``
+maps them to mean and variance) and the piecewise ``piece_raw_a``
+(``piecewise.head_forward`` maps it to weights).  ``amortized_posterior``
+computes them from an encoding; iterative inference starts from them and
+moves them directly.
 
 Documents are rows: a batch of B documents is encoded, sampled and
-decoded as (B, ·) matrices, and one bound assembly (``_bound_rows``)
-returns every document's bound, reconstruction and KL terms together with
-their taped sum.  ``batch_bound`` runs it under the amortised posterior
-for training and evaluation; ``elbo`` (one document, amortised
-posterior) and ``posterior_bound`` (posterior parameter rows supplied
-directly, for iterative inference) are its other callers.  Noise is a list
-with one (eps_gauss, eps_piece) pair per posterior sample, each a (B, dims)
+decoded as (B, ·) matrices, and one bound assembly (``posterior_bound``)
+takes a batch's posterior rows and returns every document's bound,
+reconstruction and KL terms together with their taped sum.
+``batch_bound`` runs it under the amortised posterior for training and
+evaluation, ``elbo`` is its one-document caller, and iterative inference
+calls ``posterior_bound`` with the rows it refines.  Noise is a list with
+one (eps_gauss, eps_piece) pair per posterior sample, each a (B, dims)
 matrix whose rows belong to the documents in order; ``stack_noises``
 builds it from each document's own ``draw_noises`` draws.
 """
@@ -49,7 +51,6 @@ from .tensor import (
     matvec,
     prelu,
     scale_shift,
-    softplus,
     softsign,
     sum_all,
 )
@@ -306,51 +307,19 @@ def priors(model: NvdmModel) -> tuple[GaussianParams | None, Tensor | None]:
     return gauss_prior, a_prior
 
 
-def amortized_posterior(model: NvdmModel, enc: Tensor, prior) -> tuple[GaussianParams | None, Tensor | None]:
-    """(Gaussian parameters, piecewise pre-activation W enc + b); None for an absent family.
+def amortized_posterior(model: NvdmModel, enc: Tensor) -> dict[str, Tensor | None]:
+    """The amortised posterior's pre-activations, under ``posterior_bound``'s keywords.
 
-    ``enc`` is one encoding or (B, H) rows.  ``prior`` is ``priors(model)``,
-    which the gated Gaussian posterior interpolates.
+    ``enc`` is one encoding or (B, H) rows.  ``gauss_mu`` and
+    ``gauss_raw_sigma`` come from ``gaussian.posterior_forward``, and
+    ``piece_raw_a`` is W enc + b; None for an absent family.
     """
-    gauss_post = piece_raw = None
+    rows = {"gauss_mu": None, "gauss_raw_sigma": None, "piece_raw_a": None}
     if model.gauss_dims > 0:
-        gauss_post = gaussian.posterior_forward(model.gaussian_head(), prior[0], enc)
+        rows["gauss_mu"], rows["gauss_raw_sigma"] = gaussian.posterior_forward(model.gaussian_head(), enc)
     if model.piece_dims > 0:
-        piece_raw = affine(enc, model.params["p_post_w_a"], model.params["p_post_b_a"])
-    return gauss_post, piece_raw
-
-
-def _bound_rows(model: NvdmModel, counts: Tensor, prior, posterior, kl_weight: float, noises) -> RowBounds:
-    """The one bound assembly: (B, V) counts, ``priors``, (B, ·) posterior rows, stacked noises."""
-    gauss_prior, a_prior = prior
-    gauss_post, piece_raw = posterior
-    a_post = piecewise.head_forward(piece_raw) if piece_raw is not None else None
-    recon = None
-    for eps_g, eps_p in noises:
-        z_g = gaussian.sample_with_noise(gauss_post, eps_g) if gauss_post is not None else None
-        z_p = None
-        if a_post is not None:
-            z01 = piecewise.sample_through(a_post, eps_p, model.piece_dims, model.n_pieces)
-            z_p = scale_shift(z01, 2.0, -1.0)
-        z = combine_latents(z_g, z_p)
-        term = dot(counts, decode_logprob(model, z))
-        recon = term if recon is None else recon + term
-    recon = recon * (1.0 / len(noises))
-
-    kl_g_t = gaussian.kl(gauss_post, gauss_prior) if gauss_post is not None else None
-    kl_p_t = piecewise.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces) if a_post is not None else None
-    kl_total = None
-    for term in (kl_g_t, kl_p_t):
-        if term is not None:
-            kl_total = term if kl_total is None else kl_total + term
-    bound = recon - kl_weight * kl_total
-    return RowBounds(
-        bounds=bound.data,
-        reconstruction=recon.data,
-        kl_gaussian=np.maximum(kl_g_t.data, 0.0) if kl_g_t is not None else np.zeros(recon.data.shape),
-        kl_piecewise=np.maximum(kl_p_t.data, 0.0) if kl_p_t is not None else np.zeros(recon.data.shape),
-        total=sum_all(bound),
-    )
+        rows["piece_raw_a"] = affine(enc, model.params["p_post_w_a"], model.params["p_post_b_a"])
+    return rows
 
 
 def draw_noises(model: NvdmModel, num_samples: int, rng: np.random.Generator):
@@ -387,9 +356,7 @@ def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: fl
     _check_documents(model, corpus, docs)
     x = Tensor([corpus.dense(doc) for doc in docs])
     counts = Tensor([corpus.dense_counts(doc) for doc in docs])
-    prior = priors(model)
-    posterior = amortized_posterior(model, encode(model, x), prior)
-    return _bound_rows(model, counts, prior, posterior, kl_weight, noises)
+    return posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **amortized_posterior(model, encode(model, x)))
 
 
 def elbo(
@@ -418,17 +385,43 @@ def posterior_bound(
     kl_weight: float,
     noises,
 ) -> RowBounds:
-    """Bounds of a batch of documents with posterior parameters supplied directly (encoder bypassed).
+    """The one bound assembly: bounds of a batch of documents at the given posterior rows.
 
-    Used by iterative inference, which holds a block's (B, V) word
-    ``counts`` fixed while its posterior parameters move: the parameters
-    are (B, dims) rows, one per document, the Gaussian posterior is (mu,
-    softplus(raw_sigma) + floor) and the piecewise posterior weights are
-    ``piecewise.head_forward(raw_a)``; priors come from the (frozen)
-    model.  ``noises`` comes from ``stack_noises``, with one row per
-    document.
+    ``counts`` holds the batch's (B, V) word counts.  The posterior is
+    given as (B, dims) pre-activation rows, one per document, or None for
+    an absent family: the Gaussian posterior is ``gaussian.from_raw(gauss_mu,
+    gauss_raw_sigma)`` and the piecewise weights are
+    ``piecewise.head_forward(piece_raw_a)``.  ``batch_bound`` passes the
+    amortised rows, iterative inference the rows it refines while the
+    block's counts stay fixed; priors come from the model.  ``noises``
+    comes from ``stack_noises``, with one row per document.
     """
-    gauss_post = None
-    if model.gauss_dims > 0:
-        gauss_post = GaussianParams(mu=gauss_mu, var=softplus(gauss_raw_sigma) + gaussian.VAR_FLOOR)
-    return _bound_rows(model, counts, priors(model), (gauss_post, piece_raw_a), kl_weight, noises)
+    gauss_prior, a_prior = priors(model)
+    gauss_post = gaussian.from_raw(gauss_mu, gauss_raw_sigma) if gauss_mu is not None else None
+    a_post = piecewise.head_forward(piece_raw_a) if piece_raw_a is not None else None
+    recon = None
+    for eps_g, eps_p in noises:
+        z_g = gaussian.sample_with_noise(gauss_post, eps_g) if gauss_post is not None else None
+        z_p = None
+        if a_post is not None:
+            z01 = piecewise.sample_through(a_post, eps_p, model.piece_dims, model.n_pieces)
+            z_p = scale_shift(z01, 2.0, -1.0)
+        z = combine_latents(z_g, z_p)
+        term = dot(counts, decode_logprob(model, z))
+        recon = term if recon is None else recon + term
+    recon = recon * (1.0 / len(noises))
+
+    kl_g_t = gaussian.kl(gauss_post, gauss_prior) if gauss_post is not None else None
+    kl_p_t = piecewise.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces) if a_post is not None else None
+    kl_total = None
+    for term in (kl_g_t, kl_p_t):
+        if term is not None:
+            kl_total = term if kl_total is None else kl_total + term
+    bound = recon - kl_weight * kl_total
+    return RowBounds(
+        bounds=bound.data,
+        reconstruction=recon.data,
+        kl_gaussian=np.maximum(kl_g_t.data, 0.0) if kl_g_t is not None else np.zeros(recon.data.shape),
+        kl_piecewise=np.maximum(kl_p_t.data, 0.0) if kl_p_t is not None else np.zeros(recon.data.shape),
+        total=sum_all(bound),
+    )

@@ -94,14 +94,19 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
 
 
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:
-    """Rescale all gradients so the global L2 norm is at most clip_norm."""
+    """Rescale all gradients in place so the global L2 norm is at most clip_norm; returns ``grads``.
+
+    The arrays are overwritten, so the caller must own them, as ``train``
+    owns the fresh ones ``_batch_gradients`` builds for every batch.
+    """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     norm = global_norm(grads)
-    if norm <= clip_norm:
-        return grads
-    scale = clip_norm / norm
-    return {name: g * scale for name, g in grads.items()}
+    if norm > clip_norm:
+        scale = clip_norm / norm
+        for g in grads.values():
+            g *= scale
+    return grads
 
 
 @dataclass
@@ -252,7 +257,7 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
                 raise TrainingDiverged(f"{_diagnostic(model, epoch, batches)}; forward failed: {exc}") from exc
             if not np.isfinite(bound) or not all(np.all(np.isfinite(g)) for g in grads.values()):
                 raise TrainingDiverged(_diagnostic(model, epoch, batches))
-            grads = clip_gradients(grads, config.clip_norm)
+            clip_gradients(grads, config.clip_norm)
             params = adam_step(params, grads, state, config)
             model = model.replaced(params)
             step += 1

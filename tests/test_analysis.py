@@ -80,6 +80,17 @@ class TestKlSensitivity:
         assert counts_p.sum() == 0
         assert counts_g.sum() == 2 * len(corpus)
 
+    @pytest.mark.parametrize("top_m", [0, -1])
+    def test_rejects_top_m_below_one(self, corpus, monkeypatch, top_m):
+        """top_m = -1 used to count every present word but the last."""
+
+        def encode(*args, **kwargs):
+            raise AssertionError("a document was encoded")
+
+        monkeypatch.setattr(analysis, "encode", encode)
+        with pytest.raises(ValueError, match="top_m must be >= 1"):
+            analysis.kl_sensitivity(model_for(corpus, variant="h"), corpus, top_m=top_m)
+
 
 class TestExportMeans:
     def test_uniform_posterior_exports_half(self, corpus, tmp_path):

@@ -57,3 +57,27 @@ def test_unset_dimensions_take_the_defaults(data, tmp_path, capsys):
     assert cli.main(train_args(data, tmp_path, "p")) == 0
     model = load_checkpoint(str(tmp_path / "model.ckpt"))
     assert (model.gauss_dims, model.piece_dims, model.n_pieces) == (0, 50, 3)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(data, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    assert cli.main(train_args(data, out, "h", "--gauss-dims", "2", "--piece-dims", "2")) == 0
+    return str(out / "model.ckpt")
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("eval", ("--iterative", "--inf-lr", "-1"), "lr must be finite and >= 0"),
+        ("eval", ("--iterative", "--inf-patience", "0"), "stop_patience must be >= 1"),
+        ("eval", ("--kl-weight", "nan"), "kl_weight must be finite and >= 0"),
+        ("sensitivity", ("--top-m", "0"), "top_m must be >= 1"),
+    ],
+)
+def test_bad_evaluation_setting_exits_before_any_report(data, checkpoint, capsys, command, flags, message):
+    args = [command, "--ckpt", checkpoint, "--corpus", data + ".test.docs", "--vocab", data + ".vocab", *flags]
+    assert cli.main(args) == cli.RUNTIME_ERROR
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""

@@ -247,7 +247,7 @@ class TestIterativeInference:
 
 
 class TestSampleCounts:
-    """Bad sample counts fail before any document is refined."""
+    """Bad sample counts and refinement settings fail before any document is refined."""
 
     def test_evaluate_iterative_rejects_zero_samples(self, corpus, monkeypatch):
         def refine(*args, **kwargs):
@@ -265,3 +265,43 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="eval_samples must be >= 1"):
             evaluation.iterative_inference(fresh_model("h"), corpus, [corpus.docs[0]], eval_samples=0, rngs=[np.random.default_rng(0)])
 
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("lr", -0.1, "lr must be finite and >= 0"),
+            ("lr", float("nan"), "lr must be finite and >= 0"),
+            ("lr", float("inf"), "lr must be finite and >= 0"),
+            ("steps_max", -3, "steps_max must be >= 0"),
+            ("stop_patience", 0, "stop_patience must be >= 1"),
+            ("clip_norm", -1.0, "clip_norm must be finite and > 0"),
+            ("clip_norm", 0.0, "clip_norm must be finite and > 0"),
+            ("clip_norm", float("nan"), "clip_norm must be finite and > 0"),
+            ("kl_weight", -0.5, "kl_weight must be finite and >= 0"),
+            ("kl_weight", float("nan"), "kl_weight must be finite and >= 0"),
+            ("kl_weight", float("inf"), "kl_weight must be finite and >= 0"),
+        ],
+    )
+    def test_evaluate_iterative_rejects_bad_refinement_settings(self, corpus, monkeypatch, setting, value, message):
+        """Each would step downhill, never step, stop at once or fail with a misleading message."""
+
+        def bound(*args, **kwargs):
+            raise AssertionError("a bound was computed")
+
+        monkeypatch.setattr(evaluation, "posterior_bound", bound)
+        with pytest.raises(ValueError, match=message):
+            evaluation.evaluate_iterative(fresh_model("h"), corpus, 1, np.random.default_rng(0), **{setting: value})
+
+    def test_edge_refinement_settings_accepted(self, corpus):
+        _, (res,) = evaluation.evaluate_iterative(
+            fresh_model("h"), replace(corpus, docs=corpus.docs[:1]), 1, np.random.default_rng(0), steps_max=0, stop_patience=1, kl_weight=0.0
+        )
+        assert res.steps == 0 and res.bound == res.initial_bound
+
+    @pytest.mark.parametrize("kl_weight", [-1.0, float("nan")])
+    def test_evaluate_rejects_bad_kl_weight(self, corpus, monkeypatch, kl_weight):
+        def bound(*args, **kwargs):
+            raise AssertionError("a bound was computed")
+
+        monkeypatch.setattr(evaluation, "batch_bound", bound)
+        with pytest.raises(ValueError, match="kl_weight must be finite and >= 0"):
+            evaluation.evaluate(fresh_model("h"), corpus, 1, np.random.default_rng(0), kl_weight=kl_weight)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pwvae import gaussian as ga
 from pwvae import tensor as T
@@ -66,12 +69,16 @@ class TestPriorForward:
         assert max_rel_err(tape.grad(t), numerical_grad(f, b_sigma)) < 1e-6
 
 
+def posterior(head, enc):
+    return ga.from_raw(*ga.posterior_forward(head, enc))
+
+
 class TestPosteriorForward:
     def test_zero_gate_posterior_equals_prior_bitwise(self):
         rng = np.random.default_rng(3)
         head = zero_gate_head(rng, 5, 3)
         prior = ga.prior_forward(head)
-        post = ga.posterior_forward(head, prior, T.Tensor(rng.normal(size=3)))
+        post = posterior(head, T.Tensor(rng.normal(size=3)))
         np.testing.assert_array_equal(post.mu.data, prior.mu.data)
         np.testing.assert_array_equal(post.var.data, prior.var.data)
 
@@ -81,34 +88,60 @@ class TestPosteriorForward:
         head.alpha_mu = T.Tensor(np.ones(4))
         head.alpha_sigma = T.Tensor(np.ones(4))
         enc = T.Tensor(rng.normal(size=3))
-        prior_a = ga.prior_forward(head)
-        shifted = ga.GaussianParams(mu=prior_a.mu + 100.0, var=prior_a.var * 7.0)
-        post_a = ga.posterior_forward(head, prior_a, enc)
-        post_b = ga.posterior_forward(head, shifted, enc)
+        post_a = posterior(head, enc)
+        head.prior_b_mu = head.prior_b_mu + 100.0
+        head.prior_b_sigma = head.prior_b_sigma * 7.0
+        post_b = posterior(head, enc)
         np.testing.assert_array_equal(post_a.mu.data, post_b.mu.data)
         np.testing.assert_array_equal(post_a.var.data, post_b.var.data)
 
     def test_gradient_through_gate_path(self):
-        rng = np.random.default_rng(5)
-        dim, enc_dim = 3, 2
-        enc_arr = rng.normal(size=enc_dim)
-        alpha = rng.normal(size=dim) * 0.4
+        assert gate_gradient_error("alpha_mu") < 1e-6
 
-        def bound(alpha_arr):
-            head = make_head(np.random.default_rng(5), dim, enc_dim)
-            head.alpha_mu = T.Tensor(alpha_arr)
-            prior = ga.prior_forward(head)
-            post = ga.posterior_forward(head, prior, T.Tensor(enc_arr))
-            return float(T.sum_all(post.mu) + T.sum_all(post.var))
+    def test_gradient_through_sigma_gate_before_the_softplus(self):
+        assert gate_gradient_error("alpha_sigma") < 1e-6
 
+
+def gate_gradient_error(gate):
+    """Relative error of the taped gradient of sum(mu) + sum(var) in one gate vector."""
+    rng = np.random.default_rng(5)
+    dim, enc_dim = 3, 2
+    enc_arr = rng.normal(size=enc_dim)
+    alpha = rng.normal(size=dim) * 0.4
+
+    def bound(alpha_arr):
         head = make_head(np.random.default_rng(5), dim, enc_dim)
-        alpha_t = T.Tensor(alpha)
-        head.alpha_mu = alpha_t
-        with T.Tape() as tape:
-            prior = ga.prior_forward(head)
-            post = ga.posterior_forward(head, prior, T.Tensor(enc_arr))
-            tape.backward(T.add(T.sum_all(post.mu), T.sum_all(post.var)))
-        assert max_rel_err(tape.grad(alpha_t), numerical_grad(bound, alpha)) < 1e-6
+        setattr(head, gate, T.Tensor(alpha_arr))
+        post = posterior(head, T.Tensor(enc_arr))
+        return float(T.sum_all(post.mu) + T.sum_all(post.var))
+
+    head = make_head(np.random.default_rng(5), dim, enc_dim)
+    alpha_t = T.Tensor(alpha)
+    setattr(head, gate, alpha_t)
+    with T.Tape() as tape:
+        post = posterior(head, T.Tensor(enc_arr))
+        tape.backward(T.add(T.sum_all(post.mu), T.sum_all(post.var)))
+    return max_rel_err(tape.grad(alpha_t), numerical_grad(bound, alpha))
+
+
+@st.composite
+def gated_heads(draw):
+    """A random head with both gates anywhere in [-10, 10], and (B, H) encodings."""
+    dim, enc_dim, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    head = make_head(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim, enc_dim)
+    gates = hnp.arrays(np.float64, dim, elements=st.floats(-10.0, 10.0))
+    head.alpha_mu = T.Tensor(draw(gates))
+    head.alpha_sigma = T.Tensor(draw(gates))
+    enc = draw(hnp.arrays(np.float64, (rows, enc_dim), elements=st.floats(-10.0, 10.0)))
+    return head, enc
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(gated_heads())
+def test_posterior_variance_is_positive_for_any_gate(case):
+    head, enc = case
+    var = posterior(head, T.Tensor(enc)).var.data
+    assert np.all(np.isfinite(var)) and np.all(var > 0.0)
 
 
 class TestSampling:

@@ -57,6 +57,14 @@ class TestClipGradients:
         out = training.clip_gradients(grads, 1.0)
         np.testing.assert_array_equal(out["a"], np.zeros(3))
 
+    def test_rescales_the_callers_arrays_in_place(self):
+        g = np.array([6.0, 8.0, 1.0 / 3.0])
+        expected = g * (1.0 / training.global_norm({"a": g}))
+        grads = {"a": g}
+        out = training.clip_gradients(grads, 1.0)
+        assert out is grads and out["a"] is g
+        np.testing.assert_array_equal(g, expected)
+
     def test_post_clip_norm_bounded_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -175,6 +183,24 @@ class TestTrainLoop:
         model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=10)
         with pytest.raises(ValueError, match="non-empty"):
             training.train(model, replace(train_c, docs=()), valid_c, TrainConfig())
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_negative_sigma_gates_train_without_divergence(seed):
+    """Variant H at lr 0.05 pushes alpha_sigma below 0 in its first epoch.
+
+    Interpolating the variances themselves made one negative and raised
+    TrainingDiverged at batch 5; the gate now acts before the softplus.
+    """
+    from dataclasses import replace
+
+    corpus = cio.make_synthetic_bimodal(600, 200, seed)
+    train_c, valid_c = replace(corpus, docs=corpus.docs[:500]), replace(corpus, docs=corpus.docs[500:])
+    model = nvdm.init_model("h", 200, hidden=50, gauss_dims=10, piece_dims=10, n_pieces=3, seed=seed)
+    config = TrainConfig(learning_rate=0.05, batch_size=50, max_epochs=1, patience=1, seed=seed)
+    result = training.train(model, train_c, valid_c, config)
+    assert np.isfinite(result.best_valid_bound)
+    assert result.model.params["g_alpha_sigma"].data.min() < 0.0
 
 
 class TestConfigValidation:
