@@ -1,23 +1,41 @@
-"""Versioned text checkpoints for model parameters.
+"""Binary checkpoints for model parameters, format ``pwvae-ckpt v2``.
 
-Layout: a header (format tag, variant, dimensions, piece count,
-activation) followed by one block per named parameter in canonical
-order: ``param <name> <rows> <cols>`` and then ``rows`` lines of
-``cols`` space-separated decimal values, row major, with 17 significant
-digits.  That precision round-trips 64-bit floats exactly, so
-save -> load -> save reproduces the file byte for byte.
+A checkpoint is one uncompressed ``.npz`` archive, written by
+``np.savez`` at exactly the given path and read by ``np.load`` without
+pickle.  It holds:
+
+- ``header``: a 0-d unicode array of lines, the magic ``pwvae-ckpt v2``
+  and then ``<field> <value>`` for the model's ``variant``,
+  ``vocab_size``, ``hidden``, ``gauss_dims``, ``piece_dims``,
+  ``n_pieces`` and ``activation``, in that order;
+- one float64 array per parameter, under its ``named_parameters()`` name
+  and in its model shape.
+
+The archive stores the raw bytes of every array and fixed member
+timestamps, so save -> load is exact to the bit and save -> load -> save
+reproduces the file byte for byte.  Loading checks the magic, then that
+the parameter names, shapes and dtypes are exactly those of
+``param_shapes``; any other file raises ``CheckpointError``.
 """
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 
 from .nvdm import NvdmModel, param_shapes
-from .tensor import Tensor
+from .tensor import _wrap
 
 __all__ = ["CheckpointError", "MAGIC", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = "pwvae-ckpt v1"
+MAGIC = "pwvae-ckpt v2"
+_V1_MAGIC = b"pwvae-ckpt v1"
+_ZIP_MAGIC = b"PK\x03\x04"
+_HEADER = "header"
+# Header keys, in file order: the model's fields, all integers but two.
+_FIELDS = ("variant", "vocab_size", "hidden", "gauss_dims", "piece_dims", "n_pieces", "activation")
+_TEXT_FIELDS = ("variant", "activation")
 
 
 class CheckpointError(ValueError):
@@ -25,83 +43,53 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(model: NvdmModel, path: str) -> None:
-    lines = [
-        MAGIC,
-        f"variant {model.variant}",
-        f"vocab {model.vocab_size}",
-        f"hidden {model.hidden}",
-        f"gauss_dims {model.gauss_dims}",
-        f"piece_dims {model.piece_dims}",
-        f"pieces {model.n_pieces}",
-        f"activation {model.activation}",
-    ]
-    for name, tensor in model.named_parameters():
-        data = tensor.data
-        rows, cols = data.shape if data.ndim == 2 else (1, data.shape[0])
-        lines.append(f"param {name} {rows} {cols}")
-        for row in data.reshape(rows, cols):
-            lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "\n".join([MAGIC] + [f"{key} {getattr(model, key)}" for key in _FIELDS])
+    arrays = {_HEADER: np.array(header), **{name: t.data for name, t in model.named_parameters()}}
+    # A file handle, not a path: given a path, np.savez would append ".npz".
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
-def _header_int(line: str, key: str, path: str) -> int:
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != key:
-        raise CheckpointError(f"{path}: expected '{key} <value>' header line, got {line!r}")
-    return int(parts[1])
+def _read_header(header, path: str) -> dict:
+    """Model fields from the header array; the magic is checked first."""
+    lines = str(header).split("\n") if header is not None and header.shape == () and header.dtype.kind == "U" else []
+    if not lines or lines[0] != MAGIC:
+        raise CheckpointError(f"{path}: not a {MAGIC} file (no {MAGIC} header)")
+    try:
+        fields = dict(line.split(" ") for line in lines[1:])
+        if tuple(fields) != _FIELDS:
+            raise ValueError(f"expected keys {list(_FIELDS)}, got {list(fields)}")
+        return {key: value if key in _TEXT_FIELDS else int(value) for key, value in fields.items()}
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc})") from None
 
 
 def load_checkpoint(path: str) -> NvdmModel:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != MAGIC:
-        raise CheckpointError(f"{path}: not a {MAGIC} file")
-    try:
-        variant = lines[1].split()[1]
-        vocab_size = _header_int(lines[2], "vocab", path)
-        hidden = _header_int(lines[3], "hidden", path)
-        gauss_dims = _header_int(lines[4], "gauss_dims", path)
-        piece_dims = _header_int(lines[5], "piece_dims", path)
-        n_pieces = _header_int(lines[6], "pieces", path)
-        activation = lines[7].split()[1]
-    except (IndexError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed header ({exc})") from None
-
-    expected = param_shapes(variant, vocab_size, hidden, gauss_dims, piece_dims, n_pieces, activation)
-    params: dict[str, Tensor] = {}
-    i = 8
-    for name, shape in expected.items():
-        if i >= len(lines) or not lines[i].startswith("param "):
-            raise CheckpointError(f"{path}: missing parameter block for {name!r}")
-        _, got_name, rows_s, cols_s = lines[i].split()
-        rows, cols = int(rows_s), int(cols_s)
-        if got_name != name:
-            raise CheckpointError(f"{path}: expected parameter {name!r}, found {got_name!r}")
-        if rows * cols != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: parameter {name!r} has {rows * cols} values, expected shape {shape}")
-        if i + rows >= len(lines):
-            raise CheckpointError(f"{path}: parameter {name!r} block is truncated")
-        try:
-            values = np.array(
-                [float(v) for r in range(rows) for v in lines[i + 1 + r].split()],
-                dtype=np.float64,
+    with open(path, "rb") as fh:
+        start = fh.read(len(_V1_MAGIC))
+        if start == _V1_MAGIC:
+            raise CheckpointError(
+                f"{path}: a pwvae-ckpt v1 text checkpoint; only {MAGIC} is read. "
+                "Load it with a pwvae that reads v1 and save it again to convert it."
             )
-        except (IndexError, ValueError) as exc:
-            raise CheckpointError(f"{path}: parameter {name!r} block is unreadable ({exc})") from None
-        if values.size != rows * cols:
-            raise CheckpointError(f"{path}: parameter {name!r} block is truncated")
-        params[name] = Tensor(values.reshape(shape))
-        i += 1 + rows
-    if i != len(lines):
-        raise CheckpointError(f"{path}: trailing content after parameters")
-    return NvdmModel(
-        variant=variant,
-        vocab_size=vocab_size,
-        hidden=hidden,
-        gauss_dims=gauss_dims,
-        piece_dims=piece_dims,
-        n_pieces=n_pieces,
-        activation=activation,
-        params=params,
-    )
+        if not start.startswith(_ZIP_MAGIC):
+            raise CheckpointError(f"{path}: not a {MAGIC} file")
+        fh.seek(0)
+        # zipfile raises RuntimeError for member flags it cannot read, and
+        # BadZipFile or EOFError for a damaged or truncated archive.
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+        except (EOFError, OSError, RuntimeError, ValueError, zipfile.BadZipFile) as exc:
+            raise CheckpointError(f"{path}: unreadable {MAGIC} archive ({type(exc).__name__}: {exc})") from None
+
+    fields = _read_header(arrays.pop(_HEADER, None), path)
+    expected = param_shapes(**fields)
+    missing, extra = sorted(expected.keys() - arrays.keys()), sorted(arrays.keys() - expected.keys())
+    if missing or extra:
+        raise CheckpointError(f"{path}: parameters missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        got = arrays[name]
+        if got.shape != shape or got.dtype != np.float64:
+            raise CheckpointError(f"{path}: parameter {name!r} is {got.dtype} {got.shape}, expected float64 {shape}")
+    return NvdmModel(**fields, params={name: _wrap(arrays[name]) for name in expected})

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", choices=("none", "log1p_tf"), default="none")
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="checkpoint output path")
+    p.add_argument("--out", required=True, help="output path of the binary checkpoint (an .npz archive, written at exactly this path)")
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--clip-norm", type=float, default=None)

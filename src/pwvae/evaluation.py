@@ -248,35 +248,38 @@ def iterative_inference(
     # step bound went non-finite never takes its non-finite gradient.
     live = np.ones(len(docs), dtype=bool)
 
-    for _ in range(steps_max):
-        noises = stack_noises([draw_noises(model, 1, rng) if on else filler for rng, on in zip(step_rngs, live)])
-        with Tape() as tape:
-            tensors = _tensors(params)
-            stepped = posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **tensors)
-            failed = live & ~np.isfinite(stepped.bounds)
-            aborted |= failed
-            live &= ~failed
+    # A step can overflow (a huge lr) before its row is marked aborted just
+    # below; numpy's overflow and invalid-value warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps_max):
+            noises = stack_noises([draw_noises(model, 1, rng) if on else filler for rng, on in zip(step_rngs, live)])
+            with Tape() as tape:
+                tensors = _tensors(params)
+                stepped = posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **tensors)
+                failed = live & ~np.isfinite(stepped.bounds)
+                aborted |= failed
+                live &= ~failed
+                if not live.any():
+                    break
+                tape.backward(stepped.total)
+                grads = {name: tape.grad(t) for name, t in tensors.items() if t is not None}
+            norm = np.sqrt(sum(np.sum(g * g, axis=1) for g in grads.values()))
+            step = lr * (clip_norm / np.maximum(norm, clip_norm))
+            for name, g in grads.items():
+                params[name][live] += step[live, None] * g[live]
+            steps[live] += 1
+
+            tracked = posterior_bound(model, counts, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
+            improved = live & np.isfinite(tracked) & (tracked > best_bound)
+            best_bound[improved] = tracked[improved]
+            for name, rows in params.items():
+                if rows is not None:
+                    best[name][improved] = rows[improved]
+            since_improve[improved] = 0
+            since_improve[live & ~improved] += 1
+            live &= since_improve < stop_patience
             if not live.any():
                 break
-            tape.backward(stepped.total)
-            grads = {name: tape.grad(t) for name, t in tensors.items() if t is not None}
-        norm = np.sqrt(sum(np.sum(g * g, axis=1) for g in grads.values()))
-        step = lr * (clip_norm / np.maximum(norm, clip_norm))
-        for name, g in grads.items():
-            params[name][live] += step[live, None] * g[live]
-        steps[live] += 1
-
-        tracked = posterior_bound(model, counts, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
-        improved = live & np.isfinite(tracked) & (tracked > best_bound)
-        best_bound[improved] = tracked[improved]
-        for name, rows in params.items():
-            if rows is not None:
-                best[name][improved] = rows[improved]
-        since_improve[improved] = 0
-        since_improve[live & ~improved] += 1
-        live &= since_improve < stop_patience
-        if not live.any():
-            break
 
     return [
         RefinementResult(

@@ -4,12 +4,12 @@ A distribution with n equal-width segments and positive weights a_1..a_n
 has density a_i / K on segment i, where K_i = a_i / n and K = sum_i K_i,
 so the density integrates to exactly 1.  Segments are half open,
 [(i-1)/n, i/n), with the last segment closed at 1.  The ``*_rows`` core
-takes one distribution per row of a (d, n) array and gives the density,
-CDF, closed-form inverse CDF (for inverse transform sampling), exact
-pathwise derivatives of samples with respect to the weights, and the
-closed-form KL divergence and mean.  ``head_forward`` maps
-pre-activations to weights; ``sample_through`` and ``kl_between`` are
-the core as taped operations.
+takes one distribution per row of a (d, n) array and gives the density
+and the closed-form KL divergence, its gradients and the mean.
+``head_forward`` maps pre-activations to weights.  ``sample_through``
+draws by the closed-form inverse CDF (inverse transform sampling) with
+exact pathwise derivatives in the weights, and ``kl_between`` is the KL
+core; both are taped operations.
 
 Derivatives of the segment-selection indicators are fixed to zero: the
 probability of drawing a value exactly at a changing point is zero, so
@@ -27,9 +27,6 @@ from .tensor import Tensor, _unbroadcast, custom_op, exp_clamped
 __all__ = [
     "CLAMP",
     "pdf_rows",
-    "cdf_rows",
-    "inverse_cdf_rows",
-    "sample_grad_rows",
     "kl_rows",
     "kl_grad_rows",
     "mean_rows",
@@ -55,17 +52,6 @@ def pdf_rows(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     idx = _segment_of_z(z, n)
     total = a.sum(axis=1)
     return n * a[np.arange(d), idx] / total
-
-
-def cdf_rows(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    d, n = a.shape
-    idx = _segment_of_z(z, n)
-    cum = np.cumsum(a, axis=1)
-    total = cum[:, -1]
-    rows = np.arange(d)
-    prev = np.where(idx > 0, cum[rows, np.maximum(idx - 1, 0)], 0.0)
-    val = (prev + n * (z - idx / n) * a[rows, idx]) / total
-    return np.where(z >= 1.0, 1.0, np.where(z <= 0.0, 0.0, val))
 
 
 def _active_segment(a: np.ndarray, eps: np.ndarray):
@@ -97,15 +83,6 @@ def _sample_grad(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
     grad = grad / (n * a_sel)[:, None]
     grad[np.arange(a.shape[0]), idx] = (eps * (a_sel - total) + prev) / (n * a_sel * a_sel)
     return grad
-
-
-def inverse_cdf_rows(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    return _inverse_cdf(a, eps, _active_segment(a, eps))
-
-
-def sample_grad_rows(a: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """d z / d a_k for z = inverse_cdf(a, eps) with eps held fixed, per row."""
-    return _sample_grad(a, eps, _active_segment(a, eps))
 
 
 def _kl_terms(post: np.ndarray, prior: np.ndarray):

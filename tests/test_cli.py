@@ -1,4 +1,6 @@
-"""Command-line model dimensions: explicit values reach the model as given."""
+"""Command line: explicit dimensions reach the model as given; bad settings and checkpoints exit 1 before any report."""
+
+from pathlib import Path
 
 import pytest
 
@@ -80,4 +82,22 @@ def test_bad_evaluation_setting_exits_before_any_report(data, checkpoint, capsys
     assert cli.main(args) == cli.RUNTIME_ERROR
     out, err = capsys.readouterr()
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda data: b"pwvae-ckpt v1\nvariant h\nvocab 10\n", "pwvae-ckpt v1 text checkpoint"),
+        (lambda data: data[: len(data) // 2], "unreadable pwvae-ckpt v2 archive"),
+    ],
+    ids=["v1-text", "truncated"],
+)
+def test_bad_checkpoint_exits_with_its_message(data, checkpoint, tmp_path, capsys, damage, message):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(damage(Path(checkpoint).read_bytes()))
+    args = ["eval", "--ckpt", str(bad), "--corpus", data + ".test.docs", "--vocab", data + ".vocab"]
+    assert cli.main(args) == cli.RUNTIME_ERROR
+    out, err = capsys.readouterr()
+    assert message in err and str(bad) in err
     assert out == ""

@@ -1,5 +1,6 @@
 """Perplexity evaluation and per-document iterative posterior refinement."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -234,16 +235,26 @@ class TestIterativeInference:
             updates["p_prior_b_a"] = updates["p_post_b_a"]
         model = model.replaced(updates)
         settings = dict(steps_max=20, lr=1e300, stop_patience=3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            together = evaluation.iterative_inference(model, block, docs, rngs=[np.random.default_rng((49, i)) for i in range(8)], **settings)
-            for i, (doc, got) in enumerate(zip(docs, together)):
-                (alone,) = evaluation.iterative_inference(model, block, [doc], rngs=[np.random.default_rng((49, i))], **settings)
-                assert (got.steps, got.aborted) == (alone.steps, alone.aborted), i
-                assert got.initial_bound == pytest.approx(alone.initial_bound, rel=1e-12), i
-                assert got.bound == pytest.approx(alone.bound, rel=1e-12), i
-                seen = i % 2 == 1
-                assert (got.aborted, got.steps) == ((True, 1) if seen else (False, 3)), i
-                assert got.bound == got.initial_bound
+        together = evaluation.iterative_inference(model, block, docs, rngs=[np.random.default_rng((49, i)) for i in range(8)], **settings)
+        for i, (doc, got) in enumerate(zip(docs, together)):
+            (alone,) = evaluation.iterative_inference(model, block, [doc], rngs=[np.random.default_rng((49, i))], **settings)
+            assert (got.steps, got.aborted) == (alone.steps, alone.aborted), i
+            assert got.initial_bound == pytest.approx(alone.initial_bound, rel=1e-12), i
+            assert got.bound == pytest.approx(alone.bound, rel=1e-12), i
+            seen = i % 2 == 1
+            assert (got.aborted, got.steps) == ((True, 1) if seen else (False, 3)), i
+            assert got.bound == got.initial_bound
+
+    @pytest.mark.parametrize("variant", ["g", "h"])
+    def test_overflowing_steps_abort_without_a_numpy_warning(self, corpus, variant):
+        """At lr=1e300 a step overflows; its row is marked aborted, and numpy warns of nothing."""
+        model = refinable_model(variant, seed=50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, refinements = evaluation.evaluate_iterative(model, corpus, 2, np.random.default_rng(51), steps_max=5, lr=1e300)
+        assert sum(r.aborted for r in refinements) > len(refinements) // 2
+        assert all(r.bound == r.initial_bound and r.steps == 1 for r in refinements if r.aborted)
+        assert np.all(np.isfinite(report.per_doc_bounds))
 
 
 class TestSampleCounts:

@@ -9,6 +9,7 @@ from pwvae import piecewise as pw
 from pwvae import tensor as T
 
 from gradcheck import max_rel_err, numerical_grad
+from piecewise_oracle import cdf_rows, draw_grad_rows, draw_rows
 
 
 def random_params(rng, n):
@@ -49,7 +50,7 @@ def bisect_inverse_cdf(a, eps, iters=80):
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if at(pw.cdf_rows, a, mid) < eps:
+        if at(cdf_rows, a, mid) < eps:
             lo = mid
         else:
             hi = mid
@@ -83,78 +84,78 @@ class TestDensity:
 class TestCdf:
     def test_uniform_cdf_is_identity(self):
         for z in np.linspace(0, 1, 17):
-            assert at(pw.cdf_rows, [1.0, 1.0], float(z)) == pytest.approx(z, abs=1e-15)
+            assert at(cdf_rows, [1.0, 1.0], float(z)) == pytest.approx(z, abs=1e-15)
 
     def test_hand_integrated_cdf(self):
         a = [1.0, 3.0]
-        assert at(pw.cdf_rows, a, 0.5) == pytest.approx(0.25, abs=1e-15)
-        assert at(pw.cdf_rows, a, 0.75) == pytest.approx(0.625, abs=1e-15)
+        assert at(cdf_rows, a, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert at(cdf_rows, a, 0.75) == pytest.approx(0.625, abs=1e-15)
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(101)
         for n in (2, 3, 5, 10):
             a = random_params(rng, n)
-            assert at(pw.cdf_rows, a, 0.0) == 0.0
-            assert at(pw.cdf_rows, a, 1.0) == 1.0
+            assert at(cdf_rows, a, 0.0) == 0.0
+            assert at(cdf_rows, a, 1.0) == 1.0
 
     def test_monotone(self):
         rng = np.random.default_rng(102)
         a = random_params(rng, 5)
         zs = np.linspace(0, 1, 301)
-        vals = [at(pw.cdf_rows, a, float(z)) for z in zs]
+        vals = [at(cdf_rows, a, float(z)) for z in zs]
         assert np.all(np.diff(vals) >= 0)
 
 
 class TestInverseCdf:
     def test_uniform_identity(self):
-        assert at(pw.inverse_cdf_rows, [1.0, 1.0], 0.7) == pytest.approx(0.7, abs=1e-15)
+        assert at(draw_rows, [1.0, 1.0], 0.7) == pytest.approx(0.7, abs=1e-15)
 
     def test_hand_round_trip(self):
-        assert at(pw.inverse_cdf_rows, [1.0, 3.0], 0.625) == pytest.approx(0.75, abs=1e-15)
+        assert at(draw_rows, [1.0, 3.0], 0.625) == pytest.approx(0.75, abs=1e-15)
 
     def test_round_trip_and_bisection_oracle(self):
         rng = np.random.default_rng(103)
         for n in (2, 3, 5, 10):
             a = random_params(rng, n)
             eps = rng.random(1000)
-            z = pw.inverse_cdf_rows(np.tile(a, (1000, 1)), eps)
-            back = pw.cdf_rows(np.tile(a, (1000, 1)), z)
+            z = draw_rows(np.tile(a, (1000, 1)), eps)
+            back = cdf_rows(np.tile(a, (1000, 1)), z)
             assert np.max(np.abs(back - eps)) < 1e-12
             for e in eps[:25]:
-                assert abs(at(pw.inverse_cdf_rows, a, float(e)) - bisect_inverse_cdf(a, float(e))) < 1e-10
+                assert abs(at(draw_rows, a, float(e)) - bisect_inverse_cdf(a, float(e))) < 1e-10
 
     def test_boundary_mass_assigns_right_segment(self):
         # Cumulative mass of segment 1 is 0.25; exactly there, use segment 2.
-        assert at(pw.inverse_cdf_rows, [1.0, 3.0], 0.25) == pytest.approx(0.5, abs=1e-15)
+        assert at(draw_rows, [1.0, 3.0], 0.25) == pytest.approx(0.5, abs=1e-15)
 
     def test_endpoints(self):
         a = [2.0, 5.0, 1.0]
-        assert at(pw.inverse_cdf_rows, a, 0.0) == 0.0
-        assert at(pw.inverse_cdf_rows, a, 1.0) == 1.0
+        assert at(draw_rows, a, 0.0) == 0.0
+        assert at(draw_rows, a, 1.0) == 1.0
 
 
 class TestSampling:
     def test_uniform_params_pass_ks(self):
         rng = np.random.default_rng(104)
-        samples = pw.inverse_cdf_rows(np.tile([1.0, 1.0], (100_000, 1)), rng.random(100_000))
+        samples = draw_rows(np.tile([1.0, 1.0], (100_000, 1)), rng.random(100_000))
         assert ks_uniform(samples) < 0.006
 
     def test_mass_above_half(self):
         rng = np.random.default_rng(105)
-        samples = pw.inverse_cdf_rows(np.tile([1.0, 3.0], (100_000, 1)), rng.random(100_000))
+        samples = draw_rows(np.tile([1.0, 3.0], (100_000, 1)), rng.random(100_000))
         assert abs(np.mean(samples >= 0.5) - 0.75) < 0.01
 
     def test_fixed_seed_reproducible(self):
         weights = [0.5, 2.0, 1.0]
-        a = [at(pw.inverse_cdf_rows, weights, np.random.default_rng(42).random()) for _ in range(5)]
-        b = [at(pw.inverse_cdf_rows, weights, np.random.default_rng(42).random()) for _ in range(5)]
+        a = [at(draw_rows, weights, np.random.default_rng(42).random()) for _ in range(5)]
+        b = [at(draw_rows, weights, np.random.default_rng(42).random()) for _ in range(5)]
         assert a == b
 
     def test_histogram_matches_analytic_masses(self):
         rng = np.random.default_rng(106)
         for n in (2, 3, 5):
             a = random_params(rng, n)
-            draws = pw.inverse_cdf_rows(np.tile(a, (100_000, 1)), rng.random(100_000))
+            draws = draw_rows(np.tile(a, (100_000, 1)), rng.random(100_000))
             bins = np.minimum((draws * n).astype(int), n - 1)
             empirical = np.bincount(bins, minlength=n) / len(draws)
             masses = a / a.sum()
@@ -166,8 +167,8 @@ class TestSampleGrad:
     def test_matches_finite_differences_uniform(self):
         uniform = np.array([1.0, 1.0])
         for eps in (0.1, 0.25, 0.6, 0.9):
-            ana = at(pw.sample_grad_rows, uniform, eps)
-            num = numerical_grad(lambda a: at(pw.inverse_cdf_rows, a, eps), uniform)
+            ana = at(draw_grad_rows, uniform, eps)
+            num = numerical_grad(lambda a: at(draw_rows, a, eps), uniform)
             assert max_rel_err(ana, num) < 1e-6
 
     def test_matches_finite_differences_random(self):
@@ -176,19 +177,19 @@ class TestSampleGrad:
             weights = random_params(rng, n)
             for _ in range(5):
                 eps = float(rng.uniform(0.05, 0.95))
-                ana = at(pw.sample_grad_rows, weights, eps)
-                num = numerical_grad(lambda a: at(pw.inverse_cdf_rows, a, eps), weights)
+                ana = at(draw_grad_rows, weights, eps)
+                num = numerical_grad(lambda a: at(draw_rows, a, eps), weights)
                 assert max_rel_err(ana, num) < 1e-6
 
     def test_opposite_signs_at_quarter(self):
-        g = at(pw.sample_grad_rows, [1.0, 1.0], 0.25)
+        g = at(draw_grad_rows, [1.0, 1.0], 0.25)
         assert g[0] < 0 < g[1]
 
     def test_zero_noise_gives_zero_gradient(self):
         rng = np.random.default_rng(108)
         a = random_params(rng, 4)
-        np.testing.assert_array_equal(at(pw.sample_grad_rows, a, 0.0), np.zeros(4))
-        np.testing.assert_array_equal(at(pw.sample_grad_rows, a, 1.0), np.zeros(4))
+        np.testing.assert_array_equal(at(draw_grad_rows, a, 0.0), np.zeros(4))
+        np.testing.assert_array_equal(at(draw_grad_rows, a, 1.0), np.zeros(4))
 
 
 class TestKl:
@@ -274,7 +275,7 @@ class TestShiftAndMean:
         a = np.array([1.0, 3.0])
         assert pw.mean_rows(np.array([a]))[0] == pytest.approx(0.625, abs=1e-12)
         rng = np.random.default_rng(114)
-        draws = pw.inverse_cdf_rows(np.tile(a, (100_000, 1)), rng.random(100_000))
+        draws = draw_rows(np.tile(a, (100_000, 1)), rng.random(100_000))
         se = draws.std() / np.sqrt(len(draws))
         assert abs(draws.mean() - pw.mean_rows(np.array([a]))[0]) < 3 * se
 
@@ -337,8 +338,9 @@ class TestTapedOps:
         a = np.exp(rng.uniform(-1, 1, size=(3, 4)))
         eps = rng.random(3)
         z = pw.sample_through(T.Tensor(a.reshape(-1)), eps, 3, 4)
-        expect = [at(pw.inverse_cdf_rows, a[i], float(eps[i])) for i in range(3)]
+        expect = [pw.sample_through(T.Tensor(a[i]), eps[i : i + 1], 1, 4).data[0] for i in range(3)]
         np.testing.assert_allclose(z.data, expect, rtol=1e-15)
+        np.testing.assert_allclose(z.data, [bisect_inverse_cdf(a[i], float(eps[i])) for i in range(3)], rtol=0, atol=1e-10)
 
     def test_sample_through_gradient(self):
         rng = np.random.default_rng(118)
@@ -349,7 +351,7 @@ class TestTapedOps:
             z = pw.sample_through(a_t, eps, 2, 3)
             tape.backward(T.sum_all(z))
         num = numerical_grad(
-            lambda flat: float(np.sum(pw.inverse_cdf_rows(flat.reshape(2, 3), eps))), a.reshape(-1)
+            lambda flat: float(np.sum(draw_rows(flat.reshape(2, 3), eps))), a.reshape(-1)
         )
         assert max_rel_err(tape.grad(a_t), num) < 1e-6
 

