@@ -5,6 +5,7 @@ import pytest
 
 from pwvae import corpus as cio
 from pwvae import evaluation, nvdm, training
+from pwvae.tensor import Tensor
 from pwvae.training import TrainConfig
 
 
@@ -65,6 +66,20 @@ class TestClipGradients:
         assert out is grads and out["a"] is g
         np.testing.assert_array_equal(g, expected)
 
+    def test_finite_gradients_with_an_overflowing_norm_are_scaled_to_zero(self):
+        """A finite norm proves finite gradients; an inf norm alone does not prove a non-finite one."""
+        g = np.array([1e200, -1e200, 3.0])
+        with np.errstate(over="ignore"):
+            assert training.global_norm({"a": g}) == np.inf
+            training.clip_gradients({"a": g}, 1.0)
+        assert np.all(g == 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_raises_naming_it(self, bad):
+        grads = {"a": np.array([1.0, 2.0]), "b": np.array([[0.5, bad], [1.0, 2.0]])}
+        with pytest.raises(FloatingPointError, match="gradient of b is not finite"):
+            training.clip_gradients(grads, 1.0)
+
     def test_post_clip_norm_bounded_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -73,7 +88,102 @@ class TestClipGradients:
             assert training.global_norm(out) <= 2.5 + 1e-12
 
 
+def _unblocked_adam_step(params, grads, state, config):
+    """Whole-parameter Adam step, one pass over each parameter per operation: the oracle for the blocked ``adam_step``."""
+    state.step += 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
+    out = {}
+    for name, t in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        scratch = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v *= b2
+        v += scratch
+        # p + lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += config.adam_eps
+        new = np.divide(m, c1)
+        new *= config.learning_rate
+        new /= scratch
+        new += t.data
+        out[name] = Tensor(new)
+    return out
+
+
+ADAM_SHAPES = {"ragged": (3 * training._ADAM_CHUNK + 17,), "small": (7, 11), "fortran": (300, 150), "strided": (150, 300)}
+
+
+def in_layout(a, layout):
+    """``a`` with its values unchanged, Fortran-ordered or as a strided view for those layouts."""
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return a
+
+
 class TestAdam:
+    @pytest.mark.parametrize("layout", ["ragged", "small", "fortran", "strided"])
+    def test_blocked_step_is_bit_identical_to_unblocked(self, layout):
+        """A small parameter follows the main one, which has the layout under test."""
+        rng = np.random.default_rng(12)
+        shape = ADAM_SHAPES[layout]
+        params = {"w": Tensor(in_layout(rng.normal(size=shape), layout)), "b": Tensor(rng.normal(size=5))}
+        assert params["w"].data.flags.c_contiguous == (layout != "fortran")
+        config = TrainConfig(learning_rate=0.01)
+        state = training.adam_init(params)
+        ref_state = training.AdamState(m={n: np.zeros_like(t.data) for n, t in params.items()}, v={n: np.zeros_like(t.data) for n, t in params.items()})
+        ref = params
+        for _ in range(5):
+            grads = {"w": in_layout(rng.normal(size=shape), layout), "b": rng.normal(size=5)}
+            assert grads["w"].flags.c_contiguous == (layout in ("ragged", "small"))
+            copies = {n: g.copy() for n, g in grads.items()}
+            params = training.adam_step(params, grads, state, config)
+            ref = _unblocked_adam_step(ref, grads, ref_state, config)
+            for name in grads:
+                np.testing.assert_array_equal(grads[name], copies[name], err_msg=name)
+        assert state.step == ref_state.step == 5
+        for name in params:
+            np.testing.assert_array_equal(params[name].data, ref[name].data, err_msg=name)
+            np.testing.assert_array_equal(state.m[name], ref_state.m[name], err_msg=name)
+            np.testing.assert_array_equal(state.v[name], ref_state.v[name], err_msg=name)
+            assert params[name].data.shape == ref[name].data.shape
+
+    @pytest.mark.parametrize("fault", ["missing", "extra", "transposed", "fortran_moment"])
+    def test_bad_gradients_are_rejected_before_state_moves(self, fault):
+        model = nvdm.init_model("h", 6, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=3)
+        params = dict(model.params)
+        assert params["enc_w0"].data.shape == (3, 6)
+        rng = np.random.default_rng(4)
+        state = training.adam_init(params)
+        config = TrainConfig()
+        params = training.adam_step(params, {n: rng.normal(size=t.data.shape) for n, t in params.items()}, state, config)
+        grads = {n: rng.normal(size=t.data.shape) for n, t in params.items()}
+        if fault == "missing":
+            del grads["enc_w0"]
+        elif fault == "extra":
+            grads["enc_w2"] = np.zeros(3)
+        elif fault == "transposed":
+            grads["enc_w0"] = np.ascontiguousarray(grads["enc_w0"].T)
+        else:
+            state.m["enc_w0"] = np.asfortranarray(state.m["enc_w0"])
+        m = {n: a.copy() for n, a in state.m.items()}
+        v = {n: a.copy() for n, a in state.v.items()}
+        with pytest.raises(ValueError, match="enc_w"):
+            training.adam_step(params, grads, state, config)
+        assert state.step == 1
+        for name in params:
+            np.testing.assert_array_equal(state.m[name], m[name], err_msg=name)
+            np.testing.assert_array_equal(state.v[name], v[name], err_msg=name)
+
     def test_zero_gradients_leave_parameters_unchanged(self):
         model = nvdm.init_model("g", 6, hidden=3, gauss_dims=2, seed=2)
         params = dict(model.params)
@@ -91,8 +201,6 @@ class TestAdam:
             assert state.v[name].shape == t.data.shape
 
     def test_descends_a_quadratic(self):
-        from pwvae.tensor import Tensor
-
         params = {"x": Tensor([5.0])}
         state = training.adam_init(params)
         config = TrainConfig(learning_rate=0.1)
@@ -175,6 +283,43 @@ class TestTrainLoop:
         assert b1 == pytest.approx(b3, rel=1e-12)
         for name in g1:
             np.testing.assert_allclose(g1[name], g3[name], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_trainer_owns_every_gradient_array(self, small_corpus, threads):
+        """The in-place ``/= n``, clip and Adam write only arrays no one else holds."""
+        train_c, valid_c = small_corpus
+        model = randomized(nvdm.init_model("h", 20, hidden=4, seed=11, **VARIANT_DIMS["h"]), seed=12)
+        config = TrainConfig(batch_size=40, max_epochs=2, patience=5, seed=11, threads=threads)
+        grads, *_ = training._batch_gradients(model, train_c, list(range(40)), 1.0, config, step=0)
+        assert grads.keys() == model.params.keys()
+        arrays = list(grads.values())
+        for i, g in enumerate(arrays):
+            assert g.flags.writeable
+            for other in arrays[i + 1 :]:
+                assert not np.shares_memory(g, other)
+            for name, t in model.named_parameters():
+                assert not np.shares_memory(g, t.data), name
+
+        before = {name: t.data.copy() for name, t in model.named_parameters()}
+        result = training.train(model, train_c, valid_c, config)
+        for name, t in model.named_parameters():
+            np.testing.assert_array_equal(t.data, before[name], err_msg=name)
+            assert np.any(result.model.params[name].data != before[name]), name
+
+    def test_non_finite_gradient_with_a_finite_bound_diverges(self, small_corpus, monkeypatch):
+        train_c, valid_c = small_corpus
+        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=8)
+        real = training._batch_gradients
+
+        def poisoned(*args):
+            grads, *rest = real(*args)
+            grads["dec_b"][3] = np.inf
+            return (grads, *rest)
+
+        monkeypatch.setattr(training, "_batch_gradients", poisoned)
+        config = TrainConfig(batch_size=50, max_epochs=1, patience=1, seed=8)
+        with pytest.raises(training.TrainingDiverged, match="batch 0.*gradient of dec_b is not finite"):
+            training.train(model, train_c, valid_c, config)
 
     def test_empty_corpus_rejected(self, small_corpus):
         train_c, valid_c = small_corpus
