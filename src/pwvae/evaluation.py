@@ -2,11 +2,12 @@
 
 Perplexity is exp(-(1/D) sum_n bound_n / L_n) over D documents with L_n
 tokens each, where the sampled variational bound stands in for the exact
-log-likelihood.  Per-document noise streams are derived from the document
-content, so identical documents always receive identical noise and
-duplicating a corpus leaves the report unchanged.  Documents are
-evaluated as rows, ``EVAL_BLOCK`` at a time, which bounds memory for any
-corpus size.
+log-likelihood.  A document's noise is keyed by the call's root and the
+document's content digest (``_doc_key``), and a block's noise is one
+``nvdm.draw_noises`` call over its documents' keys, so identical
+documents always receive identical noise and duplicating a corpus leaves
+the report unchanged.  Documents are evaluated as rows, ``EVAL_BLOCK`` at
+a time, which bounds memory for any corpus size.
 
 Iterative inference refines posterior parameters by plain gradient ascent
 on the bound while the model and the prior stay frozen.  A block of
@@ -19,12 +20,15 @@ non-finite step bound, stays in the block with its parameters frozen and
 fixed filler noise, and its outputs are ignored: the block's composition
 never changes, because a row's matrix products can differ in the last
 bits with the rows around it.
-Each gradient step uses freshly drawn noise, and a document's step
-stream advances only on the steps it takes; progress tracking uses a
-fixed noise set drawn once per document, so the best-seen bound is
+Refinement draws its noise from one numpy generator per document: each
+gradient step uses freshly drawn noise, and a document's step stream
+advances only on the steps it takes; progress tracking uses a fixed
+noise set drawn once per document, so the best-seen bound is
 deterministic given the block and never falls below the amortised
 starting point, and a zero learning rate returns exactly the starting
-bound.  ``evaluate_iterative`` refines each distinct document once, in
+bound.  A step so large that a row's bound can no longer be computed
+(its variances or logits overflow) aborts that row alone.
+``evaluate_iterative`` refines each distinct document once, in
 blocks taken from the distinct documents sorted by content key, so a
 set of documents always forms the same blocks whatever the corpus order
 or duplication.  Refinement runs with one BLAS thread
@@ -42,8 +46,8 @@ import numpy as np
 from . import piecewise
 from .blas import one_thread
 from .corpus import Corpus, Document
-from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, posterior_bound, stack_noises
-from .tensor import Tape, Tensor
+from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, noise_keys, posterior_bound
+from .tensor import ShapeError, Tape, Tensor
 
 __all__ = [
     "EvalReport",
@@ -78,6 +82,26 @@ def _doc_rng(root: int, doc: Document, purpose: int) -> np.random.Generator:
 
 def _root(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
+
+
+def _content_noises(model: NvdmModel, num_samples: int, root: int, docs):
+    """``num_samples`` noise samples for a block of documents, row i keyed by ``root`` and ``docs[i]``'s content."""
+    return draw_noises(model, num_samples, noise_keys(root, [_doc_key(doc) for doc in docs]))
+
+
+def _generator_noises(model: NvdmModel, num_samples: int, rng: np.random.Generator):
+    """One document's refinement noise from its own generator: ``num_samples`` (eps_gauss, eps_piece) vector pairs."""
+    noises = []
+    for _ in range(num_samples):
+        eps_g = rng.standard_normal(model.gauss_dims) if model.gauss_dims > 0 else None
+        eps_p = rng.random(model.piece_dims) if model.piece_dims > 0 else None
+        noises.append((eps_g, eps_p))
+    return noises
+
+
+def _stack_noises(per_doc):
+    """Stack documents' ``_generator_noises`` results into one (B, dims) pair per sample."""
+    return [tuple(None if parts[0] is None else np.array(parts) for parts in zip(*sample)) for sample in zip(*per_doc)]
 
 
 @dataclass
@@ -130,7 +154,7 @@ def evaluate(
     bounds = np.zeros(len(corpus))
     for lo in range(0, len(corpus), EVAL_BLOCK):
         docs = corpus.docs[lo : lo + EVAL_BLOCK]
-        noises = stack_noises([draw_noises(model, num_samples, _doc_rng(root, doc, 0)) for doc in docs])
+        noises = _content_noises(model, num_samples, root, docs)
         bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noises, kl_weight=kl_weight).bounds
     tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
     return _aggregate(bounds, tokens, num_samples, "amortized")
@@ -183,6 +207,46 @@ def _check_kl_weight(kl_weight: float) -> None:
         raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
 
 
+def _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted):
+    """``posterior_bound`` at ``params``; returns the parameter tensors and the block's ``RowBounds``.
+
+    A huge step can make a row's variances or logits overflow, even with
+    finite parameters, and ``posterior_bound`` then rejects the whole
+    block.  Each live row is then bounded alone, and every row that fails
+    is marked aborted (in ``live`` and ``aborted``) and put back to its
+    best-seen parameters, whose bound was computed before, and the block
+    is bounded again.  The other rows keep their parameters and noise, so
+    their bounds are unchanged.
+    """
+    while True:
+        tensors = _tensors(params)
+        try:
+            return tensors, posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **tensors)
+        except ShapeError:
+            raise
+        except ValueError:
+            failing = np.zeros_like(live)
+            for i in np.flatnonzero(live):
+                one = slice(i, i + 1)
+                try:
+                    posterior_bound(
+                        model,
+                        Tensor(counts.data[one]),
+                        kl_weight=kl_weight,
+                        noises=[tuple(None if eps is None else eps[one] for eps in sample) for sample in noises],
+                        **{name: None if rows is None else Tensor(rows[one]) for name, rows in params.items()},
+                    )
+                except ValueError:
+                    failing[i] = True
+            if not failing.any():
+                raise
+        aborted |= failing
+        live &= ~failing
+        for name, rows in params.items():
+            if rows is not None:
+                rows[failing] = best[name][failing]
+
+
 def _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight, eval_samples) -> None:
     """Reject refinement settings that would step downhill, never stop or misreport, before any work."""
     if eval_samples < 1:
@@ -222,9 +286,10 @@ def iterative_inference(
     bound by plain SGD with the training-style norm rescaling of its own
     gradient, and stops once its tracked bound has not improved for
     ``stop_patience`` steps.  Returns, per document, the best-seen
-    parameters and bound; a non-finite step bound aborts that document's
-    refinement, which then reports its best-seen parameters and the
-    amortised starting bound.
+    parameters and bound; a non-finite step bound, or a step after which
+    the document's bound overflows, aborts that document's refinement,
+    which then reports its best-seen parameters and the amortised
+    starting bound.
     """
     _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight, eval_samples)
     docs = list(docs)
@@ -234,7 +299,7 @@ def iterative_inference(
     _check_documents(model, corpus, docs)
     counts = _counts(corpus, docs)
     step_rngs = [_doc_rng(root, doc, 2) for root, doc in zip(roots, docs)]
-    track_noises = stack_noises([draw_noises(model, eval_samples, _doc_rng(root, doc, 1)) for root, doc in zip(roots, docs)])
+    track_noises = _stack_noises([_generator_noises(model, eval_samples, _doc_rng(root, doc, 1)) for root, doc in zip(roots, docs)])
     filler = _filler_noise(model)
 
     params = _amortized_rows(model, corpus, docs)
@@ -252,10 +317,9 @@ def iterative_inference(
     # below; numpy's overflow and invalid-value warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps_max):
-            noises = stack_noises([draw_noises(model, 1, rng) if on else filler for rng, on in zip(step_rngs, live)])
+            noises = _stack_noises([_generator_noises(model, 1, rng) if on else filler for rng, on in zip(step_rngs, live)])
             with Tape() as tape:
-                tensors = _tensors(params)
-                stepped = posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **tensors)
+                tensors, stepped = _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted)
                 failed = live & ~np.isfinite(stepped.bounds)
                 aborted |= failed
                 live &= ~failed
@@ -269,7 +333,7 @@ def iterative_inference(
                 params[name][live] += step[live, None] * g[live]
             steps[live] += 1
 
-            tracked = posterior_bound(model, counts, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
+            tracked = _bound_aborting_overflow(model, counts, params, best, track_noises, kl_weight, live, aborted)[1].bounds
             improved = live & np.isfinite(tracked) & (tracked > best_bound)
             best_bound[improved] = tracked[improved]
             for name, rows in params.items():
@@ -336,7 +400,7 @@ def evaluate_iterative(
             rngs=[_doc_rng(root, doc, 3) for doc in docs],
         )
         params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
-        noises = stack_noises([draw_noises(model, num_samples, _doc_rng(root, doc, 4)) for doc in docs])
+        noises = _content_noises(model, num_samples, root, docs)
         final = posterior_bound(model, _counts(corpus, docs), kl_weight=kl_weight, noises=noises, **_tensors(params)).bounds
         refined.update(zip(block, zip(results, final)))
     picked = [refined[_content(doc)] for doc in corpus.docs]

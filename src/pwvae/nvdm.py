@@ -28,8 +28,18 @@ reconstruction and KL terms together with their taped sum.
 evaluation, ``elbo`` is its one-document caller, and iterative inference
 calls ``posterior_bound`` with the rows it refines.  Noise is a list with
 one (eps_gauss, eps_piece) pair per posterior sample, each a (B, dims)
-matrix whose rows belong to the documents in order; ``stack_noises``
-builds it from each document's own ``draw_noises`` draws.
+matrix whose rows belong to the documents in order.
+
+``draw_noises`` draws a whole batch's noise in one vectorised call from a
+(B,) array of uint64 keys, one per document.  It is counter-based (Salmon
+et al., SC'11): entry (b, s, d) is a pure function of ``keys[b]``, the
+sample s and the dimension d, namely SplitMix64's output mix over a Weyl
+sequence that starts at the mixed key, turned into a 53-bit uniform in
+[0, 1) and, for Gaussian dimensions, a Box-Muller normal.  A document's
+noise therefore depends on its key alone, never on the batch it sits in
+or on how many samples are drawn.  ``noise_keys`` combines a caller's
+root with per-document ids (batch slots in training, content digests in
+evaluation) into such keys.
 """
 
 from __future__ import annotations
@@ -68,8 +78,8 @@ __all__ = [
     "combine_latents",
     "priors",
     "amortized_posterior",
+    "noise_keys",
     "draw_noises",
-    "stack_noises",
     "batch_bound",
     "elbo",
     "posterior_bound",
@@ -322,22 +332,61 @@ def amortized_posterior(model: NvdmModel, enc: Tensor) -> dict[str, Tensor | Non
     return rows
 
 
-def draw_noises(model: NvdmModel, num_samples: int, rng: np.random.Generator):
-    """One document's noise: ``num_samples`` (eps_gauss, eps_piece) vector pairs."""
-    noises = []
-    for _ in range(num_samples):
-        eps_g = rng.standard_normal(model.gauss_dims) if model.gauss_dims > 0 else None
-        eps_p = rng.random(model.piece_dims) if model.piece_dims > 0 else None
-        noises.append((eps_g, eps_p))
-    return noises
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and
+# the two multipliers of its output mix.  Every operation below is on
+# uint64 arrays, whose arithmetic wraps modulo 2**64 silently; numpy
+# scalars would warn on overflow instead.
+_WEYL = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def stack_noises(per_doc):
-    """Stack documents' ``draw_noises`` results into one (B, dims) pair per sample."""
-    sizes = {len(noises) for noises in per_doc}
-    if len(sizes) != 1 or 0 in sizes:
-        raise ValueError("stack_noises: every document needs the same, non-zero number of samples")
-    return [tuple(None if parts[0] is None else np.array(parts) for parts in zip(*sample)) for sample in zip(*per_doc)]
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of a uint64 array, a bijection on 64-bit words."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def noise_keys(root, ids) -> np.ndarray:
+    """(B,) ``draw_noises`` keys: ``root`` XOR each id, both below 2**64.
+
+    Distinct ids give distinct keys, and ``draw_noises`` mixes every key
+    before use, so nearby ids (batch slots 0, 1, 2, ...) still get
+    unrelated streams.
+    """
+    return np.uint64(root) ^ np.asarray(ids, dtype=np.uint64)
+
+
+def draw_noises(model: NvdmModel, num_samples: int, keys: np.ndarray):
+    """A batch's noise: ``num_samples`` (eps_gauss, eps_piece) pairs of (B, dims) rows, row b keyed by ``keys[b]``.
+
+    ``keys`` is a (B,) uint64 array.  Each sample takes ``width`` words of
+    row b's stream, word c being ``_mix64(_mix64(keys[b]) + (c + 1) *
+    _WEYL)`` for c = s * width, ..., (s + 1) * width - 1: an even number of
+    uniforms that Box-Muller pairs into the Gaussian normals, then one
+    uniform per piecewise dimension.  Uniforms are the top 53 bits of a
+    word scaled into [0, 1), so every normal is finite.  An absent
+    family's entry is None.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype != np.uint64 or keys.ndim != 1 or keys.size == 0:
+        raise ValueError(f"draw_noises: keys must be a non-empty (B,) uint64 array, got {keys.dtype} of shape {keys.shape}")
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    pairs = (model.gauss_dims + 1) // 2
+    width = 2 * pairs + model.piece_dims
+    counters = np.arange(1, num_samples * width + 1, dtype=np.uint64).reshape(num_samples, 1, width) * _WEYL
+    words = _mix64(_mix64(keys)[:, None] + counters)
+    uniform = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    eps_g = eps_p = None
+    if model.gauss_dims > 0:
+        radius = np.sqrt(-2.0 * np.log1p(-uniform[..., :pairs]))
+        angle = (2.0 * np.pi) * uniform[..., pairs : 2 * pairs]
+        eps_g = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., : model.gauss_dims]
+    if model.piece_dims > 0:
+        eps_p = uniform[..., 2 * pairs :]
+    return [(None if eps_g is None else eps_g[s], None if eps_p is None else eps_p[s]) for s in range(num_samples)]
 
 
 def _check_documents(model: NvdmModel, corpus: Corpus, docs) -> None:
@@ -351,7 +400,7 @@ def _check_documents(model: NvdmModel, corpus: Corpus, docs) -> None:
 def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: float = 1.0) -> RowBounds:
     """Variational bounds of a batch of documents under the amortised posterior.
 
-    ``noises`` comes from ``stack_noises``, with one row per document.
+    ``noises`` is ``draw_noises``' list of (B, dims) pairs, with one row per document.
     """
     _check_documents(model, corpus, docs)
     x = Tensor([corpus.dense(doc) for doc in docs])
@@ -368,10 +417,10 @@ def elbo(
     num_samples: int = 1,
     rng: np.random.Generator,
 ) -> ElboReport:
-    """Variational bound of one document under the amortised posterior."""
+    """Variational bound of one document under the amortised posterior, its noise keyed by a draw from ``rng``."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    noises = stack_noises([draw_noises(model, num_samples, rng)])
+    noises = draw_noises(model, num_samples, rng.integers(0, 2**64, size=1, dtype=np.uint64))
     return batch_bound(model, corpus, [doc], noises, kl_weight=kl_weight).single(num_samples)
 
 
@@ -394,7 +443,8 @@ def posterior_bound(
     ``piecewise.head_forward(piece_raw_a)``.  ``batch_bound`` passes the
     amortised rows, iterative inference the rows it refines while the
     block's counts stay fixed; priors come from the model.  ``noises``
-    comes from ``stack_noises``, with one row per document.
+    holds one (eps_gauss, eps_piece) pair of (B, dims) rows per sample,
+    with one row per document.
     """
     gauss_prior, a_prior = priors(model)
     gauss_post = gaussian.from_raw(gauss_mu, gauss_raw_sigma) if gauss_mu is not None else None

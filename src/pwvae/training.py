@@ -19,10 +19,12 @@ takes one ascent step on the bound, cache-sized block by block, updating
 the moments in place; its only new arrays are the new parameters.
 
 Per-document sampling noise is keyed by (seed, stream, step, slot), where
-the slot is the document's position in the batch, and stacked row by row
-in that draw order.  A seeded run is therefore bit-reproducible, and
-neither the batch's size nor sharding it over ``threads`` (each shard one
-batched tape) changes which noise a document receives.
+the slot is the document's position in the batch: each step derives one
+root from (seed, stream, step), and ``nvdm.noise_keys`` combines it with
+each slot, so a shard's noise is one ``nvdm.draw_noises`` call over its
+slots' keys.  A seeded run is therefore bit-reproducible, and neither the
+batch's size nor sharding it over ``threads`` (each shard one batched
+tape) changes which noise a document receives.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from . import evaluation
 from .corpus import Corpus
-from .nvdm import NvdmModel, batch_bound, draw_noises, stack_noises
+from .nvdm import NvdmModel, batch_bound, draw_noises, noise_keys
 from .tensor import Tape, Tensor, _wrap
 
 __all__ = [
@@ -111,18 +113,25 @@ def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, 
     gradient finite: an inf or NaN entry makes the sum of squares inf or
     NaN.  Only a non-finite norm leads to a scan of each array, which
     raises ``FloatingPointError`` naming the first non-finite gradient.
-    Finite gradients whose squared norm overflows are scaled by
-    ``clip_norm / inf``, that is, to zero.
+    If every gradient is finite, only the sum of squares overflowed: the
+    gradients are then divided by their largest magnitude, which makes
+    their norm representable, and clipped by that norm.
     """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
-    norm = global_norm(grads)
-    if not np.isfinite(norm):
+    with np.errstate(over="ignore"):
+        norm = global_norm(grads)
+    if np.isfinite(norm):
+        scale = clip_norm / norm if norm > clip_norm else 1.0
+    else:
         for name, g in grads.items():
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"gradient of {name} is not finite")
-    if norm > clip_norm:
-        scale = clip_norm / norm
+        peak = max(float(np.max(np.abs(g))) for g in grads.values() if g.size)
+        for g in grads.values():
+            g /= peak
+        scale = clip_norm / global_norm(grads)
+    if scale != 1.0:
         for g in grads.values():
             g *= scale
     return grads
@@ -227,8 +236,9 @@ class TrainResult:
 
 
 def _slot_noises(model: NvdmModel, seed: int, step: int, slots):
-    """One posterior sample per batch slot, stacked in slot order."""
-    return stack_noises([draw_noises(model, 1, np.random.default_rng((seed, _STREAM_BATCH_NOISE, step, slot))) for slot in slots])
+    """One posterior sample per batch slot, in slot order: row i keyed by (seed, stream, step, ``slots[i]``)."""
+    root = np.random.SeedSequence((seed, _STREAM_BATCH_NOISE, step)).generate_state(1, np.uint64)[0]
+    return draw_noises(model, 1, noise_keys(root, slots))
 
 
 def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, seed: int, step: int, slots):

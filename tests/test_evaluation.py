@@ -1,5 +1,6 @@
 """Perplexity evaluation and per-document iterative posterior refinement."""
 
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -216,12 +217,15 @@ class TestIterativeInference:
         assert [r.bound for r in refinements2[::-1]] == [r.bound for r in refinements]
 
     @pytest.mark.parametrize("variant", ["g", "h"])
-    def test_aborted_rows_leave_the_rest_of_the_block_refining(self, variant):
-        """At lr=1e300 the documents the encoder sees abort on step 1; the others keep refining.
+    @pytest.mark.parametrize("lr", [1e300, 1.7e308])
+    def test_aborted_rows_leave_the_rest_of_the_block_refining(self, variant, lr):
+        """At a huge lr the documents the encoder sees abort on step 1; the others keep refining.
 
-        The encoder ignores words 0-9, and every posterior built from a zero
-        encoding equals the prior exactly, so with a zero decoder the
-        documents of words 0-9 have zero gradients and never move.
+        At lr=1e300 their step bound goes non-finite; at 1.7e308 the step
+        itself overflows their variances or logits.  The encoder ignores
+        words 0-9, and every posterior built from a zero encoding equals
+        the prior exactly, so with a zero decoder the documents of words
+        0-9 have zero gradients and never move.
         """
         words = np.arange(5)
         docs = [cio.Document(str(i), words + (10 if i % 2 else 0), np.full(5, i + 1)) for i in range(8)]
@@ -234,7 +238,7 @@ class TestIterativeInference:
             updates["p_post_b_a"] = np.random.default_rng(48).normal(size=6)
             updates["p_prior_b_a"] = updates["p_post_b_a"]
         model = model.replaced(updates)
-        settings = dict(steps_max=20, lr=1e300, stop_patience=3)
+        settings = dict(steps_max=20, lr=lr, stop_patience=3)
         together = evaluation.iterative_inference(model, block, docs, rngs=[np.random.default_rng((49, i)) for i in range(8)], **settings)
         for i, (doc, got) in enumerate(zip(docs, together)):
             (alone,) = evaluation.iterative_inference(model, block, [doc], rngs=[np.random.default_rng((49, i))], **settings)
@@ -255,6 +259,63 @@ class TestIterativeInference:
         assert sum(r.aborted for r in refinements) > len(refinements) // 2
         assert all(r.bound == r.initial_bound and r.steps == 1 for r in refinements if r.aborted)
         assert np.all(np.isfinite(report.per_doc_bounds))
+
+
+def _overflow_model(variant, seed):
+    """A fresh model with every parameter replaced by N(0, 0.3) draws."""
+    model = fresh_model(variant, seed=seed)
+    rng = np.random.default_rng(seed)
+    return model.replaced({name: rng.normal(0.0, 0.3, t.data.shape) for name, t in model.named_parameters()})
+
+
+class TestOverflowingRefinement:
+    """A step whose row's bound overflows aborts that row alone."""
+
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    def test_lr_sweep_finishes_every_call(self, variant):
+        """Up to the largest finite steps, every call returns; overflowing rows report their amortised bound."""
+        corpus = cio.make_synthetic_bimodal(40, 20, 1)
+        model = _overflow_model(variant, seed=1)
+        for lr in np.geomspace(1e306, 1.7e308, 6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report, refinements = evaluation.evaluate_iterative(model, corpus, 2, np.random.default_rng(1), steps_max=20, lr=lr)
+            assert np.all(np.isfinite(report.per_doc_bounds)), lr
+            for res in refinements:
+                assert np.isfinite(res.bound) and res.bound >= res.initial_bound, lr
+                if res.aborted:
+                    assert res.bound == res.initial_bound and res.steps == 1, lr
+            # Only the piecewise family is clamped, so its rows never overflow.
+            assert sum(r.aborted for r in refinements) == (0 if variant == "p" else len(refinements)), lr
+
+
+class TestRefinementNoise:
+    DIGESTS = {
+        "g": "045f21f23df34249e3cb2cf8677f88f637d6f20049f9a5b79d5c443c4138dbd2",
+        "p": "979e21d5d45d56714534086a240857882787ff15d47a4597a5c58b41d6c56b09",
+        "h": "de7f907e02010fc9b77fb036cf0eab094ec4233df244c6ad597b90c46b50e148",
+    }
+
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    def test_refinement_results_are_pinned(self, variant):
+        """Refinement draws its noise from one numpy generator per document, not from ``nvdm.draw_noises``; these digests pin its results.
+
+        Each float is rounded to 12 significant digits before hashing, so
+        last-bit differences between numpy builds of exp and log cannot fail
+        the test, while any change to the noise moves the values far more.
+        """
+        corpus = cio.make_synthetic_bimodal(40, 20, 1)
+        model = _overflow_model(variant, seed=5)
+        results = evaluation.iterative_inference(
+            model, corpus, corpus.docs[:12], steps_max=30, lr=0.1, stop_patience=5, eval_samples=2, rngs=[np.random.default_rng((7, i)) for i in range(12)]
+        )
+        text = []
+        for res in results:
+            for name in evaluation._PARAMS:
+                values = getattr(res, name)
+                text.append("-" if values is None else " ".join(f"{x:.12g}" for x in values))
+            text.append(f"{res.bound:.12g} {res.initial_bound:.12g} {res.steps} {res.aborted}")
+        assert hashlib.sha256("\n".join(text).encode()).hexdigest() == self.DIGESTS[variant]
 
 
 class TestSampleCounts:

@@ -257,3 +257,121 @@ class TestLowerBound:
             samples = np.array(samples)
             se = samples.std() / 10.0
             assert samples.mean() <= exact + 3 * se
+
+
+_WORD = 2**64 - 1
+
+
+def _splitmix64(z):
+    """SplitMix64's output mix in Python integers: the reference for the uint64 kernel."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _WORD
+    return z ^ (z >> 31)
+
+
+def _reference_uniforms(key, count):
+    """The first ``count`` uniforms of a key's stream: SplitMix64 seeded with the mixed key."""
+    start = _splitmix64(key)
+    return [(_splitmix64((start + c * 0x9E3779B97F4A7C15) & _WORD) >> 11) * 2.0**-53 for c in range(1, count + 1)]
+
+
+def noise_model(gauss_dims, piece_dims):
+    """The smallest model with the given latent dimensions; ``draw_noises`` reads nothing else."""
+    variant = "h" if gauss_dims and piece_dims else "g" if gauss_dims else "p"
+    return nvdm.init_model(variant, 2, hidden=1, gauss_dims=gauss_dims, piece_dims=piece_dims, n_pieces=2, seed=0)
+
+
+class TestDrawNoises:
+    """The keyed, counter-based noise kernel."""
+
+    KEYS = np.array([0, 1, 2, 7, 2**32, 2**63, 2**64 - 1, 0x0123456789ABCDEF, 0xFEDCBA9876543210], dtype=np.uint64)
+
+    def test_uniforms_match_a_python_integer_splitmix64(self):
+        """Sample s, dimension d of a piecewise-only model is word s * dims + d of the key's stream."""
+        noises = nvdm.draw_noises(noise_model(0, 5), 3, self.KEYS)
+        for b, key in enumerate(self.KEYS):
+            expected = _reference_uniforms(int(key), 15)
+            for s, (eps_g, eps_p) in enumerate(noises):
+                assert eps_g is None
+                assert eps_p[b].tolist() == expected[5 * s : 5 * s + 5], (b, s)
+
+    def test_golden_values(self):
+        """Key 0 starts the stream at 0, so its words are SplitMix64's published first outputs for seed 0."""
+        ((_, eps_p),) = nvdm.draw_noises(noise_model(0, 3), 1, np.zeros(1, dtype=np.uint64))
+        words = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+        assert eps_p[0].tolist() == [(w >> 11) * 2.0**-53 for w in words]
+        # Normals go through log, cos and sin, whose last bits vary between numpy builds.
+        ((eps_g, eps_p),) = nvdm.draw_noises(noise_model(3, 2), 1, np.array([0, 2**64 - 1], dtype=np.uint64))
+        np.testing.assert_allclose(eps_g[1], [-0.5992449216466367, 1.5377699806734775, 1.3114207700889504], rtol=1e-13)
+        assert eps_p[1].tolist() == [0.8304596416451043, 0.05588332997080059]
+
+    def test_normals_are_box_muller_pairs_of_the_first_uniforms(self):
+        """Three Gaussian dimensions take two pairs of words (the fourth normal is dropped), then the piecewise words follow."""
+        ((eps_g, eps_p),) = nvdm.draw_noises(noise_model(3, 2), 1, self.KEYS)
+        for b, key in enumerate(self.KEYS):
+            u = _reference_uniforms(int(key), 6)
+            radius = [np.sqrt(-2.0 * np.log1p(-x)) for x in u[:2]]
+            angle = [2.0 * np.pi * x for x in u[2:4]]
+            expected = [radius[0] * np.cos(angle[0]), radius[1] * np.cos(angle[1]), radius[0] * np.sin(angle[0])]
+            np.testing.assert_allclose(eps_g[b], expected, rtol=1e-13, atol=1e-15)
+            assert eps_p[b].tolist() == u[4:6]
+
+    @pytest.mark.parametrize("dims", [(3, 0), (0, 4), (2, 3)])
+    def test_rows_depend_only_on_their_own_keys(self, dims):
+        model = noise_model(*dims)
+        full = nvdm.draw_noises(model, 4, self.KEYS)
+        rng = np.random.default_rng(60)
+        picks = [[4], [8, 0], list(range(9))[::-1], rng.permutation(9)[:5].tolist(), [3, 3, 1]]
+        for pick in picks:
+            part = nvdm.draw_noises(model, 4, self.KEYS[pick])
+            for (eps_g, eps_p), (full_g, full_p) in zip(part, full):
+                for got, whole in ((eps_g, full_g), (eps_p, full_p)):
+                    if whole is None:
+                        assert got is None
+                    else:
+                        np.testing.assert_array_equal(got, whole[pick])
+        # Sample s is the same whatever the number of samples drawn.
+        for count in (1, 2, 7):
+            for (eps_g, eps_p), (full_g, full_p) in zip(nvdm.draw_noises(model, count, self.KEYS), full):
+                for got, whole in ((eps_g, full_g), (eps_p, full_p)):
+                    if whole is not None:
+                        np.testing.assert_array_equal(got, whole)
+
+    def test_moments_tails_and_correlations_over_a_million_values(self):
+        """Consecutive keys, within 5 standard errors of every target."""
+        ((normal, uniform),) = nvdm.draw_noises(noise_model(1000, 1000), 1, np.arange(1000, dtype=np.uint64))
+        n = normal.size
+        assert np.all(np.isfinite(normal)) and np.all(np.isfinite(uniform))
+        assert uniform.min() >= 0.0 and uniform.max() < 1.0
+
+        def within(value, target, se):
+            assert abs(value - target) < 5 * se, (value, target, se)
+
+        within(normal.mean(), 0.0, np.sqrt(1 / n))
+        within(normal.var(), 1.0, np.sqrt(2 / n))
+        within(uniform.mean(), 0.5, np.sqrt(1 / 12 / n))
+        within(uniform.var(), 1 / 12, np.sqrt(1 / 180 / n))
+        for threshold, tail in ((2.0, 0.04550026389635842), (3.0, 0.0026997960632601866)):
+            within(np.mean(np.abs(normal) > threshold), tail, np.sqrt(tail * (1 - tail) / n))
+        for x in (normal, uniform):
+            within(np.corrcoef(x[:, :-1].ravel(), x[:, 1:].ravel())[0, 1], 0.0, np.sqrt(1 / n))
+            within(np.corrcoef(x[:-1].ravel(), x[1:].ravel())[0, 1], 0.0, np.sqrt(1 / n))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [np.arange(3, dtype=np.int64), np.zeros((2, 2), dtype=np.uint64), np.zeros(0, dtype=np.uint64), np.arange(3.0)],
+    )
+    def test_rejects_keys_that_are_not_a_uint64_vector(self, keys):
+        with pytest.raises(ValueError, match="draw_noises: keys must be a non-empty"):
+            nvdm.draw_noises(noise_model(2, 2), 1, keys)
+
+    def test_rejects_zero_samples(self):
+        with pytest.raises(ValueError, match="num_samples must be >= 1"):
+            nvdm.draw_noises(noise_model(2, 2), 0, self.KEYS)
+
+    def test_noise_keys_are_distinct_for_distinct_ids(self):
+        ids = np.arange(10_000, dtype=np.uint64)
+        for root in (0, 12345, 2**64 - 1):
+            keys = nvdm.noise_keys(root, ids)
+            assert keys.dtype == np.uint64 and len(np.unique(keys)) == len(ids)
+            np.testing.assert_array_equal(nvdm.noise_keys(root, ids[::-7]), keys[::-7])

@@ -1,5 +1,7 @@
 """Trainer mechanics: schedule, clipping, Adam, determinism, early stopping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,13 +68,21 @@ class TestClipGradients:
         assert out is grads and out["a"] is g
         np.testing.assert_array_equal(g, expected)
 
-    def test_finite_gradients_with_an_overflowing_norm_are_scaled_to_zero(self):
-        """A finite norm proves finite gradients; an inf norm alone does not prove a non-finite one."""
+    def test_finite_gradients_with_an_overflowing_norm_are_clipped_without_a_warning(self):
+        """The squared norm overflows, but every gradient is finite: the step keeps its direction at norm clip_norm."""
         g = np.array([1e200, -1e200, 3.0])
-        with np.errstate(over="ignore"):
-            assert training.global_norm({"a": g}) == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             training.clip_gradients({"a": g}, 1.0)
-        assert np.all(g == 0.0)
+        assert training.global_norm({"a": g}) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(g, np.array([1.0, -1.0, 3e-200]) * np.sqrt(0.5), rtol=1e-15)
+
+    def test_overflowing_norm_spread_over_several_gradients(self):
+        grads = {"a": np.array([1e300, 2e300]), "b": np.array([[-2e300], [4e300]]), "c": np.zeros(0)}
+        out = training.clip_gradients(grads, 5.0)
+        assert training.global_norm(out) == pytest.approx(5.0, rel=1e-15)
+        np.testing.assert_allclose(out["a"], [1.0, 2.0], rtol=1e-15)
+        np.testing.assert_allclose(out["b"], [[-2.0], [4.0]], rtol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_raises_naming_it(self, bad):
@@ -410,10 +420,10 @@ class TestBatchedShard:
         ref_grads = {name: np.zeros_like(t.data) for name, t in model.named_parameters()}
         ref_bound = ref_recon = ref_kl_g = ref_kl_p = 0.0
         for slot, di in zip(slots, doc_indices):
-            # The trainer's noise key: (seed, batch-noise stream 2, step, slot).
-            rng = np.random.default_rng((seed, 2, step, slot))
+            # The trainer's noise for this slot alone, in a one-document tape.
+            noises = training._slot_noises(model, seed, step, [slot])
             with Tape() as tape:
-                rep = nvdm.elbo(model, train_c, train_c.docs[di], kl_weight=w, num_samples=1, rng=rng)
+                rep = nvdm.batch_bound(model, train_c, [train_c.docs[di]], noises, kl_weight=w).single(1)
                 tape.backward(rep.bound_node)
             for name, t in model.named_parameters():
                 ref_grads[name] += tape.grad(t)
