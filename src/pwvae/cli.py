@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -156,11 +157,7 @@ def _cmd_synth(args) -> int:
         raise UsageError(f"--split must be comma-separated integers, got {args.split!r}") from None
     if len(sizes) != 3 or sum(sizes) != len(corpus):
         raise UsageError(f"--split must name 3 counts summing to --docs ({len(corpus)}), got {args.split!r}")
-    with open(args.out + ".vocab", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(corpus.vocab) + "\n")
     lo = 0
-    from dataclasses import replace
-
     for name, size in zip(("train", "valid", "test"), sizes):
         part = replace(corpus, docs=corpus.docs[lo : lo + size])
         save_corpus(part, args.out + ".vocab", f"{args.out}.{name}.docs", f"{args.out}.{name}.labels")
@@ -194,8 +191,6 @@ def _cmd_train(args) -> int:
     for path, what in ((args.corpus, "corpus"), (args.vocab, "vocabulary"), (args.valid, "validation corpus")):
         _require_file(path, what)
     file_cfg = _read_config_file(args.config) if args.config else {}
-    hidden = args.hidden if args.hidden is not None else file_cfg.get("hidden", 100)
-    activation = args.activation if args.activation is not None else file_cfg.get("activation", "prelu")
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -221,8 +216,8 @@ def _cmd_train(args) -> int:
     model = init_model(
         args.variant,
         train_corpus.vocab_size,
-        hidden=hidden,
-        activation=activation,
+        hidden=pick(args.hidden, "hidden", 100),
+        activation=pick(args.activation, "activation", "prelu"),
         seed=args.seed,
         **_model_dims(args),
     )
@@ -235,12 +230,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_for_eval(args):
+def _load_for_eval(args, labels_path=None):
     _require_file(args.ckpt, "checkpoint")
     _require_file(args.corpus, "corpus")
     _require_file(args.vocab, "vocabulary")
+    if labels_path:
+        _require_file(labels_path, "labels")
     model = load_checkpoint(args.ckpt)
-    corpus = load_corpus(args.vocab, args.corpus, transform=args.transform)
+    corpus = load_corpus(args.vocab, args.corpus, transform=args.transform, labels_path=labels_path)
     if corpus.vocab_size != model.vocab_size:
         raise ShapeError(f"checkpoint vocabulary size {model.vocab_size} != corpus vocabulary size {corpus.vocab_size}")
     return model, corpus
@@ -293,15 +290,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_export_means(args) -> int:
-    _require_file(args.ckpt, "checkpoint")
-    _require_file(args.corpus, "corpus")
-    _require_file(args.vocab, "vocabulary")
-    if args.labels:
-        _require_file(args.labels, "labels")
-    model = load_checkpoint(args.ckpt)
-    corpus = load_corpus(args.vocab, args.corpus, transform=args.transform, labels_path=args.labels)
-    if corpus.vocab_size != model.vocab_size:
-        raise ShapeError(f"checkpoint vocabulary size {model.vocab_size} != corpus vocabulary size {corpus.vocab_size}")
+    model, corpus = _load_for_eval(args, args.labels)
     written = analysis.export_posterior_means(model, corpus, args.out)
     print(f"wrote\t{written}\t{args.out}")
     return 0

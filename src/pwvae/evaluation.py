@@ -20,14 +20,19 @@ non-finite step bound, stays in the block with its parameters frozen and
 fixed filler noise, and its outputs are ignored: the block's composition
 never changes, because a row's matrix products can differ in the last
 bits with the rows around it.
-Refinement draws its noise from one numpy generator per document: each
-gradient step uses freshly drawn noise, and a document's step stream
-advances only on the steps it takes; progress tracking uses a fixed
-noise set drawn once per document, so the best-seen bound is
-deterministic given the block and never falls below the amortised
+Refinement draws its noise through ``nvdm.draw_noises`` too, keyed by
+two roots from the call's generator and the document's content digest.
+Progress tracking uses one fixed noise set per document, so the
+best-seen bound is deterministic and never falls below the amortised
 starting point, and a zero learning rate returns exactly the starting
-bound.  A step so large that a row's bound can no longer be computed
-(its variances or logits overflow) aborts that row alone.
+bound.  Gradient step t uses fresh noise keyed by the document and t,
+the number of steps the row has taken.  A row's noise thus depends only
+on its document and its step count, never on the block around it, and
+identical documents in one call refine identically.  A step so large
+that a row's bound can no longer be computed (its variances or logits
+overflow) aborts that row alone.  Returned piecewise rows are clipped
+to ``piecewise.CLAMP``, as ``piecewise.head_forward`` clamps them
+anyway, so a huge step never reports non-finite weights.
 ``evaluate_iterative`` refines each distinct document once, in
 blocks taken from the distinct documents sorted by content key, so a
 set of documents always forms the same blocks whatever the corpus order
@@ -76,10 +81,6 @@ def _doc_key(doc: Document) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def _doc_rng(root: int, doc: Document, purpose: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([root, purpose, _doc_key(doc)]))
-
-
 def _root(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
@@ -87,21 +88,6 @@ def _root(rng: np.random.Generator) -> int:
 def _content_noises(model: NvdmModel, num_samples: int, root: int, docs):
     """``num_samples`` noise samples for a block of documents, row i keyed by ``root`` and ``docs[i]``'s content."""
     return draw_noises(model, num_samples, noise_keys(root, [_doc_key(doc) for doc in docs]))
-
-
-def _generator_noises(model: NvdmModel, num_samples: int, rng: np.random.Generator):
-    """One document's refinement noise from its own generator: ``num_samples`` (eps_gauss, eps_piece) vector pairs."""
-    noises = []
-    for _ in range(num_samples):
-        eps_g = rng.standard_normal(model.gauss_dims) if model.gauss_dims > 0 else None
-        eps_p = rng.random(model.piece_dims) if model.piece_dims > 0 else None
-        noises.append((eps_g, eps_p))
-    return noises
-
-
-def _stack_noises(per_doc):
-    """Stack documents' ``_generator_noises`` results into one (B, dims) pair per sample."""
-    return [tuple(None if parts[0] is None else np.array(parts) for parts in zip(*sample)) for sample in zip(*per_doc)]
 
 
 @dataclass
@@ -182,16 +168,14 @@ _PARAMS = ("gauss_mu", "gauss_raw_sigma", "piece_raw_a")
 def _amortized_rows(model: NvdmModel, corpus: Corpus, docs) -> dict:
     enc = encode(model, Tensor([corpus.dense(doc) for doc in docs]))
     rows = {name: None if t is None else np.array(t.data) for name, t in amortized_posterior(model, enc).items()}
+    return _clip_pieces(rows)
+
+
+def _clip_pieces(rows: dict) -> dict:
+    """Clip ``rows``' piecewise pre-activations in place to ±``piecewise.CLAMP``, where ``head_forward`` clamps them anyway."""
     if rows["piece_raw_a"] is not None:
-        rows["piece_raw_a"] = np.clip(rows["piece_raw_a"], -piecewise.CLAMP, piecewise.CLAMP)
+        np.clip(rows["piece_raw_a"], -piecewise.CLAMP, piecewise.CLAMP, out=rows["piece_raw_a"])
     return rows
-
-
-def _filler_noise(model: NvdmModel):
-    """One posterior sample of fixed noise for a row that no longer steps."""
-    eps_g = np.zeros(model.gauss_dims) if model.gauss_dims > 0 else None
-    eps_p = np.full(model.piece_dims, 0.5) if model.piece_dims > 0 else None
-    return [(eps_g, eps_p)]
 
 
 def _counts(corpus: Corpus, docs) -> Tensor:
@@ -274,13 +258,14 @@ def iterative_inference(
     clip_norm: float = 5.0,
     kl_weight: float = 1.0,
     eval_samples: int = 1,
-    rngs,
+    rng: np.random.Generator,
 ) -> list[RefinementResult]:
     """Posterior refinement of a block of documents with the model frozen.
 
     ``docs`` are refined together as the rows of one block (callers keep
-    it to ``EVAL_BLOCK`` documents), and ``rngs`` holds one generator per
-    document, from which that document's tracking and step noise derive.
+    it to ``EVAL_BLOCK`` documents).  ``rng`` gives the roots of the
+    tracking and step noise, which ``draw_noises`` keys by each document's
+    content, so documents repeated in ``docs`` refine identically.
     Each document starts from its amortised posterior (Gaussian mean and
     pre-softplus sigma, pre-exponential piecewise weights), ascends its
     bound by plain SGD with the training-style norm rescaling of its own
@@ -289,18 +274,18 @@ def iterative_inference(
     parameters and bound; a non-finite step bound, or a step after which
     the document's bound overflows, aborts that document's refinement,
     which then reports its best-seen parameters and the amortised
-    starting bound.
+    starting bound.  Returned piecewise rows are clipped to
+    ``piecewise.CLAMP``.
     """
     _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight, eval_samples)
     docs = list(docs)
-    roots = [_root(rng) for rng in rngs]
-    if not docs or len(roots) != len(docs):
-        raise ValueError(f"iterative_inference: needs one generator per document, got {len(docs)} documents and {len(roots)} generators")
+    if not docs:
+        raise ValueError("iterative_inference: no documents")
     _check_documents(model, corpus, docs)
     counts = _counts(corpus, docs)
-    step_rngs = [_doc_rng(root, doc, 2) for root, doc in zip(roots, docs)]
-    track_noises = _stack_noises([_generator_noises(model, eval_samples, _doc_rng(root, doc, 1)) for root, doc in zip(roots, docs)])
-    filler = _filler_noise(model)
+    doc_keys = [_doc_key(doc) for doc in docs]
+    track_root, step_root = _root(rng), _root(rng)
+    track_noises = draw_noises(model, eval_samples, noise_keys(track_root, doc_keys))
 
     params = _amortized_rows(model, corpus, docs)
     best = {name: None if rows is None else rows.copy() for name, rows in params.items()}
@@ -316,8 +301,16 @@ def iterative_inference(
     # A step can overflow (a huge lr) before its row is marked aborted just
     # below; numpy's overflow and invalid-value warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps_max):
-            noises = _stack_noises([_generator_noises(model, 1, rng) if on else filler for rng, on in zip(step_rngs, live)])
+        for t in range(steps_max):
+            # A row steps on every iteration while it is live and never
+            # after, so t is every live row's own step count steps[b].
+            # Rows that start at different iterations must key on steps[b].
+            noises = draw_noises(model, 1, noise_keys(step_root ^ t, doc_keys))
+            # Rows that no longer step take fixed filler noise instead:
+            # fresh noise could make a frozen row's bound overflow.
+            for eps, filler in zip(noises[0], (0.0, 0.5)):
+                if eps is not None:
+                    eps[~live] = filler
             with Tape() as tape:
                 tensors, stepped = _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted)
                 failed = live & ~np.isfinite(stepped.bounds)
@@ -345,6 +338,7 @@ def iterative_inference(
             if not live.any():
                 break
 
+    _clip_pieces(best)
     return [
         RefinementResult(
             **{name: None if rows is None else rows[i] for name, rows in best.items()},
@@ -397,7 +391,9 @@ def evaluate_iterative(
             stop_patience=stop_patience,
             clip_norm=clip_norm,
             kl_weight=kl_weight,
-            rngs=[_doc_rng(root, doc, 3) for doc in docs],
+            # Every block gets an identical generator, so a document's
+            # noise does not depend on its block.
+            rng=np.random.default_rng((root, 3)),
         )
         params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
         noises = _content_noises(model, num_samples, root, docs)

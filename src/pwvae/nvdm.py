@@ -39,7 +39,9 @@ sequence that starts at the mixed key, turned into a 53-bit uniform in
 noise therefore depends on its key alone, never on the batch it sits in
 or on how many samples are drawn.  ``noise_keys`` combines a caller's
 root with per-document ids (batch slots in training, content digests in
-evaluation) into such keys.
+evaluation and refinement) into such keys.  Refinement XORs the step
+count t into its step root, so a refined row's step noise is keyed by
+(content, t).
 """
 
 from __future__ import annotations

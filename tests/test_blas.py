@@ -66,8 +66,7 @@ def test_refinement_runs_on_one_thread(two_threads, monkeypatch):
     monkeypatch.setattr(evaluation, "posterior_bound", recording)
     data = cio.make_synthetic_bimodal(4, 20, seed=0)
     model = nvdm.init_model("h", 20, hidden=4, gauss_dims=2, piece_dims=2, n_pieces=3, seed=0)
-    rngs = [np.random.default_rng(i) for i in range(len(data))]
-    evaluation.iterative_inference(model, data, data.docs, steps_max=3, rngs=rngs)
+    evaluation.iterative_inference(model, data, data.docs, steps_max=3, rng=np.random.default_rng(0))
     assert seen and set(seen) == {1}
     assert get() == 2
 

@@ -101,3 +101,26 @@ def test_bad_checkpoint_exits_with_its_message(data, checkpoint, tmp_path, capsy
     out, err = capsys.readouterr()
     assert message in err and str(bad) in err
     assert out == ""
+
+
+def iterative_report(data, checkpoint, docs_path, capsys):
+    """``eval --iterative`` stdout, and its two reports' per-document bound fields in corpus order."""
+    args = ["eval", "--ckpt", checkpoint, "--corpus", docs_path, "--vocab", data + ".vocab"]
+    assert cli.main([*args, "--iterative", "--samples", "2", "--steps", "10", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    reports = out.split("doc\tbound\ttokens\n")[1:]
+    return out, [[line.split("\t")[1] for line in report.splitlines() if line.split("\t")[0].isdigit()] for report in reports]
+
+
+def test_iterative_eval_is_reproducible_and_free_of_document_order(data, checkpoint, tmp_path, capsys):
+    out, (amortized, refined) = iterative_report(data, checkpoint, data + ".test.docs", capsys)
+    assert iterative_report(data, checkpoint, data + ".test.docs", capsys)[0] == out
+    lines = Path(data + ".test.docs").read_text(encoding="utf-8").splitlines()
+    reversed_docs = tmp_path / "reversed.docs"
+    reversed_docs.write_text("\n".join(lines[::-1]) + "\n", encoding="utf-8")
+    _, (amortized2, refined2) = iterative_report(data, checkpoint, str(reversed_docs), capsys)
+    assert len(refined) == len(lines) == 5
+    # Refinement blocks are formed in content order, so its bounds are bit-identical.
+    assert refined2[::-1] == refined
+    # An amortised block keeps corpus order, whose row position may move a product's last bit.
+    assert [float(b) for b in amortized2[::-1]] == pytest.approx([float(b) for b in amortized], rel=1e-9)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pwvae import corpus as cio
-from pwvae import evaluation, nvdm
+from pwvae import evaluation, nvdm, piecewise
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ class TestIterativeInference:
         model = fresh_model("h", seed=12)
         doc = corpus.docs[0]
         (res,) = evaluation.iterative_inference(
-            model, corpus, [doc], steps_max=30, lr=0.0, stop_patience=5, rngs=[np.random.default_rng(13)]
+            model, corpus, [doc], steps_max=30, lr=0.0, stop_patience=5, rng=np.random.default_rng(13)
         )
         assert res.bound == res.initial_bound
         # Stops after stop_patience steps without improvement.
@@ -118,7 +118,7 @@ class TestIterativeInference:
         model = refinable_model("h", seed=45)
         docs = corpus.docs[:10]
         block = evaluation.iterative_inference(
-            model, corpus, docs, steps_max=30, lr=0.0, stop_patience=5, rngs=[np.random.default_rng((46, i)) for i in range(10)]
+            model, corpus, docs, steps_max=30, lr=0.0, stop_patience=5, rng=np.random.default_rng(46)
         )
         for res in block:
             assert res.bound == res.initial_bound
@@ -128,7 +128,7 @@ class TestIterativeInference:
         model = fresh_model("h", seed=14)
         for i, doc in enumerate(corpus.docs[:10]):
             (res,) = evaluation.iterative_inference(
-                model, corpus, [doc], steps_max=20, lr=0.1, stop_patience=5, rngs=[np.random.default_rng((15, i))]
+                model, corpus, [doc], steps_max=20, lr=0.1, stop_patience=5, rng=np.random.default_rng((15, i))
             )
             assert res.bound >= res.initial_bound
 
@@ -139,7 +139,7 @@ class TestIterativeInference:
         one = cio.Corpus(vocab=vocab, docs=(doc,))
         model = nvdm.init_model("g", 1, hidden=2, gauss_dims=1, seed=16)
         (res,) = evaluation.iterative_inference(
-            model, one, [doc], steps_max=50, lr=0.1, stop_patience=10, rngs=[np.random.default_rng(17)]
+            model, one, [doc], steps_max=50, lr=0.1, stop_patience=10, rng=np.random.default_rng(17)
         )
         # log P(doc) = 0 for a single-word vocabulary; KL is zero at init.
         assert abs(res.initial_bound) < 1e-9
@@ -151,7 +151,7 @@ class TestIterativeInference:
         gains = []
         for i, doc in enumerate(corpus.docs[:8]):
             (res,) = evaluation.iterative_inference(
-                model, corpus, [doc], steps_max=60, lr=0.1, stop_patience=10, rngs=[np.random.default_rng((20, i))]
+                model, corpus, [doc], steps_max=60, lr=0.1, stop_patience=10, rng=np.random.default_rng((20, i))
             )
             gains.append(res.bound - res.initial_bound)
         assert np.mean(gains) > 0.0
@@ -216,6 +216,18 @@ class TestIterativeInference:
         np.testing.assert_array_equal(report2.per_doc_bounds[::-1], report.per_doc_bounds)
         assert [r.bound for r in refinements2[::-1]] == [r.bound for r in refinements]
 
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    def test_repeated_documents_in_one_block_refine_identically(self, corpus, variant):
+        """Noise is keyed by content and step count, so a document repeated within one call refines as its first copy."""
+        docs = list(corpus.docs[:5]) * 2
+        model = refinable_model(variant, seed=52)
+        results = evaluation.iterative_inference(model, corpus, docs, steps_max=30, lr=0.1, stop_patience=4, rng=np.random.default_rng(53))
+        assert len({r.steps for r in results}) > 1
+        for i, (first, again) in enumerate(zip(results[:5], results[5:])):
+            assert (again.steps, again.aborted) == (first.steps, first.aborted), i
+            assert again.initial_bound == pytest.approx(first.initial_bound, rel=1e-12), i
+            assert again.bound == pytest.approx(first.bound, rel=1e-12), i
+
     @pytest.mark.parametrize("variant", ["g", "h"])
     @pytest.mark.parametrize("lr", [1e300, 1.7e308])
     def test_aborted_rows_leave_the_rest_of_the_block_refining(self, variant, lr):
@@ -239,9 +251,9 @@ class TestIterativeInference:
             updates["p_prior_b_a"] = updates["p_post_b_a"]
         model = model.replaced(updates)
         settings = dict(steps_max=20, lr=lr, stop_patience=3)
-        together = evaluation.iterative_inference(model, block, docs, rngs=[np.random.default_rng((49, i)) for i in range(8)], **settings)
+        together = evaluation.iterative_inference(model, block, docs, rng=np.random.default_rng(49), **settings)
         for i, (doc, got) in enumerate(zip(docs, together)):
-            (alone,) = evaluation.iterative_inference(model, block, [doc], rngs=[np.random.default_rng((49, i))], **settings)
+            (alone,) = evaluation.iterative_inference(model, block, [doc], rng=np.random.default_rng(49), **settings)
             assert (got.steps, got.aborted) == (alone.steps, alone.aborted), i
             assert got.initial_bound == pytest.approx(alone.initial_bound, rel=1e-12), i
             assert got.bound == pytest.approx(alone.bound, rel=1e-12), i
@@ -273,7 +285,11 @@ class TestOverflowingRefinement:
 
     @pytest.mark.parametrize("variant", ["g", "p", "h"])
     def test_lr_sweep_finishes_every_call(self, variant):
-        """Up to the largest finite steps, every call returns; overflowing rows report their amortised bound."""
+        """Up to the largest finite steps, every call returns; overflowing rows report their amortised bound.
+
+        Piecewise rows come back within the clamp of ``head_forward``,
+        however far a step pushed them.
+        """
         corpus = cio.make_synthetic_bimodal(40, 20, 1)
         model = _overflow_model(variant, seed=1)
         for lr in np.geomspace(1e306, 1.7e308, 6):
@@ -285,29 +301,32 @@ class TestOverflowingRefinement:
                 assert np.isfinite(res.bound) and res.bound >= res.initial_bound, lr
                 if res.aborted:
                     assert res.bound == res.initial_bound and res.steps == 1, lr
+                if res.piece_raw_a is not None:
+                    assert np.all(np.abs(res.piece_raw_a) <= piecewise.CLAMP), lr
             # Only the piecewise family is clamped, so its rows never overflow.
             assert sum(r.aborted for r in refinements) == (0 if variant == "p" else len(refinements)), lr
 
 
 class TestRefinementNoise:
     DIGESTS = {
-        "g": "045f21f23df34249e3cb2cf8677f88f637d6f20049f9a5b79d5c443c4138dbd2",
-        "p": "979e21d5d45d56714534086a240857882787ff15d47a4597a5c58b41d6c56b09",
-        "h": "de7f907e02010fc9b77fb036cf0eab094ec4233df244c6ad597b90c46b50e148",
+        "g": "bc33fa68a12bc01aa66343508a2e08365126ca132617dc507823fdd2d09763ce",
+        "p": "282a42a8c7e666fc9865eb46cfacbb445358df4d578a6328017059f9fea3cb4e",
+        "h": "eca7f1c02643c51f18d3ed348fd84cd6f4558b107bb82817ac72dc599a535968",
     }
 
     @pytest.mark.parametrize("variant", ["g", "p", "h"])
     def test_refinement_results_are_pinned(self, variant):
-        """Refinement draws its noise from one numpy generator per document, not from ``nvdm.draw_noises``; these digests pin its results.
+        """Refinement draws its noise through ``nvdm.draw_noises``, keyed by document content and step count; these digests pin its results.
 
         Each float is rounded to 12 significant digits before hashing, so
-        last-bit differences between numpy builds of exp and log cannot fail
-        the test, while any change to the noise moves the values far more.
+        last-bit differences between numpy builds of exp, log, cos and sin
+        cannot fail the test, while any change to the noise moves the values
+        far more.
         """
         corpus = cio.make_synthetic_bimodal(40, 20, 1)
         model = _overflow_model(variant, seed=5)
         results = evaluation.iterative_inference(
-            model, corpus, corpus.docs[:12], steps_max=30, lr=0.1, stop_patience=5, eval_samples=2, rngs=[np.random.default_rng((7, i)) for i in range(12)]
+            model, corpus, corpus.docs[:12], steps_max=30, lr=0.1, stop_patience=5, eval_samples=2, rng=np.random.default_rng(7)
         )
         text = []
         for res in results:
@@ -335,7 +354,7 @@ class TestSampleCounts:
 
         monkeypatch.setattr(evaluation, "posterior_bound", bound)
         with pytest.raises(ValueError, match="eval_samples must be >= 1"):
-            evaluation.iterative_inference(fresh_model("h"), corpus, [corpus.docs[0]], eval_samples=0, rngs=[np.random.default_rng(0)])
+            evaluation.iterative_inference(fresh_model("h"), corpus, [corpus.docs[0]], eval_samples=0, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "setting, value, message",
