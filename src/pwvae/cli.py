@@ -4,7 +4,7 @@ Commands: ``synth`` (generate a synthetic corpus), ``train``, ``eval``,
 ``query`` (word neighbours), ``sensitivity`` (KL word sensitivity), and
 ``export-means``.  Reports go to stdout, progress to stderr.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  All commands are
-deterministic for a fixed ``--seed`` in single-threaded mode.
+deterministic for a fixed ``--seed`` (and, for ``train``, ``--threads``).
 """
 
 from __future__ import annotations

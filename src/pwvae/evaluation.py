@@ -17,9 +17,9 @@ Every row keeps its own state (best bound, steps since the last
 improvement, step count, abort flag) and its own gradient-norm clip, and
 only rows still refining move.  A row that stops, by patience or by a
 non-finite step bound, stays in the block with its parameters frozen and
-fixed filler noise, and its outputs are ignored: the block's composition
-never changes, because a row's matrix products can differ in the last
-bits with the rows around it.
+its tracking noise as step noise, and its outputs are ignored: the
+block's composition never changes, because a row's matrix products can
+differ in the last bits with the rows around it.
 Refinement draws its noise through ``nvdm.draw_noises`` too, keyed by
 two roots from the call's generator and the document's content digest.
 Progress tracking uses one fixed noise set per document, so the
@@ -191,18 +191,23 @@ def _check_kl_weight(kl_weight: float) -> None:
         raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
 
 
-def _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted):
+def _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted, frozen=()):
     """``posterior_bound`` at ``params``; returns the parameter tensors and the block's ``RowBounds``.
 
-    A huge step can make a row's variances or logits overflow, even with
-    finite parameters, and ``posterior_bound`` then rejects the whole
-    block.  Each live row is then bounded alone, and every row that fails
-    is marked aborted (in ``live`` and ``aborted``) and put back to its
-    best-seen parameters, whose bound was computed before, and the block
-    is bounded again.  The other rows keep their parameters and noise, so
-    their bounds are unchanged.
+    A huge step, or a row's step noise alone, can make its variances or
+    logits overflow, even with finite parameters, and ``posterior_bound``
+    then rejects the whole block.  Each live row is then bounded alone,
+    and every row that fails is marked aborted (in ``live`` and
+    ``aborted``) and put back to its best-seen parameters, whose bound was
+    computed before, and the block is bounded again.  The other rows keep
+    their parameters and noise, so their bounds are unchanged.  In a step
+    bound, each row that is not live takes its row of ``frozen``, the
+    tracking noise's first sample, which its last tracked bound ran with.
     """
     while True:
+        for eps, fill in zip(noises[0], frozen):
+            if eps is not None:
+                eps[~live] = fill[~live]
         tensors = _tensors(params)
         try:
             return tensors, posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **tensors)
@@ -275,7 +280,7 @@ def iterative_inference(
     the document's bound overflows, aborts that document's refinement,
     which then reports its best-seen parameters and the amortised
     starting bound.  Returned piecewise rows are clipped to
-    ``piecewise.CLAMP``.
+    ``piecewise.CLAMP``.  A block whose amortised bound overflows raises ValueError.
     """
     _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight, eval_samples)
     docs = list(docs)
@@ -289,8 +294,6 @@ def iterative_inference(
 
     params = _amortized_rows(model, corpus, docs)
     best = {name: None if rows is None else rows.copy() for name, rows in params.items()}
-    initial = posterior_bound(model, counts, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
-    best_bound = initial.copy()
     since_improve = np.zeros(len(docs), dtype=np.int64)
     steps = np.zeros(len(docs), dtype=np.int64)
     aborted = np.zeros(len(docs), dtype=bool)
@@ -298,21 +301,22 @@ def iterative_inference(
     # step bound went non-finite never takes its non-finite gradient.
     live = np.ones(len(docs), dtype=bool)
 
-    # A step can overflow (a huge lr) before its row is marked aborted just
-    # below; numpy's overflow and invalid-value warnings would only repeat that.
+    # A bound can overflow (huge parameters, or a huge lr) before it is
+    # rejected or its row is marked aborted just below; numpy's overflow and
+    # invalid-value warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            initial = posterior_bound(model, counts, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
+        except ValueError as exc:
+            raise ValueError(f"iterative_inference: the block's amortised bound cannot be computed: {exc}") from exc
+        best_bound = initial.copy()
         for t in range(steps_max):
             # A row steps on every iteration while it is live and never
             # after, so t is every live row's own step count steps[b].
             # Rows that start at different iterations must key on steps[b].
             noises = draw_noises(model, 1, noise_keys(step_root ^ t, doc_keys))
-            # Rows that no longer step take fixed filler noise instead:
-            # fresh noise could make a frozen row's bound overflow.
-            for eps, filler in zip(noises[0], (0.0, 0.5)):
-                if eps is not None:
-                    eps[~live] = filler
             with Tape() as tape:
-                tensors, stepped = _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted)
+                tensors, stepped = _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted, track_noises[0])
                 failed = live & ~np.isfinite(stepped.bounds)
                 aborted |= failed
                 live &= ~failed

@@ -2,7 +2,8 @@
 
 Three variants share one architecture: a two-layer bag-of-words encoder,
 latent heads producing prior/posterior parameters, and a softmax word
-decoder with logits -R z + b.  Variant "g" uses Gaussian latent
+decoder with logits -R z + b, whose count-weighted log-likelihood
+(``decode_logprob``) is one taped op.  Variant "g" uses Gaussian latent
 variables only, "p" piecewise constant only, and "h" both, sampled
 independently and concatenated (Gaussian dimensions first).
 
@@ -58,12 +59,12 @@ from .tensor import (
     Tensor,
     affine,
     concat,
-    dot,
-    log_softmax,
     matvec,
+    multinomial_loglik,
     prelu,
     scale_shift,
     softsign,
+    sub,
     sum_all,
 )
 
@@ -290,12 +291,11 @@ def encode(model: NvdmModel, x: Tensor) -> Tensor:
     return _activate(model, affine(h, model.params["enc_w1"], model.params["enc_b1"]), 1)
 
 
-def decode_logprob(model: NvdmModel, z: Tensor) -> Tensor:
-    """Word log-probabilities for a latent vector or (B, L) rows: log_softmax(-R z + b)."""
+def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
+    """Log-likelihood sum_w c_w log softmax(b - R z)_w of (V,) or (B, V) ``counts`` at a latent vector or (B, L) rows."""
     if z.data.ndim not in (1, 2) or z.data.shape[-1] != model.latent_dim:
         raise ShapeError(f"decode: expected latent vectors of shape ({model.latent_dim},) or (B, {model.latent_dim}), got {z.data.shape}")
-    logits = -matvec(model.params["dec_r"], z) + model.params["dec_b"]
-    return log_softmax(logits)
+    return multinomial_loglik(counts, sub(model.params["dec_b"], matvec(model.params["dec_r"], z)))
 
 
 def combine_latents(z_gauss: Tensor | None, z_piece: Tensor | None) -> Tensor:
@@ -459,7 +459,7 @@ def posterior_bound(
             z01 = piecewise.sample_through(a_post, eps_p, model.piece_dims, model.n_pieces)
             z_p = scale_shift(z01, 2.0, -1.0)
         z = combine_latents(z_g, z_p)
-        term = dot(counts, decode_logprob(model, z))
+        term = decode_logprob(model, z, counts)
         recon = term if recon is None else recon + term
     recon = recon * (1.0 / len(noises))
 

@@ -14,7 +14,7 @@ Row convention: a batch of documents is a (B, n) matrix with one document
 per row, and a single document is either an (n,) vector or a (1, n) row.
 ``matvec``/``affine`` multiply every row by the same weight matrix, so the
 weight gradient of a whole batch is one product ``g.T @ x``;
-``log_softmax``, ``dot``, ``sum_last`` and ``concat`` act along the last
+``multinomial_loglik``, ``sum_last`` and ``concat`` act along the last
 axis.  In ``add``, ``sub``, ``mul``, ``div`` and ``prelu`` an operand whose
 shape is the trailing shape of the other (a (n,) parameter against (B, n)
 rows) is broadcast, and its gradient is summed over the broadcast axes.
@@ -43,7 +43,6 @@ __all__ = [
     "scale_shift",
     "matvec",
     "affine",
-    "dot",
     "sum_all",
     "sum_last",
     "concat",
@@ -53,7 +52,7 @@ __all__ = [
     "softplus",
     "softsign",
     "prelu",
-    "log_softmax",
+    "multinomial_loglik",
 ]
 
 
@@ -126,9 +125,6 @@ class Tensor:
         if isinstance(other, Tensor):
             return div(self, other)
         return scale_shift(self, 1.0 / float(other), 0.0)
-
-    def __neg__(self):
-        return scale_shift(self, -1.0, 0.0)
 
 
 def _wrap(values: np.ndarray) -> Tensor:
@@ -309,16 +305,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add(matvec(w, x), b)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product along the last axis: a scalar for vectors, (B,) for (B, n) rows."""
-    if a.data.shape != b.data.shape or a.data.ndim == 0:
-        raise ShapeError(f"dot: expected operands of one shape, got {a.data.shape} and {b.data.shape}")
-    ad, bd = a.data, b.data
-    out = _wrap((ad[..., None, :] @ bd[..., :, None])[..., 0, 0])
-    _record(out, (a, b), lambda g: (g[..., None] * bd, g[..., None] * ad))
-    return out
-
-
 def sum_all(x: Tensor) -> Tensor:
     xd = x.data
     out = _wrap(np.asarray(xd.sum()))
@@ -415,15 +401,25 @@ def prelu(x: Tensor, leak: Tensor) -> Tensor:
     return out
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Log-probabilities along the last axis, stabilised by max subtraction."""
-    xd = x.data
-    if xd.ndim not in (1, 2):
-        raise ShapeError(f"log_softmax: expected a vector or (B, n) rows, got shape {xd.shape}")
+def multinomial_loglik(counts: Tensor, logits: Tensor) -> Tensor:
+    """Count-weighted log-likelihood sum_w c_w log softmax(logits)_w: a scalar for vectors, (B,) for (B, n) rows.
+
+    The softmax is stabilised by max subtraction.  Only the logits get a
+    gradient, g (c - N softmax) with N = sum_w c_w; the counts are data.
+    N is summed in the backward pass, so a forward-only call never pays for it.
+    """
+    cd, xd = counts.data, logits.data
+    if xd.ndim not in (1, 2) or cd.shape != xd.shape:
+        raise ShapeError(f"multinomial_loglik: expected counts and logits of one shape, a vector or (B, n) rows, got {cd.shape} and {xd.shape}")
     if not np.isfinite(xd).all():
-        raise ValueError("log_softmax: logits must be finite")
+        raise ValueError("multinomial_loglik: logits must be finite")
     shifted = xd - xd.max(axis=-1, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = _wrap(out_data)
-    _record(out, (x,), lambda g: (g - np.exp(out_data) * g.sum(axis=-1, keepdims=True),))
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = _wrap((cd[..., None, :] @ logp[..., :, None])[..., 0, 0])
+
+    def backward(g):
+        gc = g[..., None] * cd
+        return (None, gc - np.exp(logp) * gc.sum(axis=-1, keepdims=True))
+
+    _record(out, (counts, logits), backward)
     return out

@@ -228,8 +228,11 @@ class TestIterativeInference:
             assert again.initial_bound == pytest.approx(first.initial_bound, rel=1e-12), i
             assert again.bound == pytest.approx(first.bound, rel=1e-12), i
 
-    @pytest.mark.parametrize("variant", ["g", "h"])
-    @pytest.mark.parametrize("lr", [1e300, 1.7e308])
+    @pytest.mark.parametrize(
+        "variant, lr",
+        [pytest.param(variant, lr, id=f"{lr:g}-{variant}") for lr in (1e300, 1.7e308) for variant in ("g", "h")]
+        + [pytest.param("noise", 0.1, id="step-noise-g")],
+    )
     def test_aborted_rows_leave_the_rest_of_the_block_refining(self, variant, lr):
         """At a huge lr the documents the encoder sees abort on step 1; the others keep refining.
 
@@ -237,29 +240,47 @@ class TestIterativeInference:
         itself overflows their variances or logits.  The encoder ignores
         words 0-9, and every posterior built from a zero encoding equals
         the prior exactly, so with a zero decoder the documents of words
-        0-9 have zero gradients and never move.
+        0-9 have zero gradients and never move.  In the "noise" case a
+        row's step noise alone overflows its logits (``_noise_overflow_model``),
+        and the aborted row, put back to its best parameters, must not
+        make the block fail again.
         """
-        words = np.arange(5)
-        docs = [cio.Document(str(i), words + (10 if i % 2 else 0), np.full(5, i + 1)) for i in range(8)]
-        block = cio.Corpus(vocab=tuple(f"w{i}" for i in range(20)), docs=tuple(docs))
-        model = fresh_model(variant, seed=47)
-        w0 = model.params["enc_w0"].data.copy()
-        w0[:, :10] = 0.0
-        updates = {"enc_w0": w0, "g_alpha_mu": np.full(2, 0.5), "g_alpha_sigma": np.full(2, 0.5)}
-        if variant == "h":
-            updates["p_post_b_a"] = np.random.default_rng(48).normal(size=6)
-            updates["p_prior_b_a"] = updates["p_post_b_a"]
-        model = model.replaced(updates)
         settings = dict(steps_max=20, lr=lr, stop_patience=3)
-        together = evaluation.iterative_inference(model, block, docs, rng=np.random.default_rng(49), **settings)
+        if variant == "noise":
+            block = cio.make_synthetic_bimodal(12, 20, 1)
+            docs, model, seed = list(block.docs[:3]), _noise_overflow_model(), 2
+            settings.update(steps_max=30, stop_patience=10)
+        else:
+            words = np.arange(5)
+            docs = [cio.Document(str(i), words + (10 if i % 2 else 0), np.full(5, i + 1)) for i in range(8)]
+            block = cio.Corpus(vocab=tuple(f"w{i}" for i in range(20)), docs=tuple(docs))
+            model = fresh_model(variant, seed=47)
+            w0 = model.params["enc_w0"].data.copy()
+            w0[:, :10] = 0.0
+            updates = {"enc_w0": w0, "g_alpha_mu": np.full(2, 0.5), "g_alpha_sigma": np.full(2, 0.5)}
+            if variant == "h":
+                updates["p_post_b_a"] = np.random.default_rng(48).normal(size=6)
+                updates["p_prior_b_a"] = updates["p_post_b_a"]
+            model, seed = model.replaced(updates), 49
+        together = evaluation.iterative_inference(model, block, docs, rng=np.random.default_rng(seed), **settings)
         for i, (doc, got) in enumerate(zip(docs, together)):
-            (alone,) = evaluation.iterative_inference(model, block, [doc], rng=np.random.default_rng(49), **settings)
+            (alone,) = evaluation.iterative_inference(model, block, [doc], rng=np.random.default_rng(seed), **settings)
             assert (got.steps, got.aborted) == (alone.steps, alone.aborted), i
             assert got.initial_bound == pytest.approx(alone.initial_bound, rel=1e-12), i
             assert got.bound == pytest.approx(alone.bound, rel=1e-12), i
-            seen = i % 2 == 1
-            assert (got.aborted, got.steps) == ((True, 1) if seen else (False, 3)), i
             assert got.bound == got.initial_bound
+        if variant == "noise":
+            assert [r.aborted for r in together] == [True, False, False]
+        else:
+            assert [(r.aborted, r.steps) for r in together] == [(True, 1) if i % 2 else (False, 3) for i in range(8)]
+
+    def test_an_overflowing_amortised_bound_is_rejected_without_a_numpy_warning(self):
+        """When the tracking noise makes the starting bound overflow, refinement fails with a clear error, and numpy warns of nothing."""
+        block = cio.make_synthetic_bimodal(12, 20, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="amortised bound cannot be computed"):
+                evaluation.iterative_inference(_noise_overflow_model(), block, block.docs[:3], steps_max=30, rng=np.random.default_rng(3))
 
     @pytest.mark.parametrize("variant", ["g", "h"])
     def test_overflowing_steps_abort_without_a_numpy_warning(self, corpus, variant):
@@ -278,6 +299,12 @@ def _overflow_model(variant, seed):
     model = fresh_model(variant, seed=seed)
     rng = np.random.default_rng(seed)
     return model.replaced({name: rng.normal(0.0, 0.3, t.data.shape) for name, t in model.named_parameters()})
+
+
+def _noise_overflow_model():
+    """A G model whose logits overflow for some noise: posterior sigma about 1e150 and decoder weights 1e158."""
+    model = nvdm.init_model("g", 20, hidden=4, gauss_dims=1, seed=0)
+    return model.replaced({"g_alpha_sigma": np.ones(1), "g_post_b_sigma": np.full(1, 1e300), "dec_r": np.full((20, 1), 1e158)})
 
 
 class TestOverflowingRefinement:

@@ -58,10 +58,16 @@ class TestEncode:
         assert max_rel_err(tape.grad(x), num) < 1e-6
 
 
+def word_logprobs(model, z):
+    """The decoder's word log-probabilities at latent vector ``z``: its log-likelihood of each one-hot count row."""
+    v = model.vocab_size
+    return nvdm.decode_logprob(model, T.add(T.Tensor(np.zeros((v, model.latent_dim))), z), T.Tensor(np.eye(v)))
+
+
 class TestDecode:
     def test_zero_decoder_is_uniform(self):
         model = nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=0)
-        out = nvdm.decode_logprob(model, T.Tensor(np.zeros(2)))
+        out = word_logprobs(model, T.Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data, np.log(0.2), rtol=0, atol=1e-15)
 
     def test_large_bias_dominates(self):
@@ -69,7 +75,7 @@ class TestDecode:
         bias = np.zeros(5)
         bias[3] = 50.0
         model = model.replaced({"dec_b": bias})
-        out = nvdm.decode_logprob(model, T.Tensor(np.zeros(2)))
+        out = word_logprobs(model, T.Tensor(np.zeros(2)))
         assert np.argmax(out.data) == 3
         assert np.exp(out.data[3]) > 0.999999
 
@@ -80,13 +86,15 @@ class TestDecode:
         weights = rng.normal(size=6)
         with T.Tape() as tape:
             z = T.Tensor(z_arr)
-            logp = nvdm.decode_logprob(model, z)
-            tape.backward(T.dot(T.Tensor(weights), logp))
+            logp = word_logprobs(model, z)
+            tape.backward(T.sum_last(T.mul(T.Tensor(weights), logp)))
         assert abs(np.exp(logp.data).sum() - 1.0) < 1e-12
         num = numerical_grad(
-            lambda a: float(T.dot(T.Tensor(weights), nvdm.decode_logprob(model, T.Tensor(a)))), z_arr
+            lambda a: float(T.sum_last(T.mul(T.Tensor(weights), word_logprobs(model, T.Tensor(a))))), z_arr
         )
         assert max_rel_err(tape.grad(z), num) < 1e-6
+        # Weights as counts: the likelihood of one latent vector is the weighted sum of its log-probabilities.
+        assert nvdm.decode_logprob(model, T.Tensor(z_arr), T.Tensor(weights)).item() == pytest.approx(float(weights @ logp.data), rel=1e-12)
 
 
 class TestCombineLatents:

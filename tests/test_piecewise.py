@@ -385,7 +385,7 @@ class TestTapedRows:
             with T.Tape() as row_tape:
                 row_t = T.Tensor(a[i])
                 z_row = pw.sample_through(row_t, eps[i], 2, 3)
-                row_tape.backward(T.dot(z_row, T.Tensor(weights[i])))
+                row_tape.backward(T.sum_last(T.mul(z_row, T.Tensor(weights[i]))))
             np.testing.assert_allclose(z.data[i], z_row.data, rtol=1e-15)
             np.testing.assert_allclose(tape.grad(a_t)[i], row_tape.grad(row_t), rtol=1e-14)
 

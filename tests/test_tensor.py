@@ -115,39 +115,81 @@ class TestActivations:
         np.testing.assert_allclose(ana, 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
 
 
-class TestLogSoftmax:
+def old_decoder_likelihood(counts, logits):
+    """The likelihood as ``log_softmax`` then ``dot(counts, .)`` computed it: the value, and the logits gradient at g = 1."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    value = (counts[..., None, :] @ logp[..., :, None])[..., 0, 0]
+    g = np.ones(value.shape)[..., None] * counts  # dot's gradient for logp
+    return value, g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+
+
+class TestMultinomialLoglik:
     def test_uniform(self):
-        out = T.log_softmax(T.Tensor([0.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, np.log(0.25), rtol=0, atol=1e-15)
+        out = T.multinomial_loglik(T.Tensor([1.0, 0.0, 2.5, 3.0]), T.Tensor([0.0, 0.0, 0.0, 0.0]))
+        assert out.item() == pytest.approx(6.5 * np.log(0.25), rel=0, abs=1e-14)
 
     def test_shift_invariance(self):
         a, b = 0.3, -1.7
+        one_hot = T.Tensor(np.eye(2))
         for c in (0.0, 5.0, -300.0, 1e8):
-            base = T.log_softmax(T.Tensor([a, b])).data
-            shifted = T.log_softmax(T.Tensor([c + a, c + b])).data
+            base = T.multinomial_loglik(one_hot, T.Tensor([[a, b], [a, b]])).data
+            shifted = T.multinomial_loglik(one_hot, T.Tensor([[c + a, c + b], [c + a, c + b]])).data
             np.testing.assert_allclose(shifted, base, atol=1e-9)
 
-    def test_exp_sums_to_one(self):
+    def test_one_hot_counts_give_normalised_log_probabilities(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
-            logits = rng.normal(size=rng.integers(2, 30)) * 10
-            out = T.log_softmax(T.Tensor(logits)).data
-            assert abs(np.exp(out).sum() - 1.0) < 1e-12
-            assert np.all(out <= 0.0)
+            n = rng.integers(2, 30)
+            logits = np.tile(rng.normal(size=n) * 10, (n, 1))
+            logp = T.multinomial_loglik(T.Tensor(np.eye(n)), T.Tensor(logits)).data
+            assert logp.shape == (n,)
+            assert abs(np.exp(logp).sum() - 1.0) < 1e-12
+            assert np.all(logp <= 0.0)
 
-    def test_gradients(self):
-        logits = np.random.default_rng(15).normal(size=7)
-        weights = np.random.default_rng(16).normal(size=7)
+    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    def test_gradients_match_finite_differences(self, shape):
+        rng = np.random.default_rng(15)
+        counts, logits = rng.uniform(0.0, 3.0, size=shape), rng.normal(size=shape)
+        upstream = rng.normal(size=shape[:-1]) + 2.0  # g != 1 on every row
 
         def weighted(x):
-            return T.dot(T.Tensor(weights), T.log_softmax(x))
+            return T.sum_all(T.mul(T.multinomial_loglik(T.Tensor(counts), x), T.Tensor(upstream)))
 
         with T.Tape() as tape:
             x = T.Tensor(logits)
             tape.backward(weighted(x))
-        ana = tape.grad(x)
         num = numerical_grad(lambda a: float(weighted(T.Tensor(a))), logits)
-        assert max_rel_err(ana, num) < 1e-6
+        assert max_rel_err(tape.grad(x), num) < 1e-6
+
+    def test_counts_get_no_gradient(self):
+        rng = np.random.default_rng(16)
+        with T.Tape() as tape:
+            counts = T.Tensor(rng.uniform(size=(2, 5)))
+            tape.backward(T.sum_all(T.multinomial_loglik(counts, T.Tensor(rng.normal(size=(2, 5))))))
+        np.testing.assert_array_equal(tape.grad(counts), np.zeros((2, 5)))
+
+    def test_bit_identical_to_log_softmax_then_dot(self):
+        rng = np.random.default_rng(17)
+        for shape in ((50,), (5, 50)):
+            counts = rng.poisson(0.5, size=shape).astype(np.float64)
+            logits = rng.normal(size=shape) * 3.0
+            value, grad = old_decoder_likelihood(counts, logits)
+            with T.Tape() as tape:
+                x = T.Tensor(logits)
+                out = T.multinomial_loglik(T.Tensor(counts), x)
+                tape.backward(T.sum_all(out))
+            assert np.array_equal(out.data, value)
+            assert np.array_equal(tape.grad(x), grad)
+
+    def test_rejects_mismatched_shapes_and_non_finite_logits(self):
+        with pytest.raises(T.ShapeError, match="one shape"):
+            T.multinomial_loglik(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
+        with pytest.raises(T.ShapeError, match="one shape"):
+            T.multinomial_loglik(T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros((2, 2, 3))))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="logits must be finite"):
+                T.multinomial_loglik(T.Tensor(np.ones((2, 3))), T.Tensor([[0.0, 1.0, 2.0], [0.0, bad, 2.0]]))
 
 
 class TestBackwardContract:
@@ -220,11 +262,10 @@ class TestElementwiseAndReductions:
         g = taped_grad(T.exp_clamped, np.array([31.0]))
         np.testing.assert_array_equal(g, [0.0])
 
-    def test_dot_concat_scale_shift_gradients(self):
+    def test_concat_scale_shift_gradients(self):
         rng = np.random.default_rng(19)
         a, b = rng.normal(size=5), rng.normal(size=5)
         for wrt in (0, 1):
-            assert max_rel_err(taped_grad(T.dot, a, b, wrt=wrt), fd_grad(T.dot, [a, b], wrt)) < 1e-6
             assert max_rel_err(taped_grad(T.concat, a, b, wrt=wrt), fd_grad(T.concat, [a, b], wrt)) < 1e-6
         ana = taped_grad(T.scale_shift, a, scale=-2.5, shift=0.75)
         num = fd_grad(T.scale_shift, [a], 0, scale=-2.5, shift=0.75)
@@ -259,8 +300,9 @@ class TestDeterminismAndImmutability:
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=50) * 50
-        for op in (T.softplus, T.softsign, T.exp_clamped, T.log_softmax):
+        for op in (T.softplus, T.softsign, T.exp_clamped):
             assert np.all(np.isfinite(op(T.Tensor(x)).data)), op.__name__
+        assert np.isfinite(T.multinomial_loglik(T.Tensor(np.abs(x)), T.Tensor(x)).item())
 
     def test_parallel_tapes_are_independent(self):
         import threading
@@ -291,19 +333,21 @@ class TestRows:
         for wrt in range(3):
             assert max_rel_err(taped_grad(T.affine, x, w, b, wrt=wrt), fd_grad(T.affine, [x, w, b], wrt)) < 1e-6
         rows, other = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
-        for op in (T.dot, T.concat):
-            for wrt in (0, 1):
-                assert max_rel_err(taped_grad(op, rows, other, wrt=wrt), fd_grad(op, [rows, other], wrt)) < 1e-6, op.__name__
-        for op in (T.log_softmax, T.sum_last):
-            assert max_rel_err(taped_grad(op, rows), fd_grad(op, [rows], 0)) < 1e-6, op.__name__
+        for wrt in (0, 1):
+            assert max_rel_err(taped_grad(T.concat, rows, other, wrt=wrt), fd_grad(T.concat, [rows, other], wrt)) < 1e-6
+        assert max_rel_err(taped_grad(T.sum_last, rows), fd_grad(T.sum_last, [rows], 0)) < 1e-6
+        counts = np.abs(other)
+        assert max_rel_err(taped_grad(T.multinomial_loglik, counts, rows, wrt=1), fd_grad(T.multinomial_loglik, [counts, rows], 1)) < 1e-6
 
     def test_rows_equal_stacked_vectors(self):
         rng = np.random.default_rng(23)
         x, w = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        rows = T.log_softmax(T.matvec(T.Tensor(w), T.Tensor(x))).data
+        counts = rng.uniform(0.0, 3.0, size=(4, 5))
+        rows = T.multinomial_loglik(T.Tensor(counts), T.matvec(T.Tensor(w), T.Tensor(x))).data
         for i in range(4):
-            np.testing.assert_allclose(rows[i], T.log_softmax(T.matvec(T.Tensor(w), T.Tensor(x[i]))).data, rtol=1e-14)
-        np.testing.assert_allclose(T.dot(T.Tensor(x), T.Tensor(x)).data, np.sum(x * x, axis=1), rtol=1e-14)
+            one = T.multinomial_loglik(T.Tensor(counts[i]), T.matvec(T.Tensor(w), T.Tensor(x[i])))
+            np.testing.assert_allclose(rows[i], one.item(), rtol=1e-14)
+        np.testing.assert_allclose(T.sum_last(T.mul(T.Tensor(x), T.Tensor(x))).data, np.sum(x * x, axis=1), rtol=1e-14)
         np.testing.assert_array_equal(T.concat(T.Tensor(x), T.Tensor(w[:4])).data, np.hstack([x, w[:4]]))
 
     def test_weight_gradient_is_sum_of_outer_products(self):
@@ -329,7 +373,7 @@ class TestRows:
         with pytest.raises(T.ShapeError, match="broadcast"):
             T.add(T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros(4)))
         with pytest.raises(T.ShapeError):
-            T.dot(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
+            T.multinomial_loglik(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
         with pytest.raises(T.ShapeError):
             T.concat(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 3))))
         with pytest.raises(T.ShapeError, match="conform"):
