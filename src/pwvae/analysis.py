@@ -6,7 +6,9 @@ squared gradient of each latent family's KL term to the components of the
 encoder input vector and counts which present words land in the
 per-document top-m, giving one count table per family.  The mean export
 writes per-document posterior means (Gaussian means plus closed-form
-piecewise means) for external projection tools.
+piecewise means) for external projection tools.  Both run documents as
+rows, ``EVAL_BLOCK`` at a time; a row's KL depends only on its own input
+row, so one backward pass per block and family gives every gradient.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import numpy as np
 
 from . import gaussian, piecewise
 from .corpus import Corpus
+from .evaluation import EVAL_BLOCK
 from .nvdm import NvdmModel, amortized_posterior, encode, priors
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, sum_all
 
 __all__ = ["UnknownTokenError", "word_neighbors", "kl_sensitivity", "export_posterior_means"]
 
@@ -90,17 +93,17 @@ def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
         "gaussian": np.zeros(model.vocab_size, dtype=np.int64),
         "piecewise": np.zeros(model.vocab_size, dtype=np.int64),
     }
-    for doc in corpus.docs:
-        present = doc.term_ids
+    for lo in range(0, len(corpus), EVAL_BLOCK):
+        docs = corpus.docs[lo : lo + EVAL_BLOCK]
+        x = Tensor(corpus.dense(docs))
         for family in families:
-            x = Tensor(corpus.dense(doc))
             with Tape() as tape:
-                kl_node = _family_kl_node(model, encode(model, x), family)
-                tape.backward(kl_node)
+                tape.backward(sum_all(_family_kl_node(model, encode(model, x), family)))
                 g = tape.grad(x)
-            score = g[present] ** 2
-            top = present[np.argsort(-score, kind="stable")[:top_m]]
-            counts[family][top] += 1
+            for row, doc in zip(g, docs):
+                present = doc.term_ids
+                top = present[np.argsort(-row[present] ** 2, kind="stable")[:top_m]]
+                counts[family][top] += 1
     return counts["gaussian"], counts["piecewise"]
 
 
@@ -114,14 +117,16 @@ def export_posterior_means(model: NvdmModel, corpus: Corpus, out_path: str) -> i
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("# per-document posterior means\n")
         fh.write(f"# doc_id label mu[{model.gauss_dims}] piecewise_mean[{model.piece_dims}]\n")
-        for doc in corpus.docs:
-            post = amortized_posterior(model, encode(model, Tensor(corpus.dense(doc))))
-            values: list[float] = []
+        for lo in range(0, len(corpus), EVAL_BLOCK):
+            docs = corpus.docs[lo : lo + EVAL_BLOCK]
+            post = amortized_posterior(model, encode(model, Tensor(corpus.dense(docs))))
+            columns = []
             if post["gauss_mu"] is not None:
-                values.extend(post["gauss_mu"].data)
+                columns.append(post["gauss_mu"].data)
             if post["piece_raw_a"] is not None:
-                a = piecewise.head_forward(post["piece_raw_a"])
-                values.extend(piecewise.mean_rows(a.data.reshape(model.piece_dims, model.n_pieces)))
-            label = doc.label if doc.label is not None else "-"
-            fh.write("\t".join([doc.doc_id, label] + [f"{v:.10g}" for v in values]) + "\n")
+                a = piecewise.head_forward(post["piece_raw_a"]).data
+                columns.append(piecewise.mean_rows(a.reshape(-1, model.n_pieces)).reshape(len(docs), model.piece_dims))
+            for doc, values in zip(docs, np.concatenate(columns, axis=1)):
+                label = doc.label if doc.label is not None else "-"
+                fh.write("\t".join([doc.doc_id, label] + [f"{v:.10g}" for v in values]) + "\n")
     return len(corpus.docs)

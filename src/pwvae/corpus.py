@@ -7,15 +7,20 @@ File formats (gzip variants accepted by `.gz` extension):
   ``doc_id term:count term:count ...`` with space separators.
 * labels (optional sidecar): one label per line, aligned with documents.
 
-Counts are stored as integers; the optional log(1 + TF) transform is
-applied only when a document is densified for the encoder.
+Counts are stored as integers.  A ``Document`` holds each term id at most
+once, and computes its token count and its content key once.  Densifying
+works per batch: ``Corpus.dense_counts`` builds a batch's (B, V) count
+rows with one scatter, and ``Corpus.dense`` applies the optional
+log(1 + TF) transform to them for the encoder.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +46,12 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Document:
+    """A bag of words: distinct term ids and their counts.
+
+    A repeated term id raises ValueError.  The token count and the content
+    key are computed once, on first use, and then kept.
+    """
+
     doc_id: str
     term_ids: np.ndarray
     counts: np.ndarray
@@ -49,14 +60,26 @@ class Document:
     def __post_init__(self):
         ids = np.asarray(self.term_ids, dtype=np.int64)
         cnt = np.asarray(self.counts, dtype=np.int64)
+        if ids.ndim != 1 or ids.shape != cnt.shape:
+            raise ValueError(f"document {self.doc_id!r}: term ids of shape {ids.shape} and counts of shape {cnt.shape} do not pair up")
+        if len(set(ids.tolist())) != ids.size:
+            values, times = np.unique(ids, return_counts=True)
+            raise ValueError(f"document {self.doc_id!r}: term id {values[times > 1][0]} appears more than once")
         ids.flags.writeable = False
         cnt.flags.writeable = False
         object.__setattr__(self, "term_ids", ids)
         object.__setattr__(self, "counts", cnt)
 
-    @property
+    @cached_property
     def token_count(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts.tolist())
+
+    @cached_property
+    def key(self) -> int:
+        """Content key: the 64-bit blake2b digest of the term-id bytes followed by the count bytes; evaluation keys noise by it."""
+        digest = hashlib.blake2b(self.term_ids.tobytes(), digest_size=8)
+        digest.update(self.counts.tobytes())
+        return int.from_bytes(digest.digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -77,19 +100,18 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.docs)
 
-    def dense(self, doc: Document) -> np.ndarray:
-        """Dense encoder input for one document, transform applied."""
-        v = np.zeros(self.vocab_size, dtype=np.float64)
-        v[doc.term_ids] = doc.counts
-        if self.transform == "log1p_tf":
-            v = np.log1p(v)
-        return v
+    def dense_counts(self, docs) -> np.ndarray:
+        """(B, V) raw counts of a batch of documents, one row per document in order, from one scatter."""
+        rows = np.zeros((len(docs), self.vocab_size))
+        row_of_entry = np.repeat(np.arange(len(docs)), [doc.term_ids.size for doc in docs])
+        rows[row_of_entry, np.concatenate([doc.term_ids for doc in docs])] = np.concatenate([doc.counts for doc in docs])
+        return rows
 
-    def dense_counts(self, doc: Document) -> np.ndarray:
-        """Raw count vector, independent of the transform."""
-        v = np.zeros(self.vocab_size, dtype=np.float64)
-        v[doc.term_ids] = doc.counts
-        return v
+    def dense(self, docs, *, counts: np.ndarray | None = None) -> np.ndarray:
+        """(B, V) encoder rows of a batch: ``counts`` (by default ``dense_counts(docs)``) with the transform applied; under "none" the same array."""
+        if counts is None:
+            counts = self.dense_counts(docs)
+        return np.log1p(counts) if self.transform == "log1p_tf" else counts
 
 
 def _open_text(path: str, mode: str = "rt"):
@@ -117,7 +139,8 @@ def load_corpus(vocab_path: str, docs_path: str, transform: str = "none", labels
     Term ids at or above the vocabulary size are treated as
     out-of-vocabulary and dropped; documents left empty are removed and
     the number of removals is reported.  Negative ids, non-numeric
-    fields, or counts below 1 are parse errors.
+    fields, counts below 1, or a term id repeated within a line are parse
+    errors.
     """
     vocab = _load_vocab(vocab_path)
     labels = load_labels(labels_path) if labels_path else None
@@ -154,7 +177,10 @@ def load_corpus(vocab_path: str, docs_path: str, transform: str = "none", labels
             if labels is not None and file_index >= len(labels):
                 raise CorpusFormatError(f"{labels_path}: fewer labels than documents")
             label = labels[file_index] if labels else None
-            docs.append(Document(doc_id=doc_id, term_ids=np.array(ids), counts=np.array(counts), label=label))
+            try:
+                docs.append(Document(doc_id=doc_id, term_ids=np.array(ids), counts=np.array(counts), label=label))
+            except ValueError as exc:
+                raise CorpusFormatError(f"{docs_path}:{lineno}: {exc}") from None
         if lineno == 0:
             raise CorpusFormatError(f"{docs_path}: no documents")
     if not docs:

@@ -3,11 +3,16 @@
 Perplexity is exp(-(1/D) sum_n bound_n / L_n) over D documents with L_n
 tokens each, where the sampled variational bound stands in for the exact
 log-likelihood.  A document's noise is keyed by the call's root and the
-document's content digest (``_doc_key``), and a block's noise is one
+document's content key, the digest ``Document.key`` that each document
+computes once, and a block's noise is one
 ``nvdm.draw_noises`` call over its documents' keys, so identical
 documents always receive identical noise and duplicating a corpus leaves
 the report unchanged.  Documents are evaluated as rows, ``EVAL_BLOCK`` at
-a time, which bounds memory for any corpus size.
+a time, which bounds memory for any corpus size; a block's (B, V) rows
+come from one scatter (``Corpus.dense_counts``).  A block whose bound
+cannot be computed (its variances or logits overflow) raises ValueError
+naming the stage and the block's first document, and numpy's overflow
+warnings, which would only repeat that, are silenced.
 
 Iterative inference refines posterior parameters by plain gradient ascent
 on the bound while the model and the prior stay frozen.  A block of
@@ -43,7 +48,7 @@ split, and a split product waits for every thread to wake.
 
 from __future__ import annotations
 
-import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +57,7 @@ from . import piecewise
 from .blas import one_thread
 from .corpus import Corpus, Document
 from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, noise_keys, posterior_bound
-from .tensor import ShapeError, Tape, Tensor
+from .tensor import ShapeError, Tape, Tensor, _wrap
 
 __all__ = [
     "EvalReport",
@@ -73,21 +78,13 @@ def _content(doc: Document) -> tuple[bytes, bytes]:
     return doc.term_ids.tobytes(), doc.counts.tobytes()
 
 
-def _doc_key(doc: Document) -> int:
-    """Content key of a document: a digest of ``_content``."""
-    digest = hashlib.blake2b(digest_size=8)
-    for part in _content(doc):
-        digest.update(part)
-    return int.from_bytes(digest.digest(), "little")
-
-
 def _root(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
 def _content_noises(model: NvdmModel, num_samples: int, root: int, docs):
     """``num_samples`` noise samples for a block of documents, row i keyed by ``root`` and ``docs[i]``'s content."""
-    return draw_noises(model, num_samples, noise_keys(root, [_doc_key(doc) for doc in docs]))
+    return draw_noises(model, num_samples, noise_keys(root, [doc.key for doc in docs]))
 
 
 @dataclass
@@ -108,6 +105,18 @@ class EvalReport:
         for i, (b, t) in enumerate(zip(self.per_doc_bounds, self.per_doc_tokens)):
             lines.append(f"{i}\t{b:.10g}\t{int(t)}")
         return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def _block_errors(stage: str, docs):
+    """Bound a block with numpy's overflow warnings off; a bound that cannot be computed raises ValueError naming ``stage`` and the block's first document."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            yield
+        except ShapeError:
+            raise
+        except ValueError as exc:
+            raise ValueError(f"{stage}: the bound of the block starting at document {docs[0].doc_id!r} cannot be computed: {exc}") from exc
 
 
 def _aggregate(bounds: np.ndarray, tokens: np.ndarray, samples: int, mode: str) -> EvalReport:
@@ -136,12 +145,14 @@ def evaluate(
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     _check_kl_weight(kl_weight)
+    _check_documents(model, corpus, corpus.docs)
     root = _root(rng)
     bounds = np.zeros(len(corpus))
     for lo in range(0, len(corpus), EVAL_BLOCK):
         docs = corpus.docs[lo : lo + EVAL_BLOCK]
         noises = _content_noises(model, num_samples, root, docs)
-        bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noises, kl_weight=kl_weight).bounds
+        with _block_errors("evaluate", docs):
+            bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noises, kl_weight=kl_weight).bounds
     tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
     return _aggregate(bounds, tokens, num_samples, "amortized")
 
@@ -165,21 +176,11 @@ class RefinementResult:
 _PARAMS = ("gauss_mu", "gauss_raw_sigma", "piece_raw_a")
 
 
-def _amortized_rows(model: NvdmModel, corpus: Corpus, docs) -> dict:
-    enc = encode(model, Tensor([corpus.dense(doc) for doc in docs]))
-    rows = {name: None if t is None else np.array(t.data) for name, t in amortized_posterior(model, enc).items()}
-    return _clip_pieces(rows)
-
-
 def _clip_pieces(rows: dict) -> dict:
     """Clip ``rows``' piecewise pre-activations in place to ±``piecewise.CLAMP``, where ``head_forward`` clamps them anyway."""
     if rows["piece_raw_a"] is not None:
         np.clip(rows["piece_raw_a"], -piecewise.CLAMP, piecewise.CLAMP, out=rows["piece_raw_a"])
     return rows
-
-
-def _counts(corpus: Corpus, docs) -> Tensor:
-    return Tensor([corpus.dense_counts(doc) for doc in docs])
 
 
 def _tensors(params: dict) -> dict:
@@ -287,12 +288,13 @@ def iterative_inference(
     if not docs:
         raise ValueError("iterative_inference: no documents")
     _check_documents(model, corpus, docs)
-    counts = _counts(corpus, docs)
-    doc_keys = [_doc_key(doc) for doc in docs]
+    raw = corpus.dense_counts(docs)
+    x, counts = _wrap(corpus.dense(docs, counts=raw)), _wrap(raw)
+    doc_keys = [doc.key for doc in docs]
     track_root, step_root = _root(rng), _root(rng)
     track_noises = draw_noises(model, eval_samples, noise_keys(track_root, doc_keys))
 
-    params = _amortized_rows(model, corpus, docs)
+    params = _clip_pieces({name: None if t is None else np.array(t.data) for name, t in amortized_posterior(model, encode(model, x)).items()})
     best = {name: None if rows is None else rows.copy() for name, rows in params.items()}
     since_improve = np.zeros(len(docs), dtype=np.int64)
     steps = np.zeros(len(docs), dtype=np.int64)
@@ -380,8 +382,9 @@ def evaluate_iterative(
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     root = _root(rng)
-    distinct = {_content(doc): doc for doc in corpus.docs}
-    keys = sorted(distinct, key=lambda key: _doc_key(distinct[key]))
+    contents = [_content(doc) for doc in corpus.docs]
+    distinct = dict(zip(contents, corpus.docs))
+    keys = sorted(distinct, key=lambda content: distinct[content].key)
     refined = {}
     for lo in range(0, len(keys), EVAL_BLOCK):
         block = keys[lo : lo + EVAL_BLOCK]
@@ -401,9 +404,10 @@ def evaluate_iterative(
         )
         params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
         noises = _content_noises(model, num_samples, root, docs)
-        final = posterior_bound(model, _counts(corpus, docs), kl_weight=kl_weight, noises=noises, **_tensors(params)).bounds
+        with _block_errors("evaluate_iterative: re-estimate", docs):
+            final = posterior_bound(model, _wrap(corpus.dense_counts(docs)), kl_weight=kl_weight, noises=noises, **_tensors(params)).bounds
         refined.update(zip(block, zip(results, final)))
-    picked = [refined[_content(doc)] for doc in corpus.docs]
+    picked = [refined[content] for content in contents]
     bounds = np.array([bound for _, bound in picked])
     tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
     return _aggregate(bounds, tokens, num_samples, "iterative"), [res for res, _ in picked]

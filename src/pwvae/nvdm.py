@@ -57,6 +57,7 @@ from .gaussian import GaussianHead, GaussianParams
 from .tensor import (
     ShapeError,
     Tensor,
+    _wrap,
     affine,
     concat,
     matvec,
@@ -405,9 +406,9 @@ def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: fl
     ``noises`` is ``draw_noises``' list of (B, dims) pairs, with one row per document.
     """
     _check_documents(model, corpus, docs)
-    x = Tensor([corpus.dense(doc) for doc in docs])
-    counts = Tensor([corpus.dense_counts(doc) for doc in docs])
-    return posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **amortized_posterior(model, encode(model, x)))
+    counts = corpus.dense_counts(docs)
+    x = _wrap(corpus.dense(docs, counts=counts))
+    return posterior_bound(model, _wrap(counts), kl_weight=kl_weight, noises=noises, **amortized_posterior(model, encode(model, x)))
 
 
 def elbo(

@@ -1,12 +1,12 @@
 """Mini-batch training: Adam, global-norm gradient clipping, early stopping.
 
-One tape per shard, documents as rows: a batch's documents are stacked
-into (B, V) matrices and run through one forward pass of the bound (one
-posterior sample per document) and one ``Tape.backward``, so every weight
-gradient is a single matrix product over the batch.  After each epoch the
-validation bound is estimated with several samples per document; training
-stops once it has not improved for ``patience`` epochs and the parameters
-from the best epoch are returned.
+One tape per shard, documents as rows: a batch's documents are scattered
+into (B, V) rows in one call and run through one forward pass of the
+bound (one posterior sample per document) and one ``Tape.backward``, so
+every weight gradient is a single matrix product over the batch.  After
+each epoch the validation bound is estimated with several samples per
+document; training stops once it has not improved for ``patience``
+epochs and the parameters from the best epoch are returned.
 
 The optimizer side of a step works in place on arrays the trainer owns.
 Each tape builds its gradient arrays fresh, so later shards are added into
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import evaluation
 from .corpus import Corpus
-from .nvdm import NvdmModel, batch_bound, draw_noises, noise_keys
+from .nvdm import NvdmModel, _check_documents, batch_bound, draw_noises, noise_keys
 from .tensor import Tape, Tensor, _wrap
 
 __all__ = [
@@ -295,10 +295,17 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
     """Train to the best validation bound; returns that epoch's parameters.
 
     The training log has one tab-separated line per epoch:
-    ``epoch train_bound valid_bound kl_g kl_p wallclock_s``.
+    ``epoch train_bound valid_bound kl_g kl_p wallclock_s``.  Both corpora
+    are checked before the first step: a vocabulary that does not match
+    the model raises ShapeError, and a document without tokens ValueError.
     """
     if len(corpus_train) == 0 or len(corpus_valid) == 0:
         raise ValueError("training and validation corpora must be non-empty")
+    for name, corpus in (("training", corpus_train), ("validation", corpus_valid)):
+        try:
+            _check_documents(model, corpus, corpus.docs)
+        except ValueError as exc:
+            raise type(exc)(f"{name} corpus: {exc}") from None
     params = dict(model.params)
     state = adam_init(params)
     best_params = dict(params)

@@ -1,11 +1,13 @@
 """Word neighbours, KL word-sensitivity counts, and posterior-mean export."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pwvae import analysis, corpus as cio, nvdm, piecewise as pw
+from pwvae import analysis, corpus as cio, gaussian, nvdm, piecewise as pw
+from pwvae.tensor import Tape, Tensor
 
 from piecewise_oracle import draw_rows
 
@@ -137,3 +139,52 @@ class TestExportMeans:
                 continue
             values = [float(v) for v in line.split("\t")[2:]]
             assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def _one_document_kl_gradient(model, corpus, doc, family):
+    """The input gradient of one document's KL term, from a tape of its own."""
+    x = Tensor(corpus.dense([doc])[0])
+    gauss_prior, a_prior = nvdm.priors(model)
+    with Tape() as tape:
+        post = nvdm.amortized_posterior(model, nvdm.encode(model, x))
+        if family == "gaussian":
+            kl = gaussian.kl(gaussian.from_raw(post["gauss_mu"], post["gauss_raw_sigma"]), gauss_prior)
+        else:
+            kl = pw.kl_between(pw.head_forward(post["piece_raw_a"]), a_prior, model.piece_dims, model.n_pieces)
+        tape.backward(kl)
+        return tape.grad(x)
+
+
+class TestBlocksMatchOneDocument:
+    """Blocks of ``EVAL_BLOCK`` rows give every document what a pass of its own gives it."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        corpus = cio.make_synthetic_bimodal(analysis.EVAL_BLOCK + 9, 12, seed=3)
+        model = model_for(corpus, variant="h", seed=9)
+        rng = np.random.default_rng(10)
+        model = model.replaced({name: rng.normal(0.0, 0.5, t.data.shape) for name, t in model.named_parameters()})
+        return model, replace(corpus, transform="log1p_tf")
+
+    def test_sensitivity_counts(self, setting):
+        model, corpus = setting
+        expected = {"gaussian": np.zeros(12, dtype=np.int64), "piecewise": np.zeros(12, dtype=np.int64)}
+        for doc in corpus.docs:
+            for family, counts in expected.items():
+                g = _one_document_kl_gradient(model, corpus, doc, family)
+                counts[doc.term_ids[np.argsort(-g[doc.term_ids] ** 2, kind="stable")[:3]]] += 1
+        counts_g, counts_p = analysis.kl_sensitivity(model, corpus, top_m=3)
+        np.testing.assert_array_equal(counts_g, expected["gaussian"])
+        np.testing.assert_array_equal(counts_p, expected["piecewise"])
+
+    def test_exported_means(self, setting, tmp_path):
+        model, corpus = setting
+        out = str(tmp_path / "means.tsv")
+        analysis.export_posterior_means(model, corpus, out)
+        rows = [line.split("\t") for line in Path(out).read_text().splitlines() if not line.startswith("#")]
+        assert [row[0] for row in rows] == [doc.doc_id for doc in corpus.docs]
+        for doc, row in zip(corpus.docs, rows):
+            post = nvdm.amortized_posterior(model, nvdm.encode(model, Tensor(corpus.dense([doc])[0])))
+            a = pw.head_forward(post["piece_raw_a"]).data.reshape(model.piece_dims, model.n_pieces)
+            expected = np.concatenate([post["gauss_mu"].data, pw.mean_rows(a)])
+            np.testing.assert_allclose([float(v) for v in row[2:]], expected, rtol=1e-9)

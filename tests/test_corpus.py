@@ -1,6 +1,8 @@
 """Corpus file formats, filtering rules, and the synthetic generator."""
 
 import gzip
+import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ class TestLoading:
         docs = write(tmp_path, "docs.txt", "0 3:2\n")
         corpus = cio.load_corpus(vocab_path, docs, transform="log1p_tf")
         doc = corpus.docs[0]
-        assert corpus.dense(doc)[3] == pytest.approx(np.log(3.0), abs=1e-12)
+        assert corpus.dense([doc])[0, 3] == pytest.approx(np.log(3.0), abs=1e-12)
         assert doc.counts[0] == 2  # stored counts stay integers
 
     def test_empty_file_rejected(self, tmp_path, vocab_path):
@@ -54,6 +56,12 @@ class TestLoading:
     def test_zero_count_rejected(self, tmp_path, vocab_path):
         docs = write(tmp_path, "docs.txt", "0 3:0\n")
         with pytest.raises(cio.CorpusFormatError, match="count"):
+            cio.load_corpus(vocab_path, docs)
+
+    def test_repeated_term_id_rejected_with_file_line_and_id(self, tmp_path, vocab_path):
+        """A repeated id would give a token count that the dense rows, which keep one entry, do not hold."""
+        docs = write(tmp_path, "docs.txt", "d0 3:2\nd1 1:1 1:2 3:1\n")
+        with pytest.raises(cio.CorpusFormatError, match=r"docs\.txt:2: document 'd1': term id 1 appears more than once"):
             cio.load_corpus(vocab_path, docs)
 
     def test_out_of_vocabulary_filtered_and_empty_docs_dropped(self, tmp_path, vocab_path):
@@ -135,3 +143,58 @@ class TestSynthetic:
     def test_no_empty_documents(self):
         corpus = cio.make_synthetic_bimodal(500, 30, seed=10)
         assert all(d.token_count >= 1 for d in corpus.docs)
+
+
+class TestDocument:
+    def test_repeated_term_id_rejected(self):
+        with pytest.raises(ValueError, match="term id 4 appears more than once"):
+            cio.Document("x", np.array([4, 1, 4]), np.array([1, 2, 3]))
+
+    def test_unpaired_ids_and_counts_rejected(self):
+        with pytest.raises(ValueError, match="do not pair up"):
+            cio.Document("x", np.array([1, 2]), np.array([1]))
+
+    def test_token_count_and_content_key_are_computed_once(self):
+        """The key is the blake2b digest of the term-id bytes followed by the count bytes, read as a little-endian integer."""
+        doc = cio.Document("x", np.array([2, 7]), np.array([3, 1]))
+        digest = hashlib.blake2b(np.array([2, 7], dtype=np.int64).tobytes() + np.array([3, 1], dtype=np.int64).tobytes(), digest_size=8)
+        assert doc.token_count == 4
+        assert doc.key == int.from_bytes(digest.digest(), "little")
+        assert doc.key is doc.key  # kept after the first use, not recomputed
+        assert doc.key == cio.Document("renamed", np.array([2, 7]), np.array([3, 1]), label="1").key
+        assert doc.key != cio.Document("x", np.array([2, 7]), np.array([1, 3])).key
+
+
+def _reference_row(corpus, doc, transform):
+    """One document's dense row, built entry by entry."""
+    row = np.zeros(corpus.vocab_size)
+    for term, count in zip(doc.term_ids.tolist(), doc.counts.tolist()):
+        row[term] = float(count)
+    return np.log1p(row) if transform == "log1p_tf" else row
+
+
+class TestDense:
+    """A batch's rows from one scatter equal the stacked per-document rows."""
+
+    @pytest.mark.parametrize("transform", cio.TRANSFORMS)
+    @pytest.mark.parametrize(
+        "picks",
+        [[0], [5, 2, 9, 0], [3, 3, 1, 3], list(range(12))[::-1]],
+        ids=["single", "shuffled", "repeated", "reversed"],
+    )
+    def test_rows_match_a_per_document_reference(self, transform, picks):
+        corpus = replace(cio.make_synthetic_bimodal(12, 30, seed=4), transform=transform)
+        docs = [corpus.docs[i] for i in picks]
+        counts = corpus.dense_counts(docs)
+        rows = corpus.dense(docs)
+        np.testing.assert_array_equal(counts, np.stack([_reference_row(corpus, doc, "none") for doc in docs]))
+        np.testing.assert_array_equal(rows, np.stack([_reference_row(corpus, doc, transform) for doc in docs]))
+        np.testing.assert_array_equal(corpus.dense(docs, counts=counts), rows)
+        assert counts.sum(axis=1).tolist() == [doc.token_count for doc in docs]
+
+    def test_plain_rows_are_the_counts_array(self):
+        corpus = cio.make_synthetic_bimodal(4, 10, seed=1)
+        counts = corpus.dense_counts(corpus.docs)
+        assert corpus.dense(corpus.docs, counts=counts) is counts
+        logged = replace(corpus, transform="log1p_tf")
+        assert logged.dense(corpus.docs, counts=counts) is not counts

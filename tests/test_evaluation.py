@@ -124,6 +124,26 @@ class TestIterativeInference:
             assert res.bound == res.initial_bound
             assert res.steps == 5
 
+    @pytest.mark.parametrize("transform", cio.TRANSFORMS)
+    def test_starting_bound_is_the_amortised_batch_bound(self, corpus, transform):
+        """The tracked starting bound is ``batch_bound`` under the tracking noise: the encoder sees transformed rows, the decoder raw counts."""
+        model = refinable_model("h", seed=60)
+        data = replace(corpus, transform=transform)
+        docs = data.docs[:6]
+        results = evaluation.iterative_inference(model, data, docs, steps_max=0, eval_samples=2, rng=np.random.default_rng(61))
+        track_root = int(np.random.default_rng(61).integers(0, 2**63))
+        noises = nvdm.draw_noises(model, 2, nvdm.noise_keys(track_root, [doc.key for doc in docs]))
+        assert [res.initial_bound for res in results] == nvdm.batch_bound(model, data, docs, noises).bounds.tolist()
+
+    @pytest.mark.parametrize("transform", cio.TRANSFORMS)
+    def test_re_estimate_without_steps_is_the_amortised_bound(self, corpus, transform):
+        """With no step, ``evaluate_iterative`` re-estimates each document with ``evaluate``'s content-keyed noise at the amortised posterior."""
+        model = refinable_model("h", seed=62)
+        data = replace(corpus, transform=transform)
+        amortised = evaluation.evaluate(model, data, 3, np.random.default_rng(63))
+        refined, _ = evaluation.evaluate_iterative(model, data, 3, np.random.default_rng(63), steps_max=0)
+        np.testing.assert_allclose(refined.per_doc_bounds, amortised.per_doc_bounds, rtol=1e-12)
+
     def test_best_bound_never_below_initial(self, corpus):
         model = fresh_model("h", seed=14)
         for i, doc in enumerate(corpus.docs[:10]):
@@ -305,6 +325,29 @@ def _noise_overflow_model():
     """A G model whose logits overflow for some noise: posterior sigma about 1e150 and decoder weights 1e158."""
     model = nvdm.init_model("g", 20, hidden=4, gauss_dims=1, seed=0)
     return model.replaced({"g_alpha_sigma": np.ones(1), "g_post_b_sigma": np.full(1, 1e300), "dec_r": np.full((20, 1), 1e158)})
+
+
+class TestOverflowingEvaluation:
+    """A block whose bound overflows raises an error naming the stage and the block's first document, and numpy warns of nothing."""
+
+    def test_evaluate(self):
+        corpus = cio.make_synthetic_bimodal(12, 20, 1)
+        block = replace(corpus, docs=corpus.docs[3:6])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^evaluate: the bound of the block starting at document '3' cannot be computed: .*logits must be finite"):
+                evaluation.evaluate(_noise_overflow_model(), block, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_evaluate_iterative_re_estimate(self, seed):
+        """Refinement finishes, then the 10-sample re-estimate at the refined rows overflows."""
+        corpus = cio.make_synthetic_bimodal(12, 20, 1)
+        block = replace(corpus, docs=corpus.docs[:3])
+        first = min(block.docs, key=lambda doc: doc.key).doc_id
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^evaluate_iterative: re-estimate: the bound of the block starting at document '{first}' cannot be computed"):
+                evaluation.evaluate_iterative(_noise_overflow_model(), block, 10, np.random.default_rng(seed))
 
 
 class TestOverflowingRefinement:

@@ -48,7 +48,7 @@ class TestEncode:
     def test_finite_outputs_and_gradients(self):
         corpus = tiny_corpus()
         model = randomized(nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=1), seed=2)
-        x_arr = corpus.dense(corpus.docs[0])
+        x_arr = corpus.dense(corpus.docs[:1])[0]
         with T.Tape() as tape:
             x = T.Tensor(x_arr)
             out = nvdm.encode(model, x)
@@ -180,7 +180,7 @@ class TestElbo:
         model = nvdm.init_model("p", 3, hidden=2, piece_dims=1, n_pieces=2, seed=0)
         r = np.array([[0.7], [-1.3], [0.4]])
         model = model.replaced({"dec_r": r, "p_post_w_a": np.zeros((2, 2))})
-        counts = corpus.dense_counts(doc)
+        counts = corpus.dense_counts([doc])[0]
         for eps, signed in ((0.0, -1.0), (0.5, 0.0), (1.0, 1.0)):
             rows = nvdm.batch_bound(model, corpus, [doc], [(None, np.array([[eps]]))], kl_weight=0.0)
             logits = -r[:, 0] * signed
@@ -192,9 +192,9 @@ class TestElbo:
         doc = Document("0", np.array([1]), np.array([2]))
         plain = Corpus(vocab=vocab, docs=(doc,))
         logged = Corpus(vocab=vocab, docs=(doc,), transform="log1p_tf")
-        assert plain.dense(doc)[1] == 2.0
-        assert logged.dense(doc)[1] == pytest.approx(np.log(3.0))
-        np.testing.assert_array_equal(logged.dense_counts(doc), plain.dense_counts(doc))
+        assert plain.dense([doc])[0, 1] == 2.0
+        assert logged.dense([doc])[0, 1] == pytest.approx(np.log(3.0))
+        np.testing.assert_array_equal(logged.dense_counts([doc]), plain.dense_counts([doc]))
 
 
 class TestFullGradient:
@@ -254,7 +254,7 @@ class TestLowerBound:
         logp = logits - np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - logits.max(axis=1, keepdims=True)
 
         for doc in corpus.docs:
-            counts = corpus.dense_counts(doc)
+            counts = corpus.dense_counts([doc])[0]
             doc_loglik = logp @ counts
             exact = np.log(np.sum(np.exp(doc_loglik) * prior_pdf) / m)
 

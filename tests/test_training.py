@@ -340,6 +340,41 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="non-empty"):
             training.train(model, replace(train_c, docs=()), valid_c, TrainConfig())
 
+    @staticmethod
+    def _no_step(monkeypatch):
+        def step(*args, **kwargs):
+            raise AssertionError("an Adam step ran")
+
+        monkeypatch.setattr(training, "adam_step", step)
+
+    def test_empty_document_rejected_before_the_first_step(self, small_corpus, monkeypatch):
+        """An empty training document at position 10 used to surface as TrainingDiverged in batch 2."""
+        from dataclasses import replace
+
+        train_c, valid_c = small_corpus
+        docs = list(train_c.docs)
+        docs[10] = cio.Document("empty", np.array([], dtype=int), np.array([], dtype=int))
+        self._no_step(monkeypatch)
+        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=10)
+        config = TrainConfig(batch_size=4, max_epochs=1, patience=1, seed=1)
+        with pytest.raises(ValueError, match="training corpus: document 'empty' has no tokens") as info:
+            training.train(model, replace(train_c, docs=tuple(docs)), valid_c, config)
+        assert not isinstance(info.value, training.TrainingDiverged)
+
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_vocabulary_mismatch_rejected_before_the_first_step(self, small_corpus, monkeypatch, which):
+        """A V=30 training corpus against a V=20 model used to surface as TrainingDiverged in batch 0."""
+        from dataclasses import replace
+
+        from pwvae.tensor import ShapeError
+
+        corpora = dict(zip(["training", "validation"], small_corpus))
+        corpora[which] = replace(corpora[which], vocab=tuple(f"w{i}" for i in range(30)))
+        self._no_step(monkeypatch)
+        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=10)
+        with pytest.raises(ShapeError, match=f"{which} corpus: corpus vocabulary size 30 != model vocabulary size 20"):
+            training.train(model, *corpora.values(), TrainConfig(batch_size=50, max_epochs=1, patience=1))
+
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_negative_sigma_gates_train_without_divergence(seed):
