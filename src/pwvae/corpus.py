@@ -44,12 +44,14 @@ class CorpusFormatError(ValueError):
     """Malformed vocabulary or document file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Document:
     """A bag of words: distinct term ids and their counts.
 
     A repeated term id raises ValueError.  The token count and the content
-    key are computed once, on first use, and then kept.
+    key are computed once, on first use, and then kept.  Two documents are
+    equal when their ids, labels, term ids and counts are, and the hash
+    follows that equality, so corpora of documents compare and hash too.
     """
 
     doc_id: str
@@ -69,6 +71,15 @@ class Document:
         cnt.flags.writeable = False
         object.__setattr__(self, "term_ids", ids)
         object.__setattr__(self, "counts", cnt)
+
+    def __eq__(self, other):
+        if not isinstance(other, Document):
+            return NotImplemented
+        same_arrays = np.array_equal(self.term_ids, other.term_ids) and np.array_equal(self.counts, other.counts)
+        return (self.doc_id, self.label) == (other.doc_id, other.label) and same_arrays
+
+    def __hash__(self) -> int:
+        return hash((self.doc_id, self.label, self.key))
 
     @cached_property
     def token_count(self) -> int:

@@ -18,6 +18,10 @@ Iterative inference refines posterior parameters by plain gradient ascent
 on the bound while the model and the prior stay frozen.  A block of
 documents is refined together: each step is one forward pass and one
 ``Tape.backward`` over (B, dims) parameter rows, one row per document.
+The priors are built once per block (``nvdm.priors``), before the step
+loop and outside any tape, so a step records nothing that depends on the
+model alone, and the KL ops' deferred prior gradients are never computed;
+``evaluate_iterative``'s re-estimate builds them once per call.
 Every row keeps its own state (best bound, steps since the last
 improvement, step count, abort flag) and its own gradient-norm clip, and
 only rows still refining move.  A row that stops, by patience or by a
@@ -56,7 +60,7 @@ import numpy as np
 from . import piecewise
 from .blas import one_thread
 from .corpus import Corpus, Document
-from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, noise_keys, posterior_bound
+from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, noise_keys, posterior_bound, priors
 from .tensor import ShapeError, Tape, Tensor, _wrap
 
 __all__ = [
@@ -192,7 +196,7 @@ def _check_kl_weight(kl_weight: float) -> None:
         raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
 
 
-def _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted, frozen=()):
+def _bound_aborting_overflow(model, counts, prior, params, best, noises, kl_weight, live, aborted, frozen=()):
     """``posterior_bound`` at ``params``; returns the parameter tensors and the block's ``RowBounds``.
 
     A huge step, or a row's step noise alone, can make its variances or
@@ -211,7 +215,7 @@ def _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, liv
                 eps[~live] = fill[~live]
         tensors = _tensors(params)
         try:
-            return tensors, posterior_bound(model, counts, kl_weight=kl_weight, noises=noises, **tensors)
+            return tensors, posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noises=noises, **tensors)
         except ShapeError:
             raise
         except ValueError:
@@ -222,6 +226,7 @@ def _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, liv
                     posterior_bound(
                         model,
                         Tensor(counts.data[one]),
+                        priors=prior,
                         kl_weight=kl_weight,
                         noises=[tuple(None if eps is None else eps[one] for eps in sample) for sample in noises],
                         **{name: None if rows is None else Tensor(rows[one]) for name, rows in params.items()},
@@ -308,7 +313,8 @@ def iterative_inference(
     # invalid-value warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            initial = posterior_bound(model, counts, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
+            prior = priors(model)  # once per block, outside any tape
+            initial = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
         except ValueError as exc:
             raise ValueError(f"iterative_inference: the block's amortised bound cannot be computed: {exc}") from exc
         best_bound = initial.copy()
@@ -318,7 +324,7 @@ def iterative_inference(
             # Rows that start at different iterations must key on steps[b].
             noises = draw_noises(model, 1, noise_keys(step_root ^ t, doc_keys))
             with Tape() as tape:
-                tensors, stepped = _bound_aborting_overflow(model, counts, params, best, noises, kl_weight, live, aborted, track_noises[0])
+                tensors, stepped = _bound_aborting_overflow(model, counts, prior, params, best, noises, kl_weight, live, aborted, track_noises[0])
                 failed = live & ~np.isfinite(stepped.bounds)
                 aborted |= failed
                 live &= ~failed
@@ -332,7 +338,7 @@ def iterative_inference(
                 params[name][live] += step[live, None] * g[live]
             steps[live] += 1
 
-            tracked = _bound_aborting_overflow(model, counts, params, best, track_noises, kl_weight, live, aborted)[1].bounds
+            tracked = _bound_aborting_overflow(model, counts, prior, params, best, track_noises, kl_weight, live, aborted)[1].bounds
             improved = live & np.isfinite(tracked) & (tracked > best_bound)
             best_bound[improved] = tracked[improved]
             for name, rows in params.items():
@@ -382,6 +388,7 @@ def evaluate_iterative(
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
     root = _root(rng)
+    prior = priors(model)
     contents = [_content(doc) for doc in corpus.docs]
     distinct = dict(zip(contents, corpus.docs))
     keys = sorted(distinct, key=lambda content: distinct[content].key)
@@ -405,7 +412,7 @@ def evaluate_iterative(
         params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
         noises = _content_noises(model, num_samples, root, docs)
         with _block_errors("evaluate_iterative: re-estimate", docs):
-            final = posterior_bound(model, _wrap(corpus.dense_counts(docs)), kl_weight=kl_weight, noises=noises, **_tensors(params)).bounds
+            final = posterior_bound(model, _wrap(corpus.dense_counts(docs)), priors=prior, kl_weight=kl_weight, noises=noises, **_tensors(params)).bounds
         refined.update(zip(block, zip(results, final)))
     picked = [refined[content] for content in contents]
     bounds = np.array([bound for _, bound in picked])

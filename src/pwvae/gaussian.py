@@ -13,6 +13,12 @@ noise eps drawn by the caller.
 Priors are (G,) vectors; posteriors are (G,) for one document or (B, G)
 rows for a batch, against which the prior biases and the gates are
 broadcast.
+
+``kl`` is one taped op in closed form (Kingma & Welling,
+arXiv:1312.6114).  Its backward rule writes out the chain rule of the
+elementwise expression in the order its terms would accumulate as
+separate taped ops, so it is bit-identical to them, and it defers the
+prior's gradients: a prior built outside the tape costs nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, affine, log, mul, scale_shift, softplus, sqrt, sum_last
+from .tensor import Tensor, _check_broadcast, _unbroadcast, add, affine, custom_op, mul, scale_shift, softplus, sqrt
 
 __all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "from_raw", "prior_forward", "posterior_forward", "sample_with_noise", "kl"]
 
@@ -98,7 +104,7 @@ def sample_with_noise(g: GaussianParams, eps: np.ndarray) -> Tensor:
 
 
 def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:
-    """Closed-form KL(post || prior) for diagonal Gaussians, as a taped value.
+    """Closed-form KL(post || prior) for diagonal Gaussians, as one taped op.
 
     A scalar for vector parameters, one value per row for (B, G) rows:
 
@@ -107,6 +113,27 @@ def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:
     """
     if post.dim != prior.dim:
         raise ValueError(f"kl: dimensions differ ({post.dim} vs {prior.dim})")
-    dmu = post.mu - prior.mu
-    terms = 0.5 * (log(prior.var) - log(post.var)) + (post.var + dmu * dmu) / (2.0 * prior.var) - 0.5
-    return sum_last(terms)
+    mu_q, var_q, mu_p, var_p = post.mu.data, post.var.data, prior.mu.data, prior.var.data
+    # Means and variances share a shape, so every term has the broadcast shape of the two means.
+    _check_broadcast(mu_q.shape, mu_p.shape, "kl")
+    dmu = mu_q - mu_p
+    num = var_q + dmu * dmu
+    den = 2.0 * var_p
+    terms = 0.5 * (np.log(var_p) - np.log(var_q)) + num / den - 0.5
+
+    def backward(g):
+        g_terms = g[..., None] * np.ones_like(terms)
+        g_num = g_terms / den
+        g_sq = g_num * dmu
+        g_half = g_terms * 0.5
+
+        def g_mu_p():
+            return _unbroadcast(-(g_sq + g_sq), mu_p.shape)
+
+        def g_var_p():
+            return _unbroadcast(-g_terms * num / (den * den), var_p.shape) * 2.0 + _unbroadcast(g_half, var_p.shape) / var_p
+
+        g_var_q = _unbroadcast(g_num, var_q.shape) + _unbroadcast(-g_half, var_q.shape) / var_q
+        return _unbroadcast(g_sq + g_sq, mu_q.shape), g_var_q, g_mu_p, g_var_p
+
+    return custom_op(terms.sum(axis=-1), (post.mu, post.var, prior.mu, prior.var), backward)

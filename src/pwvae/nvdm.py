@@ -2,10 +2,10 @@
 
 Three variants share one architecture: a two-layer bag-of-words encoder,
 latent heads producing prior/posterior parameters, and a softmax word
-decoder with logits -R z + b, whose count-weighted log-likelihood
-(``decode_logprob``) is one taped op.  Variant "g" uses Gaussian latent
-variables only, "p" piecewise constant only, and "h" both, sampled
-independently and concatenated (Gaussian dimensions first).
+decoder with logits b - R z (one taped ``affine``), whose count-weighted
+log-likelihood (``decode_logprob``) is one taped op.  Variant "g" uses
+Gaussian latent variables only, "p" piecewise constant only, and "h"
+both, sampled independently and concatenated (Gaussian dimensions first).
 
 Piecewise samples are shifted onto [-1, 1] before entering the decoder;
 KL terms are computed on the unshifted parametrisation.  The variational
@@ -13,8 +13,9 @@ bound for one document is the count-weighted reconstruction
 log-likelihood, averaged over posterior samples, minus the weighted sum
 of the per-family KL terms.
 
-``priors`` builds both priors from bias vectors alone.  Every posterior,
-amortised or refined, is carried as (B, dims) rows of pre-activations:
+``priors`` builds both priors from bias vectors alone, and the callers
+of ``posterior_bound`` pass them in.  Every posterior, amortised or
+refined, is carried as (B, dims) rows of pre-activations:
 the Gaussian ``gauss_mu`` and ``gauss_raw_sigma`` (``gaussian.from_raw``
 maps them to mean and variance) and the piecewise ``piece_raw_a``
 (``piecewise.head_forward`` maps it to weights).  ``amortized_posterior``
@@ -60,12 +61,10 @@ from .tensor import (
     _wrap,
     affine,
     concat,
-    matvec,
     multinomial_loglik,
     prelu,
     scale_shift,
     softsign,
-    sub,
     sum_all,
 )
 
@@ -296,7 +295,7 @@ def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
     """Log-likelihood sum_w c_w log softmax(b - R z)_w of (V,) or (B, V) ``counts`` at a latent vector or (B, L) rows."""
     if z.data.ndim not in (1, 2) or z.data.shape[-1] != model.latent_dim:
         raise ShapeError(f"decode: expected latent vectors of shape ({model.latent_dim},) or (B, {model.latent_dim}), got {z.data.shape}")
-    return multinomial_loglik(counts, sub(model.params["dec_b"], matvec(model.params["dec_r"], z)))
+    return multinomial_loglik(counts, affine(z, model.params["dec_r"], model.params["dec_b"], negate=True))
 
 
 def combine_latents(z_gauss: Tensor | None, z_piece: Tensor | None) -> Tensor:
@@ -407,8 +406,8 @@ def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: fl
     """
     _check_documents(model, corpus, docs)
     counts = corpus.dense_counts(docs)
-    x = _wrap(corpus.dense(docs, counts=counts))
-    return posterior_bound(model, _wrap(counts), kl_weight=kl_weight, noises=noises, **amortized_posterior(model, encode(model, x)))
+    rows = amortized_posterior(model, encode(model, _wrap(corpus.dense(docs, counts=counts))))
+    return posterior_bound(model, _wrap(counts), priors=priors(model), kl_weight=kl_weight, noises=noises, **rows)
 
 
 def elbo(
@@ -431,6 +430,7 @@ def posterior_bound(
     model: NvdmModel,
     counts: Tensor,
     *,
+    priors: tuple[GaussianParams | None, Tensor | None],
     gauss_mu: Tensor | None,
     gauss_raw_sigma: Tensor | None,
     piece_raw_a: Tensor | None,
@@ -445,11 +445,14 @@ def posterior_bound(
     gauss_raw_sigma)`` and the piecewise weights are
     ``piecewise.head_forward(piece_raw_a)``.  ``batch_bound`` passes the
     amortised rows, iterative inference the rows it refines while the
-    block's counts stay fixed; priors come from the model.  ``noises``
-    holds one (eps_gauss, eps_piece) pair of (B, dims) rows per sample,
-    with one row per document.
+    block's counts stay fixed.  ``priors`` is the model's ``priors(model)``,
+    built by the caller: inside the tape when the model's gradients are
+    wanted, once outside it when only the rows move.  ``noises`` holds one
+    (eps_gauss, eps_piece) pair of (B, dims) rows per sample, with one row
+    per document.  A mean over one sample and a KL weight of 1 are not
+    multiplied out: the product would change no bit.
     """
-    gauss_prior, a_prior = priors(model)
+    gauss_prior, a_prior = priors
     gauss_post = gaussian.from_raw(gauss_mu, gauss_raw_sigma) if gauss_mu is not None else None
     a_post = piecewise.head_forward(piece_raw_a) if piece_raw_a is not None else None
     recon = None
@@ -462,7 +465,8 @@ def posterior_bound(
         z = combine_latents(z_g, z_p)
         term = decode_logprob(model, z, counts)
         recon = term if recon is None else recon + term
-    recon = recon * (1.0 / len(noises))
+    if len(noises) > 1:
+        recon = recon * (1.0 / len(noises))
 
     kl_g_t = gaussian.kl(gauss_post, gauss_prior) if gauss_post is not None else None
     kl_p_t = piecewise.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces) if a_post is not None else None
@@ -470,7 +474,7 @@ def posterior_bound(
     for term in (kl_g_t, kl_p_t):
         if term is not None:
             kl_total = term if kl_total is None else kl_total + term
-    bound = recon - kl_weight * kl_total
+    bound = recon - (kl_total if kl_weight == 1.0 else kl_weight * kl_total)
     return RowBounds(
         bounds=bound.data,
         reconstruction=recon.data,

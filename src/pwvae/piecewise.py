@@ -5,11 +5,11 @@ has density a_i / K on segment i, where K_i = a_i / n and K = sum_i K_i,
 so the density integrates to exactly 1.  Segments are half open,
 [(i-1)/n, i/n), with the last segment closed at 1.  The ``*_rows`` core
 takes one distribution per row of a (d, n) array and gives the density
-and the closed-form KL divergence, its gradients and the mean.
-``head_forward`` maps pre-activations to weights.  ``sample_through``
-draws by the closed-form inverse CDF (inverse transform sampling) with
-exact pathwise derivatives in the weights, and ``kl_between`` is the KL
-core; both are taped operations.
+and the mean.  ``head_forward`` maps pre-activations to weights.
+``sample_through`` draws by the closed-form inverse CDF (inverse transform
+sampling) with exact pathwise derivatives in the weights, and
+``kl_between`` is the closed-form KL divergence; both are one taped
+operation each.
 
 Derivatives of the segment-selection indicators are fixed to zero: the
 probability of drawing a value exactly at a changing point is zero, so
@@ -27,8 +27,6 @@ from .tensor import Tensor, _unbroadcast, custom_op, exp_clamped
 __all__ = [
     "CLAMP",
     "pdf_rows",
-    "kl_rows",
-    "kl_grad_rows",
     "mean_rows",
     "head_forward",
     "sample_through",
@@ -85,36 +83,6 @@ def _sample_grad(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
     return grad
 
 
-def _kl_terms(post: np.ndarray, prior: np.ndarray):
-    """Raw weight sums, log weight ratios, their weighted sum and the unclamped KL, keeping the last axis."""
-    a_post_sum = post.sum(axis=-1, keepdims=True)
-    a_prior_sum = prior.sum(axis=-1, keepdims=True)
-    log_ratio = np.log(post) - np.log(prior)
-    s = np.sum(post * log_ratio, axis=-1, keepdims=True)
-    return a_post_sum, a_prior_sum, log_ratio, s, s / a_post_sum + np.log(a_prior_sum) - np.log(a_post_sum)
-
-
-def kl_rows(post: np.ndarray, prior: np.ndarray) -> np.ndarray:
-    """KL(post || prior) per row, clamped at 0; weights lie along the last axis.
-
-    The prior broadcasts against the posterior, as (d, n) against
-    (B, d, n).  Closed form: (1/n)(1/K_post) sum_i a_i_post (log a_i_post -
-    log a_i_prior) + log K_prior - log K_post.  The 1/n factors cancel
-    against the raw weight sums A = n*K used below.  Rounding can take the
-    value of nearly proportional weights below 0, hence the clamp.
-    """
-    return np.maximum(_kl_terms(post, prior)[-1][..., 0], 0.0)
-
-
-def kl_grad_rows(post: np.ndarray, prior: np.ndarray):
-    """Gradients of ``kl_rows`` in the posterior and prior weights; 0 where the value was clamped."""
-    a_post_sum, a_prior_sum, log_ratio, s, value = _kl_terms(post, prior)
-    d_post = (log_ratio + 1.0) / a_post_sum - s / (a_post_sum**2) - 1.0 / a_post_sum
-    d_prior = -post / (a_post_sum * prior) + 1.0 / a_prior_sum
-    clamped = value < 0.0
-    return np.where(clamped, 0.0, d_post), np.where(clamped, 0.0, d_prior)
-
-
 def mean_rows(a: np.ndarray) -> np.ndarray:
     """Closed-form mean per row: sum_i mass_i * segment midpoint."""
     n = a.shape[1]
@@ -167,18 +135,33 @@ def kl_between(post_flat: Tensor, prior_flat: Tensor, dims: int, pieces: int) ->
 
     A (dims*pieces,) posterior gives a scalar, and (B, dims*pieces) rows
     give one value per row; a (dims*pieces,) prior is broadcast against
-    the posterior rows, and its gradient summed over them.
+    the posterior rows, and its gradient summed over them.  Per latent
+    dimension the closed form is (1/n)(1/K_post) sum_i a_i_post (log
+    a_i_post - log a_i_prior) + log K_prior - log K_post; the 1/n factors
+    cancel against the raw weight sums A = n*K used here.  Rounding can
+    take the value of nearly proportional weights below 0, so each
+    dimension's value is clamped at 0, and its gradients are 0 where it
+    was clamped.  The backward rule reuses the forward's sums and log
+    ratios, and defers the prior's gradient until the tape needs it.
     """
     post = post_flat.data.reshape(post_flat.data.shape[:-1] + (dims, pieces))
     prior = prior_flat.data.reshape(prior_flat.data.shape[:-1] + (dims, pieces))
-    value = kl_rows(post, prior).sum(axis=-1)
+    a_post_sum = post.sum(axis=-1, keepdims=True)
+    a_prior_sum = prior.sum(axis=-1, keepdims=True)
+    log_ratio = np.log(post) - np.log(prior)
+    s = np.sum(post * log_ratio, axis=-1, keepdims=True)
+    unclamped = s / a_post_sum + np.log(a_prior_sum) - np.log(a_post_sum)
+    value = np.maximum(unclamped[..., 0], 0.0).sum(axis=-1)
 
     def backward(g):
-        d_post, d_prior = kl_grad_rows(post, prior)
-        s = np.asarray(g)[..., None, None]
-        return (
-            (s * d_post).reshape(post_flat.data.shape),
-            _unbroadcast((s * d_prior).reshape(post_flat.data.shape), prior_flat.data.shape),
-        )
+        scale = np.asarray(g)[..., None, None]
+        clamped = unclamped < 0.0
+        d_post = (log_ratio + 1.0) / a_post_sum - s / (a_post_sum**2) - 1.0 / a_post_sum
+
+        def d_prior():
+            grad = -post / (a_post_sum * prior) + 1.0 / a_prior_sum
+            return _unbroadcast((scale * np.where(clamped, 0.0, grad)).reshape(post_flat.data.shape), prior_flat.data.shape)
+
+        return (scale * np.where(clamped, 0.0, d_post)).reshape(post_flat.data.shape), d_prior
 
     return custom_op(value, (post_flat, prior_flat), backward)

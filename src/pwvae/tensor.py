@@ -5,19 +5,27 @@ block every operation additionally records a backward rule; calling
 ``Tape.backward`` on a scalar result then accumulates gradients for every
 tensor that participated, visiting operations in exact reverse execution
 order.  Outside a tape the same functions are plain forward computations.
-A backward rule may defer an expensive input gradient (``matvec`` defers
-both of its products); the tape computes it only once it is needed, so a
-frozen weight or an input document whose gradient nobody reads costs
-nothing.
+A backward rule may defer an input gradient (``affine`` defers both of its
+products, the KL ops their prior-side gradients); the tape computes it
+only once it is needed, so a frozen weight, an input document or a prior
+built outside the tape costs nothing.
+
+The tape keeps an input's first gradient as the array the rule returned
+and adds later gradients into it in place.  It copies that array first
+only when it may share memory with the output's gradient ``g`` (``add``
+and ``concat`` return ``g`` or views of it) or with another array the
+same rule returned, or when it is not a writable float64 array.  This is
+safe because of the rule ``custom_op`` states: a backward rule never
+captures, in a deferred closure, an array it also returns.
 
 Row convention: a batch of documents is a (B, n) matrix with one document
 per row, and a single document is either an (n,) vector or a (1, n) row.
-``matvec``/``affine`` multiply every row by the same weight matrix, so the
-weight gradient of a whole batch is one product ``g.T @ x``;
-``multinomial_loglik``, ``sum_last`` and ``concat`` act along the last
-axis.  In ``add``, ``sub``, ``mul``, ``div`` and ``prelu`` an operand whose
-shape is the trailing shape of the other (a (n,) parameter against (B, n)
-rows) is broadcast, and its gradient is summed over the broadcast axes.
+``affine`` multiplies every row by the same weight matrix, so the weight
+gradient of a whole batch is one product ``g.T @ x``;
+``multinomial_loglik`` and ``concat`` act along the last axis.  In
+``add``, ``sub``, ``mul``, ``div`` and ``prelu`` an operand whose shape is
+the trailing shape of the other (a (n,) parameter against (B, n) rows) is
+broadcast, and its gradient is summed over the broadcast axes.
 
 Tensors are immutable once created and a tape is rebuilt for every
 forward pass, so independent tapes may run concurrently over disjoint
@@ -41,13 +49,10 @@ __all__ = [
     "mul",
     "div",
     "scale_shift",
-    "matvec",
     "affine",
     "sum_all",
-    "sum_last",
     "concat",
     "exp_clamped",
-    "log",
     "sqrt",
     "softplus",
     "softsign",
@@ -187,14 +192,14 @@ class Tape:
                 continue
             if callable(g):
                 g = grads[out] = g()
-            for tensor, gi in zip(inputs, backward(g)):
+            returned = backward(g)
+            for tensor, gi in zip(inputs, returned):
                 if gi is None:
                     continue
                 acc = grads.get(tensor)
                 if acc is None:
-                    # Copy: backward rules may hand back views of g itself.
                     # A deferred gradient is computed fresh once it is needed.
-                    grads[tensor] = gi if callable(gi) else np.array(gi, dtype=np.float64)
+                    grads[tensor] = gi if callable(gi) or _owned(gi, g, returned) else np.array(gi, dtype=np.float64)
                 else:
                     if callable(acc):
                         acc = grads[tensor] = acc()
@@ -212,22 +217,35 @@ class Tape:
         return g
 
 
+def _owned(gi, g, returned) -> bool:
+    """Whether the tape may keep a rule's returned ``gi`` as its own: a writable float64 array sharing memory with neither ``g`` nor another array in ``returned``."""
+    if type(gi) is not np.ndarray or gi.dtype != np.float64 or not gi.flags.writeable or np.may_share_memory(gi, g):
+        return False
+    return sum(1 for other in returned if isinstance(other, np.ndarray) and np.may_share_memory(gi, other)) == 1
+
+
 def custom_op(values, inputs, backward) -> Tensor:
     """Wrap externally computed values as one taped operation.
 
-    ``backward`` maps the output gradient to a tuple of input gradients
-    aligned with ``inputs``.  An entry may be None (no gradient) or a
-    function of no arguments returning a fresh array, which the tape calls
-    only once that input's gradient is needed.
+    ``backward`` maps the output gradient ``g`` to a tuple of input
+    gradients aligned with ``inputs``.  An entry may be None (no gradient)
+    or a function of no arguments returning a fresh array, which the tape
+    calls only once that input's gradient is needed.
+
+    The tape keeps a returned array as that input's gradient and may add
+    into it in place later; it copies first only an array that may share
+    memory with ``g`` or with another returned array.  So a rule never
+    captures, in a deferred closure, an array it also returns (``g``
+    itself excepted): the closure would read the array after the tape
+    has added into it.
     """
     out = _wrap(np.asarray(values, dtype=np.float64))
     _record(out, tuple(inputs), backward)
     return out
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+def _check_broadcast(sa: tuple, sb: tuple, op: str) -> None:
     """Equal shapes, or one operand's shape is the trailing shape of the other's."""
-    sa, sb = a.data.shape, b.data.shape
     if sa == sb:
         return
     short, long = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
@@ -246,23 +264,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
     sa, sb = a.data.shape, b.data.shape
+    _check_broadcast(sa, sb, "add")
     out = _wrap(a.data + b.data)
     _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
     sa, sb = a.data.shape, b.data.shape
+    _check_broadcast(sa, sb, "sub")
     out = _wrap(a.data - b.data)
     _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
+    _check_broadcast(a.data.shape, b.data.shape, "mul")
     ad, bd = a.data, b.data
     out = _wrap(ad * bd)
     _record(out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
@@ -270,7 +288,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "div")
+    _check_broadcast(a.data.shape, b.data.shape, "div")
     ad, bd = a.data, b.data
     out = _wrap(ad / bd)
     _record(out, (a, b), lambda g: (_unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)))
@@ -284,39 +302,33 @@ def scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:
     return out
 
 
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """w @ x for a vector x (m,), or each row of x (B, m) times w; w is (k, m).
+def affine(x: Tensor, w: Tensor, b: Tensor, *, negate: bool = False) -> Tensor:
+    """w @ x + b, or b - w @ x under ``negate``, as one taped op.
 
-    The weight gradient is the single product g.T @ x over all rows.
+    w is a (k, m) matrix, x a vector (m,) or rows (B, m), and b a (k,)
+    bias.  The weight gradient is the single product g.T @ x over all rows.
     """
-    wd, xd = w.data, x.data
+    wd, xd, bd = w.data, x.data, b.data
     if wd.ndim != 2 or xd.ndim not in (1, 2) or wd.shape[1] != xd.shape[-1]:
-        raise ShapeError(f"matvec: matrix {wd.shape} does not conform with input {xd.shape}")
-    out = _wrap(xd @ wd.T)
+        raise ShapeError(f"affine: matrix {wd.shape} does not conform with input {xd.shape}")
+    product = xd @ wd.T
+    _check_broadcast(product.shape, bd.shape, "affine")
+    out = _wrap(bd - product if negate else product + bd)
 
     # Both products are deferred, so a frozen weight or an input document
     # whose gradient nobody reads costs nothing.
-    _record(out, (w, x), lambda g: (lambda: np.atleast_2d(g).T @ np.atleast_2d(xd), lambda: g @ wd))
+    def backward(g):
+        gp = -g if negate else g
+        return (lambda: gp @ wd, lambda: np.atleast_2d(gp).T @ np.atleast_2d(xd), _unbroadcast(g, bd.shape))
+
+    _record(out, (x, w, b), backward)
     return out
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """w @ x + b for matrix w (k, m), input x (m,) or (B, m), and bias b (k,)."""
-    return add(matvec(w, x), b)
 
 
 def sum_all(x: Tensor) -> Tensor:
     xd = x.data
     out = _wrap(np.asarray(xd.sum()))
     _record(out, (x,), lambda g: (g * np.ones_like(xd),))
-    return out
-
-
-def sum_last(x: Tensor) -> Tensor:
-    """Sum along the last axis: a scalar for a vector, (B,) for (B, n) rows."""
-    xd = x.data
-    out = _wrap(np.asarray(xd.sum(axis=-1)))
-    _record(out, (x,), lambda g: (g[..., None] * np.ones_like(xd),))
     return out
 
 
@@ -336,15 +348,6 @@ def exp_clamped(x: Tensor, lo: float = -30.0, hi: float = 30.0) -> Tensor:
     out_data = np.exp(np.minimum(np.maximum(xd, lo), hi))
     out = _wrap(out_data)
     _record(out, (x,), lambda g: (g * out_data * ((xd >= lo) & (xd <= hi)),))
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    if np.any(xd <= 0.0):
-        raise ValueError("log: input must be strictly positive")
-    out = _wrap(np.log(xd))
-    _record(out, (x,), lambda g: (g / xd,))
     return out
 
 

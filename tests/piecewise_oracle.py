@@ -1,4 +1,4 @@
-"""Test-side piecewise helpers: a CDF oracle, and draws and their weight gradients through ``sample_through``.
+"""Test-side piecewise helpers: a CDF oracle, draws and their weight gradients through ``sample_through``, and KL values through ``kl_between``.
 
 ``a`` is a (d, n) array of positive weights, one distribution per row,
 and ``z`` or ``eps`` one point or noise value per row.
@@ -32,3 +32,16 @@ def draw_grad_rows(a, eps):
         a_t = Tensor(a.reshape(-1))
         tape.backward(sum_all(pw.sample_through(a_t, eps, *a.shape)))
     return tape.grad(a_t).reshape(a.shape)
+
+
+def kl_rows(post, prior):
+    """KL(post || prior) per row from the taped ``kl_between``, each row one latent dimension."""
+    return pw.kl_between(Tensor(post), Tensor(prior), 1, post.shape[1]).data
+
+
+def kl_grad_rows(post, prior):
+    """Per row, the gradients of that row's KL in the posterior and the prior weights, from the tape's backward pass."""
+    with Tape() as tape:
+        post_t, prior_t = Tensor(post), Tensor(prior)
+        tape.backward(sum_all(pw.kl_between(post_t, prior_t, 1, post.shape[1])))
+    return tape.grad(post_t), tape.grad(prior_t)

@@ -164,6 +164,23 @@ class TestDocument:
         assert doc.key == cio.Document("renamed", np.array([2, 7]), np.array([3, 1]), label="1").key
         assert doc.key != cio.Document("x", np.array([2, 7]), np.array([1, 3])).key
 
+    def test_documents_with_equal_content_are_equal_and_hash_alike(self):
+        doc = cio.Document("x", np.array([2, 7, 9]), np.array([3, 1, 4]), label="a")
+        twin = cio.Document("x", [2, 7, 9], [3, 1, 4], label="a")
+        assert doc is not twin and doc == twin and hash(doc) == hash(twin)
+        assert len({doc, twin}) == 1
+        assert doc != cio.Document("x", np.array([2, 7, 9]), np.array([3, 1, 5]), label="a")
+        assert doc != cio.Document("y", np.array([2, 7, 9]), np.array([3, 1, 4]), label="a")
+        assert doc != cio.Document("x", np.array([2, 7, 9]), np.array([3, 1, 4]), label="b")
+        assert doc != cio.Document("x", np.array([2, 7]), np.array([3, 1]), label="a")
+        assert doc != (doc.doc_id, doc.term_ids, doc.counts, doc.label)
+
+    def test_separately_built_corpora_are_equal_and_hash_alike(self):
+        first, second = cio.make_synthetic_bimodal(3, 10, 1), cio.make_synthetic_bimodal(3, 10, 1)
+        assert first.docs[0] is not second.docs[0]
+        assert first == second and hash(first) == hash(second)
+        assert first != cio.make_synthetic_bimodal(3, 10, 2)
+
 
 def _reference_row(corpus, doc, transform):
     """One document's dense row, built entry by entry."""

@@ -9,6 +9,7 @@ import pytest
 
 from pwvae import corpus as cio
 from pwvae import evaluation, nvdm, piecewise
+from pwvae import tensor as T
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,30 @@ class TestEvaluate:
 
 
 class TestIterativeInference:
+    @pytest.mark.parametrize("steps_max", [0, 1, 7])
+    def test_priors_are_built_once_per_call_and_no_step_builds_their_gradient(self, corpus, monkeypatch, steps_max):
+        """Whatever ``steps_max`` is, ``nvdm.priors`` runs once per call, and every step's tape leaves the prior gradients deferred."""
+        built, tapes = [], []
+        real_priors, real_backward = nvdm.priors, T.Tape.backward
+
+        def counting(model):
+            built.append(real_priors(model))
+            return built[-1]
+
+        def recording(tape, root):
+            real_backward(tape, root)
+            tapes.append(tape)
+
+        for module in (nvdm, evaluation):
+            monkeypatch.setattr(module, "priors", counting)
+        monkeypatch.setattr(T.Tape, "backward", recording)
+        results = evaluation.iterative_inference(refinable_model("h", seed=3), corpus, corpus.docs[:4], steps_max=steps_max, rng=np.random.default_rng(4))
+        assert [res.steps for res in results] == [steps_max] * 4
+        ((gauss_prior, a_prior),) = built
+        assert len(tapes) == steps_max
+        for tape in tapes:
+            assert all(callable(tape._grads[t]) for t in (gauss_prior.mu, gauss_prior.var, a_prior))
+
     def test_lr_zero_returns_exactly_the_amortized_bound(self, corpus):
         model = fresh_model("h", seed=12)
         doc = corpus.docs[0]

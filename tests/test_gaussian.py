@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from pwvae import gaussian as ga
 from pwvae import tensor as T
 
+from gaussian_oracle import kl as oracle_kl
 from gradcheck import max_rel_err, numerical_grad
 
 
@@ -243,8 +244,61 @@ class TestKl:
         np.testing.assert_allclose(tape.grad(post.mu), 0.0, atol=1e-14)
         np.testing.assert_allclose(tape.grad(post.var), 0.0, atol=1e-14)
 
+    def test_row_gradients_match_finite_differences(self):
+        """(B, G) posterior rows against a broadcast (G,) prior, each row's KL weighted differently."""
+        rng = np.random.default_rng(15)
+        arrays = [rng.normal(size=(3, 4)), np.exp(rng.normal(size=(3, 4))), rng.normal(size=4), np.exp(rng.normal(size=4))]
+        weights = rng.normal(size=3) + 2.0
+
+        def weighted(a):
+            post, prior = params(a[0], a[1]), params(a[2], a[3])
+            return post, prior, T.sum_all(T.mul(ga.kl(post, prior), T.Tensor(weights)))
+
+        with T.Tape() as tape:
+            post, prior, total = weighted(arrays)
+            tape.backward(total)
+        for i, tensor in enumerate((post.mu, post.var, prior.mu, prior.var)):
+
+            def f(a, i=i):
+                return float(weighted(arrays[:i] + [a] + arrays[i + 1 :])[2])
+
+            assert max_rel_err(tape.grad(tensor), numerical_grad(f, arrays[i])) < 1e-6, i
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ga.GaussianParams(mu=T.Tensor([0.0]), var=T.Tensor([0.0]))
         with pytest.raises(ValueError):
             ga.GaussianParams(mu=T.Tensor([0.0, 1.0]), var=T.Tensor([1.0]))
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+def kl_through_the_head(kl_fn, enc_shape):
+    """A weighted KL of the gated posterior against its own prior: its value, the gradients of its four inputs, and those of every head array and the encoding.
+
+    The prior mean ``prior_b_mu`` also feeds the posterior mean, as in a model.
+    """
+    rng = np.random.default_rng(16)
+    head = make_head(rng, 5, 3)
+    enc = T.Tensor(rng.normal(size=enc_shape))
+    weights = T.Tensor(rng.normal(size=enc_shape[:-1]) + 2.0)
+    with T.Tape() as tape:
+        post, prior = posterior(head, enc), ga.prior_forward(head)
+        value = kl_fn(post, prior)
+        tape.backward(T.sum_all(T.mul(value, weights)))
+    inputs = (post.mu, post.var, prior.mu, prior.var)
+    return value.data, [tape.grad(t) for t in inputs + tuple(vars(head).values()) + (enc,)]
+
+
+@pytest.mark.parametrize("enc_shape", [(3,), (6, 3)])
+def test_kl_op_is_bit_identical_to_the_elementwise_chain(enc_shape):
+    """One (G,) posterior or (B, G) rows against a (G,) prior: value and all gradients, bit for bit."""
+    value, grads = kl_through_the_head(ga.kl, enc_shape)
+    expected_value, expected_grads = kl_through_the_head(oracle_kl, enc_shape)
+    assert value.shape == enc_shape[:-1]
+    assert_bits_equal(value, expected_value)
+    for grad, expected in zip(grads, expected_grads):
+        assert_bits_equal(grad, expected)
+    assert np.any(grads[2] != 0.0)

@@ -87,10 +87,10 @@ class TestDecode:
         with T.Tape() as tape:
             z = T.Tensor(z_arr)
             logp = word_logprobs(model, z)
-            tape.backward(T.sum_last(T.mul(T.Tensor(weights), logp)))
+            tape.backward(T.sum_all(T.mul(T.Tensor(weights), logp)))
         assert abs(np.exp(logp.data).sum() - 1.0) < 1e-12
         num = numerical_grad(
-            lambda a: float(T.sum_last(T.mul(T.Tensor(weights), word_logprobs(model, T.Tensor(a))))), z_arr
+            lambda a: float(T.sum_all(T.mul(T.Tensor(weights), word_logprobs(model, T.Tensor(a))))), z_arr
         )
         assert max_rel_err(tape.grad(z), num) < 1e-6
         # Weights as counts: the likelihood of one latent vector is the weighted sum of its log-probabilities.

@@ -1,4 +1,8 @@
-"""Every function and method in ``src/pwvae`` has a caller in ``src/``: no API that only tests call."""
+"""Every function and method in ``src/pwvae`` has a caller in ``src/``: no API that only tests call.
+
+Every name a module exports in ``__all__`` is also defined there, so a
+deleted definition cannot linger as a stale export.
+"""
 
 import ast
 from pathlib import Path
@@ -48,3 +52,29 @@ def test_every_allowed_definition_still_exists_without_a_reference():
     defined, referenced = _definitions_and_references()
     assert ALLOWED <= set(defined)
     assert not {name for _, name in ALLOWED} & referenced
+
+
+def _exports_and_bindings(tree):
+    """The strings in a module's top-level ``__all__``, and every name its top level binds."""
+    exports, bound = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exports = [ast.literal_eval(element) for element in node.value.elts]
+    return exports, bound
+
+
+def test_every_exported_name_is_defined():
+    stale = set()
+    for path in sorted(SRC.glob("*.py")):
+        exports, bound = _exports_and_bindings(ast.parse(path.read_text(encoding="utf-8")))
+        stale |= {(path.stem, name) for name in exports if name not in bound}
+    assert stale == set(), "named in __all__ but defined nowhere in the module"
+
