@@ -9,6 +9,8 @@ writes per-document posterior means (Gaussian means plus closed-form
 piecewise means) for external projection tools.  Both run documents as
 rows, ``EVAL_BLOCK`` at a time; a row's KL depends only on its own input
 row, so one backward pass per block and family gives every gradient.
+That pass computes only its own family's posterior, against a prior
+built once per call outside every tape.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import gaussian, piecewise
 from .corpus import Corpus
 from .evaluation import EVAL_BLOCK
 from .nvdm import NvdmModel, amortized_posterior, encode, priors
-from .tensor import Tape, Tensor, sum_all
+from .tensor import Tape, Tensor, affine, sum_all
 
 __all__ = ["UnknownTokenError", "word_neighbors", "kl_sensitivity", "export_posterior_means"]
 
@@ -64,12 +66,12 @@ def word_neighbors(model: NvdmModel, vocab, query: str, k: int):
     return [(tokens[i], float(dist[i])) for i in order[:k]]
 
 
-def _family_kl_node(model: NvdmModel, enc, family: str):
-    gauss_prior, a_prior = priors(model)
-    post = amortized_posterior(model, enc)
+def _family_kl_node(model: NvdmModel, enc, family: str, prior):
+    """The (B,) KL rows of one latent family at encoding rows ``enc``, against that family's ``prior``."""
     if family == "gaussian":
-        return gaussian.kl(gaussian.from_raw(post["gauss_mu"], post["gauss_raw_sigma"]), gauss_prior)
-    return piecewise.kl_between(piecewise.head_forward(post["piece_raw_a"]), a_prior, model.piece_dims, model.n_pieces)
+        return gaussian.kl(gaussian.from_raw(*gaussian.posterior_forward(model.gaussian_head(), enc)), prior)
+    piece_raw_a = affine(enc, model.params["p_post_w_a"], model.params["p_post_b_a"])
+    return piecewise.kl_between(piecewise.head_forward(piece_raw_a), prior, model.piece_dims, model.n_pieces)
 
 
 def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
@@ -84,11 +86,13 @@ def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
-    families = []
+    # Both priors once per call and outside every tape: their gradients are never read.
+    gauss_prior, a_prior = priors(model)
+    families = {}
     if model.gauss_dims > 0:
-        families.append("gaussian")
+        families["gaussian"] = gauss_prior
     if model.piece_dims > 0:
-        families.append("piecewise")
+        families["piecewise"] = a_prior
     counts = {
         "gaussian": np.zeros(model.vocab_size, dtype=np.int64),
         "piecewise": np.zeros(model.vocab_size, dtype=np.int64),
@@ -96,9 +100,9 @@ def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
     for lo in range(0, len(corpus), EVAL_BLOCK):
         docs = corpus.docs[lo : lo + EVAL_BLOCK]
         x = Tensor(corpus.dense(docs))
-        for family in families:
+        for family, prior in families.items():
             with Tape() as tape:
-                tape.backward(sum_all(_family_kl_node(model, encode(model, x), family)))
+                tape.backward(sum_all(_family_kl_node(model, encode(model, x), family, prior)))
                 g = tape.grad(x)
             for row, doc in zip(g, docs):
                 present = doc.term_ids

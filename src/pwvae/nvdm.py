@@ -3,7 +3,16 @@
 Three variants share one architecture: a two-layer bag-of-words encoder,
 latent heads producing prior/posterior parameters, and a softmax word
 decoder with logits b - R z (one taped ``affine``), whose count-weighted
-log-likelihood (``decode_logprob``) is one taped op.  Variant "g" uses
+log-likelihood (``decode_logprob``) is one taped op.  In evaluation and
+refinement the decoder's forward multiplies latent rows by
+``dec_r.transposed()``, the C-contiguous copy of R^T that the weight
+keeps, which BLAS multiplies about twice as fast as the transposed view
+when there are few rows, as in iterative inference; a new weight
+(``NvdmModel.replaced``) is a new tensor with its own copy.  A training
+step, whose weight decodes one batch, multiplies by the view.  The
+backward reads R itself.  For two or more rows the two layouts give the
+same logits at the benchmark's shapes; a single row can differ in the
+last bit (see ``tensor``).  Variant "g" uses
 Gaussian latent variables only, "p" piecewise constant only, and "h"
 both, sampled independently and concatenated (Gaussian dimensions first).
 
@@ -291,11 +300,16 @@ def encode(model: NvdmModel, x: Tensor) -> Tensor:
     return _activate(model, affine(h, model.params["enc_w1"], model.params["enc_b1"]), 1)
 
 
-def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
-    """Log-likelihood sum_w c_w log softmax(b - R z)_w of (V,) or (B, V) ``counts`` at a latent vector or (B, L) rows."""
+def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor, *, kept_transpose: bool = True) -> Tensor:
+    """Log-likelihood sum_w c_w log softmax(b - R z)_w of (V,) or (B, V) ``counts`` at a latent vector or (B, L) rows.
+
+    Under ``kept_transpose`` the forward multiplies by the transpose R
+    keeps (``Tensor.transposed``), otherwise by the transposed view; the
+    backward multiplies by R either way.
+    """
     if z.data.ndim not in (1, 2) or z.data.shape[-1] != model.latent_dim:
         raise ShapeError(f"decode: expected latent vectors of shape ({model.latent_dim},) or (B, {model.latent_dim}), got {z.data.shape}")
-    return multinomial_loglik(counts, affine(z, model.params["dec_r"], model.params["dec_b"], negate=True))
+    return multinomial_loglik(counts, affine(z, model.params["dec_r"], model.params["dec_b"], negate=True, kept_transpose=kept_transpose))
 
 
 def combine_latents(z_gauss: Tensor | None, z_piece: Tensor | None) -> Tensor:
@@ -399,15 +413,16 @@ def _check_documents(model: NvdmModel, corpus: Corpus, docs) -> None:
             raise ValueError(f"document {doc.doc_id!r} has no tokens")
 
 
-def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: float = 1.0) -> RowBounds:
+def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: float = 1.0, kept_transpose: bool = True) -> RowBounds:
     """Variational bounds of a batch of documents under the amortised posterior.
 
-    ``noises`` is ``draw_noises``' list of (B, dims) pairs, with one row per document.
+    ``noises`` is ``draw_noises``' list of (B, dims) pairs, with one row
+    per document.  ``kept_transpose`` is ``posterior_bound``'s.
     """
     _check_documents(model, corpus, docs)
     counts = corpus.dense_counts(docs)
     rows = amortized_posterior(model, encode(model, _wrap(corpus.dense(docs, counts=counts))))
-    return posterior_bound(model, _wrap(counts), priors=priors(model), kl_weight=kl_weight, noises=noises, **rows)
+    return posterior_bound(model, _wrap(counts), priors=priors(model), kl_weight=kl_weight, noises=noises, kept_transpose=kept_transpose, **rows)
 
 
 def elbo(
@@ -436,6 +451,7 @@ def posterior_bound(
     piece_raw_a: Tensor | None,
     kl_weight: float,
     noises,
+    kept_transpose: bool = True,
 ) -> RowBounds:
     """The one bound assembly: bounds of a batch of documents at the given posterior rows.
 
@@ -451,6 +467,11 @@ def posterior_bound(
     (eps_gauss, eps_piece) pair of (B, dims) rows per sample, with one row
     per document.  A mean over one sample and a KL weight of 1 are not
     multiplied out: the product would change no bit.
+
+    ``kept_transpose`` is ``decode_logprob``'s: the decoder's forward
+    multiplies by the copy of R^T that R keeps.  That pays when one
+    weight decodes many batches, as in evaluation and refinement.  A
+    training step, whose new weight decodes one batch, passes False.
     """
     gauss_prior, a_prior = priors
     gauss_post = gaussian.from_raw(gauss_mu, gauss_raw_sigma) if gauss_mu is not None else None
@@ -463,7 +484,7 @@ def posterior_bound(
             z01 = piecewise.sample_through(a_post, eps_p, model.piece_dims, model.n_pieces)
             z_p = scale_shift(z01, 2.0, -1.0)
         z = combine_latents(z_g, z_p)
-        term = decode_logprob(model, z, counts)
+        term = decode_logprob(model, z, counts, kept_transpose=kept_transpose)
         recon = term if recon is None else recon + term
     if len(noises) > 1:
         recon = recon * (1.0 / len(noises))

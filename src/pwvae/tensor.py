@@ -6,17 +6,38 @@ block every operation additionally records a backward rule; calling
 tensor that participated, visiting operations in exact reverse execution
 order.  Outside a tape the same functions are plain forward computations.
 A backward rule may defer an input gradient (``affine`` defers both of its
-products, the KL ops their prior-side gradients); the tape computes it
-only once it is needed, so a frozen weight, an input document or a prior
-built outside the tape costs nothing.
+products and a bias gradient that sums rows, the KL ops their prior-side
+gradients); the tape computes it only once it is needed, so a frozen
+weight or bias, an input document or a prior built outside the tape
+costs nothing.
 
 The tape keeps an input's first gradient as the array the rule returned
 and adds later gradients into it in place.  It copies that array first
-only when it may share memory with the output's gradient ``g`` (``add``
-and ``concat`` return ``g`` or views of it) or with another array the
-same rule returned, or when it is not a writable float64 array.  This is
-safe because of the rule ``custom_op`` states: a backward rule never
-captures, in a deferred closure, an array it also returns.
+when it is a view (``add`` and ``concat`` return ``g`` or views of it),
+is the output's gradient ``g`` or ``g``'s base, is returned again or viewed
+by another array the same rule returned, or is not a writable float64
+array.  These identity checks cost less than the copy they save, which
+``np.may_share_memory`` did not.  This is safe because of the rule
+``custom_op`` states: a backward rule never captures, in a deferred
+closure, an array it also returns.
+
+``affine`` computes rows x @ w.T.  It multiplies by the transposed view
+of w unless told to use ``kept_transpose``: then it multiplies by
+``w.transposed()``, a C-contiguous copy of w.T that the tensor builds
+on first use and keeps.  OpenBLAS reads the transposed view slowly when
+x has few rows: at the paper's decoder shape, (2000, 100), and 3 rows on
+one thread, the product took about twice as long as against the copy.
+The decoder's forward in evaluation and refinement
+(``nvdm.decode_logprob``) uses the copy.  A training step's decoder and
+the encoder keep the view: there the copy gained little, and a training
+step would pay for a copy of a weight it uses once.  The backward
+products g @ w and g.T @ x read w itself either way, so no gradient
+changes.  With numpy 2.4's OpenBLAS 0.3.31, the two layouts give the
+same bits for two or more rows at the benchmark's decoder shapes,
+(2000, 100) and (200, 10).  One row (a vector x, or a (1, m) row) goes
+through numpy's matrix-vector product, where they can differ in the
+last bit, and so can some other shapes, e.g. (20, k) weights for
+k >= 16, and (200, k) for k >= 32 with at most 6 rows.
 
 Row convention: a batch of documents is a (B, n) matrix with one document
 per row, and a single document is either an (n,) vector or a (1, n) row.
@@ -72,7 +93,7 @@ class TapeError(RuntimeError):
 class Tensor:
     """Immutable dense array of 64-bit floats."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_transposed")
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64)
@@ -90,6 +111,20 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
+
+    def transposed(self) -> np.ndarray:
+        """A read-only C-contiguous copy of this matrix's transpose, built on the first call and kept.
+
+        The tensor is immutable, so the copy can never go stale: a new
+        weight is a new tensor, which builds its own.
+        """
+        try:
+            return self._transposed
+        except AttributeError:
+            t = np.ascontiguousarray(self.data.T)
+            t.flags.writeable = False
+            self._transposed = t
+            return t
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -218,10 +253,16 @@ class Tape:
 
 
 def _owned(gi, g, returned) -> bool:
-    """Whether the tape may keep a rule's returned ``gi`` as its own: a writable float64 array sharing memory with neither ``g`` nor another array in ``returned``."""
-    if type(gi) is not np.ndarray or gi.dtype != np.float64 or not gi.flags.writeable or np.may_share_memory(gi, g):
+    """Whether the tape may keep a rule's returned ``gi`` as its own: a writable float64 array that owns its memory, and that neither ``g`` nor another array in ``returned`` is or views.
+
+    An array that owns its memory (``base`` is None) shares it only with
+    its views, whose ``base`` numpy sets to it.  So these identity checks
+    can stand in for ``np.may_share_memory``, which cost more than the
+    copy it saved.
+    """
+    if type(gi) is not np.ndarray or gi.base is not None or gi is g or g.base is gi or gi.dtype != np.float64 or not gi.flags.writeable:
         return False
-    return sum(1 for other in returned if isinstance(other, np.ndarray) and np.may_share_memory(gi, other)) == 1
+    return sum(1 for other in returned if other is gi or (type(other) is np.ndarray and other.base is gi)) == 1
 
 
 def custom_op(values, inputs, backward) -> Tensor:
@@ -233,11 +274,12 @@ def custom_op(values, inputs, backward) -> Tensor:
     calls only once that input's gradient is needed.
 
     The tape keeps a returned array as that input's gradient and may add
-    into it in place later; it copies first only an array that may share
-    memory with ``g`` or with another returned array.  So a rule never
-    captures, in a deferred closure, an array it also returns (``g``
-    itself excepted): the closure would read the array after the tape
-    has added into it.
+    into it in place later; it copies first an array that is a view, is
+    ``g`` or ``g``'s base, or that another returned array is or views.  A
+    deferred function's array is never copied, so it must be fresh.  And
+    a rule never captures, in a deferred closure, an array it also returns
+    (``g`` itself excepted): the closure would read the array after the
+    tape has added into it.
     """
     out = _wrap(np.asarray(values, dtype=np.float64))
     _record(out, tuple(inputs), backward)
@@ -302,24 +344,30 @@ def scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:
     return out
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor, *, negate: bool = False) -> Tensor:
+def affine(x: Tensor, w: Tensor, b: Tensor, *, negate: bool = False, kept_transpose: bool = False) -> Tensor:
     """w @ x + b, or b - w @ x under ``negate``, as one taped op.
 
     w is a (k, m) matrix, x a vector (m,) or rows (B, m), and b a (k,)
     bias.  The weight gradient is the single product g.T @ x over all rows.
+    Under ``kept_transpose`` the forward multiplies by ``w.transposed()``,
+    the C-contiguous copy of w.T that w keeps, instead of the transposed
+    view; the backward reads w itself either way.
     """
     wd, xd, bd = w.data, x.data, b.data
     if wd.ndim != 2 or xd.ndim not in (1, 2) or wd.shape[1] != xd.shape[-1]:
         raise ShapeError(f"affine: matrix {wd.shape} does not conform with input {xd.shape}")
-    product = xd @ wd.T
+    product = xd @ (w.transposed() if kept_transpose else wd.T)
     _check_broadcast(product.shape, bd.shape, "affine")
     out = _wrap(bd - product if negate else product + bd)
 
-    # Both products are deferred, so a frozen weight or an input document
-    # whose gradient nobody reads costs nothing.
+    # Both products, and a bias gradient that sums rows, are deferred, so a
+    # frozen model or an input document whose gradient nobody reads costs
+    # nothing.  A bias gradient that sums nothing is g or a view of it,
+    # which a deferred rule may not return, so it stays eager.
     def backward(g):
         gp = -g if negate else g
-        return (lambda: gp @ wd, lambda: np.atleast_2d(gp).T @ np.atleast_2d(xd), _unbroadcast(g, bd.shape))
+        gb = (lambda: _unbroadcast(g, bd.shape)) if g.size != bd.size else _unbroadcast(g, bd.shape)
+        return (lambda: gp @ wd, lambda: np.atleast_2d(gp).T @ np.atleast_2d(xd), gb)
 
     _record(out, (x, w, b), backward)
     return out

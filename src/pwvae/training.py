@@ -246,7 +246,8 @@ def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, se
     docs = [corpus.docs[di] for di in doc_indices]
     noises = _slot_noises(model, seed, step, slots)
     with Tape() as tape:
-        rows = batch_bound(model, corpus, docs, noises, kl_weight=w)
+        # This step's decoder weight decodes this batch alone: a kept transpose would cost a copy per step and save little.
+        rows = batch_bound(model, corpus, docs, noises, kl_weight=w, kept_transpose=False)
         tape.backward(rows.total)
         grads = {name: tape.grad(t) for name, t in model.named_parameters()}
     return grads, float(rows.total), float(rows.reconstruction.sum()), float(rows.kl_gaussian.sum()), float(rows.kl_piecewise.sum())

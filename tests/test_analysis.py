@@ -96,6 +96,23 @@ class TestKlSensitivity:
             analysis.kl_sensitivity(model_for(corpus, variant="h"), corpus, top_m=top_m)
 
 
+    def test_priors_once_per_call_and_one_family_per_pass(self, monkeypatch):
+        """An H model over two blocks: one Gaussian prior per call, and one Gaussian posterior per block, from the Gaussian pass alone."""
+        corpus = cio.make_synthetic_bimodal(analysis.EVAL_BLOCK + 9, 12, seed=4)
+        model = model_for(corpus, variant="h", seed=5)
+        calls = {"prior_forward": 0, "posterior_forward": 0}
+        for name in calls:
+            original = getattr(gaussian, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(gaussian, name, counting)
+        analysis.kl_sensitivity(model, corpus, top_m=2)
+        assert calls == {"prior_forward": 1, "posterior_forward": 2}
+
+
 class TestExportMeans:
     def test_uniform_posterior_exports_half(self, corpus, tmp_path):
         model = model_for(corpus, variant="p", seed=5)

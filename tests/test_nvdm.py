@@ -97,6 +97,157 @@ class TestDecode:
         assert nvdm.decode_logprob(model, T.Tensor(z_arr), T.Tensor(weights)).item() == pytest.approx(float(weights @ logp.data), rel=1e-12)
 
 
+# (vocabulary, Gaussian dims, piecewise dims) of the two benchmark workloads' decoders: paper-h and tiny-p.
+DECODER_SHAPES = {"paper-h": (2000, 50, 50), "tiny-p": (200, 0, 10)}
+
+
+def decoder_model(shape, seed):
+    vocab, gauss_dims, piece_dims = DECODER_SHAPES[shape]
+    model = nvdm.init_model("h" if gauss_dims else "p", vocab, hidden=4, gauss_dims=gauss_dims, piece_dims=piece_dims, seed=seed)
+    rng = np.random.default_rng(seed)
+    return model.replaced({"dec_r": rng.normal(0.0, 0.3, (vocab, model.latent_dim)), "dec_b": rng.normal(0.0, 0.3, vocab)})
+
+
+def decoder_inputs(model, rows, seed):
+    """Latent rows (a vector for ``rows=None``) and matching word counts."""
+    rng = np.random.default_rng(seed)
+    shape = (model.latent_dim,) if rows is None else (rows, model.latent_dim)
+    counts = rng.poisson(0.05, shape[:-1] + (model.vocab_size,)).astype(np.float64)
+    return rng.normal(size=shape), counts
+
+
+def reference_decode(model, z, counts, *, kept_transpose=False):
+    """``decode_logprob`` with the bias subtracted by ``sub``, so its gradient is summed eagerly; by default over the transposed view.
+
+    Adding a zero bias changes no bit, so under the same ``kept_transpose``
+    the logits equal ``decode_logprob``'s on any build.
+    """
+    product = T.affine(z, model.params["dec_r"], T.Tensor(np.zeros(model.vocab_size)), kept_transpose=kept_transpose)
+    return T.multinomial_loglik(counts, T.sub(model.params["dec_b"], product))
+
+
+class TestDecoderLayout:
+    """The decoder's forward multiplies by the transpose ``dec_r`` keeps; its backward reads ``dec_r`` itself.
+
+    At both workload shapes the two layouts agree bit for bit for two or
+    more rows, on the build these tests were written with; the checks
+    allow 1e-13, since which BLAS kernel runs differs between builds.
+    """
+
+    @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
+    @pytest.mark.parametrize("rows", [2, 3, 20, 25, 64])
+    def test_logits_and_bounds_match_the_plain_product(self, shape, rows):
+        model = decoder_model(shape, seed=rows)
+        z, counts = decoder_inputs(model, rows, seed=rows + 1)
+        r, b = model.params["dec_r"], model.params["dec_b"]
+        logits = T.affine(T.Tensor(z), r, b, negate=True, kept_transpose=True).data
+        expected = b.data - z @ r.data.T
+        np.testing.assert_allclose(logits, expected, rtol=1e-13, atol=0)
+        bound = nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts)).data
+        np.testing.assert_allclose(bound, T.multinomial_loglik(T.Tensor(counts), T.Tensor(expected)).data, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
+    @pytest.mark.parametrize("as_row", [False, True])
+    def test_one_row_matches_within_rounding(self, shape, as_row):
+        """numpy multiplies one row by a matrix-vector product, where the two layouts can differ in the last bit."""
+        model = decoder_model(shape, seed=1)
+        z, counts = decoder_inputs(model, None, seed=2)
+        if as_row:
+            z, counts = z[None, :], counts[None, :]
+        got = nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts)).data
+        np.testing.assert_allclose(got, reference_decode(model, T.Tensor(z), T.Tensor(counts)).data, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
+    def test_backward_reads_the_weight_in_both_layouts(self, shape):
+        """Under one upstream gradient the ``z``, ``dec_r`` and ``dec_b`` gradients of both layouts are the same bits, on any build."""
+        model = decoder_model(shape, seed=3)
+        z_arr, _ = decoder_inputs(model, 3, seed=4)
+        weights = T.Tensor(np.random.default_rng(5).normal(size=(3, model.vocab_size)))
+        r, b = model.params["dec_r"], model.params["dec_b"]
+        grads = []
+        for kept in (True, False):
+            z = T.Tensor(z_arr)
+            with T.Tape() as tape:
+                tape.backward(T.sum_all(T.mul(weights, T.affine(z, r, b, negate=True, kept_transpose=kept))))
+            grads.append([tape.grad(t) for t in (z, r, b)])
+        for got, want in zip(*grads):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
+    def test_gradients_equal_the_plain_layout_bit_for_bit(self, shape):
+        """Through the likelihood the gradients are the same bits wherever the logits are, as at these shapes on the build the tests were written with."""
+        model = decoder_model(shape, seed=3)
+        z_arr, counts_arr = decoder_inputs(model, 3, seed=4)
+        r, b = model.params["dec_r"], model.params["dec_b"]
+        same_logits = T.affine(T.Tensor(z_arr), r, b, negate=True, kept_transpose=True).data.tobytes() == (b.data - z_arr @ r.data.T).tobytes()
+        runs = []
+        for decode in (nvdm.decode_logprob, reference_decode):
+            z = T.Tensor(z_arr)
+            with T.Tape() as tape:
+                tape.backward(T.sum_all(decode(model, z, T.Tensor(counts_arr))))
+            runs.append([tape.grad(t) for t in (z, r, b)])
+        for got, want in zip(*runs):
+            if same_logits:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+
+    def test_kept_transpose_is_read_only_and_kept(self):
+        model = decoder_model("tiny-p", seed=5)
+        r = model.params["dec_r"]
+        kept = r.transposed()
+        assert kept is r.transposed()
+        assert kept.flags.c_contiguous and not kept.flags.writeable
+        np.testing.assert_array_equal(kept, r.data.T)
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1.0
+
+    def test_replaced_model_reads_its_own_transpose(self):
+        model = decoder_model("tiny-p", seed=6)
+        z, counts = decoder_inputs(model, 3, seed=7)
+        nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts))  # keeps the old weight's transpose
+        old = model.params["dec_r"].transposed()
+        new_r = np.random.default_rng(8).normal(0.0, 0.3, model.params["dec_r"].data.shape)
+        replaced = model.replaced({"dec_r": new_r})
+        got = nvdm.decode_logprob(replaced, T.Tensor(z), T.Tensor(counts)).data
+        np.testing.assert_allclose(got, reference_decode(replaced, T.Tensor(z), T.Tensor(counts)).data, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(replaced.params["dec_r"].transposed(), new_r.T)
+        assert model.params["dec_r"].transposed() is old
+
+    def test_bias_gradient_is_deferred_until_read(self, monkeypatch):
+        """After a refinement-shaped backward (posterior rows moved, model and priors frozen) nothing has summed the bias gradient's rows."""
+        model = randomized(nvdm.init_model("h", 23, hidden=4, gauss_dims=3, piece_dims=2, seed=9), seed=10)
+        rng = np.random.default_rng(11)
+        counts = T.Tensor(rng.poisson(1.0, (3, 23)).astype(np.float64))
+        rows = dict(gauss_mu=rng.normal(size=(3, 3)), gauss_raw_sigma=rng.normal(size=(3, 3)), piece_raw_a=rng.normal(size=(3, 6)))
+        noises = nvdm.draw_noises(model, 1, nvdm.noise_keys(12, [1, 2, 3]))  # a refinement step draws one sample
+        prior = nvdm.priors(model)
+        calls = []
+        unbroadcast = T._unbroadcast
+
+        def counting(g, shape):
+            calls.append(shape)
+            return unbroadcast(g, shape)
+
+        def bias_gradient(decode):
+            with monkeypatch.context() as patch:
+                patch.setattr(nvdm, "decode_logprob", decode)
+                patch.setattr(T, "_unbroadcast", counting)
+                calls.clear()
+                with T.Tape() as tape:
+                    tensors = {name: T.Tensor(values) for name, values in rows.items()}
+                    bound = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noises=noises, **tensors)
+                    tape.backward(bound.total)
+                before = calls.count((23,))
+                return before, tape.grad(model.params["dec_b"]), calls.count((23,))
+
+        before, deferred, after = bias_gradient(nvdm.decode_logprob)
+        assert (before, after) == (0, 1)
+        eager_before, eager, _ = bias_gradient(reference_decode)
+        assert eager_before == 1  # summed at backward time
+        assert deferred.tobytes() == eager.tobytes()
+
+
 class TestCombineLatents:
     def test_concatenation_order(self):
         out = nvdm.combine_latents(T.Tensor([1.0, 2.0]), T.Tensor([-0.5]))

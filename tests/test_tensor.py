@@ -448,6 +448,32 @@ class TestTapeAliasing:
         # d/dx = 2 (2a + 2) + 1 with a = 2x, and d/dy = -(2b + 2) + 1 with b = -y.
         self.check(build, [x, y], [8.0 * x + 5.0, 2.0 * y - 1.0], monkeypatch)
 
+    @pytest.mark.parametrize("with_base", [False, True])
+    def test_reshaped_view_of_a_fresh_array(self, with_base, monkeypatch):
+        """u = x + y for (2, 3) x and (6,) y by a rule that returns a fresh array reshaped for y, and under ``with_base`` the fresh array itself for x; both gradients are then added into."""
+        rng = np.random.default_rng(33)
+        x, y = rng.normal(size=(2, 3)), rng.normal(size=6)
+
+        def rule(g):
+            h = g * 1.0
+            return (h if with_base else g * 1.0), h.reshape(6)
+
+        def build(xt, yt):
+            squares = T.add(T.sum_all(T.mul(xt, xt)), T.sum_all(T.mul(yt, yt)))
+            return T.add(squares, T.sum_all(T.custom_op(xt.data + yt.data.reshape(2, 3), (xt, yt), rule)))
+
+        self.check(build, [x, y], [2.0 * x + 1.0, 2.0 * y + 1.0], monkeypatch)
+
+    def test_one_row_bias_gradient_is_a_view_of_g(self, monkeypatch):
+        """``affine`` of one (1, m) row returns g reshaped as the bias gradient, and its deferred input products read g; the bias's later gradient must not reach g."""
+        rng = np.random.default_rng(34)
+        x, w, b = rng.normal(size=(1, 2)), rng.normal(size=(3, 2)), rng.normal(size=3)
+
+        def build(xt, wt, bt):
+            return T.add(T.sum_all(T.mul(bt, bt)), T.sum_all(T.affine(xt, wt, bt)))
+
+        self.check(build, [x, w, b], [w.sum(axis=0, keepdims=True), np.ones((3, 1)) * x, 2.0 * b + 1.0], monkeypatch)
+
     @pytest.mark.parametrize("deferred_last", [True, False])
     def test_deferred_and_eager_gradients_accumulate_into_one_tensor(self, deferred_last, monkeypatch):
         """The weight's deferred ``affine`` product and an eager ``mul`` gradient, in either tape order."""

@@ -502,6 +502,18 @@ class TestBatchedShard:
             np.testing.assert_allclose(backward[0][name], forward[0][name], rtol=1e-10, atol=1e-13, err_msg=name)
 
 
+    def test_a_step_keeps_no_decoder_transpose(self, small_corpus, monkeypatch):
+        """A training step's decoder weight decodes one batch, so its forward multiplies by the transposed view and builds no copy."""
+        train_c, _ = small_corpus
+        model = randomized(nvdm.init_model("h", 20, hidden=5, seed=46, **VARIANT_DIMS["h"]), seed=47)
+
+        def refuse(self):
+            raise AssertionError("a training step built a kept transpose")
+
+        monkeypatch.setattr(Tensor, "transposed", refuse)
+        training._shard_gradients(model, train_c, list(range(10)), 1.0, 48, 0, list(range(10)))
+
+
 class TestTrainedDigests:
     """A seeded short ``train`` and a 10-sample ``evaluate`` of its model, pinned by digest."""
 
