@@ -66,7 +66,11 @@ def _read_config_file(path: str) -> dict:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_FIELDS:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _CONFIG_FIELDS[key](raw)
+            kind = _CONFIG_FIELDS[key]
+            try:
+                values[key] = kind(raw)
+            except ValueError:
+                raise UsageError(f"{path}:{lineno}: {key} expects {kind.__name__}, got {raw!r}") from None
     return values
 
 

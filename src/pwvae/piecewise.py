@@ -16,6 +16,22 @@ probability of drawing a value exactly at a changing point is zero, so
 only the active segment's expression is differentiated.  A noise value
 landing exactly on a cumulative-mass boundary selects the right-adjacent
 segment, consistent with the half-open convention.
+
+The sampler's kernels work one piece at a time across all rows, since
+the pieces axis is short (3 or 10) and numpy's per-row cost of
+``np.cumsum``, boolean row sums and 2-D fancy indexing dominated them.
+They take S noise values per distribution, so the S posterior samples
+of a batch are drawn in one call that builds each row's running sums
+once.  ``_active_segment`` builds them with one column add per piece:
+the same sequential adds ``np.cumsum`` makes, so every sum, and every
+draw and gradient built from them, keeps its bits.  It picks each
+draw's active weight and preceding sum through flat indices, and
+``_sample_grad`` lays out its gradient as (pieces, samples, rows) from
+two per-draw values and one scatter.  Their float temporaries are
+(pieces, rows) or (samples, rows); only a boolean comparison and the
+taped gradient have all three axes.  ``kl_between`` keeps its
+row sums: from 8 pieces up numpy sums a row pairwise, an order a
+column-by-column fold would not reproduce.
 """
 
 from __future__ import annotations
@@ -53,14 +69,24 @@ def pdf_rows(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _active_segment(a: np.ndarray, eps: np.ndarray):
-    """Per row: the segment that noise eps selects, its weight, the weight before it, the total."""
-    cum = np.cumsum(a, axis=1)
-    total = cum[:, -1]
-    bounds = cum / total[:, None]
-    idx = np.minimum(np.sum(bounds <= eps[:, None], axis=1), a.shape[1] - 1)
-    rows = np.arange(a.shape[0])
-    prev = np.where(idx > 0, cum[rows, np.maximum(idx - 1, 0)], 0.0)
-    return idx, a[rows, idx], prev, total
+    """The segment that noise selects, its weight, the sum of the weights before it, and the total.
+
+    ``a`` is (m, n), one distribution per row, and ``eps`` (S, m): S
+    noise values for every row.  Each row's running sums are built once,
+    whatever S; cum[k] holds every row's sum of its first k weights.  A
+    bound is compared as cum[k] / total, and only the first n-1 are: the
+    last is 1, and noise at 1 still selects the last segment.  Returns
+    (S, m) segments, weights and preceding sums, and the (m,) totals.
+    """
+    m, n = a.shape
+    cum = np.empty((n + 1, m))
+    cum[0] = 0.0
+    for k in range(n):
+        np.add(cum[k], a[:, k], out=cum[k + 1])
+    total = cum[n]
+    idx = (cum[1:n, None] / total <= eps).sum(axis=0)
+    rows = np.arange(m)
+    return idx, a.reshape(-1)[rows * n + idx], cum.reshape(-1)[idx * m + rows], total
 
 
 def _inverse_cdf(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
@@ -72,14 +98,12 @@ def _inverse_cdf(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
 
 
 def _sample_grad(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
+    """d z / d a as an (n, S, m) array: [:, s, r] is the gradient of row r's draw at eps[s, r], with its active segment's entry scattered in."""
     idx, a_sel, prev, total = segment
     n = a.shape[1]
-    cols = np.arange(n)[None, :]
-    before = cols < idx[:, None]
-    after = cols > idx[:, None]
-    grad = np.where(before, (eps - 1.0)[:, None], np.where(after, eps[:, None], 0.0))
-    grad = grad / (n * a_sel)[:, None]
-    grad[np.arange(a.shape[0]), idx] = (eps * (a_sel - total) + prev) / (n * a_sel * a_sel)
+    denom = n * a_sel
+    grad = np.where(np.arange(n)[:, None, None] < idx, (eps - 1.0) / denom, eps / denom)
+    grad.reshape(-1)[idx * idx.size + np.arange(idx.size).reshape(idx.shape)] = (eps * (a_sel - total) + prev) / (n * a_sel * a_sel)
     return grad
 
 
@@ -109,25 +133,35 @@ def head_forward(raw: Tensor) -> Tensor:
 def sample_through(a_flat: Tensor, eps: np.ndarray, dims: int, pieces: int) -> Tensor:
     """Inverse-CDF samples for each latent dimension, differentiable in the weights.
 
-    ``a_flat`` is one (dims*pieces,) weight vector or (B, dims*pieces)
-    rows, and ``eps`` the fixed uniform noise of matching shape (dims,) or
-    (B, dims).  Every (row, dimension) pair becomes one row of the
-    vectorised core.  The noise values are captured for the backward rule,
-    which applies the exact derivative of the active segment's expression
-    and zero for segment selection.
+    ``a_flat`` is one (dims*pieces,) weight vector with (dims,) noise
+    ``eps``, or (B, dims*pieces) rows with (S*B, dims) noise: S blocks of
+    B rows, block s holding every row's s-th sample.  Every (row,
+    dimension) pair becomes one row of the core, which reads its weights
+    once for all S samples.  The noise values are captured for the
+    backward rule, which applies the exact derivative of the active
+    segment's expression and zero for segment selection.  Like
+    ``tile_rows``, the rule hands the weights one gradient per block, the
+    last block's first, so they add up as under S separate calls.
     """
-    a = a_flat.data.reshape(-1, pieces)
+    shape = a_flat.data.shape
     eps = np.array(eps, dtype=np.float64)
-    if eps.shape != a_flat.data.shape[:-1] + (dims,):
-        raise ValueError(f"sample_through: noise shape {eps.shape} does not match weights {a_flat.data.shape}")
-    flat_eps = eps.reshape(-1)
-    segment = _active_segment(a, flat_eps)
-    z = _inverse_cdf(a, flat_eps, segment).reshape(eps.shape)
+    if len(shape) == 1:
+        samples, expected = 1, (dims,)
+    else:
+        samples = len(eps) // shape[0] if eps.ndim == 2 else 0
+        expected = (samples * shape[0], dims)
+    if samples < 1 or eps.shape != expected:
+        raise ValueError(f"sample_through: noise shape {eps.shape} does not match weights {shape}")
+    a = a_flat.data.reshape(-1, pieces)
+    noise = eps.reshape(samples, -1)
+    segment = _active_segment(a, noise)
+    z = _inverse_cdf(a, noise, segment).reshape(eps.shape)
 
     def backward(g):
-        return ((g.reshape(-1, 1) * _sample_grad(a, flat_eps, segment)).reshape(a_flat.data.shape),)
+        grad = g.reshape(samples, -1) * _sample_grad(a, noise, segment)
+        return tuple(grad[:, s].T.reshape(shape) for s in reversed(range(samples)))
 
-    return custom_op(z, (a_flat,), backward)
+    return custom_op(z, (a_flat,) * samples, backward)
 
 
 def kl_between(post_flat: Tensor, prior_flat: Tensor, dims: int, pieces: int) -> Tensor:

@@ -47,6 +47,9 @@ gradient of a whole batch is one product ``g.T @ x``;
 ``add``, ``sub``, ``mul``, ``div`` and ``prelu`` an operand whose shape is
 the trailing shape of the other (a (n,) parameter against (B, n) rows) is
 broadcast, and its gradient is summed over the broadcast axes.
+``tile_rows`` stacks S copies of rows, and ``row_block`` takes a block of
+rows back out; their gradients add the same arrays in the same order as
+S separate uses of the rows would, so they keep every bit.
 
 Tensors are immutable once created and a tape is rebuilt for every
 forward pass, so independent tapes may run concurrently over disjoint
@@ -73,6 +76,8 @@ __all__ = [
     "affine",
     "sum_all",
     "concat",
+    "tile_rows",
+    "row_block",
     "exp_clamped",
     "sqrt",
     "softplus",
@@ -387,6 +392,43 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     na = a.data.shape[-1]
     out = _wrap(np.concatenate([a.data, b.data], axis=-1))
     _record(out, (a, b), lambda g: (g[..., :na], g[..., na:]))
+    return out
+
+
+def tile_rows(x: Tensor, reps: int) -> Tensor:
+    """``reps`` copies of (B, n) rows stacked into (reps * B, n); x itself when ``reps`` is 1.
+
+    The backward hands x one block of g per copy, the last copy's first:
+    the order in which a tape reaches ``reps`` separate uses of x, last
+    use first.  So x's gradient adds the same arrays in the same order as
+    under separate uses, and keeps their bits.
+    """
+    if reps == 1:
+        return x
+    xd = x.data
+    if xd.ndim != 2:
+        raise ShapeError(f"tile_rows: expected (B, n) rows, got shape {xd.shape}")
+    b = xd.shape[0]
+    out = _wrap(np.tile(xd, (reps, 1)))
+    _record(out, (x,) * reps, lambda g: tuple(g[s * b : (s + 1) * b] for s in reversed(range(reps))))
+    return out
+
+
+def row_block(x: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows lo:hi of x as one taped op; x itself when that is every row."""
+    xd = x.data
+    if lo == 0 and hi == xd.shape[0]:
+        return x
+    out = _wrap(xd[lo:hi])
+
+    def backward(g):
+        # -0.0 is the additive identity, so summing the blocks of several
+        # row_block calls keeps every bit of each, the sign of a zero too.
+        grad = np.full(xd.shape, -0.0)
+        grad[lo:hi] = g
+        return (grad,)
+
+    _record(out, (x,), backward)
     return out
 
 

@@ -1,7 +1,12 @@
-"""Test-side piecewise helpers: a CDF oracle, draws and their weight gradients through ``sample_through``, and KL values through ``kl_between``.
+"""Test-side piecewise helpers: a CDF oracle, the row-wise sampling kernels, draws and their weight gradients through ``sample_through``, and KL values through ``kl_between``.
 
 ``a`` is a (d, n) array of positive weights, one distribution per row,
 and ``z`` or ``eps`` one point or noise value per row.
+
+``active_segment_rows``, ``inverse_cdf_rows`` and ``sample_grad_rows``
+are the sampler's earlier kernels, which worked row by row with
+``np.cumsum``, boolean sums and 2-D fancy indexing.  ``piecewise``'s
+pieces-axis kernels must reproduce them bit for bit.
 """
 
 import numpy as np
@@ -19,6 +24,39 @@ def cdf_rows(a, z):
     prev = np.where(idx > 0, cum[rows, np.maximum(idx - 1, 0)], 0.0)
     val = (prev + n * (z - idx / n) * a[rows, idx]) / cum[:, -1]
     return np.where(z >= 1.0, 1.0, np.where(z <= 0.0, 0.0, val))
+
+
+def active_segment_rows(a, eps):
+    """Per row: the segment that eps selects, its weight, the sum of the weights before it, and the total."""
+    cum = np.cumsum(a, axis=1)
+    total = cum[:, -1]
+    bounds = cum / total[:, None]
+    idx = np.minimum(np.sum(bounds <= eps[:, None], axis=1), a.shape[1] - 1)
+    rows = np.arange(a.shape[0])
+    prev = np.where(idx > 0, cum[rows, np.maximum(idx - 1, 0)], 0.0)
+    return idx, a[rows, idx], prev, total
+
+
+def inverse_cdf_rows(a, eps):
+    """Inverse-CDF draws, one per row, on the row-wise segment search."""
+    idx, a_sel, prev, total = active_segment_rows(a, eps)
+    n = a.shape[1]
+    z = idx / n + (total * eps - prev) / (n * a_sel)
+    z = np.minimum(np.maximum(z, 0.0), 1.0)
+    return np.where(eps <= 0.0, 0.0, np.where(eps >= 1.0, 1.0, z))
+
+
+def sample_grad_rows(a, eps):
+    """(d, n) derivatives d z / d a of each row's draw, built row by row."""
+    idx, a_sel, prev, total = active_segment_rows(a, eps)
+    n = a.shape[1]
+    cols = np.arange(n)[None, :]
+    before = cols < idx[:, None]
+    after = cols > idx[:, None]
+    grad = np.where(before, (eps - 1.0)[:, None], np.where(after, eps[:, None], 0.0))
+    grad = grad / (n * a_sel)[:, None]
+    grad[np.arange(a.shape[0]), idx] = (eps * (a_sel - total) + prev) / (n * a_sel * a_sel)
+    return grad
 
 
 def draw_rows(a, eps):

@@ -48,6 +48,15 @@ def test_bad_config_value_exits_before_training(data, tmp_path, capsys):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("line, message", [("batch_size = abc", "batch_size expects int, got 'abc'"), ("learning_rate = fast", "learning_rate expects float, got 'fast'")])
+def test_config_value_that_does_not_parse_is_a_usage_error(data, tmp_path, capsys, line, message):
+    config = tmp_path / "train.cfg"
+    config.write_text(f"# settings\n{line}\n", encoding="utf-8")
+    assert cli.main(train_args(data, tmp_path, "g", "--config", str(config))) == cli.USAGE_ERROR
+    assert f"{config}:2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_explicit_dimensions_reach_the_model(data, tmp_path, capsys):
     flags = ("--gauss-dims", "2", "--piece-dims", "3", "--pieces", "4")
     assert cli.main(train_args(data, tmp_path, "h", *flags)) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwvae import corpus as cio
-from pwvae import nvdm
+from pwvae import gaussian, nvdm
 from pwvae import piecewise as pw
 from pwvae import tensor as T
 from pwvae.corpus import Corpus, Document
@@ -246,6 +246,80 @@ class TestDecoderLayout:
         eager_before, eager, _ = bias_gradient(reference_decode)
         assert eager_before == 1  # summed at backward time
         assert deferred.tobytes() == eager.tobytes()
+
+
+def per_sample_bound(model, counts, prior, rows, noises):
+    """``posterior_bound``'s taped bounds with one sampling pass per posterior sample, at kl_weight 1: the reference for its single pass."""
+    gauss_prior, a_prior = prior
+    gauss_post = gaussian.from_raw(rows["gauss_mu"], rows["gauss_raw_sigma"]) if "gauss_mu" in rows else None
+    a_post = pw.head_forward(rows["piece_raw_a"]) if "piece_raw_a" in rows else None
+    recon = None
+    for eps_g, eps_p in noises:
+        z_g = gaussian.sample_with_noise(gauss_post, eps_g) if gauss_post is not None else None
+        z_p = T.scale_shift(pw.sample_through(a_post, eps_p, model.piece_dims, model.n_pieces), 2.0, -1.0) if a_post is not None else None
+        term = nvdm.decode_logprob(model, nvdm.combine_latents(z_g, z_p), counts)
+        recon = term if recon is None else recon + term
+    if len(noises) > 1:
+        recon = recon * (1.0 / len(noises))
+    kl = [gaussian.kl(gauss_post, gauss_prior)] if gauss_post is not None else []
+    kl += [pw.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces)] if a_post is not None else []
+    return recon - (kl[0] if len(kl) == 1 else kl[0] + kl[1])
+
+
+# posterior_bound's row keywords of each variant.
+ROW_NAMES = {"g": ("gauss_mu", "gauss_raw_sigma"), "p": ("piece_raw_a",), "h": ("gauss_mu", "gauss_raw_sigma", "piece_raw_a")}
+
+
+def bound_case(variant, pieces, samples, docs, seed):
+    """A perturbed model, (docs, V) counts, its variant's posterior rows and ``samples`` noise samples."""
+    model = randomized(nvdm.init_model(variant, 23, hidden=4, gauss_dims=3, piece_dims=2, n_pieces=pieces, seed=seed), seed=seed + 1)
+    rng = np.random.default_rng(seed)
+    counts = T.Tensor(rng.poisson(1.0, (docs, 23)).astype(np.float64))
+    widths = {"gauss_mu": 3, "gauss_raw_sigma": 3, "piece_raw_a": 2 * pieces}
+    rows = {name: rng.normal(size=(docs, widths[name])) for name in ROW_NAMES[variant]}
+    return model, counts, rows, nvdm.draw_noises(model, samples, nvdm.noise_keys(seed, np.arange(docs)))
+
+
+class TestStackedSamples:
+    """All posterior samples are drawn in one pass and each is decoded alone; bounds and gradients keep the bits of one pass per sample."""
+
+    @pytest.mark.parametrize("variant, pieces", [("g", 3), ("p", 3), ("p", 10), ("h", 3), ("h", 10)])
+    @pytest.mark.parametrize("samples", [2, 5])
+    def test_taped_bound_equals_the_per_sample_loop(self, variant, pieces, samples):
+        model, counts, rows, noises = bound_case(variant, pieces, samples, docs=4, seed=samples * pieces)
+
+        def taped(bound):
+            with T.Tape() as tape:
+                leaves = {name: T.Tensor(values) for name, values in rows.items()}
+                bounds, total = bound(nvdm.priors(model), leaves)
+                tape.backward(total)
+            return bounds, [tape.grad(t) for t in leaves.values()] + [tape.grad(t) for _, t in model.named_parameters()]
+
+        def stacked(prior, leaves):
+            full = {name: leaves.get(name) for name in ROW_NAMES["h"]}
+            bound = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noises=noises, **full)
+            return bound.bounds, bound.total
+
+        def looped(prior, leaves):
+            bounds = per_sample_bound(model, counts, prior, leaves, noises)
+            return bounds.data, T.sum_all(bounds)
+
+        got, got_grads = taped(stacked)
+        want, want_grads = taped(looped)
+        assert got.tobytes() == want.tobytes()
+        for g, w in zip(got_grads, want_grads, strict=True):
+            assert g.tobytes() == w.tobytes()
+
+    def test_one_sample_records_no_extra_op(self):
+        """With one sample nothing is tiled or split: besides its final sum, ``posterior_bound`` records what one pass per sample records."""
+        model, counts, rows, noises = bound_case("h", 3, 1, docs=3, seed=5)
+        prior = nvdm.priors(model)
+        leaves = {name: T.Tensor(values) for name, values in rows.items()}
+        with T.Tape() as stacked:
+            nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noises=noises, **leaves)
+        with T.Tape() as looped:
+            per_sample_bound(model, counts, prior, leaves, noises)
+        assert len(stacked._records) == len(looped._records) + 1
 
 
 class TestCombineLatents:

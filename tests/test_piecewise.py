@@ -9,7 +9,7 @@ from pwvae import piecewise as pw
 from pwvae import tensor as T
 
 from gradcheck import max_rel_err, numerical_grad
-from piecewise_oracle import cdf_rows, draw_grad_rows, draw_rows, kl_grad_rows, kl_rows
+from piecewise_oracle import active_segment_rows, cdf_rows, draw_grad_rows, draw_rows, inverse_cdf_rows, kl_grad_rows, kl_rows, sample_grad_rows
 
 
 def random_params(rng, n):
@@ -161,6 +161,90 @@ class TestSampling:
             masses = a / a.sum()
             tv = 0.5 * np.abs(empirical - masses).sum()
             assert tv < 0.01
+
+
+def kernel_weights(rows, n, seed):
+    """(rows, n) weights with log-weights across [-CLAMP, CLAMP] and about a fifth of them at exactly e^±CLAMP."""
+    rng = np.random.default_rng(seed)
+    logs = rng.uniform(-pw.CLAMP, pw.CLAMP, (rows, n))
+    pinned = rng.random((rows, n)) < 0.2
+    logs[pinned] = rng.choice([-pw.CLAMP, pw.CLAMP], size=int(pinned.sum()))
+    return np.exp(logs)
+
+
+def kernel_noises(a, seed):
+    """Named (rows,) noise vectors: 0, 1 - 2^-53, exactly on a cumulative bound of each row, uniform, and all four mixed."""
+    rng = np.random.default_rng(seed)
+    rows, n = a.shape
+    cum = np.cumsum(a, axis=1)
+    on_bound = (cum / cum[:, -1:])[np.arange(rows), rng.integers(0, n - 1, rows)]
+    kinds = {"zero": np.zeros(rows), "top": np.full(rows, 1.0 - 2.0**-53), "on_bound": on_bound, "uniform": rng.random(rows)}
+    pick = rng.integers(0, len(kinds), rows)
+    kinds["mixed"] = np.choose(pick, list(kinds.values()))
+    return kinds
+
+
+class TestPiecesAxisKernels:
+    """The pieces-axis kernels equal the row-wise oracle kernels bit for bit.
+
+    Counts n around 8, where numpy's pairwise row sums change their
+    order, and row counts up to stacked evaluation's, with noise at the
+    ends of [0, 1) and exactly on cumulative bounds.  The kernels take
+    every noise kind at once, one sample each, and the oracle one at a
+    time.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 16])
+    @pytest.mark.parametrize("rows", [1, 2, 150, 1250, 5000])
+    def test_segment_draw_and_gradient_match_the_oracle(self, n, rows):
+        a = kernel_weights(rows, n, seed=n * rows)
+        kinds = kernel_noises(a, seed=n + rows)
+        eps = np.stack(list(kinds.values()))
+        segment = pw._active_segment(a, eps)
+        idx, a_sel, prev, total = segment
+        z = pw._inverse_cdf(a, eps, segment)
+        grad = pw._sample_grad(a, eps, segment)
+        assert grad.shape == (n, len(kinds), rows)
+        for s, kind in enumerate(kinds):
+            want = active_segment_rows(a, eps[s])
+            for got, expected in zip((idx[s], a_sel[s], prev[s], total), want):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), kind
+            assert z[s].tobytes() == inverse_cdf_rows(a, eps[s]).tobytes(), kind
+            assert np.ascontiguousarray(grad[:, s].T).tobytes() == sample_grad_rows(a, eps[s]).tobytes(), kind
+
+    def test_noise_on_a_bound_selects_the_right_segment(self):
+        a = np.array([[1.0, 3.0, 4.0], [2.0, 2.0, 4.0]])
+        idx, a_sel, prev, total = pw._active_segment(a, np.array([[0.5, 0.25]]))
+        np.testing.assert_array_equal(idx, [[2, 1]])
+        np.testing.assert_array_equal(a_sel, [[4.0, 2.0]])
+        np.testing.assert_array_equal(prev, [[4.0, 2.0]])
+        np.testing.assert_array_equal(total, [8.0, 8.0])
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_taped_draws_and_gradients_match_the_oracle(self, samples):
+        """``sample_through`` of (B, dims * pieces) rows under (samples * B, dims) noise, against the oracle kernels.
+
+        The weights' gradient adds the samples' terms last sample first,
+        as ``samples`` separate calls would.
+        """
+        a = kernel_weights(60, 10, seed=5)
+        blocks = [kernel_noises(a, seed=6 + s)["mixed"] for s in range(samples)]
+        g = np.random.default_rng(7).normal(size=(samples * 6, 10))
+        with T.Tape() as tape:
+            a_t = T.Tensor(a.reshape(6, 100))
+            z = pw.sample_through(a_t, np.concatenate([eps.reshape(6, 10) for eps in blocks]), 10, 10)
+            tape.backward(T.sum_all(T.mul(z, T.Tensor(g))))
+        terms = [(g[6 * s : 6 * s + 6].reshape(-1, 1) * sample_grad_rows(a, eps)).reshape(6, 100) for s, eps in enumerate(blocks)]
+        want = terms[-1].copy()
+        for term in terms[-2::-1]:
+            want += term
+        assert z.data.tobytes() == np.concatenate([inverse_cdf_rows(a, eps).reshape(6, 10) for eps in blocks]).tobytes()
+        assert tape.grad(a_t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 3), (13, 3), (12,), (6, 2)])
+    def test_noise_of_the_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="does not match weights"):
+            pw.sample_through(T.Tensor(np.ones((6, 6))), np.full(shape, 0.5), 3, 2)
 
 
 class TestSampleGrad:

@@ -271,6 +271,28 @@ class TestElementwiseAndReductions:
         num = fd_grad(T.scale_shift, [a], 0, scale=-2.5, shift=0.75)
         assert max_rel_err(ana, num) < 1e-6
 
+    def test_tile_rows_and_row_block_gradients(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(2, 3))
+        for reps in (1, 3):
+            weights = rng.normal(size=(2 * reps, 3))
+            tiled = lambda t: T.mul(T.tile_rows(t, reps), T.Tensor(weights))
+            np.testing.assert_array_equal(T.tile_rows(T.Tensor(x), reps).data, np.tile(x, (reps, 1)))
+            assert max_rel_err(taped_grad(tiled, x), fd_grad(tiled, [x], 0)) < 1e-6
+        block = lambda t: T.scale_shift(T.row_block(t, 1, 2), -2.0, 0.0)
+        np.testing.assert_array_equal(taped_grad(block, x), [[0.0] * 3, [-2.0] * 3])
+
+    def test_row_blocks_keep_the_sign_of_a_zero_gradient(self):
+        w = np.array([[-0.0, 1.0, 2.0], [3.0, -0.0, 4.0]])
+        split = lambda t: T.add(*(T.sum_all(T.mul(T.row_block(t, i, i + 1), T.Tensor(w[i : i + 1]))) for i in range(2)))
+        assert taped_grad(split, np.ones((2, 3))).tobytes() == w.tobytes()
+
+    def test_tile_rows_and_row_block_pass_every_row_through(self):
+        x = T.Tensor(np.ones((2, 3)))
+        assert T.tile_rows(x, 1) is x and T.row_block(x, 0, 2) is x
+        with pytest.raises(T.ShapeError, match="tile_rows"):
+            T.tile_rows(T.Tensor(np.ones(3)), 2)
+
     def test_shared_input_accumulates(self):
         # f(x) = x*x + 3x has gradient 2x + 3.
         x = T.Tensor([2.0])
@@ -473,6 +495,18 @@ class TestTapeAliasing:
             return T.add(T.sum_all(T.mul(bt, bt)), T.sum_all(T.affine(xt, wt, bt)))
 
         self.check(build, [x, w, b], [w.sum(axis=0, keepdims=True), np.ones((3, 1)) * x, 2.0 * b + 1.0], monkeypatch)
+
+    def test_tiled_rows_split_back_into_blocks(self, monkeypatch):
+        """``tile_rows`` hands one input several views of g, and each ``row_block`` a full-size array; x also gets x*x's gradient."""
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(2, 3))
+
+        def build(xt):
+            tiled = T.tile_rows(xt, 3)
+            blocks = [T.sum_all(T.scale_shift(T.row_block(tiled, 2 * s, 2 * s + 2), s + 1.0, 0.0)) for s in range(3)]
+            return T.add(T.sum_all(T.mul(xt, xt)), T.add(T.add(blocks[0], blocks[1]), blocks[2]))
+
+        self.check(build, [x], [2.0 * x + 6.0], monkeypatch)
 
     @pytest.mark.parametrize("deferred_last", [True, False])
     def test_deferred_and_eager_gradients_accumulate_into_one_tensor(self, deferred_last, monkeypatch):

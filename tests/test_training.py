@@ -517,25 +517,31 @@ class TestBatchedShard:
 class TestTrainedDigests:
     """A seeded short ``train`` and a 10-sample ``evaluate`` of its model, pinned by digest."""
 
+    # Keyed by (variant, transform, pieces).  Ten pieces is tiny-p's count,
+    # past the 8 at which numpy's row sums change their order.
     DIGESTS = {
-        ("g", "none"): "30215d7977999f6916432bebc458536002d4ff607a33ecaf5f88668001ec2675",
-        ("p", "none"): "21ac0788695e97d313857982c205914161f52070e5b9be45ec312691545a5269",
-        ("h", "none"): "9ac89f1b15266f24157cf1fd0124011102fe243ead5d3588caabdcdbbba9f703",
-        ("h", "log1p_tf"): "a558312157f9ff6d0c41480d0122a42abff395aa4c093ed4072621cee38059d1",
+        ("g", "none", 3): "30215d7977999f6916432bebc458536002d4ff607a33ecaf5f88668001ec2675",
+        ("p", "none", 3): "21ac0788695e97d313857982c205914161f52070e5b9be45ec312691545a5269",
+        ("p", "none", 10): "92e698d5f2eebf96dc469ffce82c097acc353ef3a2343ed639f44ec46be54316",
+        ("h", "none", 3): "9ac89f1b15266f24157cf1fd0124011102fe243ead5d3588caabdcdbbba9f703",
+        ("h", "log1p_tf", 3): "a558312157f9ff6d0c41480d0122a42abff395aa4c093ed4072621cee38059d1",
     }
 
-    @pytest.mark.parametrize("variant, transform", list(DIGESTS))
-    def test_trained_parameters_and_bounds_are_pinned(self, variant, transform):
+    # The 3-piece cases keep their ids from before pieces were a parameter.
+    CASES = [pytest.param(v, t, n, id=f"{v}-{t}" if n == 3 else f"{v}-{t}-{n}pieces") for v, t, n in DIGESTS]
+
+    @pytest.mark.parametrize("variant, transform, pieces", CASES)
+    def test_trained_parameters_and_bounds_are_pinned(self, variant, transform, pieces):
         """Each float is rounded to 12 significant digits before hashing, as in ``TestRefinementNoise``."""
         from dataclasses import replace
 
         corpus = replace(cio.make_synthetic_bimodal(60, 20, seed=3), transform=transform)
         train, valid = replace(corpus, docs=corpus.docs[:40]), replace(corpus, docs=corpus.docs[40:])
-        model = nvdm.init_model(variant, 20, hidden=8, gauss_dims=3, piece_dims=2, n_pieces=3, seed=4)
+        model = nvdm.init_model(variant, 20, hidden=8, gauss_dims=3, piece_dims=2, n_pieces=pieces, seed=4)
         config = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=5, valid_samples=2, learning_rate=0.01)
         trained = training.train(model, train, valid, config).model
         report = evaluation.evaluate(trained, valid, num_samples=10, rng=np.random.default_rng(6))
         text = [" ".join(f"{x:.12g}" for x in t.data.ravel()) for _, t in trained.named_parameters()]
         text.append(" ".join(f"{x:.12g}" for x in report.per_doc_bounds))
         digest = hashlib.sha256("\n".join(text).encode()).hexdigest()
-        assert digest == self.DIGESTS[variant, transform]
+        assert digest == self.DIGESTS[variant, transform, pieces]
