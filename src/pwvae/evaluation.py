@@ -31,7 +31,7 @@ block's composition never changes, because a row's matrix products can
 differ in the last bits with the rows around it.
 Refinement draws its noise through ``nvdm.draw_noises`` too, keyed by
 two roots from the call's generator and the document's content digest.
-Progress tracking uses one fixed noise set per document, so the
+Progress tracking uses one fixed noise sample per document, so the
 best-seen bound is deterministic and never falls below the amortised
 starting point, and a zero learning rate returns exactly the starting
 bound.  Gradient step t uses fresh noise keyed by the document and t,
@@ -86,7 +86,7 @@ def _root(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-def _content_noises(model: NvdmModel, num_samples: int, root: int, docs):
+def _content_noise(model: NvdmModel, num_samples: int, root: int, docs):
     """``num_samples`` noise samples for a block of documents, row i keyed by ``root`` and ``docs[i]``'s content."""
     return draw_noises(model, num_samples, noise_keys(root, [doc.key for doc in docs]))
 
@@ -154,9 +154,9 @@ def evaluate(
     bounds = np.zeros(len(corpus))
     for lo in range(0, len(corpus), EVAL_BLOCK):
         docs = corpus.docs[lo : lo + EVAL_BLOCK]
-        noises = _content_noises(model, num_samples, root, docs)
+        noise = _content_noise(model, num_samples, root, docs)
         with _block_errors("evaluate", docs):
-            bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noises, kl_weight=kl_weight).bounds
+            bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noise, kl_weight=kl_weight).bounds
     tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
     return _aggregate(bounds, tokens, num_samples, "amortized")
 
@@ -196,7 +196,7 @@ def _check_kl_weight(kl_weight: float) -> None:
         raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
 
 
-def _bound_aborting_overflow(model, counts, prior, params, best, noises, kl_weight, live, aborted, frozen=()):
+def _bound_aborting_overflow(model, counts, prior, params, best, noise, kl_weight, live, aborted, frozen=()):
     """``posterior_bound`` at ``params``; returns the parameter tensors and the block's ``RowBounds``.
 
     A huge step, or a row's step noise alone, can make its variances or
@@ -207,15 +207,15 @@ def _bound_aborting_overflow(model, counts, prior, params, best, noises, kl_weig
     computed before, and the block is bounded again.  The other rows keep
     their parameters and noise, so their bounds are unchanged.  In a step
     bound, each row that is not live takes its row of ``frozen``, the
-    tracking noise's first sample, which its last tracked bound ran with.
+    tracking noise, which its last tracked bound ran with.
     """
     while True:
-        for eps, fill in zip(noises[0], frozen):
+        for eps, fill in zip(noise, frozen):
             if eps is not None:
-                eps[~live] = fill[~live]
+                np.copyto(eps, fill, where=~live[:, None])
         tensors = _tensors(params)
         try:
-            return tensors, posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noises=noises, **tensors)
+            return tensors, posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=noise, **tensors)
         except ShapeError:
             raise
         except ValueError:
@@ -228,7 +228,7 @@ def _bound_aborting_overflow(model, counts, prior, params, best, noises, kl_weig
                         Tensor(counts.data[one]),
                         priors=prior,
                         kl_weight=kl_weight,
-                        noises=[tuple(None if eps is None else eps[one] for eps in sample) for sample in noises],
+                        noise=tuple(None if eps is None else eps[:, one] for eps in noise),
                         **{name: None if rows is None else Tensor(rows[one]) for name, rows in params.items()},
                     )
                 except ValueError:
@@ -242,10 +242,8 @@ def _bound_aborting_overflow(model, counts, prior, params, best, noises, kl_weig
                 rows[failing] = best[name][failing]
 
 
-def _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight, eval_samples) -> None:
+def _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight) -> None:
     """Reject refinement settings that would step downhill, never stop or misreport, before any work."""
-    if eval_samples < 1:
-        raise ValueError("eval_samples must be >= 1")
     if steps_max < 0:
         raise ValueError(f"steps_max must be >= 0, got {steps_max}")
     if stop_patience < 1:
@@ -268,7 +266,6 @@ def iterative_inference(
     stop_patience: int = 10,
     clip_norm: float = 5.0,
     kl_weight: float = 1.0,
-    eval_samples: int = 1,
     rng: np.random.Generator,
 ) -> list[RefinementResult]:
     """Posterior refinement of a block of documents with the model frozen.
@@ -288,7 +285,7 @@ def iterative_inference(
     starting bound.  Returned piecewise rows are clipped to
     ``piecewise.CLAMP``.  A block whose amortised bound overflows raises ValueError.
     """
-    _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight, eval_samples)
+    _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight)
     docs = list(docs)
     if not docs:
         raise ValueError("iterative_inference: no documents")
@@ -297,7 +294,7 @@ def iterative_inference(
     x, counts = _wrap(corpus.dense(docs, counts=raw)), _wrap(raw)
     doc_keys = [doc.key for doc in docs]
     track_root, step_root = _root(rng), _root(rng)
-    track_noises = draw_noises(model, eval_samples, noise_keys(track_root, doc_keys))
+    track_noise = draw_noises(model, 1, noise_keys(track_root, doc_keys))
 
     params = _clip_pieces({name: None if t is None else np.array(t.data) for name, t in amortized_posterior(model, encode(model, x)).items()})
     best = {name: None if rows is None else rows.copy() for name, rows in params.items()}
@@ -314,7 +311,7 @@ def iterative_inference(
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             prior = priors(model)  # once per block, outside any tape
-            initial = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noises=track_noises, **_tensors(params)).bounds
+            initial = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=track_noise, **_tensors(params)).bounds
         except ValueError as exc:
             raise ValueError(f"iterative_inference: the block's amortised bound cannot be computed: {exc}") from exc
         best_bound = initial.copy()
@@ -322,9 +319,9 @@ def iterative_inference(
             # A row steps on every iteration while it is live and never
             # after, so t is every live row's own step count steps[b].
             # Rows that start at different iterations must key on steps[b].
-            noises = draw_noises(model, 1, noise_keys(step_root ^ t, doc_keys))
+            noise = draw_noises(model, 1, noise_keys(step_root ^ t, doc_keys))
             with Tape() as tape:
-                tensors, stepped = _bound_aborting_overflow(model, counts, prior, params, best, noises, kl_weight, live, aborted, track_noises[0])
+                tensors, stepped = _bound_aborting_overflow(model, counts, prior, params, best, noise, kl_weight, live, aborted, track_noise)
                 failed = live & ~np.isfinite(stepped.bounds)
                 aborted |= failed
                 live &= ~failed
@@ -338,7 +335,7 @@ def iterative_inference(
                 params[name][live] += step[live, None] * g[live]
             steps[live] += 1
 
-            tracked = _bound_aborting_overflow(model, counts, prior, params, best, track_noises, kl_weight, live, aborted)[1].bounds
+            tracked = _bound_aborting_overflow(model, counts, prior, params, best, track_noise, kl_weight, live, aborted)[1].bounds
             improved = live & np.isfinite(tracked) & (tracked > best_bound)
             best_bound[improved] = tracked[improved]
             for name, rows in params.items():
@@ -410,9 +407,9 @@ def evaluate_iterative(
             rng=np.random.default_rng((root, 3)),
         )
         params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
-        noises = _content_noises(model, num_samples, root, docs)
+        noise = _content_noise(model, num_samples, root, docs)
         with _block_errors("evaluate_iterative: re-estimate", docs):
-            final = posterior_bound(model, _wrap(corpus.dense_counts(docs)), priors=prior, kl_weight=kl_weight, noises=noises, **_tensors(params)).bounds
+            final = posterior_bound(model, _wrap(corpus.dense_counts(docs)), priors=prior, kl_weight=kl_weight, noise=noise, **_tensors(params)).bounds
         refined.update(zip(block, zip(results, final)))
     picked = [refined[content] for content in contents]
     bounds = np.array([bound for _, bound in picked])

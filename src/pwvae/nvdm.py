@@ -3,16 +3,12 @@
 Three variants share one architecture: a two-layer bag-of-words encoder,
 latent heads producing prior/posterior parameters, and a softmax word
 decoder with logits b - R z (one taped ``affine``), whose count-weighted
-log-likelihood (``decode_logprob``) is one taped op.  In evaluation and
-refinement the decoder's forward multiplies latent rows by
-``dec_r.transposed()``, the C-contiguous copy of R^T that the weight
-keeps, which BLAS multiplies about twice as fast as the transposed view
-when there are few rows, as in iterative inference; a new weight
-(``NvdmModel.replaced``) is a new tensor with its own copy.  A training
-step, whose weight decodes one batch, multiplies by the view.  The
-backward reads R itself.  For two or more rows the two layouts give the
-same logits at the benchmark's shapes; a single row can differ in the
-last bit (see ``tensor``).  Variant "g" uses
+log-likelihood (``decode_logprob``) is one taped op.  The decoder's
+forward multiplies latent rows by ``dec_r.transposed()``, the
+C-contiguous copy of R^T that the weight keeps, which BLAS multiplies
+about twice as fast as the transposed view when there are few rows, as
+in iterative inference; a new weight (``NvdmModel.replaced``) is a new
+tensor with its own copy.  The backward reads R itself.  Variant "g" uses
 Gaussian latent variables only, "p" piecewise constant only, and "h"
 both, sampled independently and concatenated (Gaussian dimensions first).
 
@@ -37,21 +33,21 @@ takes a batch's posterior rows and returns every document's bound,
 reconstruction and KL terms together with their taped sum.
 ``batch_bound`` runs it under the amortised posterior for training and
 evaluation, ``elbo`` is its one-document caller, and iterative inference
-calls ``posterior_bound`` with the rows it refines.  Noise is a list with
-one (eps_gauss, eps_piece) pair per posterior sample, each a (B, dims)
-matrix whose rows belong to the documents in order.
+calls ``posterior_bound`` with the rows it refines.  Noise for S
+posterior samples is one (eps_gauss, eps_piece) pair of (S, B, dims)
+arrays, None for an absent family, whose rows belong to the documents
+in order.
 
 ``posterior_bound`` draws the latents of all S posterior samples in one
-pass.  Each family's noise is concatenated in sample order into
-(S*B, dims) rows.  ``tile_rows`` stacks the Gaussian posterior rows S
-times, and ``piecewise.sample_through`` takes the piecewise weight rows
-as they are and reads each row's weights once for its S samples.  The
-decoder still reads each sample's (B, L) block on its own
-(``row_block``), so every decoder product and log-softmax keeps its
-shape and its bits; one log-softmax over S*B rows at V=2000 was slower
-than S over B rows.  Bounds and gradients equal those of one sampling
-pass per sample bit for bit, and with one sample nothing is tiled or
-split.
+pass over each family's noise as (S*B, dims) rows.  ``tile_rows``
+stacks the Gaussian posterior rows S times, and
+``piecewise.sample_through`` takes the piecewise weight rows as they are
+and reads each row's weights once for its S samples.  The decoder still
+reads each sample's (B, L) block on its own (``row_block``), so every
+decoder product and log-softmax keeps its shape and its bits; one
+log-softmax over S*B rows at V=2000 was slower than S over B rows.
+Bounds and gradients equal those of one sampling pass per sample bit
+for bit, and with one sample nothing is tiled or split.
 
 ``draw_noises`` draws a whole batch's noise in one vectorised call from a
 (B,) array of uint64 keys, one per document.  It is counter-based (Salmon
@@ -314,16 +310,15 @@ def encode(model: NvdmModel, x: Tensor) -> Tensor:
     return _activate(model, affine(h, model.params["enc_w1"], model.params["enc_b1"]), 1)
 
 
-def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor, *, kept_transpose: bool = True) -> Tensor:
+def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
     """Log-likelihood sum_w c_w log softmax(b - R z)_w of (V,) or (B, V) ``counts`` at a latent vector or (B, L) rows.
 
-    Under ``kept_transpose`` the forward multiplies by the transpose R
-    keeps (``Tensor.transposed``), otherwise by the transposed view; the
-    backward multiplies by R either way.
+    The forward multiplies by the transpose R keeps (``Tensor.transposed``);
+    the backward multiplies by R.
     """
     if z.data.ndim not in (1, 2) or z.data.shape[-1] != model.latent_dim:
         raise ShapeError(f"decode: expected latent vectors of shape ({model.latent_dim},) or (B, {model.latent_dim}), got {z.data.shape}")
-    return multinomial_loglik(counts, affine(z, model.params["dec_r"], model.params["dec_b"], negate=True, kept_transpose=kept_transpose))
+    return multinomial_loglik(counts, affine(z, model.params["dec_r"], model.params["dec_b"], negate=True, kept_transpose=True))
 
 
 def combine_latents(z_gauss: Tensor | None, z_piece: Tensor | None) -> Tensor:
@@ -389,7 +384,7 @@ def noise_keys(root, ids) -> np.ndarray:
 
 
 def draw_noises(model: NvdmModel, num_samples: int, keys: np.ndarray):
-    """A batch's noise: ``num_samples`` (eps_gauss, eps_piece) pairs of (B, dims) rows, row b keyed by ``keys[b]``.
+    """A batch's noise: an (eps_gauss, eps_piece) pair of (``num_samples``, B, dims) arrays, row b keyed by ``keys[b]``.
 
     ``keys`` is a (B,) uint64 array.  Each sample takes ``width`` words of
     row b's stream, word c being ``_mix64(_mix64(keys[b]) + (c + 1) *
@@ -416,7 +411,7 @@ def draw_noises(model: NvdmModel, num_samples: int, keys: np.ndarray):
         eps_g = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)[..., : model.gauss_dims]
     if model.piece_dims > 0:
         eps_p = uniform[..., 2 * pairs :]
-    return [(None if eps_g is None else eps_g[s], None if eps_p is None else eps_p[s]) for s in range(num_samples)]
+    return eps_g, eps_p
 
 
 def _check_documents(model: NvdmModel, corpus: Corpus, docs) -> None:
@@ -427,16 +422,15 @@ def _check_documents(model: NvdmModel, corpus: Corpus, docs) -> None:
             raise ValueError(f"document {doc.doc_id!r} has no tokens")
 
 
-def batch_bound(model: NvdmModel, corpus: Corpus, docs, noises, *, kl_weight: float = 1.0, kept_transpose: bool = True) -> RowBounds:
+def batch_bound(model: NvdmModel, corpus: Corpus, docs, noise, *, kl_weight: float = 1.0) -> RowBounds:
     """Variational bounds of a batch of documents under the amortised posterior.
 
-    ``noises`` is ``draw_noises``' list of (B, dims) pairs, with one row
-    per document.  ``kept_transpose`` is ``posterior_bound``'s.
+    ``noise`` is ``draw_noises``' pair, with one row per document.
     """
     _check_documents(model, corpus, docs)
     counts = corpus.dense_counts(docs)
     rows = amortized_posterior(model, encode(model, _wrap(corpus.dense(docs, counts=counts))))
-    return posterior_bound(model, _wrap(counts), priors=priors(model), kl_weight=kl_weight, noises=noises, kept_transpose=kept_transpose, **rows)
+    return posterior_bound(model, _wrap(counts), priors=priors(model), kl_weight=kl_weight, noise=noise, **rows)
 
 
 def elbo(
@@ -451,8 +445,23 @@ def elbo(
     """Variational bound of one document under the amortised posterior, its noise keyed by a draw from ``rng``."""
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    noises = draw_noises(model, num_samples, rng.integers(0, 2**64, size=1, dtype=np.uint64))
-    return batch_bound(model, corpus, [doc], noises, kl_weight=kl_weight).single(num_samples)
+    noise = draw_noises(model, num_samples, rng.integers(0, 2**64, size=1, dtype=np.uint64))
+    return batch_bound(model, corpus, [doc], noise, kl_weight=kl_weight).single(num_samples)
+
+
+def _noise_samples(model: NvdmModel, noise, rows: int) -> int:
+    """The number of samples S in a ``draw_noises`` pair for ``rows`` documents.
+
+    Each family the model has needs an (S, rows, dims) array, with one S
+    for both, and a family it lacks None; otherwise ShapeError names the
+    shapes.
+    """
+    dims = (model.gauss_dims, model.piece_dims)
+    shapes = [None if eps is None else eps.shape if isinstance(eps, np.ndarray) else type(eps).__name__ for eps in noise]
+    samples = next((shape[0] for shape in shapes if isinstance(shape, tuple) and shape), 0)
+    if samples < 1 or shapes != [None if d == 0 else (samples, rows, d) for d in dims]:
+        raise ShapeError(f"posterior_bound: noise must be (S, {rows}, dims) arrays with one S >= 1 for dims {dims}, None where dims is 0, got {shapes}")
+    return samples
 
 
 def posterior_bound(
@@ -464,8 +473,7 @@ def posterior_bound(
     gauss_raw_sigma: Tensor | None,
     piece_raw_a: Tensor | None,
     kl_weight: float,
-    noises,
-    kept_transpose: bool = True,
+    noise,
 ) -> RowBounds:
     """The one bound assembly: bounds of a batch of documents at the given posterior rows.
 
@@ -477,33 +485,30 @@ def posterior_bound(
     amortised rows, iterative inference the rows it refines while the
     block's counts stay fixed.  ``priors`` is the model's ``priors(model)``,
     built by the caller: inside the tape when the model's gradients are
-    wanted, once outside it when only the rows move.  ``noises`` holds one
-    (eps_gauss, eps_piece) pair of (B, dims) rows per sample, with one row
-    per document; all samples are drawn in one pass and decoded one by
-    one.  A mean over one sample and a KL weight of 1 are not multiplied
-    out: the product would change no bit.
-
-    ``kept_transpose`` is ``decode_logprob``'s: the decoder's forward
-    multiplies by the copy of R^T that R keeps.  That pays when one
-    weight decodes many batches, as in evaluation and refinement.  A
-    training step, whose new weight decodes one batch, passes False.
+    wanted, once outside it when only the rows move.  ``noise`` is
+    ``draw_noises``' (eps_gauss, eps_piece) pair of (S, B, dims) arrays,
+    None for a family the model lacks; anything else raises ShapeError.
+    All S samples are drawn in one pass and decoded one by one.  A mean
+    over one sample and a KL weight of 1 are not multiplied out: the
+    product would change no bit.
     """
     gauss_prior, a_prior = priors
     gauss_post = gaussian.from_raw(gauss_mu, gauss_raw_sigma) if gauss_mu is not None else None
     a_post = piecewise.head_forward(piece_raw_a) if piece_raw_a is not None else None
-    samples = len(noises)
+    rows = (gauss_mu if gauss_mu is not None else piece_raw_a).data.shape[0]
+    samples = _noise_samples(model, noise, rows)
+    eps_g, eps_p = noise
     z_g = z_p = None
     if gauss_post is not None:
         tiled = GaussianParams(mu=tile_rows(gauss_post.mu, samples), var=tile_rows(gauss_post.var, samples))
-        z_g = gaussian.sample_with_noise(tiled, np.concatenate([eps_g for eps_g, _ in noises]))
+        z_g = gaussian.sample_with_noise(tiled, eps_g.reshape(samples * rows, model.gauss_dims))
     if a_post is not None:
-        z01 = piecewise.sample_through(a_post, np.concatenate([eps_p for _, eps_p in noises]), model.piece_dims, model.n_pieces)
+        z01 = piecewise.sample_through(a_post, eps_p.reshape(samples * rows, model.piece_dims), model.piece_dims, model.n_pieces)
         z_p = scale_shift(z01, 2.0, -1.0)
     z = combine_latents(z_g, z_p)
-    rows = z.data.shape[0] // samples
     recon = None
     for s in range(samples):
-        term = decode_logprob(model, row_block(z, s * rows, (s + 1) * rows), counts, kept_transpose=kept_transpose)
+        term = decode_logprob(model, row_block(z, s * rows, (s + 1) * rows), counts)
         recon = term if recon is None else recon + term
     if samples > 1:
         recon = recon * (1.0 / samples)

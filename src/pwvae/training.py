@@ -235,7 +235,7 @@ class TrainResult:
     valid_bounds: list[float]
 
 
-def _slot_noises(model: NvdmModel, seed: int, step: int, slots):
+def _slot_noise(model: NvdmModel, seed: int, step: int, slots):
     """One posterior sample per batch slot, in slot order: row i keyed by (seed, stream, step, ``slots[i]``)."""
     root = np.random.SeedSequence((seed, _STREAM_BATCH_NOISE, step)).generate_state(1, np.uint64)[0]
     return draw_noises(model, 1, noise_keys(root, slots))
@@ -244,10 +244,9 @@ def _slot_noises(model: NvdmModel, seed: int, step: int, slots):
 def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, seed: int, step: int, slots):
     """Summed bound gradients of one shard: one forward and one backward over its documents as rows."""
     docs = [corpus.docs[di] for di in doc_indices]
-    noises = _slot_noises(model, seed, step, slots)
+    noise = _slot_noise(model, seed, step, slots)
     with Tape() as tape:
-        # This step's decoder weight decodes this batch alone: a kept transpose would cost a copy per step and save little.
-        rows = batch_bound(model, corpus, docs, noises, kl_weight=w, kept_transpose=False)
+        rows = batch_bound(model, corpus, docs, noise, kl_weight=w)
         tape.backward(rows.total)
         grads = {name: tape.grad(t) for name, t in model.named_parameters()}
     return grads, float(rows.total), float(rows.reconstruction.sum()), float(rows.kl_gaussian.sum()), float(rows.kl_piecewise.sum())

@@ -220,7 +220,7 @@ class TestDecoderLayout:
         rng = np.random.default_rng(11)
         counts = T.Tensor(rng.poisson(1.0, (3, 23)).astype(np.float64))
         rows = dict(gauss_mu=rng.normal(size=(3, 3)), gauss_raw_sigma=rng.normal(size=(3, 3)), piece_raw_a=rng.normal(size=(3, 6)))
-        noises = nvdm.draw_noises(model, 1, nvdm.noise_keys(12, [1, 2, 3]))  # a refinement step draws one sample
+        noise = nvdm.draw_noises(model, 1, nvdm.noise_keys(12, [1, 2, 3]))  # a refinement step draws one sample
         prior = nvdm.priors(model)
         calls = []
         unbroadcast = T._unbroadcast
@@ -236,7 +236,7 @@ class TestDecoderLayout:
                 calls.clear()
                 with T.Tape() as tape:
                     tensors = {name: T.Tensor(values) for name, values in rows.items()}
-                    bound = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noises=noises, **tensors)
+                    bound = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noise=noise, **tensors)
                     tape.backward(bound.total)
                 before = calls.count((23,))
                 return before, tape.grad(model.params["dec_b"]), calls.count((23,))
@@ -248,19 +248,21 @@ class TestDecoderLayout:
         assert deferred.tobytes() == eager.tobytes()
 
 
-def per_sample_bound(model, counts, prior, rows, noises):
+def per_sample_bound(model, counts, prior, rows, noise):
     """``posterior_bound``'s taped bounds with one sampling pass per posterior sample, at kl_weight 1: the reference for its single pass."""
     gauss_prior, a_prior = prior
     gauss_post = gaussian.from_raw(rows["gauss_mu"], rows["gauss_raw_sigma"]) if "gauss_mu" in rows else None
     a_post = pw.head_forward(rows["piece_raw_a"]) if "piece_raw_a" in rows else None
+    eps_g, eps_p = noise
+    samples = len(eps_g if eps_g is not None else eps_p)
     recon = None
-    for eps_g, eps_p in noises:
-        z_g = gaussian.sample_with_noise(gauss_post, eps_g) if gauss_post is not None else None
-        z_p = T.scale_shift(pw.sample_through(a_post, eps_p, model.piece_dims, model.n_pieces), 2.0, -1.0) if a_post is not None else None
+    for s in range(samples):
+        z_g = gaussian.sample_with_noise(gauss_post, eps_g[s]) if gauss_post is not None else None
+        z_p = T.scale_shift(pw.sample_through(a_post, eps_p[s], model.piece_dims, model.n_pieces), 2.0, -1.0) if a_post is not None else None
         term = nvdm.decode_logprob(model, nvdm.combine_latents(z_g, z_p), counts)
         recon = term if recon is None else recon + term
-    if len(noises) > 1:
-        recon = recon * (1.0 / len(noises))
+    if samples > 1:
+        recon = recon * (1.0 / samples)
     kl = [gaussian.kl(gauss_post, gauss_prior)] if gauss_post is not None else []
     kl += [pw.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces)] if a_post is not None else []
     return recon - (kl[0] if len(kl) == 1 else kl[0] + kl[1])
@@ -286,7 +288,7 @@ class TestStackedSamples:
     @pytest.mark.parametrize("variant, pieces", [("g", 3), ("p", 3), ("p", 10), ("h", 3), ("h", 10)])
     @pytest.mark.parametrize("samples", [2, 5])
     def test_taped_bound_equals_the_per_sample_loop(self, variant, pieces, samples):
-        model, counts, rows, noises = bound_case(variant, pieces, samples, docs=4, seed=samples * pieces)
+        model, counts, rows, noise = bound_case(variant, pieces, samples, docs=4, seed=samples * pieces)
 
         def taped(bound):
             with T.Tape() as tape:
@@ -297,11 +299,11 @@ class TestStackedSamples:
 
         def stacked(prior, leaves):
             full = {name: leaves.get(name) for name in ROW_NAMES["h"]}
-            bound = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noises=noises, **full)
+            bound = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noise=noise, **full)
             return bound.bounds, bound.total
 
         def looped(prior, leaves):
-            bounds = per_sample_bound(model, counts, prior, leaves, noises)
+            bounds = per_sample_bound(model, counts, prior, leaves, noise)
             return bounds.data, T.sum_all(bounds)
 
         got, got_grads = taped(stacked)
@@ -312,14 +314,35 @@ class TestStackedSamples:
 
     def test_one_sample_records_no_extra_op(self):
         """With one sample nothing is tiled or split: besides its final sum, ``posterior_bound`` records what one pass per sample records."""
-        model, counts, rows, noises = bound_case("h", 3, 1, docs=3, seed=5)
+        model, counts, rows, noise = bound_case("h", 3, 1, docs=3, seed=5)
         prior = nvdm.priors(model)
         leaves = {name: T.Tensor(values) for name, values in rows.items()}
         with T.Tape() as stacked:
-            nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noises=noises, **leaves)
+            nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noise=noise, **leaves)
         with T.Tape() as looped:
-            per_sample_bound(model, counts, prior, leaves, noises)
+            per_sample_bound(model, counts, prior, leaves, noise)
         assert len(stacked._records) == len(looped._records) + 1
+
+    @pytest.mark.parametrize(
+        "variant, make",
+        [
+            pytest.param("h", lambda g, p: (g[0], p[0]), id="per_sample_rows"),
+            pytest.param("h", lambda g, p: (g, p[:1]), id="samples_differ"),
+            pytest.param("p", lambda g, p: (None, p[:, :3]), id="wrong_rows"),
+            pytest.param("p", lambda g, p: (np.zeros((2, 4, 3)), p), id="absent_family"),
+            pytest.param("h", lambda g, p: [(g[0], p[0]), (g[1], p[1])], id="list_of_pairs"),
+        ],
+    )
+    def test_noise_of_the_wrong_shape_is_rejected(self, variant, make):
+        """Each family the model has takes (S, B, dims) noise with one S for both, and a family it lacks None."""
+        model, counts, rows, noise = bound_case(variant, 3, 2, docs=4, seed=8)
+        noise = make(*noise)
+        leaves = {name: T.Tensor(rows[name]) if name in rows else None for name in ROW_NAMES["h"]}
+        with pytest.raises(T.ShapeError, match=r"^posterior_bound: noise must be \(S, 4, dims\) arrays") as caught:
+            nvdm.posterior_bound(model, counts, priors=nvdm.priors(model), kl_weight=1.0, noise=noise, **leaves)
+        for eps in noise if isinstance(noise, tuple) else ():
+            if eps is not None:
+                assert str(eps.shape) in str(caught.value)
 
 
 class TestCombineLatents:
@@ -407,7 +430,7 @@ class TestElbo:
         model = model.replaced({"dec_r": r, "p_post_w_a": np.zeros((2, 2))})
         counts = corpus.dense_counts([doc])[0]
         for eps, signed in ((0.0, -1.0), (0.5, 0.0), (1.0, 1.0)):
-            rows = nvdm.batch_bound(model, corpus, [doc], [(None, np.array([[eps]]))], kl_weight=0.0)
+            rows = nvdm.batch_bound(model, corpus, [doc], (None, np.array([[[eps]]])), kl_weight=0.0)
             logits = -r[:, 0] * signed
             logp = logits - np.log(np.exp(logits).sum())
             assert rows.reconstruction[0] == pytest.approx(counts @ logp, rel=1e-14)
@@ -521,33 +544,33 @@ class TestDrawNoises:
 
     def test_uniforms_match_a_python_integer_splitmix64(self):
         """Sample s, dimension d of a piecewise-only model is word s * dims + d of the key's stream."""
-        noises = nvdm.draw_noises(noise_model(0, 5), 3, self.KEYS)
+        eps_g, eps_p = nvdm.draw_noises(noise_model(0, 5), 3, self.KEYS)
+        assert eps_g is None and eps_p.shape == (3, len(self.KEYS), 5)
         for b, key in enumerate(self.KEYS):
             expected = _reference_uniforms(int(key), 15)
-            for s, (eps_g, eps_p) in enumerate(noises):
-                assert eps_g is None
-                assert eps_p[b].tolist() == expected[5 * s : 5 * s + 5], (b, s)
+            for s in range(3):
+                assert eps_p[s, b].tolist() == expected[5 * s : 5 * s + 5], (b, s)
 
     def test_golden_values(self):
         """Key 0 starts the stream at 0, so its words are SplitMix64's published first outputs for seed 0."""
-        ((_, eps_p),) = nvdm.draw_noises(noise_model(0, 3), 1, np.zeros(1, dtype=np.uint64))
+        _, eps_p = nvdm.draw_noises(noise_model(0, 3), 1, np.zeros(1, dtype=np.uint64))
         words = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
-        assert eps_p[0].tolist() == [(w >> 11) * 2.0**-53 for w in words]
+        assert eps_p[0, 0].tolist() == [(w >> 11) * 2.0**-53 for w in words]
         # Normals go through log, cos and sin, whose last bits vary between numpy builds.
-        ((eps_g, eps_p),) = nvdm.draw_noises(noise_model(3, 2), 1, np.array([0, 2**64 - 1], dtype=np.uint64))
-        np.testing.assert_allclose(eps_g[1], [-0.5992449216466367, 1.5377699806734775, 1.3114207700889504], rtol=1e-13)
-        assert eps_p[1].tolist() == [0.8304596416451043, 0.05588332997080059]
+        eps_g, eps_p = nvdm.draw_noises(noise_model(3, 2), 1, np.array([0, 2**64 - 1], dtype=np.uint64))
+        np.testing.assert_allclose(eps_g[0, 1], [-0.5992449216466367, 1.5377699806734775, 1.3114207700889504], rtol=1e-13)
+        assert eps_p[0, 1].tolist() == [0.8304596416451043, 0.05588332997080059]
 
     def test_normals_are_box_muller_pairs_of_the_first_uniforms(self):
         """Three Gaussian dimensions take two pairs of words (the fourth normal is dropped), then the piecewise words follow."""
-        ((eps_g, eps_p),) = nvdm.draw_noises(noise_model(3, 2), 1, self.KEYS)
+        eps_g, eps_p = nvdm.draw_noises(noise_model(3, 2), 1, self.KEYS)
         for b, key in enumerate(self.KEYS):
             u = _reference_uniforms(int(key), 6)
             radius = [np.sqrt(-2.0 * np.log1p(-x)) for x in u[:2]]
             angle = [2.0 * np.pi * x for x in u[2:4]]
             expected = [radius[0] * np.cos(angle[0]), radius[1] * np.cos(angle[1]), radius[0] * np.sin(angle[0])]
-            np.testing.assert_allclose(eps_g[b], expected, rtol=1e-13, atol=1e-15)
-            assert eps_p[b].tolist() == u[4:6]
+            np.testing.assert_allclose(eps_g[0, b], expected, rtol=1e-13, atol=1e-15)
+            assert eps_p[0, b].tolist() == u[4:6]
 
     @pytest.mark.parametrize("dims", [(3, 0), (0, 4), (2, 3)])
     def test_rows_depend_only_on_their_own_keys(self, dims):
@@ -557,22 +580,22 @@ class TestDrawNoises:
         picks = [[4], [8, 0], list(range(9))[::-1], rng.permutation(9)[:5].tolist(), [3, 3, 1]]
         for pick in picks:
             part = nvdm.draw_noises(model, 4, self.KEYS[pick])
-            for (eps_g, eps_p), (full_g, full_p) in zip(part, full):
-                for got, whole in ((eps_g, full_g), (eps_p, full_p)):
-                    if whole is None:
-                        assert got is None
-                    else:
-                        np.testing.assert_array_equal(got, whole[pick])
+            for got, whole in zip(part, full):
+                if whole is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, whole[:, pick])
         # Sample s is the same whatever the number of samples drawn.
         for count in (1, 2, 7):
-            for (eps_g, eps_p), (full_g, full_p) in zip(nvdm.draw_noises(model, count, self.KEYS), full):
-                for got, whole in ((eps_g, full_g), (eps_p, full_p)):
-                    if whole is not None:
-                        np.testing.assert_array_equal(got, whole)
+            shared = min(count, 4)
+            for got, whole in zip(nvdm.draw_noises(model, count, self.KEYS), full):
+                if whole is not None:
+                    assert got.shape == (count,) + whole.shape[1:]
+                    np.testing.assert_array_equal(got[:shared], whole[:shared])
 
     def test_moments_tails_and_correlations_over_a_million_values(self):
         """Consecutive keys, within 5 standard errors of every target."""
-        ((normal, uniform),) = nvdm.draw_noises(noise_model(1000, 1000), 1, np.arange(1000, dtype=np.uint64))
+        normal, uniform = (eps[0] for eps in nvdm.draw_noises(noise_model(1000, 1000), 1, np.arange(1000, dtype=np.uint64)))
         n = normal.size
         assert np.all(np.isfinite(normal)) and np.all(np.isfinite(uniform))
         assert uniform.min() >= 0.0 and uniform.max() < 1.0
