@@ -14,7 +14,8 @@ pickle.  It holds:
 The archive stores the raw bytes of every array and fixed member
 timestamps, so save -> load is exact to the bit and save -> load -> save
 reproduces the file byte for byte.  Loading checks the magic, then that
-the parameter names, shapes and dtypes are exactly those of
+the header's fields form a configuration ``init_model`` accepts, then
+that the parameter names, shapes and dtypes are exactly those of
 ``param_shapes``; any other file raises ``CheckpointError``.
 """
 
@@ -24,7 +25,7 @@ import zipfile
 
 import numpy as np
 
-from .nvdm import NvdmModel, param_shapes
+from .nvdm import NvdmModel, _validate_config, param_shapes
 from .tensor import _wrap
 
 __all__ = ["CheckpointError", "MAGIC", "save_checkpoint", "load_checkpoint"]
@@ -51,7 +52,7 @@ def save_checkpoint(model: NvdmModel, path: str) -> None:
 
 
 def _read_header(header, path: str) -> dict:
-    """Model fields from the header array; the magic is checked first."""
+    """Model fields from the header array; the magic is checked first, and the fields must be a configuration ``init_model`` accepts."""
     lines = str(header).split("\n") if header is not None and header.shape == () and header.dtype.kind == "U" else []
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: not a {MAGIC} file (no {MAGIC} header)")
@@ -59,7 +60,9 @@ def _read_header(header, path: str) -> dict:
         fields = dict(line.split(" ") for line in lines[1:])
         if tuple(fields) != _FIELDS:
             raise ValueError(f"expected keys {list(_FIELDS)}, got {list(fields)}")
-        return {key: value if key in _TEXT_FIELDS else int(value) for key, value in fields.items()}
+        fields = {key: value if key in _TEXT_FIELDS else int(value) for key, value in fields.items()}
+        _validate_config(**fields)
+        return fields
     except ValueError as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from None
 

@@ -283,7 +283,8 @@ def iterative_inference(
     the document's bound overflows, aborts that document's refinement,
     which then reports its best-seen parameters and the amortised
     starting bound.  Returned piecewise rows are clipped to
-    ``piecewise.CLAMP``.  A block whose amortised bound overflows raises ValueError.
+    ``piecewise.CLAMP``.  A block whose amortised bound overflows raises
+    ValueError naming the block's first document.
     """
     _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight)
     docs = list(docs)
@@ -309,11 +310,9 @@ def iterative_inference(
     # rejected or its row is marked aborted just below; numpy's overflow and
     # invalid-value warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
+        with _block_errors("iterative_inference", docs):
             prior = priors(model)  # once per block, outside any tape
             initial = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=track_noise, **_tensors(params)).bounds
-        except ValueError as exc:
-            raise ValueError(f"iterative_inference: the block's amortised bound cannot be computed: {exc}") from exc
         best_bound = initial.copy()
         for t in range(steps_max):
             # A row steps on every iteration while it is live and never

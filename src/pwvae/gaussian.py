@@ -10,9 +10,9 @@ identity, and act before the softplus, so no gate value can make a
 variance <= 0.  Samples are reparametrised, z = mu + sqrt(var) * eps, for
 noise eps drawn by the caller.
 
-Priors are (G,) vectors; posteriors are (G,) for one document or (B, G)
-rows for a batch, against which the prior biases and the gates are
-broadcast.
+Priors are (G,) vectors and posteriors (B, G) rows, one per document,
+a single document being a (1, G) row; the prior biases and the gates
+are broadcast against the rows.
 
 ``kl`` is one taped op in closed form (Kingma & Welling,
 arXiv:1312.6114).  Its backward rule writes out the chain rule of the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _check_broadcast, _unbroadcast, add, affine, custom_op, mul, scale_shift, softplus, sqrt
+from .tensor import ShapeError, Tensor, _unbroadcast, add, affine, custom_op, mul, scale_shift, softplus, sqrt
 
 __all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "from_raw", "prior_forward", "posterior_forward", "sample_with_noise", "kl"]
 
@@ -37,20 +37,20 @@ VAR_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class GaussianParams:
-    """Mean and (diagonal) variance of one Gaussian, or of one per row."""
+    """Mean and (diagonal) variance of one Gaussian, or of one per row.
+
+    Shapes that differ raise ShapeError; variances that are not finite and
+    positive raise a plain ValueError, which callers read as overflow.
+    """
 
     mu: Tensor
     var: Tensor
 
     def __post_init__(self):
         if self.mu.data.shape != self.var.data.shape:
-            raise ValueError(f"GaussianParams: mu shape {self.mu.data.shape} != var shape {self.var.data.shape}")
+            raise ShapeError(f"GaussianParams: mu shape {self.mu.data.shape} != var shape {self.var.data.shape}")
         if not np.all(self.var.data > 0.0) or not np.all(np.isfinite(self.var.data)):
             raise ValueError("GaussianParams: variances must be finite and strictly positive")
-
-    @property
-    def dim(self) -> int:
-        return self.mu.data.shape[-1]
 
 
 @dataclass
@@ -106,23 +106,23 @@ def sample_with_noise(g: GaussianParams, eps: np.ndarray) -> Tensor:
 def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:
     """Closed-form KL(post || prior) for diagonal Gaussians, as one taped op.
 
-    A scalar for vector parameters, one value per row for (B, G) rows:
+    One value per (B, G) row of ``post``, against a (G,) or (B, G) prior;
+    other shapes raise ShapeError:
 
     sum_d [ 0.5 log(var_prior/var_post)
             + (var_post + (mu_post - mu_prior)^2) / (2 var_prior) - 0.5 ]
     """
-    if post.dim != prior.dim:
-        raise ValueError(f"kl: dimensions differ ({post.dim} vs {prior.dim})")
     mu_q, var_q, mu_p, var_p = post.mu.data, post.var.data, prior.mu.data, prior.var.data
-    # Means and variances share a shape, so every term has the broadcast shape of the two means.
-    _check_broadcast(mu_q.shape, mu_p.shape, "kl")
+    # Means and variances share a shape, so every term has the shape of the posterior rows.
+    if mu_q.ndim != 2 or mu_p.shape not in (mu_q.shape, mu_q.shape[1:]):
+        raise ShapeError(f"kl: expected (B, G) posterior rows and a (G,) or (B, G) prior, got {mu_q.shape} and {mu_p.shape}")
     dmu = mu_q - mu_p
     num = var_q + dmu * dmu
     den = 2.0 * var_p
     terms = 0.5 * (np.log(var_p) - np.log(var_q)) + num / den - 0.5
 
     def backward(g):
-        g_terms = g[..., None] * np.ones_like(terms)
+        g_terms = g[:, None] * np.ones_like(terms)
         g_num = g_terms / den
         g_sq = g_num * dmu
         g_half = g_terms * 0.5
@@ -136,4 +136,4 @@ def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:
         g_var_q = _unbroadcast(g_num, var_q.shape) + _unbroadcast(-g_half, var_q.shape) / var_q
         return _unbroadcast(g_sq + g_sq, mu_q.shape), g_var_q, g_mu_p, g_var_p
 
-    return custom_op(terms.sum(axis=-1), (post.mu, post.var, prior.mu, prior.var), backward)
+    return custom_op(terms.sum(axis=1), (post.mu, post.var, prior.mu, prior.var), backward)

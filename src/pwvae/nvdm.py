@@ -303,21 +303,21 @@ def _activate(model: NvdmModel, t: Tensor, layer: int) -> Tensor:
 
 
 def encode(model: NvdmModel, x: Tensor) -> Tensor:
-    """Bag-of-words MLP encoding of a dense document vector or of (B, V) document rows."""
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] != model.vocab_size:
-        raise ShapeError(f"encode: expected document vectors of shape ({model.vocab_size},) or (B, {model.vocab_size}), got {x.data.shape}")
+    """Bag-of-words MLP encoding of (B, V) dense document rows: (B, H) rows."""
+    if x.data.ndim != 2 or x.data.shape[1] != model.vocab_size:
+        raise ShapeError(f"encode: expected (B, {model.vocab_size}) document rows, got {x.data.shape}")
     h = _activate(model, affine(x, model.params["enc_w0"], model.params["enc_b0"]), 0)
     return _activate(model, affine(h, model.params["enc_w1"], model.params["enc_b1"]), 1)
 
 
 def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
-    """Log-likelihood sum_w c_w log softmax(b - R z)_w of (V,) or (B, V) ``counts`` at a latent vector or (B, L) rows.
+    """Log-likelihood sum_w c_w log softmax(b - R z)_w of (B, V) ``counts`` at (B, L) latent rows: a (B,) array.
 
     The forward multiplies by the transpose R keeps (``Tensor.transposed``);
     the backward multiplies by R.
     """
-    if z.data.ndim not in (1, 2) or z.data.shape[-1] != model.latent_dim:
-        raise ShapeError(f"decode: expected latent vectors of shape ({model.latent_dim},) or (B, {model.latent_dim}), got {z.data.shape}")
+    if z.data.ndim != 2 or z.data.shape[1] != model.latent_dim:
+        raise ShapeError(f"decode: expected (B, {model.latent_dim}) latent rows, got {z.data.shape}")
     return multinomial_loglik(counts, affine(z, model.params["dec_r"], model.params["dec_b"], negate=True, kept_transpose=True))
 
 
@@ -345,9 +345,9 @@ def priors(model: NvdmModel) -> tuple[GaussianParams | None, Tensor | None]:
 def amortized_posterior(model: NvdmModel, enc: Tensor) -> dict[str, Tensor | None]:
     """The amortised posterior's pre-activations, under ``posterior_bound``'s keywords.
 
-    ``enc`` is one encoding or (B, H) rows.  ``gauss_mu`` and
-    ``gauss_raw_sigma`` come from ``gaussian.posterior_forward``, and
-    ``piece_raw_a`` is W enc + b; None for an absent family.
+    ``enc`` is (B, H) encoder rows, and each entry (B, dims) rows:
+    ``gauss_mu`` and ``gauss_raw_sigma`` from ``gaussian.posterior_forward``
+    and ``piece_raw_a`` = W enc + b; None for an absent family.
     """
     rows = {"gauss_mu": None, "gauss_raw_sigma": None, "piece_raw_a": None}
     if model.gauss_dims > 0:

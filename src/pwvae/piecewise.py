@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast, custom_op, exp_clamped
+from .tensor import ShapeError, Tensor, _unbroadcast, custom_op, exp_clamped
 
 __all__ = [
     "CLAMP",
@@ -115,9 +115,10 @@ def mean_rows(a: np.ndarray) -> np.ndarray:
     return masses @ midpoints
 
 
-# Taped operations used inside models.  Weight tensors are flat
-# (dims * pieces,) vectors or (B, dims * pieces) rows laid out row major,
-# one group of ``pieces`` weights per latent dimension.
+# Taped operations used inside models.  Posterior weights are
+# (B, dims * pieces) rows, one per document, and the prior's a flat
+# (dims * pieces,) vector; both are laid out row major, one group of
+# ``pieces`` weights per latent dimension.
 
 
 def head_forward(raw: Tensor) -> Tensor:
@@ -133,25 +134,22 @@ def head_forward(raw: Tensor) -> Tensor:
 def sample_through(a_flat: Tensor, eps: np.ndarray, dims: int, pieces: int) -> Tensor:
     """Inverse-CDF samples for each latent dimension, differentiable in the weights.
 
-    ``a_flat`` is one (dims*pieces,) weight vector with (dims,) noise
-    ``eps``, or (B, dims*pieces) rows with (S*B, dims) noise: S blocks of
-    B rows, block s holding every row's s-th sample.  Every (row,
-    dimension) pair becomes one row of the core, which reads its weights
-    once for all S samples.  The noise values are captured for the
-    backward rule, which applies the exact derivative of the active
-    segment's expression and zero for segment selection.  Like
-    ``tile_rows``, the rule hands the weights one gradient per block, the
-    last block's first, so they add up as under S separate calls.
+    ``a_flat`` is (B, dims*pieces) weight rows and ``eps`` (S*B, dims)
+    noise: S blocks of B rows, block s holding every row's s-th sample;
+    other shapes raise ShapeError.  Every (row, dimension) pair becomes
+    one row of the core, which reads its weights once for all S samples.
+    The noise values are captured for the backward rule, which applies
+    the exact derivative of the active segment's expression and zero for
+    segment selection.  Like ``tile_rows``, the rule hands the weights one
+    gradient per block, the last block's first, so they add up as under S
+    separate calls.
     """
     shape = a_flat.data.shape
     eps = np.array(eps, dtype=np.float64)
-    if len(shape) == 1:
-        samples, expected = 1, (dims,)
-    else:
-        samples = len(eps) // shape[0] if eps.ndim == 2 else 0
-        expected = (samples * shape[0], dims)
-    if samples < 1 or eps.shape != expected:
-        raise ValueError(f"sample_through: noise shape {eps.shape} does not match weights {shape}")
+    rows = shape[0] if len(shape) == 2 else 0
+    samples = len(eps) // rows if rows and eps.ndim == 2 else 0
+    if shape != (rows, dims * pieces) or samples < 1 or eps.shape != (samples * rows, dims):
+        raise ShapeError(f"sample_through: expected (B, {dims * pieces}) weight rows and (S*B, {dims}) noise, got {shape} and {eps.shape}")
     a = a_flat.data.reshape(-1, pieces)
     noise = eps.reshape(samples, -1)
     segment = _active_segment(a, noise)
@@ -167,9 +165,9 @@ def sample_through(a_flat: Tensor, eps: np.ndarray, dims: int, pieces: int) -> T
 def kl_between(post_flat: Tensor, prior_flat: Tensor, dims: int, pieces: int) -> Tensor:
     """KL(post || prior) summed over latent dimensions, as a taped value.
 
-    A (dims*pieces,) posterior gives a scalar, and (B, dims*pieces) rows
-    give one value per row; a (dims*pieces,) prior is broadcast against
-    the posterior rows, and its gradient summed over them.  Per latent
+    One value per (B, dims*pieces) row of ``post_flat``, against a
+    (dims*pieces,) ``prior_flat``, whose gradient is summed over the rows,
+    or (B, dims*pieces) rows; other shapes raise ShapeError.  Per latent
     dimension the closed form is (1/n)(1/K_post) sum_i a_i_post (log
     a_i_post - log a_i_prior) + log K_prior - log K_post; the 1/n factors
     cancel against the raw weight sums A = n*K used here.  Rounding can
@@ -178,24 +176,27 @@ def kl_between(post_flat: Tensor, prior_flat: Tensor, dims: int, pieces: int) ->
     was clamped.  The backward rule reuses the forward's sums and log
     ratios, and defers the prior's gradient until the tape needs it.
     """
-    post = post_flat.data.reshape(post_flat.data.shape[:-1] + (dims, pieces))
-    prior = prior_flat.data.reshape(prior_flat.data.shape[:-1] + (dims, pieces))
+    shape, prior_shape = post_flat.data.shape, prior_flat.data.shape
+    if len(shape) != 2 or shape[1] != dims * pieces or prior_shape not in (shape, shape[1:]):
+        raise ShapeError(f"kl_between: expected (B, {dims * pieces}) posterior rows and a ({dims * pieces},) or (B, {dims * pieces}) prior, got {shape} and {prior_shape}")
+    post = post_flat.data.reshape(-1, dims, pieces)
+    prior = prior_flat.data.reshape(prior_shape[:-1] + (dims, pieces))
     a_post_sum = post.sum(axis=-1, keepdims=True)
     a_prior_sum = prior.sum(axis=-1, keepdims=True)
     log_ratio = np.log(post) - np.log(prior)
     s = np.sum(post * log_ratio, axis=-1, keepdims=True)
     unclamped = s / a_post_sum + np.log(a_prior_sum) - np.log(a_post_sum)
-    value = np.maximum(unclamped[..., 0], 0.0).sum(axis=-1)
+    value = np.maximum(unclamped[:, :, 0], 0.0).sum(axis=1)
 
     def backward(g):
-        scale = np.asarray(g)[..., None, None]
+        scale = g[:, None, None]
         clamped = unclamped < 0.0
         d_post = (log_ratio + 1.0) / a_post_sum - s / (a_post_sum**2) - 1.0 / a_post_sum
 
         def d_prior():
             grad = -post / (a_post_sum * prior) + 1.0 / a_prior_sum
-            return _unbroadcast((scale * np.where(clamped, 0.0, grad)).reshape(post_flat.data.shape), prior_flat.data.shape)
+            return _unbroadcast((scale * np.where(clamped, 0.0, grad)).reshape(shape), prior_shape)
 
-        return (scale * np.where(clamped, 0.0, d_post)).reshape(post_flat.data.shape), d_prior
+        return (scale * np.where(clamped, 0.0, d_post)).reshape(shape), d_prior
 
     return custom_op(value, (post_flat, prior_flat), backward)

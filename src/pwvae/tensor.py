@@ -5,11 +5,10 @@ block every operation additionally records a backward rule; calling
 ``Tape.backward`` on a scalar result then accumulates gradients for every
 tensor that participated, visiting operations in exact reverse execution
 order.  Outside a tape the same functions are plain forward computations.
-A backward rule may defer an input gradient (``affine`` defers both of its
-products and a bias gradient that sums rows, the KL ops their prior-side
-gradients); the tape computes it only once it is needed, so a frozen
-weight or bias, an input document or a prior built outside the tape
-costs nothing.
+A backward rule may defer an input gradient (``affine`` defers all three
+of its gradients, the KL ops their prior-side gradients); the tape
+computes it only once it is needed, so a frozen weight or bias, an input
+document or a prior built outside the tape costs nothing.
 
 The tape keeps an input's first gradient as the array the rule returned
 and adds later gradients into it in place.  It copies that array first
@@ -31,23 +30,23 @@ Only the decoder's forward (``nvdm.decode_logprob``) uses the copy; in
 the encoder it gained little.  The backward products g @ w and g.T @ x
 read w itself either way, so no gradient changes.  With numpy 2.4's
 OpenBLAS 0.3.31, the two layouts give the same bits for two or more rows
-at the benchmark's decoder shapes, (2000, 100) and (200, 10).  One row
-(a vector x, or a (1, m) row) goes through numpy's matrix-vector
-product, where they can differ in the last bit, and so can some other
-shapes, e.g. (20, k) weights for k >= 16, and (200, k) for k >= 32 with
-at most 6 rows.  A training batch of one document is such a row: after
+at the benchmark's decoder shapes, (2000, 100) and (200, 10).  One
+(1, m) row goes through numpy's vector-matrix product, where they can
+differ in the last bit, and so can some other shapes, e.g. (20, k)
+weights for k >= 16, and (200, k) for k >= 32 with at most 6 rows.  A training batch of one document is such a row: after
 15 one-document steps at V=200 and H=50 the parameters differed from
 the view's by at most 4.6e-15 of each parameter's largest entry, and
 the validation bounds not at all.
 
 Row convention: a batch of documents is a (B, n) matrix with one document
-per row, and a single document is either an (n,) vector or a (1, n) row.
-``affine`` multiplies every row by the same weight matrix, so the weight
-gradient of a whole batch is one product ``g.T @ x``;
-``multinomial_loglik`` and ``concat`` act along the last axis.  In
-``add``, ``sub``, ``mul``, ``div`` and ``prelu`` an operand whose shape is
-the trailing shape of the other (a (n,) parameter against (B, n) rows) is
-broadcast, and its gradient is summed over the broadcast axes.
+per row, and a single document is a (1, n) row; ``affine`` and
+``multinomial_loglik`` take nothing else.  ``affine`` multiplies every
+row by the same weight matrix, so the weight gradient of a whole batch is
+one product ``g.T @ x``; ``multinomial_loglik`` acts along axis 1 and
+``concat`` along the last axis.  In ``add``, ``sub``, ``mul``, ``div``
+and ``prelu`` an operand whose shape is the trailing shape of the other
+(a (n,) parameter against (B, n) rows) is broadcast, and its gradient is
+summed over the broadcast axes.
 ``tile_rows`` stacks S copies of rows, and ``row_block`` takes a block of
 rows back out; their gradients add the same arrays in the same order as
 S separate uses of the rows would, so they keep every bit.
@@ -336,29 +335,26 @@ def scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor, *, negate: bool = False, kept_transpose: bool = False) -> Tensor:
-    """w @ x + b, or b - w @ x under ``negate``, as one taped op.
+    """x @ w.T + b, or b - x @ w.T under ``negate``, for (B, m) rows x as one taped op.
 
-    w is a (k, m) matrix, x a vector (m,) or rows (B, m), and b a (k,)
-    bias.  The weight gradient is the single product g.T @ x over all rows.
-    Under ``kept_transpose`` the forward multiplies by ``w.transposed()``,
-    the C-contiguous copy of w.T that w keeps, instead of the transposed
-    view; the backward reads w itself either way.
+    w is a (k, m) matrix and b a (k,) bias.  The weight gradient is the
+    single product g.T @ x over all rows, and the bias gradient g's sum
+    over them.  Under ``kept_transpose`` the forward multiplies by
+    ``w.transposed()``, the C-contiguous copy of w.T that w keeps, instead
+    of the transposed view; the backward reads w itself either way.
     """
     wd, xd, bd = w.data, x.data, b.data
-    if wd.ndim != 2 or xd.ndim not in (1, 2) or wd.shape[1] != xd.shape[-1]:
-        raise ShapeError(f"affine: matrix {wd.shape} does not conform with input {xd.shape}")
+    if wd.ndim != 2 or xd.ndim != 2 or xd.shape[1] != wd.shape[1] or bd.shape != wd.shape[:1]:
+        raise ShapeError(f"affine: rows {xd.shape}, matrix {wd.shape} and bias {bd.shape} do not conform; expected (B, m) rows, a (k, m) matrix and a (k,) bias")
     product = xd @ (w.transposed() if kept_transpose else wd.T)
-    _check_broadcast(product.shape, bd.shape, "affine")
     out = _wrap(bd - product if negate else product + bd)
 
-    # Both products, and a bias gradient that sums rows, are deferred, so a
-    # frozen model or an input document whose gradient nobody reads costs
-    # nothing.  A bias gradient that sums nothing is g or a view of it,
-    # which a deferred rule may not return, so it stays eager.
+    # All three gradients are deferred, so a frozen model or an input
+    # document whose gradient nobody reads costs nothing.  The bias
+    # gradient is a fresh sum for any B, one row included.
     def backward(g):
         gp = -g if negate else g
-        gb = (lambda: _unbroadcast(g, bd.shape)) if g.size != bd.size else _unbroadcast(g, bd.shape)
-        return (lambda: gp @ wd, lambda: np.atleast_2d(gp).T @ np.atleast_2d(xd), gb)
+        return (lambda: gp @ wd, lambda: gp.T @ xd, lambda: g.sum(axis=0))
 
     _record(out, (x, w, b), backward)
     return out
@@ -462,17 +458,16 @@ def softsign(x: Tensor) -> Tensor:
 def prelu(x: Tensor, leak: Tensor) -> Tensor:
     """Elementwise x if x > 0 else leak*x; at exactly 0 the derivative is 1.
 
-    ``leak`` is a single learnable value, one value per element, or one
-    value per column of (B, n) rows.
+    ``leak`` has the trailing shape of x: one learnable value per column
+    of (B, n) rows.
     """
     xd, ld = x.data, leak.data
-    if ld.size != 1 and (ld.ndim > xd.ndim or xd.shape[xd.ndim - ld.ndim :] != ld.shape):
+    if ld.ndim > xd.ndim or xd.shape[xd.ndim - ld.ndim :] != ld.shape:
         raise ShapeError(f"prelu: leak shape {ld.shape} does not match input shape {xd.shape}")
-    lk = ld if ld.size != 1 else float(ld.reshape(()))
-    out = _wrap(np.where(xd > 0, xd, lk * xd))
+    out = _wrap(np.where(xd > 0, xd, ld * xd))
 
     def backward(g):
-        gx = g * np.where(xd >= 0, 1.0, lk)
+        gx = g * np.where(xd >= 0, 1.0, ld)
         gl = g * np.where(xd < 0, xd, 0.0)
         return (gx, _unbroadcast(gl, ld.shape))
 
@@ -481,24 +476,24 @@ def prelu(x: Tensor, leak: Tensor) -> Tensor:
 
 
 def multinomial_loglik(counts: Tensor, logits: Tensor) -> Tensor:
-    """Count-weighted log-likelihood sum_w c_w log softmax(logits)_w: a scalar for vectors, (B,) for (B, n) rows.
+    """Count-weighted log-likelihood sum_w c_w log softmax(logits)_w of each of (B, n) rows: a (B,) array.
 
     The softmax is stabilised by max subtraction.  Only the logits get a
     gradient, g (c - N softmax) with N = sum_w c_w; the counts are data.
     N is summed in the backward pass, so a forward-only call never pays for it.
     """
     cd, xd = counts.data, logits.data
-    if xd.ndim not in (1, 2) or cd.shape != xd.shape:
-        raise ShapeError(f"multinomial_loglik: expected counts and logits of one shape, a vector or (B, n) rows, got {cd.shape} and {xd.shape}")
+    if xd.ndim != 2 or cd.shape != xd.shape:
+        raise ShapeError(f"multinomial_loglik: expected counts and logits of one shape, (B, n) rows, got {cd.shape} and {xd.shape}")
     if not np.isfinite(xd).all():
         raise ValueError("multinomial_loglik: logits must be finite")
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = _wrap((cd[..., None, :] @ logp[..., :, None])[..., 0, 0])
+    shifted = xd - xd.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = _wrap((cd[:, None, :] @ logp[:, :, None])[:, 0, 0])
 
     def backward(g):
-        gc = g[..., None] * cd
-        return (None, gc - np.exp(logp) * gc.sum(axis=-1, keepdims=True))
+        gc = g[:, None] * cd
+        return (None, gc - np.exp(logp) * gc.sum(axis=1, keepdims=True))
 
     _record(out, (counts, logits), backward)
     return out

@@ -1,7 +1,9 @@
 """Test-side piecewise helpers: a CDF oracle, the row-wise sampling kernels, draws and their weight gradients through ``sample_through``, and KL values through ``kl_between``.
 
 ``a`` is a (d, n) array of positive weights, one distribution per row,
-and ``z`` or ``eps`` one point or noise value per row.
+and ``z`` or ``eps`` one point or noise value per row.  The taped ops
+take each row as one document's weight row with a single latent
+dimension, so they run on (d, n) rows.
 
 ``active_segment_rows``, ``inverse_cdf_rows`` and ``sample_grad_rows``
 are the sampler's earlier kernels, which worked row by row with
@@ -61,15 +63,15 @@ def sample_grad_rows(a, eps):
 
 def draw_rows(a, eps):
     """Inverse-CDF draws, one per row, from the taped ``sample_through``."""
-    return pw.sample_through(Tensor(a.reshape(-1)), eps, *a.shape).data
+    return pw.sample_through(Tensor(a), eps[:, None], 1, a.shape[1]).data[:, 0]
 
 
 def draw_grad_rows(a, eps):
     """Per row, d z / d a_k of that row's draw with its noise held fixed, from the tape's backward pass."""
     with Tape() as tape:
-        a_t = Tensor(a.reshape(-1))
-        tape.backward(sum_all(pw.sample_through(a_t, eps, *a.shape)))
-    return tape.grad(a_t).reshape(a.shape)
+        a_t = Tensor(a)
+        tape.backward(sum_all(pw.sample_through(a_t, eps[:, None], 1, a.shape[1])))
+    return tape.grad(a_t)
 
 
 def kl_rows(post, prior):

@@ -160,7 +160,7 @@ class TestExportMeans:
 
 def _one_document_kl_gradient(model, corpus, doc, family):
     """The input gradient of one document's KL term, from a tape of its own."""
-    x = Tensor(corpus.dense([doc])[0])
+    x = Tensor(corpus.dense([doc]))
     gauss_prior, a_prior = nvdm.priors(model)
     with Tape() as tape:
         post = nvdm.amortized_posterior(model, nvdm.encode(model, x))
@@ -169,7 +169,7 @@ def _one_document_kl_gradient(model, corpus, doc, family):
         else:
             kl = pw.kl_between(pw.head_forward(post["piece_raw_a"]), a_prior, model.piece_dims, model.n_pieces)
         tape.backward(kl)
-        return tape.grad(x)
+        return tape.grad(x)[0]
 
 
 class TestBlocksMatchOneDocument:
@@ -201,7 +201,7 @@ class TestBlocksMatchOneDocument:
         rows = [line.split("\t") for line in Path(out).read_text().splitlines() if not line.startswith("#")]
         assert [row[0] for row in rows] == [doc.doc_id for doc in corpus.docs]
         for doc, row in zip(corpus.docs, rows):
-            post = nvdm.amortized_posterior(model, nvdm.encode(model, Tensor(corpus.dense([doc])[0])))
+            post = nvdm.amortized_posterior(model, nvdm.encode(model, Tensor(corpus.dense([doc]))))
             a = pw.head_forward(post["piece_raw_a"]).data.reshape(model.piece_dims, model.n_pieces)
-            expected = np.concatenate([post["gauss_mu"].data, pw.mean_rows(a)])
+            expected = np.concatenate([post["gauss_mu"].data[0], pw.mean_rows(a)])
             np.testing.assert_allclose([float(v) for v in row[2:]], expected, rtol=1e-9)

@@ -163,6 +163,9 @@ class TestErrors:
         ("hidden 2", "hidden"),
         ("activation prelu", "activation prelu\nextra 1"),
         ("variant g\nvocab_size 5", "vocab_size 5\nvariant g"),
+        # Well-formed lines whose values init_model rejects.
+        ("activation prelu", "activation relu"),
+        ("variant g", "variant z"),
     ])
     def test_rejects_malformed_header(self, tmp_path, old, new):
         arrays = saved_arrays(tmp_path)

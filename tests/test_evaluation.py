@@ -324,7 +324,7 @@ class TestIterativeInference:
         block = cio.make_synthetic_bimodal(12, 20, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="amortised bound cannot be computed"):
+            with pytest.raises(ValueError, match=r"^iterative_inference: the bound of the block starting at document '0' cannot be computed"):
                 evaluation.iterative_inference(_noise_overflow_model(), block, block.docs[:3], steps_max=30, rng=np.random.default_rng(3))
 
     @pytest.mark.parametrize("variant", ["g", "h"])
@@ -373,6 +373,25 @@ class TestOverflowingEvaluation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^evaluate_iterative: re-estimate: the bound of the block starting at document '{first}' cannot be computed"):
                 evaluation.evaluate_iterative(_noise_overflow_model(), block, 10, np.random.default_rng(seed))
+
+
+def _mismatched_gaussian_model():
+    """A G model whose Gaussian means are 1 wide and its variances 2, which ``GaussianParams`` rejects as a ShapeError."""
+    model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=0)
+    narrow = {name: T.Tensor(model.params[name].data[:1]) for name in ("g_prior_b_mu", "g_post_w_mu", "g_post_b_mu", "g_alpha_mu")}
+    return replace(model, params={**model.params, **narrow})
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda model, block: evaluation.evaluate(model, block, 2, np.random.default_rng(0)), id="evaluate"),
+    pytest.param(lambda model, block: evaluation.iterative_inference(model, block, block.docs, rng=np.random.default_rng(0)), id="iterative_inference"),
+    pytest.param(lambda model, block: evaluation.evaluate_iterative(model, block, 2, np.random.default_rng(0)), id="evaluate_iterative"),
+])
+def test_a_shape_error_is_not_taken_for_an_overflow(run):
+    """Only a plain ValueError means that a bound overflowed; a ShapeError reaches the caller as it is."""
+    block = cio.make_synthetic_bimodal(3, 20, 1)
+    with pytest.raises(T.ShapeError, match=r"^GaussianParams: mu shape .*1,?\) != var shape .*2,?\)$"):
+        run(_mismatched_gaussian_model(), block)
 
 
 class TestOverflowingRefinement:

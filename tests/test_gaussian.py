@@ -79,16 +79,16 @@ class TestPosteriorForward:
         rng = np.random.default_rng(3)
         head = zero_gate_head(rng, 5, 3)
         prior = ga.prior_forward(head)
-        post = posterior(head, T.Tensor(rng.normal(size=3)))
-        np.testing.assert_array_equal(post.mu.data, prior.mu.data)
-        np.testing.assert_array_equal(post.var.data, prior.var.data)
+        post = posterior(head, T.Tensor(rng.normal(size=(1, 3))))
+        np.testing.assert_array_equal(post.mu.data, prior.mu.data[None])
+        np.testing.assert_array_equal(post.var.data, prior.var.data[None])
 
     def test_unit_gate_ignores_prior(self):
         rng = np.random.default_rng(4)
         head = make_head(rng, 4, 3)
         head.alpha_mu = T.Tensor(np.ones(4))
         head.alpha_sigma = T.Tensor(np.ones(4))
-        enc = T.Tensor(rng.normal(size=3))
+        enc = T.Tensor(rng.normal(size=(1, 3)))
         post_a = posterior(head, enc)
         head.prior_b_mu = head.prior_b_mu + 100.0
         head.prior_b_sigma = head.prior_b_sigma * 7.0
@@ -107,7 +107,7 @@ def gate_gradient_error(gate):
     """Relative error of the taped gradient of sum(mu) + sum(var) in one gate vector."""
     rng = np.random.default_rng(5)
     dim, enc_dim = 3, 2
-    enc_arr = rng.normal(size=enc_dim)
+    enc_arr = rng.normal(size=(1, enc_dim))
     alpha = rng.normal(size=dim) * 0.4
 
     def bound(alpha_arr):
@@ -184,11 +184,11 @@ class TestSampling:
 class TestKl:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(10)
-        g = params(rng.normal(size=4), np.exp(rng.normal(size=4)))
+        g = params(rng.normal(size=(1, 4)), np.exp(rng.normal(size=(1, 4))))
         assert float(ga.kl(g, g)) == 0.0
 
     def test_unit_shift_is_half(self):
-        post = params(np.array([1.0]), np.array([1.0]))
+        post = params(np.array([[1.0]]), np.array([[1.0]]))
         prior = params(np.array([0.0]), np.array([1.0]))
         assert float(ga.kl(post, prior)) == pytest.approx(0.5, abs=1e-15)
 
@@ -196,13 +196,13 @@ class TestKl:
         rng = np.random.default_rng(11)
         for _ in range(200):
             d = int(rng.integers(1, 6))
-            post = params(rng.normal(size=d), np.exp(rng.normal(size=d)))
+            post = params(rng.normal(size=(1, d)), np.exp(rng.normal(size=(1, d))))
             prior = params(rng.normal(size=d), np.exp(rng.normal(size=d)))
             assert float(ga.kl(post, prior)) >= 0.0
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(12)
-        post = params(rng.normal(size=3), np.exp(rng.normal(size=3) * 0.5))
+        post = params(rng.normal(size=(1, 3)), np.exp(rng.normal(size=(1, 3)) * 0.5))
         prior = params(rng.normal(size=3), np.exp(rng.normal(size=3) * 0.5))
         n = 1_000_000
         z = post.mu.data + np.sqrt(post.var.data) * rng.standard_normal((n, 3))
@@ -215,13 +215,13 @@ class TestKl:
         assert abs(float(ga.kl(post, prior)) - diffs.mean()) < 3 * se
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            ga.kl(params(np.zeros(2), np.ones(2)), params(np.zeros(3), np.ones(3)))
+        with pytest.raises(T.ShapeError, match=r"\(B, G\).*\(1, 2\) and \(3,\)"):
+            ga.kl(params(np.zeros((1, 2)), np.ones((1, 2))), params(np.zeros(3), np.ones(3)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)
         mu_p, var_p = rng.normal(size=3), np.exp(rng.normal(size=3))
-        mu_q, var_q = rng.normal(size=3), np.exp(rng.normal(size=3))
+        mu_q, var_q = rng.normal(size=(1, 3)), np.exp(rng.normal(size=(1, 3)))
         with T.Tape() as tape:
             post = params(mu_q, var_q)
             prior = params(mu_p, var_p)
@@ -236,10 +236,10 @@ class TestKl:
 
     def test_kl_gradient_at_identity_is_zero(self):
         rng = np.random.default_rng(14)
-        mu, var = rng.normal(size=3), np.exp(rng.normal(size=3))
+        mu, var = rng.normal(size=(1, 3)), np.exp(rng.normal(size=(1, 3)))
         with T.Tape() as tape:
             post = params(mu, var)
-            prior = params(mu.copy(), var.copy())
+            prior = params(mu[0].copy(), var[0].copy())
             tape.backward(ga.kl(post, prior))
         np.testing.assert_allclose(tape.grad(post.mu), 0.0, atol=1e-14)
         np.testing.assert_allclose(tape.grad(post.var), 0.0, atol=1e-14)
@@ -265,9 +265,11 @@ class TestKl:
             assert max_rel_err(tape.grad(tensor), numerical_grad(f, arrays[i])) < 1e-6, i
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
+        # A variance that is not positive is the overflow signal, a plain ValueError; a shape mismatch is a ShapeError.
+        with pytest.raises(ValueError) as info:
             ga.GaussianParams(mu=T.Tensor([0.0]), var=T.Tensor([0.0]))
-        with pytest.raises(ValueError):
+        assert type(info.value) is ValueError
+        with pytest.raises(T.ShapeError):
             ga.GaussianParams(mu=T.Tensor([0.0, 1.0]), var=T.Tensor([1.0]))
 
 
@@ -292,9 +294,9 @@ def kl_through_the_head(kl_fn, enc_shape):
     return value.data, [tape.grad(t) for t in inputs + tuple(vars(head).values()) + (enc,)]
 
 
-@pytest.mark.parametrize("enc_shape", [(3,), (6, 3)])
+@pytest.mark.parametrize("enc_shape", [(1, 3), (6, 3)])
 def test_kl_op_is_bit_identical_to_the_elementwise_chain(enc_shape):
-    """One (G,) posterior or (B, G) rows against a (G,) prior: value and all gradients, bit for bit."""
+    """One (1, G) posterior row or (B, G) rows against a (G,) prior: value and all gradients, bit for bit."""
     value, grads = kl_through_the_head(ga.kl, enc_shape)
     expected_value, expected_grads = kl_through_the_head(oracle_kl, enc_shape)
     assert value.shape == enc_shape[:-1]

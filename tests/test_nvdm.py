@@ -32,8 +32,8 @@ class TestEncode:
     def test_zero_document_zero_biases_gives_zero_encoding(self):
         for activation in ("prelu", "softsign"):
             model = nvdm.init_model("g", 5, hidden=4, gauss_dims=2, activation=activation, seed=0)
-            out = nvdm.encode(model, T.Tensor(np.zeros(5)))
-            np.testing.assert_array_equal(out.data, np.zeros(4))
+            out = nvdm.encode(model, T.Tensor(np.zeros((1, 5))))
+            np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_default_hidden_width(self):
         model = nvdm.init_model("g", 12, gauss_dims=2, seed=0)
@@ -42,13 +42,13 @@ class TestEncode:
 
     def test_vocabulary_mismatch(self):
         model = nvdm.init_model("g", 5, hidden=4, gauss_dims=2, seed=0)
-        with pytest.raises(T.ShapeError, match="document vector"):
-            nvdm.encode(model, T.Tensor(np.zeros(6)))
+        with pytest.raises(T.ShapeError, match=r"\(B, 5\) document rows, got \(1, 6\)"):
+            nvdm.encode(model, T.Tensor(np.zeros((1, 6))))
 
     def test_finite_outputs_and_gradients(self):
         corpus = tiny_corpus()
         model = randomized(nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=1), seed=2)
-        x_arr = corpus.dense(corpus.docs[:1])[0]
+        x_arr = corpus.dense(corpus.docs[:1])
         with T.Tape() as tape:
             x = T.Tensor(x_arr)
             out = nvdm.encode(model, x)
@@ -94,7 +94,37 @@ class TestDecode:
         )
         assert max_rel_err(tape.grad(z), num) < 1e-6
         # Weights as counts: the likelihood of one latent vector is the weighted sum of its log-probabilities.
-        assert nvdm.decode_logprob(model, T.Tensor(z_arr), T.Tensor(weights)).item() == pytest.approx(float(weights @ logp.data), rel=1e-12)
+        assert nvdm.decode_logprob(model, T.Tensor(z_arr[None]), T.Tensor(weights[None])).item() == pytest.approx(float(weights @ logp.data), rel=1e-12)
+
+
+def vector(n, value=0.0):
+    return T.Tensor(np.full(n, value))
+
+
+def vector_gaussian():
+    return gaussian.GaussianParams(mu=vector(2), var=vector(2, 1.0))
+
+
+VECTOR_MODEL = nvdm.init_model("g", 5, hidden=4, gauss_dims=2, seed=0)
+
+
+# Each rows-only function with a (width,) vector where it takes (B, width)
+# rows.  The decoder's counts and each KL's prior are vectors too, so
+# every argument but that vector is one the function accepts.
+@pytest.mark.parametrize("call, width", [
+    pytest.param(lambda: T.affine(vector(3), T.Tensor(np.ones((4, 3))), vector(4)), 3, id="affine"),
+    pytest.param(lambda: T.multinomial_loglik(vector(5, 1.0), vector(5)), 5, id="multinomial_loglik"),
+    pytest.param(lambda: nvdm.encode(VECTOR_MODEL, vector(5)), 5, id="encode"),
+    pytest.param(lambda: nvdm.decode_logprob(VECTOR_MODEL, vector(2), vector(5, 1.0)), 2, id="decode_logprob"),
+    pytest.param(lambda: gaussian.kl(vector_gaussian(), vector_gaussian()), 2, id="gaussian.kl"),
+    pytest.param(lambda: pw.sample_through(vector(6, 1.0), np.full(2, 0.5), 2, 3), 6, id="sample_through"),
+    pytest.param(lambda: pw.kl_between(vector(6, 1.0), vector(6, 2.0), 2, 3), 6, id="kl_between"),
+])
+def test_rows_only_functions_reject_a_vector(call, width):
+    """Documents are rows: a vector raises ShapeError naming the (B, ...) shape expected and the shape given."""
+    with pytest.raises(T.ShapeError, match=r"\(B, ") as info:
+        call()
+    assert f"({width},)" in str(info.value)
 
 
 # (vocabulary, Gaussian dims, piecewise dims) of the two benchmark workloads' decoders: paper-h and tiny-p.
@@ -109,11 +139,10 @@ def decoder_model(shape, seed):
 
 
 def decoder_inputs(model, rows, seed):
-    """Latent rows (a vector for ``rows=None``) and matching word counts."""
+    """Latent rows and matching word counts."""
     rng = np.random.default_rng(seed)
-    shape = (model.latent_dim,) if rows is None else (rows, model.latent_dim)
-    counts = rng.poisson(0.05, shape[:-1] + (model.vocab_size,)).astype(np.float64)
-    return rng.normal(size=shape), counts
+    counts = rng.poisson(0.05, (rows, model.vocab_size)).astype(np.float64)
+    return rng.normal(size=(rows, model.latent_dim)), counts
 
 
 def reference_decode(model, z, counts, *, kept_transpose=False):
@@ -147,13 +176,10 @@ class TestDecoderLayout:
         np.testing.assert_allclose(bound, T.multinomial_loglik(T.Tensor(counts), T.Tensor(expected)).data, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
-    @pytest.mark.parametrize("as_row", [False, True])
-    def test_one_row_matches_within_rounding(self, shape, as_row):
-        """numpy multiplies one row by a matrix-vector product, where the two layouts can differ in the last bit."""
+    def test_one_row_matches_within_rounding(self, shape):
+        """numpy multiplies one (1, L) row by a vector-matrix product, where the two layouts can differ in the last bit."""
         model = decoder_model(shape, seed=1)
-        z, counts = decoder_inputs(model, None, seed=2)
-        if as_row:
-            z, counts = z[None, :], counts[None, :]
+        z, counts = decoder_inputs(model, 1, seed=2)
         got = nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts)).data
         np.testing.assert_allclose(got, reference_decode(model, T.Tensor(z), T.Tensor(counts)).data, rtol=1e-12, atol=0)
 
@@ -215,36 +241,33 @@ class TestDecoderLayout:
         assert model.params["dec_r"].transposed() is old
 
     def test_bias_gradient_is_deferred_until_read(self, monkeypatch):
-        """After a refinement-shaped backward (posterior rows moved, model and priors frozen) nothing has summed the bias gradient's rows."""
+        """After a refinement-shaped backward (posterior rows moved, model and priors frozen) nothing has summed the bias gradient's rows.
+
+        The tape holds a deferred gradient as the function that computes
+        it, so the bias gradient is unsummed while its slot is callable.
+        """
         model = randomized(nvdm.init_model("h", 23, hidden=4, gauss_dims=3, piece_dims=2, seed=9), seed=10)
         rng = np.random.default_rng(11)
         counts = T.Tensor(rng.poisson(1.0, (3, 23)).astype(np.float64))
         rows = dict(gauss_mu=rng.normal(size=(3, 3)), gauss_raw_sigma=rng.normal(size=(3, 3)), piece_raw_a=rng.normal(size=(3, 6)))
         noise = nvdm.draw_noises(model, 1, nvdm.noise_keys(12, [1, 2, 3]))  # a refinement step draws one sample
         prior = nvdm.priors(model)
-        calls = []
-        unbroadcast = T._unbroadcast
-
-        def counting(g, shape):
-            calls.append(shape)
-            return unbroadcast(g, shape)
+        bias = model.params["dec_b"]
 
         def bias_gradient(decode):
             with monkeypatch.context() as patch:
                 patch.setattr(nvdm, "decode_logprob", decode)
-                patch.setattr(T, "_unbroadcast", counting)
-                calls.clear()
                 with T.Tape() as tape:
                     tensors = {name: T.Tensor(values) for name, values in rows.items()}
                     bound = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=1.0, noise=noise, **tensors)
                     tape.backward(bound.total)
-                before = calls.count((23,))
-                return before, tape.grad(model.params["dec_b"]), calls.count((23,))
+                unsummed = callable(tape._grads[bias])
+                return unsummed, tape.grad(bias), callable(tape._grads[bias])
 
         before, deferred, after = bias_gradient(nvdm.decode_logprob)
-        assert (before, after) == (0, 1)
+        assert (before, after) == (True, False)
         eager_before, eager, _ = bias_gradient(reference_decode)
-        assert eager_before == 1  # summed at backward time
+        assert not eager_before  # summed at backward time
         assert deferred.tobytes() == eager.tobytes()
 
 

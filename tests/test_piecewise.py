@@ -243,7 +243,7 @@ class TestPiecesAxisKernels:
 
     @pytest.mark.parametrize("shape", [(5, 3), (13, 3), (12,), (6, 2)])
     def test_noise_of_the_wrong_shape_is_rejected(self, shape):
-        with pytest.raises(ValueError, match="does not match weights"):
+        with pytest.raises(T.ShapeError, match=r"\(S\*B, 3\) noise, got \(6, 6\) and"):
             pw.sample_through(T.Tensor(np.ones((6, 6))), np.full(shape, 0.5), 3, 2)
 
 
@@ -342,12 +342,12 @@ class TestKlGrad:
         np.testing.assert_array_equal(d_post[1], kl_grad(post[1], prior[1])[0])
         assert np.all(d_post[1] != 0.0)
 
-        post_t, prior_t = T.Tensor(post.reshape(-1)), T.Tensor(prior.reshape(-1))
+        post_t, prior_t = T.Tensor(post.reshape(1, -1)), T.Tensor(prior.reshape(-1))
         with T.Tape() as tape:
             value = pw.kl_between(post_t, prior_t, 2, 3)
             tape.backward(value)
         assert float(value) == raw[1]
-        np.testing.assert_array_equal(tape.grad(post_t)[:3], 0.0)
+        np.testing.assert_array_equal(tape.grad(post_t)[0, :3], 0.0)
         np.testing.assert_array_equal(tape.grad(prior_t)[:3], 0.0)
 
 
@@ -395,7 +395,7 @@ class TestHeadForward:
 
     def test_gradients_through_exponential(self):
         rng = np.random.default_rng(116)
-        enc = rng.normal(size=3)
+        enc = rng.normal(size=(1, 3))
         weight = rng.normal(size=(4, 3)) * 0.5
         bias = rng.normal(size=4) * 0.1
 
@@ -421,21 +421,21 @@ class TestTapedOps:
         rng = np.random.default_rng(117)
         a = np.exp(rng.uniform(-1, 1, size=(3, 4)))
         eps = rng.random(3)
-        z = pw.sample_through(T.Tensor(a.reshape(-1)), eps, 3, 4)
-        expect = [pw.sample_through(T.Tensor(a[i]), eps[i : i + 1], 1, 4).data[0] for i in range(3)]
-        np.testing.assert_allclose(z.data, expect, rtol=1e-15)
-        np.testing.assert_allclose(z.data, [bisect_inverse_cdf(a[i], float(eps[i])) for i in range(3)], rtol=0, atol=1e-10)
+        z = pw.sample_through(T.Tensor(a.reshape(1, -1)), eps[None], 3, 4)
+        expect = [pw.sample_through(T.Tensor(a[i : i + 1]), eps[None, i : i + 1], 1, 4).data[0, 0] for i in range(3)]
+        np.testing.assert_allclose(z.data[0], expect, rtol=1e-15)
+        np.testing.assert_allclose(z.data[0], [bisect_inverse_cdf(a[i], float(eps[i])) for i in range(3)], rtol=0, atol=1e-10)
 
     def test_sample_through_gradient(self):
         rng = np.random.default_rng(118)
         a = np.exp(rng.uniform(-1, 1, size=(2, 3)))
         eps = rng.uniform(0.1, 0.9, size=2)
         with T.Tape() as tape:
-            a_t = T.Tensor(a.reshape(-1))
-            z = pw.sample_through(a_t, eps, 2, 3)
+            a_t = T.Tensor(a.reshape(1, -1))
+            z = pw.sample_through(a_t, eps[None], 2, 3)
             tape.backward(T.sum_all(z))
         num = numerical_grad(
-            lambda flat: float(np.sum(draw_rows(flat.reshape(2, 3), eps))), a.reshape(-1)
+            lambda flat: float(np.sum(draw_rows(flat.reshape(2, 3), eps))), a.reshape(1, -1)
         )
         assert max_rel_err(tape.grad(a_t), num) < 1e-6
 
@@ -444,19 +444,19 @@ class TestTapedOps:
         post = np.exp(rng.uniform(-1, 1, size=(3, 5)))
         prior = np.exp(rng.uniform(-1, 1, size=(3, 5)))
         with T.Tape() as tape:
-            post_t, prior_t = T.Tensor(post.reshape(-1)), T.Tensor(prior.reshape(-1))
+            post_t, prior_t = T.Tensor(post.reshape(1, -1)), T.Tensor(prior.reshape(-1))
             kl_node = pw.kl_between(post_t, prior_t, 3, 5)
             tape.backward(kl_node)
         expect = sum(at(kl_rows, post[i], prior[i]) for i in range(3))
         assert float(kl_node) == pytest.approx(expect, rel=1e-12)
-        num = numerical_grad(lambda flat: float(kl_rows(flat.reshape(3, 5), prior).sum()), post.reshape(-1))
+        num = numerical_grad(lambda flat: float(kl_rows(flat.reshape(3, 5), prior).sum()), post.reshape(1, -1))
         assert max_rel_err(tape.grad(post_t), num) < 1e-6
 
 
 class TestTapedRows:
-    """(B, dims*pieces) rows give the per-row results of the vector path."""
+    """(B, dims*pieces) rows give the results of one-row calls, stacked."""
 
-    def test_sample_through_rows_match_vectors(self):
+    def test_sample_through_rows_equal_stacked_one_row_calls(self):
         rng = np.random.default_rng(120)
         a = np.exp(rng.uniform(-1, 1, size=(4, 6)))
         eps = rng.uniform(0.05, 0.95, size=(4, 2))
@@ -465,13 +465,17 @@ class TestTapedRows:
             a_t = T.Tensor(a)
             z = pw.sample_through(a_t, eps, 2, 3)
             tape.backward(T.sum_all(T.mul(z, T.Tensor(weights))))
+        z_rows, grad_rows = [], []
         for i in range(4):
+            one = slice(i, i + 1)
             with T.Tape() as row_tape:
-                row_t = T.Tensor(a[i])
-                z_row = pw.sample_through(row_t, eps[i], 2, 3)
-                row_tape.backward(T.sum_all(T.mul(z_row, T.Tensor(weights[i]))))
-            np.testing.assert_allclose(z.data[i], z_row.data, rtol=1e-15)
-            np.testing.assert_allclose(tape.grad(a_t)[i], row_tape.grad(row_t), rtol=1e-14)
+                row_t = T.Tensor(a[one])
+                z_row = pw.sample_through(row_t, eps[one], 2, 3)
+                row_tape.backward(T.sum_all(T.mul(z_row, T.Tensor(weights[one]))))
+            z_rows.append(z_row.data)
+            grad_rows.append(row_tape.grad(row_t))
+        np.testing.assert_allclose(z.data, np.concatenate(z_rows), rtol=1e-15)
+        np.testing.assert_allclose(tape.grad(a_t), np.concatenate(grad_rows), rtol=1e-14)
 
     def test_kl_between_rows_broadcast_the_prior(self):
         rng = np.random.default_rng(121)
@@ -485,10 +489,10 @@ class TestTapedRows:
         prior_grad = np.zeros(10)
         for i in range(3):
             with T.Tape() as row_tape:
-                row_post, row_prior = T.Tensor(post[i]), T.Tensor(prior)
+                row_post, row_prior = T.Tensor(post[i : i + 1]), T.Tensor(prior)
                 kl_row = pw.kl_between(row_post, row_prior, 2, 5)
                 row_tape.backward(kl_row)
             assert kl_rows_t.data[i] == pytest.approx(float(kl_row), rel=1e-14)
-            np.testing.assert_allclose(tape.grad(post_t)[i], row_tape.grad(row_post), rtol=1e-14)
+            np.testing.assert_allclose(tape.grad(post_t)[i], row_tape.grad(row_post)[0], rtol=1e-14)
             prior_grad += row_tape.grad(row_prior)
         np.testing.assert_allclose(tape.grad(prior_t), prior_grad, rtol=1e-12)

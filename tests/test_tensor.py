@@ -27,20 +27,20 @@ def fd_grad(op, arrays, wrt, h=1e-6, **kwargs):
 
 class TestAffine:
     def test_identity(self):
-        out = T.affine(T.Tensor([1.0, 2.0]), T.Tensor(np.eye(2)), T.Tensor([0.0, 0.0]))
-        np.testing.assert_array_equal(out.data, [1.0, 2.0])
+        out = T.affine(T.Tensor([[1.0, 2.0]]), T.Tensor(np.eye(2)), T.Tensor([0.0, 0.0]))
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_forced_arithmetic(self):
-        out = T.affine(T.Tensor([1.0, 1.0]), T.Tensor([[2.0, 3.0]]), T.Tensor([-5.0]))
-        np.testing.assert_array_equal(out.data, [0.0])
+        out = T.affine(T.Tensor([[1.0, 1.0]]), T.Tensor([[2.0, 3.0]]), T.Tensor([-5.0]))
+        np.testing.assert_array_equal(out.data, [[0.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2,\)"):
-            T.affine(T.Tensor([1.0, 2.0]), T.Tensor(np.zeros((2, 3))), T.Tensor([0.0, 0.0]))
+        with pytest.raises(T.ShapeError, match=r"\(1, 2\).*\(2, 3\)"):
+            T.affine(T.Tensor([[1.0, 2.0]]), T.Tensor(np.zeros((2, 3))), T.Tensor([0.0, 0.0]))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
-        x, w, b = rng.normal(size=3), rng.normal(size=(4, 3)), rng.normal(size=4)
+        x, w, b = rng.normal(size=(1, 3)), rng.normal(size=(4, 3)), rng.normal(size=4)
         for wrt in range(3):
             ana = taped_grad(T.affine, x, w, b, wrt=wrt)
             num = fd_grad(T.affine, [x, w, b], wrt)
@@ -48,15 +48,19 @@ class TestAffine:
 
     def test_weight_gradient_is_outer_product(self):
         rng = np.random.default_rng(8)
-        x, w, b = rng.normal(size=3), rng.normal(size=(4, 3)), rng.normal(size=4)
+        x, w, b = rng.normal(size=(1, 3)), rng.normal(size=(4, 3)), rng.normal(size=4)
         ana = taped_grad(T.affine, x, w, b, wrt=1)
-        np.testing.assert_allclose(ana, np.outer(np.ones(4), x), rtol=1e-12)
+        np.testing.assert_allclose(ana, np.outer(np.ones(4), x[0]), rtol=1e-12)
 
 
 class TestActivations:
     def test_prelu_definition(self):
-        out = T.prelu(T.Tensor([-1.0, 2.0]), T.Tensor([0.5]))
-        np.testing.assert_array_equal(out.data, [-0.5, 2.0])
+        out = T.prelu(T.Tensor([[-1.0, 2.0]]), T.Tensor([0.5, 0.5]))
+        np.testing.assert_array_equal(out.data, [[-0.5, 2.0]])
+
+    def test_prelu_leak_has_the_trailing_shape_of_the_input(self):
+        with pytest.raises(T.ShapeError, match=r"leak shape \(1,\).*\(1, 2\)"):
+            T.prelu(T.Tensor([[-1.0, 2.0]]), T.Tensor([0.5]))
 
     def test_prelu_zero(self):
         out = T.prelu(T.Tensor([0.0]), T.Tensor([0.3]))
@@ -69,9 +73,9 @@ class TestActivations:
     def test_prelu_gradients(self):
         rng = np.random.default_rng(9)
         # Keep samples away from the kink at 0.
-        x = rng.normal(size=8)
+        x = rng.normal(size=(4, 2))
         x[np.abs(x) < 0.1] += 0.5
-        leak = np.array([0.25])
+        leak = np.full(2, 0.25)
         for wrt in (0, 1):
             ana = taped_grad(T.prelu, x, leak, wrt=wrt)
             num = fd_grad(T.prelu, [x, leak], wrt)
@@ -126,7 +130,7 @@ def old_decoder_likelihood(counts, logits):
 
 class TestMultinomialLoglik:
     def test_uniform(self):
-        out = T.multinomial_loglik(T.Tensor([1.0, 0.0, 2.5, 3.0]), T.Tensor([0.0, 0.0, 0.0, 0.0]))
+        out = T.multinomial_loglik(T.Tensor([[1.0, 0.0, 2.5, 3.0]]), T.Tensor([[0.0, 0.0, 0.0, 0.0]]))
         assert out.item() == pytest.approx(6.5 * np.log(0.25), rel=0, abs=1e-14)
 
     def test_shift_invariance(self):
@@ -147,7 +151,7 @@ class TestMultinomialLoglik:
             assert abs(np.exp(logp).sum() - 1.0) < 1e-12
             assert np.all(logp <= 0.0)
 
-    @pytest.mark.parametrize("shape", [(7,), (3, 7)])
+    @pytest.mark.parametrize("shape", [(1, 7), (3, 7)])
     def test_gradients_match_finite_differences(self, shape):
         rng = np.random.default_rng(15)
         counts, logits = rng.uniform(0.0, 3.0, size=shape), rng.normal(size=shape)
@@ -171,7 +175,7 @@ class TestMultinomialLoglik:
 
     def test_bit_identical_to_log_softmax_then_dot(self):
         rng = np.random.default_rng(17)
-        for shape in ((50,), (5, 50)):
+        for shape in ((1, 50), (5, 50)):
             counts = rng.poisson(0.5, size=shape).astype(np.float64)
             logits = rng.normal(size=shape) * 3.0
             value, grad = old_decoder_likelihood(counts, logits)
@@ -309,7 +313,7 @@ class TestElementwiseAndReductions:
 class TestDeterminismAndImmutability:
     def test_forward_deterministic(self):
         rng = np.random.default_rng(20)
-        w, x = rng.normal(size=(30, 40)), rng.normal(size=40)
+        w, x = rng.normal(size=(30, 40)), rng.normal(size=(1, 40))
         first = T.affine(T.Tensor(x), T.Tensor(w), T.Tensor(np.zeros(30))).data
         second = T.affine(T.Tensor(x), T.Tensor(w), T.Tensor(np.zeros(30))).data
         np.testing.assert_array_equal(first, second)
@@ -324,7 +328,7 @@ class TestDeterminismAndImmutability:
         x = rng.normal(size=50) * 50
         for op in (T.softplus, T.softsign, T.exp_clamped):
             assert np.all(np.isfinite(op(T.Tensor(x)).data)), op.__name__
-        assert np.isfinite(T.multinomial_loglik(T.Tensor(np.abs(x)), T.Tensor(x)).item())
+        assert np.isfinite(T.multinomial_loglik(T.Tensor(np.abs(x[None])), T.Tensor(x[None])).item())
 
     def test_parallel_tapes_are_independent(self):
         import threading
@@ -362,15 +366,14 @@ class TestRows:
         counts = np.abs(other)
         assert max_rel_err(taped_grad(T.multinomial_loglik, counts, rows, wrt=1), fd_grad(T.multinomial_loglik, [counts, rows], 1)) < 1e-6
 
-    def test_rows_equal_stacked_vectors(self):
+    def test_rows_equal_stacked_one_row_calls(self):
         rng = np.random.default_rng(23)
         x, w = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
         counts = rng.uniform(0.0, 3.0, size=(4, 5))
         b = rng.normal(size=5)
         rows = T.multinomial_loglik(T.Tensor(counts), T.affine(T.Tensor(x), T.Tensor(w), T.Tensor(b))).data
-        for i in range(4):
-            one = T.multinomial_loglik(T.Tensor(counts[i]), T.affine(T.Tensor(x[i]), T.Tensor(w), T.Tensor(b)))
-            np.testing.assert_allclose(rows[i], one.item(), rtol=1e-14)
+        one = lambda i: T.multinomial_loglik(T.Tensor(counts[i : i + 1]), T.affine(T.Tensor(x[i : i + 1]), T.Tensor(w), T.Tensor(b))).data
+        np.testing.assert_allclose(rows, np.concatenate([one(i) for i in range(4)]), rtol=1e-14)
         np.testing.assert_array_equal(T.concat(T.Tensor(x), T.Tensor(w[:4])).data, np.hstack([x, w[:4]]))
 
     def test_weight_gradient_is_sum_of_outer_products(self):
@@ -486,8 +489,8 @@ class TestTapeAliasing:
 
         self.check(build, [x, y], [2.0 * x + 1.0, 2.0 * y + 1.0], monkeypatch)
 
-    def test_one_row_bias_gradient_is_a_view_of_g(self, monkeypatch):
-        """``affine`` of one (1, m) row returns g reshaped as the bias gradient, and its deferred input products read g; the bias's later gradient must not reach g."""
+    def test_one_row_bias_gradient_does_not_alias_g(self, monkeypatch):
+        """``affine`` of one (1, m) row defers a bias gradient that sums g's one row, and input products that read g; the bias's later gradient, added into its sum, must not reach g."""
         rng = np.random.default_rng(34)
         x, w, b = rng.normal(size=(1, 2)), rng.normal(size=(3, 2)), rng.normal(size=3)
 
