@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gaussian, piecewise
 from .corpus import Corpus
-from .evaluation import EVAL_BLOCK
+from .evaluation import EVAL_BLOCK, _check_finite
 from .nvdm import NvdmModel, amortized_posterior, encode, priors
 from .tensor import Tape, Tensor, affine, sum_all
 
@@ -82,7 +82,9 @@ def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
     componentwise and masked to the words present in the document; the
     top_m present word types (ties broken by word id) each receive one
     count.  Returns (gaussian_counts, piecewise_counts) over the
-    vocabulary.
+    vocabulary.  A block with a KL term that is not finite (its variances
+    overflow) raises ValueError naming the family and the block's first
+    document.
     """
     if top_m < 1:
         raise ValueError(f"top_m must be >= 1, got {top_m}")
@@ -102,7 +104,10 @@ def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
         x = Tensor(corpus.dense(docs))
         for family, prior in families.items():
             with Tape() as tape:
-                tape.backward(sum_all(_family_kl_node(model, encode(model, x), family, prior)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    kl = _family_kl_node(model, encode(model, x), family, prior)
+                _check_finite(f"kl_sensitivity: {family} KL", docs, kl.data)
+                tape.backward(sum_all(kl))
                 g = tape.grad(x)
             for row, doc in zip(g, docs):
                 present = doc.term_ids

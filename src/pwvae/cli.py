@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -26,21 +26,10 @@ from .training import TrainConfig, TrainingDiverged
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
-_CONFIG_FIELDS = {
-    "learning_rate": float,
-    "batch_size": int,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "adam_eps": float,
-    "clip_norm": float,
-    "kl_anneal_batches": int,
-    "max_epochs": int,
-    "patience": int,
-    "valid_samples": int,
-    "threads": int,
-    "hidden": int,
-    "activation": str,
-}
+# Config file keys and the types their values parse to: every TrainConfig
+# field but the seed, which is a flag, and the model's hidden and activation.
+_MODEL_FIELDS = {"hidden": int, "activation": str}
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"} | _MODEL_FIELDS
 
 
 class UsageError(Exception):
@@ -100,11 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path of the binary checkpoint (an .npz archive, written at exactly this path)")
-    p.add_argument("--lr", type=float, default=None)
+    # --hidden, --activation and the flags below store into their config key, and are None when unset.
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--clip-norm", type=float, default=None)
-    p.add_argument("--kl-anneal", type=int, default=None, help="batches of linear KL warm-up (0 = off)")
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--kl-anneal", dest="kl_anneal_batches", type=int, default=None, help="batches of linear KL warm-up (0 = off)")
+    p.add_argument("--epochs", dest="max_epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_train)
@@ -194,37 +184,14 @@ def _model_dims(args) -> dict:
 def _cmd_train(args) -> int:
     for path, what in ((args.corpus, "corpus"), (args.vocab, "vocabulary"), (args.valid, "validation corpus")):
         _require_file(path, what)
-    file_cfg = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    config = TrainConfig(
-        learning_rate=pick(args.lr, "learning_rate", 0.002),
-        batch_size=pick(args.batch_size, "batch_size", 100),
-        adam_beta1=file_cfg.get("adam_beta1", 0.9),
-        adam_beta2=file_cfg.get("adam_beta2", 0.999),
-        adam_eps=file_cfg.get("adam_eps", 1e-8),
-        clip_norm=pick(args.clip_norm, "clip_norm", 5.0),
-        kl_anneal_batches=pick(args.kl_anneal, "kl_anneal_batches", 0),
-        max_epochs=pick(args.epochs, "max_epochs", 50),
-        patience=pick(args.patience, "patience", 10),
-        seed=args.seed,
-        valid_samples=file_cfg.get("valid_samples", 5),
-        threads=pick(args.threads, "threads", 1),
-    )
+    # A flag overrides the config file, which overrides the defaults of TrainConfig and init_model.
+    settings = _read_config_file(args.config) if args.config else {}
+    settings.update((key, getattr(args, key)) for key in _CONFIG_FIELDS if getattr(args, key, None) is not None)
+    model_settings = {key: settings.pop(key) for key in _MODEL_FIELDS if key in settings}
+    config = TrainConfig(seed=args.seed, **settings)
     train_corpus = load_corpus(args.vocab, args.corpus, transform=args.transform)
     valid_corpus = load_corpus(args.vocab, args.valid, transform=args.transform)
-    model = init_model(
-        args.variant,
-        train_corpus.vocab_size,
-        hidden=pick(args.hidden, "hidden", 100),
-        activation=pick(args.activation, "activation", "prelu"),
-        seed=args.seed,
-        **_model_dims(args),
-    )
+    model = init_model(args.variant, train_corpus.vocab_size, seed=args.seed, **model_settings, **_model_dims(args))
     result = training.train(model, train_corpus, valid_corpus, config, log_stream=sys.stderr)
     save_checkpoint(result.model, args.out)
     with open(args.out + ".log", "w", encoding="utf-8") as fh:

@@ -151,7 +151,8 @@ def load_corpus(vocab_path: str, docs_path: str, transform: str = "none", labels
     out-of-vocabulary and dropped; documents left empty are removed and
     the number of removals is reported.  Negative ids, non-numeric
     fields, counts below 1, or a term id repeated within a line are parse
-    errors.
+    errors.  A labels sidecar holds one line per document line, dropped
+    documents included; any other count is an error.
     """
     vocab = _load_vocab(vocab_path)
     labels = load_labels(labels_path) if labels_path else None
@@ -185,15 +186,15 @@ def load_corpus(vocab_path: str, docs_path: str, transform: str = "none", labels
             if not ids:
                 dropped += 1
                 continue
-            if labels is not None and file_index >= len(labels):
-                raise CorpusFormatError(f"{labels_path}: fewer labels than documents")
-            label = labels[file_index] if labels else None
+            label = labels[file_index] if labels is not None and file_index < len(labels) else None
             try:
                 docs.append(Document(doc_id=doc_id, term_ids=np.array(ids), counts=np.array(counts), label=label))
             except ValueError as exc:
                 raise CorpusFormatError(f"{docs_path}:{lineno}: {exc}") from None
         if lineno == 0:
             raise CorpusFormatError(f"{docs_path}: no documents")
+    if labels is not None and len(labels) != len(docs) + dropped:
+        raise CorpusFormatError(f"{labels_path}: {len(labels)} labels for {len(docs) + dropped} documents in {docs_path}")
     if not docs:
         raise CorpusFormatError(f"{docs_path}: no documents")
     if dropped:

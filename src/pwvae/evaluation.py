@@ -9,10 +9,12 @@ computes once, and a block's noise is one
 documents always receive identical noise and duplicating a corpus leaves
 the report unchanged.  Documents are evaluated as rows, ``EVAL_BLOCK`` at
 a time, which bounds memory for any corpus size; a block's (B, V) rows
-come from one scatter (``Corpus.dense_counts``).  A block whose bound
-cannot be computed (its variances or logits overflow) raises ValueError
-naming the stage and the block's first document, and numpy's overflow
-warnings, which would only repeat that, are silenced.
+come from one scatter (``Corpus.dense_counts``).  ``posterior_bound``
+raises nothing on overflow: a row whose variances or logits overflow gets
+a non-finite bound, and each caller checks the bounds once.  A block with
+a non-finite bound raises ValueError naming the stage and the block's
+first document, and numpy's overflow warnings, which would only repeat
+that, are silenced.
 
 Iterative inference refines posterior parameters by plain gradient ascent
 on the bound while the model and the prior stay frozen.  A block of
@@ -24,9 +26,8 @@ model alone, and the KL ops' deferred prior gradients are never computed;
 ``evaluate_iterative``'s re-estimate builds them once per call.
 Every row keeps its own state (best bound, steps since the last
 improvement, step count, abort flag) and its own gradient-norm clip, and
-only rows still refining move.  A row that stops, by patience or by a
-non-finite step bound, stays in the block with its parameters frozen and
-its tracking noise as step noise, and its outputs are ignored: the
+only rows still refining move.  A row that stops stays in the block with
+its parameters frozen, and its outputs, finite or not, are ignored: the
 block's composition never changes, because a row's matrix products can
 differ in the last bits with the rows around it.
 Refinement draws its noise through ``nvdm.draw_noises`` too, keyed by
@@ -37,9 +38,10 @@ starting point, and a zero learning rate returns exactly the starting
 bound.  Gradient step t uses fresh noise keyed by the document and t,
 the number of steps the row has taken.  A row's noise thus depends only
 on its document and its step count, never on the block around it, and
-identical documents in one call refine identically.  A step so large
-that a row's bound can no longer be computed (its variances or logits
-overflow) aborts that row alone.  Returned piecewise rows are clipped
+identical documents in one call refine identically.  One rule aborts a
+row: its step bound or its tracked bound is not finite, as when a step
+so large makes its variances or logits overflow.  The other rows go on
+as if it were not there.  Returned piecewise rows are clipped
 to ``piecewise.CLAMP``, as ``piecewise.head_forward`` clamps them
 anyway, so a huge step never reports non-finite weights.
 ``evaluate_iterative`` refines each distinct document once, in
@@ -52,7 +54,6 @@ split, and a split product waits for every thread to wake.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,7 @@ from . import piecewise
 from .blas import one_thread
 from .corpus import Corpus, Document
 from .nvdm import NvdmModel, _check_documents, amortized_posterior, batch_bound, draw_noises, encode, noise_keys, posterior_bound, priors
-from .tensor import ShapeError, Tape, Tensor, _wrap
+from .tensor import Tape, Tensor, _wrap
 
 __all__ = [
     "EvalReport",
@@ -111,16 +112,16 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-@contextmanager
-def _block_errors(stage: str, docs):
-    """Bound a block with numpy's overflow warnings off; a bound that cannot be computed raises ValueError naming ``stage`` and the block's first document."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            yield
-        except ShapeError:
-            raise
-        except ValueError as exc:
-            raise ValueError(f"{stage}: the bound of the block starting at document {docs[0].doc_id!r} cannot be computed: {exc}") from exc
+def _check_finite(stage: str, docs, values: np.ndarray) -> None:
+    """Raise ValueError naming ``stage`` and the block's first document if any of ``values``, one per document of the block, is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise ValueError(
+            f"{stage}: the bound of the block starting at document {docs[0].doc_id!r} cannot be computed: {int(bad.sum())} of {len(docs)} "
+            f"rows are not finite, the first {values[first]} at document {docs[first].doc_id!r}; "
+            "its variances or logits overflow, or the model holds a non-finite parameter"
+        )
 
 
 def _aggregate(bounds: np.ndarray, tokens: np.ndarray, samples: int, mode: str) -> EvalReport:
@@ -155,8 +156,9 @@ def evaluate(
     for lo in range(0, len(corpus), EVAL_BLOCK):
         docs = corpus.docs[lo : lo + EVAL_BLOCK]
         noise = _content_noise(model, num_samples, root, docs)
-        with _block_errors("evaluate", docs):
+        with np.errstate(over="ignore", invalid="ignore"):
             bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noise, kl_weight=kl_weight).bounds
+        _check_finite("evaluate", docs, bounds[lo : lo + len(docs)])
     tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
     return _aggregate(bounds, tokens, num_samples, "amortized")
 
@@ -196,50 +198,11 @@ def _check_kl_weight(kl_weight: float) -> None:
         raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
 
 
-def _bound_aborting_overflow(model, counts, prior, params, best, noise, kl_weight, live, aborted, frozen=()):
-    """``posterior_bound`` at ``params``; returns the parameter tensors and the block's ``RowBounds``.
-
-    A huge step, or a row's step noise alone, can make its variances or
-    logits overflow, even with finite parameters, and ``posterior_bound``
-    then rejects the whole block.  Each live row is then bounded alone,
-    and every row that fails is marked aborted (in ``live`` and
-    ``aborted``) and put back to its best-seen parameters, whose bound was
-    computed before, and the block is bounded again.  The other rows keep
-    their parameters and noise, so their bounds are unchanged.  In a step
-    bound, each row that is not live takes its row of ``frozen``, the
-    tracking noise, which its last tracked bound ran with.
-    """
-    while True:
-        for eps, fill in zip(noise, frozen):
-            if eps is not None:
-                np.copyto(eps, fill, where=~live[:, None])
-        tensors = _tensors(params)
-        try:
-            return tensors, posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=noise, **tensors)
-        except ShapeError:
-            raise
-        except ValueError:
-            failing = np.zeros_like(live)
-            for i in np.flatnonzero(live):
-                one = slice(i, i + 1)
-                try:
-                    posterior_bound(
-                        model,
-                        Tensor(counts.data[one]),
-                        priors=prior,
-                        kl_weight=kl_weight,
-                        noise=tuple(None if eps is None else eps[:, one] for eps in noise),
-                        **{name: None if rows is None else Tensor(rows[one]) for name, rows in params.items()},
-                    )
-                except ValueError:
-                    failing[i] = True
-            if not failing.any():
-                raise
-        aborted |= failing
-        live &= ~failing
-        for name, rows in params.items():
-            if rows is not None:
-                rows[failing] = best[name][failing]
+def _abort_non_finite(bounds: np.ndarray, live: np.ndarray, aborted: np.ndarray) -> None:
+    """Refinement's one abort rule: every live row whose bound is not finite stops, marked aborted."""
+    failed = live & ~np.isfinite(bounds)
+    aborted |= failed
+    live &= ~failed
 
 
 def _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight) -> None:
@@ -279,12 +242,12 @@ def iterative_inference(
     bound by plain SGD with the training-style norm rescaling of its own
     gradient, and stops once its tracked bound has not improved for
     ``stop_patience`` steps.  Returns, per document, the best-seen
-    parameters and bound; a non-finite step bound, or a step after which
-    the document's bound overflows, aborts that document's refinement,
-    which then reports its best-seen parameters and the amortised
+    parameters and bound.  A document whose step bound or tracked bound is
+    not finite (a huge step overflows its variances or logits) aborts
+    there, and reports its best-seen parameters and the amortised
     starting bound.  Returned piecewise rows are clipped to
-    ``piecewise.CLAMP``.  A block whose amortised bound overflows raises
-    ValueError naming the block's first document.
+    ``piecewise.CLAMP``.  A block whose amortised bound is not finite
+    raises ValueError naming the block's first document.
     """
     _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight)
     docs = list(docs)
@@ -310,9 +273,9 @@ def iterative_inference(
     # rejected or its row is marked aborted just below; numpy's overflow and
     # invalid-value warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
-        with _block_errors("iterative_inference", docs):
-            prior = priors(model)  # once per block, outside any tape
-            initial = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=track_noise, **_tensors(params)).bounds
+        prior = priors(model)  # once per block, outside any tape
+        initial = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=track_noise, **_tensors(params)).bounds
+        _check_finite("iterative_inference", docs, initial)
         best_bound = initial.copy()
         for t in range(steps_max):
             # A row steps on every iteration while it is live and never
@@ -320,10 +283,9 @@ def iterative_inference(
             # Rows that start at different iterations must key on steps[b].
             noise = draw_noises(model, 1, noise_keys(step_root ^ t, doc_keys))
             with Tape() as tape:
-                tensors, stepped = _bound_aborting_overflow(model, counts, prior, params, best, noise, kl_weight, live, aborted, track_noise)
-                failed = live & ~np.isfinite(stepped.bounds)
-                aborted |= failed
-                live &= ~failed
+                tensors = _tensors(params)
+                stepped = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=noise, **tensors)
+                _abort_non_finite(stepped.bounds, live, aborted)
                 if not live.any():
                     break
                 tape.backward(stepped.total)
@@ -334,8 +296,9 @@ def iterative_inference(
                 params[name][live] += step[live, None] * g[live]
             steps[live] += 1
 
-            tracked = _bound_aborting_overflow(model, counts, prior, params, best, track_noise, kl_weight, live, aborted)[1].bounds
-            improved = live & np.isfinite(tracked) & (tracked > best_bound)
+            tracked = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=track_noise, **_tensors(params)).bounds
+            _abort_non_finite(tracked, live, aborted)
+            improved = live & (tracked > best_bound)
             best_bound[improved] = tracked[improved]
             for name, rows in params.items():
                 if rows is not None:
@@ -407,8 +370,9 @@ def evaluate_iterative(
         )
         params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
         noise = _content_noise(model, num_samples, root, docs)
-        with _block_errors("evaluate_iterative: re-estimate", docs):
+        with np.errstate(over="ignore", invalid="ignore"):
             final = posterior_bound(model, _wrap(corpus.dense_counts(docs)), priors=prior, kl_weight=kl_weight, noise=noise, **_tensors(params)).bounds
+        _check_finite("evaluate_iterative: re-estimate", docs, final)
         refined.update(zip(block, zip(results, final)))
     picked = [refined[content] for content in contents]
     bounds = np.array([bound for _, bound in picked])

@@ -1,8 +1,11 @@
 """Diagonal Gaussian latent variables with a learned prior and gated posterior.
 
 Every Gaussian is held as pre-activations (mu, raw_sigma); ``from_raw``
-maps them to mean mu and variance softplus(raw_sigma) + floor, positive by
-construction.  The prior's pre-activations are two bias vectors.  The
+maps them to mean mu and variance softplus(raw_sigma) + floor, positive
+for every finite raw_sigma.  Nothing here checks values: a raw_sigma so
+large that its variance overflows gives an infinite variance, and the
+bound or KL computed from it comes out non-finite, which its caller
+checks.  The prior's pre-activations are two bias vectors.  The
 posterior's interpolate them with estimates from the encoding through
 gate vectors that start at zero, so an untrained posterior equals the
 prior exactly.  Gates are used raw, since squashing them would break that
@@ -39,8 +42,8 @@ VAR_FLOOR = 1e-8
 class GaussianParams:
     """Mean and (diagonal) variance of one Gaussian, or of one per row.
 
-    Shapes that differ raise ShapeError; variances that are not finite and
-    positive raise a plain ValueError, which callers read as overflow.
+    Shapes that differ raise ShapeError.  Values are not checked: an
+    overflowed variance makes the caller's bound non-finite.
     """
 
     mu: Tensor
@@ -49,8 +52,6 @@ class GaussianParams:
     def __post_init__(self):
         if self.mu.data.shape != self.var.data.shape:
             raise ShapeError(f"GaussianParams: mu shape {self.mu.data.shape} != var shape {self.var.data.shape}")
-        if not np.all(self.var.data > 0.0) or not np.all(np.isfinite(self.var.data)):
-            raise ValueError("GaussianParams: variances must be finite and strictly positive")
 
 
 @dataclass

@@ -490,7 +490,9 @@ def posterior_bound(
     None for a family the model lacks; anything else raises ShapeError.
     All S samples are drawn in one pass and decoded one by one.  A mean
     over one sample and a KL weight of 1 are not multiplied out: the
-    product would change no bit.
+    product would change no bit.  Values are never checked: a row whose
+    variances or logits overflow gets a non-finite bound, the other rows
+    keep theirs, and each caller checks finiteness once.
     """
     gauss_prior, a_prior = priors
     gauss_post = gaussian.from_raw(gauss_mu, gauss_raw_sigma) if gauss_mu is not None else None

@@ -33,10 +33,11 @@ OpenBLAS 0.3.31, the two layouts give the same bits for two or more rows
 at the benchmark's decoder shapes, (2000, 100) and (200, 10).  One
 (1, m) row goes through numpy's vector-matrix product, where they can
 differ in the last bit, and so can some other shapes, e.g. (20, k)
-weights for k >= 16, and (200, k) for k >= 32 with at most 6 rows.  A training batch of one document is such a row: after
-15 one-document steps at V=200 and H=50 the parameters differed from
-the view's by at most 4.6e-15 of each parameter's largest entry, and
-the validation bounds not at all.
+weights for k >= 16, and (200, k) for k >= 32 with at most 6 rows.  A
+training batch of one document is such a row: after 15 one-document
+steps at V=200 and H=50 the parameters differed from the view's by at
+most 4.6e-15 of each parameter's largest entry, and the validation
+bounds not at all.
 
 Row convention: a batch of documents is a (B, n) matrix with one document
 per row, and a single document is a (1, n) row; ``affine`` and
@@ -243,8 +244,10 @@ class Tape:
 
 
 def _owned(gi, g, returned) -> bool:
-    """Whether the tape may keep a rule's returned ``gi`` as its own: a writable float64 array that owns its memory, and that neither ``g`` nor another array in ``returned`` is or views.
+    """Whether the tape may keep a rule's returned ``gi`` as its own.
 
+    It may when ``gi`` is a writable float64 array that owns its memory,
+    and neither ``g`` nor another array in ``returned`` is or views it.
     An array that owns its memory (``base`` is None) shares it only with
     its views, whose ``base`` numpy sets to it.  So these identity checks
     can stand in for ``np.may_share_memory``, which cost more than the
@@ -481,12 +484,12 @@ def multinomial_loglik(counts: Tensor, logits: Tensor) -> Tensor:
     The softmax is stabilised by max subtraction.  Only the logits get a
     gradient, g (c - N softmax) with N = sum_w c_w; the counts are data.
     N is summed in the backward pass, so a forward-only call never pays for it.
+    Rows are independent: a row with a non-finite logit gets a non-finite
+    value, the others are unaffected, and the caller checks the result.
     """
     cd, xd = counts.data, logits.data
     if xd.ndim != 2 or cd.shape != xd.shape:
         raise ShapeError(f"multinomial_loglik: expected counts and logits of one shape, (B, n) rows, got {cd.shape} and {xd.shape}")
-    if not np.isfinite(xd).all():
-        raise ValueError("multinomial_loglik: logits must be finite")
     shifted = xd - xd.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = _wrap((cd[:, None, :] @ logp[:, :, None])[:, 0, 0])

@@ -14,7 +14,8 @@ shard 0's arrays and the sum is divided by the batch size to get the
 mean-bound gradient.  ``clip_gradients`` computes the global norm once; a
 finite norm proves every gradient finite, so only a non-finite norm costs a
 scan, and a non-finite gradient it finds ends training with
-``TrainingDiverged``.  ``adam_step`` then
+``TrainingDiverged``, as does a batch whose bound is not finite (its
+variances or logits overflow).  ``adam_step`` then
 takes one ascent step on the bound, cache-sized block by block, updating
 the moments in place; its only new arrays are the new parameters.
 
@@ -245,7 +246,9 @@ def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, se
     """Summed bound gradients of one shard: one forward and one backward over its documents as rows."""
     docs = [corpus.docs[di] for di in doc_indices]
     noise = _slot_noise(model, seed, step, slots)
-    with Tape() as tape:
+    # An overflow gives a non-finite bound, which ``train`` reports as divergence;
+    # numpy's warnings would only repeat it.  Set here, in the shard's own thread.
+    with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
         rows = batch_bound(model, corpus, docs, noise, kl_weight=w)
         tape.backward(rows.total)
         grads = {name: tape.grad(t) for name, t in model.named_parameters()}
@@ -285,7 +288,9 @@ def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, config: 
 
 
 def _diagnostic(model: NvdmModel, epoch: int, batch_index: int) -> str:
-    norms = {name: float(np.linalg.norm(t.data)) for name, t in model.named_parameters()}
+    # A parameter past about 1e154 overflows its squared norm, which then reads inf.
+    with np.errstate(over="ignore"):
+        norms = {name: float(np.linalg.norm(t.data)) for name, t in model.named_parameters()}
     worst = sorted(norms.items(), key=lambda kv: -kv[1])[:5]
     snapshot = ", ".join(f"{k}={v:.3e}" for k, v in worst)
     return f"non-finite loss in epoch {epoch}, batch {batch_index}; largest parameter norms: {snapshot}"
@@ -325,10 +330,7 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             w = kl_weight(step, config)
-            try:
-                grads, bound, recon, kl_g, kl_p = _batch_gradients(model, corpus_train, batch, w, config, step)
-            except (ValueError, FloatingPointError) as exc:
-                raise TrainingDiverged(f"{_diagnostic(model, epoch, batches)}; forward failed: {exc}") from exc
+            grads, bound, recon, kl_g, kl_p = _batch_gradients(model, corpus_train, batch, w, config, step)
             if not np.isfinite(bound):
                 raise TrainingDiverged(_diagnostic(model, epoch, batches))
             try:

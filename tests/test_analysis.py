@@ -1,5 +1,6 @@
 """Word neighbours, KL word-sensitivity counts, and posterior-mean export."""
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +96,14 @@ class TestKlSensitivity:
         with pytest.raises(ValueError, match="top_m must be >= 1"):
             analysis.kl_sensitivity(model_for(corpus, variant="h"), corpus, top_m=top_m)
 
+
+    def test_an_overflowing_kl_names_the_block_without_a_numpy_warning(self, corpus):
+        """Posterior variances that overflow make the Gaussian KL rows non-finite; the error names the family and the block's first document."""
+        model = model_for(corpus, variant="h", seed=6).replaced({"g_alpha_sigma": np.full(2, 10.0), "g_post_b_sigma": np.full(2, 1e308)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^kl_sensitivity: gaussian KL: the bound of the block starting at document '0' cannot be computed: 30 of 30 rows are not finite"):
+                analysis.kl_sensitivity(model, corpus, top_m=2)
 
     def test_priors_once_per_call_and_one_family_per_pass(self, monkeypatch):
         """An H model over two blocks: one Gaussian prior per call, and one Gaussian posterior per block, from the Gaussian pass alone."""

@@ -6,6 +6,7 @@ import pytest
 
 from pwvae import cli
 from pwvae.checkpoint import load_checkpoint
+from pwvae.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,35 @@ def test_unset_dimensions_take_the_defaults(data, tmp_path, capsys):
     assert cli.main(train_args(data, tmp_path, "p")) == 0
     model = load_checkpoint(str(tmp_path / "model.ckpt"))
     assert (model.gauss_dims, model.piece_dims, model.n_pieces) == (0, 50, 3)
+
+
+@pytest.mark.parametrize(
+    "lines, flags, expected, model_settings",
+    [
+        # train_args sets --hidden 4, --epochs 1 and --batch-size 10.
+        ("", (), TrainConfig(batch_size=10, max_epochs=1), (4, "prelu")),
+        (
+            "learning_rate = 0.5\nbatch_size = 7\nadam_beta2 = 0.99\nvalid_samples = 2\nthreads = 3\nhidden = 6\nactivation = softsign\n",
+            ("--seed", "3", "--threads", "2"),
+            TrainConfig(learning_rate=0.5, batch_size=10, adam_beta2=0.99, max_epochs=1, seed=3, valid_samples=2, threads=2),
+            (4, "softsign"),
+        ),
+    ],
+    ids=["defaults", "file-and-flags"],
+)
+def test_a_flag_overrides_the_config_file_which_overrides_the_defaults(data, tmp_path, monkeypatch, lines, flags, expected, model_settings):
+    received = {}
+
+    def train(model, train_corpus, valid_corpus, config, log_stream=None):
+        received.update(model=model, config=config)
+        raise ValueError("stopped before the first step")
+
+    monkeypatch.setattr(cli.training, "train", train)
+    config = tmp_path / "train.cfg"
+    config.write_text(lines, encoding="utf-8")
+    assert cli.main(train_args(data, tmp_path, "g", "--config", str(config), *flags)) == cli.RUNTIME_ERROR
+    assert received["config"] == expected
+    assert (received["model"].hidden, received["model"].activation) == model_settings
 
 
 @pytest.fixture(scope="module")

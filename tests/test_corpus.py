@@ -87,6 +87,17 @@ class TestLoading:
         corpus = cio.load_corpus(vocab_path, docs, labels_path=labels)
         assert [d.label for d in corpus.docs] == ["a", "b"]
 
+    @pytest.mark.parametrize("lines", [1, 2, 3, 4])
+    def test_labels_count_every_document_line(self, tmp_path, vocab_path, lines):
+        """A document dropped as empty keeps its label line; fewer or more labels than document lines is an error naming both counts."""
+        docs = write(tmp_path, "docs.txt", "0 3:2\n1 42:1\n2 4:1\n")
+        labels = write(tmp_path, "labels.txt", "".join(f"{c}\n" for c in "abcd"[:lines]))
+        if lines == 3:
+            assert [d.label for d in cio.load_corpus(vocab_path, docs, labels_path=labels).docs] == ["a", "c"]
+            return
+        with pytest.raises(cio.CorpusFormatError, match=rf"labels\.txt: {lines} labels for 3 documents in .*docs\.txt$"):
+            cio.load_corpus(vocab_path, docs, labels_path=labels)
+
 
 class TestRoundTrip:
     def test_save_load_identical_sparse_vectors(self, tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pwvae import corpus as cio
-from pwvae import evaluation, nvdm, piecewise
+from pwvae import evaluation, nvdm, piecewise, training
 from pwvae import tensor as T
 
 
@@ -287,8 +287,8 @@ class TestIterativeInference:
         the prior exactly, so with a zero decoder the documents of words
         0-9 have zero gradients and never move.  In the "noise" case a
         row's step noise alone overflows its logits (``_noise_overflow_model``),
-        and the aborted row, put back to its best parameters, must not
-        make the block fail again.
+        and the aborted row's later non-finite bounds must not stop the
+        rest of the block.
         """
         settings = dict(steps_max=20, lr=lr, stop_patience=3)
         if variant == "noise":
@@ -315,9 +315,17 @@ class TestIterativeInference:
             assert got.bound == pytest.approx(alone.bound, rel=1e-12), i
             assert got.bound == got.initial_bound
         if variant == "noise":
-            assert [r.aborted for r in together] == [True, False, False]
+            # The first row aborts on the non-finite step bound of its ninth step, before taking it.
+            assert [(r.aborted, r.steps) for r in together] == [(True, 8), (False, 10), (False, 10)]
         else:
             assert [(r.aborted, r.steps) for r in together] == [(True, 1) if i % 2 else (False, 3) for i in range(8)]
+
+    @pytest.mark.parametrize("variant", ["g", "h"])
+    def test_a_non_finite_tracked_bound_aborts_its_row_on_the_last_step(self, variant):
+        """A huge first step makes each row's tracked bound non-finite; with no step left to fail, that alone aborts the row."""
+        corpus = cio.make_synthetic_bimodal(40, 20, 1)
+        results = evaluation.iterative_inference(_overflow_model(variant, seed=1), corpus, corpus.docs[:5], steps_max=1, lr=1e300, rng=np.random.default_rng(1))
+        assert [(r.aborted, r.steps, r.bound == r.initial_bound) for r in results] == [(True, 1, True)] * 5
 
     def test_an_overflowing_amortised_bound_is_rejected_without_a_numpy_warning(self):
         """When the tracking noise makes the starting bound overflow, refinement fails with a clear error, and numpy warns of nothing."""
@@ -360,7 +368,7 @@ class TestOverflowingEvaluation:
         block = replace(corpus, docs=corpus.docs[3:6])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^evaluate: the bound of the block starting at document '3' cannot be computed: .*logits must be finite"):
+            with pytest.raises(ValueError, match=r"^evaluate: the bound of the block starting at document '3' cannot be computed: .*not finite"):
                 evaluation.evaluate(_noise_overflow_model(), block, 10, np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", [0, 2])
@@ -386,9 +394,10 @@ def _mismatched_gaussian_model():
     pytest.param(lambda model, block: evaluation.evaluate(model, block, 2, np.random.default_rng(0)), id="evaluate"),
     pytest.param(lambda model, block: evaluation.iterative_inference(model, block, block.docs, rng=np.random.default_rng(0)), id="iterative_inference"),
     pytest.param(lambda model, block: evaluation.evaluate_iterative(model, block, 2, np.random.default_rng(0)), id="evaluate_iterative"),
+    pytest.param(lambda model, block: training.train(model, block, block, training.TrainConfig(batch_size=3, max_epochs=1)), id="train"),
 ])
 def test_a_shape_error_is_not_taken_for_an_overflow(run):
-    """Only a plain ValueError means that a bound overflowed; a ShapeError reaches the caller as it is."""
+    """A ShapeError reaches the caller as it is, never as an overflow or as divergence."""
     block = cio.make_synthetic_bimodal(3, 20, 1)
     with pytest.raises(T.ShapeError, match=r"^GaussianParams: mu shape .*1,?\) != var shape .*2,?\)$"):
         run(_mismatched_gaussian_model(), block)
@@ -419,6 +428,33 @@ class TestOverflowingRefinement:
                     assert np.all(np.abs(res.piece_raw_a) <= piecewise.CLAMP), lr
             # Only the piecewise family is clamped, so its rows never overflow.
             assert sum(r.aborted for r in refinements) == (0 if variant == "p" else len(refinements)), lr
+
+    SWEEP_DIGESTS = {
+        "g": "6a0a187f7d48adba263f3b18fa91a4453bc24885fd6623b45db0fb3fc73c3b86",
+        "p": "f6396d2b7f58a6a05ef0f18222916d243c4a8d04cfe1a8eb070a047d3332366e",
+        "h": "75cee6d98b93a3a4712012112873cfe4d47c198e6519d8f148e456e27ef7a6c3",
+    }
+
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    def test_lr_sweep_is_pinned(self, variant):
+        """From a small step to the largest finite one, these digests pin the re-estimated bounds and every refinement.
+
+        They cover the refined rows, the tracked and initial bounds, the
+        steps and the abort flags.  Floats are rounded as in
+        ``TestRefinementNoise``.
+        """
+        corpus = cio.make_synthetic_bimodal(40, 20, 1)
+        model = _overflow_model(variant, seed=1)
+        text = []
+        for lr in (0.1, 3, 1e30, 1e300, 1.7e308):
+            report, refinements = evaluation.evaluate_iterative(model, corpus, 2, np.random.default_rng(1), steps_max=20, lr=lr)
+            text.append(" ".join(f"{b:.12g}" for b in report.per_doc_bounds))
+            for res in refinements:
+                for name in evaluation._PARAMS:
+                    values = getattr(res, name)
+                    text.append("-" if values is None else " ".join(f"{x:.12g}" for x in values))
+                text.append(f"{res.bound:.12g} {res.initial_bound:.12g} {res.steps} {res.aborted}")
+        assert hashlib.sha256("\n".join(text).encode()).hexdigest() == self.SWEEP_DIGESTS[variant]
 
 
 class TestRefinementNoise:

@@ -191,9 +191,12 @@ class TestMultinomialLoglik:
             T.multinomial_loglik(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
         with pytest.raises(T.ShapeError, match="one shape"):
             T.multinomial_loglik(T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros((2, 2, 3))))
+        # A non-finite logit is not rejected: its row's value is not finite, and the other rows keep theirs.
+        finite = T.multinomial_loglik(T.Tensor(np.ones((1, 3))), T.Tensor([[0.0, 1.0, 2.0]])).data
         for bad in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValueError, match="logits must be finite"):
-                T.multinomial_loglik(T.Tensor(np.ones((2, 3))), T.Tensor([[0.0, 1.0, 2.0], [0.0, bad, 2.0]]))
+            with np.errstate(invalid="ignore"):
+                out = T.multinomial_loglik(T.Tensor(np.ones((2, 3))), T.Tensor([[0.0, 1.0, 2.0], [0.0, bad, 2.0]])).data
+            assert out[0] == finite[0] and not np.isfinite(out[1]), bad
 
 
 class TestBackwardContract:

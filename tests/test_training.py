@@ -283,6 +283,18 @@ class TestTrainLoop:
         with pytest.raises(training.TrainingDiverged, match="batch 0"):
             training.train(model, train_c, valid_c, config)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_an_overflowing_forward_diverges_without_a_numpy_warning(self, small_corpus, threads):
+        """Posterior variances that overflow give a non-finite bound, which ends training at its batch."""
+        train_c, valid_c = small_corpus
+        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=8)
+        model = model.replaced({"g_alpha_sigma": np.full(2, 10.0), "g_post_b_sigma": np.full(2, 1e308)})
+        config = TrainConfig(batch_size=50, max_epochs=1, patience=1, seed=8, threads=threads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(training.TrainingDiverged, match="^non-finite loss in epoch 1, batch 0; largest parameter norms: g_post_b_sigma=inf"):
+                training.train(model, train_c, valid_c, config)
+
     def test_threaded_shards_match_serial_noise(self, small_corpus):
         """Sharding must not change which noise a document receives."""
         train_c, valid_c = small_corpus
