@@ -216,19 +216,22 @@ def _load_for_eval(args, labels_path=None):
 
 def _cmd_eval(args) -> int:
     model, corpus = _load_for_eval(args)
+    # Both reports draw their noise from one root, so the two perplexities
+    # are paired: with --inf-lr 0 they are equal.
+    seed = (args.seed, 0)
     # Refinement runs first, so that bad refinement settings fail before any report is written.
     if args.iterative:
         refined, refinements = evaluation.evaluate_iterative(
             model,
             corpus,
             args.samples,
-            np.random.default_rng((args.seed, 1)),
+            np.random.default_rng(seed),
             steps_max=args.steps,
             lr=args.inf_lr,
             stop_patience=args.inf_patience,
             kl_weight=args.kl_weight,
         )
-    report = evaluation.evaluate(model, corpus, args.samples, np.random.default_rng((args.seed, 0)), kl_weight=args.kl_weight)
+    report = evaluation.evaluate(model, corpus, args.samples, np.random.default_rng(seed), kl_weight=args.kl_weight)
     sys.stdout.write(report.to_tsv())
     if args.iterative:
         sys.stdout.write(refined.to_tsv())

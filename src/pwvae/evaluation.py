@@ -125,7 +125,10 @@ def _check_finite(stage: str, docs, values: np.ndarray) -> None:
 
 
 def _aggregate(bounds: np.ndarray, tokens: np.ndarray, samples: int, mode: str) -> EvalReport:
-    perplexity = float(np.exp(-np.mean(bounds / tokens)))
+    # A mean per-token bound below about -709 gives an infinite perplexity,
+    # which is the result, not an error to warn of.
+    with np.errstate(over="ignore"):
+        perplexity = float(np.exp(-np.mean(bounds / tokens)))
     return EvalReport(
         perplexity=perplexity,
         mean_bound=float(bounds.mean()),

@@ -128,10 +128,10 @@ def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:
         g_sq = g_num * dmu
         g_half = g_terms * 0.5
 
-        def g_mu_p():
+        def g_mu_p(out=None):
             return _unbroadcast(-(g_sq + g_sq), mu_p.shape)
 
-        def g_var_p():
+        def g_var_p(out=None):
             return _unbroadcast(-g_terms * num / (den * den), var_p.shape) * 2.0 + _unbroadcast(g_half, var_p.shape) / var_p
 
         g_var_q = _unbroadcast(g_num, var_q.shape) + _unbroadcast(-g_half, var_q.shape) / var_q

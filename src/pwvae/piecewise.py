@@ -193,7 +193,7 @@ def kl_between(post_flat: Tensor, prior_flat: Tensor, dims: int, pieces: int) ->
         clamped = unclamped < 0.0
         d_post = (log_ratio + 1.0) / a_post_sum - s / (a_post_sum**2) - 1.0 / a_post_sum
 
-        def d_prior():
+        def d_prior(out=None):
             grad = -post / (a_post_sum * prior) + 1.0 / a_prior_sum
             return _unbroadcast((scale * np.where(clamped, 0.0, grad)).reshape(shape), prior_shape)
 

@@ -8,7 +8,9 @@ order.  Outside a tape the same functions are plain forward computations.
 A backward rule may defer an input gradient (``affine`` defers all three
 of its gradients, the KL ops their prior-side gradients); the tape
 computes it only once it is needed, so a frozen weight or bias, an input
-document or a prior built outside the tape costs nothing.
+document or a prior built outside the tape costs nothing.  A caller that
+owns an array for a gradient passes it to ``Tape.grad`` as ``out``, and
+a deferred ``affine`` product or sum is computed straight into it.
 
 The tape keeps an input's first gradient as the array the rule returned
 and adds later gradients into it in place.  It copies that array first
@@ -232,15 +234,36 @@ class Tape:
                     acc += gi() if callable(gi) else gi
         self._grads = grads
 
-    def grad(self, t: Tensor) -> np.ndarray:
+    def grad(self, t: Tensor, out: np.ndarray | None = None) -> np.ndarray:
+        """The gradient of the root in ``t``; zeros if ``t`` did not contribute.
+
+        Without ``out`` the tape returns the array it holds, computing a
+        deferred gradient on the first call and keeping it.  With ``out``,
+        a writable float64 array of ``t``'s shape, the gradient is written
+        into ``out``, which is returned: a deferred gradient is computed
+        straight into it (``affine``'s weight and bias products are), any
+        other is copied.  The tape keeps no reference to ``out``, so the
+        caller may reuse it, and a deferred gradient stays deferred.
+        """
         if self._grads is None:
             raise TapeError("backward has not run on this tape")
         g = self._grads.get(t)
+        if out is None:
+            if g is None:
+                return np.zeros_like(t.data)
+            if callable(g):
+                g = self._grads[t] = g()
+            return g
+        if out.shape != t.data.shape or out.dtype != np.float64 or not out.flags.writeable:
+            raise ValueError(f"grad: out must be a writable float64 array of shape {t.data.shape}, got {out.dtype} {out.shape}")
         if g is None:
-            return np.zeros_like(t.data)
+            out.fill(0.0)
+            return out
         if callable(g):
-            g = self._grads[t] = g()
-        return g
+            g = g(out)
+        if g is not out:
+            np.copyto(out, g)
+        return out
 
 
 def _owned(gi, g, returned) -> bool:
@@ -263,8 +286,12 @@ def custom_op(values, inputs, backward) -> Tensor:
 
     ``backward`` maps the output gradient ``g`` to a tuple of input
     gradients aligned with ``inputs``.  An entry may be None (no gradient)
-    or a function of no arguments returning a fresh array, which the tape
-    calls only once that input's gradient is needed.
+    or a deferred function, which the tape calls only once that input's
+    gradient is needed.  A deferred function takes one optional argument,
+    ``out``.  Called without it, it returns a fresh array.  ``Tape.grad``
+    may call it with ``out``, a float64 array of the input's shape: it
+    then either writes the gradient into ``out`` and returns ``out``, or
+    returns a fresh array, which the tape copies into ``out``.
 
     The tape keeps a returned array as that input's gradient and may add
     into it in place later; it copies first an array that is a view, is
@@ -354,10 +381,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor, *, negate: bool = False, kept_transp
 
     # All three gradients are deferred, so a frozen model or an input
     # document whose gradient nobody reads costs nothing.  The bias
-    # gradient is a fresh sum for any B, one row included.
+    # gradient is a fresh sum for any B, one row included.  Each product
+    # and sum is written into ``out`` when ``Tape.grad`` passes one.
     def backward(g):
         gp = -g if negate else g
-        return (lambda: gp @ wd, lambda: gp.T @ xd, lambda: g.sum(axis=0))
+        return (
+            lambda out=None: np.matmul(gp, wd, out=out),
+            lambda out=None: np.matmul(gp.T, xd, out=out),
+            lambda out=None: np.sum(g, axis=0, out=out),
+        )
 
     _record(out, (x, w, b), backward)
     return out

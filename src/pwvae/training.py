@@ -8,16 +8,28 @@ each epoch the validation bound is estimated with several samples per
 document; training stops once it has not improved for ``patience``
 epochs and the parameters from the best epoch are returned.
 
-The optimizer side of a step works in place on arrays the trainer owns.
-Each tape builds its gradient arrays fresh, so later shards are added into
-shard 0's arrays and the sum is divided by the batch size to get the
-mean-bound gradient.  ``clip_gradients`` computes the global norm once; a
-finite norm proves every gradient finite, so only a non-finite norm costs a
-scan, and a non-finite gradient it finds ends training with
-``TrainingDiverged``, as does a batch whose bound is not finite (its
-variances or logits overflow).  ``adam_step`` then
-takes one ascent step on the bound, cache-sized block by block, updating
-the moments in place; its only new arrays are the new parameters.
+The optimizer side of a step works on flat float64 arrays that ``train``
+lays out once per call (``ParamLayout``): a gradient row per shard, the
+Adam moments, and new-parameter buffers that take turns.  Every
+parameter's tensor is a read-only view into one of these buffers.  The
+tape writes each parameter's gradient straight into its view of the
+gradient row (``Tape.grad(t, out=...)``, into which ``affine`` computes
+its weight and bias products), later shards' rows are added into shard
+0's and the sum is divided by the batch size, one call each.
+``clip_gradients`` computes the global norm once, writing the squares
+into the buffer the step's new parameters will go to; a finite norm
+proves every gradient finite, so only a non-finite norm costs a scan, and
+a non-finite gradient it finds ends training with ``TrainingDiverged``,
+as does a batch whose bound is not finite (its variances or logits
+overflow).  ``adam_step`` then takes one ascent step on the bound in one
+cache-blocked pass over the flat gradient and moments, reading the
+current parameters from their own arrays and writing the new ones into
+that buffer.  The buffer of the previous parameters becomes the next
+step's, unless the best epoch's parameters live in it: that buffer is
+kept as it is, and a new one takes its place.  So after its first two
+steps a training step allocates no gradient, square or parameter array;
+only the decoder's forward still builds the kept transpose of each new
+decoder weight (``Tensor.transposed``).
 
 Per-document sampling noise is keyed by (seed, stream, step, slot), where
 the slot is the document's position in the batch: each step derives one
@@ -30,9 +42,11 @@ tape) changes which noise a document receives.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +60,8 @@ __all__ = [
     "TrainResult",
     "TrainingDiverged",
     "kl_weight",
+    "ParamLayout",
+    "global_norm",
     "clip_gradients",
     "AdamState",
     "adam_init",
@@ -100,58 +116,85 @@ def kl_weight(step: int, config: TrainConfig) -> float:
     return min(1.0, step / config.kl_anneal_batches)
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+class ParamLayout:
+    """Where each parameter lies in a flat float64 array.
+
+    Parameters follow one another in the order of ``shapes``, each as its
+    C-ordered values; ``views`` gives every parameter's view of a flat
+    array, shaped like the parameter.  ``train`` lays its gradients, Adam
+    moments and new parameters out this way, so one numpy call covers
+    every parameter.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple]):
+        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        self.slices: dict[str, slice] = {}
+        lo = 0
+        for name, shape in self.shapes.items():
+            hi = lo + math.prod(shape)
+            self.slices[name] = slice(lo, hi)
+            lo = hi
+        self.size = lo
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view of ``flat``, a C-contiguous array of ``size`` floats, in layout order."""
+        if flat.shape != (self.size,) or not flat.flags.c_contiguous:
+            raise ValueError(f"layout of {self.size} floats: expected a C-contiguous ({self.size},) array, got shape {flat.shape}")
+        return {name: flat[s].reshape(self.shapes[name]) for name, s in self.slices.items()}
 
 
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:
-    """Rescale all gradients in place so the global L2 norm is at most clip_norm; returns ``grads``.
+def _check_flat(layout: ParamLayout, **arrays: np.ndarray) -> None:
+    for label, a in arrays.items():
+        if a.shape != (layout.size,) or a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError(f"{label} must be a C-contiguous float64 array of shape ({layout.size},), got {a.dtype} {a.shape}")
 
-    The arrays are overwritten, so the caller must own them, as ``train``
-    owns the gradients ``_batch_gradients`` hands it for every batch.
+
+def global_norm(grad: np.ndarray, layout: ParamLayout, squares: np.ndarray) -> float:
+    """The L2 norm of ``grad``, a flat gradient laid out by ``layout``.
+
+    ``squares``, a flat array of the same size lent as scratch, receives
+    every square in one call and is overwritten.  Each parameter's squares
+    are then summed on their own, in layout order, and the sums added: the
+    norm has the bits of summing ``g * g`` parameter by parameter.
+    """
+    _check_flat(layout, gradient=grad, squares=squares)
+    np.multiply(grad, grad, out=squares)
+    return float(np.sqrt(sum(float(np.sum(sq)) for sq in layout.views(squares).values())))
+
+
+def clip_gradients(grad: np.ndarray, layout: ParamLayout, clip_norm: float, squares: np.ndarray) -> np.ndarray:
+    """Rescale the flat gradient ``grad`` in place so its L2 norm is at most clip_norm; returns ``grad``.
+
+    ``grad`` is laid out by ``layout`` and overwritten, so the caller must
+    own it, as ``train`` owns its gradient buffer.  ``squares`` is scratch
+    for ``global_norm`` and is overwritten; ``train`` lends the buffer its
+    next Adam step writes the new parameters into.  The rescale is one
+    call over the flat array.
 
     The global norm is computed first, and a finite norm proves every
     gradient finite: an inf or NaN entry makes the sum of squares inf or
-    NaN.  Only a non-finite norm leads to a scan of each array, which
-    raises ``FloatingPointError`` naming the first non-finite gradient.
-    If every gradient is finite, only the sum of squares overflowed: the
-    gradients are then divided by their largest magnitude, which makes
-    their norm representable, and clipped by that norm.
+    NaN.  Only a non-finite norm leads to a scan of each parameter's
+    gradient, which raises ``FloatingPointError`` naming the first
+    non-finite one.  If every gradient is finite, only the sum of squares
+    overflowed: the gradients are then divided by their largest
+    magnitude, which makes their norm representable, and clipped by that
+    norm.
     """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     with np.errstate(over="ignore"):
-        norm = global_norm(grads)
+        norm = global_norm(grad, layout, squares)
     if np.isfinite(norm):
         scale = clip_norm / norm if norm > clip_norm else 1.0
     else:
-        for name, g in grads.items():
+        for name, g in layout.views(grad).items():
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"gradient of {name} is not finite")
-        peak = max(float(np.max(np.abs(g))) for g in grads.values() if g.size)
-        for g in grads.values():
-            g /= peak
-        scale = clip_norm / global_norm(grads)
+        grad /= np.max(np.abs(grad, out=squares))
+        scale = clip_norm / global_norm(grad, layout, squares)
     if scale != 1.0:
-        for g in grads.values():
-            g *= scale
-    return grads
-
-
-@dataclass
-class AdamState:
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def adam_init(params: dict[str, Tensor]) -> AdamState:
-    """Zero moments, C-contiguous whatever the parameters' layout, so ``adam_step`` can update flat views."""
-    return AdamState(
-        step=0,
-        m={name: np.zeros(t.data.shape) for name, t in params.items()},
-        v={name: np.zeros(t.data.shape) for name, t in params.items()},
-    )
+        grad *= scale
+    return grad
 
 
 # Floats per block of ``adam_step``: a block of g, m, v, p, the new
@@ -163,67 +206,91 @@ def adam_init(params: dict[str, Tensor]) -> AdamState:
 _ADAM_CHUNK = 32768
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-) -> dict[str, Tensor]:
-    """One bias-corrected Adam ascent step; ``grads`` are gradients of the objective to maximise.
+@dataclass
+class AdamState:
+    """Step count, flat first and second moments of parameters laid out by ``layout``, and ``adam_step``'s scratch block."""
 
-    ``grads`` must hold exactly the parameters' names and shapes, and the
-    moments must be C-contiguous, as ``adam_init`` makes them; otherwise
-    ``ValueError`` names the parameter before ``state`` is touched.
+    layout: ParamLayout
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
+    step: int = 0
 
-    The step runs over flat views of each parameter in blocks of
-    ``_ADAM_CHUNK`` floats, so a block stays in cache across the step's
-    elementwise passes.  Every element goes through the same operations in
-    the same order as in one whole-array pass, so the result is
-    bit-identical to it.  The moments are updated in place, one scratch
-    buffer of at most one block holds the temporaries, and the new
-    parameters, C-contiguous, are the only other arrays allocated.
-    ``grads`` are read, never written.
+
+def adam_init(layout: ParamLayout) -> AdamState:
+    """Zero moments, one flat array each, and a scratch buffer of one block."""
+    return AdamState(layout, m=np.zeros(layout.size), v=np.zeros(layout.size), scratch=np.empty(min(_ADAM_CHUNK, layout.size)))
+
+
+def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, config: TrainConfig, out: np.ndarray) -> np.ndarray:
+    """One bias-corrected Adam ascent step over every parameter; ``grad`` is the gradient of the objective to maximise.
+
+    ``grad``, the moments and ``out`` are flat arrays laid out by
+    ``state.layout``, and ``params`` must hold the layout's names, in its
+    order, with its shapes.  The new parameters are written into ``out``,
+    which is returned; ``out`` may overlap no parameter, ``grad`` or
+    moment.  Any fault raises ``ValueError`` before ``state`` is touched.
+    ``grad`` and ``params`` are read, never written.
+
+    The step is one pass over the flat arrays in blocks of
+    ``_ADAM_CHUNK`` floats, whatever the parameters' boundaries, so a
+    block stays in cache across the step's elementwise passes.  Each
+    block's current parameters are read from each parameter's own array,
+    with no gather copy.  Every element goes through the same operations
+    in the same order as in one whole-array pass per parameter, so the
+    result is bit-identical to it.  The moments are updated in place, and
+    the state's scratch buffer of at most one block holds the temporaries;
+    a parameter is copied only when it is not C-contiguous (``ravel``).
     """
-    unmatched = sorted(params.keys() ^ grads.keys())
-    if unmatched:
-        raise ValueError(f"adam_step: parameters without a gradient or gradients without a parameter: {unmatched}")
+    layout = state.layout
+    if list(params) != list(layout.shapes):
+        unmatched = sorted(params.keys() ^ layout.shapes.keys())
+        raise ValueError(f"adam_step: parameters {unmatched or list(params)} do not match the layout's, in its order")
     for name, t in params.items():
-        if grads[name].shape != t.data.shape:
-            raise ValueError(f"adam_step: gradient of {name} has shape {grads[name].shape}, the parameter {t.data.shape}")
-        if not all(a.shape == t.data.shape and a.flags.c_contiguous for a in (state.m[name], state.v[name])):
-            raise ValueError(f"adam_step: moments of {name} must be C-contiguous with shape {t.data.shape}, as adam_init makes them")
+        if t.data.shape != layout.shapes[name]:
+            raise ValueError(f"adam_step: parameter {name} has shape {t.data.shape}, the layout {layout.shapes[name]}")
+    _check_flat(layout, gradient=grad, out=out, first_moment=state.m, second_moment=state.v)
+    if state.scratch.shape != (min(_ADAM_CHUNK, layout.size),):
+        raise ValueError(f"adam_step: the scratch buffer must hold {min(_ADAM_CHUNK, layout.size)} floats, as adam_init makes it")
+    if not out.flags.writeable or any(np.may_share_memory(out, a) for a in (grad, state.m, state.v, *(t.data for t in params.values()))):
+        raise ValueError("adam_step: out must be writable and overlap no parameter, gradient or moment")
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     lr, eps = config.learning_rate, config.adam_eps
-    scratch = np.empty(min(_ADAM_CHUNK, max((t.data.size for t in params.values()), default=0)))
-    out: dict[str, Tensor] = {}
-    for name, t in params.items():
-        # ravel reads p and g in C order, copying only a non-contiguous
-        # array; m and v were checked C-contiguous, so theirs are views.
-        p, g, m, v = t.data.ravel(), grads[name].ravel(), state.m[name].ravel(), state.v[name].ravel()
-        new = np.empty_like(p)
-        for lo in range(0, p.size, _ADAM_CHUNK):
-            hi = lo + _ADAM_CHUNK
-            gb, mb, vb, nb = g[lo:hi], m[lo:hi], v[lo:hi], new[lo:hi]
-            s = scratch[: gb.size]
-            np.multiply(gb, 1.0 - b1, out=s)
-            mb *= b1
-            mb += s
-            np.multiply(gb, gb, out=s)
-            s *= 1.0 - b2
-            vb *= b2
-            vb += s
-            # p + lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(vb, c2, out=s)
-            np.sqrt(s, out=s)
-            s += eps
-            np.divide(mb, c1, out=nb)
-            nb *= lr
-            nb /= s
-            nb += p[lo:hi]
-        out[name] = _wrap(new.reshape(t.data.shape))
+    m, v = state.m, state.v
+    # Each parameter's span of the flat arrays and its C-ordered values;
+    # ravel copies only a non-contiguous parameter.
+    parts = iter([(s.start, s.stop, t.data.ravel()) for s, t in zip(layout.slices.values(), params.values()) if s.stop > s.start])
+    a = b = 0
+    scratch = state.scratch
+    for lo in range(0, layout.size, _ADAM_CHUNK):
+        hi = min(lo + _ADAM_CHUNK, layout.size)
+        gb, mb, vb, nb = grad[lo:hi], m[lo:hi], v[lo:hi], out[lo:hi]
+        s = scratch[: hi - lo]
+        np.multiply(gb, 1.0 - b1, out=s)
+        mb *= b1
+        mb += s
+        np.multiply(gb, gb, out=s)
+        s *= 1.0 - b2
+        vb *= b2
+        vb += s
+        # p + lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(vb, c2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(mb, c1, out=nb)
+        nb *= lr
+        nb /= s
+        # The parameters spanning [lo, hi), each read from its own array.
+        x = lo
+        while x < hi:
+            while b <= x:
+                a, b, p = next(parts)
+            y = min(b, hi)
+            nb[x - lo : y - lo] += p[x - a : y - a]
+            x = y
     return out
 
 
@@ -242,8 +309,11 @@ def _slot_noise(model: NvdmModel, seed: int, step: int, slots):
     return draw_noises(model, 1, noise_keys(root, slots))
 
 
-def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, seed: int, step: int, slots):
-    """Summed bound gradients of one shard: one forward and one backward over its documents as rows."""
+def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, seed: int, step: int, slots, out: Mapping[str, np.ndarray]):
+    """One shard's summed bound gradients, written into ``out`` (an array per parameter), and its bound, reconstruction and KL sums.
+
+    One forward and one backward over the shard's documents as rows.
+    """
     docs = [corpus.docs[di] for di in doc_indices]
     noise = _slot_noise(model, seed, step, slots)
     # An overflow gives a non-finite bound, which ``train`` reports as divergence;
@@ -251,40 +321,41 @@ def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, se
     with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
         rows = batch_bound(model, corpus, docs, noise, kl_weight=w)
         tape.backward(rows.total)
-        grads = {name: tape.grad(t) for name, t in model.named_parameters()}
-    return grads, float(rows.total), float(rows.reconstruction.sum()), float(rows.kl_gaussian.sum()), float(rows.kl_piecewise.sum())
+        for name, t in model.named_parameters():
+            tape.grad(t, out=out[name])
+    return float(rows.total), float(rows.reconstruction.sum()), float(rows.kl_gaussian.sum()), float(rows.kl_piecewise.sum())
 
 
-def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, config: TrainConfig, step: int):
-    """Mean-bound gradients for one mini-batch, optionally sharded over threads.
+def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, config: TrainConfig, step: int, layout: ParamLayout, grads: np.ndarray):
+    """Mean-bound gradient of one mini-batch, written into ``grads[0]``; returns the mean bound, reconstruction and KL terms.
 
-    Slots are positions in the batch; shard i takes slots i, i + shards, ...
+    ``grads`` has one flat row, laid out by ``layout``, per shard: at
+    least ``min(threads, len(batch))`` rows.  Slots are positions in the
+    batch; shard i takes slots i, i + shards, ... and writes its summed
+    gradients into row i.
     """
     n = len(batch)
     shards = min(config.threads, n)
-    chunks = [batch[i::shards] for i in range(shards)] if shards > 1 else [batch]
-    slot_chunks = [list(range(i, n, shards)) for i in range(shards)] if shards > 1 else [list(range(n))]
+    rows = [layout.views(grads[i]) for i in range(shards)]
     if shards > 1:
+        jobs = [(batch[i::shards], list(range(i, n, shards)), rows[i]) for i in range(shards)]
         with ThreadPoolExecutor(max_workers=shards) as pool:
-            results = list(pool.map(lambda args: _shard_gradients(model, corpus, args[0], w, config.seed, step, args[1]), zip(chunks, slot_chunks)))
+            results = list(pool.map(lambda job: _shard_gradients(model, corpus, job[0], w, config.seed, step, job[1], job[2]), jobs))
     else:
-        results = [_shard_gradients(model, corpus, chunks[0], w, config.seed, step, slot_chunks[0])]
-    # Each tape builds its gradient arrays fresh, so the trainer owns them:
-    # later shards are added into shard 0's arrays, in shard order so the
+        results = [_shard_gradients(model, corpus, batch, w, config.seed, step, list(range(n)), rows[0])]
+    # Later shards' rows are added into row 0 in shard order, so the
     # reduction is deterministic for a fixed thread count.
-    grads = results[0][0]
-    for shard_grads, *_ in results[1:]:
-        for name, g in grads.items():
-            g += shard_grads[name]
-    for g in grads.values():
-        g /= n
+    total = grads[0]
+    for i in range(1, shards):
+        total += grads[i]
+    total /= n
     bound_sum = recon_sum = kl_g_sum = kl_p_sum = 0.0
-    for _, bound, recon, kl_g, kl_p in results:
+    for bound, recon, kl_g, kl_p in results:
         bound_sum += bound
         recon_sum += recon
         kl_g_sum += kl_g
         kl_p_sum += kl_p
-    return grads, bound_sum / n, recon_sum / n, kl_g_sum / n, kl_p_sum / n
+    return bound_sum / n, recon_sum / n, kl_g_sum / n, kl_p_sum / n
 
 
 def _diagnostic(model: NvdmModel, epoch: int, batch_index: int) -> str:
@@ -312,8 +383,16 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
         except ValueError as exc:
             raise type(exc)(f"{name} corpus: {exc}") from None
     params = dict(model.params)
-    state = adam_init(params)
-    best_params = dict(params)
+    layout = ParamLayout({name: t.data.shape for name, t in params.items()})
+    state = adam_init(layout)
+    grads = np.empty((min(config.threads, config.batch_size, len(corpus_train)), layout.size))
+    # Each step writes the new parameters into a spare flat buffer, and the
+    # model's tensors are read-only views of it.  The buffer of the previous
+    # parameters then becomes spare, unless ``best_params`` holds it: that
+    # one is never written again, and a new buffer takes its turn.
+    spare: list[np.ndarray] = []
+    current = held = None
+    best_params = params
     best_valid = -np.inf
     best_epoch = 0
     epochs_since_best = 0
@@ -330,14 +409,19 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             w = kl_weight(step, config)
-            grads, bound, recon, kl_g, kl_p = _batch_gradients(model, corpus_train, batch, w, config, step)
+            bound, recon, kl_g, kl_p = _batch_gradients(model, corpus_train, batch, w, config, step, layout, grads)
             if not np.isfinite(bound):
                 raise TrainingDiverged(_diagnostic(model, epoch, batches))
+            out = spare.pop() if spare else np.empty(layout.size)
             try:
-                clip_gradients(grads, config.clip_norm)
+                clip_gradients(grads[0], layout, config.clip_norm, out)
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"{_diagnostic(model, epoch, batches)}; {exc}") from exc
-            params = adam_step(params, grads, state, config)
+            adam_step(params, grads[0], state, config, out)
+            if current is not None and current is not held:
+                spare.append(current)
+            current = out
+            params = {name: _wrap(view) for name, view in layout.views(out).items()}
             model = model.replaced(params)
             step += 1
             batches += 1
@@ -361,7 +445,10 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
         if valid_bound > best_valid:
             best_valid = valid_bound
             best_epoch = epoch
-            best_params = dict(params)
+            if held is not None and held is not current:
+                spare.append(held)
+            held = current
+            best_params = params
             epochs_since_best = 0
         else:
             epochs_since_best += 1

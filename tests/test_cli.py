@@ -163,3 +163,14 @@ def test_iterative_eval_is_reproducible_and_free_of_document_order(data, checkpo
     assert refined2[::-1] == refined
     # An amortised block keeps corpus order, whose row position may move a product's last bit.
     assert [float(b) for b in amortized2[::-1]] == pytest.approx([float(b) for b in amortized], rel=1e-9)
+
+
+def test_iterative_eval_at_lr_0_repeats_the_amortised_report(data, checkpoint, capsys):
+    """Both reports draw their noise from one root, so refinement that takes no step re-estimates the amortised bounds."""
+    args = ["eval", "--ckpt", checkpoint, "--corpus", data + ".test.docs", "--vocab", data + ".vocab"]
+    assert cli.main([*args, "--iterative", "--inf-lr", "0", "--samples", "3", "--seed", "4"]) == 0
+    reports = capsys.readouterr().out.split("perplexity\tmean_bound\tsamples\tmode\tdocs\n")[1:]
+    (amortized, *amortized_docs), (refined, *refined_docs) = (report.splitlines()[:7] for report in reports)
+    assert amortized.split("\t")[3:4] == ["amortized"] and refined.split("\t")[3:4] == ["iterative"]
+    assert amortized.split("\t")[:2] == refined.split("\t")[:2]
+    assert amortized_docs == refined_docs and len(amortized_docs) == 6

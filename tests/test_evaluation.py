@@ -360,6 +360,23 @@ def _noise_overflow_model():
     return model.replaced({"g_alpha_sigma": np.ones(1), "g_post_b_sigma": np.full(1, 1e300), "dec_r": np.full((20, 1), 1e158)})
 
 
+def test_an_infinite_perplexity_is_reported_without_a_warning():
+    """Refinement at lr 3 of a G model with N(0, 3) parameters leaves finite bounds whose mean per token is below -709.
+
+    The perplexity exp(709.8...) overflows to inf, which is the result, and numpy warns of nothing.
+    """
+    corpus = cio.make_synthetic_bimodal(40, 20, 1)
+    model = fresh_model("g", seed=1)
+    rng = np.random.default_rng(1)
+    model = model.replaced({name: rng.normal(0.0, 3.0, t.data.shape) for name, t in model.named_parameters()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, _ = evaluation.evaluate_iterative(model, corpus, 2, np.random.default_rng(1), steps_max=20, lr=3.0)
+    assert np.all(np.isfinite(report.per_doc_bounds))
+    assert np.mean(report.per_doc_bounds / report.per_doc_tokens) < -np.log(np.finfo(np.float64).max)
+    assert report.perplexity == np.inf
+
+
 class TestOverflowingEvaluation:
     """A block whose bound overflows raises an error naming the stage and the block's first document, and numpy warns of nothing."""
 

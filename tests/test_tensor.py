@@ -422,6 +422,33 @@ class TestRows:
         assert tape.grad(wt) is tape.grad(wt)
 
 
+    def test_grad_writes_into_out_and_keeps_no_reference(self):
+        """``affine``'s deferred products and sum are computed into ``out``, other gradients copied, an unused input's zeroed."""
+        rng = np.random.default_rng(27)
+        x, w, b, leak = rng.normal(size=(4, 2)), rng.normal(size=(3, 2)), rng.normal(size=3), rng.uniform(0.1, 0.9, size=3)
+        with T.Tape() as tape:
+            xt, wt, bt, lt, unused = (T.Tensor(a) for a in (x, w, b, leak, np.ones(2)))
+            tape.backward(T.sum_all(T.prelu(T.affine(xt, wt, bt, negate=True), lt)))
+        for t in (xt, wt, bt, lt, unused):
+            out = np.full(t.data.shape, np.nan)
+            assert tape.grad(t, out=out) is out
+            if t is wt or t is bt:
+                assert callable(tape._grads[t])
+            kept = tape.grad(t)
+            assert kept is not out and kept.tobytes() == out.tobytes()
+        np.testing.assert_array_equal(out, 0.0)
+
+    def test_grad_rejects_an_out_it_cannot_write(self):
+        with T.Tape() as tape:
+            xt, wt, bt = T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 3))), T.Tensor(np.zeros(4))
+            tape.backward(T.sum_all(T.affine(xt, wt, bt)))
+        read_only = np.zeros((4, 3))
+        read_only.flags.writeable = False
+        for out in (np.zeros((3, 4)), np.zeros((4, 3), dtype=np.float32), read_only):
+            with pytest.raises(ValueError, match=r"out must be a writable float64 array of shape \(4, 3\)"):
+                tape.grad(wt, out=out)
+
+
 def gradients(build, leaves):
     """Gradients of the scalar ``build(*tensors)`` in each leaf array."""
     tensors = [T.Tensor(a) for a in leaves]

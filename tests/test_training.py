@@ -1,14 +1,17 @@
 """Trainer mechanics: schedule, clipping, Adam, determinism, early stopping."""
 
 import hashlib
+import tracemalloc
 import warnings
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pwvae import corpus as cio
 from pwvae import evaluation, nvdm, training
-from pwvae.tensor import Tensor
+from pwvae.tensor import Tensor, _wrap
 from pwvae.training import TrainConfig
 
 
@@ -45,62 +48,93 @@ class TestKlWeightSchedule:
             training.kl_weight(-1, TrainConfig())
 
 
+def flat(arrays):
+    """The arrays laid out in one flat gradient, and their layout."""
+    layout = training.ParamLayout({name: a.shape for name, a in arrays.items()})
+    g = np.empty(layout.size)
+    for name, view in layout.views(g).items():
+        view[...] = arrays[name]
+    return g, layout
+
+
+def norm_of(arrays):
+    g, layout = flat(arrays)
+    return training.global_norm(g, layout, np.empty(layout.size))
+
+
+def clip(arrays, clip_norm):
+    """``clip_gradients`` over the arrays laid out flat; returns each one's clipped view."""
+    g, layout = flat(arrays)
+    assert training.clip_gradients(g, layout, clip_norm, np.empty(layout.size)) is g
+    return layout.views(g)
+
+
 class TestClipGradients:
     def test_below_threshold_unchanged(self):
-        grads = {"a": np.array([0.6, 0.8])}
-        out = training.clip_gradients(grads, 10.0)
-        np.testing.assert_array_equal(out["a"], grads["a"])
+        out = clip({"a": np.array([0.6, 0.8])}, 10.0)
+        np.testing.assert_array_equal(out["a"], [0.6, 0.8])
 
     def test_scaled_to_exact_norm(self):
-        grads = {"a": np.array([6.0, 8.0])}
-        out = training.clip_gradients(grads, 1.0)
-        assert training.global_norm(out) == pytest.approx(1.0, abs=1e-12)
+        out = clip({"a": np.array([6.0, 8.0])}, 1.0)
+        assert norm_of(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_gradients_unchanged(self):
-        grads = {"a": np.zeros(3)}
-        out = training.clip_gradients(grads, 1.0)
+        out = clip({"a": np.zeros(3)}, 1.0)
         np.testing.assert_array_equal(out["a"], np.zeros(3))
 
-    def test_rescales_the_callers_arrays_in_place(self):
-        g = np.array([6.0, 8.0, 1.0 / 3.0])
-        expected = g * (1.0 / training.global_norm({"a": g}))
-        grads = {"a": g}
-        out = training.clip_gradients(grads, 1.0)
-        assert out is grads and out["a"] is g
-        np.testing.assert_array_equal(g, expected)
+    def test_rescales_the_flat_gradient_in_place_with_one_scale(self):
+        arrays = {"a": np.array([6.0, 8.0, 1.0 / 3.0]), "b": np.array([[2.0], [-1.5]])}
+        scale = 1.0 / norm_of(arrays)
+        out = clip(arrays, 1.0)
+        for name, a in arrays.items():
+            np.testing.assert_array_equal(out[name], a * scale)
+
+    def test_norm_keeps_the_bits_of_per_parameter_sums(self):
+        """The squares are summed parameter by parameter, in layout order, as separate ``g * g`` sums would be."""
+        rng = np.random.default_rng(13)
+        arrays = {"w": rng.normal(size=(300, 77)), "b": rng.normal(size=5), "e": np.zeros((0, 3)), "v": rng.normal(size=(9, 1000))}
+        g, layout = flat(arrays)
+        squares = np.full(layout.size, np.nan)
+        expected = float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays.values())))
+        assert training.global_norm(g, layout, squares) == expected
+        np.testing.assert_array_equal(squares, g * g)
 
     def test_finite_gradients_with_an_overflowing_norm_are_clipped_without_a_warning(self):
         """The squared norm overflows, but every gradient is finite: the step keeps its direction at norm clip_norm."""
-        g = np.array([1e200, -1e200, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            training.clip_gradients({"a": g}, 1.0)
-        assert training.global_norm({"a": g}) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(g, np.array([1.0, -1.0, 3e-200]) * np.sqrt(0.5), rtol=1e-15)
+            out = clip({"a": np.array([1e200, -1e200, 3.0])}, 1.0)
+        assert norm_of(out) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out["a"], np.array([1.0, -1.0, 3e-200]) * np.sqrt(0.5), rtol=1e-15)
 
     def test_overflowing_norm_spread_over_several_gradients(self):
-        grads = {"a": np.array([1e300, 2e300]), "b": np.array([[-2e300], [4e300]]), "c": np.zeros(0)}
-        out = training.clip_gradients(grads, 5.0)
-        assert training.global_norm(out) == pytest.approx(5.0, rel=1e-15)
+        out = clip({"a": np.array([1e300, 2e300]), "b": np.array([[-2e300], [4e300]]), "c": np.zeros(0)}, 5.0)
+        assert norm_of(out) == pytest.approx(5.0, rel=1e-15)
         np.testing.assert_allclose(out["a"], [1.0, 2.0], rtol=1e-15)
         np.testing.assert_allclose(out["b"], [[-2.0], [4.0]], rtol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_raises_naming_it(self, bad):
-        grads = {"a": np.array([1.0, 2.0]), "b": np.array([[0.5, bad], [1.0, 2.0]])}
         with pytest.raises(FloatingPointError, match="gradient of b is not finite"):
-            training.clip_gradients(grads, 1.0)
+            clip({"a": np.array([1.0, 2.0]), "b": np.array([[0.5, bad], [1.0, 2.0]])}, 1.0)
 
     def test_post_clip_norm_bounded_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            grads = {str(i): rng.normal(size=rng.integers(1, 5)) * 10 for i in range(3)}
-            out = training.clip_gradients(grads, 2.5)
-            assert training.global_norm(out) <= 2.5 + 1e-12
+            out = clip({str(i): rng.normal(size=rng.integers(1, 5)) * 10 for i in range(3)}, 2.5)
+            assert norm_of(out) <= 2.5 + 1e-12
+
+    def test_flat_arrays_of_another_size_are_rejected(self):
+        g, layout = flat({"a": np.ones(3)})
+        with pytest.raises(ValueError, match=r"squares must be a C-contiguous float64 array of shape \(3,\)"):
+            training.clip_gradients(g, layout, 1.0, np.empty(4))
 
 
 def _unblocked_adam_step(params, grads, state, config):
-    """Whole-parameter Adam step, one pass over each parameter per operation: the oracle for the blocked ``adam_step``."""
+    """Whole-parameter Adam step, one pass over each parameter per operation: the oracle for the flat, blocked ``adam_step``.
+
+    ``state`` holds a step count and a dict of moments per parameter.
+    """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.step
@@ -127,7 +161,17 @@ def _unblocked_adam_step(params, grads, state, config):
     return out
 
 
-ADAM_SHAPES = {"ragged": (3 * training._ADAM_CHUNK + 17,), "small": (7, 11), "fortran": (300, 150), "strided": (150, 300)}
+CHUNK = training._ADAM_CHUNK
+# Parameter shapes, in layout order.  "ragged" ends 17 floats into a block;
+# "straddling" puts parameter boundaries inside blocks, an empty parameter
+# among them, and one parameter spanning three blocks.
+ADAM_SHAPES = {
+    "ragged": [(3 * CHUNK + 17,), (5,)],
+    "small": [(7, 11), (5,)],
+    "fortran": [(300, 150), (5,)],
+    "strided": [(150, 300), (5,)],
+    "straddling": [(CHUNK - 3,), (10,), (0, 4), (2 * CHUNK + 5,), (7,), (3, 3)],
+}
 
 
 def in_layout(a, layout):
@@ -141,85 +185,130 @@ def in_layout(a, layout):
     return a
 
 
+def adam_setup(params):
+    layout = training.ParamLayout({name: t.data.shape for name, t in params.items()})
+    return layout, training.adam_init(layout)
+
+
+def flat_step(params, grads, state, config):
+    """One ``adam_step`` from dicts of parameters and gradients; returns the new parameters as tensors over a fresh buffer."""
+    g, _ = flat(grads)
+    out = training.adam_step(params, g, state, config, np.empty(state.layout.size))
+    return {name: Tensor(view) for name, view in state.layout.views(out).items()}
+
+
 class TestAdam:
-    @pytest.mark.parametrize("layout", ["ragged", "small", "fortran", "strided"])
-    def test_blocked_step_is_bit_identical_to_unblocked(self, layout):
-        """A small parameter follows the main one, which has the layout under test."""
+    @pytest.mark.parametrize("layout", list(ADAM_SHAPES))
+    def test_flat_blocked_step_is_bit_identical_to_unblocked(self, layout):
+        """Each step reads the parameters from their own arrays, the first one in the layout under test."""
         rng = np.random.default_rng(12)
-        shape = ADAM_SHAPES[layout]
-        params = {"w": Tensor(in_layout(rng.normal(size=shape), layout)), "b": Tensor(rng.normal(size=5))}
-        assert params["w"].data.flags.c_contiguous == (layout != "fortran")
+        shapes = ADAM_SHAPES[layout]
+        params = {f"p{i}": Tensor(in_layout(rng.normal(size=shape), layout) if i == 0 else rng.normal(size=shape)) for i, shape in enumerate(shapes)}
+        assert params["p0"].data.flags.c_contiguous == (layout != "fortran")
         config = TrainConfig(learning_rate=0.01)
-        state = training.adam_init(params)
-        ref_state = training.AdamState(m={n: np.zeros_like(t.data) for n, t in params.items()}, v={n: np.zeros_like(t.data) for n, t in params.items()})
+        _, state = adam_setup(params)
+        ref_state = SimpleNamespace(step=0, m={n: np.zeros_like(t.data) for n, t in params.items()}, v={n: np.zeros_like(t.data) for n, t in params.items()})
         ref = params
         for _ in range(5):
-            grads = {"w": in_layout(rng.normal(size=shape), layout), "b": rng.normal(size=5)}
-            assert grads["w"].flags.c_contiguous == (layout in ("ragged", "small"))
-            copies = {n: g.copy() for n, g in grads.items()}
-            params = training.adam_step(params, grads, state, config)
+            grads = {name: rng.normal(size=shape) for name, shape in zip(params, shapes)}
+            g, _ = flat(grads)
+            copy = g.copy()
+            out = np.full(state.layout.size, np.nan)
+            assert training.adam_step(params, g, state, config, out) is out
+            np.testing.assert_array_equal(g, copy)
+            params = {name: Tensor(view) for name, view in state.layout.views(out).items()}
             ref = _unblocked_adam_step(ref, grads, ref_state, config)
-            for name in grads:
-                np.testing.assert_array_equal(grads[name], copies[name], err_msg=name)
         assert state.step == ref_state.step == 5
+        m, v = state.layout.views(state.m), state.layout.views(state.v)
         for name in params:
-            np.testing.assert_array_equal(params[name].data, ref[name].data, err_msg=name)
-            np.testing.assert_array_equal(state.m[name], ref_state.m[name], err_msg=name)
-            np.testing.assert_array_equal(state.v[name], ref_state.v[name], err_msg=name)
-            assert params[name].data.shape == ref[name].data.shape
+            assert params[name].data.tobytes() == ref[name].data.tobytes(), name
+            assert m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert v[name].tobytes() == ref_state.v[name].tobytes(), name
 
-    @pytest.mark.parametrize("fault", ["missing", "extra", "transposed", "fortran_moment"])
-    def test_bad_gradients_are_rejected_before_state_moves(self, fault):
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("missing", r"\['enc_w0'\] do not match"),
+            ("extra", r"\['enc_w2'\] do not match"),
+            ("reordered", "do not match the layout's, in its order"),
+            ("transposed", r"parameter enc_w0 has shape \(6, 3\)"),
+            ("short_gradient", "gradient must be"),
+            ("strided_moment", "first_moment must be"),
+            ("out_is_a_parameter", "overlap no parameter"),
+            ("out_is_the_gradient", "overlap no parameter"),
+            ("read_only_out", "must be writable"),
+            ("short_scratch", "scratch buffer must hold"),
+        ],
+    )
+    def test_bad_arguments_are_rejected_before_state_moves(self, fault, message):
         model = nvdm.init_model("h", 6, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=3)
         params = dict(model.params)
         assert params["enc_w0"].data.shape == (3, 6)
         rng = np.random.default_rng(4)
-        state = training.adam_init(params)
+        layout, state = adam_setup(params)
         config = TrainConfig()
-        params = training.adam_step(params, {n: rng.normal(size=t.data.shape) for n, t in params.items()}, state, config)
-        grads = {n: rng.normal(size=t.data.shape) for n, t in params.items()}
+        params = flat_step(params, {n: rng.normal(size=t.data.shape) for n, t in params.items()}, state, config)
+        grad, _ = flat({n: rng.normal(size=t.data.shape) for n, t in params.items()})
+        out = np.empty(layout.size)
         if fault == "missing":
-            del grads["enc_w0"]
+            del params["enc_w0"]
         elif fault == "extra":
-            grads["enc_w2"] = np.zeros(3)
+            params["enc_w2"] = Tensor(np.zeros(3))
+        elif fault == "reordered":
+            params = dict(reversed(params.items()))
         elif fault == "transposed":
-            grads["enc_w0"] = np.ascontiguousarray(grads["enc_w0"].T)
+            params["enc_w0"] = Tensor(params["enc_w0"].data.T)
+        elif fault == "short_gradient":
+            grad = grad[1:]
+        elif fault == "strided_moment":
+            state.m = np.zeros(2 * layout.size)[::2]
+        elif fault == "out_is_a_parameter":
+            out = np.concatenate([t.data.ravel() for t in params.values()])
+            params = {name: _wrap(view) for name, view in layout.views(out).items()}
+        elif fault == "out_is_the_gradient":
+            out = grad
+        elif fault == "short_scratch":
+            state.scratch = state.scratch[1:]
         else:
-            state.m["enc_w0"] = np.asfortranarray(state.m["enc_w0"])
-        m = {n: a.copy() for n, a in state.m.items()}
-        v = {n: a.copy() for n, a in state.v.items()}
-        with pytest.raises(ValueError, match="enc_w"):
-            training.adam_step(params, grads, state, config)
+            out.flags.writeable = False
+        m, v = state.m.copy(), state.v.copy()
+        with pytest.raises(ValueError, match=message):
+            training.adam_step(params, grad, state, config, out)
         assert state.step == 1
-        for name in params:
-            np.testing.assert_array_equal(state.m[name], m[name], err_msg=name)
-            np.testing.assert_array_equal(state.v[name], v[name], err_msg=name)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
 
     def test_zero_gradients_leave_parameters_unchanged(self):
         model = nvdm.init_model("g", 6, hidden=3, gauss_dims=2, seed=2)
         params = dict(model.params)
-        state = training.adam_init(params)
-        grads = {name: np.zeros_like(t.data) for name, t in params.items()}
-        out = training.adam_step(params, grads, state, TrainConfig())
+        _, state = adam_setup(params)
+        out = flat_step(params, {name: np.zeros_like(t.data) for name, t in params.items()}, state, TrainConfig())
         for name in params:
             np.testing.assert_array_equal(out[name].data, params[name].data)
 
-    def test_moment_shapes_mirror_parameters(self):
+    def test_moments_are_flat_zeros_over_the_layout(self):
         model = nvdm.init_model("h", 6, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=3)
-        state = training.adam_init(dict(model.params))
-        for name, t in model.named_parameters():
-            assert state.m[name].shape == t.data.shape
-            assert state.v[name].shape == t.data.shape
+        layout, state = adam_setup(dict(model.params))
+        assert layout.size == sum(t.data.size for _, t in model.named_parameters())
+        for moment in (state.m, state.v):
+            assert moment.shape == (layout.size,) and not moment.any()
+            for name, view in layout.views(moment).items():
+                assert view.shape == model.params[name].data.shape and np.shares_memory(view, moment)
 
     def test_descends_a_quadratic(self):
         params = {"x": Tensor([5.0])}
-        state = training.adam_init(params)
+        _, state = adam_setup(params)
         config = TrainConfig(learning_rate=0.1)
         for _ in range(300):
             # Ascending -x^2 descends x^2.
-            grads = {"x": -2.0 * params["x"].data}
-            params = training.adam_step(params, grads, state, config)
+            params = flat_step(params, {"x": -2.0 * params["x"].data}, state, config)
         assert abs(params["x"].data[0]) < 1e-2
+
+
+def gradient_rows(model, shards=1):
+    """A trainer-style flat gradient buffer for the model: its layout and one row per shard."""
+    layout = training.ParamLayout({name: t.data.shape for name, t in model.named_parameters()})
+    return layout, np.full((shards, layout.size), np.nan)
 
 
 class TestTrainLoop:
@@ -244,12 +333,15 @@ class TestTrainLoop:
             return evaluation.evaluate(m, tiny, num_samples=3, rng=rng).mean_bound
 
         before = fixed_bound(model)
-        state = training.adam_init(dict(model.params))
+        layout, grads = gradient_rows(model)
+        state = training.adam_init(layout)
         current = model
         for step in range(10):
-            grads, *_ = training._batch_gradients(current, tiny, list(range(10)), 1.0, config, step)
-            grads = training.clip_gradients(grads, config.clip_norm)
-            current = current.replaced(training.adam_step(dict(current.params), grads, state, config))
+            training._batch_gradients(current, tiny, list(range(10)), 1.0, config, step, layout, grads)
+            out = np.empty(layout.size)
+            training.clip_gradients(grads[0], layout, config.clip_norm, out)
+            training.adam_step(current.params, grads[0], state, config, out)
+            current = current.replaced(layout.views(out))
         assert fixed_bound(current) > before
 
     def test_fixed_seed_identical_logs(self, small_corpus):
@@ -301,27 +393,40 @@ class TestTrainLoop:
         model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=9)
         config1 = TrainConfig(batch_size=40, max_epochs=1, patience=5, seed=9, threads=1)
         config3 = TrainConfig(batch_size=40, max_epochs=1, patience=5, seed=9, threads=3)
-        g1, b1, *_ = training._batch_gradients(model, train_c, list(range(40)), 1.0, config1, step=0)
-        g3, b3, *_ = training._batch_gradients(model, train_c, list(range(40)), 1.0, config3, step=0)
+        layout, rows1 = gradient_rows(model)
+        _, rows3 = gradient_rows(model, 3)
+        b1, *_ = training._batch_gradients(model, train_c, list(range(40)), 1.0, config1, 0, layout, rows1)
+        b3, *_ = training._batch_gradients(model, train_c, list(range(40)), 1.0, config3, 0, layout, rows3)
         assert b1 == pytest.approx(b3, rel=1e-12)
-        for name in g1:
-            np.testing.assert_allclose(g1[name], g3[name], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(rows1[0], rows3[0], rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_trainer_owns_every_gradient_array(self, small_corpus, threads):
-        """The in-place ``/= n``, clip and Adam write only arrays no one else holds."""
+        """Every shard writes its gradients into its own row of the trainer's buffer, and row 0 ends as the mean.
+
+        The in-place mean, clip and Adam write only arrays no one else
+        holds: the caller's model is unchanged by ``train``.
+        """
         train_c, valid_c = small_corpus
         model = randomized(nvdm.init_model("h", 20, hidden=4, seed=11, **VARIANT_DIMS["h"]), seed=12)
         config = TrainConfig(batch_size=40, max_epochs=2, patience=5, seed=11, threads=threads)
-        grads, *_ = training._batch_gradients(model, train_c, list(range(40)), 1.0, config, step=0)
-        assert grads.keys() == model.params.keys()
-        arrays = list(grads.values())
-        for i, g in enumerate(arrays):
-            assert g.flags.writeable
-            for other in arrays[i + 1 :]:
-                assert not np.shares_memory(g, other)
-            for name, t in model.named_parameters():
-                assert not np.shares_memory(g, t.data), name
+        layout, rows = gradient_rows(model, threads)
+        training._batch_gradients(model, train_c, list(range(40)), 1.0, config, 0, layout, rows)
+        # Shard i's slots are i, i + threads, ...; its sums go to row i.
+        shards = []
+        for i in range(threads):
+            own = {name: np.empty_like(t.data) for name, t in model.named_parameters()}
+            training._shard_gradients(model, train_c, list(range(i, 40, threads)), 1.0, config.seed, 0, list(range(i, 40, threads)), own)
+            shards.append(own)
+        sums = [layout.views(row) for row in rows]
+        for name, t in model.named_parameters():
+            mean = shards[0][name].copy()
+            for i in range(1, threads):
+                assert sums[i][name].tobytes() == shards[i][name].tobytes(), name
+                mean += shards[i][name]
+            mean /= 40
+            assert sums[0][name].tobytes() == mean.tobytes(), name
+            assert not np.shares_memory(rows, t.data), name
 
         before = {name: t.data.copy() for name, t in model.named_parameters()}
         result = training.train(model, train_c, valid_c, config)
@@ -335,9 +440,10 @@ class TestTrainLoop:
         real = training._batch_gradients
 
         def poisoned(*args):
-            grads, *rest = real(*args)
-            grads["dec_b"][3] = np.inf
-            return (grads, *rest)
+            means = real(*args)
+            layout, grads = args[-2:]
+            layout.views(grads[0])["dec_b"][3] = np.inf
+            return means
 
         monkeypatch.setattr(training, "_batch_gradients", poisoned)
         config = TrainConfig(batch_size=50, max_epochs=1, patience=1, seed=8)
@@ -354,10 +460,13 @@ class TestTrainLoop:
 
     @staticmethod
     def _no_step(monkeypatch):
-        def step(*args, **kwargs):
-            raise AssertionError("an Adam step ran")
+        """Every part of a training step ``train`` calls fails the test."""
 
-        monkeypatch.setattr(training, "adam_step", step)
+        def step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        for name in ("_batch_gradients", "_shard_gradients", "clip_gradients", "adam_step"):
+            monkeypatch.setattr(training, name, step)
 
     def test_empty_document_rejected_before_the_first_step(self, small_corpus, monkeypatch):
         """An empty training document at position 10 used to surface as TrainingDiverged in batch 2."""
@@ -386,6 +495,66 @@ class TestTrainLoop:
         model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=10)
         with pytest.raises(ShapeError, match=f"{which} corpus: corpus vocabulary size 30 != model vocabulary size 20"):
             training.train(model, *corpora.values(), TrainConfig(batch_size=50, max_epochs=1, patience=1))
+
+
+class TestTrainerBuffers:
+    """``train`` keeps its gradients, moments and new parameters in flat buffers that it reuses from step to step."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_the_returned_model_survives_later_steps(self, small_corpus, threads):
+        """The best epoch (4 of 6) is followed by 8 more steps, which must not write into the best parameters' buffer."""
+        train_c, valid_c = small_corpus
+        model = nvdm.init_model("h", 20, hidden=4, seed=0, **VARIANT_DIMS["h"])
+        before = {name: t.data.copy() for name, t in model.named_parameters()}
+        config = TrainConfig(learning_rate=0.2, batch_size=30, max_epochs=6, patience=6, seed=0, threads=threads)
+        result = training.train(model, train_c, valid_c, config)
+        assert (result.best_epoch, len(result.valid_bounds)) == (4, 6)
+        stopped = training.train(model, train_c, valid_c, replace(config, max_epochs=result.best_epoch))
+        assert stopped.best_epoch == result.best_epoch and stopped.best_valid_bound == result.best_valid_bound
+        for name, t in model.named_parameters():
+            assert result.model.params[name].data.tobytes() == stopped.model.params[name].data.tobytes(), name
+            assert t.data.tobytes() == before[name].tobytes(), name
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_steady_state_step_allocates_no_parameter_sized_array(self, threads, monkeypatch):
+        """Traced memory during a step, from its gradients to its Adam step, rises by less than one weight matrix.
+
+        At V=2000 and H=500 the encoder's weights (8 MB and 2 MB) are far
+        larger than a 10-document batch's (10, 2000) activations (160 kB
+        each).  A step that built fresh gradients, squares or new
+        parameters would raise the peak by at least the 2 MB matrix.  The
+        first two steps may allocate the trainer's buffers; every later
+        one must reuse them.  The latent dims are small, so the decoder's
+        kept transpose, which each new decoder weight builds in its first
+        forward pass, is no larger than the activations.
+        """
+        corpus = cio.make_synthetic_bimodal(70, 2000, seed=1)
+        train_c, valid_c = replace(corpus, docs=corpus.docs[:60]), replace(corpus, docs=corpus.docs[60:])
+        model = nvdm.init_model("h", 2000, hidden=500, gauss_dims=4, piece_dims=4, n_pieces=3, seed=2)
+        matrix = model.params["enc_w1"].data.nbytes
+        assert matrix == 2_000_000 and model.params["dec_r"].data.nbytes == 128_000
+        rises = []
+        batch_gradients, adam_step = training._batch_gradients, training.adam_step
+
+        def step_start(*args):
+            tracemalloc.reset_peak()
+            step_start.base = tracemalloc.get_traced_memory()[0]
+            return batch_gradients(*args)
+
+        def step_end(*args):
+            out = adam_step(*args)
+            rises.append(tracemalloc.get_traced_memory()[1] - step_start.base)
+            return out
+
+        monkeypatch.setattr(training, "_batch_gradients", step_start)
+        monkeypatch.setattr(training, "adam_step", step_end)
+        tracemalloc.start()
+        try:
+            training.train(model, train_c, valid_c, TrainConfig(batch_size=10, max_epochs=1, patience=1, seed=3, threads=threads))
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 6
+        assert max(rises[2:]) < matrix, rises
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -463,7 +632,9 @@ class TestBatchedShard:
         seed, step, w = 42, 3, 0.7
         doc_indices = [7, 2, 19, 11, 4, 30]
         slots = list(range(len(doc_indices)))
-        grads, bound, recon, kl_g, kl_p = training._shard_gradients(model, train_c, doc_indices, w, seed, step, slots)
+        layout, rows = gradient_rows(model)
+        grads = layout.views(rows[0])
+        bound, recon, kl_g, kl_p = training._shard_gradients(model, train_c, doc_indices, w, seed, step, slots, grads)
 
         ref_grads = {name: np.zeros_like(t.data) for name, t in model.named_parameters()}
         ref_bound = ref_recon = ref_kl_g = ref_kl_p = 0.0
@@ -506,11 +677,13 @@ class TestBatchedShard:
             np.testing.assert_allclose(part, full[subset], rtol=1e-12)
 
         # Reversing the batch together with its slots leaves the gradients unchanged.
-        forward = training._shard_gradients(model, train_c, slots, 1.0, seed, step, slots)
-        backward = training._shard_gradients(model, train_c, slots[::-1], 1.0, seed, step, slots[::-1])
-        assert backward[1] == pytest.approx(forward[1], rel=1e-12)
-        for name in forward[0]:
-            np.testing.assert_allclose(backward[0][name], forward[0][name], rtol=1e-10, atol=1e-13, err_msg=name)
+        layout, rows = gradient_rows(model, 2)
+        forward, backward = layout.views(rows[0]), layout.views(rows[1])
+        forward_bound, *_ = training._shard_gradients(model, train_c, slots, 1.0, seed, step, slots, forward)
+        backward_bound, *_ = training._shard_gradients(model, train_c, slots[::-1], 1.0, seed, step, slots[::-1], backward)
+        assert backward_bound == pytest.approx(forward_bound, rel=1e-12)
+        for name in forward:
+            np.testing.assert_allclose(backward[name], forward[name], rtol=1e-10, atol=1e-13, err_msg=name)
 
 
 class TestTrainedDigests:
