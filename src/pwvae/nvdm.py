@@ -211,6 +211,9 @@ class RowBounds:
     """Variational bounds of a batch of documents, one entry per row.
 
     KL terms are clamped at zero; ``total`` is the taped sum of ``bounds``.
+    ``tracked`` holds the bounds of the same posterior rows under
+    ``posterior_bound``'s ``track_noise``, or None when none was given;
+    ``total`` does not depend on it.
     """
 
     bounds: np.ndarray
@@ -218,6 +221,7 @@ class RowBounds:
     kl_gaussian: np.ndarray
     kl_piecewise: np.ndarray
     total: Tensor = field(compare=False, repr=False)
+    tracked: np.ndarray | None = None
 
     def single(self, samples_used: int) -> ElboReport:
         """The report of a one-document batch."""
@@ -449,19 +453,37 @@ def elbo(
     return batch_bound(model, corpus, [doc], noise, kl_weight=kl_weight).single(num_samples)
 
 
-def _noise_samples(model: NvdmModel, noise, rows: int) -> int:
+def _noise_samples(model: NvdmModel, noise, rows: int, name: str) -> int:
     """The number of samples S in a ``draw_noises`` pair for ``rows`` documents.
 
     Each family the model has needs an (S, rows, dims) array, with one S
     for both, and a family it lacks None; otherwise ShapeError names the
-    shapes.
+    argument ``name`` and the shapes.
     """
     dims = (model.gauss_dims, model.piece_dims)
     shapes = [None if eps is None else eps.shape if isinstance(eps, np.ndarray) else type(eps).__name__ for eps in noise]
     samples = next((shape[0] for shape in shapes if isinstance(shape, tuple) and shape), 0)
     if samples < 1 or shapes != [None if d == 0 else (samples, rows, d) for d in dims]:
-        raise ShapeError(f"posterior_bound: noise must be (S, {rows}, dims) arrays with one S >= 1 for dims {dims}, None where dims is 0, got {shapes}")
+        raise ShapeError(f"posterior_bound: {name} must be (S, {rows}, dims) arrays with one S >= 1 for dims {dims}, None where dims is 0, got {shapes}")
     return samples
+
+
+def _reconstruction(model: NvdmModel, counts: Tensor, gauss_post: GaussianParams | None, a_post: Tensor | None, noise, rows: int, samples: int) -> Tensor:
+    """The (B,) reconstruction term averaged over ``noise``'s S samples, all drawn in one pass and decoded one by one."""
+    eps_g, eps_p = noise
+    z_g = z_p = None
+    if gauss_post is not None:
+        tiled = GaussianParams(mu=tile_rows(gauss_post.mu, samples), var=tile_rows(gauss_post.var, samples))
+        z_g = gaussian.sample_with_noise(tiled, eps_g.reshape(samples * rows, model.gauss_dims))
+    if a_post is not None:
+        z01 = piecewise.sample_through(a_post, eps_p.reshape(samples * rows, model.piece_dims), model.piece_dims, model.n_pieces)
+        z_p = scale_shift(z01, 2.0, -1.0)
+    z = combine_latents(z_g, z_p)
+    recon = None
+    for s in range(samples):
+        term = decode_logprob(model, row_block(z, s * rows, (s + 1) * rows), counts)
+        recon = term if recon is None else recon + term
+    return recon * (1.0 / samples) if samples > 1 else recon
 
 
 def posterior_bound(
@@ -474,6 +496,7 @@ def posterior_bound(
     piece_raw_a: Tensor | None,
     kl_weight: float,
     noise,
+    track_noise=None,
 ) -> RowBounds:
     """The one bound assembly: bounds of a batch of documents at the given posterior rows.
 
@@ -493,27 +516,23 @@ def posterior_bound(
     product would change no bit.  Values are never checked: a row whose
     variances or logits overflow gets a non-finite bound, the other rows
     keep theirs, and each caller checks finiteness once.
+
+    ``track_noise``, a second such pair (any S), also gives the rows'
+    bounds under it, as ``RowBounds.tracked``: iterative inference tracks
+    its progress under one fixed noise while it steps under fresh noise.
+    The posterior and both KL terms are built once for both noises, and
+    each noise gets its own sampling and decoder pass, so ``tracked``
+    equals the ``bounds`` of a call with ``noise=track_noise`` bit for
+    bit.  Its ops are taped, but ``total`` does not reach them, so a
+    backward from ``total`` visits none of them.
     """
     gauss_prior, a_prior = priors
     gauss_post = gaussian.from_raw(gauss_mu, gauss_raw_sigma) if gauss_mu is not None else None
     a_post = piecewise.head_forward(piece_raw_a) if piece_raw_a is not None else None
     rows = (gauss_mu if gauss_mu is not None else piece_raw_a).data.shape[0]
-    samples = _noise_samples(model, noise, rows)
-    eps_g, eps_p = noise
-    z_g = z_p = None
-    if gauss_post is not None:
-        tiled = GaussianParams(mu=tile_rows(gauss_post.mu, samples), var=tile_rows(gauss_post.var, samples))
-        z_g = gaussian.sample_with_noise(tiled, eps_g.reshape(samples * rows, model.gauss_dims))
-    if a_post is not None:
-        z01 = piecewise.sample_through(a_post, eps_p.reshape(samples * rows, model.piece_dims), model.piece_dims, model.n_pieces)
-        z_p = scale_shift(z01, 2.0, -1.0)
-    z = combine_latents(z_g, z_p)
-    recon = None
-    for s in range(samples):
-        term = decode_logprob(model, row_block(z, s * rows, (s + 1) * rows), counts)
-        recon = term if recon is None else recon + term
-    if samples > 1:
-        recon = recon * (1.0 / samples)
+    samples = _noise_samples(model, noise, rows, "noise")
+    track_samples = None if track_noise is None else _noise_samples(model, track_noise, rows, "track_noise")
+    recon = _reconstruction(model, counts, gauss_post, a_post, noise, rows, samples)
 
     kl_g_t = gaussian.kl(gauss_post, gauss_prior) if gauss_post is not None else None
     kl_p_t = piecewise.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces) if a_post is not None else None
@@ -521,11 +540,17 @@ def posterior_bound(
     for term in (kl_g_t, kl_p_t):
         if term is not None:
             kl_total = term if kl_total is None else kl_total + term
-    bound = recon - (kl_total if kl_weight == 1.0 else kl_weight * kl_total)
+    kl_term = kl_total if kl_weight == 1.0 else kl_weight * kl_total
+    bound = recon - kl_term
+    total = sum_all(bound)
+    tracked = None
+    if track_noise is not None:
+        tracked = (_reconstruction(model, counts, gauss_post, a_post, track_noise, rows, track_samples) - kl_term).data
     return RowBounds(
         bounds=bound.data,
         reconstruction=recon.data,
         kl_gaussian=np.maximum(kl_g_t.data, 0.0) if kl_g_t is not None else np.zeros(recon.data.shape),
         kl_piecewise=np.maximum(kl_p_t.data, 0.0) if kl_p_t is not None else np.zeros(recon.data.shape),
-        total=sum_all(bound),
+        total=total,
+        tracked=tracked,
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pwvae import corpus as cio
-from pwvae import evaluation, nvdm, piecewise, training
+from pwvae import blas, evaluation, gaussian, nvdm, piecewise, training
 from pwvae import tensor as T
 
 
@@ -500,6 +500,137 @@ class TestRefinementNoise:
                 text.append("-" if values is None else " ".join(f"{x:.12g}" for x in values))
             text.append(f"{res.bound:.12g} {res.initial_bound:.12g} {res.steps} {res.aborted}")
         assert hashlib.sha256("\n".join(text).encode()).hexdigest() == self.DIGESTS[variant]
+
+
+def two_pass_refinement(model, corpus, docs, *, steps_max, lr, stop_patience, clip_norm=5.0, kl_weight=1.0, rng):
+    """Refinement as one ``posterior_bound`` pass to step and another to track: the reference for ``iterative_inference``'s single pass.
+
+    It takes a starting pass under the tracking noise, then per step a
+    taped pass under the step noise, drawn one step at a time, and an
+    untaped pass under the tracking noise at the stepped parameters.
+    """
+    docs = list(docs)
+    raw = corpus.dense_counts(docs)
+    x, counts = T._wrap(corpus.dense(docs, counts=raw)), T._wrap(raw)
+    doc_keys = [doc.key for doc in docs]
+    track_root, step_root = int(rng.integers(0, 2**63)), int(rng.integers(0, 2**63))
+    track_noise = nvdm.draw_noises(model, 1, nvdm.noise_keys(track_root, doc_keys))
+
+    def leaves(params):
+        return {name: None if rows is None else T.Tensor(rows) for name, rows in params.items()}
+
+    def clip(rows):
+        if rows["piece_raw_a"] is not None:
+            np.clip(rows["piece_raw_a"], -piecewise.CLAMP, piecewise.CLAMP, out=rows["piece_raw_a"])
+        return rows
+
+    def abort(bounds, live, aborted):
+        failed = live & ~np.isfinite(bounds)
+        aborted |= failed
+        live &= ~failed
+
+    params = clip({name: None if t is None else np.array(t.data) for name, t in nvdm.amortized_posterior(model, nvdm.encode(model, x)).items()})
+    best = {name: None if rows is None else rows.copy() for name, rows in params.items()}
+    since_improve = np.zeros(len(docs), dtype=np.int64)
+    steps = np.zeros(len(docs), dtype=np.int64)
+    aborted = np.zeros(len(docs), dtype=bool)
+    live = np.ones(len(docs), dtype=bool)
+    with blas.one_thread(), np.errstate(over="ignore", invalid="ignore"):
+        prior = nvdm.priors(model)
+        initial = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=track_noise, **leaves(params)).bounds
+        best_bound = initial.copy()
+        for t in range(steps_max):
+            noise = nvdm.draw_noises(model, 1, nvdm.noise_keys(step_root ^ t, doc_keys))
+            with T.Tape() as tape:
+                tensors = leaves(params)
+                stepped = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=noise, **tensors)
+                abort(stepped.bounds, live, aborted)
+                if not live.any():
+                    break
+                tape.backward(stepped.total)
+                grads = {name: tape.grad(tensor) for name, tensor in tensors.items() if tensor is not None}
+            norm = np.sqrt(sum(np.sum(g * g, axis=1) for g in grads.values()))
+            step = lr * (clip_norm / np.maximum(norm, clip_norm))
+            for name, g in grads.items():
+                params[name][live] += step[live, None] * g[live]
+            steps[live] += 1
+            tracked = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=track_noise, **leaves(params)).bounds
+            abort(tracked, live, aborted)
+            improved = live & (tracked > best_bound)
+            best_bound[improved] = tracked[improved]
+            for name, rows in params.items():
+                if rows is not None:
+                    best[name][improved] = rows[improved]
+            since_improve[improved] = 0
+            since_improve[live & ~improved] += 1
+            live &= since_improve < stop_patience
+            if not live.any():
+                break
+    clip(best)
+    return best, np.where(aborted, initial, best_bound), initial, steps, aborted
+
+
+def refinement_bytes(best, bounds, initial, steps, aborted):
+    """Every refined row, tracked and initial bound, step count and abort flag, as bytes."""
+    return [None if best[name] is None else best[name].tobytes() for name in evaluation._PARAMS] + [a.tobytes() for a in (bounds, initial, steps, aborted)]
+
+
+class TestOnePassRefinement:
+    """``iterative_inference`` tracks and steps in one pass per step and returns what ``two_pass_refinement`` returns, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    @pytest.mark.parametrize(
+        "lr, steps_max, stop_patience, seed",
+        [
+            (0.0, 30, 5, 5),
+            (0.1, 0, 5, 5),
+            (0.1, 1, 5, 5),
+            (0.1, 30, 1, 5),
+            (0.1, 30, 5, 5),
+            (0.1, 23, 30, 5),
+            (1e300, 30, 5, 5),
+            # test_a_non_finite_tracked_bound_aborts_its_row_on_the_last_step's case.
+            (1e300, 1, 10, 1),
+        ],
+    )
+    def test_refinement_equals_the_two_pass_loop(self, variant, lr, steps_max, stop_patience, seed):
+        corpus = cio.make_synthetic_bimodal(40, 20, 1)
+        model = _overflow_model(variant, seed=seed)
+        docs = corpus.docs[: 5 if seed == 1 else 12]
+        settings = dict(steps_max=steps_max, lr=lr, stop_patience=stop_patience)
+        results = evaluation.iterative_inference(model, corpus, docs, rng=np.random.default_rng(seed), **settings)
+        got = (
+            {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in evaluation._PARAMS},
+            np.array([r.bound for r in results]),
+            np.array([r.initial_bound for r in results]),
+            np.array([r.steps for r in results], dtype=np.int64),
+            np.array([r.aborted for r in results]),
+        )
+        want = two_pass_refinement(model, corpus, docs, rng=np.random.default_rng(seed), **settings)
+        assert refinement_bytes(*got) == refinement_bytes(*want)
+        if lr == 1e300 and variant != "p":
+            assert want[4].all() if seed == 1 else want[4].any()
+
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    @pytest.mark.parametrize("lr, steps_max, stop_patience", [(0.0, 30, 5), (0.1, 0, 5), (0.1, 7, 30), (0.1, 30, 3)])
+    def test_k_steps_build_each_kl_k_plus_1_times(self, corpus, monkeypatch, variant, lr, steps_max, stop_patience):
+        """Each pass builds the posterior's KL terms once: one pass per step, and one more for the last parameters."""
+        calls = {"gaussian": 0, "piecewise": 0}
+
+        def counting(family, real):
+            def kl(*args, **kwargs):
+                calls[family] += 1
+                return real(*args, **kwargs)
+
+            return kl
+
+        monkeypatch.setattr(gaussian, "kl", counting("gaussian", gaussian.kl))
+        monkeypatch.setattr(piecewise, "kl_between", counting("piecewise", piecewise.kl_between))
+        model = refinable_model(variant, seed=3)
+        results = evaluation.iterative_inference(model, corpus, corpus.docs[:4], steps_max=steps_max, lr=lr, stop_patience=stop_patience, rng=np.random.default_rng(4))
+        k = max(r.steps for r in results)
+        assert (k > 0) == (steps_max > 0)
+        assert calls == {"gaussian": (k + 1) * (variant != "p"), "piecewise": (k + 1) * (variant != "g")}
 
 
 class TestSampleCounts:

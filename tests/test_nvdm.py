@@ -368,6 +368,43 @@ class TestStackedSamples:
                 assert str(eps.shape) in str(caught.value)
 
 
+class TestTrackNoise:
+    """``posterior_bound``'s ``track_noise`` adds the rows' bounds under a second noise and changes nothing else."""
+
+    @pytest.mark.parametrize("variant", ["g", "p", "h"])
+    @pytest.mark.parametrize("samples, track_samples, kl_weight", [(1, 1, 1.0), (2, 1, 0.5), (1, 3, 1.0)])
+    def test_tracked_bounds_and_gradients_keep_their_bits(self, variant, samples, track_samples, kl_weight):
+        """``tracked`` is the bounds of a call under ``track_noise``, and ``total``'s bounds and gradients are those of a call without it."""
+        model, counts, rows, noise = bound_case(variant, 3, samples, docs=4, seed=17)
+        track_noise = nvdm.draw_noises(model, track_samples, nvdm.noise_keys(18, np.arange(4)))
+        prior = nvdm.priors(model)
+
+        def taped(noise, **extra):
+            with T.Tape() as tape:
+                leaves = {name: T.Tensor(rows[name]) if name in rows else None for name in ROW_NAMES["h"]}
+                bound = nvdm.posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=noise, **leaves, **extra)
+                tape.backward(bound.total)
+            grads = [tape.grad(t) for t in leaves.values() if t is not None] + [tape.grad(t) for _, t in model.named_parameters()]
+            return bound, grads
+
+        both, both_grads = taped(noise, track_noise=track_noise)
+        alone, alone_grads = taped(noise)
+        tracking, _ = taped(track_noise)
+        assert alone.tracked is None
+        assert both.tracked.tobytes() == tracking.bounds.tobytes()
+        for field in ("bounds", "reconstruction", "kl_gaussian", "kl_piecewise"):
+            assert getattr(both, field).tobytes() == getattr(alone, field).tobytes(), field
+        for g, w in zip(both_grads, alone_grads, strict=True):
+            assert g.tobytes() == w.tobytes()
+
+    def test_a_wrong_track_noise_is_rejected_by_name(self):
+        model, counts, rows, noise = bound_case("h", 3, 1, docs=4, seed=8)
+        eps_g, eps_p = noise
+        leaves = {name: T.Tensor(values) for name, values in rows.items()}
+        with pytest.raises(T.ShapeError, match=r"^posterior_bound: track_noise must be \(S, 4, dims\) arrays"):
+            nvdm.posterior_bound(model, counts, priors=nvdm.priors(model), kl_weight=1.0, noise=noise, track_noise=(eps_g[:, :3], eps_p[:, :3]), **leaves)
+
+
 class TestCombineLatents:
     def test_concatenation_order(self):
         out = nvdm.combine_latents(T.Tensor([1.0, 2.0]), T.Tensor([-0.5]))
