@@ -1,7 +1,7 @@
 """Qualitative model analyses: word neighbours, KL word sensitivity, mean export.
 
 Word neighbours rank vocabulary entries by Euclidean distance between
-rows of the decoder matrix.  KL sensitivity attributes, per document, the
+columns of the decoder matrix.  KL sensitivity attributes, per document, the
 squared gradient of each latent family's KL term to the components of the
 encoder input vector and counts which present words land in the
 per-document top-m, giving one count table per family.  The mean export
@@ -46,7 +46,7 @@ def _edit_distance(a: str, b: str) -> int:
 
 
 def word_neighbors(model: NvdmModel, vocab, query: str, k: int):
-    """k nearest words to the query in decoder-row space, query excluded.
+    """k nearest words to the query in decoder-column space, query excluded.
 
     Distances are Euclidean; ties break on the lower word id.  Returns
     (token, distance) pairs.
@@ -60,7 +60,7 @@ def word_neighbors(model: NvdmModel, vocab, query: str, k: int):
         by_edit = sorted(tokens, key=lambda t: (_edit_distance(query, t), t))[:5]
         raise UnknownTokenError(query, by_edit) from None
     r = model.params["dec_r"].data
-    dist = np.linalg.norm(r - r[qid], axis=1)
+    dist = np.linalg.norm(r - r[:, qid : qid + 1], axis=0)
     order = [i for i in np.argsort(dist, kind="stable") if i != qid]
     k = max(0, min(k, len(order)))
     return [(tokens[i], float(dist[i])) for i in order[:k]]

@@ -1,15 +1,20 @@
-"""Binary checkpoints for model parameters, format ``pwvae-ckpt v2``.
+"""Binary checkpoints for model parameters, format ``pwvae-ckpt v3``.
 
 A checkpoint is one uncompressed ``.npz`` archive, written by
 ``np.savez`` at exactly the given path and read by ``np.load`` without
 pickle.  It holds:
 
-- ``header``: a 0-d unicode array of lines, the magic ``pwvae-ckpt v2``
+- ``header``: a 0-d unicode array of lines, the magic ``pwvae-ckpt v3``
   and then ``<field> <value>`` for the model's ``variant``,
   ``vocab_size``, ``hidden``, ``gauss_dims``, ``piece_dims``,
   ``n_pieces`` and ``activation``, in that order;
 - one float64 array per parameter, under its ``named_parameters()`` name
-  and in its model shape.
+  and in its model shape (``nvdm.param_shapes``): the decoder matrix
+  ``dec_r`` is (latent dims, vocabulary).
+
+Version 2 archives had the same layout, except that ``dec_r`` was
+(vocabulary, latent dims).  They, and v1 text files, are rejected by
+name; no loader converts them.
 
 The archive stores the raw bytes of every array and fixed member
 timestamps, so save -> load is exact to the bit and save -> load -> save
@@ -30,8 +35,9 @@ from .tensor import _wrap
 
 __all__ = ["CheckpointError", "MAGIC", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = "pwvae-ckpt v2"
+MAGIC = "pwvae-ckpt v3"
 _V1_MAGIC = b"pwvae-ckpt v1"
+_V2_MAGIC = "pwvae-ckpt v2"
 _ZIP_MAGIC = b"PK\x03\x04"
 _HEADER = "header"
 # Header keys, in file order: the model's fields, all integers but two.
@@ -54,6 +60,8 @@ def save_checkpoint(model: NvdmModel, path: str) -> None:
 def _read_header(header, path: str) -> dict:
     """Model fields from the header array; the magic is checked first, and the fields must be a configuration ``init_model`` accepts."""
     lines = str(header).split("\n") if header is not None and header.shape == () and header.dtype.kind == "U" else []
+    if lines and lines[0] == _V2_MAGIC:
+        raise CheckpointError(f"{path}: a {_V2_MAGIC} checkpoint, whose dec_r is (vocabulary, latent dims); only {MAGIC} is read")
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: not a {MAGIC} file (no {MAGIC} header)")
     try:

@@ -48,7 +48,9 @@ class CorpusFormatError(ValueError):
 class Document:
     """A bag of words: distinct term ids and their counts.
 
-    A repeated term id raises ValueError.  The token count and the content
+    A negative or repeated term id, or a count below 1, raises ValueError
+    naming the document; ids at or above a corpus's vocabulary size are
+    caught when the corpus densifies them.  The token count and the content
     key are computed once, on first use, and then kept.  Two documents are
     equal when their ids, labels, term ids and counts are, and the hash
     follows that equality, so corpora of documents compare and hash too.
@@ -64,6 +66,10 @@ class Document:
         cnt = np.asarray(self.counts, dtype=np.int64)
         if ids.ndim != 1 or ids.shape != cnt.shape:
             raise ValueError(f"document {self.doc_id!r}: term ids of shape {ids.shape} and counts of shape {cnt.shape} do not pair up")
+        if ids.size and ids.min() < 0:
+            raise ValueError(f"document {self.doc_id!r}: negative term id {ids.min()}")
+        if cnt.size and cnt.min() < 1:
+            raise ValueError(f"document {self.doc_id!r}: count must be >= 1, got {cnt.min()}")
         if len(set(ids.tolist())) != ids.size:
             values, times = np.unique(ids, return_counts=True)
             raise ValueError(f"document {self.doc_id!r}: term id {values[times > 1][0]} appears more than once")
@@ -112,10 +118,18 @@ class Corpus:
         return len(self.docs)
 
     def dense_counts(self, docs) -> np.ndarray:
-        """(B, V) raw counts of a batch of documents, one row per document in order, from one scatter."""
+        """(B, V) raw counts of a batch of documents, one row per document in order, from one scatter.
+
+        A term id at or above the vocabulary size raises ValueError naming
+        the first document that holds one.
+        """
         rows = np.zeros((len(docs), self.vocab_size))
         row_of_entry = np.repeat(np.arange(len(docs)), [doc.term_ids.size for doc in docs])
-        rows[row_of_entry, np.concatenate([doc.term_ids for doc in docs])] = np.concatenate([doc.counts for doc in docs])
+        ids = np.concatenate([doc.term_ids for doc in docs])
+        if ids.size and ids.max() >= self.vocab_size:
+            doc = docs[row_of_entry[np.argmax(ids >= self.vocab_size)]]
+            raise ValueError(f"document {doc.doc_id!r}: term id {doc.term_ids.max()} is outside the vocabulary of {self.vocab_size} words")
+        rows[row_of_entry, ids] = np.concatenate([doc.counts for doc in docs])
         return rows
 
     def dense(self, docs, *, counts: np.ndarray | None = None) -> np.ndarray:

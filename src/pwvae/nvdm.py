@@ -2,13 +2,9 @@
 
 Three variants share one architecture: a two-layer bag-of-words encoder,
 latent heads producing prior/posterior parameters, and a softmax word
-decoder with logits b - R z (one taped ``affine``), whose count-weighted
-log-likelihood (``decode_logprob``) is one taped op.  The decoder's
-forward multiplies latent rows by ``dec_r.transposed()``, the
-C-contiguous copy of R^T that the weight keeps, which BLAS multiplies
-about twice as fast as the transposed view when there are few rows, as
-in iterative inference; a new weight (``NvdmModel.replaced``) is a new
-tensor with its own copy.  The backward reads R itself.  Variant "g" uses
+decoder with logits b - R z, whose count-weighted log-likelihood
+(``decode_logprob``) is one taped op.  ``dec_r`` holds R^T, the (L, V)
+matrix that latent rows are multiplied by.  Variant "g" uses
 Gaussian latent variables only, "p" piecewise constant only, and "h"
 both, sampled independently and concatenated (Gaussian dimensions first).
 
@@ -78,6 +74,7 @@ from .tensor import (
     _wrap,
     affine,
     concat,
+    custom_op,
     multinomial_loglik,
     prelu,
     row_block,
@@ -145,7 +142,7 @@ def param_shapes(variant: str, vocab_size: int, hidden: int, gauss_dims: int, pi
                 "p_post_b_a": (piece_dims * n_pieces,),
             }
         )
-    shapes["dec_r"] = (vocab_size, gauss_dims + piece_dims)
+    shapes["dec_r"] = (gauss_dims + piece_dims, vocab_size)
     shapes["dec_b"] = (vocab_size,)
     return shapes
 
@@ -314,15 +311,31 @@ def encode(model: NvdmModel, x: Tensor) -> Tensor:
     return _activate(model, affine(h, model.params["enc_w1"], model.params["enc_b1"]), 1)
 
 
-def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
-    """Log-likelihood sum_w c_w log softmax(b - R z)_w of (B, V) ``counts`` at (B, L) latent rows: a (B,) array.
+def _decoder_logits(z: Tensor, r: Tensor, b: Tensor) -> Tensor:
+    """Logits b - z @ r of (B, L) latent rows under the (L, V) matrix r and the (V,) bias b, as one taped op.
 
-    The forward multiplies by the transpose R keeps (``Tensor.transposed``);
-    the backward multiplies by R.
+    All three gradients are deferred, and each is written into ``out``
+    when ``Tape.grad`` passes one: z's is -g @ r.T, read through a view
+    of r rather than a copy, r's z.T @ -g and b's the column sum of g.
     """
+    zd, rd, bd = z.data, r.data, b.data
+
+    def backward(g):
+        neg = -g
+        return (
+            lambda out=None: np.matmul(neg, rd.T, out=out),
+            lambda out=None: np.matmul(zd.T, neg, out=out),
+            lambda out=None: np.sum(g, axis=0, out=out),
+        )
+
+    return custom_op(bd - zd @ rd, (z, r, b), backward)
+
+
+def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
+    """Log-likelihood sum_w c_w log softmax(b - R z)_w of (B, V) ``counts`` at (B, L) latent rows: a (B,) array."""
     if z.data.ndim != 2 or z.data.shape[1] != model.latent_dim:
         raise ShapeError(f"decode: expected (B, {model.latent_dim}) latent rows, got {z.data.shape}")
-    return multinomial_loglik(counts, affine(z, model.params["dec_r"], model.params["dec_b"], negate=True, kept_transpose=True))
+    return multinomial_loglik(counts, _decoder_logits(z, model.params["dec_r"], model.params["dec_b"]))
 
 
 def combine_latents(z_gauss: Tensor | None, z_piece: Tensor | None) -> Tensor:

@@ -22,25 +22,6 @@ array.  These identity checks cost less than the copy they save, which
 ``custom_op`` states: a backward rule never captures, in a deferred
 closure, an array it also returns.
 
-``affine`` computes rows x @ w.T.  It multiplies by the transposed view
-of w unless told to use ``kept_transpose``: then it multiplies by
-``w.transposed()``, a C-contiguous copy of w.T that the tensor builds
-on first use and keeps.  OpenBLAS reads the transposed view slowly when
-x has few rows: at the paper's decoder shape, (2000, 100), and 3 rows on
-one thread, the product took about twice as long as against the copy.
-Only the decoder's forward (``nvdm.decode_logprob``) uses the copy; in
-the encoder it gained little.  The backward products g @ w and g.T @ x
-read w itself either way, so no gradient changes.  With numpy 2.4's
-OpenBLAS 0.3.31, the two layouts give the same bits for two or more rows
-at the benchmark's decoder shapes, (2000, 100) and (200, 10).  One
-(1, m) row goes through numpy's vector-matrix product, where they can
-differ in the last bit, and so can some other shapes, e.g. (20, k)
-weights for k >= 16, and (200, k) for k >= 32 with at most 6 rows.  A
-training batch of one document is such a row: after 15 one-document
-steps at V=200 and H=50 the parameters differed from the view's by at
-most 4.6e-15 of each parameter's largest entry, and the validation
-bounds not at all.
-
 Row convention: a batch of documents is a (B, n) matrix with one document
 per row, and a single document is a (1, n) row; ``affine`` and
 ``multinomial_loglik`` take nothing else.  ``affine`` multiplies every
@@ -101,26 +82,12 @@ class TapeError(RuntimeError):
 class Tensor:
     """Immutable dense array of 64-bit floats."""
 
-    __slots__ = ("data", "_transposed")
+    __slots__ = ("data",)
 
     def __init__(self, values):
         arr = np.array(values, dtype=np.float64)
         arr.flags.writeable = False
         self.data = arr
-
-    def transposed(self) -> np.ndarray:
-        """A read-only C-contiguous copy of this matrix's transpose, built on the first call and kept.
-
-        The tensor is immutable, so the copy can never go stale: a new
-        weight is a new tensor, which builds its own.
-        """
-        try:
-            return self._transposed
-        except AttributeError:
-            t = np.ascontiguousarray(self.data.T)
-            t.flags.writeable = False
-            self._transposed = t
-            return t
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -364,30 +331,26 @@ def scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:
     return out
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor, *, negate: bool = False, kept_transpose: bool = False) -> Tensor:
-    """x @ w.T + b, or b - x @ w.T under ``negate``, for (B, m) rows x as one taped op.
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b for (B, m) rows x as one taped op.
 
     w is a (k, m) matrix and b a (k,) bias.  The weight gradient is the
     single product g.T @ x over all rows, and the bias gradient g's sum
-    over them.  Under ``kept_transpose`` the forward multiplies by
-    ``w.transposed()``, the C-contiguous copy of w.T that w keeps, instead
-    of the transposed view; the backward reads w itself either way.
+    over them.
     """
     wd, xd, bd = w.data, x.data, b.data
     if wd.ndim != 2 or xd.ndim != 2 or xd.shape[1] != wd.shape[1] or bd.shape != wd.shape[:1]:
         raise ShapeError(f"affine: rows {xd.shape}, matrix {wd.shape} and bias {bd.shape} do not conform; expected (B, m) rows, a (k, m) matrix and a (k,) bias")
-    product = xd @ (w.transposed() if kept_transpose else wd.T)
-    out = _wrap(bd - product if negate else product + bd)
+    out = _wrap(xd @ wd.T + bd)
 
     # All three gradients are deferred, so a frozen model or an input
     # document whose gradient nobody reads costs nothing.  The bias
     # gradient is a fresh sum for any B, one row included.  Each product
     # and sum is written into ``out`` when ``Tape.grad`` passes one.
     def backward(g):
-        gp = -g if negate else g
         return (
-            lambda out=None: np.matmul(gp, wd, out=out),
-            lambda out=None: np.matmul(gp.T, xd, out=out),
+            lambda out=None: np.matmul(g, wd, out=out),
+            lambda out=None: np.matmul(g.T, xd, out=out),
             lambda out=None: np.sum(g, axis=0, out=out),
         )
 

@@ -13,9 +13,10 @@ lays out once per call (``ParamLayout``): a gradient row per shard, the
 Adam moments, and new-parameter buffers that take turns.  Every
 parameter's tensor is a read-only view into one of these buffers.  The
 tape writes each parameter's gradient straight into its view of the
-gradient row (``Tape.grad(t, out=...)``, into which ``affine`` computes
-its weight and bias products), later shards' rows are added into shard
-0's and the sum is divided by the batch size, one call each.
+gradient row (``Tape.grad(t, out=...)``, into which ``affine`` and the
+decoder compute their weight and bias products), later shards' rows are
+added into shard 0's and the sum is divided by the batch size, one call
+each.
 ``clip_gradients`` computes the global norm once, writing the squares
 into the buffer the step's new parameters will go to; a finite norm
 proves every gradient finite, so only a non-finite norm costs a scan, and
@@ -27,9 +28,7 @@ current parameters from their own arrays and writing the new ones into
 that buffer.  The buffer of the previous parameters becomes the next
 step's, unless the best epoch's parameters live in it: that buffer is
 kept as it is, and a new one takes its place.  So after its first two
-steps a training step allocates no gradient, square or parameter array;
-only the decoder's forward still builds the kept transpose of each new
-decoder weight (``Tensor.transposed``).
+steps a training step allocates no gradient, square or parameter array.
 
 Per-document sampling noise is keyed by (seed, stream, step, slot), where
 the slot is the document's position in the batch: each step derives one

@@ -33,7 +33,7 @@ class TestWordNeighbors:
         model = model_for(corpus)
         r = np.random.default_rng(1).normal(size=(12, 4))
         r[7] = r[2]
-        model = model.replaced({"dec_r": r})
+        model = model.replaced({"dec_r": r.T.copy()})
         vocab = list(corpus.vocab)
         assert analysis.word_neighbors(model, vocab, vocab[2], 1)[0] == (vocab[7], 0.0)
         assert analysis.word_neighbors(model, vocab, vocab[7], 1)[0] == (vocab[2], 0.0)
@@ -44,7 +44,7 @@ class TestWordNeighbors:
 
     def test_distance_symmetry(self, corpus):
         model = model_for(corpus)
-        model = model.replaced({"dec_r": np.random.default_rng(2).normal(size=(12, 4))})
+        model = model.replaced({"dec_r": np.random.default_rng(2).normal(size=(12, 4)).T.copy()})
         vocab = list(corpus.vocab)
         for a in vocab[:4]:
             for b_token, d_ab in analysis.word_neighbors(model, vocab, a, 3):
@@ -58,7 +58,7 @@ class TestWordNeighbors:
 
     def test_ties_break_by_word_id(self, corpus):
         model = model_for(corpus)
-        model = model.replaced({"dec_r": np.zeros((12, 4))})
+        model = model.replaced({"dec_r": np.zeros((4, 12))})
         out = analysis.word_neighbors(model, list(corpus.vocab), corpus.vocab[3], 4)
         assert [t for t, _ in out] == ["w0", "w1", "w2", "w4"]
 

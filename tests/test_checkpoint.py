@@ -54,7 +54,7 @@ class TestRoundTrip:
         path = str(tmp_path / "m.ckpt")
         ck.save_checkpoint(model, path)
         with np.load(path, allow_pickle=False) as archive:
-            assert str(archive["header"]).split("\n")[0] == "pwvae-ckpt v2"
+            assert str(archive["header"]).split("\n")[0] == "pwvae-ckpt v3"
 
     def test_written_at_exactly_the_given_path(self, tmp_path):
         ck.save_checkpoint(nvdm.init_model("g", 5, hidden=2, gauss_dims=1, seed=6), str(tmp_path / "model.ckpt"))
@@ -129,31 +129,43 @@ class TestErrors:
         data = path.read_bytes()
         for keep in (len(data) - 1, len(data) - 30, len(data) // 2, 100, 4):
             path.write_bytes(data[:keep])
-            rejects(path, "pwvae-ckpt v2")
+            rejects(path, "pwvae-ckpt v3")
 
     def test_rejects_v1_text_checkpoint_by_name(self, tmp_path):
         path = tmp_path / "old.ckpt"
         path.write_text("pwvae-ckpt v1\nvariant g\nvocab 5\n", encoding="ascii")
         rejects(path, "pwvae-ckpt v1 text checkpoint")
 
+    def test_rejects_v2_archive_by_name(self, tmp_path):
+        """A v2 archive, written as v2 wrote it: the same members, with the v2 magic and ``dec_r`` as (V, L)."""
+        model = perturbed(nvdm.init_model("h", 6, hidden=3, gauss_dims=2, piece_dims=1, n_pieces=3, seed=14), seed=15)
+        path = tmp_path / "v2.ckpt"
+        ck.save_checkpoint(model, str(path))
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["dec_r"] = np.ascontiguousarray(arrays["dec_r"].T)
+        assert arrays["dec_r"].shape == (6, 3)
+        write_arrays(path, header_with(arrays, "pwvae-ckpt v3", "pwvae-ckpt v2"))
+        rejects(path, r"a pwvae-ckpt v2 checkpoint, whose dec_r is \(vocabulary, latent dims\); only pwvae-ckpt v3 is read")
+
     def test_rejects_npy_and_empty_zip(self, tmp_path):
         npy = tmp_path / "m.npy"
         np.save(npy, np.zeros(3))
-        rejects(npy, "not a pwvae-ckpt v2 file")
+        rejects(npy, "not a pwvae-ckpt v3 file")
         empty = tmp_path / "empty.ckpt"
         write_arrays(empty, {})
-        rejects(empty, "not a pwvae-ckpt v2 file")
+        rejects(empty, "not a pwvae-ckpt v3 file")
 
     def test_rejects_wrong_or_missing_magic(self, tmp_path):
         arrays = saved_arrays(tmp_path)
         for bad in (
-            header_with(arrays, "pwvae-ckpt v2", "pwvae-ckpt v3"),
+            header_with(arrays, "pwvae-ckpt v3", "pwvae-ckpt v4"),
             {name: a for name, a in arrays.items() if name != "header"},
             {**arrays, "header": np.array([str(arrays["header"])])},
             {**arrays, "header": np.array(str(arrays["header"]).encode())},
         ):
             write_arrays(tmp_path / "m.ckpt", bad)
-            rejects(tmp_path / "m.ckpt", "not a pwvae-ckpt v2 file")
+            rejects(tmp_path / "m.ckpt", "not a pwvae-ckpt v3 file")
 
     @pytest.mark.parametrize("old,new", [
         ("vocab_size 5", "vocab_size five"),
@@ -195,7 +207,7 @@ class TestErrors:
         arrays = saved_arrays(tmp_path)
         with open(tmp_path / "m.ckpt", "wb") as fh:
             np.savez(fh, **{**arrays, "dec_b": np.array([None, 1.0], dtype=object)})
-        rejects(tmp_path / "m.ckpt", "unreadable pwvae-ckpt v2 archive")
+        rejects(tmp_path / "m.ckpt", "unreadable pwvae-ckpt v3 archive")
 
     def test_rejects_corrupted_bytes(self, tmp_path):
         """A flipped byte is rejected or leaves every value intact.

@@ -128,7 +128,7 @@ def test_bad_evaluation_setting_exits_before_any_report(data, checkpoint, capsys
     "damage, message",
     [
         (lambda data: b"pwvae-ckpt v1\nvariant h\nvocab 10\n", "pwvae-ckpt v1 text checkpoint"),
-        (lambda data: data[: len(data) // 2], "unreadable pwvae-ckpt v2 archive"),
+        (lambda data: data[: len(data) // 2], "unreadable pwvae-ckpt v3 archive"),
     ],
     ids=["v1-text", "truncated"],
 )

@@ -165,6 +165,16 @@ class TestDocument:
         with pytest.raises(ValueError, match="do not pair up"):
             cio.Document("x", np.array([1, 2]), np.array([1]))
 
+    @pytest.mark.parametrize("ids, counts, message", [
+        ([-1, 0], [2, 1], "negative term id -1"),
+        ([0, 1], [1, 0], "count must be >= 1, got 0"),
+        ([0, 1], [1, -1], "count must be >= 1, got -1"),
+    ])
+    def test_negative_ids_and_counts_below_one_rejected(self, ids, counts, message):
+        """A -1 id used to densify onto the last vocabulary column, and a -1 count gave a finite bound."""
+        with pytest.raises(ValueError, match=f"document 'x': {message}"):
+            cio.Document("x", ids, counts)
+
     def test_token_count_and_content_key_are_computed_once(self):
         """The key is the blake2b digest of the term-id bytes followed by the count bytes, read as a little-endian integer."""
         doc = cio.Document("x", np.array([2, 7]), np.array([3, 1]))
@@ -226,3 +236,14 @@ class TestDense:
         assert corpus.dense(corpus.docs, counts=counts) is counts
         logged = replace(corpus, transform="log1p_tf")
         assert logged.dense(corpus.docs, counts=counts) is not counts
+
+    @pytest.mark.parametrize("bad_id", [5, 6, 2**40])
+    def test_term_id_outside_the_vocabulary_names_its_document(self, bad_id):
+        """The scatter used to raise a bare IndexError that named no document."""
+        docs = (cio.Document("ok", [0, 4], [1, 2]), cio.Document("bad", [1, bad_id, 2], [1, 1, 1]), cio.Document("also bad", [bad_id], [3]))
+        corpus = cio.Corpus(vocab=tuple(f"w{i}" for i in range(5)), docs=docs)
+        with pytest.raises(ValueError, match=f"document 'bad': term id {bad_id} is outside the vocabulary of 5 words"):
+            corpus.dense_counts(docs)
+        with pytest.raises(ValueError, match="document 'bad'"):
+            corpus.dense(docs[1:2])
+        np.testing.assert_array_equal(corpus.dense_counts(docs[:1]), [[1, 0, 0, 0, 2]])

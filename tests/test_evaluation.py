@@ -32,7 +32,7 @@ def refinable_model(variant, seed):
     """A fresh model with a random decoder and, for Gaussian latents, open gates, so refinement moves."""
     model = fresh_model(variant, seed=seed)
     rng = np.random.default_rng(seed)
-    updates = {"dec_r": rng.normal(size=(20, model.latent_dim)) * 0.5}
+    updates = {"dec_r": rng.normal(size=(20, model.latent_dim)).T.copy() * 0.5}
     if model.gauss_dims:
         updates.update(g_alpha_mu=np.full(2, 0.5), g_alpha_sigma=np.full(2, 0.3))
     return model.replaced(updates)
@@ -67,7 +67,7 @@ class TestEvaluate:
 
     def test_more_samples_reduce_variance(self, corpus):
         model = fresh_model("h", seed=7)
-        model = model.replaced({"dec_r": np.random.default_rng(8).normal(size=(20, 4))})
+        model = model.replaced({"dec_r": np.random.default_rng(8).normal(size=(20, 4)).T.copy()})
 
         def spread(num_samples):
             bounds = [
@@ -86,7 +86,7 @@ class TestEvaluate:
         """Across block boundaries each bound equals the document's own evaluation."""
         big = cio.make_synthetic_bimodal(2 * evaluation.EVAL_BLOCK + 7, 20, seed=33)
         model = fresh_model("h", seed=34)
-        model = model.replaced({"dec_r": np.random.default_rng(35).normal(size=(20, 4)), "g_alpha_mu": np.full(2, 0.5), "g_alpha_sigma": np.full(2, 0.3)})
+        model = model.replaced({"dec_r": np.random.default_rng(35).normal(size=(20, 4)).T.copy(), "g_alpha_mu": np.full(2, 0.5), "g_alpha_sigma": np.full(2, 0.3)})
         report = evaluation.evaluate(model, big, num_samples=3, rng=np.random.default_rng(36))
         for i, doc in enumerate(big.docs):
             alone = evaluation.evaluate(model, replace(big, docs=(doc,)), num_samples=3, rng=np.random.default_rng(36))
@@ -192,7 +192,7 @@ class TestIterativeInference:
 
     def test_refinement_improves_on_trained_model(self, corpus):
         model = fresh_model("h", seed=18)
-        model = model.replaced({"dec_r": np.random.default_rng(19).normal(size=(20, 4)) * 0.5})
+        model = model.replaced({"dec_r": np.random.default_rng(19).normal(size=(20, 4)).T.copy() * 0.5})
         gains = []
         for i, doc in enumerate(corpus.docs[:8]):
             (res,) = evaluation.iterative_inference(
@@ -204,7 +204,7 @@ class TestIterativeInference:
     def test_evaluate_iterative_tracks_hard_guarantee(self, corpus):
         small = replace(corpus, docs=corpus.docs[:6])
         model = fresh_model("p", seed=21)
-        model = model.replaced({"dec_r": np.random.default_rng(22).normal(size=(20, 2)) * 0.5})
+        model = model.replaced({"dec_r": np.random.default_rng(22).normal(size=(20, 2)).T.copy() * 0.5})
         report, refinements = evaluation.evaluate_iterative(
             model, small, num_samples=3, rng=np.random.default_rng(23), steps_max=25, stop_patience=5
         )
@@ -218,7 +218,7 @@ class TestIterativeInference:
         small = replace(corpus, docs=corpus.docs[:3])
         doubled = replace(corpus, docs=corpus.docs[2::-1] + corpus.docs[:3])
         model = fresh_model("h", seed=37)
-        model = model.replaced({"dec_r": np.random.default_rng(38).normal(size=(20, 4)) * 0.5})
+        model = model.replaced({"dec_r": np.random.default_rng(38).normal(size=(20, 4)).T.copy() * 0.5})
         settings = dict(num_samples=2, steps_max=15, stop_patience=4)
         report, refinements = evaluation.evaluate_iterative(model, small, rng=np.random.default_rng(39), **settings)
         report2, refinements2 = evaluation.evaluate_iterative(model, doubled, rng=np.random.default_rng(39), **settings)
@@ -254,7 +254,7 @@ class TestIterativeInference:
         big = cio.make_synthetic_bimodal(evaluation.EVAL_BLOCK + 5, 200, seed=40)
         model = nvdm.init_model("h", 200, hidden=50, gauss_dims=8, piece_dims=8, n_pieces=3, seed=41)
         rng = np.random.default_rng(41)
-        model = model.replaced({"dec_r": rng.normal(size=(200, 16)) * 0.5, "g_alpha_mu": np.full(8, 0.5), "g_alpha_sigma": np.full(8, 0.3)})
+        model = model.replaced({"dec_r": rng.normal(size=(200, 16)).T.copy() * 0.5, "g_alpha_mu": np.full(8, 0.5), "g_alpha_sigma": np.full(8, 0.3)})
         settings = dict(num_samples=3, steps_max=15, stop_patience=4)
         report, refinements = evaluation.evaluate_iterative(model, big, rng=np.random.default_rng(42), **settings)
         report2, refinements2 = evaluation.evaluate_iterative(model, replace(big, docs=big.docs[::-1]), rng=np.random.default_rng(42), **settings)
@@ -348,16 +348,16 @@ class TestIterativeInference:
 
 
 def _overflow_model(variant, seed):
-    """A fresh model with every parameter replaced by N(0, 0.3) draws."""
+    """A fresh model with every parameter replaced by N(0, 0.3) draws, the decoder drawn as a (V, L) matrix and stored as its transpose."""
     model = fresh_model(variant, seed=seed)
     rng = np.random.default_rng(seed)
-    return model.replaced({name: rng.normal(0.0, 0.3, t.data.shape) for name, t in model.named_parameters()})
+    return model.replaced({name: rng.normal(0.0, 0.3, t.data.shape[::-1]).T.copy() if name == "dec_r" else rng.normal(0.0, 0.3, t.data.shape) for name, t in model.named_parameters()})
 
 
 def _noise_overflow_model():
     """A G model whose logits overflow for some noise: posterior sigma about 1e150 and decoder weights 1e158."""
     model = nvdm.init_model("g", 20, hidden=4, gauss_dims=1, seed=0)
-    return model.replaced({"g_alpha_sigma": np.ones(1), "g_post_b_sigma": np.full(1, 1e300), "dec_r": np.full((20, 1), 1e158)})
+    return model.replaced({"g_alpha_sigma": np.ones(1), "g_post_b_sigma": np.full(1, 1e300), "dec_r": np.full((1, 20), 1e158)})
 
 
 def test_an_infinite_perplexity_is_reported_without_a_warning():

@@ -132,10 +132,11 @@ DECODER_SHAPES = {"paper-h": (2000, 50, 50), "tiny-p": (200, 0, 10)}
 
 
 def decoder_model(shape, seed):
+    """A model at a workload's decoder shape, its decoder drawn as a (V, L) matrix and stored as its transpose."""
     vocab, gauss_dims, piece_dims = DECODER_SHAPES[shape]
     model = nvdm.init_model("h" if gauss_dims else "p", vocab, hidden=4, gauss_dims=gauss_dims, piece_dims=piece_dims, seed=seed)
     rng = np.random.default_rng(seed)
-    return model.replaced({"dec_r": rng.normal(0.0, 0.3, (vocab, model.latent_dim)), "dec_b": rng.normal(0.0, 0.3, vocab)})
+    return model.replaced({"dec_r": rng.normal(0.0, 0.3, (vocab, model.latent_dim)).T.copy(), "dec_b": rng.normal(0.0, 0.3, vocab)})
 
 
 def decoder_inputs(model, rows, seed):
@@ -145,100 +146,93 @@ def decoder_inputs(model, rows, seed):
     return rng.normal(size=(rows, model.latent_dim)), counts
 
 
-def reference_decode(model, z, counts, *, kept_transpose=False):
-    """``decode_logprob`` with the bias subtracted by ``sub``, so its gradient is summed eagerly; by default over the transposed view.
+def reference_decode(model, z, counts):
+    """``decode_logprob`` with the bias subtracted by ``sub``, so its gradient is summed eagerly.
 
-    Adding a zero bias changes no bit, so under the same ``kept_transpose``
-    the logits equal ``decode_logprob``'s on any build.
+    The product is ``affine``'s over a (V, L) view of ``dec_r``, whose
+    transpose is ``dec_r`` itself, and adding a zero bias changes no bit,
+    so the logits equal ``decode_logprob``'s on any build.
     """
-    product = T.affine(z, model.params["dec_r"], T.Tensor(np.zeros(model.vocab_size)), kept_transpose=kept_transpose)
+    product = T.affine(z, T._wrap(model.params["dec_r"].data.T), T.Tensor(np.zeros(model.vocab_size)))
     return T.multinomial_loglik(counts, T.sub(model.params["dec_b"], product))
 
 
-class TestDecoderLayout:
-    """The decoder's forward multiplies by the transpose ``dec_r`` keeps; its backward reads ``dec_r`` itself.
+DECODER_ROWS = [1, 2, 3, 20, 25, 64]
 
-    At both workload shapes the two layouts agree bit for bit for two or
-    more rows, on the build these tests were written with; the checks
-    allow 1e-13, since which BLAS kernel runs differs between builds.
+
+class TestDecoderLayout:
+    """``dec_r`` is stored as the (L, V) matrix R that the decoder's forward multiplies latent rows by.
+
+    The logits are the plain b - z @ R.  Under an upstream gradient g,
+    R's gradient z.T @ -g and b's are the bits of the (V, L) layout's, on
+    the builds these tests were written with.  z's gradient -g @ R.T
+    reads R through a view, and the (V, L) layout's -g @ R_old can differ
+    from it in the last bits.
     """
 
     @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
-    @pytest.mark.parametrize("rows", [2, 3, 20, 25, 64])
+    @pytest.mark.parametrize("rows", DECODER_ROWS)
     def test_logits_and_bounds_match_the_plain_product(self, shape, rows):
         model = decoder_model(shape, seed=rows)
         z, counts = decoder_inputs(model, rows, seed=rows + 1)
         r, b = model.params["dec_r"], model.params["dec_b"]
-        logits = T.affine(T.Tensor(z), r, b, negate=True, kept_transpose=True).data
-        expected = b.data - z @ r.data.T
-        np.testing.assert_allclose(logits, expected, rtol=1e-13, atol=0)
+        expected = b.data - z @ r.data
+        assert nvdm._decoder_logits(T.Tensor(z), r, b).data.tobytes() == expected.tobytes()
         bound = nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts)).data
-        np.testing.assert_allclose(bound, T.multinomial_loglik(T.Tensor(counts), T.Tensor(expected)).data, rtol=1e-13, atol=0)
+        assert bound.tobytes() == T.multinomial_loglik(T.Tensor(counts), T.Tensor(expected)).data.tobytes()
 
     @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
-    def test_one_row_matches_within_rounding(self, shape):
-        """numpy multiplies one (1, L) row by a vector-matrix product, where the two layouts can differ in the last bit."""
-        model = decoder_model(shape, seed=1)
-        z, counts = decoder_inputs(model, 1, seed=2)
-        got = nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts)).data
-        np.testing.assert_allclose(got, reference_decode(model, T.Tensor(z), T.Tensor(counts)).data, rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
-    def test_backward_reads_the_weight_in_both_layouts(self, shape):
-        """Under one upstream gradient the ``z``, ``dec_r`` and ``dec_b`` gradients of both layouts are the same bits, on any build."""
-        model = decoder_model(shape, seed=3)
-        z_arr, _ = decoder_inputs(model, 3, seed=4)
-        weights = T.Tensor(np.random.default_rng(5).normal(size=(3, model.vocab_size)))
+    @pytest.mark.parametrize("rows", DECODER_ROWS)
+    def test_gradients_match_the_old_layout(self, shape, rows):
+        """R's gradient is (-g.T @ z).T and b's g's column sum, bit for bit, also when written into ``out``; z's is within 1e-13 of -g @ R_old."""
+        model = decoder_model(shape, seed=rows + 2)
+        z_arr, _ = decoder_inputs(model, rows, seed=rows + 3)
+        g = np.random.default_rng(rows + 4).normal(size=(rows, model.vocab_size))
         r, b = model.params["dec_r"], model.params["dec_b"]
-        grads = []
-        for kept in (True, False):
-            z = T.Tensor(z_arr)
-            with T.Tape() as tape:
-                tape.backward(T.sum_all(T.mul(weights, T.affine(z, r, b, negate=True, kept_transpose=kept))))
-            grads.append([tape.grad(t) for t in (z, r, b)])
-        for got, want in zip(*grads):
-            assert got.tobytes() == want.tobytes()
+        z = T.Tensor(z_arr)
+        with T.Tape() as tape:
+            tape.backward(T.sum_all(T.mul(T.Tensor(g), nvdm._decoder_logits(z, r, b))))
+        expected = {r: ((-g).T @ z_arr).T, b: g.sum(axis=0)}
+        for t, want in expected.items():
+            out = np.full(t.data.shape, np.nan)
+            assert tape.grad(t, out=out) is out and callable(tape._grads[t])
+            assert out.tobytes() == want.tobytes()
+            assert tape.grad(t).tobytes() == want.tobytes()
+        r_old = np.ascontiguousarray(r.data.T)
+        np.testing.assert_allclose(tape.grad(z), -g @ r_old, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
     def test_gradients_equal_the_plain_layout_bit_for_bit(self, shape):
-        """Through the likelihood the gradients are the same bits wherever the logits are, as at these shapes on the build the tests were written with."""
+        """Through the likelihood, z's and b's gradients are those of ``affine`` over the (V, L) view, and R's is the transpose of the view's."""
         model = decoder_model(shape, seed=3)
         z_arr, counts_arr = decoder_inputs(model, 3, seed=4)
         r, b = model.params["dec_r"], model.params["dec_b"]
-        same_logits = T.affine(T.Tensor(z_arr), r, b, negate=True, kept_transpose=True).data.tobytes() == (b.data - z_arr @ r.data.T).tobytes()
-        runs = []
-        for decode in (nvdm.decode_logprob, reference_decode):
-            z = T.Tensor(z_arr)
-            with T.Tape() as tape:
-                tape.backward(T.sum_all(decode(model, z, T.Tensor(counts_arr))))
-            runs.append([tape.grad(t) for t in (z, r, b)])
-        for got, want in zip(*runs):
-            if same_logits:
-                assert got.tobytes() == want.tobytes()
-            else:
-                np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+        z = T.Tensor(z_arr)
+        with T.Tape() as tape:
+            tape.backward(T.sum_all(nvdm.decode_logprob(model, z, T.Tensor(counts_arr))))
+        got = [tape.grad(t) for t in (z, r, b)]
+        z, view = T.Tensor(z_arr), T._wrap(r.data.T)
+        with T.Tape() as tape:
+            product = T.affine(z, view, T.Tensor(np.zeros(model.vocab_size)))
+            tape.backward(T.sum_all(T.multinomial_loglik(T.Tensor(counts_arr), T.sub(b, product))))
+        want = [tape.grad(z), tape.grad(view).T, tape.grad(b)]
+        for got_grad, want_grad in zip(got, want):
+            assert got_grad.tobytes() == want_grad.tobytes()
 
-    def test_kept_transpose_is_read_only_and_kept(self):
-        model = decoder_model("tiny-p", seed=5)
-        r = model.params["dec_r"]
-        kept = r.transposed()
-        assert kept is r.transposed()
-        assert kept.flags.c_contiguous and not kept.flags.writeable
-        np.testing.assert_array_equal(kept, r.data.T)
-        with pytest.raises(ValueError, match="read-only"):
-            kept[0, 0] = 1.0
-
-    def test_replaced_model_reads_its_own_transpose(self):
-        model = decoder_model("tiny-p", seed=6)
-        z, counts = decoder_inputs(model, 3, seed=7)
-        nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts))  # keeps the old weight's transpose
-        old = model.params["dec_r"].transposed()
-        new_r = np.random.default_rng(8).normal(0.0, 0.3, model.params["dec_r"].data.shape)
-        replaced = model.replaced({"dec_r": new_r})
-        got = nvdm.decode_logprob(replaced, T.Tensor(z), T.Tensor(counts)).data
-        np.testing.assert_allclose(got, reference_decode(replaced, T.Tensor(z), T.Tensor(counts)).data, rtol=1e-13, atol=0)
-        np.testing.assert_array_equal(replaced.params["dec_r"].transposed(), new_r.T)
-        assert model.params["dec_r"].transposed() is old
+    def test_gradients_match_finite_differences(self):
+        """Central differences of the summed log-likelihood in z, ``dec_r`` and ``dec_b``."""
+        model = randomized(nvdm.init_model("h", 7, hidden=3, gauss_dims=2, piece_dims=1, n_pieces=2, seed=30), seed=31)
+        rng = np.random.default_rng(32)
+        z_arr, counts = rng.normal(size=(2, 3)), T.Tensor(rng.poisson(1.0, (2, 7)).astype(np.float64))
+        z = T.Tensor(z_arr)
+        with T.Tape() as tape:
+            tape.backward(T.sum_all(nvdm.decode_logprob(model, z, counts)))
+        num = numerical_grad(lambda a: float(T.sum_all(nvdm.decode_logprob(model, T.Tensor(a), counts))), z_arr)
+        assert max_rel_err(tape.grad(z), num) < 1e-6
+        for name in ("dec_r", "dec_b"):
+            t = model.params[name]
+            num = numerical_grad(lambda a: float(T.sum_all(nvdm.decode_logprob(model.replaced({name: a}), z, counts))), t.data)
+            assert max_rel_err(tape.grad(t), num) < 1e-6, name
 
     def test_bias_gradient_is_deferred_until_read(self, monkeypatch):
         """After a refinement-shaped backward (posterior rows moved, model and priors frozen) nothing has summed the bias gradient's rows.
@@ -487,7 +481,7 @@ class TestElbo:
         corpus = Corpus(vocab=vocab, docs=(doc,))
         model = nvdm.init_model("p", 3, hidden=2, piece_dims=1, n_pieces=2, seed=0)
         r = np.array([[0.7], [-1.3], [0.4]])
-        model = model.replaced({"dec_r": r, "p_post_w_a": np.zeros((2, 2))})
+        model = model.replaced({"dec_r": r.T, "p_post_w_a": np.zeros((2, 2))})
         counts = corpus.dense_counts([doc])[0]
         for eps, signed in ((0.0, -1.0), (0.5, 0.0), (1.0, 1.0)):
             rows = nvdm.batch_bound(model, corpus, [doc], (None, np.array([[[eps]]])), kl_weight=0.0)
@@ -535,7 +529,7 @@ class TestFullGradient:
         themselves still get gradient through the reconstruction path."""
         corpus = tiny_corpus()
         model = nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=19)
-        model = model.replaced({"dec_r": np.random.default_rng(20).normal(size=(5, 2)) * 0.5})
+        model = model.replaced({"dec_r": np.random.default_rng(20).normal(size=(5, 2)).T.copy() * 0.5})
         with T.Tape() as tape:
             rep = nvdm.elbo(model, corpus, corpus.docs[0], num_samples=1, rng=np.random.default_rng(21))
             tape.backward(rep.bound_node)
@@ -558,7 +552,7 @@ class TestLowerBound:
         prior_pdf = pw.pdf_rows(np.tile(a_prior, (m, 1)), grid)
         r = model.params["dec_r"].data
         b = model.params["dec_b"].data
-        logits = -np.outer(2.0 * grid - 1.0, r[:, 0]) + b
+        logits = -np.outer(2.0 * grid - 1.0, r[0]) + b
         logp = logits - np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - logits.max(axis=1, keepdims=True)
 
         for doc in corpus.docs:
