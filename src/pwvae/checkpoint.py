@@ -8,9 +8,10 @@ pickle.  It holds:
   and then ``<field> <value>`` for the model's ``variant``,
   ``vocab_size``, ``hidden``, ``gauss_dims``, ``piece_dims``,
   ``n_pieces`` and ``activation``, in that order;
-- one float64 array per parameter, under its ``named_parameters()`` name
-  and in its model shape (``nvdm.param_shapes``): the decoder matrix
-  ``dec_r`` is (latent dims, vocabulary).
+- one C-ordered float64 array per parameter, under its
+  ``named_parameters()`` name and in its model shape
+  (``nvdm.param_shapes``): the decoder matrix ``dec_r`` is (latent dims,
+  vocabulary).
 
 Version 2 archives had the same layout, except that ``dec_r`` was
 (vocabulary, latent dims).  They, and v1 text files, are rejected by
@@ -21,7 +22,8 @@ timestamps, so save -> load is exact to the bit and save -> load -> save
 reproduces the file byte for byte.  Loading checks the magic, then that
 the header's fields form a configuration ``init_model`` accepts, then
 that the parameter names, shapes and dtypes are exactly those of
-``param_shapes``; any other file raises ``CheckpointError``.
+``param_shapes``; any other file raises ``CheckpointError``.  A
+Fortran-ordered array in an archive is loaded in C order.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(model: NvdmModel, path: str) -> None:
     header = "\n".join([MAGIC] + [f"{key} {getattr(model, key)}" for key in _FIELDS])
-    arrays = {_HEADER: np.array(header), **{name: t.data for name, t in model.named_parameters()}}
+    arrays = {_HEADER: np.array(header), **{name: np.ascontiguousarray(t.data) for name, t in model.named_parameters()}}
     # A file handle, not a path: given a path, np.savez would append ".npz".
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -103,4 +105,4 @@ def load_checkpoint(path: str) -> NvdmModel:
         got = arrays[name]
         if got.shape != shape or got.dtype != np.float64:
             raise CheckpointError(f"{path}: parameter {name!r} is {got.dtype} {got.shape}, expected float64 {shape}")
-    return NvdmModel(**fields, params={name: _wrap(arrays[name]) for name in expected})
+    return NvdmModel(**fields, params={name: _wrap(np.ascontiguousarray(arrays[name])) for name in expected})

@@ -4,7 +4,7 @@ Commands: ``synth`` (generate a synthetic corpus), ``train``, ``eval``,
 ``query`` (word neighbours), ``sensitivity`` (KL word sensitivity), and
 ``export-means``.  Reports go to stdout, progress to stderr.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  All commands are
-deterministic for a fixed ``--seed`` (and, for ``train``, ``--threads``).
+deterministic for a fixed ``--seed``.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from .training import TrainConfig, TrainingDiverged
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
-# Config file keys and the types their values parse to: every TrainConfig
-# field but the seed, which is a flag, and the model's hidden and activation.
+# Config file keys and the types their values parse to: the model's hidden
+# and activation, and every TrainConfig field but the seed, which is a
+# flag, and threads, whose only value is 1.
 _MODEL_FIELDS = {"hidden": int, "activation": str}
-_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"} | _MODEL_FIELDS
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(TrainConfig) if f.name not in ("seed", "threads")} | _MODEL_FIELDS
 
 
 class UsageError(Exception):
@@ -96,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kl-anneal", dest="kl_anneal_batches", type=int, default=None, help="batches of linear KL warm-up (0 = off)")
     p.add_argument("--epochs", dest="max_epochs", type=int, default=None)
     p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")

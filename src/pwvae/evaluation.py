@@ -95,6 +95,11 @@ EVAL_BLOCK = 64
 # a run saves under 2 us a step, against refinement steps of over 1 ms.
 _NOISE_RUN = 10
 
+# Largest gradient norm of a refinement step: a row whose gradient norm
+# exceeds it steps along its gradient rescaled to this norm, as training
+# clips with ``TrainConfig.clip_norm``'s default.
+REFINE_CLIP_NORM = 5.0
+
 
 def _content(doc: Document) -> tuple[bytes, bytes]:
     """What a document's noise and results depend on: its term ids and counts."""
@@ -226,7 +231,7 @@ def _abort_non_finite(bounds: np.ndarray, live: np.ndarray, aborted: np.ndarray)
     live &= ~failed
 
 
-def _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight) -> None:
+def _check_refinement(steps_max, lr, stop_patience, kl_weight) -> None:
     """Reject refinement settings that would step downhill, never stop or misreport, before any work."""
     if steps_max < 0:
         raise ValueError(f"steps_max must be >= 0, got {steps_max}")
@@ -234,8 +239,6 @@ def _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight) -> Non
         raise ValueError(f"stop_patience must be >= 1, got {stop_patience}")
     if not 0.0 <= lr < np.inf:
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
-    if not 0.0 < clip_norm < np.inf:
-        raise ValueError(f"clip_norm must be finite and > 0, got {clip_norm}")
     _check_kl_weight(kl_weight)
 
 
@@ -248,7 +251,6 @@ def iterative_inference(
     steps_max: int = 100,
     lr: float = 0.1,
     stop_patience: int = 10,
-    clip_norm: float = 5.0,
     kl_weight: float = 1.0,
     rng: np.random.Generator,
 ) -> list[RefinementResult]:
@@ -260,22 +262,22 @@ def iterative_inference(
     content, so documents repeated in ``docs`` refine identically.
     Each document starts from its amortised posterior (Gaussian mean and
     pre-softplus sigma, pre-exponential piecewise weights), ascends its
-    bound by plain SGD with the training-style norm rescaling of its own
-    gradient, and stops once its tracked bound has not improved for
-    ``stop_patience`` steps.  Its progress is tracked under one fixed
-    noise, in the same ``posterior_bound`` pass that takes the next step
-    (``track_noise``): the pass at the parameters after t steps gives
-    their tracked bound and the bound that step t ascends, the first pass
-    gives the starting bound, and one pass after the last step tracks its
-    parameters, so k steps take k + 1 passes.  Returns, per document, the
-    best-seen parameters and bound.  A document whose step bound or
+    bound by plain SGD with its own gradient rescaled to a norm of at most
+    ``REFINE_CLIP_NORM``, and stops once its tracked bound has not
+    improved for ``stop_patience`` steps.  Its progress is tracked under
+    one fixed noise, in the same ``posterior_bound`` pass that takes the
+    next step (``track_noise``): the pass at the parameters after t steps
+    gives their tracked bound and the bound that step t ascends, the first
+    pass gives the starting bound, and one pass after the last step tracks
+    its parameters, so k steps take k + 1 passes.  Returns, per document,
+    the best-seen parameters and bound.  A document whose step bound or
     tracked bound is not finite (a huge step overflows its variances or
     logits) aborts there, and reports its best-seen parameters and the
     amortised starting bound.  Returned piecewise rows are clipped to
     ``piecewise.CLAMP``.  A block whose amortised bound is not finite
     raises ValueError naming the block's first document.
     """
-    _check_refinement(steps_max, lr, stop_patience, clip_norm, kl_weight)
+    _check_refinement(steps_max, lr, stop_patience, kl_weight)
     docs = list(docs)
     if not docs:
         raise ValueError("iterative_inference: no documents")
@@ -342,7 +344,7 @@ def iterative_inference(
                 tape.backward(stepped.total)
                 grads = {name: tape.grad(tensor) for name, tensor in tensors.items() if tensor is not None}
             norm = np.sqrt(sum(np.sum(g * g, axis=1) for g in grads.values()))
-            step = lr * (clip_norm / np.maximum(norm, clip_norm))
+            step = lr * (REFINE_CLIP_NORM / np.maximum(norm, REFINE_CLIP_NORM))
             for name, g in grads.items():
                 params[name][live] += step[live, None] * g[live]
             steps[live] += 1
@@ -369,7 +371,6 @@ def evaluate_iterative(
     steps_max: int = 100,
     lr: float = 0.1,
     stop_patience: int = 10,
-    clip_norm: float = 5.0,
     kl_weight: float = 1.0,
 ):
     """Refine every document, then re-estimate bounds at the refined posteriors.
@@ -400,7 +401,6 @@ def evaluate_iterative(
             steps_max=steps_max,
             lr=lr,
             stop_patience=stop_patience,
-            clip_norm=clip_norm,
             kl_weight=kl_weight,
             # Every block gets an identical generator, so a document's
             # noise does not depend on its block.

@@ -166,12 +166,17 @@ class NvdmModel:
         return self.params.items()
 
     def replaced(self, updates: dict[str, np.ndarray]) -> "NvdmModel":
-        """Copy of the model with some parameters replaced."""
+        """Copy of the model with some parameters replaced.
+
+        A Tensor is kept as it is; any other value is copied into a
+        C-ordered array, which the decoder and the trainer's flat layout
+        read fastest (a Fortran-ordered ``dec_r`` slows ``decode_logprob``).
+        """
         params = dict(self.params)
         for name, values in updates.items():
             if name not in params:
                 raise KeyError(f"unknown parameter {name!r}")
-            t = values if isinstance(values, Tensor) else Tensor(values)
+            t = values if isinstance(values, Tensor) else _wrap(np.array(values, dtype=np.float64, order="C"))
             if t.data.shape != params[name].data.shape:
                 raise ShapeError(f"parameter {name}: shape {t.data.shape} != {params[name].data.shape}")
             params[name] = t

@@ -27,8 +27,8 @@ per row, and a single document is a (1, n) row; ``affine`` and
 ``multinomial_loglik`` take nothing else.  ``affine`` multiplies every
 row by the same weight matrix, so the weight gradient of a whole batch is
 one product ``g.T @ x``; ``multinomial_loglik`` acts along axis 1 and
-``concat`` along the last axis.  In ``add``, ``sub``, ``mul``, ``div``
-and ``prelu`` an operand whose shape is the trailing shape of the other
+``concat`` along the last axis.  In ``add``, ``sub``, ``mul`` and
+``prelu`` an operand whose shape is the trailing shape of the other
 (a (n,) parameter against (B, n) rows) is broadcast, and its gradient is
 summed over the broadcast axes.
 ``tile_rows`` stacks S copies of rows, and ``row_block`` takes a block of
@@ -55,7 +55,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "scale_shift",
     "affine",
     "sum_all",
@@ -120,11 +119,6 @@ class Tensor:
         return scale_shift(self, float(other), 0.0)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return scale_shift(self, 1.0 / float(other), 0.0)
 
 
 def _wrap(values: np.ndarray) -> Tensor:
@@ -313,14 +307,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     out = _wrap(ad * bd)
     _record(out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.data.shape, b.data.shape, "div")
-    ad, bd = a.data, b.data
-    out = _wrap(ad / bd)
-    _record(out, (a, b), lambda g: (_unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)))
     return out
 
 

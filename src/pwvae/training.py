@@ -1,6 +1,6 @@
 """Mini-batch training: Adam, global-norm gradient clipping, early stopping.
 
-One tape per shard, documents as rows: a batch's documents are scattered
+One tape per batch, documents as rows: a batch's documents are scattered
 into (B, V) rows in one call and run through one forward pass of the
 bound (one posterior sample per document) and one ``Tape.backward``, so
 every weight gradient is a single matrix product over the batch.  After
@@ -9,14 +9,13 @@ document; training stops once it has not improved for ``patience``
 epochs and the parameters from the best epoch are returned.
 
 The optimizer side of a step works on flat float64 arrays that ``train``
-lays out once per call (``ParamLayout``): a gradient row per shard, the
-Adam moments, and new-parameter buffers that take turns.  Every
-parameter's tensor is a read-only view into one of these buffers.  The
-tape writes each parameter's gradient straight into its view of the
-gradient row (``Tape.grad(t, out=...)``, into which ``affine`` and the
-decoder compute their weight and bias products), later shards' rows are
-added into shard 0's and the sum is divided by the batch size, one call
-each.
+lays out once per call (``ParamLayout``): the gradient, the Adam moments,
+and new-parameter buffers that take turns.  Every parameter's tensor is
+a read-only view into one of these buffers.  The tape writes each
+parameter's gradient straight into its view of the flat gradient
+(``Tape.grad(t, out=...)``, into which ``affine`` and the decoder
+compute their weight and bias products), and the sum is divided by the
+batch size in one call.
 ``clip_gradients`` computes the global norm once, writing the squares
 into the buffer the step's new parameters will go to; a finite norm
 proves every gradient finite, so only a non-finite norm costs a scan, and
@@ -33,17 +32,15 @@ steps a training step allocates no gradient, square or parameter array.
 Per-document sampling noise is keyed by (seed, stream, step, slot), where
 the slot is the document's position in the batch: each step derives one
 root from (seed, stream, step), and ``nvdm.noise_keys`` combines it with
-each slot, so a shard's noise is one ``nvdm.draw_noises`` call over its
-slots' keys.  A seeded run is therefore bit-reproducible, and neither the
-batch's size nor sharding it over ``threads`` (each shard one batched
-tape) changes which noise a document receives.
+each slot, so a batch's noise is one ``nvdm.draw_noises`` call over its
+slots' keys.  A seeded run is therefore bit-reproducible, and the batch's
+size does not change which noise a document receives.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -91,11 +88,16 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     valid_samples: int = 5
+    # Training runs one tape per batch; 1 is the only value.  perfbench
+    # passes threads=1, so the field goes with ROADMAP open item 2's
+    # benchmark change.
     threads: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1 or self.threads < 1:
-            raise ValueError("batch_size, max_epochs, patience, and threads must be >= 1")
+        if self.threads != 1:
+            raise ValueError(f"threads must be 1, got {self.threads}")
+        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
+            raise ValueError("batch_size, max_epochs, and patience must be >= 1")
         if not (self.learning_rate >= 0 and self.clip_norm > 0) or self.kl_anneal_batches < 0:
             raise ValueError("learning_rate must be >= 0, clip_norm > 0, kl_anneal_batches >= 0")
         if self.valid_samples < 1:
@@ -308,53 +310,25 @@ def _slot_noise(model: NvdmModel, seed: int, step: int, slots):
     return draw_noises(model, 1, noise_keys(root, slots))
 
 
-def _shard_gradients(model: NvdmModel, corpus: Corpus, doc_indices, w: float, seed: int, step: int, slots, out: Mapping[str, np.ndarray]):
-    """One shard's summed bound gradients, written into ``out`` (an array per parameter), and its bound, reconstruction and KL sums.
+def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, seed: int, step: int, layout: ParamLayout, grad: np.ndarray):
+    """Mean-bound gradient of one mini-batch, written into the flat ``grad`` laid out by ``layout``; returns the mean bound, reconstruction and KL terms.
 
-    One forward and one backward over the shard's documents as rows.
+    One forward and one backward over the batch's documents as rows; a
+    document's slot is its position in the batch.
     """
-    docs = [corpus.docs[di] for di in doc_indices]
-    noise = _slot_noise(model, seed, step, slots)
-    # An overflow gives a non-finite bound, which ``train`` reports as divergence;
-    # numpy's warnings would only repeat it.  Set here, in the shard's own thread.
+    n = len(batch)
+    docs = [corpus.docs[di] for di in batch]
+    noise = _slot_noise(model, seed, step, range(n))
+    views = layout.views(grad)
+    # An overflow gives a non-finite bound, which ``train`` reports as
+    # divergence; numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"), Tape() as tape:
         rows = batch_bound(model, corpus, docs, noise, kl_weight=w)
         tape.backward(rows.total)
         for name, t in model.named_parameters():
-            tape.grad(t, out=out[name])
-    return float(rows.total), float(rows.reconstruction.sum()), float(rows.kl_gaussian.sum()), float(rows.kl_piecewise.sum())
-
-
-def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, config: TrainConfig, step: int, layout: ParamLayout, grads: np.ndarray):
-    """Mean-bound gradient of one mini-batch, written into ``grads[0]``; returns the mean bound, reconstruction and KL terms.
-
-    ``grads`` has one flat row, laid out by ``layout``, per shard: at
-    least ``min(threads, len(batch))`` rows.  Slots are positions in the
-    batch; shard i takes slots i, i + shards, ... and writes its summed
-    gradients into row i.
-    """
-    n = len(batch)
-    shards = min(config.threads, n)
-    rows = [layout.views(grads[i]) for i in range(shards)]
-    if shards > 1:
-        jobs = [(batch[i::shards], list(range(i, n, shards)), rows[i]) for i in range(shards)]
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            results = list(pool.map(lambda job: _shard_gradients(model, corpus, job[0], w, config.seed, step, job[1], job[2]), jobs))
-    else:
-        results = [_shard_gradients(model, corpus, batch, w, config.seed, step, list(range(n)), rows[0])]
-    # Later shards' rows are added into row 0 in shard order, so the
-    # reduction is deterministic for a fixed thread count.
-    total = grads[0]
-    for i in range(1, shards):
-        total += grads[i]
-    total /= n
-    bound_sum = recon_sum = kl_g_sum = kl_p_sum = 0.0
-    for bound, recon, kl_g, kl_p in results:
-        bound_sum += bound
-        recon_sum += recon
-        kl_g_sum += kl_g
-        kl_p_sum += kl_p
-    return bound_sum / n, recon_sum / n, kl_g_sum / n, kl_p_sum / n
+            tape.grad(t, out=views[name])
+    grad /= n
+    return float(rows.total) / n, float(rows.reconstruction.sum()) / n, float(rows.kl_gaussian.sum()) / n, float(rows.kl_piecewise.sum()) / n
 
 
 def _diagnostic(model: NvdmModel, epoch: int, batch_index: int) -> str:
@@ -384,7 +358,7 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
     params = dict(model.params)
     layout = ParamLayout({name: t.data.shape for name, t in params.items()})
     state = adam_init(layout)
-    grads = np.empty((min(config.threads, config.batch_size, len(corpus_train)), layout.size))
+    grad = np.empty(layout.size)
     # Each step writes the new parameters into a spare flat buffer, and the
     # model's tensors are read-only views of it.  The buffer of the previous
     # parameters then becomes spare, unless ``best_params`` holds it: that
@@ -408,15 +382,15 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             w = kl_weight(step, config)
-            bound, recon, kl_g, kl_p = _batch_gradients(model, corpus_train, batch, w, config, step, layout, grads)
+            bound, recon, kl_g, kl_p = _batch_gradients(model, corpus_train, batch, w, config.seed, step, layout, grad)
             if not np.isfinite(bound):
                 raise TrainingDiverged(_diagnostic(model, epoch, batches))
             out = spare.pop() if spare else np.empty(layout.size)
             try:
-                clip_gradients(grads[0], layout, config.clip_norm, out)
+                clip_gradients(grad, layout, config.clip_norm, out)
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"{_diagnostic(model, epoch, batches)}; {exc}") from exc
-            adam_step(params, grads[0], state, config, out)
+            adam_step(params, grad, state, config, out)
             if current is not None and current is not held:
                 spare.append(current)
             current = out

@@ -9,6 +9,7 @@ import pytest
 from pwvae import checkpoint as ck
 from pwvae import corpus as cio
 from pwvae import nvdm, training
+from pwvae.tensor import Tensor
 
 
 def perturbed(model, seed):
@@ -77,6 +78,26 @@ class TestRoundTrip:
             got = loaded.params[name].data
             assert got.dtype == np.float64 and got.flags.c_contiguous, name
             assert got.flags.writeable == t.data.flags.writeable, name
+
+    def test_a_fortran_ordered_decoder_is_stored_in_c_order(self, tmp_path):
+        """``replaced`` and ``load_checkpoint`` copy a Fortran-ordered ``dec_r`` into C order, keeping its values."""
+        model = perturbed(nvdm.init_model("h", 9, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=14), seed=15)
+        want = model.params["dec_r"].data
+        fortran = np.asfortranarray(want)
+        replaced = model.replaced({"dec_r": fortran})
+        path = str(tmp_path / "m.ckpt")
+        ck.save_checkpoint(model, path)
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        write_arrays(path, {**arrays, "dec_r": fortran})
+        loaded = ck.load_checkpoint(path)
+        rng = np.random.default_rng(16)
+        z, counts = Tensor(rng.normal(size=(3, model.latent_dim))), Tensor(rng.integers(0, 4, size=(3, 9)))
+        logprob = nvdm.decode_logprob(model, z, counts).data
+        for got in (replaced, loaded):
+            dec_r = got.params["dec_r"].data
+            assert dec_r.flags.c_contiguous and dec_r.tobytes() == want.tobytes()
+            assert nvdm.decode_logprob(got, z, counts).data.tobytes() == logprob.tobytes()
 
     def test_loaded_model_trains_one_step_bit_identically(self, tmp_path):
         data = cio.make_synthetic_bimodal(24, 12, seed=10)

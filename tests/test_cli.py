@@ -58,6 +58,22 @@ def test_config_value_that_does_not_parse_is_a_usage_error(data, tmp_path, capsy
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_threads_is_not_a_flag(data, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(train_args(data, tmp_path, "g", "--threads", "2"))
+    assert info.value.code == cli.USAGE_ERROR
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_threads_is_not_a_config_key(data, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("threads = 1\n", encoding="utf-8")
+    assert cli.main(train_args(data, tmp_path, "g", "--config", str(config))) == cli.USAGE_ERROR
+    assert f"{config}:1: unknown config key 'threads'" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_explicit_dimensions_reach_the_model(data, tmp_path, capsys):
     flags = ("--gauss-dims", "2", "--piece-dims", "3", "--pieces", "4")
     assert cli.main(train_args(data, tmp_path, "h", *flags)) == 0
@@ -77,9 +93,9 @@ def test_unset_dimensions_take_the_defaults(data, tmp_path, capsys):
         # train_args sets --hidden 4, --epochs 1 and --batch-size 10.
         ("", (), TrainConfig(batch_size=10, max_epochs=1), (4, "prelu")),
         (
-            "learning_rate = 0.5\nbatch_size = 7\nadam_beta2 = 0.99\nvalid_samples = 2\nthreads = 3\nhidden = 6\nactivation = softsign\n",
-            ("--seed", "3", "--threads", "2"),
-            TrainConfig(learning_rate=0.5, batch_size=10, adam_beta2=0.99, max_epochs=1, seed=3, valid_samples=2, threads=2),
+            "learning_rate = 0.5\nbatch_size = 7\nadam_beta2 = 0.99\nvalid_samples = 2\nhidden = 6\nactivation = softsign\n",
+            ("--seed", "3"),
+            TrainConfig(learning_rate=0.5, batch_size=10, adam_beta2=0.99, max_epochs=1, seed=3, valid_samples=2),
             (4, "softsign"),
         ),
     ],

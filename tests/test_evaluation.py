@@ -652,9 +652,6 @@ class TestSampleCounts:
             ("lr", float("inf"), "lr must be finite and >= 0"),
             ("steps_max", -3, "steps_max must be >= 0"),
             ("stop_patience", 0, "stop_patience must be >= 1"),
-            ("clip_norm", -1.0, "clip_norm must be finite and > 0"),
-            ("clip_norm", 0.0, "clip_norm must be finite and > 0"),
-            ("clip_norm", float("nan"), "clip_norm must be finite and > 0"),
             ("kl_weight", -0.5, "kl_weight must be finite and >= 0"),
             ("kl_weight", float("nan"), "kl_weight must be finite and >= 0"),
             ("kl_weight", float("inf"), "kl_weight must be finite and >= 0"),

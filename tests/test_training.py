@@ -305,10 +305,10 @@ class TestAdam:
         assert abs(params["x"].data[0]) < 1e-2
 
 
-def gradient_rows(model, shards=1):
-    """A trainer-style flat gradient buffer for the model: its layout and one row per shard."""
+def gradient_rows(model):
+    """A trainer-style flat gradient buffer for the model, filled with NaN, and its layout."""
     layout = training.ParamLayout({name: t.data.shape for name, t in model.named_parameters()})
-    return layout, np.full((shards, layout.size), np.nan)
+    return layout, np.full(layout.size, np.nan)
 
 
 class TestTrainLoop:
@@ -333,14 +333,14 @@ class TestTrainLoop:
             return evaluation.evaluate(m, tiny, num_samples=3, rng=rng).mean_bound
 
         before = fixed_bound(model)
-        layout, grads = gradient_rows(model)
+        layout, grad = gradient_rows(model)
         state = training.adam_init(layout)
         current = model
         for step in range(10):
-            training._batch_gradients(current, tiny, list(range(10)), 1.0, config, step, layout, grads)
+            training._batch_gradients(current, tiny, list(range(10)), 1.0, config.seed, step, layout, grad)
             out = np.empty(layout.size)
-            training.clip_gradients(grads[0], layout, config.clip_norm, out)
-            training.adam_step(current.params, grads[0], state, config, out)
+            training.clip_gradients(grad, layout, config.clip_norm, out)
+            training.adam_step(current.params, grad, state, config, out)
             current = current.replaced(layout.views(out))
         assert fixed_bound(current) > before
 
@@ -375,58 +375,37 @@ class TestTrainLoop:
         with pytest.raises(training.TrainingDiverged, match="batch 0"):
             training.train(model, train_c, valid_c, config)
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_an_overflowing_forward_diverges_without_a_numpy_warning(self, small_corpus, threads):
+    def test_an_overflowing_forward_diverges_without_a_numpy_warning(self, small_corpus):
         """Posterior variances that overflow give a non-finite bound, which ends training at its batch."""
         train_c, valid_c = small_corpus
         model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=8)
         model = model.replaced({"g_alpha_sigma": np.full(2, 10.0), "g_post_b_sigma": np.full(2, 1e308)})
-        config = TrainConfig(batch_size=50, max_epochs=1, patience=1, seed=8, threads=threads)
+        config = TrainConfig(batch_size=50, max_epochs=1, patience=1, seed=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(training.TrainingDiverged, match="^non-finite loss in epoch 1, batch 0; largest parameter norms: g_post_b_sigma=inf"):
                 training.train(model, train_c, valid_c, config)
 
-    def test_threaded_shards_match_serial_noise(self, small_corpus):
-        """Sharding must not change which noise a document receives."""
-        train_c, valid_c = small_corpus
-        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=9)
-        config1 = TrainConfig(batch_size=40, max_epochs=1, patience=5, seed=9, threads=1)
-        config3 = TrainConfig(batch_size=40, max_epochs=1, patience=5, seed=9, threads=3)
-        layout, rows1 = gradient_rows(model)
-        _, rows3 = gradient_rows(model, 3)
-        b1, *_ = training._batch_gradients(model, train_c, list(range(40)), 1.0, config1, 0, layout, rows1)
-        b3, *_ = training._batch_gradients(model, train_c, list(range(40)), 1.0, config3, 0, layout, rows3)
-        assert b1 == pytest.approx(b3, rel=1e-12)
-        np.testing.assert_allclose(rows1[0], rows3[0], rtol=1e-9, atol=1e-12)
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_trainer_owns_every_gradient_array(self, small_corpus, threads):
-        """Every shard writes its gradients into its own row of the trainer's buffer, and row 0 ends as the mean.
+    def test_trainer_owns_every_gradient_array(self, small_corpus):
+        """The batch's summed gradients are written into the trainer's flat buffer, which ends as their mean.
 
         The in-place mean, clip and Adam write only arrays no one else
         holds: the caller's model is unchanged by ``train``.
         """
+        from pwvae.tensor import Tape
+
         train_c, valid_c = small_corpus
         model = randomized(nvdm.init_model("h", 20, hidden=4, seed=11, **VARIANT_DIMS["h"]), seed=12)
-        config = TrainConfig(batch_size=40, max_epochs=2, patience=5, seed=11, threads=threads)
-        layout, rows = gradient_rows(model, threads)
-        training._batch_gradients(model, train_c, list(range(40)), 1.0, config, 0, layout, rows)
-        # Shard i's slots are i, i + threads, ...; its sums go to row i.
-        shards = []
-        for i in range(threads):
-            own = {name: np.empty_like(t.data) for name, t in model.named_parameters()}
-            training._shard_gradients(model, train_c, list(range(i, 40, threads)), 1.0, config.seed, 0, list(range(i, 40, threads)), own)
-            shards.append(own)
-        sums = [layout.views(row) for row in rows]
+        config = TrainConfig(batch_size=40, max_epochs=2, patience=5, seed=11)
+        layout, grad = gradient_rows(model)
+        training._batch_gradients(model, train_c, list(range(40)), 1.0, config.seed, 0, layout, grad)
+        noise = training._slot_noise(model, config.seed, 0, range(40))
+        with Tape() as tape:
+            tape.backward(nvdm.batch_bound(model, train_c, train_c.docs[:40], noise).total)
+        views = layout.views(grad)
         for name, t in model.named_parameters():
-            mean = shards[0][name].copy()
-            for i in range(1, threads):
-                assert sums[i][name].tobytes() == shards[i][name].tobytes(), name
-                mean += shards[i][name]
-            mean /= 40
-            assert sums[0][name].tobytes() == mean.tobytes(), name
-            assert not np.shares_memory(rows, t.data), name
+            assert views[name].tobytes() == (tape.grad(t) / 40).tobytes(), name
+            assert not np.shares_memory(grad, t.data), name
 
         before = {name: t.data.copy() for name, t in model.named_parameters()}
         result = training.train(model, train_c, valid_c, config)
@@ -441,8 +420,8 @@ class TestTrainLoop:
 
         def poisoned(*args):
             means = real(*args)
-            layout, grads = args[-2:]
-            layout.views(grads[0])["dec_b"][3] = np.inf
+            layout, grad = args[-2:]
+            layout.views(grad)["dec_b"][3] = np.inf
             return means
 
         monkeypatch.setattr(training, "_batch_gradients", poisoned)
@@ -465,7 +444,7 @@ class TestTrainLoop:
         def step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
-        for name in ("_batch_gradients", "_shard_gradients", "clip_gradients", "adam_step"):
+        for name in ("_batch_gradients", "clip_gradients", "adam_step"):
             monkeypatch.setattr(training, name, step)
 
     def test_empty_document_rejected_before_the_first_step(self, small_corpus, monkeypatch):
@@ -500,13 +479,12 @@ class TestTrainLoop:
 class TestTrainerBuffers:
     """``train`` keeps its gradients, moments and new parameters in flat buffers that it reuses from step to step."""
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_the_returned_model_survives_later_steps(self, small_corpus, threads):
+    def test_the_returned_model_survives_later_steps(self, small_corpus):
         """The best epoch (4 of 6) is followed by 8 more steps, which must not write into the best parameters' buffer."""
         train_c, valid_c = small_corpus
         model = nvdm.init_model("h", 20, hidden=4, seed=0, **VARIANT_DIMS["h"])
         before = {name: t.data.copy() for name, t in model.named_parameters()}
-        config = TrainConfig(learning_rate=0.2, batch_size=30, max_epochs=6, patience=6, seed=0, threads=threads)
+        config = TrainConfig(learning_rate=0.2, batch_size=30, max_epochs=6, patience=6, seed=0)
         result = training.train(model, train_c, valid_c, config)
         assert (result.best_epoch, len(result.valid_bounds)) == (4, 6)
         stopped = training.train(model, train_c, valid_c, replace(config, max_epochs=result.best_epoch))
@@ -515,8 +493,7 @@ class TestTrainerBuffers:
             assert result.model.params[name].data.tobytes() == stopped.model.params[name].data.tobytes(), name
             assert t.data.tobytes() == before[name].tobytes(), name
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_a_steady_state_step_allocates_no_parameter_sized_array(self, threads, monkeypatch):
+    def test_a_steady_state_step_allocates_no_parameter_sized_array(self, monkeypatch):
         """Traced memory during a step, from its gradients to its Adam step, rises by less than one weight matrix.
 
         At the paper shape, V=2000, H=500 and 50 + 50 latent dims, the
@@ -550,7 +527,7 @@ class TestTrainerBuffers:
         monkeypatch.setattr(training, "adam_step", step_end)
         tracemalloc.start()
         try:
-            training.train(model, train_c, valid_c, TrainConfig(batch_size=10, max_epochs=1, patience=1, seed=3, threads=threads))
+            training.train(model, train_c, valid_c, TrainConfig(batch_size=10, max_epochs=1, patience=1, seed=3))
         finally:
             tracemalloc.stop()
         assert len(rises) == 6
@@ -603,6 +580,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_threads_other_than_one_rejected(self, threads):
+        """Training runs one tape per batch; the field takes no other value."""
+        with pytest.raises(ValueError, match=f"threads must be 1, got {threads}"):
+            TrainConfig(threads=threads)
+
     def test_edge_values_accepted(self):
         TrainConfig(valid_samples=1, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
 
@@ -620,11 +603,11 @@ VARIANT_DIMS = {
 }
 
 
-class TestBatchedShard:
-    """One batched tape per shard against one single-document tape per document."""
+class TestBatchGradients:
+    """One batched tape per batch against one single-document tape per document."""
 
     @pytest.mark.parametrize("variant", ["g", "p", "h"])
-    def test_shard_matches_sum_of_single_document_tapes(self, small_corpus, variant):
+    def test_batch_matches_mean_of_single_document_tapes(self, small_corpus, variant):
         from pwvae.tensor import Tape
 
         train_c, _ = small_corpus
@@ -632,9 +615,9 @@ class TestBatchedShard:
         seed, step, w = 42, 3, 0.7
         doc_indices = [7, 2, 19, 11, 4, 30]
         slots = list(range(len(doc_indices)))
-        layout, rows = gradient_rows(model)
-        grads = layout.views(rows[0])
-        bound, recon, kl_g, kl_p = training._shard_gradients(model, train_c, doc_indices, w, seed, step, slots, grads)
+        layout, grad = gradient_rows(model)
+        grads = layout.views(grad)
+        bound, recon, kl_g, kl_p = training._batch_gradients(model, train_c, doc_indices, w, seed, step, layout, grad)
 
         ref_grads = {name: np.zeros_like(t.data) for name, t in model.named_parameters()}
         ref_bound = ref_recon = ref_kl_g = ref_kl_p = 0.0
@@ -651,13 +634,14 @@ class TestBatchedShard:
             ref_kl_g += rep.kl_gaussian
             ref_kl_p += rep.kl_piecewise
 
-        assert bound == pytest.approx(ref_bound, rel=1e-10)
-        assert recon == pytest.approx(ref_recon, rel=1e-10)
-        assert kl_g == pytest.approx(ref_kl_g, rel=1e-10, abs=1e-12)
-        assert kl_p == pytest.approx(ref_kl_p, rel=1e-10, abs=1e-12)
+        n = len(doc_indices)
+        assert bound == pytest.approx(ref_bound / n, rel=1e-10)
+        assert recon == pytest.approx(ref_recon / n, rel=1e-10)
+        assert kl_g == pytest.approx(ref_kl_g / n, rel=1e-10, abs=1e-12)
+        assert kl_p == pytest.approx(ref_kl_p / n, rel=1e-10, abs=1e-12)
         for name in ref_grads:
             assert np.any(ref_grads[name] != 0.0), name
-            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(grads[name], ref_grads[name] / n, rtol=1e-10, atol=1e-12, err_msg=name)
 
     def test_noise_and_bound_depend_on_slot_only(self, small_corpus):
         """A document keeps its noise and bound whatever the batch's size and order."""
@@ -675,15 +659,6 @@ class TestBatchedShard:
                 np.testing.assert_array_equal(eps, full_eps[:, subset])
             part = nvdm.batch_bound(model, train_c, [docs[s] for s in subset], noise).bounds
             np.testing.assert_allclose(part, full[subset], rtol=1e-12)
-
-        # Reversing the batch together with its slots leaves the gradients unchanged.
-        layout, rows = gradient_rows(model, 2)
-        forward, backward = layout.views(rows[0]), layout.views(rows[1])
-        forward_bound, *_ = training._shard_gradients(model, train_c, slots, 1.0, seed, step, slots, forward)
-        backward_bound, *_ = training._shard_gradients(model, train_c, slots[::-1], 1.0, seed, step, slots[::-1], backward)
-        assert backward_bound == pytest.approx(forward_bound, rel=1e-12)
-        for name in forward:
-            np.testing.assert_allclose(backward[name], forward[name], rtol=1e-10, atol=1e-13, err_msg=name)
 
 
 class TestTrainedDigests:
