@@ -99,6 +99,16 @@ class TestRoundTrip:
             assert dec_r.flags.c_contiguous and dec_r.tobytes() == want.tobytes()
             assert nvdm.decode_logprob(got, z, counts).data.tobytes() == logprob.tobytes()
 
+    def test_a_fortran_ordered_tensor_is_saved_in_c_order(self, tmp_path):
+        """A model holding a Fortran-ordered ``Tensor`` writes the same bytes as its C-ordered twin."""
+        model = perturbed(nvdm.init_model("h", 9, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=17), seed=18)
+        fortran = model.replaced({"dec_r": Tensor(np.asfortranarray(model.params["dec_r"].data))})
+        assert fortran.params["dec_r"].data.flags.f_contiguous and not fortran.params["dec_r"].data.flags.c_contiguous
+        want, got = tmp_path / "c.ckpt", tmp_path / "f.ckpt"
+        ck.save_checkpoint(model, str(want))
+        ck.save_checkpoint(fortran, str(got))
+        assert got.read_bytes() == want.read_bytes()
+
     def test_loaded_model_trains_one_step_bit_identically(self, tmp_path):
         data = cio.make_synthetic_bimodal(24, 12, seed=10)
         train_c, valid_c = replace(data, docs=data.docs[:20]), replace(data, docs=data.docs[20:])

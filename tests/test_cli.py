@@ -1,9 +1,13 @@
 """Command line: explicit dimensions reach the model as given; bad settings and checkpoints exit 1 before any report."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pwvae
 from pwvae import cli
 from pwvae.checkpoint import load_checkpoint
 from pwvae.training import TrainConfig
@@ -71,6 +75,33 @@ def test_threads_is_not_a_config_key(data, tmp_path, capsys):
     config.write_text("threads = 1\n", encoding="utf-8")
     assert cli.main(train_args(data, tmp_path, "g", "--config", str(config))) == cli.USAGE_ERROR
     assert f"{config}:1: unknown config key 'threads'" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def run_module(*args, cwd):
+    """``python -X dev -m pwvae`` in a child process, with this checkout's package first on its path."""
+    src = str(Path(pwvae.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-X", "dev", "-m", "pwvae", *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_python_dash_m_pwvae_writes_what_main_writes(tmp_path):
+    """``__main__`` hands the arguments to ``cli.main``: the module run writes the same corpus files as the call."""
+    flags = ["--docs", "12", "--vocab", "6", "--seed", "3", "--split", "8,2,2"]
+    assert cli.main(["synth", *flags, "--out", str(tmp_path / "want")]) == 0
+    run = run_module("synth", *flags, "--out", "got", cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    wanted = sorted(p.name[len("want"):] for p in tmp_path.glob("want.*"))
+    assert wanted and sorted(p.name[len("got"):] for p in tmp_path.glob("got.*")) == wanted
+    for suffix in wanted:
+        assert (tmp_path / f"got{suffix}").read_bytes() == (tmp_path / f"want{suffix}").read_bytes(), suffix
+
+
+def test_python_dash_m_pwvae_exits_with_the_usage_error_code(data, tmp_path):
+    """The module's exit status is ``main``'s: an unknown flag exits 2 and names the flag."""
+    run = run_module(*train_args(data, tmp_path, "g", "--threads", "2"), cwd=tmp_path)
+    assert run.returncode == cli.USAGE_ERROR
+    assert "unrecognized arguments: --threads 2" in run.stderr
     assert not (tmp_path / "model.ckpt").exists()
 
 

@@ -580,7 +580,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("threads", [0, 2])
+    @pytest.mark.parametrize("threads", [0, 2, -1])
     def test_threads_other_than_one_rejected(self, threads):
         """Training runs one tape per batch; the field takes no other value."""
         with pytest.raises(ValueError, match=f"threads must be 1, got {threads}"):
