@@ -558,7 +558,7 @@ def posterior_bound(
     for term in (kl_g_t, kl_p_t):
         if term is not None:
             kl_total = term if kl_total is None else kl_total + term
-    kl_term = kl_total if kl_weight == 1.0 else kl_weight * kl_total
+    kl_term = kl_total if kl_weight == 1.0 else kl_total * kl_weight
     bound = recon - kl_term
     total = sum_all(bound)
     tracked = None

@@ -99,14 +99,12 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
-    # Arithmetic sugar; Tensor-Tensor ops broadcast a trailing shape,
-    # python scalars broadcast elementwise.
+    # Arithmetic sugar; Tensor-Tensor ops broadcast a trailing shape, and a
+    # python scalar on the right broadcasts elementwise.
     def __add__(self, other):
         if isinstance(other, Tensor):
             return add(self, other)
         return scale_shift(self, 1.0, float(other))
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Tensor):
@@ -117,8 +115,6 @@ class Tensor:
         if isinstance(other, Tensor):
             return mul(self, other)
         return scale_shift(self, float(other), 0.0)
-
-    __rmul__ = __mul__
 
 
 def _wrap(values: np.ndarray) -> Tensor:

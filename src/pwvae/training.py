@@ -14,20 +14,20 @@ and new-parameter buffers that take turns.  Every parameter's tensor is
 a read-only view into one of these buffers.  The tape writes each
 parameter's gradient straight into its view of the flat gradient
 (``Tape.grad(t, out=...)``, into which ``affine`` and the decoder
-compute their weight and bias products), and the sum is divided by the
-batch size in one call.
-``clip_gradients`` computes the global norm once, writing the squares
-into the buffer the step's new parameters will go to; a finite norm
-proves every gradient finite, so only a non-finite norm costs a scan, and
-a non-finite gradient it finds ends training with ``TrainingDiverged``,
-as does a batch whose bound is not finite (its variances or logits
+compute their weight and bias products), which holds the batch's sum.
+``clip_gradients`` reads that sum once for its global norm and returns the
+one factor that makes it the clipped mean gradient; a finite norm proves
+every gradient finite, so only a non-finite norm costs a scan, and a
+non-finite gradient it finds ends training with ``TrainingDiverged``, as
+does a batch whose bound is not finite (its variances or logits
 overflow).  ``adam_step`` then takes one ascent step on the bound in one
-cache-blocked pass over the flat gradient and moments, reading the
-current parameters from their own arrays and writing the new ones into
-that buffer.  The buffer of the previous parameters becomes the next
-step's, unless the best epoch's parameters live in it: that buffer is
-kept as it is, and a new one takes its place.  So after its first two
-steps a training step allocates no gradient, square or parameter array.
+cache-blocked pass, multiplying each block of the summed gradient by
+that factor as it reads it, reading the current parameters from their
+own arrays and writing the new ones into a spare buffer.  The buffer of
+the previous parameters becomes the next step's, unless the best
+epoch's parameters live in it: that buffer is kept as it is, and a new
+one takes its place.  So after its first two steps a training step
+allocates no gradient or parameter array.
 
 Per-document sampling noise is keyed by (seed, stream, step, slot), where
 the slot is the document's position in the batch: each step derives one
@@ -150,66 +150,65 @@ def _check_flat(layout: ParamLayout, **arrays: np.ndarray) -> None:
             raise ValueError(f"{label} must be a C-contiguous float64 array of shape ({layout.size},), got {a.dtype} {a.shape}")
 
 
-def global_norm(grad: np.ndarray, layout: ParamLayout, squares: np.ndarray) -> float:
+def global_norm(grad: np.ndarray, layout: ParamLayout) -> float:
     """The L2 norm of ``grad``, a flat gradient laid out by ``layout``.
 
-    ``squares``, a flat array of the same size lent as scratch, receives
-    every square in one call and is overwritten.  Each parameter's squares
-    are then summed on their own, in layout order, and the sums added: the
-    norm has the bits of summing ``g * g`` parameter by parameter.
+    Each parameter's slice is reduced by one ``einsum`` that writes no
+    array and does not go through BLAS, so the norm's bits do not depend
+    on the BLAS thread count; the sums are added in layout order.
     """
-    _check_flat(layout, gradient=grad, squares=squares)
-    np.multiply(grad, grad, out=squares)
-    return float(np.sqrt(sum(float(np.sum(sq)) for sq in layout.views(squares).values())))
+    _check_flat(layout, gradient=grad)
+    return math.sqrt(sum(float(np.einsum("i,i->", grad[s], grad[s])) for s in layout.slices.values()))
 
 
-def clip_gradients(grad: np.ndarray, layout: ParamLayout, clip_norm: float, squares: np.ndarray) -> np.ndarray:
-    """Rescale the flat gradient ``grad`` in place so its L2 norm is at most clip_norm; returns ``grad``.
+def clip_gradients(grad: np.ndarray, layout: ParamLayout, clip_norm: float, n: int) -> float:
+    """The factor f by which the summed gradient of ``n`` documents becomes their mean gradient clipped to norm clip_norm.
 
-    ``grad`` is laid out by ``layout`` and overwritten, so the caller must
-    own it, as ``train`` owns its gradient buffer.  ``squares`` is scratch
-    for ``global_norm`` and is overwritten; ``train`` lends the buffer its
-    next Adam step writes the new parameters into.  The rescale is one
-    call over the flat array.
+    ``grad`` is the flat sum laid out by ``layout``; ``f * grad`` is the
+    clipped mean, which is ``grad / n`` when that mean's norm is at most
+    clip_norm.  ``grad`` is only read, save in the one case below.
 
     The global norm is computed first, and a finite norm proves every
     gradient finite: an inf or NaN entry makes the sum of squares inf or
     NaN.  Only a non-finite norm leads to a scan of each parameter's
     gradient, which raises ``FloatingPointError`` naming the first
     non-finite one.  If every gradient is finite, only the sum of squares
-    overflowed: the gradients are then divided by their largest
-    magnitude, which makes their norm representable, and clipped by that
-    norm.
+    overflowed: ``grad`` is then divided in place by its largest
+    magnitude, which makes its norm representable, and f is taken
+    against the divided gradient.
     """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     with np.errstate(over="ignore"):
-        norm = global_norm(grad, layout, squares)
-    if np.isfinite(norm):
-        scale = clip_norm / norm if norm > clip_norm else 1.0
-    else:
+        norm = global_norm(grad, layout)
+    big = 1.0
+    if not np.isfinite(norm):
         for name, g in layout.views(grad).items():
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"gradient of {name} is not finite")
-        grad /= np.max(np.abs(grad, out=squares))
-        scale = clip_norm / global_norm(grad, layout, squares)
-    if scale != 1.0:
-        grad *= scale
-    return grad
+        big = float(max(np.max(grad), -np.min(grad)))
+        grad /= big
+        norm = global_norm(grad, layout)
+    return clip_norm / norm if norm > clip_norm * n / big else big / n
 
 
 # Floats per block of ``adam_step``: a block of g, m, v, p, the new
 # parameters and the scratch buffer is 1.5 MiB, so it stays in a 2 MiB L2
-# cache between the step's 14 passes.  Adam step at the paper shape
+# cache between the step's 11 passes.  Adam step at the paper shape
 # (1,579,600 floats; Xeon, 2 vCPUs, 2 MiB L2 per core, numpy 2.4.6),
-# median of 5 processes of 100 steps each: 8192 -> 19.7 ms, 16384 -> 17.7,
-# 32768 -> 17.3, 65536 -> 17.6, against 22.3 ms unblocked.
+# median of 200 steps with the sizes alternated in one process: 8192 ->
+# 18.1 ms, 16384 -> 15.6, 32768 -> 15.4, 65536 -> 16.4, against 26.1 ms
+# unblocked; inside ``train``, 17.4, 15.4, 14.8 and 15.4 ms.
 _ADAM_CHUNK = 32768
 
 
 @dataclass
 class AdamState:
-    """Step count, flat first and second moments of parameters laid out by ``layout``, and ``adam_step``'s scratch block."""
+    """Step count, flat moments of parameters laid out by ``layout``, and ``adam_step``'s scratch block.
+
+    ``m`` holds the first moment divided by 1 - beta1 and ``v`` the second
+    divided by 1 - beta2, so a step adds the gradient and its square as they are.
+    """
 
     layout: ParamLayout
     m: np.ndarray
@@ -223,8 +222,8 @@ def adam_init(layout: ParamLayout) -> AdamState:
     return AdamState(layout, m=np.zeros(layout.size), v=np.zeros(layout.size), scratch=np.empty(min(_ADAM_CHUNK, layout.size)))
 
 
-def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, config: TrainConfig, out: np.ndarray) -> np.ndarray:
-    """One bias-corrected Adam ascent step over every parameter; ``grad`` is the gradient of the objective to maximise.
+def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, config: TrainConfig, out: np.ndarray, scale: float) -> np.ndarray:
+    """One bias-corrected Adam ascent step over every parameter; ``scale * grad`` is the gradient of the objective to maximise.
 
     ``grad``, the moments and ``out`` are flat arrays laid out by
     ``state.layout``, and ``params`` must hold the layout's names, in its
@@ -233,15 +232,20 @@ def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, 
     moment.  Any fault raises ``ValueError`` before ``state`` is touched.
     ``grad`` and ``params`` are read, never written.
 
+    The update is Kingma & Ba's reordering (arXiv:1412.6980, section 2),
+    exact in real arithmetic: p + alpha * m / (sqrt(v) + eps_hat), with the
+    bias corrections and the moments' scales folded into alpha and eps_hat.
+
     The step is one pass over the flat arrays in blocks of
     ``_ADAM_CHUNK`` floats, whatever the parameters' boundaries, so a
-    block stays in cache across the step's elementwise passes.  Each
-    block's current parameters are read from each parameter's own array,
-    with no gather copy.  Every element goes through the same operations
-    in the same order as in one whole-array pass per parameter, so the
-    result is bit-identical to it.  The moments are updated in place, and
-    the state's scratch buffer of at most one block holds the temporaries;
-    a parameter is copied only when it is not C-contiguous (``ravel``).
+    block stays in cache across the step's 11 elementwise passes, the
+    first of which multiplies the gradient by ``scale``.  Each block's
+    current parameters are read from each parameter's own array, with no
+    gather copy.  Every element goes through the same operations in the
+    same order as in one whole-array pass per parameter, so the result is
+    bit-identical to it.  The moments are updated in place, and the
+    state's scratch buffer of at most one block holds the temporaries; a
+    parameter is copied only when it is not C-contiguous (``ravel``).
     """
     layout = state.layout
     if list(params) != list(layout.shapes):
@@ -259,7 +263,11 @@ def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, 
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    lr, eps = config.learning_rate, config.adam_eps
+    # Kingma & Ba's lr * sqrt(c2) / c1 and eps * sqrt(c2), carried over to
+    # moments scaled by 1 / (1 - b1) and 1 / (1 - b2).
+    root = math.sqrt(c2 / (1.0 - b2))
+    alpha = config.learning_rate * (1.0 - b1) / c1 * root
+    eps_hat = config.adam_eps * root
     m, v = state.m, state.v
     # Each parameter's span of the flat arrays and its C-ordered values;
     # ravel copies only a non-contiguous parameter.
@@ -270,20 +278,16 @@ def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, 
         hi = min(lo + _ADAM_CHUNK, layout.size)
         gb, mb, vb, nb = grad[lo:hi], m[lo:hi], v[lo:hi], out[lo:hi]
         s = scratch[: hi - lo]
-        np.multiply(gb, 1.0 - b1, out=s)
+        np.multiply(gb, scale, out=s)
         mb *= b1
         mb += s
-        np.multiply(gb, gb, out=s)
-        s *= 1.0 - b2
+        s *= s
         vb *= b2
         vb += s
-        # p + lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(vb, c2, out=s)
-        np.sqrt(s, out=s)
-        s += eps
-        np.divide(mb, c1, out=nb)
-        nb *= lr
-        nb /= s
+        np.sqrt(vb, out=s)
+        s += eps_hat
+        np.divide(mb, s, out=nb)
+        nb *= alpha
         # The parameters spanning [lo, hi), each read from its own array.
         x = lo
         while x < hi:
@@ -311,7 +315,7 @@ def _slot_noise(model: NvdmModel, seed: int, step: int, slots):
 
 
 def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, seed: int, step: int, layout: ParamLayout, grad: np.ndarray):
-    """Mean-bound gradient of one mini-batch, written into the flat ``grad`` laid out by ``layout``; returns the mean bound, reconstruction and KL terms.
+    """Summed-bound gradient of one mini-batch, written into the flat ``grad`` laid out by ``layout``; returns the mean bound, reconstruction and KL terms.
 
     One forward and one backward over the batch's documents as rows; a
     document's slot is its position in the batch.
@@ -327,7 +331,6 @@ def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, seed: in
         tape.backward(rows.total)
         for name, t in model.named_parameters():
             tape.grad(t, out=views[name])
-    grad /= n
     return float(rows.total) / n, float(rows.reconstruction.sum()) / n, float(rows.kl_gaussian.sum()) / n, float(rows.kl_piecewise.sum()) / n
 
 
@@ -385,12 +388,12 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
             bound, recon, kl_g, kl_p = _batch_gradients(model, corpus_train, batch, w, config.seed, step, layout, grad)
             if not np.isfinite(bound):
                 raise TrainingDiverged(_diagnostic(model, epoch, batches))
-            out = spare.pop() if spare else np.empty(layout.size)
             try:
-                clip_gradients(grad, layout, config.clip_norm, out)
+                scale = clip_gradients(grad, layout, config.clip_norm, len(batch))
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"{_diagnostic(model, epoch, batches)}; {exc}") from exc
-            adam_step(params, grad, state, config, out)
+            out = spare.pop() if spare else np.empty(layout.size)
+            adam_step(params, grad, state, config, out, scale)
             if current is not None and current is not held:
                 spare.append(current)
             current = out

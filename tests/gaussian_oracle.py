@@ -29,5 +29,5 @@ def sum_last(x):
 def kl(post, prior):
     """KL(post || prior) for diagonal ``GaussianParams``: one value per row, each op taped on its own."""
     dmu = post.mu - prior.mu
-    terms = 0.5 * (log(prior.var) - log(post.var)) + div(post.var + dmu * dmu, 2.0 * prior.var) - 0.5
+    terms = (log(prior.var) - log(post.var)) * 0.5 + div(post.var + dmu * dmu, prior.var * 2.0) - 0.5
     return sum_last(terms)

@@ -1,6 +1,7 @@
 """Trainer mechanics: schedule, clipping, Adam, determinism, early stopping."""
 
 import hashlib
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from pwvae import corpus as cio
-from pwvae import evaluation, nvdm, training
+from pwvae import blas, evaluation, nvdm, training
 from pwvae.tensor import Tensor, _wrap
 from pwvae.training import TrainConfig
 
@@ -59,14 +60,15 @@ def flat(arrays):
 
 def norm_of(arrays):
     g, layout = flat(arrays)
-    return training.global_norm(g, layout, np.empty(layout.size))
+    return training.global_norm(g, layout)
 
 
-def clip(arrays, clip_norm):
-    """``clip_gradients`` over the arrays laid out flat; returns each one's clipped view."""
+def clip(arrays, clip_norm, n=1):
+    """``clip_gradients`` over the arrays laid out flat as the sum of ``n`` documents' gradients; returns each one's view of ``f * grad``."""
     g, layout = flat(arrays)
-    assert training.clip_gradients(g, layout, clip_norm, np.empty(layout.size)) is g
-    return layout.views(g)
+    f = training.clip_gradients(g, layout, clip_norm, n)
+    assert isinstance(f, float)
+    return layout.views(f * g)
 
 
 class TestClipGradients:
@@ -78,26 +80,40 @@ class TestClipGradients:
         out = clip({"a": np.array([6.0, 8.0])}, 1.0)
         assert norm_of(out) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("clip_norm, mean", [(10.0, [1.2, 1.6]), (1.0, [0.6, 0.8])])
+    def test_the_factor_takes_the_mean_of_a_sum(self, clip_norm, mean):
+        """The sum of 25 documents' gradients, whose mean has norm 2, gives that mean, clipped to norm 1 when clip_norm is 1."""
+        out = clip({"a": np.array([30.0, 40.0]), "b": np.zeros(2)}, clip_norm, n=25)
+        np.testing.assert_allclose(out["a"], mean, rtol=1e-15)
+        np.testing.assert_array_equal(out["b"], np.zeros(2))
+
     def test_zero_gradients_unchanged(self):
         out = clip({"a": np.zeros(3)}, 1.0)
         np.testing.assert_array_equal(out["a"], np.zeros(3))
 
-    def test_rescales_the_flat_gradient_in_place_with_one_scale(self):
+    def test_scales_every_gradient_by_one_factor(self):
         arrays = {"a": np.array([6.0, 8.0, 1.0 / 3.0]), "b": np.array([[2.0], [-1.5]])}
         scale = 1.0 / norm_of(arrays)
         out = clip(arrays, 1.0)
         for name, a in arrays.items():
             np.testing.assert_array_equal(out[name], a * scale)
 
-    def test_norm_keeps_the_bits_of_per_parameter_sums(self):
-        """The squares are summed parameter by parameter, in layout order, as separate ``g * g`` sums would be."""
+    @pytest.mark.parametrize("clip_norm", [1e-3, 1e3])
+    def test_the_gradient_is_only_read(self, clip_norm):
+        g, layout = flat({"w": np.random.default_rng(2).normal(size=(40, 30)), "b": np.arange(5.0)})
+        copy = g.copy()
+        training.clip_gradients(g, layout, clip_norm, 3)
+        assert g.tobytes() == copy.tobytes()
+
+    def test_norm_has_the_same_bits_whatever_the_blas_threads(self):
+        """Each parameter's squares are reduced without BLAS, so one BLAS thread gives the default's bits."""
         rng = np.random.default_rng(13)
-        arrays = {"w": rng.normal(size=(300, 77)), "b": rng.normal(size=5), "e": np.zeros((0, 3)), "v": rng.normal(size=(9, 1000))}
+        arrays = {"w": rng.normal(size=(600, 400)), "b": rng.normal(size=5), "e": np.zeros((0, 3)), "v": rng.normal(size=(9, 1000))}
         g, layout = flat(arrays)
-        squares = np.full(layout.size, np.nan)
-        expected = float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays.values())))
-        assert training.global_norm(g, layout, squares) == expected
-        np.testing.assert_array_equal(squares, g * g)
+        norm = training.global_norm(g, layout)
+        with blas.one_thread():
+            assert training.global_norm(g, layout) == norm
+        assert norm == pytest.approx(float(np.linalg.norm(g)), rel=1e-12)
 
     def test_finite_gradients_with_an_overflowing_norm_are_clipped_without_a_warning(self):
         """The squared norm overflows, but every gradient is finite: the step keeps its direction at norm clip_norm."""
@@ -113,6 +129,11 @@ class TestClipGradients:
         np.testing.assert_allclose(out["a"], [1.0, 2.0], rtol=1e-15)
         np.testing.assert_allclose(out["b"], [[-2.0], [4.0]], rtol=1e-15)
 
+    def test_an_overflowing_norm_below_the_threshold_is_not_clipped(self):
+        """The squared norm overflows, but the norm, about 2.2e300, is below clip_norm: the gradient is not scaled up to it."""
+        out = clip({"a": np.array([1e300, -2e300])}, 1e301)
+        np.testing.assert_array_equal(out["a"], [1e300, -2e300])
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_raises_naming_it(self, bad):
         with pytest.raises(FloatingPointError, match="gradient of b is not finite"):
@@ -121,19 +142,20 @@ class TestClipGradients:
     def test_post_clip_norm_bounded_random(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            out = clip({str(i): rng.normal(size=rng.integers(1, 5)) * 10 for i in range(3)}, 2.5)
+            out = clip({str(i): rng.normal(size=rng.integers(1, 5)) * 10 for i in range(3)}, 2.5, n=int(rng.integers(1, 4)))
             assert norm_of(out) <= 2.5 + 1e-12
 
     def test_flat_arrays_of_another_size_are_rejected(self):
-        g, layout = flat({"a": np.ones(3)})
-        with pytest.raises(ValueError, match=r"squares must be a C-contiguous float64 array of shape \(3,\)"):
-            training.clip_gradients(g, layout, 1.0, np.empty(4))
+        _, layout = flat({"a": np.ones(3)})
+        with pytest.raises(ValueError, match=r"gradient must be a C-contiguous float64 array of shape \(3,\)"):
+            training.clip_gradients(np.ones(4), layout, 1.0, 1)
 
 
 def _unblocked_adam_step(params, grads, state, config):
-    """Whole-parameter Adam step, one pass over each parameter per operation: the oracle for the flat, blocked ``adam_step``.
+    """The Adam step before Kingma & Ba's reordering, one pass over each parameter per operation, on unscaled moments.
 
-    ``state`` holds a step count and a dict of moments per parameter.
+    The reference for ``adam_step``'s reordered form.  ``state`` holds a
+    step count and a dict of moments per parameter.
     """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -156,6 +178,36 @@ def _unblocked_adam_step(params, grads, state, config):
         new = np.divide(m, c1)
         new *= config.learning_rate
         new /= scratch
+        new += t.data
+        out[name] = Tensor(new)
+    return out
+
+
+def _unblocked_scaled_adam_step(params, grads, state, config, scale):
+    """``adam_step``'s operations in its order, one pass over each parameter per operation: the oracle for its flat, blocked form.
+
+    ``state`` holds a step count and a dict of scaled moments per parameter.
+    """
+    state.step += 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
+    root = math.sqrt(c2 / (1.0 - b2))
+    alpha = config.learning_rate * (1.0 - b1) / c1 * root
+    eps_hat = config.adam_eps * root
+    out = {}
+    for name, t in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        scratch = np.multiply(g, scale)
+        m *= b1
+        m += scratch
+        scratch *= scratch
+        v *= b2
+        v += scratch
+        np.sqrt(v, out=scratch)
+        scratch += eps_hat
+        new = np.divide(m, scratch)
+        new *= alpha
         new += t.data
         out[name] = Tensor(new)
     return out
@@ -193,37 +245,80 @@ def adam_setup(params):
 def flat_step(params, grads, state, config):
     """One ``adam_step`` from dicts of parameters and gradients; returns the new parameters as tensors over a fresh buffer."""
     g, _ = flat(grads)
-    out = training.adam_step(params, g, state, config, np.empty(state.layout.size))
+    out = training.adam_step(params, g, state, config, np.empty(state.layout.size), 1.0)
     return {name: Tensor(view) for name, view in state.layout.views(out).items()}
 
 
 class TestAdam:
+    @staticmethod
+    def _params(layout, rng):
+        """Parameters in ADAM_SHAPES' ``layout``, the first one in its memory layout, and their shapes."""
+        shapes = ADAM_SHAPES[layout]
+        params = {f"p{i}": Tensor(in_layout(rng.normal(size=shape), layout) if i == 0 else rng.normal(size=shape)) for i, shape in enumerate(shapes)}
+        assert params["p0"].data.flags.c_contiguous == (layout != "fortran")
+        return params, shapes
+
+    @staticmethod
+    def _zero_moments(params):
+        """A step count and zero moments per parameter, as the unblocked references take them."""
+        return SimpleNamespace(step=0, m={n: np.zeros_like(t.data) for n, t in params.items()}, v={n: np.zeros_like(t.data) for n, t in params.items()})
+
     @pytest.mark.parametrize("layout", list(ADAM_SHAPES))
     def test_flat_blocked_step_is_bit_identical_to_unblocked(self, layout):
         """Each step reads the parameters from their own arrays, the first one in the layout under test."""
         rng = np.random.default_rng(12)
-        shapes = ADAM_SHAPES[layout]
-        params = {f"p{i}": Tensor(in_layout(rng.normal(size=shape), layout) if i == 0 else rng.normal(size=shape)) for i, shape in enumerate(shapes)}
-        assert params["p0"].data.flags.c_contiguous == (layout != "fortran")
+        params, shapes = self._params(layout, rng)
         config = TrainConfig(learning_rate=0.01)
         _, state = adam_setup(params)
-        ref_state = SimpleNamespace(step=0, m={n: np.zeros_like(t.data) for n, t in params.items()}, v={n: np.zeros_like(t.data) for n, t in params.items()})
+        ref_state = self._zero_moments(params)
         ref = params
-        for _ in range(5):
+        for scale in (0.3, 1.0, 0.01, 2.5, 0.7):
             grads = {name: rng.normal(size=shape) for name, shape in zip(params, shapes)}
             g, _ = flat(grads)
             copy = g.copy()
             out = np.full(state.layout.size, np.nan)
-            assert training.adam_step(params, g, state, config, out) is out
+            assert training.adam_step(params, g, state, config, out, scale) is out
             np.testing.assert_array_equal(g, copy)
             params = {name: Tensor(view) for name, view in state.layout.views(out).items()}
-            ref = _unblocked_adam_step(ref, grads, ref_state, config)
+            ref = _unblocked_scaled_adam_step(ref, grads, ref_state, config, scale)
         assert state.step == ref_state.step == 5
         m, v = state.layout.views(state.m), state.layout.views(state.v)
         for name in params:
             assert params[name].data.tobytes() == ref[name].data.tobytes(), name
             assert m[name].tobytes() == ref_state.m[name].tobytes(), name
             assert v[name].tobytes() == ref_state.v[name].tobytes(), name
+
+    @pytest.mark.parametrize("layout", list(ADAM_SHAPES))
+    def test_clipped_steps_agree_with_the_unreordered_path(self, layout):
+        """Five clipped steps of the summed gradient and its factor against ``grad / n``, an in-place rescale and the unreordered Adam.
+
+        Parameters and unscaled moments agree within 1e-12 of each
+        parameter's largest magnitude.
+        """
+        rng = np.random.default_rng(14)
+        params, shapes = self._params(layout, rng)
+        config = TrainConfig(learning_rate=0.01, clip_norm=2.0)
+        b1, b2, n = config.adam_beta1, config.adam_beta2, 7
+        _, state = adam_setup(params)
+        ref_state = self._zero_moments(params)
+        ref = params
+        for _ in range(5):
+            grads = {name: n * rng.normal(size=shape) for name, shape in zip(params, shapes)}
+            g, _ = flat(grads)
+            f = training.clip_gradients(g, state.layout, config.clip_norm, n)
+            assert f < 1.0 / n
+            out = training.adam_step(params, g, state, config, np.empty(g.size), f)
+            params = {name: Tensor(view) for name, view in state.layout.views(out).items()}
+            mean = {name: a / n for name, a in grads.items()}
+            norm = math.sqrt(sum(float(np.sum(a * a)) for a in mean.values()))
+            for a in mean.values():
+                a *= config.clip_norm / norm
+            ref = _unblocked_adam_step(ref, mean, ref_state, config)
+        m, v = state.layout.views(state.m), state.layout.views(state.v)
+        for name in params:
+            for got, want in ((params[name].data, ref[name].data), (m[name] * (1.0 - b1), ref_state.m[name]), (v[name] * (1.0 - b2), ref_state.v[name])):
+                if want.size:
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -273,7 +368,7 @@ class TestAdam:
             out.flags.writeable = False
         m, v = state.m.copy(), state.v.copy()
         with pytest.raises(ValueError, match=message):
-            training.adam_step(params, grad, state, config, out)
+            training.adam_step(params, grad, state, config, out, 1.0)
         assert state.step == 1
         np.testing.assert_array_equal(state.m, m)
         np.testing.assert_array_equal(state.v, v)
@@ -306,7 +401,7 @@ class TestAdam:
 
 
 def gradient_rows(model):
-    """A trainer-style flat gradient buffer for the model, filled with NaN, and its layout."""
+    """The layout of a trainer-style flat buffer for the model's summed gradient, and the buffer, filled with NaN."""
     layout = training.ParamLayout({name: t.data.shape for name, t in model.named_parameters()})
     return layout, np.full(layout.size, np.nan)
 
@@ -338,9 +433,8 @@ class TestTrainLoop:
         current = model
         for step in range(10):
             training._batch_gradients(current, tiny, list(range(10)), 1.0, config.seed, step, layout, grad)
-            out = np.empty(layout.size)
-            training.clip_gradients(grad, layout, config.clip_norm, out)
-            training.adam_step(current.params, grad, state, config, out)
+            scale = training.clip_gradients(grad, layout, config.clip_norm, 10)
+            out = training.adam_step(current.params, grad, state, config, np.empty(layout.size), scale)
             current = current.replaced(layout.views(out))
         assert fixed_bound(current) > before
 
@@ -387,10 +481,10 @@ class TestTrainLoop:
                 training.train(model, train_c, valid_c, config)
 
     def test_trainer_owns_every_gradient_array(self, small_corpus):
-        """The batch's summed gradients are written into the trainer's flat buffer, which ends as their mean.
+        """The batch's summed gradients are written into the trainer's flat buffer, and stay its sum.
 
-        The in-place mean, clip and Adam write only arrays no one else
-        holds: the caller's model is unchanged by ``train``.
+        The tape and Adam write only arrays no one else holds: the
+        caller's model is unchanged by ``train``.
         """
         from pwvae.tensor import Tape
 
@@ -404,7 +498,7 @@ class TestTrainLoop:
             tape.backward(nvdm.batch_bound(model, train_c, train_c.docs[:40], noise).total)
         views = layout.views(grad)
         for name, t in model.named_parameters():
-            assert views[name].tobytes() == (tape.grad(t) / 40).tobytes(), name
+            assert views[name].tobytes() == tape.grad(t).tobytes(), name
             assert not np.shares_memory(grad, t.data), name
 
         before = {name: t.data.copy() for name, t in model.named_parameters()}
@@ -412,6 +506,34 @@ class TestTrainLoop:
         for name, t in model.named_parameters():
             np.testing.assert_array_equal(t.data, before[name], err_msg=name)
             assert np.any(result.model.params[name].data != before[name]), name
+
+    def test_a_clipped_step_leaves_the_summed_gradient_as_it_was(self, small_corpus, monkeypatch):
+        """Clipping applies at every step, and Adam reads and leaves the bytes ``_batch_gradients`` left."""
+        train_c, valid_c = small_corpus
+        model = nvdm.init_model("h", 20, hidden=4, seed=13, **VARIANT_DIMS["h"])
+        batch_gradients, clip_gradients, adam_step = training._batch_gradients, training.clip_gradients, training.adam_step
+        left, scales = [], []
+
+        def gradients(*args):
+            means = batch_gradients(*args)
+            left.append(args[-1].tobytes())
+            return means
+
+        def clip(*args):
+            scales.append(clip_gradients(*args))
+            return scales[-1]
+
+        def step(params, grad, *args):
+            assert grad.tobytes() == left[-1]
+            out = adam_step(params, grad, *args)
+            assert grad.tobytes() == left[-1]
+            return out
+
+        monkeypatch.setattr(training, "_batch_gradients", gradients)
+        monkeypatch.setattr(training, "clip_gradients", clip)
+        monkeypatch.setattr(training, "adam_step", step)
+        training.train(model, train_c, valid_c, TrainConfig(batch_size=25, max_epochs=1, patience=1, seed=13, clip_norm=1e-3))
+        assert len(scales) == 4 and all(0.0 < f < 1.0 / 25 for f in scales), scales
 
     def test_non_finite_gradient_with_a_finite_bound_diverges(self, small_corpus, monkeypatch):
         train_c, valid_c = small_corpus
@@ -474,6 +596,27 @@ class TestTrainLoop:
         model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=10)
         with pytest.raises(ShapeError, match=f"{which} corpus: corpus vocabulary size 30 != model vocabulary size 20"):
             training.train(model, *corpora.values(), TrainConfig(batch_size=50, max_epochs=1, patience=1))
+
+
+def test_parameters_with_zero_gradient_never_move():
+    """Words no training document uses give their ``enc_w0`` columns zero gradients, which leave them bit-identical.
+
+    At tiny-p's shape (V=200, H=50, 10 piecewise dims of 10 pieces, lr
+    0.01), 40 Adam steps; the columns' moments stay zero, so only
+    ``eps_hat`` keeps their update from being 0 / 0.
+    """
+    corpus = cio.make_synthetic_bimodal(550, 150, seed=4)
+    corpus = replace(corpus, vocab=corpus.vocab + tuple(f"unused{i}" for i in range(50)))
+    train_c, valid_c = replace(corpus, docs=corpus.docs[:500]), replace(corpus, docs=corpus.docs[500:])
+    unused = np.setdiff1d(np.arange(200), np.concatenate([d.term_ids for d in corpus.docs]))
+    assert unused.size >= 50
+    model = nvdm.init_model("p", 200, hidden=50, piece_dims=10, n_pieces=10, seed=5)
+    config = TrainConfig(learning_rate=0.01, batch_size=50, max_epochs=4, patience=4, seed=6)
+    trained = training.train(model, train_c, valid_c, config).model
+    before, after = model.params["enc_w0"].data, trained.params["enc_w0"].data
+    assert after[:, unused].tobytes() == before[:, unused].tobytes()
+    used = np.setdiff1d(np.arange(200), unused)
+    assert np.all(np.any(after[:, used] != before[:, used], axis=0))
 
 
 class TestTrainerBuffers:
@@ -607,7 +750,8 @@ class TestBatchGradients:
     """One batched tape per batch against one single-document tape per document."""
 
     @pytest.mark.parametrize("variant", ["g", "p", "h"])
-    def test_batch_matches_mean_of_single_document_tapes(self, small_corpus, variant):
+    def test_batch_matches_single_document_tapes(self, small_corpus, variant):
+        """The gradient is the sum of the documents' gradients; the bound and its terms are their means."""
         from pwvae.tensor import Tape
 
         train_c, _ = small_corpus
@@ -641,7 +785,7 @@ class TestBatchGradients:
         assert kl_p == pytest.approx(ref_kl_p / n, rel=1e-10, abs=1e-12)
         for name in ref_grads:
             assert np.any(ref_grads[name] != 0.0), name
-            np.testing.assert_allclose(grads[name], ref_grads[name] / n, rtol=1e-10, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12, err_msg=name)
 
     def test_noise_and_bound_depend_on_slot_only(self, small_corpus):
         """A document keeps its noise and bound whatever the batch's size and order."""
