@@ -9,9 +9,10 @@ document; training stops once it has not improved for ``patience``
 epochs and the parameters from the best epoch are returned.
 
 The optimizer side of a step works on flat float64 arrays that ``train``
-lays out once per call (``ParamLayout``): the gradient, the Adam moments,
-and new-parameter buffers that take turns.  Every parameter's tensor is
-a read-only view into one of these buffers.  The tape writes each
+lays out once per call (``ParamLayout``): the parameters, the gradient
+and the Adam moments.  ``train`` copies the caller's parameters into its
+flat buffer once; the model it trains reads them through read-only
+views, and the caller's arrays are never written.  The tape writes each
 parameter's gradient straight into its view of the flat gradient
 (``Tape.grad(t, out=...)``, into which ``affine`` and the decoder
 compute their weight and bias products), which holds the batch's sum.
@@ -22,12 +23,12 @@ non-finite gradient it finds ends training with ``TrainingDiverged``, as
 does a batch whose bound is not finite (its variances or logits
 overflow).  ``adam_step`` then takes one ascent step on the bound in one
 cache-blocked pass, multiplying each block of the summed gradient by
-that factor as it reads it, reading the current parameters from their
-own arrays and writing the new ones into a spare buffer.  The buffer of
-the previous parameters becomes the next step's, unless the best
-epoch's parameters live in it: that buffer is kept as it is, and a new
-one takes its place.  So after its first two steps a training step
-allocates no gradient or parameter array.
+that factor as it reads it and updating the parameters in place.  The
+best epoch's parameters are kept copy-on-write: an improving epoch only
+marks them as the best, and the next step, if any, first copies them
+into a snapshot allocated at most once per call.  So a step allocates no
+gradient or parameter array, and a call whose last epoch is its best
+copies nothing.
 
 Per-document sampling noise is keyed by (seed, stream, step, slot), where
 the slot is the document's position in the batch: each step derives one
@@ -49,7 +50,7 @@ import numpy as np
 from . import evaluation
 from .corpus import Corpus
 from .nvdm import NvdmModel, _check_documents, batch_bound, draw_noises, noise_keys
-from .tensor import Tape, Tensor, _wrap
+from .tensor import Tape, _wrap
 
 __all__ = [
     "TrainConfig",
@@ -98,14 +99,17 @@ class TrainConfig:
             raise ValueError(f"threads must be 1, got {self.threads}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be >= 1")
-        if not (self.learning_rate >= 0 and self.clip_norm > 0) or self.kl_anneal_batches < 0:
-            raise ValueError("learning_rate must be >= 0, clip_norm > 0, kl_anneal_batches >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
+        # An infinite clip_norm means no clipping.
+        if not self.clip_norm > 0 or self.kl_anneal_batches < 0:
+            raise ValueError("clip_norm > 0 and kl_anneal_batches >= 0 are required")
         if self.valid_samples < 1:
             raise ValueError("valid_samples must be >= 1")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if not self.adam_eps > 0.0:
-            raise ValueError("adam_eps must be > 0")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be > 0 and finite, got {self.adam_eps}")
 
 
 def kl_weight(step: int, config: TrainConfig) -> float:
@@ -122,8 +126,8 @@ class ParamLayout:
 
     Parameters follow one another in the order of ``shapes``, each as its
     C-ordered values; ``views`` gives every parameter's view of a flat
-    array, shaped like the parameter.  ``train`` lays its gradients, Adam
-    moments and new parameters out this way, so one numpy call covers
+    array, shaped like the parameter.  ``train`` lays its parameters,
+    gradients and Adam moments out this way, so one numpy call covers
     every parameter.
     """
 
@@ -192,13 +196,12 @@ def clip_gradients(grad: np.ndarray, layout: ParamLayout, clip_norm: float, n: i
     return clip_norm / norm if norm > clip_norm * n / big else big / n
 
 
-# Floats per block of ``adam_step``: a block of g, m, v, p, the new
-# parameters and the scratch buffer is 1.5 MiB, so it stays in a 2 MiB L2
-# cache between the step's 11 passes.  Adam step at the paper shape
-# (1,579,600 floats; Xeon, 2 vCPUs, 2 MiB L2 per core, numpy 2.4.6),
-# median of 200 steps with the sizes alternated in one process: 8192 ->
-# 18.1 ms, 16384 -> 15.6, 32768 -> 15.4, 65536 -> 16.4, against 26.1 ms
-# unblocked; inside ``train``, 17.4, 15.4, 14.8 and 15.4 ms.
+# Floats per block of ``adam_step``: a block of g, m, v, p and the scratch
+# buffer is 1.25 MiB, so it stays in a 2 MiB L2 cache between the step's
+# 11 passes.  Adam step inside ``train`` at the paper shape (1,579,600
+# floats; Xeon, 2 vCPUs, 2 MiB L2 per core, numpy 2.4.6), median of 60
+# steps per size with the sizes alternated in one process: 16384 -> 10.2
+# ms, 32768 -> 10.2, 65536 -> 10.5.
 _ADAM_CHUNK = 32768
 
 
@@ -222,15 +225,13 @@ def adam_init(layout: ParamLayout) -> AdamState:
     return AdamState(layout, m=np.zeros(layout.size), v=np.zeros(layout.size), scratch=np.empty(min(_ADAM_CHUNK, layout.size)))
 
 
-def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, config: TrainConfig, out: np.ndarray, scale: float) -> np.ndarray:
-    """One bias-corrected Adam ascent step over every parameter; ``scale * grad`` is the gradient of the objective to maximise.
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, config: TrainConfig, scale: float) -> None:
+    """One bias-corrected Adam ascent step, in place on the flat ``params``; ``scale * grad`` is the gradient of the objective to maximise.
 
-    ``grad``, the moments and ``out`` are flat arrays laid out by
-    ``state.layout``, and ``params`` must hold the layout's names, in its
-    order, with its shapes.  The new parameters are written into ``out``,
-    which is returned; ``out`` may overlap no parameter, ``grad`` or
-    moment.  Any fault raises ``ValueError`` before ``state`` is touched.
-    ``grad`` and ``params`` are read, never written.
+    ``params``, ``grad`` and the moments are flat arrays laid out by
+    ``state.layout``.  ``params`` must be writable and may overlap neither
+    ``grad`` nor a moment.  Any fault raises ``ValueError`` before
+    ``params`` or ``state`` is touched.  ``grad`` is read, never written.
 
     The update is Kingma & Ba's reordering (arXiv:1412.6980, section 2),
     exact in real arithmetic: p + alpha * m / (sqrt(v) + eps_hat), with the
@@ -239,26 +240,18 @@ def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, 
     The step is one pass over the flat arrays in blocks of
     ``_ADAM_CHUNK`` floats, whatever the parameters' boundaries, so a
     block stays in cache across the step's 11 elementwise passes, the
-    first of which multiplies the gradient by ``scale``.  Each block's
-    current parameters are read from each parameter's own array, with no
-    gather copy.  Every element goes through the same operations in the
-    same order as in one whole-array pass per parameter, so the result is
-    bit-identical to it.  The moments are updated in place, and the
-    state's scratch buffer of at most one block holds the temporaries; a
-    parameter is copied only when it is not C-contiguous (``ravel``).
+    first of which multiplies the gradient by ``scale``.  Every element
+    goes through the same operations in the same order as in one
+    whole-array pass per parameter, so the result is bit-identical to it.
+    The parameters and the moments are updated in place, and the state's
+    scratch buffer of at most one block holds the temporaries.
     """
     layout = state.layout
-    if list(params) != list(layout.shapes):
-        unmatched = sorted(params.keys() ^ layout.shapes.keys())
-        raise ValueError(f"adam_step: parameters {unmatched or list(params)} do not match the layout's, in its order")
-    for name, t in params.items():
-        if t.data.shape != layout.shapes[name]:
-            raise ValueError(f"adam_step: parameter {name} has shape {t.data.shape}, the layout {layout.shapes[name]}")
-    _check_flat(layout, gradient=grad, out=out, first_moment=state.m, second_moment=state.v)
+    _check_flat(layout, params=params, gradient=grad, first_moment=state.m, second_moment=state.v)
     if state.scratch.shape != (min(_ADAM_CHUNK, layout.size),):
         raise ValueError(f"adam_step: the scratch buffer must hold {min(_ADAM_CHUNK, layout.size)} floats, as adam_init makes it")
-    if not out.flags.writeable or any(np.may_share_memory(out, a) for a in (grad, state.m, state.v, *(t.data for t in params.values()))):
-        raise ValueError("adam_step: out must be writable and overlap no parameter, gradient or moment")
+    if not params.flags.writeable or any(np.may_share_memory(params, a) for a in (grad, state.m, state.v)):
+        raise ValueError("adam_step: params must be writable and overlap no gradient or moment")
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**state.step
@@ -269,14 +262,10 @@ def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, 
     alpha = config.learning_rate * (1.0 - b1) / c1 * root
     eps_hat = config.adam_eps * root
     m, v = state.m, state.v
-    # Each parameter's span of the flat arrays and its C-ordered values;
-    # ravel copies only a non-contiguous parameter.
-    parts = iter([(s.start, s.stop, t.data.ravel()) for s, t in zip(layout.slices.values(), params.values()) if s.stop > s.start])
-    a = b = 0
     scratch = state.scratch
     for lo in range(0, layout.size, _ADAM_CHUNK):
         hi = min(lo + _ADAM_CHUNK, layout.size)
-        gb, mb, vb, nb = grad[lo:hi], m[lo:hi], v[lo:hi], out[lo:hi]
+        gb, mb, vb, pb = grad[lo:hi], m[lo:hi], v[lo:hi], params[lo:hi]
         s = scratch[: hi - lo]
         np.multiply(gb, scale, out=s)
         mb *= b1
@@ -286,17 +275,9 @@ def adam_step(params: Mapping[str, Tensor], grad: np.ndarray, state: AdamState, 
         vb += s
         np.sqrt(vb, out=s)
         s += eps_hat
-        np.divide(mb, s, out=nb)
-        nb *= alpha
-        # The parameters spanning [lo, hi), each read from its own array.
-        x = lo
-        while x < hi:
-            while b <= x:
-                a, b, p = next(parts)
-            y = min(b, hi)
-            nb[x - lo : y - lo] += p[x - a : y - a]
-            x = y
-    return out
+        np.divide(mb, s, out=s)
+        s *= alpha
+        pb += s
 
 
 @dataclass
@@ -343,6 +324,11 @@ def _diagnostic(model: NvdmModel, epoch: int, batch_index: int) -> str:
     return f"non-finite loss in epoch {epoch}, batch {batch_index}; largest parameter norms: {snapshot}"
 
 
+def _viewing(model: NvdmModel, layout: ParamLayout, flat: np.ndarray) -> NvdmModel:
+    """The model with every parameter a read-only view of ``flat``, laid out by ``layout``."""
+    return model.replaced({name: _wrap(view) for name, view in layout.views(flat).items()})
+
+
 def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: TrainConfig, log_stream=None) -> TrainResult:
     """Train to the best validation bound; returns that epoch's parameters.
 
@@ -358,17 +344,18 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
             _check_documents(model, corpus, corpus.docs)
         except ValueError as exc:
             raise type(exc)(f"{name} corpus: {exc}") from None
-    params = dict(model.params)
-    layout = ParamLayout({name: t.data.shape for name, t in params.items()})
+    layout = ParamLayout({name: t.data.shape for name, t in model.named_parameters()})
     state = adam_init(layout)
     grad = np.empty(layout.size)
-    # Each step writes the new parameters into a spare flat buffer, and the
-    # model's tensors are read-only views of it.  The buffer of the previous
-    # parameters then becomes spare, unless ``best_params`` holds it: that
-    # one is never written again, and a new buffer takes its turn.
-    spare: list[np.ndarray] = []
-    current = held = None
-    best_params = params
+    # The parameters, which ``adam_step`` updates in place and ``trained``
+    # reads.  While ``flat_is_best``, they are the best epoch's; the next
+    # step first copies them into ``best``.
+    flat = np.empty(layout.size)
+    for name, view in layout.views(flat).items():
+        view[...] = model.params[name].data
+    trained = _viewing(model, layout, flat)
+    flat_is_best = False
+    best = None
     best_valid = -np.inf
     best_epoch = 0
     epochs_since_best = 0
@@ -385,20 +372,19 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             w = kl_weight(step, config)
-            bound, recon, kl_g, kl_p = _batch_gradients(model, corpus_train, batch, w, config.seed, step, layout, grad)
+            bound, recon, kl_g, kl_p = _batch_gradients(trained, corpus_train, batch, w, config.seed, step, layout, grad)
             if not np.isfinite(bound):
-                raise TrainingDiverged(_diagnostic(model, epoch, batches))
+                raise TrainingDiverged(_diagnostic(trained, epoch, batches))
             try:
                 scale = clip_gradients(grad, layout, config.clip_norm, len(batch))
             except FloatingPointError as exc:
-                raise TrainingDiverged(f"{_diagnostic(model, epoch, batches)}; {exc}") from exc
-            out = spare.pop() if spare else np.empty(layout.size)
-            adam_step(params, grad, state, config, out, scale)
-            if current is not None and current is not held:
-                spare.append(current)
-            current = out
-            params = {name: _wrap(view) for name, view in layout.views(out).items()}
-            model = model.replaced(params)
+                raise TrainingDiverged(f"{_diagnostic(trained, epoch, batches)}; {exc}") from exc
+            if flat_is_best:
+                if best is None:
+                    best = np.empty(layout.size)
+                best[...] = flat
+                flat_is_best = False
+            adam_step(flat, grad, state, config, scale)
             step += 1
             batches += 1
             epoch_bound += bound
@@ -407,7 +393,7 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
             epoch_kl_p += kl_p
 
         valid_rng = np.random.default_rng((config.seed, _STREAM_VALID))
-        valid_report = evaluation.evaluate(model, corpus_valid, num_samples=config.valid_samples, rng=valid_rng)
+        valid_report = evaluation.evaluate(trained, corpus_valid, num_samples=config.valid_samples, rng=valid_rng)
         valid_bound = valid_report.mean_bound
         valid_bounds.append(valid_bound)
         line = (
@@ -421,18 +407,19 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
         if valid_bound > best_valid:
             best_valid = valid_bound
             best_epoch = epoch
-            if held is not None and held is not current:
-                spare.append(held)
-            held = current
-            best_params = params
+            flat_is_best = True
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
 
+    if not flat_is_best:
+        # ``best`` is None here only if no epoch improved on -inf, as every
+        # validation bound was -inf: the caller's parameters are the best.
+        trained = model if best is None else _viewing(model, layout, best)
     return TrainResult(
-        model=model.replaced(best_params),
+        model=trained,
         log_lines=log_lines,
         best_epoch=best_epoch,
         best_valid_bound=best_valid,

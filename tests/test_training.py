@@ -220,21 +220,8 @@ CHUNK = training._ADAM_CHUNK
 ADAM_SHAPES = {
     "ragged": [(3 * CHUNK + 17,), (5,)],
     "small": [(7, 11), (5,)],
-    "fortran": [(300, 150), (5,)],
-    "strided": [(150, 300), (5,)],
     "straddling": [(CHUNK - 3,), (10,), (0, 4), (2 * CHUNK + 5,), (7,), (3, 3)],
 }
-
-
-def in_layout(a, layout):
-    """``a`` with its values unchanged, Fortran-ordered or as a strided view for those layouts."""
-    if layout == "fortran":
-        return np.asfortranarray(a)
-    if layout == "strided":
-        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
-        wide[:, ::2] = a
-        return wide[:, ::2]
-    return a
 
 
 def adam_setup(params):
@@ -242,21 +229,25 @@ def adam_setup(params):
     return layout, training.adam_init(layout)
 
 
+def flat_params(params):
+    """The parameters' values laid out in one flat buffer, as ``train`` holds them."""
+    p, _ = flat({name: t.data for name, t in params.items()})
+    return p
+
+
 def flat_step(params, grads, state, config):
-    """One ``adam_step`` from dicts of parameters and gradients; returns the new parameters as tensors over a fresh buffer."""
-    g, _ = flat(grads)
-    out = training.adam_step(params, g, state, config, np.empty(state.layout.size), 1.0)
-    return {name: Tensor(view) for name, view in state.layout.views(out).items()}
+    """One in-place ``adam_step`` from dicts of parameters and gradients; returns the new parameters as tensors."""
+    p, g = flat_params(params), flat(grads)[0]
+    training.adam_step(p, g, state, config, 1.0)
+    return {name: Tensor(view) for name, view in state.layout.views(p).items()}
 
 
 class TestAdam:
     @staticmethod
     def _params(layout, rng):
-        """Parameters in ADAM_SHAPES' ``layout``, the first one in its memory layout, and their shapes."""
+        """Parameters of ADAM_SHAPES' ``layout``, and their shapes."""
         shapes = ADAM_SHAPES[layout]
-        params = {f"p{i}": Tensor(in_layout(rng.normal(size=shape), layout) if i == 0 else rng.normal(size=shape)) for i, shape in enumerate(shapes)}
-        assert params["p0"].data.flags.c_contiguous == (layout != "fortran")
-        return params, shapes
+        return {f"p{i}": Tensor(rng.normal(size=shape)) for i, shape in enumerate(shapes)}, shapes
 
     @staticmethod
     def _zero_moments(params):
@@ -265,26 +256,25 @@ class TestAdam:
 
     @pytest.mark.parametrize("layout", list(ADAM_SHAPES))
     def test_flat_blocked_step_is_bit_identical_to_unblocked(self, layout):
-        """Each step reads the parameters from their own arrays, the first one in the layout under test."""
+        """Five steps, each in place on one flat parameter buffer, with a different scale each."""
         rng = np.random.default_rng(12)
         params, shapes = self._params(layout, rng)
         config = TrainConfig(learning_rate=0.01)
         _, state = adam_setup(params)
         ref_state = self._zero_moments(params)
         ref = params
+        p = flat_params(params)
         for scale in (0.3, 1.0, 0.01, 2.5, 0.7):
             grads = {name: rng.normal(size=shape) for name, shape in zip(params, shapes)}
             g, _ = flat(grads)
             copy = g.copy()
-            out = np.full(state.layout.size, np.nan)
-            assert training.adam_step(params, g, state, config, out, scale) is out
+            assert training.adam_step(p, g, state, config, scale) is None
             np.testing.assert_array_equal(g, copy)
-            params = {name: Tensor(view) for name, view in state.layout.views(out).items()}
             ref = _unblocked_scaled_adam_step(ref, grads, ref_state, config, scale)
         assert state.step == ref_state.step == 5
-        m, v = state.layout.views(state.m), state.layout.views(state.v)
+        new, m, v = (state.layout.views(a) for a in (p, state.m, state.v))
         for name in params:
-            assert params[name].data.tobytes() == ref[name].data.tobytes(), name
+            assert new[name].tobytes() == ref[name].data.tobytes(), name
             assert m[name].tobytes() == ref_state.m[name].tobytes(), name
             assert v[name].tobytes() == ref_state.v[name].tobytes(), name
 
@@ -302,76 +292,69 @@ class TestAdam:
         _, state = adam_setup(params)
         ref_state = self._zero_moments(params)
         ref = params
+        p = flat_params(params)
         for _ in range(5):
             grads = {name: n * rng.normal(size=shape) for name, shape in zip(params, shapes)}
             g, _ = flat(grads)
             f = training.clip_gradients(g, state.layout, config.clip_norm, n)
             assert f < 1.0 / n
-            out = training.adam_step(params, g, state, config, np.empty(g.size), f)
-            params = {name: Tensor(view) for name, view in state.layout.views(out).items()}
+            training.adam_step(p, g, state, config, f)
             mean = {name: a / n for name, a in grads.items()}
             norm = math.sqrt(sum(float(np.sum(a * a)) for a in mean.values()))
             for a in mean.values():
                 a *= config.clip_norm / norm
             ref = _unblocked_adam_step(ref, mean, ref_state, config)
-        m, v = state.layout.views(state.m), state.layout.views(state.v)
+        new, m, v = (state.layout.views(a) for a in (p, state.m, state.v))
         for name in params:
-            for got, want in ((params[name].data, ref[name].data), (m[name] * (1.0 - b1), ref_state.m[name]), (v[name] * (1.0 - b2), ref_state.v[name])):
+            for got, want in ((new[name], ref[name].data), (m[name] * (1.0 - b1), ref_state.m[name]), (v[name] * (1.0 - b2), ref_state.v[name])):
                 if want.size:
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize(
         "fault, message",
         [
-            ("missing", r"\['enc_w0'\] do not match"),
-            ("extra", r"\['enc_w2'\] do not match"),
-            ("reordered", "do not match the layout's, in its order"),
-            ("swapped_axes", r"parameter enc_w0 has shape \(6, 3\)"),
             ("short_gradient", "gradient must be"),
             ("strided_moment", "first_moment must be"),
-            ("out_is_a_parameter", "overlap no parameter"),
-            ("out_is_the_gradient", "overlap no parameter"),
-            ("read_only_out", "must be writable"),
+            ("strided_params", "params must be a C-contiguous"),
+            ("params_overlap_the_gradient", "overlap no gradient or moment"),
+            ("params_overlap_a_moment", "overlap no gradient or moment"),
+            ("read_only_params", "params must be writable"),
             ("short_scratch", "scratch buffer must hold"),
         ],
     )
     def test_bad_arguments_are_rejected_before_state_moves(self, fault, message):
         model = nvdm.init_model("h", 6, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=3)
         params = dict(model.params)
-        assert params["enc_w0"].data.shape == (3, 6)
         rng = np.random.default_rng(4)
         layout, state = adam_setup(params)
         config = TrainConfig()
         params = flat_step(params, {n: rng.normal(size=t.data.shape) for n, t in params.items()}, state, config)
+        p = flat_params(params)
         grad, _ = flat({n: rng.normal(size=t.data.shape) for n, t in params.items()})
-        out = np.empty(layout.size)
-        if fault == "missing":
-            del params["enc_w0"]
-        elif fault == "extra":
-            params["enc_w2"] = Tensor(np.zeros(3))
-        elif fault == "reordered":
-            params = dict(reversed(params.items()))
-        elif fault == "swapped_axes":
-            params["enc_w0"] = Tensor(params["enc_w0"].data.T)
-        elif fault == "short_gradient":
+        if fault == "short_gradient":
             grad = grad[1:]
         elif fault == "strided_moment":
             state.m = np.zeros(2 * layout.size)[::2]
-        elif fault == "out_is_a_parameter":
-            out = np.concatenate([t.data.ravel() for t in params.values()])
-            params = {name: _wrap(view) for name, view in layout.views(out).items()}
-        elif fault == "out_is_the_gradient":
-            out = grad
+        elif fault == "strided_params":
+            p = np.repeat(p, 2)[::2]
+        elif fault == "params_overlap_the_gradient":
+            # Views one float apart into one buffer.
+            shared = np.concatenate([grad, [0.0]])
+            grad, p = shared[:-1], shared[1:]
+        elif fault == "params_overlap_a_moment":
+            shared = np.concatenate([state.v, [0.0]])
+            state.v, p = shared[:-1], shared[1:]
         elif fault == "short_scratch":
             state.scratch = state.scratch[1:]
         else:
-            out.flags.writeable = False
-        m, v = state.m.copy(), state.v.copy()
+            p.flags.writeable = False
+        m, v, before = state.m.copy(), state.v.copy(), p.copy()
         with pytest.raises(ValueError, match=message):
-            training.adam_step(params, grad, state, config, out, 1.0)
+            training.adam_step(p, grad, state, config, 1.0)
         assert state.step == 1
         np.testing.assert_array_equal(state.m, m)
         np.testing.assert_array_equal(state.v, v)
+        np.testing.assert_array_equal(p, before)
 
     def test_zero_gradients_leave_parameters_unchanged(self):
         model = nvdm.init_model("g", 6, hidden=3, gauss_dims=2, seed=2)
@@ -430,12 +413,13 @@ class TestTrainLoop:
         before = fixed_bound(model)
         layout, grad = gradient_rows(model)
         state = training.adam_init(layout)
-        current = model
+        # The model reads the parameters that each step updates in place, as in ``train``.
+        p = flat_params(model.params)
+        current = model.replaced({name: _wrap(view) for name, view in layout.views(p).items()})
         for step in range(10):
             training._batch_gradients(current, tiny, list(range(10)), 1.0, config.seed, step, layout, grad)
             scale = training.clip_gradients(grad, layout, config.clip_norm, 10)
-            out = training.adam_step(current.params, grad, state, config, np.empty(layout.size), scale)
-            current = current.replaced(layout.views(out))
+            training.adam_step(p, grad, state, config, scale)
         assert fixed_bound(current) > before
 
     def test_fixed_seed_identical_logs(self, small_corpus):
@@ -620,7 +604,7 @@ def test_parameters_with_zero_gradient_never_move():
 
 
 class TestTrainerBuffers:
-    """``train`` keeps its gradients, moments and new parameters in flat buffers that it reuses from step to step."""
+    """``train`` keeps its parameters, gradients and moments in flat buffers that it updates in place from step to step."""
 
     def test_the_returned_model_survives_later_steps(self, small_corpus):
         """The best epoch (4 of 6) is followed by 8 more steps, which must not write into the best parameters' buffer."""
@@ -676,6 +660,66 @@ class TestTrainerBuffers:
         assert len(rises) == 6
         assert max(rises[2:]) < matrix, rises
 
+    @pytest.mark.parametrize("epochs, buffers", [(1, 4.5), (2, 5.5)])
+    def test_a_call_holds_one_snapshot_only_when_steps_follow_the_best_epoch(self, epochs, buffers):
+        """Traced memory over a whole call peaks below ``buffers`` times the parameters' bytes.
+
+        At the paper shape the call holds four parameter-sized buffers, the
+        gradient, the two moments and the parameters, plus a step's
+        temporaries of about 0.14 times the parameters.  Epoch 1 is the
+        best, so a second epoch's steps first copy the parameters into one
+        snapshot, a fifth buffer; a call that ends on its best epoch copies
+        nothing.  The bounds leave half a buffer of room, so one more
+        parameter-sized buffer fails them.
+        """
+        corpus = cio.make_synthetic_bimodal(70, 2000, seed=1)
+        train_c, valid_c = replace(corpus, docs=corpus.docs[:60]), replace(corpus, docs=corpus.docs[60:])
+        model = nvdm.init_model("h", 2000, hidden=500, gauss_dims=50, piece_dims=50, n_pieces=3, seed=2)
+        nbytes = sum(t.data.nbytes for _, t in model.named_parameters())
+        tracemalloc.start()
+        try:
+            result = training.train(model, train_c, valid_c, TrainConfig(batch_size=10, max_epochs=epochs, patience=epochs, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best_epoch == 1 and len(result.valid_bounds) == epochs
+        assert peak < buffers * nbytes, peak / nbytes
+
+    @pytest.mark.parametrize("order", ["fortran", "strided"])
+    def test_parameters_in_any_memory_layout_train_like_their_c_ordered_twin(self, small_corpus, order):
+        """An ``enc_w0`` that is Fortran-ordered or a strided view trains to the bytes of its C-ordered twin, and is left as it was."""
+        train_c, valid_c = small_corpus
+        model = nvdm.init_model("h", 20, hidden=4, seed=14, **VARIANT_DIMS["h"])
+        w = model.params["enc_w0"].data
+        if order == "fortran":
+            owner = odd = np.asfortranarray(w)
+        else:
+            owner = np.zeros((w.shape[0], 2 * w.shape[1]))
+            owner[:, ::2] = w
+            odd = owner[:, ::2]
+        assert not odd.flags.c_contiguous and odd.tobytes() == w.tobytes()
+        kept = owner.copy()
+        twin = model.replaced({"enc_w0": _wrap(odd)})
+        assert twin.params["enc_w0"].data is odd
+        config = TrainConfig(learning_rate=0.05, batch_size=30, max_epochs=3, patience=3, seed=14)
+        got, want = training.train(twin, train_c, valid_c, config), training.train(model, train_c, valid_c, config)
+        assert got.valid_bounds == want.valid_bounds
+        for name, t in want.model.named_parameters():
+            assert got.model.params[name].data.tobytes() == t.data.tobytes(), name
+        assert owner.tobytes() == kept.tobytes()
+        assert np.any(got.model.params["enc_w0"].data != w)
+
+    def test_without_an_improving_epoch_the_callers_parameters_are_returned(self, small_corpus, monkeypatch):
+        """Every validation bound is -inf, so no epoch improves on the start, and the steps' parameters are not returned."""
+        train_c, valid_c = small_corpus
+        evaluate = evaluation.evaluate
+        monkeypatch.setattr(evaluation, "evaluate", lambda *args, **kwargs: replace(evaluate(*args, **kwargs), mean_bound=-np.inf))
+        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=15)
+        result = training.train(model, train_c, valid_c, TrainConfig(batch_size=50, max_epochs=3, patience=2, seed=15))
+        assert (result.best_epoch, result.valid_bounds) == (0, [-np.inf, -np.inf])
+        for name, t in model.named_parameters():
+            assert result.model.params[name].data.tobytes() == t.data.tobytes(), name
+
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_negative_sigma_gates_train_without_divergence(seed):
@@ -714,7 +758,9 @@ class TestConfigValidation:
             ("adam_beta2", float("nan"), r"adam_beta1 and adam_beta2 must lie in \[0, 1\)"),
             ("adam_eps", 0.0, "adam_eps must be > 0"),
             ("adam_eps", -1e-8, "adam_eps must be > 0"),
+            ("adam_eps", float("inf"), "adam_eps must be > 0 and finite, got inf"),
             ("learning_rate", float("nan"), "learning_rate must be >= 0"),
+            ("learning_rate", float("inf"), "learning_rate must be >= 0 and finite, got inf"),
             ("clip_norm", float("nan"), "clip_norm > 0"),
         ],
     )
@@ -731,6 +777,11 @@ class TestConfigValidation:
 
     def test_edge_values_accepted(self):
         TrainConfig(valid_samples=1, adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300)
+
+    def test_an_infinite_clip_norm_is_accepted_as_no_clipping(self):
+        config = TrainConfig(clip_norm=float("inf"))
+        g, layout = flat({"a": np.array([3e150, -4e150])})
+        assert training.clip_gradients(g, layout, config.clip_norm, 4) == 0.25
 
 
 def randomized(model, seed, scale=0.3):
