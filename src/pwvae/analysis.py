@@ -101,7 +101,7 @@ def kl_sensitivity(model: NvdmModel, corpus: Corpus, top_m: int = 5):
     }
     for lo in range(0, len(corpus), EVAL_BLOCK):
         docs = corpus.docs[lo : lo + EVAL_BLOCK]
-        x = Tensor(corpus.dense(docs))
+        x = Tensor(corpus.dense(docs, dtype=model.dtype))
         for family, prior in families.items():
             with Tape() as tape:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -128,7 +128,7 @@ def export_posterior_means(model: NvdmModel, corpus: Corpus, out_path: str) -> i
         fh.write(f"# doc_id label mu[{model.gauss_dims}] piecewise_mean[{model.piece_dims}]\n")
         for lo in range(0, len(corpus), EVAL_BLOCK):
             docs = corpus.docs[lo : lo + EVAL_BLOCK]
-            post = amortized_posterior(model, encode(model, Tensor(corpus.dense(docs))))
+            post = amortized_posterior(model, encode(model, Tensor(corpus.dense(docs, dtype=model.dtype))))
             columns = []
             if post["gauss_mu"] is not None:
                 columns.append(post["gauss_mu"].data)

@@ -8,10 +8,13 @@ pickle.  It holds:
   and then ``<field> <value>`` for the model's ``variant``,
   ``vocab_size``, ``hidden``, ``gauss_dims``, ``piece_dims``,
   ``n_pieces`` and ``activation``, in that order;
-- one C-ordered float64 array per parameter, under its
-  ``named_parameters()`` name and in its model shape
-  (``nvdm.param_shapes``): the decoder matrix ``dec_r`` is (latent dims,
-  vocabulary).
+- one C-ordered array per parameter, under its ``named_parameters()``
+  name and in its model shape (``nvdm.param_shapes``): the decoder
+  matrix ``dec_r`` is (latent dims, vocabulary).  Every parameter is
+  float32, or every parameter is float64: the arrays store the model's
+  dtype, so the header does not repeat it.  A reader that takes only
+  float64, as every reader before float32 models did, rejects a float32
+  file with its own "expected float64" message.
 
 Version 2 archives had the same layout, except that ``dec_r`` was
 (vocabulary, latent dims).  They, and v1 text files, are rejected by
@@ -21,8 +24,10 @@ The archive stores the raw bytes of every array and fixed member
 timestamps, so save -> load is exact to the bit and save -> load -> save
 reproduces the file byte for byte.  Loading checks the magic, then that
 the header's fields form a configuration ``init_model`` accepts, then
-that the parameter names, shapes and dtypes are exactly those of
-``param_shapes``; any other file raises ``CheckpointError``.  A
+that the parameter names and shapes are exactly those of
+``param_shapes`` and that every parameter has ``dec_b``'s dtype,
+float32 or float64.  Any other file raises ``CheckpointError``; for a
+mixed archive it names the first parameter of another dtype.  A
 Fortran-ordered array in an archive is loaded in C order.
 """
 
@@ -101,8 +106,12 @@ def load_checkpoint(path: str) -> NvdmModel:
     missing, extra = sorted(expected.keys() - arrays.keys()), sorted(arrays.keys() - expected.keys())
     if missing or extra:
         raise CheckpointError(f"{path}: parameters missing {missing}, unexpected {extra}")
+    # The model's dtype is its parameters' and so dec_b's (``NvdmModel.dtype``).
+    dtype = arrays["dec_b"].dtype
+    if dtype not in (np.float32, np.float64):
+        dtype = np.dtype(np.float64)
     for name, shape in expected.items():
         got = arrays[name]
-        if got.shape != shape or got.dtype != np.float64:
-            raise CheckpointError(f"{path}: parameter {name!r} is {got.dtype} {got.shape}, expected float64 {shape}")
+        if got.shape != shape or got.dtype != dtype:
+            raise CheckpointError(f"{path}: parameter {name!r} is {got.dtype} {got.shape}, expected {dtype} {shape}")
     return NvdmModel(**fields, params={name: _wrap(np.ascontiguousarray(arrays[name])) for name in expected})

@@ -4,7 +4,8 @@ Commands: ``synth`` (generate a synthetic corpus), ``train``, ``eval``,
 ``query`` (word neighbours), ``sensitivity`` (KL word sensitivity), and
 ``export-means``.  Reports go to stdout, progress to stderr.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.  All commands are
-deterministic for a fixed ``--seed``.
+deterministic for a fixed ``--seed``.  ``train`` makes a float32 model;
+the other commands compute in the dtype their checkpoint stores.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default=None, help="train,valid,test document counts (e.g. 1600,200,200)")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a model")
+    p = sub.add_parser("train", help="train a model, which computes in float32")
     p.add_argument("--variant", choices=("g", "p", "h"), required=True)
     p.add_argument("--pieces", type=int, default=None)
     p.add_argument("--gauss-dims", type=int, default=None)

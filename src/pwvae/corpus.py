@@ -10,8 +10,9 @@ File formats (gzip variants accepted by `.gz` extension):
 Counts are stored as integers.  A ``Document`` holds each term id at most
 once, and computes its token count and its content key once.  Densifying
 works per batch: ``Corpus.dense_counts`` builds a batch's (B, V) count
-rows with one scatter, and ``Corpus.dense`` applies the optional
-log(1 + TF) transform to them for the encoder.
+rows with one scatter, in the float dtype a model computes in, and
+``Corpus.dense`` applies the optional log(1 + TF) transform to them for
+the encoder.
 """
 
 from __future__ import annotations
@@ -117,13 +118,13 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.docs)
 
-    def dense_counts(self, docs) -> np.ndarray:
-        """(B, V) raw counts of a batch of documents, one row per document in order, from one scatter.
+    def dense_counts(self, docs, *, dtype) -> np.ndarray:
+        """(B, V) raw counts of a batch of documents as ``dtype``, one row per document in order, from one scatter.
 
         A term id at or above the vocabulary size raises ValueError naming
         the first document that holds one.
         """
-        rows = np.zeros((len(docs), self.vocab_size))
+        rows = np.zeros((len(docs), self.vocab_size), dtype=dtype)
         row_of_entry = np.repeat(np.arange(len(docs)), [doc.term_ids.size for doc in docs])
         ids = np.concatenate([doc.term_ids for doc in docs])
         if ids.size and ids.max() >= self.vocab_size:
@@ -132,10 +133,10 @@ class Corpus:
         rows[row_of_entry, ids] = np.concatenate([doc.counts for doc in docs])
         return rows
 
-    def dense(self, docs, *, counts: np.ndarray | None = None) -> np.ndarray:
-        """(B, V) encoder rows of a batch: ``counts`` (by default ``dense_counts(docs)``) with the transform applied; under "none" the same array."""
+    def dense(self, docs, *, dtype, counts: np.ndarray | None = None) -> np.ndarray:
+        """(B, V) encoder rows of a batch as ``dtype``: ``counts`` (by default ``dense_counts(docs, dtype=dtype)``) with the transform applied; under "none" the same array."""
         if counts is None:
-            counts = self.dense_counts(docs)
+            counts = self.dense_counts(docs, dtype=dtype)
         return np.log1p(counts) if self.transform == "log1p_tf" else counts
 
 

@@ -2,9 +2,10 @@
 
 Perplexity is exp(-(1/D) sum_n bound_n / L_n) over D documents with L_n
 tokens each, where the sampled variational bound stands in for the exact
-log-likelihood.  A document's noise is keyed by the call's root and the
-document's content key, the digest ``Document.key`` that each document
-computes once, and a block's noise is one
+log-likelihood.  A float32 model's bounds are gathered as float64, in
+which the perplexity is computed.  A document's noise is keyed by the
+call's root and the document's content key, the digest ``Document.key``
+that each document computes once, and a block's noise is one
 ``nvdm.draw_noises`` call over its documents' keys, so identical
 documents always receive identical noise and duplicating a corpus leaves
 the report unchanged.  Documents are evaluated as rows, ``EVAL_BLOCK`` at
@@ -282,8 +283,8 @@ def iterative_inference(
     if not docs:
         raise ValueError("iterative_inference: no documents")
     _check_documents(model, corpus, docs)
-    raw = corpus.dense_counts(docs)
-    x, counts = _wrap(corpus.dense(docs, counts=raw)), _wrap(raw)
+    raw = corpus.dense_counts(docs, dtype=model.dtype)
+    x, counts = _wrap(corpus.dense(docs, dtype=model.dtype, counts=raw)), _wrap(raw)
     doc_keys = np.array([doc.key for doc in docs], dtype=np.uint64)
     track_root, step_root = _root(rng), _root(rng)
     track_noise = draw_noises(model, 1, noise_keys(track_root, doc_keys))
@@ -409,10 +410,10 @@ def evaluate_iterative(
         params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
         noise = _content_noise(model, num_samples, root, docs)
         with np.errstate(over="ignore", invalid="ignore"):
-            final = posterior_bound(model, _wrap(corpus.dense_counts(docs)), priors=prior, kl_weight=kl_weight, noise=noise, **_tensors(params)).bounds
+            final = posterior_bound(model, _wrap(corpus.dense_counts(docs, dtype=model.dtype)), priors=prior, kl_weight=kl_weight, noise=noise, **_tensors(params)).bounds
         _check_finite("evaluate_iterative: re-estimate", docs, final)
         refined.update(zip(block, zip(results, final)))
     picked = [refined[content] for content in contents]
-    bounds = np.array([bound for _, bound in picked])
+    bounds = np.array([bound for _, bound in picked], dtype=np.float64)
     tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
     return _aggregate(bounds, tokens, num_samples, "iterative"), [res for res, _ in picked]

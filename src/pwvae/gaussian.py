@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _unbroadcast, add, affine, custom_op, mul, scale_shift, softplus, sqrt
+from .tensor import ShapeError, Tensor, _same_dtype, _unbroadcast, add, affine, custom_op, mul, scale_shift, softplus, sqrt
 
 __all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "from_raw", "prior_forward", "posterior_forward", "sample_with_noise", "kl"]
 
@@ -117,6 +117,7 @@ def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:
     # Means and variances share a shape, so every term has the shape of the posterior rows.
     if mu_q.ndim != 2 or mu_p.shape not in (mu_q.shape, mu_q.shape[1:]):
         raise ShapeError(f"kl: expected (B, G) posterior rows and a (G,) or (B, G) prior, got {mu_q.shape} and {mu_p.shape}")
+    _same_dtype("kl", mu_q, var_q, mu_p, var_p)
     dmu = mu_q - mu_p
     num = var_q + dmu * dmu
     den = 2.0 * var_p

@@ -49,14 +49,23 @@ for bit, and with one sample nothing is tiled or split.
 (B,) array of uint64 keys, one per document.  It is counter-based (Salmon
 et al., SC'11): entry (b, s, d) is a pure function of ``keys[b]``, the
 sample s and the dimension d, namely SplitMix64's output mix over a Weyl
-sequence that starts at the mixed key, turned into a 53-bit uniform in
-[0, 1) and, for Gaussian dimensions, a Box-Muller normal.  A document's
+sequence that starts at the mixed key, turned into a uniform in [0, 1)
+of as many bits as the model's float has (24 at float32, 53 at float64)
+and, for Gaussian dimensions, a Box-Muller normal.  A document's
 noise therefore depends on its key alone, never on the batch it sits in
 or on how many samples are drawn.  ``noise_keys`` combines a caller's
 root with per-document ids (batch slots in training, content digests in
 evaluation and refinement) into such keys.  Refinement XORs the step
 count t into its step root, so a refined row's step noise is keyed by
 (content, t).
+
+The parameters' dtype, float32 or float64, is the model's (``dtype``):
+``init_model`` chooses it, float32 by default, and the dense rows, the
+noise and every op follow it.  There is one code path for both: at
+float64 each op does what it would with float64 fixed.  Noise of the
+other dtype raises ShapeError naming both dtypes when ``posterior_bound``
+checks it, and rows or a Tensor of the other dtype at the first op that
+would mix them.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ from .gaussian import GaussianHead, GaussianParams
 from .tensor import (
     ShapeError,
     Tensor,
+    _same_dtype,
     _wrap,
     affine,
     concat,
@@ -87,6 +97,7 @@ from .tensor import (
 __all__ = [
     "VARIANTS",
     "ACTIVATIONS",
+    "DTYPES",
     "NvdmModel",
     "ElboReport",
     "RowBounds",
@@ -106,6 +117,7 @@ __all__ = [
 
 VARIANTS = ("g", "p", "h")
 ACTIVATIONS = ("prelu", "softsign")
+DTYPES = ("float32", "float64")
 
 PRELU_LEAK_INIT = 0.25
 
@@ -162,23 +174,30 @@ class NvdmModel:
     def latent_dim(self) -> int:
         return self.gauss_dims + self.piece_dims
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, float32 or float64, in which the model computes."""
+        return self.params["dec_b"].data.dtype
+
     def named_parameters(self):
         return self.params.items()
 
     def replaced(self, updates: dict[str, np.ndarray]) -> "NvdmModel":
         """Copy of the model with some parameters replaced.
 
-        A Tensor is kept as it is; any other value is copied into a
-        C-ordered array, which the decoder and the trainer's flat layout
-        read fastest (a Fortran-ordered ``dec_r`` slows ``decode_logprob``).
+        A Tensor is kept as it is, and must have the dtype of the parameter
+        it replaces; any other value is copied into a C-ordered array of that
+        dtype, which the decoder and the trainer's flat layout read fastest
+        (a Fortran-ordered ``dec_r`` slows ``decode_logprob``).
         """
         params = dict(self.params)
         for name, values in updates.items():
             if name not in params:
                 raise KeyError(f"unknown parameter {name!r}")
-            t = values if isinstance(values, Tensor) else _wrap(np.array(values, dtype=np.float64, order="C"))
-            if t.data.shape != params[name].data.shape:
-                raise ShapeError(f"parameter {name}: shape {t.data.shape} != {params[name].data.shape}")
+            old = params[name].data
+            t = values if isinstance(values, Tensor) else _wrap(np.array(values, dtype=old.dtype, order="C"))
+            if t.data.shape != old.shape or t.data.dtype != old.dtype:
+                raise ShapeError(f"parameter {name}: {t.data.dtype} of shape {t.data.shape} != {old.dtype} of shape {old.shape}")
             params[name] = t
         return NvdmModel(
             variant=self.variant,
@@ -266,18 +285,22 @@ def init_model(
     n_pieces: int = 3,
     activation: str = "prelu",
     seed: int = 0,
+    dtype=np.float32,
 ) -> NvdmModel:
-    """Freshly initialised model.
+    """Freshly initialised model whose parameters, and so all its computation, have ``dtype``: float32 or float64.
 
     Weight matrices get Glorot-uniform values from the seeded generator;
     every bias, gate, and the decoder start at zero, so the initial prior
-    is centred and the initial decoder is uniform over words.
+    is centred and the initial decoder is uniform over words.  Values are
+    drawn in float64 and rounded once to ``dtype``.
     """
     if variant == "g":
         piece_dims = 0
     if variant == "p":
         gauss_dims = 0
     _validate_config(variant, vocab_size, hidden, gauss_dims, piece_dims, n_pieces, activation)
+    if dtype not in (np.float32, np.float64, *DTYPES):
+        raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     for name, shape in param_shapes(variant, vocab_size, hidden, gauss_dims, piece_dims, n_pieces, activation).items():
@@ -289,7 +312,7 @@ def init_model(
             fan_out, fan_in = shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             values = rng.uniform(-bound, bound, shape)
-        params[name] = Tensor(values)
+        params[name] = _wrap(values.astype(dtype))
     return NvdmModel(
         variant=variant,
         vocab_size=vocab_size,
@@ -324,6 +347,7 @@ def _decoder_logits(z: Tensor, r: Tensor, b: Tensor) -> Tensor:
     of r rather than a copy, r's z.T @ -g and b's the column sum of g.
     """
     zd, rd, bd = z.data, r.data, b.data
+    _same_dtype("decode", zd, rd)
 
     def backward(g):
         neg = -g
@@ -406,15 +430,18 @@ def noise_keys(root, ids) -> np.ndarray:
 
 
 def draw_noises(model: NvdmModel, num_samples: int, keys: np.ndarray):
-    """A batch's noise: an (eps_gauss, eps_piece) pair of (``num_samples``, B, dims) arrays, row b keyed by ``keys[b]``.
+    """A batch's noise: an (eps_gauss, eps_piece) pair of (``num_samples``, B, dims) arrays of the model's dtype, row b keyed by ``keys[b]``.
 
     ``keys`` is a (B,) uint64 array.  Each sample takes ``width`` words of
     row b's stream, word c being ``_mix64(_mix64(keys[b]) + (c + 1) *
     _WEYL)`` for c = s * width, ..., (s + 1) * width - 1: an even number of
     uniforms that Box-Muller pairs into the Gaussian normals, then one
-    uniform per piecewise dimension.  Uniforms are the top 53 bits of a
-    word scaled into [0, 1), so every normal is finite.  An absent
-    family's entry is None.
+    uniform per piecewise dimension.  A uniform is a word's top 24 bits
+    at float32, or its top 53 at float64, scaled into [0, 1): exact in
+    that dtype and at most 1 - 2**-24 or 1 - 2**-53, so every normal is
+    finite.  (A 53-bit uniform rounded to float32 would be 1.0 about once
+    in 3e7 draws, and its normal infinite.)  An absent family's entry is
+    None.
     """
     keys = np.asarray(keys)
     if keys.dtype != np.uint64 or keys.ndim != 1 or keys.size == 0:
@@ -425,7 +452,8 @@ def draw_noises(model: NvdmModel, num_samples: int, keys: np.ndarray):
     width = 2 * pairs + model.piece_dims
     counters = np.arange(1, num_samples * width + 1, dtype=np.uint64).reshape(num_samples, 1, width) * _WEYL
     words = _mix64(_mix64(keys)[:, None] + counters)
-    uniform = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    bits = np.finfo(model.dtype).nmant + 1
+    uniform = (words >> np.uint64(64 - bits)).astype(model.dtype) * model.dtype.type(2.0**-bits)
     eps_g = eps_p = None
     if model.gauss_dims > 0:
         radius = np.sqrt(-2.0 * np.log1p(-uniform[..., :pairs]))
@@ -450,8 +478,8 @@ def batch_bound(model: NvdmModel, corpus: Corpus, docs, noise, *, kl_weight: flo
     ``noise`` is ``draw_noises``' pair, with one row per document.
     """
     _check_documents(model, corpus, docs)
-    counts = corpus.dense_counts(docs)
-    rows = amortized_posterior(model, encode(model, _wrap(corpus.dense(docs, counts=counts))))
+    counts = corpus.dense_counts(docs, dtype=model.dtype)
+    rows = amortized_posterior(model, encode(model, _wrap(corpus.dense(docs, dtype=model.dtype, counts=counts))))
     return posterior_bound(model, _wrap(counts), priors=priors(model), kl_weight=kl_weight, noise=noise, **rows)
 
 
@@ -474,15 +502,19 @@ def elbo(
 def _noise_samples(model: NvdmModel, noise, rows: int, name: str) -> int:
     """The number of samples S in a ``draw_noises`` pair for ``rows`` documents.
 
-    Each family the model has needs an (S, rows, dims) array, with one S
-    for both, and a family it lacks None; otherwise ShapeError names the
-    argument ``name`` and the shapes.
+    Each family the model has needs an (S, rows, dims) array of the
+    model's dtype, with one S for both, and a family it lacks None;
+    otherwise ShapeError names the argument ``name`` and the shapes or
+    dtypes.
     """
     dims = (model.gauss_dims, model.piece_dims)
     shapes = [None if eps is None else eps.shape if isinstance(eps, np.ndarray) else type(eps).__name__ for eps in noise]
     samples = next((shape[0] for shape in shapes if isinstance(shape, tuple) and shape), 0)
     if samples < 1 or shapes != [None if d == 0 else (samples, rows, d) for d in dims]:
         raise ShapeError(f"posterior_bound: {name} must be (S, {rows}, dims) arrays with one S >= 1 for dims {dims}, None where dims is 0, got {shapes}")
+    for eps in noise:
+        if eps is not None and eps.dtype != model.dtype:
+            raise ShapeError(f"posterior_bound: {name} is {eps.dtype}, the model {model.dtype}")
     return samples
 
 
@@ -528,7 +560,9 @@ def posterior_bound(
     built by the caller: inside the tape when the model's gradients are
     wanted, once outside it when only the rows move.  ``noise`` is
     ``draw_noises``' (eps_gauss, eps_piece) pair of (S, B, dims) arrays,
-    None for a family the model lacks; anything else raises ShapeError.
+    None for a family the model lacks; anything else raises ShapeError, as
+    does noise whose dtype is not the model's, and counts or rows of
+    another dtype raise it at the first op that mixes them.
     All S samples are drawn in one pass and decoded one by one.  A mean
     over one sample and a KL weight of 1 are not multiplied out: the
     product would change no bit.  Values are never checked: a row whose
@@ -567,8 +601,8 @@ def posterior_bound(
     return RowBounds(
         bounds=bound.data,
         reconstruction=recon.data,
-        kl_gaussian=np.maximum(kl_g_t.data, 0.0) if kl_g_t is not None else np.zeros(recon.data.shape),
-        kl_piecewise=np.maximum(kl_p_t.data, 0.0) if kl_p_t is not None else np.zeros(recon.data.shape),
+        kl_gaussian=np.maximum(kl_g_t.data, 0.0) if kl_g_t is not None else np.zeros_like(recon.data),
+        kl_piecewise=np.maximum(kl_p_t.data, 0.0) if kl_p_t is not None else np.zeros_like(recon.data),
         total=total,
         tracked=tracked,
     )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _unbroadcast, custom_op, exp_clamped
+from .tensor import ShapeError, Tensor, _same_dtype, _unbroadcast, custom_op, exp_clamped
 
 __all__ = [
     "CLAMP",
@@ -79,7 +79,7 @@ def _active_segment(a: np.ndarray, eps: np.ndarray):
     (S, m) segments, weights and preceding sums, and the (m,) totals.
     """
     m, n = a.shape
-    cum = np.empty((n + 1, m))
+    cum = np.empty((n + 1, m), dtype=a.dtype)
     cum[0] = 0.0
     for k in range(n):
         np.add(cum[k], a[:, k], out=cum[k + 1])
@@ -92,7 +92,7 @@ def _active_segment(a: np.ndarray, eps: np.ndarray):
 def _inverse_cdf(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
     idx, a_sel, prev, total = segment
     n = a.shape[1]
-    z = idx / n + (total * eps - prev) / (n * a_sel)
+    z = idx.astype(a.dtype) / n + (total * eps - prev) / (n * a_sel)
     z = np.minimum(np.maximum(z, 0.0), 1.0)
     return np.where(eps <= 0.0, 0.0, np.where(eps >= 1.0, 1.0, z))
 
@@ -111,7 +111,7 @@ def mean_rows(a: np.ndarray) -> np.ndarray:
     """Closed-form mean per row: sum_i mass_i * segment midpoint."""
     n = a.shape[1]
     masses = a / a.sum(axis=1, keepdims=True)
-    midpoints = (np.arange(n) + 0.5) / n
+    midpoints = ((np.arange(n) + 0.5) / n).astype(a.dtype)
     return masses @ midpoints
 
 
@@ -135,9 +135,10 @@ def sample_through(a_flat: Tensor, eps: np.ndarray, dims: int, pieces: int) -> T
     """Inverse-CDF samples for each latent dimension, differentiable in the weights.
 
     ``a_flat`` is (B, dims*pieces) weight rows and ``eps`` (S*B, dims)
-    noise: S blocks of B rows, block s holding every row's s-th sample;
-    other shapes raise ShapeError.  Every (row, dimension) pair becomes
-    one row of the core, which reads its weights once for all S samples.
+    noise of their dtype: S blocks of B rows, block s holding every row's
+    s-th sample; other shapes or dtypes raise ShapeError.  Every (row,
+    dimension) pair becomes one row of the core, which reads its weights
+    once for all S samples.
     The noise values are captured for the backward rule, which applies
     the exact derivative of the active segment's expression and zero for
     segment selection.  Like ``tile_rows``, the rule hands the weights one
@@ -145,7 +146,8 @@ def sample_through(a_flat: Tensor, eps: np.ndarray, dims: int, pieces: int) -> T
     separate calls.
     """
     shape = a_flat.data.shape
-    eps = np.array(eps, dtype=np.float64)
+    eps = np.array(eps)
+    _same_dtype("sample_through", a_flat.data, eps)
     rows = shape[0] if len(shape) == 2 else 0
     samples = len(eps) // rows if rows and eps.ndim == 2 else 0
     if shape != (rows, dims * pieces) or samples < 1 or eps.shape != (samples * rows, dims):
@@ -179,6 +181,7 @@ def kl_between(post_flat: Tensor, prior_flat: Tensor, dims: int, pieces: int) ->
     shape, prior_shape = post_flat.data.shape, prior_flat.data.shape
     if len(shape) != 2 or shape[1] != dims * pieces or prior_shape not in (shape, shape[1:]):
         raise ShapeError(f"kl_between: expected (B, {dims * pieces}) posterior rows and a ({dims * pieces},) or (B, {dims * pieces}) prior, got {shape} and {prior_shape}")
+    _same_dtype("kl_between", post_flat.data, prior_flat.data)
     post = post_flat.data.reshape(-1, dims, pieces)
     prior = prior_flat.data.reshape(prior_shape[:-1] + (dims, pieces))
     a_post_sum = post.sum(axis=-1, keepdims=True)

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with taped reverse-mode differentiation.
+"""Dense float32 or float64 tensors with taped reverse-mode differentiation.
 
 Operations execute eagerly on numpy arrays.  Inside a ``with Tape():``
 block every operation additionally records a backward rule; calling
@@ -16,9 +16,9 @@ The tape keeps an input's first gradient as the array the rule returned
 and adds later gradients into it in place.  It copies that array first
 when it is a view (``add`` and ``concat`` return ``g`` or views of it),
 is the output's gradient ``g`` or ``g``'s base, is returned again or viewed
-by another array the same rule returned, or is not a writable float64
-array.  These identity checks cost less than the copy they save, which
-``np.may_share_memory`` did not.  This is safe because of the rule
+by another array the same rule returned, or is not a writable array of
+the input's dtype.  These identity checks cost less than the copy they
+save, which ``np.may_share_memory`` did not.  This is safe because of the rule
 ``custom_op`` states: a backward rule never captures, in a deferred
 closure, an array it also returns.
 
@@ -34,6 +34,13 @@ summed over the broadcast axes.
 ``tile_rows`` stacks S copies of rows, and ``row_block`` takes a block of
 rows back out; their gradients add the same arrays in the same order as
 S separate uses of the rows would, so they keep every bit.
+
+Every op computes in its inputs' dtype, float32 or float64: a Tensor
+keeps the dtype of a float32 or float64 array and makes anything else
+float64, and an op whose array operands differ in dtype raises
+ShapeError naming both rather than promote float32 to float64.  Python
+floats act as scalars of the arrays' dtype under every numpy casting
+rule; a numpy float64 scalar does not under NEP 50, so no op uses one.
 
 Tensors are immutable once created and a tape is rebuilt for every
 forward pass, so independent tapes may run concurrently over disjoint
@@ -71,20 +78,37 @@ __all__ = [
 
 
 class ShapeError(ValueError):
-    """Operand shapes do not conform."""
+    """Operand shapes or dtypes do not conform."""
 
 
 class TapeError(RuntimeError):
     """Tape used outside its contract (non-scalar root, repeated backward)."""
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _as_float(values) -> np.ndarray:
+    """``values`` as an array, not copied if it is one of float32 or float64, whose dtype it keeps; anything else becomes float64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype in _FLOAT_DTYPES else arr.astype(np.float64)
+
+
+def _same_dtype(op: str, *arrays: np.ndarray) -> None:
+    """Raise ShapeError naming both dtypes unless every array has the first one's."""
+    dtype = arrays[0].dtype
+    for a in arrays[1:]:
+        if a.dtype != dtype:
+            raise ShapeError(f"{op}: operands of dtypes {dtype} and {a.dtype} do not mix")
+
+
 class Tensor:
-    """Immutable dense array of 64-bit floats."""
+    """Immutable dense array of 32- or 64-bit floats."""
 
     __slots__ = ("data",)
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64)
+        arr = np.array(_as_float(values))
         arr.flags.writeable = False
         self.data = arr
 
@@ -120,7 +144,7 @@ class Tensor:
 def _wrap(values: np.ndarray) -> Tensor:
     """Wrap an array we own without copying it."""
     t = Tensor.__new__(Tensor)
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _as_float(values)
     arr.flags.writeable = False
     t.data = arr
     return t
@@ -184,7 +208,8 @@ class Tape:
                 acc = grads.get(tensor)
                 if acc is None:
                     # A deferred gradient is computed fresh once it is needed.
-                    grads[tensor] = gi if callable(gi) or _owned(gi, g, returned) else np.array(gi, dtype=np.float64)
+                    dtype = tensor.data.dtype
+                    grads[tensor] = gi if callable(gi) or _owned(gi, g, returned, dtype) else np.array(gi, dtype=dtype)
                 else:
                     if callable(acc):
                         acc = grads[tensor] = acc()
@@ -196,7 +221,7 @@ class Tape:
 
         Without ``out`` the tape returns the array it holds, computing a
         deferred gradient on the first call and keeping it.  With ``out``,
-        a writable float64 array of ``t``'s shape, the gradient is written
+        a writable array of ``t``'s shape and dtype, the gradient is written
         into ``out``, which is returned: a deferred gradient is computed
         straight into it (``affine``'s weight and bias products are), any
         other is copied.  The tape keeps no reference to ``out``, so the
@@ -211,8 +236,8 @@ class Tape:
             if callable(g):
                 g = self._grads[t] = g()
             return g
-        if out.shape != t.data.shape or out.dtype != np.float64 or not out.flags.writeable:
-            raise ValueError(f"grad: out must be a writable float64 array of shape {t.data.shape}, got {out.dtype} {out.shape}")
+        if out.shape != t.data.shape or out.dtype != t.data.dtype or not out.flags.writeable:
+            raise ValueError(f"grad: out must be a writable {t.data.dtype} array of shape {t.data.shape}, got {out.dtype} {out.shape}")
         if g is None:
             out.fill(0.0)
             return out
@@ -223,17 +248,17 @@ class Tape:
         return out
 
 
-def _owned(gi, g, returned) -> bool:
-    """Whether the tape may keep a rule's returned ``gi`` as its own.
+def _owned(gi, g, returned, dtype) -> bool:
+    """Whether the tape may keep a rule's returned ``gi`` as its own gradient of an input of ``dtype``.
 
-    It may when ``gi`` is a writable float64 array that owns its memory,
+    It may when ``gi`` is a writable ``dtype`` array that owns its memory,
     and neither ``g`` nor another array in ``returned`` is or views it.
     An array that owns its memory (``base`` is None) shares it only with
     its views, whose ``base`` numpy sets to it.  So these identity checks
     can stand in for ``np.may_share_memory``, which cost more than the
     copy it saved.
     """
-    if type(gi) is not np.ndarray or gi.base is not None or gi is g or g.base is gi or gi.dtype != np.float64 or not gi.flags.writeable:
+    if type(gi) is not np.ndarray or gi.base is not None or gi is g or g.base is gi or gi.dtype != dtype or not gi.flags.writeable:
         return False
     return sum(1 for other in returned if other is gi or (type(other) is np.ndarray and other.base is gi)) == 1
 
@@ -246,7 +271,7 @@ def custom_op(values, inputs, backward) -> Tensor:
     or a deferred function, which the tape calls only once that input's
     gradient is needed.  A deferred function takes one optional argument,
     ``out``.  Called without it, it returns a fresh array.  ``Tape.grad``
-    may call it with ``out``, a float64 array of the input's shape: it
+    may call it with ``out``, an array of the input's shape and dtype: it
     then either writes the gradient into ``out`` and returns ``out``, or
     returns a fresh array, which the tape copies into ``out``.
 
@@ -258,7 +283,7 @@ def custom_op(values, inputs, backward) -> Tensor:
     (``g`` itself excepted): the closure would read the array after the
     tape has added into it.
     """
-    out = _wrap(np.asarray(values, dtype=np.float64))
+    out = _wrap(values)
     _record(out, tuple(inputs), backward)
     return out
 
@@ -285,6 +310,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
     _check_broadcast(sa, sb, "add")
+    _same_dtype("add", a.data, b.data)
     out = _wrap(a.data + b.data)
     _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
@@ -293,6 +319,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
     _check_broadcast(sa, sb, "sub")
+    _same_dtype("sub", a.data, b.data)
     out = _wrap(a.data - b.data)
     _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
@@ -301,6 +328,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.data.shape, b.data.shape, "mul")
     ad, bd = a.data, b.data
+    _same_dtype("mul", ad, bd)
     out = _wrap(ad * bd)
     _record(out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
     return out
@@ -323,6 +351,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     wd, xd, bd = w.data, x.data, b.data
     if wd.ndim != 2 or xd.ndim != 2 or xd.shape[1] != wd.shape[1] or bd.shape != wd.shape[:1]:
         raise ShapeError(f"affine: rows {xd.shape}, matrix {wd.shape} and bias {bd.shape} do not conform; expected (B, m) rows, a (k, m) matrix and a (k,) bias")
+    _same_dtype("affine", wd, xd, bd)
     out = _wrap(xd @ wd.T + bd)
 
     # All three gradients are deferred, so a frozen model or an input
@@ -351,6 +380,7 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     """Concatenation along the last axis; leading axes must agree."""
     if a.data.ndim == 0 or a.data.shape[:-1] != b.data.shape[:-1]:
         raise ShapeError(f"concat: shapes {a.data.shape} and {b.data.shape} differ before the last axis")
+    _same_dtype("concat", a.data, b.data)
     na = a.data.shape[-1]
     out = _wrap(np.concatenate([a.data, b.data], axis=-1))
     _record(out, (a, b), lambda g: (g[..., :na], g[..., na:]))
@@ -386,7 +416,7 @@ def row_block(x: Tensor, lo: int, hi: int) -> Tensor:
     def backward(g):
         # -0.0 is the additive identity, so summing the blocks of several
         # row_block calls keeps every bit of each, the sign of a zero too.
-        grad = np.full(xd.shape, -0.0)
+        grad = np.full(xd.shape, -0.0, dtype=xd.dtype)
         grad[lo:hi] = g
         return (grad,)
 
@@ -444,6 +474,7 @@ def prelu(x: Tensor, leak: Tensor) -> Tensor:
     xd, ld = x.data, leak.data
     if ld.ndim > xd.ndim or xd.shape[xd.ndim - ld.ndim :] != ld.shape:
         raise ShapeError(f"prelu: leak shape {ld.shape} does not match input shape {xd.shape}")
+    _same_dtype("prelu", xd, ld)
     out = _wrap(np.where(xd > 0, xd, ld * xd))
 
     def backward(g):
@@ -467,6 +498,7 @@ def multinomial_loglik(counts: Tensor, logits: Tensor) -> Tensor:
     cd, xd = counts.data, logits.data
     if xd.ndim != 2 or cd.shape != xd.shape:
         raise ShapeError(f"multinomial_loglik: expected counts and logits of one shape, (B, n) rows, got {cd.shape} and {xd.shape}")
+    _same_dtype("multinomial_loglik", xd, cd)
     shifted = xd - xd.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = _wrap((cd[:, None, :] @ logp[:, :, None])[:, 0, 0])

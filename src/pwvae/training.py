@@ -8,11 +8,12 @@ each epoch the validation bound is estimated with several samples per
 document; training stops once it has not improved for ``patience``
 epochs and the parameters from the best epoch are returned.
 
-The optimizer side of a step works on flat float64 arrays that ``train``
-lays out once per call (``ParamLayout``): the parameters, the gradient
-and the Adam moments.  ``train`` copies the caller's parameters into its
-flat buffer once; the model it trains reads them through read-only
-views, and the caller's arrays are never written.  The tape writes each
+The optimizer side of a step works on flat arrays of the model's dtype,
+float32 or float64, that ``train`` lays out once per call
+(``ParamLayout``): the parameters, the gradient and the Adam moments.
+``train`` copies the caller's parameters into its flat buffer once; the
+model it trains reads them through read-only views, and the caller's
+arrays are never written.  The tape writes each
 parameter's gradient straight into its view of the flat gradient
 (``Tape.grad(t, out=...)``, into which ``affine`` and the decoder
 compute their weight and bias products), which holds the batch's sum.
@@ -122,16 +123,17 @@ def kl_weight(step: int, config: TrainConfig) -> float:
 
 
 class ParamLayout:
-    """Where each parameter lies in a flat float64 array.
+    """Where each parameter lies in a flat array of ``dtype``, the parameters' float32 or float64.
 
     Parameters follow one another in the order of ``shapes``, each as its
     C-ordered values; ``views`` gives every parameter's view of a flat
     array, shaped like the parameter.  ``train`` lays its parameters,
-    gradients and Adam moments out this way, so one numpy call covers
-    every parameter.
+    gradients and Adam moments out this way, in the model's dtype, so one
+    numpy call covers every parameter.
     """
 
-    def __init__(self, shapes: Mapping[str, tuple]):
+    def __init__(self, shapes: Mapping[str, tuple], dtype):
+        self.dtype = np.dtype(dtype)
         self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
         self.slices: dict[str, slice] = {}
         lo = 0
@@ -150,8 +152,8 @@ class ParamLayout:
 
 def _check_flat(layout: ParamLayout, **arrays: np.ndarray) -> None:
     for label, a in arrays.items():
-        if a.shape != (layout.size,) or a.dtype != np.float64 or not a.flags.c_contiguous:
-            raise ValueError(f"{label} must be a C-contiguous float64 array of shape ({layout.size},), got {a.dtype} {a.shape}")
+        if a.shape != (layout.size,) or a.dtype != layout.dtype or not a.flags.c_contiguous:
+            raise ValueError(f"{label} must be a C-contiguous {layout.dtype} array of shape ({layout.size},), got {a.dtype} {a.shape}")
 
 
 def global_norm(grad: np.ndarray, layout: ParamLayout) -> float:
@@ -159,7 +161,8 @@ def global_norm(grad: np.ndarray, layout: ParamLayout) -> float:
 
     Each parameter's slice is reduced by one ``einsum`` that writes no
     array and does not go through BLAS, so the norm's bits do not depend
-    on the BLAS thread count; the sums are added in layout order.
+    on the BLAS thread count; the sums, in the gradient's dtype, are
+    added in layout order as Python floats.
     """
     _check_flat(layout, gradient=grad)
     return math.sqrt(sum(float(np.einsum("i,i->", grad[s], grad[s])) for s in layout.slices.values()))
@@ -177,7 +180,8 @@ def clip_gradients(grad: np.ndarray, layout: ParamLayout, clip_norm: float, n: i
     NaN.  Only a non-finite norm leads to a scan of each parameter's
     gradient, which raises ``FloatingPointError`` naming the first
     non-finite one.  If every gradient is finite, only the sum of squares
-    overflowed: ``grad`` is then divided in place by its largest
+    overflowed, as it does for a norm past about 1.8e19 at float32 and
+    1.3e154 at float64: ``grad`` is then divided in place by its largest
     magnitude, which makes its norm representable, and f is taken
     against the divided gradient.
     """
@@ -197,11 +201,13 @@ def clip_gradients(grad: np.ndarray, layout: ParamLayout, clip_norm: float, n: i
 
 
 # Floats per block of ``adam_step``: a block of g, m, v, p and the scratch
-# buffer is 1.25 MiB, so it stays in a 2 MiB L2 cache between the step's
-# 11 passes.  Adam step inside ``train`` at the paper shape (1,579,600
-# floats; Xeon, 2 vCPUs, 2 MiB L2 per core, numpy 2.4.6), median of 60
-# steps per size with the sizes alternated in one process: 16384 -> 10.2
-# ms, 32768 -> 10.2, 65536 -> 10.5.
+# buffer is 1.25 MiB at float64 and 640 KiB at float32, so it stays in a
+# 2 MiB L2 cache between the step's 11 passes.  Adam step inside ``train``
+# at the paper shape (1,579,600 float64s; Xeon, 2 vCPUs, 2 MiB L2 per
+# core, numpy 2.4.6), median of 60 steps per size with the sizes
+# alternated in one process: 16384 -> 10.2 ms, 32768 -> 10.2, 65536 ->
+# 10.5.  At float32, timed alone the same way: 16384 -> 6.4 ms, 32768 ->
+# 5.7, 65536 -> 5.4, 131072 -> 5.6.
 _ADAM_CHUNK = 32768
 
 
@@ -221,8 +227,9 @@ class AdamState:
 
 
 def adam_init(layout: ParamLayout) -> AdamState:
-    """Zero moments, one flat array each, and a scratch buffer of one block."""
-    return AdamState(layout, m=np.zeros(layout.size), v=np.zeros(layout.size), scratch=np.empty(min(_ADAM_CHUNK, layout.size)))
+    """Zero moments, one flat array each, and a scratch buffer of one block, all of the layout's dtype."""
+    dtype = layout.dtype
+    return AdamState(layout, m=np.zeros(layout.size, dtype), v=np.zeros(layout.size, dtype), scratch=np.empty(min(_ADAM_CHUNK, layout.size), dtype))
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, config: TrainConfig, scale: float) -> None:
@@ -248,8 +255,8 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, config: Tr
     """
     layout = state.layout
     _check_flat(layout, params=params, gradient=grad, first_moment=state.m, second_moment=state.v)
-    if state.scratch.shape != (min(_ADAM_CHUNK, layout.size),):
-        raise ValueError(f"adam_step: the scratch buffer must hold {min(_ADAM_CHUNK, layout.size)} floats, as adam_init makes it")
+    if state.scratch.shape != (min(_ADAM_CHUNK, layout.size),) or state.scratch.dtype != layout.dtype:
+        raise ValueError(f"adam_step: the scratch buffer must hold {min(_ADAM_CHUNK, layout.size)} {layout.dtype} floats, as adam_init makes it")
     if not params.flags.writeable or any(np.may_share_memory(params, a) for a in (grad, state.m, state.v)):
         raise ValueError("adam_step: params must be writable and overlap no gradient or moment")
     state.step += 1
@@ -316,7 +323,7 @@ def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, seed: in
 
 
 def _diagnostic(model: NvdmModel, epoch: int, batch_index: int) -> str:
-    # A parameter past about 1e154 overflows its squared norm, which then reads inf.
+    # A parameter past about 1e154 (1.8e19 at float32) overflows its squared norm, which then reads inf.
     with np.errstate(over="ignore"):
         norms = {name: float(np.linalg.norm(t.data)) for name, t in model.named_parameters()}
     worst = sorted(norms.items(), key=lambda kv: -kv[1])[:5]
@@ -344,13 +351,13 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
             _check_documents(model, corpus, corpus.docs)
         except ValueError as exc:
             raise type(exc)(f"{name} corpus: {exc}") from None
-    layout = ParamLayout({name: t.data.shape for name, t in model.named_parameters()})
+    layout = ParamLayout({name: t.data.shape for name, t in model.named_parameters()}, model.dtype)
     state = adam_init(layout)
-    grad = np.empty(layout.size)
+    grad = np.empty(layout.size, layout.dtype)
     # The parameters, which ``adam_step`` updates in place and ``trained``
     # reads.  While ``flat_is_best``, they are the best epoch's; the next
     # step first copies them into ``best``.
-    flat = np.empty(layout.size)
+    flat = np.empty(layout.size, layout.dtype)
     for name, view in layout.views(flat).items():
         view[...] = model.params[name].data
     trained = _viewing(model, layout, flat)
@@ -381,7 +388,7 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
                 raise TrainingDiverged(f"{_diagnostic(trained, epoch, batches)}; {exc}") from exc
             if flat_is_best:
                 if best is None:
-                    best = np.empty(layout.size)
+                    best = np.empty(layout.size, layout.dtype)
                 best[...] = flat
                 flat_is_best = False
             adam_step(flat, grad, state, config, scale)

@@ -25,7 +25,7 @@ def model_for(corpus, variant="h", seed=0, **kw):
         defaults["piece_dims"] = 0
     if variant == "p":
         defaults["gauss_dims"] = 0
-    return nvdm.init_model(variant, corpus.vocab_size, seed=seed, **defaults)
+    return nvdm.init_model(variant, corpus.vocab_size, seed=seed, **defaults, dtype=np.float64)
 
 
 class TestWordNeighbors:
@@ -169,7 +169,7 @@ class TestExportMeans:
 
 def _one_document_kl_gradient(model, corpus, doc, family):
     """The input gradient of one document's KL term, from a tape of its own."""
-    x = Tensor(corpus.dense([doc]))
+    x = Tensor(corpus.dense([doc], dtype=np.float64))
     gauss_prior, a_prior = nvdm.priors(model)
     with Tape() as tape:
         post = nvdm.amortized_posterior(model, nvdm.encode(model, x))
@@ -210,7 +210,7 @@ class TestBlocksMatchOneDocument:
         rows = [line.split("\t") for line in Path(out).read_text().splitlines() if not line.startswith("#")]
         assert [row[0] for row in rows] == [doc.doc_id for doc in corpus.docs]
         for doc, row in zip(corpus.docs, rows):
-            post = nvdm.amortized_posterior(model, nvdm.encode(model, Tensor(corpus.dense([doc]))))
+            post = nvdm.amortized_posterior(model, nvdm.encode(model, Tensor(corpus.dense([doc], dtype=np.float64))))
             a = pw.head_forward(post["piece_raw_a"]).data.reshape(model.piece_dims, model.n_pieces)
             expected = np.concatenate([post["gauss_mu"].data[0], pw.mean_rows(a)])
             np.testing.assert_allclose([float(v) for v in row[2:]], expected, rtol=1e-9)

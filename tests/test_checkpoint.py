@@ -69,7 +69,7 @@ class TestRoundTrip:
     ])
     def test_loaded_arrays_are_float64_contiguous_and_read_only_like_the_saved_ones(self, tmp_path, variant, kw):
         """Every ``Tensor`` holds a read-only array; a loaded one is C-ordered float64 like a fresh one."""
-        model = perturbed(nvdm.init_model(variant, 9, hidden=3, seed=8, **kw), seed=9)
+        model = perturbed(nvdm.init_model(variant, 9, hidden=3, seed=8, **kw, dtype=np.float64), seed=9)
         path = str(tmp_path / "m.ckpt")
         ck.save_checkpoint(model, path)
         loaded = ck.load_checkpoint(path)
@@ -79,9 +79,36 @@ class TestRoundTrip:
             assert got.dtype == np.float64 and got.flags.c_contiguous, name
             assert got.flags.writeable == t.data.flags.writeable, name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_arrays_carry_the_models_dtype(self, tmp_path, dtype):
+        """A float32 model loads as float32 and a float64 one as float64, each bit for bit and saved again byte for byte."""
+        model = perturbed(nvdm.init_model("h", 9, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=20, dtype=dtype), seed=21)
+        p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        ck.save_checkpoint(model, p1)
+        loaded = ck.load_checkpoint(p1)
+        assert loaded.dtype == dtype
+        for name, t in model.named_parameters():
+            got = loaded.params[name].data
+            assert got.dtype == dtype and got.tobytes() == t.data.tobytes(), name
+        ck.save_checkpoint(loaded, p2)
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+    def test_a_float32_file_at_the_paper_shape_is_half_the_float64_one(self, tmp_path):
+        """1,579,600 parameters: 12.6 MB of float64 values become 6.3 MB of float32, with the same archive overhead."""
+        sizes = {}
+        for dtype in (np.float32, np.float64):
+            model = nvdm.init_model("h", 2000, hidden=500, gauss_dims=50, piece_dims=50, n_pieces=3, seed=0, dtype=dtype)
+            path = tmp_path / f"{np.dtype(dtype).name}.ckpt"
+            ck.save_checkpoint(model, str(path))
+            sizes[dtype] = path.stat().st_size
+        count = sum(t.data.size for _, t in model.named_parameters())
+        assert count == 1_579_600
+        assert sizes[np.float64] - 8 * count == sizes[np.float32] - 4 * count < 8192
+        assert round(sizes[np.float64] / 1e6, 1) == 12.6 and round(sizes[np.float32] / 1e6, 1) == 6.3
+
     def test_a_fortran_ordered_decoder_is_stored_in_c_order(self, tmp_path):
         """``replaced`` and ``load_checkpoint`` copy a Fortran-ordered ``dec_r`` into C order, keeping its values."""
-        model = perturbed(nvdm.init_model("h", 9, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=14), seed=15)
+        model = perturbed(nvdm.init_model("h", 9, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=14, dtype=np.float64), seed=15)
         want = model.params["dec_r"].data
         fortran = np.asfortranarray(want)
         replaced = model.replaced({"dec_r": fortran})
@@ -126,7 +153,7 @@ class TestRoundTrip:
 def saved_arrays(tmp_path):
     """The arrays of a saved variant-G checkpoint, header first."""
     path = str(tmp_path / "good.ckpt")
-    ck.save_checkpoint(nvdm.init_model("g", 5, hidden=2, gauss_dims=1, seed=7), path)
+    ck.save_checkpoint(nvdm.init_model("g", 5, hidden=2, gauss_dims=1, seed=7, dtype=np.float64), path)
     with np.load(path, allow_pickle=False) as archive:
         return {name: archive[name] for name in archive.files}
 
@@ -233,6 +260,17 @@ class TestErrors:
         for bad in (w.T, w.reshape(-1), w[:, :-1], w.astype(np.float32), w.astype(">f8"), w.astype(np.int64)):
             write_arrays(tmp_path / "m.ckpt", {**arrays, "enc_w0": bad})
             rejects(tmp_path / "m.ckpt", "parameter 'enc_w0' is")
+
+    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("name", ["enc_w0", "g_alpha_mu", "dec_r"])
+    def test_rejects_an_archive_of_two_dtypes_naming_the_odd_parameter(self, tmp_path, dtype, other, name):
+        model = nvdm.init_model("g", 5, hidden=2, gauss_dims=1, seed=7, dtype=dtype)
+        path = tmp_path / "good.ckpt"
+        ck.save_checkpoint(model, str(path))
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        write_arrays(tmp_path / "m.ckpt", {**arrays, name: arrays[name].astype(other)})
+        rejects(tmp_path / "m.ckpt", f"parameter '{name}' is {np.dtype(other).name} .*, expected {np.dtype(dtype).name} ")
 
     def test_rejects_pickled_arrays(self, tmp_path):
         arrays = saved_arrays(tmp_path)

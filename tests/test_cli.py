@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pwvae
 from pwvae import cli
-from pwvae.checkpoint import load_checkpoint
+from pwvae.checkpoint import load_checkpoint, save_checkpoint
+from pwvae.nvdm import init_model
 from pwvae.training import TrainConfig
 
 
@@ -221,3 +223,21 @@ def test_iterative_eval_at_lr_0_repeats_the_amortised_report(data, checkpoint, c
     assert amortized.split("\t")[3:4] == ["amortized"] and refined.split("\t")[3:4] == ["iterative"]
     assert amortized.split("\t")[:2] == refined.split("\t")[:2]
     assert amortized_docs == refined_docs and len(amortized_docs) == 6
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_writes_float32_and_the_other_commands_follow_the_checkpoint(data, tmp_path, capsys, dtype):
+    """``train`` makes a float32 model; a float64 checkpoint, which only ``init_model`` makes, runs through every other command."""
+    ckpt = str(tmp_path / "model.ckpt")
+    assert cli.main(train_args(data, tmp_path, "h", "--gauss-dims", "2", "--piece-dims", "2")) == 0
+    model = load_checkpoint(ckpt)
+    assert model.dtype == "float32" and all(t.data.dtype == "float32" for _, t in model.named_parameters())
+    if dtype == "float64":
+        save_checkpoint(init_model("h", model.vocab_size, hidden=4, gauss_dims=2, piece_dims=2, seed=1, dtype=np.float64), ckpt)
+        assert load_checkpoint(ckpt).dtype == "float64"
+    capsys.readouterr()
+    args = ["--ckpt", ckpt, "--corpus", data + ".test.docs", "--vocab", data + ".vocab"]
+    assert cli.main(["eval", *args, "--iterative", "--steps", "3", "--samples", "2"]) == 0
+    assert cli.main(["sensitivity", *args]) == 0
+    assert cli.main(["export-means", *args, "--out", str(tmp_path / "means.tsv")]) == 0
+    assert cli.main(["query", "--ckpt", ckpt, "--vocab", data + ".vocab", "--word", "w0", "--k", "2"]) == 0

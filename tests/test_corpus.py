@@ -35,7 +35,7 @@ class TestLoading:
         docs = write(tmp_path, "docs.txt", "0 3:2\n")
         corpus = cio.load_corpus(vocab_path, docs, transform="log1p_tf")
         doc = corpus.docs[0]
-        assert corpus.dense([doc])[0, 3] == pytest.approx(np.log(3.0), abs=1e-12)
+        assert corpus.dense([doc], dtype=np.float64)[0, 3] == pytest.approx(np.log(3.0), abs=1e-12)
         assert doc.counts[0] == 2  # stored counts stay integers
 
     def test_empty_file_rejected(self, tmp_path, vocab_path):
@@ -223,19 +223,19 @@ class TestDense:
     def test_rows_match_a_per_document_reference(self, transform, picks):
         corpus = replace(cio.make_synthetic_bimodal(12, 30, seed=4), transform=transform)
         docs = [corpus.docs[i] for i in picks]
-        counts = corpus.dense_counts(docs)
-        rows = corpus.dense(docs)
+        counts = corpus.dense_counts(docs, dtype=np.float64)
+        rows = corpus.dense(docs, dtype=np.float64)
         np.testing.assert_array_equal(counts, np.stack([_reference_row(corpus, doc, "none") for doc in docs]))
         np.testing.assert_array_equal(rows, np.stack([_reference_row(corpus, doc, transform) for doc in docs]))
-        np.testing.assert_array_equal(corpus.dense(docs, counts=counts), rows)
+        np.testing.assert_array_equal(corpus.dense(docs, dtype=np.float64, counts=counts), rows)
         assert counts.sum(axis=1).tolist() == [doc.token_count for doc in docs]
 
     def test_plain_rows_are_the_counts_array(self):
         corpus = cio.make_synthetic_bimodal(4, 10, seed=1)
-        counts = corpus.dense_counts(corpus.docs)
-        assert corpus.dense(corpus.docs, counts=counts) is counts
+        counts = corpus.dense_counts(corpus.docs, dtype=np.float64)
+        assert corpus.dense(corpus.docs, dtype=np.float64, counts=counts) is counts
         logged = replace(corpus, transform="log1p_tf")
-        assert logged.dense(corpus.docs, counts=counts) is not counts
+        assert logged.dense(corpus.docs, dtype=np.float64, counts=counts) is not counts
 
     @pytest.mark.parametrize("bad_id", [5, 6, 2**40])
     def test_term_id_outside_the_vocabulary_names_its_document(self, bad_id):
@@ -243,7 +243,7 @@ class TestDense:
         docs = (cio.Document("ok", [0, 4], [1, 2]), cio.Document("bad", [1, bad_id, 2], [1, 1, 1]), cio.Document("also bad", [bad_id], [3]))
         corpus = cio.Corpus(vocab=tuple(f"w{i}" for i in range(5)), docs=docs)
         with pytest.raises(ValueError, match=f"document 'bad': term id {bad_id} is outside the vocabulary of 5 words"):
-            corpus.dense_counts(docs)
+            corpus.dense_counts(docs, dtype=np.float64)
         with pytest.raises(ValueError, match="document 'bad'"):
-            corpus.dense(docs[1:2])
-        np.testing.assert_array_equal(corpus.dense_counts(docs[:1]), [[1, 0, 0, 0, 2]])
+            corpus.dense(docs[1:2], dtype=np.float64)
+        np.testing.assert_array_equal(corpus.dense_counts(docs[:1], dtype=np.float64), [[1, 0, 0, 0, 2]])

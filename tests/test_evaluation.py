@@ -25,7 +25,7 @@ def fresh_model(variant="h", vocab=20, seed=0, **kw):
         defaults["piece_dims"], defaults["n_pieces"] = 0, 2
     if variant == "p":
         defaults["gauss_dims"] = 0
-    return nvdm.init_model(variant, vocab, seed=seed, **defaults)
+    return nvdm.init_model(variant, vocab, seed=seed, **defaults, dtype=np.float64)
 
 
 def refinable_model(variant, seed):
@@ -356,7 +356,7 @@ def _overflow_model(variant, seed):
 
 def _noise_overflow_model():
     """A G model whose logits overflow for some noise: posterior sigma about 1e150 and decoder weights 1e158."""
-    model = nvdm.init_model("g", 20, hidden=4, gauss_dims=1, seed=0)
+    model = nvdm.init_model("g", 20, hidden=4, gauss_dims=1, seed=0, dtype=np.float64)
     return model.replaced({"g_alpha_sigma": np.ones(1), "g_post_b_sigma": np.full(1, 1e300), "dec_r": np.full((1, 20), 1e158)})
 
 
@@ -510,8 +510,8 @@ def two_pass_refinement(model, corpus, docs, *, steps_max, lr, stop_patience, cl
     untaped pass under the tracking noise at the stepped parameters.
     """
     docs = list(docs)
-    raw = corpus.dense_counts(docs)
-    x, counts = T._wrap(corpus.dense(docs, counts=raw)), T._wrap(raw)
+    raw = corpus.dense_counts(docs, dtype=np.float64)
+    x, counts = T._wrap(corpus.dense(docs, dtype=np.float64, counts=raw)), T._wrap(raw)
     doc_keys = [doc.key for doc in docs]
     track_root, step_root = int(rng.integers(0, 2**63)), int(rng.integers(0, 2**63))
     track_noise = nvdm.draw_noises(model, 1, nvdm.noise_keys(track_root, doc_keys))

@@ -31,7 +31,7 @@ def randomized(model, seed, scale=0.3):
 class TestEncode:
     def test_zero_document_zero_biases_gives_zero_encoding(self):
         for activation in ("prelu", "softsign"):
-            model = nvdm.init_model("g", 5, hidden=4, gauss_dims=2, activation=activation, seed=0)
+            model = nvdm.init_model("g", 5, hidden=4, gauss_dims=2, activation=activation, seed=0, dtype=np.float64)
             out = nvdm.encode(model, T.Tensor(np.zeros((1, 5))))
             np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
@@ -47,8 +47,8 @@ class TestEncode:
 
     def test_finite_outputs_and_gradients(self):
         corpus = tiny_corpus()
-        model = randomized(nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=1), seed=2)
-        x_arr = corpus.dense(corpus.docs[:1])
+        model = randomized(nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=1, dtype=np.float64), seed=2)
+        x_arr = corpus.dense(corpus.docs[:1], dtype=np.float64)
         with T.Tape() as tape:
             x = T.Tensor(x_arr)
             out = nvdm.encode(model, x)
@@ -66,12 +66,12 @@ def word_logprobs(model, z):
 
 class TestDecode:
     def test_zero_decoder_is_uniform(self):
-        model = nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=0)
+        model = nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=0, dtype=np.float64)
         out = word_logprobs(model, T.Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data, np.log(0.2), rtol=0, atol=1e-15)
 
     def test_large_bias_dominates(self):
-        model = nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=0)
+        model = nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=0, dtype=np.float64)
         bias = np.zeros(5)
         bias[3] = 50.0
         model = model.replaced({"dec_b": bias})
@@ -81,7 +81,7 @@ class TestDecode:
 
     def test_normalises_and_gradients(self):
         rng = np.random.default_rng(3)
-        model = randomized(nvdm.init_model("g", 6, hidden=3, gauss_dims=2, seed=4), seed=5)
+        model = randomized(nvdm.init_model("g", 6, hidden=3, gauss_dims=2, seed=4, dtype=np.float64), seed=5)
         z_arr = rng.normal(size=2)
         weights = rng.normal(size=6)
         with T.Tape() as tape:
@@ -134,7 +134,7 @@ DECODER_SHAPES = {"paper-h": (2000, 50, 50), "tiny-p": (200, 0, 10)}
 def decoder_model(shape, seed):
     """A model at a workload's decoder shape, its decoder drawn as a (V, L) matrix and stored as its transpose."""
     vocab, gauss_dims, piece_dims = DECODER_SHAPES[shape]
-    model = nvdm.init_model("h" if gauss_dims else "p", vocab, hidden=4, gauss_dims=gauss_dims, piece_dims=piece_dims, seed=seed)
+    model = nvdm.init_model("h" if gauss_dims else "p", vocab, hidden=4, gauss_dims=gauss_dims, piece_dims=piece_dims, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed)
     return model.replaced({"dec_r": rng.normal(0.0, 0.3, (vocab, model.latent_dim)).T.copy(), "dec_b": rng.normal(0.0, 0.3, vocab)})
 
@@ -221,7 +221,7 @@ class TestDecoderLayout:
 
     def test_gradients_match_finite_differences(self):
         """Central differences of the summed log-likelihood in z, ``dec_r`` and ``dec_b``."""
-        model = randomized(nvdm.init_model("h", 7, hidden=3, gauss_dims=2, piece_dims=1, n_pieces=2, seed=30), seed=31)
+        model = randomized(nvdm.init_model("h", 7, hidden=3, gauss_dims=2, piece_dims=1, n_pieces=2, seed=30, dtype=np.float64), seed=31)
         rng = np.random.default_rng(32)
         z_arr, counts = rng.normal(size=(2, 3)), T.Tensor(rng.poisson(1.0, (2, 7)).astype(np.float64))
         z = T.Tensor(z_arr)
@@ -240,7 +240,7 @@ class TestDecoderLayout:
         The tape holds a deferred gradient as the function that computes
         it, so the bias gradient is unsummed while its slot is callable.
         """
-        model = randomized(nvdm.init_model("h", 23, hidden=4, gauss_dims=3, piece_dims=2, seed=9), seed=10)
+        model = randomized(nvdm.init_model("h", 23, hidden=4, gauss_dims=3, piece_dims=2, seed=9, dtype=np.float64), seed=10)
         rng = np.random.default_rng(11)
         counts = T.Tensor(rng.poisson(1.0, (3, 23)).astype(np.float64))
         rows = dict(gauss_mu=rng.normal(size=(3, 3)), gauss_raw_sigma=rng.normal(size=(3, 3)), piece_raw_a=rng.normal(size=(3, 6)))
@@ -291,7 +291,7 @@ ROW_NAMES = {"g": ("gauss_mu", "gauss_raw_sigma"), "p": ("piece_raw_a",), "h": (
 
 def bound_case(variant, pieces, samples, docs, seed):
     """A perturbed model, (docs, V) counts, its variant's posterior rows and ``samples`` noise samples."""
-    model = randomized(nvdm.init_model(variant, 23, hidden=4, gauss_dims=3, piece_dims=2, n_pieces=pieces, seed=seed), seed=seed + 1)
+    model = randomized(nvdm.init_model(variant, 23, hidden=4, gauss_dims=3, piece_dims=2, n_pieces=pieces, seed=seed, dtype=np.float64), seed=seed + 1)
     rng = np.random.default_rng(seed)
     counts = T.Tensor(rng.poisson(1.0, (docs, 23)).astype(np.float64))
     widths = {"gauss_mu": 3, "gauss_raw_sigma": 3, "piece_raw_a": 2 * pieces}
@@ -421,7 +421,7 @@ class TestCombineLatents:
 class TestElbo:
     def test_uniform_decoder_zero_kl_weight(self):
         corpus = tiny_corpus()
-        model = nvdm.init_model("h", 5, hidden=3, gauss_dims=1, piece_dims=1, n_pieces=2, seed=7)
+        model = nvdm.init_model("h", 5, hidden=3, gauss_dims=1, piece_dims=1, n_pieces=2, seed=7, dtype=np.float64)
         for doc in corpus.docs:
             rep = nvdm.elbo(model, corpus, doc, kl_weight=0.0, num_samples=3, rng=np.random.default_rng(0))
             assert rep.bound == pytest.approx(doc.token_count * np.log(1.0 / 5.0), rel=1e-12)
@@ -453,7 +453,7 @@ class TestElbo:
 
     def test_report_invariants(self):
         corpus = tiny_corpus()
-        model = randomized(nvdm.init_model("h", 5, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=12), seed=13)
+        model = randomized(nvdm.init_model("h", 5, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=12, dtype=np.float64), seed=13)
         rep = nvdm.elbo(model, corpus, corpus.docs[0], kl_weight=0.7, num_samples=4, rng=np.random.default_rng(4))
         assert rep.kl_gaussian >= 0.0 and rep.kl_piecewise >= 0.0
         assert rep.bound <= rep.reconstruction
@@ -479,10 +479,10 @@ class TestElbo:
         vocab = ("w0", "w1", "w2")
         doc = Document("0", np.array([0, 2]), np.array([1, 3]))
         corpus = Corpus(vocab=vocab, docs=(doc,))
-        model = nvdm.init_model("p", 3, hidden=2, piece_dims=1, n_pieces=2, seed=0)
+        model = nvdm.init_model("p", 3, hidden=2, piece_dims=1, n_pieces=2, seed=0, dtype=np.float64)
         r = np.array([[0.7], [-1.3], [0.4]])
         model = model.replaced({"dec_r": r.T, "p_post_w_a": np.zeros((2, 2))})
-        counts = corpus.dense_counts([doc])[0]
+        counts = corpus.dense_counts([doc], dtype=np.float64)[0]
         for eps, signed in ((0.0, -1.0), (0.5, 0.0), (1.0, 1.0)):
             rows = nvdm.batch_bound(model, corpus, [doc], (None, np.array([[[eps]]])), kl_weight=0.0)
             logits = -r[:, 0] * signed
@@ -494,9 +494,9 @@ class TestElbo:
         doc = Document("0", np.array([1]), np.array([2]))
         plain = Corpus(vocab=vocab, docs=(doc,))
         logged = Corpus(vocab=vocab, docs=(doc,), transform="log1p_tf")
-        assert plain.dense([doc])[0, 1] == 2.0
-        assert logged.dense([doc])[0, 1] == pytest.approx(np.log(3.0))
-        np.testing.assert_array_equal(logged.dense_counts([doc]), plain.dense_counts([doc]))
+        assert plain.dense([doc], dtype=np.float64)[0, 1] == 2.0
+        assert logged.dense([doc], dtype=np.float64)[0, 1] == pytest.approx(np.log(3.0))
+        np.testing.assert_array_equal(logged.dense_counts([doc], dtype=np.float64), plain.dense_counts([doc], dtype=np.float64))
 
 
 class TestFullGradient:
@@ -505,7 +505,7 @@ class TestFullGradient:
         corpus = tiny_corpus()
         doc = corpus.docs[0]
         model = randomized(
-            nvdm.init_model("h", 5, hidden=4, gauss_dims=1, piece_dims=1, n_pieces=2, seed=17), seed=18
+            nvdm.init_model("h", 5, hidden=4, gauss_dims=1, piece_dims=1, n_pieces=2, seed=17, dtype=np.float64), seed=18
         )
         seed = 123
 
@@ -556,7 +556,7 @@ class TestLowerBound:
         logp = logits - np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - logits.max(axis=1, keepdims=True)
 
         for doc in corpus.docs:
-            counts = corpus.dense_counts([doc])[0]
+            counts = corpus.dense_counts([doc], dtype=np.float64)[0]
             doc_loglik = logp @ counts
             exact = np.log(np.sum(np.exp(doc_loglik) * prior_pdf) / m)
 
@@ -585,10 +585,24 @@ def _reference_uniforms(key, count):
     return [(_splitmix64((start + c * 0x9E3779B97F4A7C15) & _WORD) >> 11) * 2.0**-53 for c in range(1, count + 1)]
 
 
+def _unmix64(z):
+    """The inverse of ``_splitmix64``: each xor-shift undone by repeating it, each product by the multiplier's inverse mod 2**64."""
+
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    z = (unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64)) & _WORD
+    z = (unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & _WORD
+    return unshift(z, 30)
+
+
 def noise_model(gauss_dims, piece_dims):
     """The smallest model with the given latent dimensions; ``draw_noises`` reads nothing else."""
     variant = "h" if gauss_dims and piece_dims else "g" if gauss_dims else "p"
-    return nvdm.init_model(variant, 2, hidden=1, gauss_dims=gauss_dims, piece_dims=piece_dims, n_pieces=2, seed=0)
+    return nvdm.init_model(variant, 2, hidden=1, gauss_dims=gauss_dims, piece_dims=piece_dims, n_pieces=2, seed=0, dtype=np.float64)
 
 
 class TestDrawNoises:
@@ -678,6 +692,35 @@ class TestDrawNoises:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError, match="num_samples must be >= 1"):
             nvdm.draw_noises(noise_model(2, 2), 0, self.KEYS)
+
+    @pytest.mark.parametrize("dims", [(3, 2), (0, 5), (4, 0)])
+    def test_float32_uniforms_are_the_float64_ones_cut_to_24_bits(self, dims):
+        """At float32 a uniform is its word's top 24 bits: floor(u64 * 2**24) / 2**24 of the float64 draw, exactly."""
+        variant = "h" if all(dims) else "g" if dims[0] else "p"
+        model32 = nvdm.init_model(variant, 2, hidden=1, gauss_dims=dims[0], piece_dims=dims[1], n_pieces=2, seed=0)
+        assert model32.dtype == np.float32
+        for got, want in zip(nvdm.draw_noises(model32, 3, self.KEYS), nvdm.draw_noises(noise_model(*dims), 3, self.KEYS)):
+            if want is None:
+                assert got is None
+            elif got is not None and got.shape[-1] == dims[1]:
+                assert got.dtype == np.float32 and got.shape == want.shape
+                assert got.astype(np.float64).tobytes() == (np.floor(want * 2.0**24) / 2.0**24).tobytes()
+            else:
+                # Normals of the cut uniforms, near the float64 ones.
+                assert got.dtype == np.float32 and np.all(np.isfinite(got))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
+
+    def test_the_largest_word_gives_a_uniform_below_one_and_a_finite_normal(self):
+        """The key whose first word is 2**64 - 1 draws u = 1 - 2**-24 at float32, which rounding the 53-bit u would make 1.0."""
+        key = np.array([_unmix64((_unmix64(_WORD) - 0x9E3779B97F4A7C15) & _WORD)], dtype=np.uint64)
+        assert _reference_uniforms(int(key[0]), 1) == [1.0 - 2.0**-53]
+        assert np.float32(1.0 - 2.0**-53) == 1.0
+        _, eps_p = nvdm.draw_noises(nvdm.init_model("p", 2, hidden=1, piece_dims=1, n_pieces=2, seed=0), 1, key)
+        assert eps_p.dtype == np.float32 and eps_p[0, 0, 0] == np.float32(1.0 - 2.0**-24)
+        # With one Gaussian dimension the first word is the Box-Muller radius's uniform: log1p(-u) stays finite.
+        for dtype in (np.float32, np.float64):
+            eps_g, _ = nvdm.draw_noises(nvdm.init_model("g", 2, hidden=1, gauss_dims=1, seed=0, dtype=dtype), 1, key)
+            assert eps_g.dtype == dtype and np.all(np.isfinite(eps_g)), dtype
 
     def test_noise_keys_are_distinct_for_distinct_ids(self):
         ids = np.arange(10_000, dtype=np.uint64)

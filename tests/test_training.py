@@ -50,9 +50,9 @@ class TestKlWeightSchedule:
 
 
 def flat(arrays):
-    """The arrays laid out in one flat gradient, and their layout."""
-    layout = training.ParamLayout({name: a.shape for name, a in arrays.items()})
-    g = np.empty(layout.size)
+    """The arrays laid out in one flat gradient of their dtype, and its layout."""
+    layout = training.ParamLayout({name: a.shape for name, a in arrays.items()}, np.result_type(*arrays.values()))
+    g = np.empty(layout.size, layout.dtype)
     for name, view in layout.views(g).items():
         view[...] = arrays[name]
     return g, layout
@@ -133,6 +133,29 @@ class TestClipGradients:
         """The squared norm overflows, but the norm, about 2.2e300, is below clip_norm: the gradient is not scaled up to it."""
         out = clip({"a": np.array([1e300, -2e300])}, 1e301)
         np.testing.assert_array_equal(out["a"], [1e300, -2e300])
+
+    def test_a_float32_gradient_whose_squared_norm_overflows_is_clipped_like_its_float64_twin(self):
+        """Entries up to 4e19 are finite in float32, but their sum of squares, about 2.1e39, is not.
+
+        The overflow path divides the float32 gradient by its largest
+        magnitude in place, raises nothing, and gives the clipped mean that
+        the same values give at float64, within float32 rounding.
+        """
+        arrays = {"a": np.array([1e19, -2e19, 3.0]), "b": np.array([[4e19], [0.5]])}
+        g32, layout32 = flat({name: a.astype(np.float32) for name, a in arrays.items()})
+        assert g32.dtype == np.float32 and np.all(np.isfinite(g32))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.einsum("i,i->", g32, g32))
+        g64, layout64 = flat({name: a.astype(np.float32).astype(np.float64) for name, a in arrays.items()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f32 = training.clip_gradients(g32, layout32, 5.0, 2)
+        f64 = training.clip_gradients(g64, layout64, 5.0, 2)
+        assert np.max(np.abs(g32)) == 1.0  # the overflow path divided it
+        clipped = f32 * g32
+        assert clipped.dtype == np.float32
+        np.testing.assert_allclose(clipped, f64 * g64, rtol=4 * np.finfo(np.float32).eps, atol=0)
+        assert float(np.linalg.norm(clipped.astype(np.float64))) == pytest.approx(5.0, rel=4 * np.finfo(np.float32).eps)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_raises_naming_it(self, bad):
@@ -225,7 +248,8 @@ ADAM_SHAPES = {
 
 
 def adam_setup(params):
-    layout = training.ParamLayout({name: t.data.shape for name, t in params.items()})
+    """The layout of the parameters, in their dtype, and fresh Adam state over it."""
+    layout = training.ParamLayout({name: t.data.shape for name, t in params.items()}, np.result_type(*(t.data for t in params.values())))
     return layout, training.adam_init(layout)
 
 
@@ -236,36 +260,38 @@ def flat_params(params):
 
 
 def flat_step(params, grads, state, config):
-    """One in-place ``adam_step`` from dicts of parameters and gradients; returns the new parameters as tensors."""
-    p, g = flat_params(params), flat(grads)[0]
+    """One in-place ``adam_step`` from dicts of parameters and gradients, in the parameters' dtype; returns the new parameters as tensors."""
+    p = flat_params(params)
+    g, _ = flat({name: np.asarray(a, p.dtype) for name, a in grads.items()})
     training.adam_step(p, g, state, config, 1.0)
     return {name: Tensor(view) for name, view in state.layout.views(p).items()}
 
 
 class TestAdam:
     @staticmethod
-    def _params(layout, rng):
-        """Parameters of ADAM_SHAPES' ``layout``, and their shapes."""
+    def _params(layout, rng, dtype):
+        """Parameters of ADAM_SHAPES' ``layout`` as ``dtype``, and their shapes."""
         shapes = ADAM_SHAPES[layout]
-        return {f"p{i}": Tensor(rng.normal(size=shape)) for i, shape in enumerate(shapes)}, shapes
+        return {f"p{i}": Tensor(rng.normal(size=shape).astype(dtype)) for i, shape in enumerate(shapes)}, shapes
 
     @staticmethod
     def _zero_moments(params):
         """A step count and zero moments per parameter, as the unblocked references take them."""
         return SimpleNamespace(step=0, m={n: np.zeros_like(t.data) for n, t in params.items()}, v={n: np.zeros_like(t.data) for n, t in params.items()})
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", list(ADAM_SHAPES))
-    def test_flat_blocked_step_is_bit_identical_to_unblocked(self, layout):
+    def test_flat_blocked_step_is_bit_identical_to_unblocked(self, layout, dtype):
         """Five steps, each in place on one flat parameter buffer, with a different scale each."""
         rng = np.random.default_rng(12)
-        params, shapes = self._params(layout, rng)
+        params, shapes = self._params(layout, rng, dtype)
         config = TrainConfig(learning_rate=0.01)
         _, state = adam_setup(params)
         ref_state = self._zero_moments(params)
         ref = params
         p = flat_params(params)
         for scale in (0.3, 1.0, 0.01, 2.5, 0.7):
-            grads = {name: rng.normal(size=shape) for name, shape in zip(params, shapes)}
+            grads = {name: rng.normal(size=shape).astype(dtype) for name, shape in zip(params, shapes)}
             g, _ = flat(grads)
             copy = g.copy()
             assert training.adam_step(p, g, state, config, scale) is None
@@ -274,19 +300,23 @@ class TestAdam:
         assert state.step == ref_state.step == 5
         new, m, v = (state.layout.views(a) for a in (p, state.m, state.v))
         for name in params:
+            assert new[name].dtype == ref[name].data.dtype == dtype, name
             assert new[name].tobytes() == ref[name].data.tobytes(), name
             assert m[name].tobytes() == ref_state.m[name].tobytes(), name
             assert v[name].tobytes() == ref_state.v[name].tobytes(), name
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 16 * np.finfo(np.float32).eps), (np.float64, 1e-12)])
     @pytest.mark.parametrize("layout", list(ADAM_SHAPES))
-    def test_clipped_steps_agree_with_the_unreordered_path(self, layout):
+    def test_clipped_steps_agree_with_the_unreordered_path(self, layout, dtype, tol):
         """Five clipped steps of the summed gradient and its factor against ``grad / n``, an in-place rescale and the unreordered Adam.
 
-        Parameters and unscaled moments agree within 1e-12 of each
-        parameter's largest magnitude.
+        Parameters and unscaled moments agree within ``tol`` of each
+        parameter's largest magnitude: 16 float32 epsilons, or 1e-12 at
+        float64.  Over seeds 14-23 the largest gap was 3.5 epsilons at
+        float32 and 3.9 at float64.
         """
         rng = np.random.default_rng(14)
-        params, shapes = self._params(layout, rng)
+        params, shapes = self._params(layout, rng, dtype)
         config = TrainConfig(learning_rate=0.01, clip_norm=2.0)
         b1, b2, n = config.adam_beta1, config.adam_beta2, 7
         _, state = adam_setup(params)
@@ -294,7 +324,7 @@ class TestAdam:
         ref = params
         p = flat_params(params)
         for _ in range(5):
-            grads = {name: n * rng.normal(size=shape) for name, shape in zip(params, shapes)}
+            grads = {name: n * rng.normal(size=shape).astype(dtype) for name, shape in zip(params, shapes)}
             g, _ = flat(grads)
             f = training.clip_gradients(g, state.layout, config.clip_norm, n)
             assert f < 1.0 / n
@@ -307,8 +337,9 @@ class TestAdam:
         new, m, v = (state.layout.views(a) for a in (p, state.m, state.v))
         for name in params:
             for got, want in ((new[name], ref[name].data), (m[name] * (1.0 - b1), ref_state.m[name]), (v[name] * (1.0 - b2), ref_state.v[name])):
+                assert got.dtype == want.dtype == dtype, name
                 if want.size:
-                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+                    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize(
         "fault, message",
@@ -322,27 +353,28 @@ class TestAdam:
             ("short_scratch", "scratch buffer must hold"),
         ],
     )
-    def test_bad_arguments_are_rejected_before_state_moves(self, fault, message):
-        model = nvdm.init_model("h", 6, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=3)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bad_arguments_are_rejected_before_state_moves(self, fault, message, dtype):
+        model = nvdm.init_model("h", 6, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=3, dtype=dtype)
         params = dict(model.params)
         rng = np.random.default_rng(4)
         layout, state = adam_setup(params)
         config = TrainConfig()
         params = flat_step(params, {n: rng.normal(size=t.data.shape) for n, t in params.items()}, state, config)
         p = flat_params(params)
-        grad, _ = flat({n: rng.normal(size=t.data.shape) for n, t in params.items()})
+        grad, _ = flat({n: rng.normal(size=t.data.shape).astype(dtype) for n, t in params.items()})
         if fault == "short_gradient":
             grad = grad[1:]
         elif fault == "strided_moment":
-            state.m = np.zeros(2 * layout.size)[::2]
+            state.m = np.zeros(2 * layout.size, dtype)[::2]
         elif fault == "strided_params":
             p = np.repeat(p, 2)[::2]
         elif fault == "params_overlap_the_gradient":
             # Views one float apart into one buffer.
-            shared = np.concatenate([grad, [0.0]])
+            shared = np.concatenate([grad, np.zeros(1, dtype)])
             grad, p = shared[:-1], shared[1:]
         elif fault == "params_overlap_a_moment":
-            shared = np.concatenate([state.v, [0.0]])
+            shared = np.concatenate([state.v, np.zeros(1, dtype)])
             state.v, p = shared[:-1], shared[1:]
         elif fault == "short_scratch":
             state.scratch = state.scratch[1:]
@@ -384,9 +416,9 @@ class TestAdam:
 
 
 def gradient_rows(model):
-    """The layout of a trainer-style flat buffer for the model's summed gradient, and the buffer, filled with NaN."""
-    layout = training.ParamLayout({name: t.data.shape for name, t in model.named_parameters()})
-    return layout, np.full(layout.size, np.nan)
+    """The layout of a trainer-style flat buffer for the model's summed gradient, and the buffer, of the model's dtype and filled with NaN."""
+    layout = training.ParamLayout({name: t.data.shape for name, t in model.named_parameters()}, model.dtype)
+    return layout, np.full(layout.size, np.nan, layout.dtype)
 
 
 class TestTrainLoop:
@@ -403,7 +435,7 @@ class TestTrainLoop:
         from dataclasses import replace
 
         tiny = replace(train_c, docs=train_c.docs[:10])
-        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=5)
+        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=5, dtype=np.float64)
         config = TrainConfig(learning_rate=0.01, batch_size=10, max_epochs=1, patience=5, seed=5)
 
         def fixed_bound(m):
@@ -456,7 +488,7 @@ class TestTrainLoop:
     def test_an_overflowing_forward_diverges_without_a_numpy_warning(self, small_corpus):
         """Posterior variances that overflow give a non-finite bound, which ends training at its batch."""
         train_c, valid_c = small_corpus
-        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=8)
+        model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=8, dtype=np.float64)
         model = model.replaced({"g_alpha_sigma": np.full(2, 10.0), "g_post_b_sigma": np.full(2, 1e308)})
         config = TrainConfig(batch_size=50, max_epochs=1, patience=1, seed=8)
         with warnings.catch_warnings():
@@ -464,7 +496,8 @@ class TestTrainLoop:
             with pytest.raises(training.TrainingDiverged, match="^non-finite loss in epoch 1, batch 0; largest parameter norms: g_post_b_sigma=inf"):
                 training.train(model, train_c, valid_c, config)
 
-    def test_trainer_owns_every_gradient_array(self, small_corpus):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trainer_owns_every_gradient_array(self, small_corpus, dtype):
         """The batch's summed gradients are written into the trainer's flat buffer, and stay its sum.
 
         The tape and Adam write only arrays no one else holds: the
@@ -473,7 +506,7 @@ class TestTrainLoop:
         from pwvae.tensor import Tape
 
         train_c, valid_c = small_corpus
-        model = randomized(nvdm.init_model("h", 20, hidden=4, seed=11, **VARIANT_DIMS["h"]), seed=12)
+        model = randomized(nvdm.init_model("h", 20, hidden=4, seed=11, **VARIANT_DIMS["h"], dtype=dtype), seed=12)
         config = TrainConfig(batch_size=40, max_epochs=2, patience=5, seed=11)
         layout, grad = gradient_rows(model)
         training._batch_gradients(model, train_c, list(range(40)), 1.0, config.seed, 0, layout, grad)
@@ -482,11 +515,12 @@ class TestTrainLoop:
             tape.backward(nvdm.batch_bound(model, train_c, train_c.docs[:40], noise).total)
         views = layout.views(grad)
         for name, t in model.named_parameters():
-            assert views[name].tobytes() == tape.grad(t).tobytes(), name
+            assert views[name].dtype == dtype and views[name].tobytes() == tape.grad(t).tobytes(), name
             assert not np.shares_memory(grad, t.data), name
 
         before = {name: t.data.copy() for name, t in model.named_parameters()}
         result = training.train(model, train_c, valid_c, config)
+        assert result.model.dtype == dtype
         for name, t in model.named_parameters():
             np.testing.assert_array_equal(t.data, before[name], err_msg=name)
             assert np.any(result.model.params[name].data != before[name]), name
@@ -609,7 +643,7 @@ class TestTrainerBuffers:
     def test_the_returned_model_survives_later_steps(self, small_corpus):
         """The best epoch (4 of 6) is followed by 8 more steps, which must not write into the best parameters' buffer."""
         train_c, valid_c = small_corpus
-        model = nvdm.init_model("h", 20, hidden=4, seed=0, **VARIANT_DIMS["h"])
+        model = nvdm.init_model("h", 20, hidden=4, seed=0, **VARIANT_DIMS["h"], dtype=np.float64)
         before = {name: t.data.copy() for name, t in model.named_parameters()}
         config = TrainConfig(learning_rate=0.2, batch_size=30, max_epochs=6, patience=6, seed=0)
         result = training.train(model, train_c, valid_c, config)
@@ -634,7 +668,7 @@ class TestTrainerBuffers:
         """
         corpus = cio.make_synthetic_bimodal(70, 2000, seed=1)
         train_c, valid_c = replace(corpus, docs=corpus.docs[:60]), replace(corpus, docs=corpus.docs[60:])
-        model = nvdm.init_model("h", 2000, hidden=500, gauss_dims=50, piece_dims=50, n_pieces=3, seed=2)
+        model = nvdm.init_model("h", 2000, hidden=500, gauss_dims=50, piece_dims=50, n_pieces=3, seed=2, dtype=np.float64)
         matrix = model.params["enc_w1"].data.nbytes
         assert matrix == 2_000_000 and model.params["dec_r"].data.nbytes == 1_600_000
         rises = []
@@ -689,7 +723,7 @@ class TestTrainerBuffers:
     def test_parameters_in_any_memory_layout_train_like_their_c_ordered_twin(self, small_corpus, order):
         """An ``enc_w0`` that is Fortran-ordered or a strided view trains to the bytes of its C-ordered twin, and is left as it was."""
         train_c, valid_c = small_corpus
-        model = nvdm.init_model("h", 20, hidden=4, seed=14, **VARIANT_DIMS["h"])
+        model = nvdm.init_model("h", 20, hidden=4, seed=14, **VARIANT_DIMS["h"], dtype=np.float64)
         w = model.params["enc_w0"].data
         if order == "fortran":
             owner = odd = np.asfortranarray(w)
@@ -806,7 +840,7 @@ class TestBatchGradients:
         from pwvae.tensor import Tape
 
         train_c, _ = small_corpus
-        model = randomized(nvdm.init_model(variant, 20, hidden=5, seed=40, **VARIANT_DIMS[variant]), seed=41)
+        model = randomized(nvdm.init_model(variant, 20, hidden=5, seed=40, **VARIANT_DIMS[variant], dtype=np.float64), seed=41)
         seed, step, w = 42, 3, 0.7
         doc_indices = [7, 2, 19, 11, 4, 30]
         slots = list(range(len(doc_indices)))
@@ -838,10 +872,16 @@ class TestBatchGradients:
             assert np.any(ref_grads[name] != 0.0), name
             np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-12, err_msg=name)
 
-    def test_noise_and_bound_depend_on_slot_only(self, small_corpus):
-        """A document keeps its noise and bound whatever the batch's size and order."""
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 8 * np.finfo(np.float32).eps), (np.float64, 1e-12)])
+    def test_noise_and_bound_depend_on_slot_only(self, small_corpus, dtype, rtol):
+        """A document keeps its noise and bound whatever the batch's size and order.
+
+        The bounds agree within 8 float32 epsilons, or 1e-12 at float64:
+        the batch's size changes the order of the sums in its products.
+        Over model seeds 43-52 the largest gap was 1.3 float32 epsilons.
+        """
         train_c, _ = small_corpus
-        model = randomized(nvdm.init_model("h", 20, hidden=5, seed=43, **VARIANT_DIMS["h"]), seed=44)
+        model = randomized(nvdm.init_model("h", 20, hidden=5, seed=43, **VARIANT_DIMS["h"], dtype=dtype), seed=44)
         seed, step = 45, 2
         docs = [train_c.docs[i] for i in range(10)]
         slots = list(range(10))
@@ -851,9 +891,10 @@ class TestBatchGradients:
         for subset in ([3], [9, 0, 4], [5, 6, 7, 8, 1]):
             noise = training._slot_noise(model, seed, step, subset)
             for eps, full_eps in zip(noise, full_noise, strict=True):
+                assert eps.dtype == dtype
                 np.testing.assert_array_equal(eps, full_eps[:, subset])
             part = nvdm.batch_bound(model, train_c, [docs[s] for s in subset], noise).bounds
-            np.testing.assert_allclose(part, full[subset], rtol=1e-12)
+            np.testing.assert_allclose(part, full[subset], rtol=rtol)
 
 
 class TestTrainedDigests:
@@ -879,7 +920,7 @@ class TestTrainedDigests:
 
         corpus = replace(cio.make_synthetic_bimodal(60, 20, seed=3), transform=transform)
         train, valid = replace(corpus, docs=corpus.docs[:40]), replace(corpus, docs=corpus.docs[40:])
-        model = nvdm.init_model(variant, 20, hidden=8, gauss_dims=3, piece_dims=2, n_pieces=pieces, seed=4)
+        model = nvdm.init_model(variant, 20, hidden=8, gauss_dims=3, piece_dims=2, n_pieces=pieces, seed=4, dtype=np.float64)
         config = TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=5, valid_samples=2, learning_rate=0.01)
         trained = training.train(model, train, valid, config).model
         report = evaluation.evaluate(trained, valid, num_samples=10, rng=np.random.default_rng(6))
