@@ -2,7 +2,7 @@
 
 from .corpus import Corpus, Document, load_corpus, make_synthetic_bimodal, save_corpus
 from .gaussian import GaussianHead, GaussianParams
-from .nvdm import ElboReport, NvdmModel, elbo, init_model
+from .nvdm import NvdmModel, elbo, init_model
 from .tensor import Tape, Tensor
 
 __version__ = "0.1.0"
@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus",
     "Document",
-    "ElboReport",
     "GaussianHead",
     "GaussianParams",
     "NvdmModel",

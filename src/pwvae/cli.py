@@ -19,8 +19,8 @@ import numpy as np
 
 from . import analysis, evaluation, training
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .corpus import CorpusFormatError, load_corpus, make_synthetic_bimodal, save_corpus
-from .nvdm import init_model
+from .corpus import TRANSFORMS, CorpusFormatError, load_corpus, make_synthetic_bimodal, save_corpus
+from .nvdm import ACTIVATIONS, VARIANTS, init_model
 from .tensor import ShapeError
 from .training import TrainConfig, TrainingDiverged
 
@@ -78,16 +78,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model, which computes in float32")
-    p.add_argument("--variant", choices=("g", "p", "h"), required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--pieces", type=int, default=None)
     p.add_argument("--gauss-dims", type=int, default=None)
     p.add_argument("--piece-dims", type=int, default=None)
     p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--activation", choices=("prelu", "softsign"), default=None)
+    p.add_argument("--activation", choices=ACTIVATIONS, default=None)
     p.add_argument("--corpus", required=True, help="training documents file")
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--valid", required=True, help="validation documents file")
-    p.add_argument("--transform", choices=("none", "log1p_tf"), default="none")
+    p.add_argument("--transform", choices=TRANSFORMS, default="none")
     p.add_argument("--config", default=None, help="flat key = value config file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path of the binary checkpoint (an .npz archive, written at exactly this path)")
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--transform", choices=("none", "log1p_tf"), default="none")
+    p.add_argument("--transform", choices=TRANSFORMS, default="none")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kl-weight", type=float, default=1.0)
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--transform", choices=("none", "log1p_tf"), default="none")
+    p.add_argument("--transform", choices=TRANSFORMS, default="none")
     p.add_argument("--top-m", type=int, default=5)
     p.set_defaults(func=_cmd_sensitivity)
 
@@ -134,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--labels", default=None)
-    p.add_argument("--transform", choices=("none", "log1p_tf"), default="none")
+    p.add_argument("--transform", choices=TRANSFORMS, default="none")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_means)
     return parser

@@ -28,11 +28,12 @@ decoded as (B, ·) matrices, and one bound assembly (``posterior_bound``)
 takes a batch's posterior rows and returns every document's bound,
 reconstruction and KL terms together with their taped sum.
 ``batch_bound`` runs it under the amortised posterior for training and
-evaluation, ``elbo`` is its one-document caller, and iterative inference
-calls ``posterior_bound`` with the rows it refines.  Noise for S
-posterior samples is one (eps_gauss, eps_piece) pair of (S, B, dims)
-arrays, None for an absent family, whose rows belong to the documents
-in order.
+evaluation, and iterative inference calls ``posterior_bound`` with the
+rows it refines.  ``RowBounds`` is the one result of every bound call:
+``elbo`` bounds one document through ``batch_bound`` and returns its one
+row.  Noise for S posterior samples is one (eps_gauss, eps_piece) pair
+of (S, B, dims) arrays, None for an absent family, whose rows belong to
+the documents in order.
 
 ``posterior_bound`` draws the latents of all S posterior samples in one
 pass over each family's noise as (S*B, dims) rows.  ``tile_rows``
@@ -62,15 +63,17 @@ count t into its step root, so a refined row's step noise is keyed by
 The parameters' dtype, float32 or float64, is the model's (``dtype``):
 ``init_model`` chooses it, float32 by default, and the dense rows, the
 noise and every op follow it.  There is one code path for both: at
-float64 each op does what it would with float64 fixed.  Noise of the
-other dtype raises ShapeError naming both dtypes when ``posterior_bound``
+float64 each op does what it would with float64 fixed.  A model whose
+parameters differ in dtype, or in names or shapes from its
+configuration's, cannot be built (``NvdmModel``).  Noise of the other
+dtype raises ShapeError naming both dtypes when ``posterior_bound``
 checks it, and rows or a Tensor of the other dtype at the first op that
 would mix them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -99,7 +102,6 @@ __all__ = [
     "ACTIVATIONS",
     "DTYPES",
     "NvdmModel",
-    "ElboReport",
     "RowBounds",
     "init_model",
     "param_shapes",
@@ -123,7 +125,23 @@ PRELU_LEAK_INIT = 0.25
 
 
 def param_shapes(variant: str, vocab_size: int, hidden: int, gauss_dims: int, piece_dims: int, n_pieces: int, activation: str) -> dict[str, tuple]:
-    """Canonical parameter names and shapes, in checkpoint order."""
+    """Canonical parameter names and shapes, in checkpoint order, of a valid configuration; any other raises ValueError naming the field."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if vocab_size < 1 or hidden < 1:
+        raise ValueError("vocab_size and hidden must be positive")
+    if variant in ("g", "h") and gauss_dims < 1:
+        raise ValueError(f"variant {variant!r} needs gauss_dims >= 1")
+    if variant in ("p", "h") and piece_dims < 1:
+        raise ValueError(f"variant {variant!r} needs piece_dims >= 1")
+    if variant == "g" and piece_dims != 0:
+        raise ValueError("variant 'g' must have piece_dims == 0")
+    if variant == "p" and gauss_dims != 0:
+        raise ValueError("variant 'p' must have gauss_dims == 0")
+    if piece_dims > 0 and n_pieces < 2:
+        raise ValueError("piecewise latents need at least 2 pieces")
     shapes: dict[str, tuple] = {
         "enc_w0": (hidden, vocab_size),
         "enc_b0": (hidden,),
@@ -161,6 +179,19 @@ def param_shapes(variant: str, vocab_size: int, hidden: int, gauss_dims: int, pi
 
 @dataclass
 class NvdmModel:
+    """A model's configuration and its parameters, checked wherever a model is built.
+
+    However it is built (``init_model``, ``checkpoint.load_checkpoint``,
+    ``replaced`` or ``dataclasses.replace``), the configuration must be one
+    that ``param_shapes`` accepts, else ValueError names the field, and
+    ``params`` must hold exactly its names and shapes, every one in
+    ``dec_b``'s dtype (a Tensor is float32 or float64), else ValueError
+    names the parameters missing and unexpected, or ShapeError the first
+    parameter of another shape or dtype.  ``params`` is then kept in
+    ``param_shapes``' order, which is the checkpoint's and the trainer's
+    flat layout's.
+    """
+
     variant: str
     vocab_size: int
     hidden: int
@@ -169,6 +200,18 @@ class NvdmModel:
     n_pieces: int
     activation: str
     params: dict[str, Tensor] = field(repr=False)
+
+    def __post_init__(self):
+        expected = param_shapes(self.variant, self.vocab_size, self.hidden, self.gauss_dims, self.piece_dims, self.n_pieces, self.activation)
+        missing, extra = sorted(expected.keys() - self.params.keys()), sorted(self.params.keys() - expected.keys())
+        if missing or extra:
+            raise ValueError(f"parameters missing {missing}, unexpected {extra}")
+        dtype = self.params["dec_b"].data.dtype
+        for name, shape in expected.items():
+            got = self.params[name].data
+            if got.shape != shape or got.dtype != dtype:
+                raise ShapeError(f"parameter {name!r} is {got.dtype} {got.shape}, expected {dtype} {shape}")
+        self.params = {name: self.params[name] for name in expected}
 
     @property
     def latent_dim(self) -> int:
@@ -185,46 +228,17 @@ class NvdmModel:
     def replaced(self, updates: dict[str, np.ndarray]) -> "NvdmModel":
         """Copy of the model with some parameters replaced.
 
-        A Tensor is kept as it is, and must have the dtype of the parameter
-        it replaces; any other value is copied into a C-ordered array of that
-        dtype, which the decoder and the trainer's flat layout read fastest
-        (a Fortran-ordered ``dec_r`` slows ``decode_logprob``).
+        A Tensor is kept as it is; any other value is copied into a
+        C-ordered array of the model's dtype, which the decoder and the
+        trainer's flat layout read fastest (a Fortran-ordered ``dec_r``
+        slows ``decode_logprob``).  The copy is checked as every model is.
         """
-        params = dict(self.params)
-        for name, values in updates.items():
-            if name not in params:
-                raise KeyError(f"unknown parameter {name!r}")
-            old = params[name].data
-            t = values if isinstance(values, Tensor) else _wrap(np.array(values, dtype=old.dtype, order="C"))
-            if t.data.shape != old.shape or t.data.dtype != old.dtype:
-                raise ShapeError(f"parameter {name}: {t.data.dtype} of shape {t.data.shape} != {old.dtype} of shape {old.shape}")
-            params[name] = t
-        return NvdmModel(
-            variant=self.variant,
-            vocab_size=self.vocab_size,
-            hidden=self.hidden,
-            gauss_dims=self.gauss_dims,
-            piece_dims=self.piece_dims,
-            n_pieces=self.n_pieces,
-            activation=self.activation,
-            params=params,
-        )
+        params = {**self.params, **{name: v if isinstance(v, Tensor) else _wrap(np.array(v, dtype=self.dtype, order="C")) for name, v in updates.items()}}
+        return replace(self, params=params)
 
     def gaussian_head(self) -> GaussianHead:
         """The Gaussian head over this model's ``g_<field>`` parameters."""
         return GaussianHead(**{f.name: self.params[f"g_{f.name}"] for f in fields(GaussianHead)})
-
-
-@dataclass
-class ElboReport:
-    """One variational-bound evaluation of a document."""
-
-    reconstruction: float
-    kl_gaussian: float
-    kl_piecewise: float
-    bound: float
-    samples_used: int
-    bound_node: Tensor | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -243,36 +257,6 @@ class RowBounds:
     kl_piecewise: np.ndarray
     total: Tensor = field(compare=False, repr=False)
     tracked: np.ndarray | None = None
-
-    def single(self, samples_used: int) -> ElboReport:
-        """The report of a one-document batch."""
-        return ElboReport(
-            reconstruction=float(self.reconstruction[0]),
-            kl_gaussian=float(self.kl_gaussian[0]),
-            kl_piecewise=float(self.kl_piecewise[0]),
-            bound=float(self.bounds[0]),
-            samples_used=samples_used,
-            bound_node=self.total,
-        )
-
-
-def _validate_config(variant, vocab_size, hidden, gauss_dims, piece_dims, n_pieces, activation):
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    if vocab_size < 1 or hidden < 1:
-        raise ValueError("vocab_size and hidden must be positive")
-    if variant in ("g", "h") and gauss_dims < 1:
-        raise ValueError(f"variant {variant!r} needs gauss_dims >= 1")
-    if variant in ("p", "h") and piece_dims < 1:
-        raise ValueError(f"variant {variant!r} needs piece_dims >= 1")
-    if variant == "g" and piece_dims != 0:
-        raise ValueError("variant 'g' must have piece_dims == 0")
-    if variant == "p" and gauss_dims != 0:
-        raise ValueError("variant 'p' must have gauss_dims == 0")
-    if piece_dims > 0 and n_pieces < 2:
-        raise ValueError("piecewise latents need at least 2 pieces")
 
 
 def init_model(
@@ -298,12 +282,13 @@ def init_model(
         piece_dims = 0
     if variant == "p":
         gauss_dims = 0
-    _validate_config(variant, vocab_size, hidden, gauss_dims, piece_dims, n_pieces, activation)
+    config = dict(variant=variant, vocab_size=vocab_size, hidden=hidden, gauss_dims=gauss_dims, piece_dims=piece_dims, n_pieces=n_pieces, activation=activation)
+    shapes = param_shapes(**config)
     if dtype not in (np.float32, np.float64, *DTYPES):
         raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    for name, shape in param_shapes(variant, vocab_size, hidden, gauss_dims, piece_dims, n_pieces, activation).items():
+    for name, shape in shapes.items():
         if name.startswith("enc_leak"):
             values = np.full(shape, PRELU_LEAK_INIT)
         elif name in ("dec_r", "dec_b") or "_b_" in name or name.startswith("g_alpha") or name.startswith("enc_b"):
@@ -313,16 +298,7 @@ def init_model(
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             values = rng.uniform(-bound, bound, shape)
         params[name] = _wrap(values.astype(dtype))
-    return NvdmModel(
-        variant=variant,
-        vocab_size=vocab_size,
-        hidden=hidden,
-        gauss_dims=gauss_dims,
-        piece_dims=piece_dims,
-        n_pieces=n_pieces,
-        activation=activation,
-        params=params,
-    )
+    return NvdmModel(**config, params=params)
 
 
 def _activate(model: NvdmModel, t: Tensor, layer: int) -> Tensor:
@@ -475,9 +451,10 @@ def _check_documents(model: NvdmModel, corpus: Corpus, docs) -> None:
 def batch_bound(model: NvdmModel, corpus: Corpus, docs, noise, *, kl_weight: float = 1.0) -> RowBounds:
     """Variational bounds of a batch of documents under the amortised posterior.
 
-    ``noise`` is ``draw_noises``' pair, with one row per document.
+    ``noise`` is ``draw_noises``' pair, with one row per document.  The
+    documents are not checked here: each caller checks its own once
+    (``_check_documents``).
     """
-    _check_documents(model, corpus, docs)
     counts = corpus.dense_counts(docs, dtype=model.dtype)
     rows = amortized_posterior(model, encode(model, _wrap(corpus.dense(docs, dtype=model.dtype, counts=counts))))
     return posterior_bound(model, _wrap(counts), priors=priors(model), kl_weight=kl_weight, noise=noise, **rows)
@@ -491,12 +468,11 @@ def elbo(
     kl_weight: float = 1.0,
     num_samples: int = 1,
     rng: np.random.Generator,
-) -> ElboReport:
-    """Variational bound of one document under the amortised posterior, its noise keyed by a draw from ``rng``."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+) -> RowBounds:
+    """Variational bound of one document under the amortised posterior, as one row, its noise keyed by a draw from ``rng``."""
+    _check_documents(model, corpus, [doc])
     noise = draw_noises(model, num_samples, rng.integers(0, 2**64, size=1, dtype=np.uint64))
-    return batch_bound(model, corpus, [doc], noise, kl_weight=kl_weight).single(num_samples)
+    return batch_bound(model, corpus, [doc], noise, kl_weight=kl_weight)
 
 
 def _noise_samples(model: NvdmModel, noise, rows: int, name: str) -> int:

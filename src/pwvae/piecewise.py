@@ -90,10 +90,16 @@ def _active_segment(a: np.ndarray, eps: np.ndarray):
 
 
 def _inverse_cdf(a: np.ndarray, eps: np.ndarray, segment) -> np.ndarray:
+    """Draws idx/n + (total*eps - prev) / (n*a_sel), each clamped to its segment's closure [idx/n, (idx+1)/n].
+
+    The clamp holds a draw in the segment that its noise selected when
+    the selected weight is below about one rounding unit of the sum
+    before it: total*eps - prev then cancels and can throw z anywhere.
+    """
     idx, a_sel, prev, total = segment
     n = a.shape[1]
-    z = idx.astype(a.dtype) / n + (total * eps - prev) / (n * a_sel)
-    z = np.minimum(np.maximum(z, 0.0), 1.0)
+    lo = idx.astype(a.dtype) / n
+    z = np.minimum(np.maximum(lo + (total * eps - prev) / (n * a_sel), lo), (idx + 1).astype(a.dtype) / n)
     return np.where(eps <= 0.0, 0.0, np.where(eps >= 1.0, 1.0, z))
 
 

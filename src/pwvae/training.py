@@ -303,7 +303,7 @@ def _slot_noise(model: NvdmModel, seed: int, step: int, slots):
 
 
 def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, seed: int, step: int, layout: ParamLayout, grad: np.ndarray):
-    """Summed-bound gradient of one mini-batch, written into the flat ``grad`` laid out by ``layout``; returns the mean bound, reconstruction and KL terms.
+    """Summed-bound gradient of one mini-batch, written into the flat ``grad`` laid out by ``layout``; returns the mean bound and KL terms.
 
     One forward and one backward over the batch's documents as rows; a
     document's slot is its position in the batch.
@@ -319,7 +319,7 @@ def _batch_gradients(model: NvdmModel, corpus: Corpus, batch, w: float, seed: in
         tape.backward(rows.total)
         for name, t in model.named_parameters():
             tape.grad(t, out=views[name])
-    return float(rows.total) / n, float(rows.reconstruction.sum()) / n, float(rows.kl_gaussian.sum()) / n, float(rows.kl_piecewise.sum()) / n
+    return float(rows.total) / n, float(rows.kl_gaussian.sum()) / n, float(rows.kl_piecewise.sum()) / n
 
 
 def _diagnostic(model: NvdmModel, epoch: int, batch_index: int) -> str:
@@ -374,12 +374,12 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
     for epoch in range(1, config.max_epochs + 1):
         shuffle_rng = np.random.default_rng((config.seed, _STREAM_SHUFFLE, epoch))
         order = shuffle_rng.permutation(len(corpus_train))
-        epoch_bound = epoch_recon = epoch_kl_g = epoch_kl_p = 0.0
+        epoch_bound = epoch_kl_g = epoch_kl_p = 0.0
         batches = 0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             w = kl_weight(step, config)
-            bound, recon, kl_g, kl_p = _batch_gradients(trained, corpus_train, batch, w, config.seed, step, layout, grad)
+            bound, kl_g, kl_p = _batch_gradients(trained, corpus_train, batch, w, config.seed, step, layout, grad)
             if not np.isfinite(bound):
                 raise TrainingDiverged(_diagnostic(trained, epoch, batches))
             try:
@@ -395,7 +395,6 @@ def train(model: NvdmModel, corpus_train: Corpus, corpus_valid: Corpus, config: 
             step += 1
             batches += 1
             epoch_bound += bound
-            epoch_recon += recon
             epoch_kl_g += kl_g
             epoch_kl_p += kl_p
 

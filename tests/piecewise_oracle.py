@@ -40,11 +40,10 @@ def active_segment_rows(a, eps):
 
 
 def inverse_cdf_rows(a, eps):
-    """Inverse-CDF draws, one per row, on the row-wise segment search."""
+    """Inverse-CDF draws, one per row, on the row-wise segment search, each clamped to its segment."""
     idx, a_sel, prev, total = active_segment_rows(a, eps)
     n = a.shape[1]
-    z = idx / n + (total * eps - prev) / (n * a_sel)
-    z = np.minimum(np.maximum(z, 0.0), 1.0)
+    z = np.minimum(np.maximum(idx / n + (total * eps - prev) / (n * a_sel), idx / n), (idx + 1) / n)
     return np.where(eps <= 0.0, 0.0, np.where(eps >= 1.0, 1.0, z))
 
 

@@ -233,15 +233,22 @@ class TestErrors:
         ("hidden 2", "hidden"),
         ("activation prelu", "activation prelu\nextra 1"),
         ("variant g\nvocab_size 5", "vocab_size 5\nvariant g"),
-        # Well-formed lines whose values init_model rejects.
-        ("activation prelu", "activation relu"),
-        ("variant g", "variant z"),
     ])
     def test_rejects_malformed_header(self, tmp_path, old, new):
         arrays = saved_arrays(tmp_path)
         assert old in str(arrays["header"])
         write_arrays(tmp_path / "m.ckpt", header_with(arrays, old, new))
         rejects(tmp_path / "m.ckpt", "malformed header")
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("activation prelu", "activation relu", r"activation must be one of \('prelu', 'softsign'\), got 'relu'"),
+        ("variant g", "variant z", r"variant must be one of \('g', 'p', 'h'\), got 'z'"),
+    ])
+    def test_rejects_well_formed_header_lines_that_no_model_has(self, tmp_path, old, new, match):
+        """The model built from the header rejects the value, naming its field."""
+        arrays = saved_arrays(tmp_path)
+        write_arrays(tmp_path / "m.ckpt", header_with(arrays, old, new))
+        rejects(tmp_path / "m.ckpt", match)
 
     def test_rejects_missing_extra_and_misnamed_arrays(self, tmp_path):
         arrays = saved_arrays(tmp_path)

@@ -400,11 +400,8 @@ class TestOverflowingEvaluation:
                 evaluation.evaluate_iterative(_noise_overflow_model(), block, 10, np.random.default_rng(seed))
 
 
-def _mismatched_gaussian_model():
-    """A G model whose Gaussian means are 1 wide and its variances 2, which ``GaussianParams`` rejects as a ShapeError."""
-    model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=0)
-    narrow = {name: T.Tensor(model.params[name].data[:1]) for name in ("g_prior_b_mu", "g_post_w_mu", "g_post_b_mu", "g_alpha_mu")}
-    return replace(model, params={**model.params, **narrow})
+def _raise_a_shape_error(*args, **kwargs):
+    raise T.ShapeError("an injected shape error")
 
 
 @pytest.mark.parametrize("run", [
@@ -413,11 +410,13 @@ def _mismatched_gaussian_model():
     pytest.param(lambda model, block: evaluation.evaluate_iterative(model, block, 2, np.random.default_rng(0)), id="evaluate_iterative"),
     pytest.param(lambda model, block: training.train(model, block, block, training.TrainConfig(batch_size=3, max_epochs=1)), id="train"),
 ])
-def test_a_shape_error_is_not_taken_for_an_overflow(run):
-    """A ShapeError reaches the caller as it is, never as an overflow or as divergence."""
+def test_a_shape_error_is_not_taken_for_an_overflow(run, monkeypatch):
+    """A ShapeError raised inside the bound, here by the Gaussian posterior, reaches the caller as it is, never as an overflow or as divergence."""
     block = cio.make_synthetic_bimodal(3, 20, 1)
-    with pytest.raises(T.ShapeError, match=r"^GaussianParams: mu shape .*1,?\) != var shape .*2,?\)$"):
-        run(_mismatched_gaussian_model(), block)
+    model = nvdm.init_model("g", 20, hidden=4, gauss_dims=2, seed=0)
+    monkeypatch.setattr(gaussian, "from_raw", _raise_a_shape_error)
+    with pytest.raises(T.ShapeError, match="^an injected shape error$"):
+        run(model, block)
 
 
 class TestOverflowingRefinement:

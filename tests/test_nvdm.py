@@ -1,8 +1,11 @@
 """Document model: encoder, decoder, variational bound, and its gradients."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from pwvae import checkpoint as ck
 from pwvae import corpus as cio
 from pwvae import gaussian, nvdm
 from pwvae import piecewise as pw
@@ -424,20 +427,20 @@ class TestElbo:
         model = nvdm.init_model("h", 5, hidden=3, gauss_dims=1, piece_dims=1, n_pieces=2, seed=7, dtype=np.float64)
         for doc in corpus.docs:
             rep = nvdm.elbo(model, corpus, doc, kl_weight=0.0, num_samples=3, rng=np.random.default_rng(0))
-            assert rep.bound == pytest.approx(doc.token_count * np.log(1.0 / 5.0), rel=1e-12)
+            assert rep.bounds[0] == pytest.approx(doc.token_count * np.log(1.0 / 5.0), rel=1e-12)
 
     def test_fresh_gaussian_model_has_zero_kl(self):
         corpus = tiny_corpus()
         model = nvdm.init_model("g", 5, hidden=3, gauss_dims=2, seed=8)
         rep = nvdm.elbo(model, corpus, corpus.docs[0], num_samples=1, rng=np.random.default_rng(1))
-        assert rep.kl_gaussian == 0.0
+        assert rep.kl_gaussian[0] == 0.0
 
     def test_posterior_forced_to_prior_has_zero_piecewise_kl(self):
         corpus = tiny_corpus()
         model = nvdm.init_model("p", 5, hidden=3, piece_dims=2, n_pieces=3, seed=9)
         model = model.replaced({"p_post_w_a": np.zeros((6, 3))})
         rep = nvdm.elbo(model, corpus, corpus.docs[0], num_samples=1, rng=np.random.default_rng(2))
-        assert rep.kl_piecewise == 0.0
+        assert rep.kl_piecewise[0] == 0.0
 
     def test_count_weighting(self):
         # Zero first-layer weights pin the posterior, so duplicating the
@@ -449,16 +452,16 @@ class TestElbo:
         model = model.replaced({"enc_w0": np.zeros((3, 4))})
         rep1 = nvdm.elbo(model, single, single.docs[0], num_samples=1, rng=np.random.default_rng(3))
         rep2 = nvdm.elbo(model, double, double.docs[0], num_samples=1, rng=np.random.default_rng(3))
-        assert rep2.reconstruction == pytest.approx(2 * rep1.reconstruction, rel=1e-12)
+        assert rep2.reconstruction[0] == pytest.approx(2 * rep1.reconstruction[0], rel=1e-12)
 
     def test_report_invariants(self):
         corpus = tiny_corpus()
         model = randomized(nvdm.init_model("h", 5, hidden=3, gauss_dims=2, piece_dims=2, n_pieces=3, seed=12, dtype=np.float64), seed=13)
         rep = nvdm.elbo(model, corpus, corpus.docs[0], kl_weight=0.7, num_samples=4, rng=np.random.default_rng(4))
-        assert rep.kl_gaussian >= 0.0 and rep.kl_piecewise >= 0.0
-        assert rep.bound <= rep.reconstruction
-        assert rep.bound == pytest.approx(rep.reconstruction - 0.7 * (rep.kl_gaussian + rep.kl_piecewise), abs=1e-10)
-        assert rep.samples_used == 4
+        assert rep.bounds.shape == (1,)
+        assert rep.kl_gaussian[0] >= 0.0 and rep.kl_piecewise[0] >= 0.0
+        assert rep.bounds[0] <= rep.reconstruction[0]
+        assert rep.bounds[0] == pytest.approx(rep.reconstruction[0] - 0.7 * (rep.kl_gaussian[0] + rep.kl_piecewise[0]), abs=1e-10)
 
     def test_empty_document_rejected(self):
         corpus = tiny_corpus()
@@ -472,7 +475,7 @@ class TestElbo:
         model = randomized(nvdm.init_model("h", 5, hidden=3, gauss_dims=1, piece_dims=1, n_pieces=2, seed=15), seed=16)
         a = nvdm.elbo(model, corpus, corpus.docs[0], num_samples=5, rng=np.random.default_rng(6))
         b = nvdm.elbo(model, corpus, corpus.docs[0], num_samples=5, rng=np.random.default_rng(6))
-        assert a.bound == b.bound and a.reconstruction == b.reconstruction
+        assert a.bounds[0] == b.bounds[0] and a.reconstruction[0] == b.reconstruction[0]
 
     def test_piecewise_samples_enter_decoder_signed(self):
         """The decoder sees a piecewise sample z in [0, 1] as 2z - 1."""
@@ -511,7 +514,7 @@ class TestFullGradient:
 
         with T.Tape() as tape:
             rep = nvdm.elbo(model, corpus, doc, kl_weight=1.0, num_samples=1, rng=np.random.default_rng(seed))
-            tape.backward(rep.bound_node)
+            tape.backward(rep.total)
 
         for name, tensor in model.named_parameters():
             def f(arr, name=name):
@@ -519,7 +522,7 @@ class TestFullGradient:
                     model.replaced({name: arr}), corpus, doc, kl_weight=1.0, num_samples=1,
                     rng=np.random.default_rng(seed),
                 )
-                return rep2.bound
+                return rep2.bounds[0]
 
             num = numerical_grad(f, tensor.data, h=1e-5)
             assert max_rel_err(tape.grad(tensor), num, floor=1e-4) < 1e-4, name
@@ -532,7 +535,7 @@ class TestFullGradient:
         model = model.replaced({"dec_r": np.random.default_rng(20).normal(size=(5, 2)).T.copy() * 0.5})
         with T.Tape() as tape:
             rep = nvdm.elbo(model, corpus, corpus.docs[0], num_samples=1, rng=np.random.default_rng(21))
-            tape.backward(rep.bound_node)
+            tape.backward(rep.total)
         assert np.any(tape.grad(model.params["g_alpha_mu"]) != 0.0)
 
 
@@ -563,7 +566,7 @@ class TestLowerBound:
             samples = []
             for s in range(100):
                 rep = nvdm.elbo(model, corpus, doc, num_samples=1, rng=np.random.default_rng((24, s)))
-                samples.append(rep.bound)
+                samples.append(rep.bounds[0])
             samples = np.array(samples)
             se = samples.std() / 10.0
             assert samples.mean() <= exact + 3 * se
@@ -728,3 +731,54 @@ class TestDrawNoises:
             keys = nvdm.noise_keys(root, ids)
             assert keys.dtype == np.uint64 and len(np.unique(keys)) == len(ids)
             np.testing.assert_array_equal(nvdm.noise_keys(root, ids[::-7]), keys[::-7])
+
+
+# What each fault does to a valid float32 H model's configuration and
+# parameters, and the message that must name the field or the parameter.
+MODEL_FAULTS = {
+    "missing": (lambda config, params: (config, {k: t for k, t in params.items() if k != "enc_b1"}), r"parameters missing \['enc_b1'\], unexpected \[\]"),
+    "extra": (lambda config, params: (config, {**params, "enc_b9": params["enc_b1"]}), r"parameters missing \[\], unexpected \['enc_b9'\]"),
+    "shape": (lambda config, params: (config, {**params, "enc_w0": T.Tensor(params["enc_w0"].data.T)}), r"parameter 'enc_w0' is float32 \(20, 4\), expected float32 \(4, 20\)"),
+    "dtype": (lambda config, params: (config, {**params, "g_alpha_mu": T.Tensor(params["g_alpha_mu"].data.astype(np.float64))}), r"parameter 'g_alpha_mu' is float64 \(2,\), expected float32 \(2,\)"),
+    "configuration": (lambda config, params: ({**config, "activation": "relu"}, params), r"activation must be one of \('prelu', 'softsign'\), got 'relu'"),
+}
+
+
+def _faulted(model, given):
+    """``model`` with its fields overwritten by ``given``, unchecked, as no builder allows."""
+    vars(model).update(given)
+    return model
+
+
+def _build_by_init_model(model, given, tmp_path, monkeypatch):
+    """``init_model``, with ``given`` injected into what it hands the constructor."""
+    checked = nvdm.NvdmModel
+    monkeypatch.setattr(nvdm, "NvdmModel", lambda **fields: checked(**{**fields, **given}))
+    return nvdm.init_model("h", 20, hidden=4, gauss_dims=2, piece_dims=1, n_pieces=3, seed=0)
+
+
+def _build_by_load_checkpoint(model, given, tmp_path, monkeypatch):
+    path = str(tmp_path / "faulted.ckpt")
+    ck.save_checkpoint(_faulted(model, given), path)
+    return ck.load_checkpoint(path)
+
+
+MODEL_BUILDERS = {
+    "init_model": _build_by_init_model,
+    "load_checkpoint": _build_by_load_checkpoint,
+    "replaced": lambda model, given, tmp_path, monkeypatch: _faulted(model, given).replaced({}),
+    "dataclasses.replace": lambda model, given, tmp_path, monkeypatch: replace(model, **given),
+}
+
+
+@pytest.mark.parametrize("fault", list(MODEL_FAULTS))
+@pytest.mark.parametrize("builder", list(MODEL_BUILDERS))
+def test_every_way_of_building_a_model_checks_it(builder, fault, tmp_path, monkeypatch):
+    """A parameter missing, extra, mis-shaped or of another dtype, or an invalid configuration, is rejected wherever a model is built."""
+    model = nvdm.init_model("h", 20, hidden=4, gauss_dims=2, piece_dims=1, n_pieces=3, seed=0)
+    change, message = MODEL_FAULTS[fault]
+    config, params = change({f.name: getattr(model, f.name) for f in fields(model) if f.name != "params"}, dict(model.params))
+    with pytest.raises(ck.CheckpointError if builder == "load_checkpoint" else ValueError, match=message) as info:
+        MODEL_BUILDERS[builder](model, {**config, "params": params}, tmp_path, monkeypatch)
+    if builder == "load_checkpoint":
+        assert str(tmp_path / "faulted.ckpt") in str(info.value)

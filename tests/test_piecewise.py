@@ -133,6 +133,25 @@ class TestInverseCdf:
         assert at(draw_rows, a, 0.0) == 0.0
         assert at(draw_rows, a, 1.0) == 1.0
 
+    def test_float32_draws_stay_in_their_segment(self):
+        """Weights (1, e^-10, e^30) at float32, where the middle weight is below one rounding unit of the total.
+
+        total*eps - prev cancels for the middle segment, whose window of
+        noise is 4.5e-5 of its lower end wide.  Across that window every
+        draw lies in the closure of the segment its noise selects, and its
+        float64 CDF is within 4 float32 epsilons of its noise.  Noise 0 and
+        1 still give exactly 0 and 1.
+        """
+        a = np.tile(np.exp([0.0, -10.0, 30.0]).astype(np.float32), (2001, 1))
+        cum = np.cumsum(a[0])
+        eps = np.linspace(float(cum[0] / cum[2]), float(cum[1] / cum[2]), 2001).astype(np.float32)
+        z = draw_rows(a, eps)
+        idx = pw._active_segment(a, eps[None, :])[0][0]
+        assert z.dtype == np.float32 and np.mean(idx == 1) > 0.9
+        assert np.all((idx.astype(np.float32) / 3 <= z) & (z <= (idx + 1).astype(np.float32) / 3))
+        assert np.max(np.abs(cdf_rows(a.astype(np.float64), z.astype(np.float64)) - eps)) <= 4 * np.finfo(np.float32).eps
+        assert draw_rows(a[:2], np.array([0.0, 1.0], dtype=np.float32)).tolist() == [0.0, 1.0]
+
 
 class TestSampling:
     def test_uniform_params_pass_ks(self):
