@@ -3,8 +3,11 @@
 Three variants share one architecture: a two-layer bag-of-words encoder,
 latent heads producing prior/posterior parameters, and a softmax word
 decoder with logits b - R z, whose count-weighted log-likelihood
-(``decode_logprob``) is one taped op.  ``dec_r`` holds R^T, the (L, V)
-matrix that latent rows are multiplied by.  Variant "g" uses
+(``decode_logprob``) is one taped op.  It forms the logits and their
+log-probabilities in one (B, V) buffer, which is all it keeps for its
+backward, and the backward builds the logits' gradient in that buffer
+and one more.  ``dec_r`` holds R^T, the (L, V) matrix that latent rows
+are multiplied by.  Variant "g" uses
 Gaussian latent variables only, "p" piecewise constant only, and "h"
 both, sampled independently and concatenated (Gaussian dimensions first).
 
@@ -88,7 +91,6 @@ from .tensor import (
     affine,
     concat,
     custom_op,
-    multinomial_loglik,
     prelu,
     row_block,
     scale_shift,
@@ -315,32 +317,46 @@ def encode(model: NvdmModel, x: Tensor) -> Tensor:
     return _activate(model, affine(h, model.params["enc_w1"], model.params["enc_b1"]), 1)
 
 
-def _decoder_logits(z: Tensor, r: Tensor, b: Tensor) -> Tensor:
-    """Logits b - z @ r of (B, L) latent rows under the (L, V) matrix r and the (V,) bias b, as one taped op.
+def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
+    """Log-likelihood sum_w c_w log softmax(b - z R)_w of (B, V) ``counts`` at (B, L) latent rows: a (B,) array, as one taped op.
 
-    All three gradients are deferred, and each is written into ``out``
-    when ``Tape.grad`` passes one: z's is -g @ r.T, read through a view
-    of r rather than a copy, r's z.T @ -g and b's the column sum of g.
+    The logits b - z @ R are formed in one (B, V) buffer, which the max
+    shift and the log-sum-exp turn into log-probabilities in place; that
+    buffer is all a taped call keeps for its backward.  Rows are
+    independent: a row with a non-finite logit gets a non-finite value,
+    the others keep theirs, and the caller checks the result.  Only z,
+    ``dec_r`` and ``dec_b`` get gradients, all three deferred and each
+    written into ``out`` when ``Tape.grad`` passes one.
     """
-    zd, rd, bd = z.data, r.data, b.data
-    _same_dtype("decode", zd, rd)
+    r, b = model.params["dec_r"], model.params["dec_b"]
+    zd, cd, rd = z.data, counts.data, r.data
+    if zd.ndim != 2 or zd.shape[1] != model.latent_dim:
+        raise ShapeError(f"decode: expected (B, {model.latent_dim}) latent rows, got {zd.shape}")
+    if cd.shape != (zd.shape[0], model.vocab_size):
+        raise ShapeError(f"decode: expected counts and logits of one shape, (B, n) rows, got {cd.shape} and {(zd.shape[0], model.vocab_size)}")
+    _same_dtype("decode", zd, rd, cd)
+    logp = zd @ rd
+    np.subtract(b.data, logp, out=logp)
+    logp -= logp.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
 
     def backward(g):
-        neg = -g
+        # gl = g c becomes the logits' gradient g c - exp(logp) sum(g c) in
+        # place, and logp's buffer its negation.  b's gradient is gl's
+        # column sum, z's -gl @ R.T (read through a view of R) and R's
+        # z.T @ -gl.  Negating gl, rather than subtracting the other way
+        # round, keeps the sign of a zero: x - x is +0.0 either way.
+        gl = g[:, None] * cd
+        np.multiply(np.exp(logp, out=logp), gl.sum(axis=1, keepdims=True), out=logp)
+        np.subtract(gl, logp, out=gl)
+        neg = np.negative(gl, out=logp)
         return (
             lambda out=None: np.matmul(neg, rd.T, out=out),
             lambda out=None: np.matmul(zd.T, neg, out=out),
-            lambda out=None: np.sum(g, axis=0, out=out),
+            lambda out=None: np.sum(gl, axis=0, out=out),
         )
 
-    return custom_op(bd - zd @ rd, (z, r, b), backward)
-
-
-def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
-    """Log-likelihood sum_w c_w log softmax(b - R z)_w of (B, V) ``counts`` at (B, L) latent rows: a (B,) array."""
-    if z.data.ndim != 2 or z.data.shape[1] != model.latent_dim:
-        raise ShapeError(f"decode: expected (B, {model.latent_dim}) latent rows, got {z.data.shape}")
-    return multinomial_loglik(counts, _decoder_logits(z, model.params["dec_r"], model.params["dec_b"]))
+    return custom_op((cd[:, None, :] @ logp[:, :, None])[:, 0, 0], (z, r, b), backward)
 
 
 def combine_latents(z_gauss: Tensor | None, z_piece: Tensor | None) -> Tensor:

@@ -149,6 +149,10 @@ def test_float64_tensors_into_a_float32_model_raise_naming_both_dtypes():
         nvdm.decode_logprob(model, z, T.Tensor(corpus.dense_counts(docs, dtype=np.float32)))
 
 
+# A float32 decoder over 3 words with 3 latent dimensions, so (2, 3) operands are its latent rows and counts.
+DECODER_3X3 = nvdm.init_model("g", 3, hidden=1, gauss_dims=3, seed=0)
+
+
 @pytest.mark.parametrize(
     "op",
     [
@@ -157,10 +161,10 @@ def test_float64_tensors_into_a_float32_model_raise_naming_both_dtypes():
         lambda a, b: T.mul(a, b),
         lambda a, b: T.concat(a, b),
         lambda a, b: T.prelu(a, T.Tensor(b.data[0])),
-        lambda a, b: T.multinomial_loglik(a, b),
+        lambda a, b: nvdm.decode_logprob(DECODER_3X3, a, b),
         lambda a, b: T.affine(a, b, T.Tensor(b.data[:, 0])),
     ],
-    ids=["add", "sub", "mul", "concat", "prelu", "multinomial_loglik", "affine"],
+    ids=["add", "sub", "mul", "concat", "prelu", "decode_logprob", "affine"],
 )
 def test_ops_reject_operands_of_two_dtypes(op):
     a32 = T.Tensor(np.ones((2, 3), dtype=np.float32))

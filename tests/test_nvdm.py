@@ -1,5 +1,6 @@
 """Document model: encoder, decoder, variational bound, and its gradients."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from pwvae import piecewise as pw
 from pwvae import tensor as T
 from pwvae.corpus import Corpus, Document
 
+import nvdm_oracle as oracle
 from gradcheck import max_rel_err, numerical_grad
 
 
@@ -116,7 +118,7 @@ VECTOR_MODEL = nvdm.init_model("g", 5, hidden=4, gauss_dims=2, seed=0)
 # every argument but that vector is one the function accepts.
 @pytest.mark.parametrize("call, width", [
     pytest.param(lambda: T.affine(vector(3), T.Tensor(np.ones((4, 3))), vector(4)), 3, id="affine"),
-    pytest.param(lambda: T.multinomial_loglik(vector(5, 1.0), vector(5)), 5, id="multinomial_loglik"),
+    pytest.param(lambda: nvdm.decode_logprob(VECTOR_MODEL, T.Tensor(np.zeros((1, 2), dtype=np.float32)), vector(5, 1.0)), 5, id="decode_logprob_counts"),
     pytest.param(lambda: nvdm.encode(VECTOR_MODEL, vector(5)), 5, id="encode"),
     pytest.param(lambda: nvdm.decode_logprob(VECTOR_MODEL, vector(2), vector(5, 1.0)), 2, id="decode_logprob"),
     pytest.param(lambda: gaussian.kl(vector_gaussian(), vector_gaussian()), 2, id="gaussian.kl"),
@@ -134,10 +136,10 @@ def test_rows_only_functions_reject_a_vector(call, width):
 DECODER_SHAPES = {"paper-h": (2000, 50, 50), "tiny-p": (200, 0, 10)}
 
 
-def decoder_model(shape, seed):
+def decoder_model(shape, seed, dtype=np.float64):
     """A model at a workload's decoder shape, its decoder drawn as a (V, L) matrix and stored as its transpose."""
     vocab, gauss_dims, piece_dims = DECODER_SHAPES[shape]
-    model = nvdm.init_model("h" if gauss_dims else "p", vocab, hidden=4, gauss_dims=gauss_dims, piece_dims=piece_dims, seed=seed, dtype=np.float64)
+    model = nvdm.init_model("h" if gauss_dims else "p", vocab, hidden=4, gauss_dims=gauss_dims, piece_dims=piece_dims, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed)
     return model.replaced({"dec_r": rng.normal(0.0, 0.3, (vocab, model.latent_dim)).T.copy(), "dec_b": rng.normal(0.0, 0.3, vocab)})
 
@@ -157,7 +159,7 @@ def reference_decode(model, z, counts):
     so the logits equal ``decode_logprob``'s on any build.
     """
     product = T.affine(z, T._wrap(model.params["dec_r"].data.T), T.Tensor(np.zeros(model.vocab_size)))
-    return T.multinomial_loglik(counts, T.sub(model.params["dec_b"], product))
+    return oracle.multinomial_loglik(counts, T.sub(model.params["dec_b"], product))
 
 
 DECODER_ROWS = [1, 2, 3, 20, 25, 64]
@@ -180,21 +182,26 @@ class TestDecoderLayout:
         z, counts = decoder_inputs(model, rows, seed=rows + 1)
         r, b = model.params["dec_r"], model.params["dec_b"]
         expected = b.data - z @ r.data
-        assert nvdm._decoder_logits(T.Tensor(z), r, b).data.tobytes() == expected.tobytes()
+        assert oracle.decoder_logits(T.Tensor(z), r, b).data.tobytes() == expected.tobytes()
         bound = nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts)).data
-        assert bound.tobytes() == T.multinomial_loglik(T.Tensor(counts), T.Tensor(expected)).data.tobytes()
+        assert bound.tobytes() == oracle.multinomial_loglik(T.Tensor(counts), T.Tensor(expected)).data.tobytes()
 
     @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
     @pytest.mark.parametrize("rows", DECODER_ROWS)
     def test_gradients_match_the_old_layout(self, shape, rows):
-        """R's gradient is (-g.T @ z).T and b's g's column sum, bit for bit, also when written into ``out``; z's is within 1e-13 of -g @ R_old."""
+        """R's gradient is (-g.T @ z).T and b's g's column sum, bit for bit, also when written into ``out``; z's is within 1e-13 of -g @ R_old.
+
+        The logits' own op is the oracle's, whose gradients
+        ``decode_logprob`` keeps byte for byte (``TestDecodeLogprobOracle``);
+        it takes any upstream gradient g.
+        """
         model = decoder_model(shape, seed=rows + 2)
         z_arr, _ = decoder_inputs(model, rows, seed=rows + 3)
         g = np.random.default_rng(rows + 4).normal(size=(rows, model.vocab_size))
         r, b = model.params["dec_r"], model.params["dec_b"]
         z = T.Tensor(z_arr)
         with T.Tape() as tape:
-            tape.backward(T.sum_all(T.mul(T.Tensor(g), nvdm._decoder_logits(z, r, b))))
+            tape.backward(T.sum_all(T.mul(T.Tensor(g), oracle.decoder_logits(z, r, b))))
         expected = {r: ((-g).T @ z_arr).T, b: g.sum(axis=0)}
         for t, want in expected.items():
             out = np.full(t.data.shape, np.nan)
@@ -217,7 +224,7 @@ class TestDecoderLayout:
         z, view = T.Tensor(z_arr), T._wrap(r.data.T)
         with T.Tape() as tape:
             product = T.affine(z, view, T.Tensor(np.zeros(model.vocab_size)))
-            tape.backward(T.sum_all(T.multinomial_loglik(T.Tensor(counts_arr), T.sub(b, product))))
+            tape.backward(T.sum_all(oracle.multinomial_loglik(T.Tensor(counts_arr), T.sub(b, product))))
         want = [tape.grad(z), tape.grad(view).T, tape.grad(b)]
         for got_grad, want_grad in zip(got, want):
             assert got_grad.tobytes() == want_grad.tobytes()
@@ -266,6 +273,133 @@ class TestDecoderLayout:
         eager_before, eager, _ = bias_gradient(reference_decode)
         assert not eager_before  # summed at backward time
         assert deferred.tobytes() == eager.tobytes()
+
+
+def decode_results(decode, model, z, counts, upstream):
+    """``decode``'s values and, after a backward from their ``upstream``-weighted sum, z's, ``dec_r``'s and ``dec_b``'s gradients, each read with ``tape.grad(t)`` and with ``tape.grad(t, out=...)``."""
+    r, b = model.params["dec_r"], model.params["dec_b"]
+    with T.Tape() as tape:
+        zt = T.Tensor(z)
+        out = decode(model, zt, T.Tensor(counts))
+        tape.backward(T.sum_all(T.mul(out, T.Tensor(upstream))))
+    written = [tape.grad(t, out=np.full(t.data.shape, np.nan, dtype=t.data.dtype)) for t in (zt, r, b)]
+    return [out.data, *written, *(tape.grad(t) for t in (zt, r, b))]
+
+
+def assert_same_bytes(got, want):
+    for i, (g, w) in enumerate(zip(got, want, strict=True)):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), i
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestDecodeLogprobOracle:
+    """``decode_logprob`` is one taped op with the values and gradients of the two it replaced (``nvdm_oracle``), byte for byte."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", sorted(DECODER_SHAPES))
+    @pytest.mark.parametrize("rows", [1, 3, 25, 64, 100])
+    def test_equals_the_two_op_decoder(self, dtype, shape, rows):
+        model = decoder_model(shape, seed=rows + 40, dtype=dtype)
+        z, counts = (a.astype(dtype) for a in decoder_inputs(model, rows, seed=rows + 41))
+        upstream = np.random.default_rng(rows + 42).normal(size=rows).astype(dtype)
+        assert_same_bytes(decode_results(nvdm.decode_logprob, model, z, counts, upstream), decode_results(oracle.decode_logprob, model, z, counts, upstream))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_equals_the_two_op_decoder_at_edge_inputs(self, dtype):
+        """Signed zeros and subnormals in z and the decoder, a word whose probability underflows to 0 and that no document uses (its bias gradient is +0.0), a row of no counts and a zero upstream gradient."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        r = np.array([[0.0, 1e3, -1e3, 0.0, tiny, -0.0, 1.0], [-0.0, 0.0, 0.0, 1e3, 0.0, -tiny, -1.0]])
+        b = np.array([0.0, -0.0, tiny, 3.0, -2000.0, 0.0, -0.0])
+        model = nvdm.init_model("g", 7, hidden=2, gauss_dims=2, seed=0, dtype=dtype).replaced({"dec_r": r, "dec_b": b})
+        z = np.array([[1.0, 2.0], [0.0, -0.0], [-0.0, tiny], [3.0, -1.0], [-tiny, 0.5]], dtype=dtype)
+        counts = np.array([[1, 0, 0, 2, 0, 0, 0], [0] * 7, [1, 1, 1, 1, 0, 1, 1], [0, 0, 0, 0, 0, 0, 3], [2, 0, 0, 0, 0, 1, 0]], dtype=dtype)
+        upstream = np.array([1.0, 2.0, -1.0, 0.5, 0.0], dtype=dtype)
+        got = decode_results(nvdm.decode_logprob, model, z, counts, upstream)
+        assert_same_bytes(got, decode_results(oracle.decode_logprob, model, z, counts, upstream))
+        assert np.signbit(got[3][4]) == np.signbit(got[6][4]) == False  # noqa: E712
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_row_with_a_non_finite_logit_equals_the_two_op_decoder(self, dtype, bad):
+        """The row's value is not finite, its neighbours keep the values they have without it, and every value and gradient has the oracle's bytes.
+
+        Without it means in the same batch with that latent value finite:
+        a batch of another size can take another BLAS kernel, whose last
+        bits differ.
+        """
+        model = decoder_model("tiny-p", seed=50, dtype=dtype)
+        z, counts = (a.astype(dtype) for a in decoder_inputs(model, 3, seed=51))
+        finite = nvdm.decode_logprob(model, T.Tensor(z), T.Tensor(counts)).data
+        z[1, 2] = bad
+        upstream = np.ones(3, dtype=dtype)
+        with np.errstate(invalid="ignore"):
+            got = decode_results(nvdm.decode_logprob, model, z, counts, upstream)
+            want = decode_results(oracle.decode_logprob, model, z, counts, upstream)
+        assert_same_bytes(got, want)
+        assert not np.isfinite(got[0][1])
+        assert got[0][[0, 2]].tobytes() == finite[[0, 2]].tobytes()
+
+
+# tracemalloc's peaks in units of one (B, V) array, at B = 100, L = 100 and V = 2000 in float32.
+PEAK_ROWS, PEAK_DIMS, PEAK_VOCAB = 100, 100, 2000
+
+
+def traced_peak(call):
+    """The bytes ``call`` holds at its peak above what was held before it, and the bytes it still holds when it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kept = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak - base, held - base
+
+
+class TestDecodeLogprobMemory:
+    """The decoder works in one (B, V) buffer: a forward call makes at most one more, and a taped call keeps only that buffer for its backward."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        model = nvdm.init_model("g", PEAK_VOCAB, hidden=2, gauss_dims=PEAK_DIMS, seed=1)
+        rng = np.random.default_rng(2)
+        model = model.replaced({"dec_r": rng.normal(0.0, 0.3, (PEAK_DIMS, PEAK_VOCAB)), "dec_b": rng.normal(0.0, 0.3, PEAK_VOCAB)})
+        z = T.Tensor(rng.normal(size=(PEAK_ROWS, PEAK_DIMS)).astype(np.float32))
+        counts = T.Tensor(rng.poisson(0.05, (PEAK_ROWS, PEAK_VOCAB)).astype(np.float32))
+        return model, z, counts, PEAK_ROWS * PEAK_VOCAB * 4
+
+    def test_a_forward_call_peaks_at_two_arrays(self, case):
+        model, z, counts, unit = case
+        peak, _ = traced_peak(lambda: nvdm.decode_logprob(model, z, counts))
+        assert peak / unit <= 2.05
+
+    def test_a_taped_call_holds_one_array_until_its_backward(self, case):
+        model, z, counts, unit = case
+
+        def forward():
+            tape = T.Tape()
+            with tape:
+                out = nvdm.decode_logprob(model, z, counts)
+            return tape, out
+
+        _, held = traced_peak(forward)
+        assert held / unit <= 1.05
+
+    def test_forward_and_backward_peak_at_three_arrays(self, case):
+        """The three gradients are read fresh; R's, (L, V), is the size of one (B, V) array here."""
+        model, z, counts, unit = case
+
+        def both():
+            with T.Tape() as tape:
+                tape.backward(T.sum_all(nvdm.decode_logprob(model, z, counts)))
+            return [tape.grad(t) for t in (z, model.params["dec_r"], model.params["dec_b"])]
+
+        peak, _ = traced_peak(both)
+        assert peak / unit <= 3.1
 
 
 def per_sample_bound(model, counts, prior, rows, noise):

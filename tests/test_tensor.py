@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from pwvae import nvdm
 from pwvae import tensor as T
 
+import nvdm_oracle as oracle
 from gradcheck import max_rel_err, numerical_grad
 
 
@@ -23,6 +25,25 @@ def fd_grad(op, arrays, wrt, h=1e-6, **kwargs):
         return float(T.sum_all(op(*inputs, **kwargs)))
 
     return numerical_grad(f, arrays[wrt], h=h)
+
+
+def identity_decoder(n):
+    """A float64 model over n words whose decoder's logits b - z @ R are -z: R is the (n, n) identity and b zero.
+
+    Each logit at latent rows -x is 0 - (-x) = x for finite nonzero x,
+    since the product adds only zeros to -x.  So ``loglik`` is the
+    decoder's likelihood at given logits, and the logits' gradient is
+    minus the latent rows'.
+    """
+    model = nvdm.init_model("g", n, hidden=1, gauss_dims=n, seed=0, dtype=np.float64)
+    return model.replaced({"dec_r": np.eye(n), "dec_b": np.zeros(n)})
+
+
+def loglik(counts, z):
+    """``decode_logprob`` of (B, n) counts through ``identity_decoder`` at (B, n) latent rows z, the negated logits: arrays or Tensors."""
+    z = z if isinstance(z, T.Tensor) else T.Tensor(z)
+    counts = counts if isinstance(counts, T.Tensor) else T.Tensor(counts)
+    return nvdm.decode_logprob(identity_decoder(counts.data.shape[-1]), z, counts)
 
 
 class TestAffine:
@@ -89,6 +110,33 @@ class TestActivations:
         num = fd_grad(T.prelu, [x, leak], 1)
         assert max_rel_err(ana, num) < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [500, 50], ids=["paper-h", "tiny-p"])
+    @pytest.mark.parametrize("rows", [1, 3, 25, 64, 100])
+    def test_prelu_equals_the_np_where_oracle(self, dtype, width, rows):
+        """Values and both gradients have the bytes of choosing with ``np.where``, at the encoder's widths."""
+        rng = np.random.default_rng(rows + width)
+        x, upstream = (rng.normal(size=(rows, width)).astype(dtype) for _ in range(2))
+        leak = rng.uniform(0.1, 0.4, size=width).astype(dtype)
+        got, want = (oracle.prelu_results(op, x, leak, upstream) for op in (T.prelu, oracle.prelu))
+        for i, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), i
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_prelu_equals_the_np_where_oracle_at_edge_inputs(self, dtype):
+        """Every pair of ±0.0, subnormals, ±inf, NaN and ±1 in x against leaks of 0, -0.0, negative, above 1, inf and NaN, under such upstream gradients too."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        edges = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0], dtype=dtype)
+        leak = np.array([0.0, -0.0, -0.5, 2.0, tiny, np.inf, np.nan, 0.25, -3.0, 1.0], dtype=dtype)
+        x = np.repeat(edges, len(leak)).reshape(len(edges), len(leak))
+        upstream = np.roll(x, 3, axis=0)
+        with np.errstate(all="ignore"):
+            got, want = (oracle.prelu_results(op, x, leak, upstream) for op in (T.prelu, oracle.prelu))
+        for i, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes(), i
+        # A negative leak turns an exact zero's sign, as leak * x does.
+        assert np.signbit(got[0][0, 2]) and not np.signbit(got[0][1, 2])
+
     def test_softsign_values(self):
         out = T.softsign(T.Tensor([0.0, 1.0]))
         np.testing.assert_allclose(out.data, [0.0, 0.5], rtol=0, atol=0)
@@ -130,15 +178,15 @@ def old_decoder_likelihood(counts, logits):
 
 class TestMultinomialLoglik:
     def test_uniform(self):
-        out = T.multinomial_loglik(T.Tensor([[1.0, 0.0, 2.5, 3.0]]), T.Tensor([[0.0, 0.0, 0.0, 0.0]]))
+        out = loglik([[1.0, 0.0, 2.5, 3.0]], -np.array([[0.0, 0.0, 0.0, 0.0]]))
         assert out.item() == pytest.approx(6.5 * np.log(0.25), rel=0, abs=1e-14)
 
     def test_shift_invariance(self):
         a, b = 0.3, -1.7
         one_hot = T.Tensor(np.eye(2))
         for c in (0.0, 5.0, -300.0, 1e8):
-            base = T.multinomial_loglik(one_hot, T.Tensor([[a, b], [a, b]])).data
-            shifted = T.multinomial_loglik(one_hot, T.Tensor([[c + a, c + b], [c + a, c + b]])).data
+            base = loglik(one_hot, -np.array([[a, b], [a, b]])).data
+            shifted = loglik(one_hot, -np.array([[c + a, c + b], [c + a, c + b]])).data
             np.testing.assert_allclose(shifted, base, atol=1e-9)
 
     def test_one_hot_counts_give_normalised_log_probabilities(self):
@@ -146,7 +194,7 @@ class TestMultinomialLoglik:
         for _ in range(20):
             n = rng.integers(2, 30)
             logits = np.tile(rng.normal(size=n) * 10, (n, 1))
-            logp = T.multinomial_loglik(T.Tensor(np.eye(n)), T.Tensor(logits)).data
+            logp = loglik(np.eye(n), -logits).data
             assert logp.shape == (n,)
             assert abs(np.exp(logp).sum() - 1.0) < 1e-12
             assert np.all(logp <= 0.0)
@@ -157,20 +205,20 @@ class TestMultinomialLoglik:
         counts, logits = rng.uniform(0.0, 3.0, size=shape), rng.normal(size=shape)
         upstream = rng.normal(size=shape[:-1]) + 2.0  # g != 1 on every row
 
-        def weighted(x):
-            return T.sum_all(T.mul(T.multinomial_loglik(T.Tensor(counts), x), T.Tensor(upstream)))
+        def weighted(z):
+            return T.sum_all(T.mul(loglik(counts, z), T.Tensor(upstream)))
 
         with T.Tape() as tape:
-            x = T.Tensor(logits)
-            tape.backward(weighted(x))
-        num = numerical_grad(lambda a: float(weighted(T.Tensor(a))), logits)
-        assert max_rel_err(tape.grad(x), num) < 1e-6
+            z = T.Tensor(-logits)
+            tape.backward(weighted(z))
+        num = numerical_grad(lambda a: float(weighted(T.Tensor(a))), -logits)
+        assert max_rel_err(tape.grad(z), num) < 1e-6
 
     def test_counts_get_no_gradient(self):
         rng = np.random.default_rng(16)
         with T.Tape() as tape:
             counts = T.Tensor(rng.uniform(size=(2, 5)))
-            tape.backward(T.sum_all(T.multinomial_loglik(counts, T.Tensor(rng.normal(size=(2, 5))))))
+            tape.backward(T.sum_all(loglik(counts, rng.normal(size=(2, 5)))))
         np.testing.assert_array_equal(tape.grad(counts), np.zeros((2, 5)))
 
     def test_bit_identical_to_log_softmax_then_dot(self):
@@ -180,22 +228,22 @@ class TestMultinomialLoglik:
             logits = rng.normal(size=shape) * 3.0
             value, grad = old_decoder_likelihood(counts, logits)
             with T.Tape() as tape:
-                x = T.Tensor(logits)
-                out = T.multinomial_loglik(T.Tensor(counts), x)
+                z = T.Tensor(-logits)
+                out = loglik(counts, z)
                 tape.backward(T.sum_all(out))
             assert np.array_equal(out.data, value)
-            assert np.array_equal(tape.grad(x), grad)
+            assert np.array_equal(tape.grad(z), -grad)
 
     def test_rejects_mismatched_shapes_and_non_finite_logits(self):
         with pytest.raises(T.ShapeError, match="one shape"):
-            T.multinomial_loglik(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
+            nvdm.decode_logprob(identity_decoder(3), T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
         with pytest.raises(T.ShapeError, match="one shape"):
-            T.multinomial_loglik(T.Tensor(np.zeros((2, 2, 3))), T.Tensor(np.zeros((2, 2, 3))))
+            nvdm.decode_logprob(identity_decoder(3), T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 2, 3))))
         # A non-finite logit is not rejected: its row's value is not finite, and the other rows keep theirs.
-        finite = T.multinomial_loglik(T.Tensor(np.ones((1, 3))), T.Tensor([[0.0, 1.0, 2.0]])).data
+        finite = loglik(np.ones((1, 3)), -np.array([[0.0, 1.0, 2.0]])).data
         for bad in (np.inf, -np.inf, np.nan):
             with np.errstate(invalid="ignore"):
-                out = T.multinomial_loglik(T.Tensor(np.ones((2, 3))), T.Tensor([[0.0, 1.0, 2.0], [0.0, bad, 2.0]])).data
+                out = loglik(np.ones((2, 3)), -np.array([[0.0, 1.0, 2.0], [0.0, bad, 2.0]])).data
             assert out[0] == finite[0] and not np.isfinite(out[1]), bad
 
 
@@ -331,7 +379,7 @@ class TestDeterminismAndImmutability:
         x = rng.normal(size=50) * 50
         for op in (T.softplus, T.softsign, T.exp_clamped):
             assert np.all(np.isfinite(op(T.Tensor(x)).data)), op.__name__
-        assert np.isfinite(T.multinomial_loglik(T.Tensor(np.abs(x[None])), T.Tensor(x[None])).item())
+        assert np.isfinite(loglik(np.abs(x[None]), -x[None]).item())
 
     def test_parallel_tapes_are_independent(self):
         import threading
@@ -365,15 +413,16 @@ class TestRows:
         for wrt in (0, 1):
             assert max_rel_err(taped_grad(T.concat, rows, other, wrt=wrt), fd_grad(T.concat, [rows, other], wrt)) < 1e-6
         counts = np.abs(other)
-        assert max_rel_err(taped_grad(T.multinomial_loglik, counts, rows, wrt=1), fd_grad(T.multinomial_loglik, [counts, rows], 1)) < 1e-6
+        assert max_rel_err(taped_grad(loglik, counts, rows, wrt=1), fd_grad(loglik, [counts, rows], 1)) < 1e-6
 
     def test_rows_equal_stacked_one_row_calls(self):
         rng = np.random.default_rng(23)
         x, w = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
         counts = rng.uniform(0.0, 3.0, size=(4, 5))
         b = rng.normal(size=5)
-        rows = T.multinomial_loglik(T.Tensor(counts), T.affine(T.Tensor(x), T.Tensor(w), T.Tensor(b))).data
-        one = lambda i: T.multinomial_loglik(T.Tensor(counts[i : i + 1]), T.affine(T.Tensor(x[i : i + 1]), T.Tensor(w), T.Tensor(b))).data
+        model = nvdm.init_model("g", 5, hidden=1, gauss_dims=3, seed=0, dtype=np.float64).replaced({"dec_r": w.T, "dec_b": b})
+        rows = nvdm.decode_logprob(model, T.Tensor(x), T.Tensor(counts)).data
+        one = lambda i: nvdm.decode_logprob(model, T.Tensor(x[i : i + 1]), T.Tensor(counts[i : i + 1])).data
         np.testing.assert_allclose(rows, np.concatenate([one(i) for i in range(4)]), rtol=1e-14)
         np.testing.assert_array_equal(T.concat(T.Tensor(x), T.Tensor(w[:4])).data, np.hstack([x, w[:4]]))
 
@@ -400,7 +449,7 @@ class TestRows:
         with pytest.raises(T.ShapeError, match="broadcast"):
             T.add(T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros(4)))
         with pytest.raises(T.ShapeError):
-            T.multinomial_loglik(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros(3)))
+            loglik(np.zeros((2, 3)), np.zeros(3))
         with pytest.raises(T.ShapeError):
             T.concat(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 3))))
         with pytest.raises(T.ShapeError, match="conform"):
