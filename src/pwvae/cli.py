@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, evaluation, training
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .corpus import TRANSFORMS, CorpusFormatError, load_corpus, make_synthetic_bimodal, save_corpus
+from .corpus import TRANSFORMS, CorpusFormatError, load_corpus, load_vocab, make_synthetic_bimodal, save_corpus
 from .nvdm import ACTIVATIONS, VARIANTS, init_model
 from .tensor import ShapeError
 from .training import TrainConfig, TrainingDiverged
@@ -150,8 +150,8 @@ def _cmd_synth(args) -> int:
         sizes = [int(s) for s in args.split.split(",")]
     except ValueError:
         raise UsageError(f"--split must be comma-separated integers, got {args.split!r}") from None
-    if len(sizes) != 3 or sum(sizes) != len(corpus):
-        raise UsageError(f"--split must name 3 counts summing to --docs ({len(corpus)}), got {args.split!r}")
+    if len(sizes) != 3 or sum(sizes) != len(corpus) or min(sizes) < 0:
+        raise UsageError(f"--split must name 3 non-negative counts summing to --docs ({len(corpus)}), got {args.split!r}")
     lo = 0
     for name, size in zip(("train", "valid", "test"), sizes):
         part = replace(corpus, docs=corpus.docs[lo : lo + size])
@@ -245,9 +245,7 @@ def _cmd_query(args) -> int:
     _require_file(args.ckpt, "checkpoint")
     _require_file(args.vocab, "vocabulary")
     model = load_checkpoint(args.ckpt)
-    with open(args.vocab, "r", encoding="utf-8") as fh:
-        vocab = [line.rstrip("\n") for line in fh]
-    for token, distance in analysis.word_neighbors(model, vocab, args.word, args.k):
+    for token, distance in analysis.word_neighbors(model, load_vocab(args.vocab), args.word, args.k):
         print(f"{token}\t{distance:.10g}")
     return 0
 

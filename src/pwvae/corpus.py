@@ -32,6 +32,7 @@ __all__ = [
     "TRANSFORMS",
     "load_corpus",
     "save_corpus",
+    "load_vocab",
     "load_labels",
     "make_synthetic_bimodal",
 ]
@@ -146,7 +147,8 @@ def _open_text(path: str, mode: str = "rt"):
     return open(path, mode, encoding="utf-8")
 
 
-def _load_vocab(path: str) -> tuple[str, ...]:
+def load_vocab(path: str) -> tuple[str, ...]:
+    """One token per line, from a plain or a ``.gz`` file; an empty vocabulary raises CorpusFormatError."""
     with _open_text(path) as fh:
         vocab = tuple(line.rstrip("\n") for line in fh)
     if not vocab:
@@ -169,7 +171,7 @@ def load_corpus(vocab_path: str, docs_path: str, transform: str = "none", labels
     errors.  A labels sidecar holds one line per document line, dropped
     documents included; any other count is an error.
     """
-    vocab = _load_vocab(vocab_path)
+    vocab = load_vocab(vocab_path)
     labels = load_labels(labels_path) if labels_path else None
     docs: list[Document] = []
     dropped = 0

@@ -12,15 +12,13 @@ document or a prior built outside the tape costs nothing.  A caller that
 owns an array for a gradient passes it to ``Tape.grad`` as ``out``, and
 a deferred ``affine`` product or sum is computed straight into it.
 
-The tape keeps an input's first gradient as the array the rule returned
-and adds later gradients into it in place.  It copies that array first
-when it is a view (``add`` and ``concat`` return ``g`` or views of it),
-is the output's gradient ``g`` or ``g``'s base, is returned again or viewed
-by another array the same rule returned, or is not a writable array of
-the input's dtype.  These identity checks cost less than the copy they
-save, which ``np.may_share_memory`` did not.  This is safe because of the rule
-``custom_op`` states: a backward rule never captures, in a deferred
-closure, an array it also returns.
+The tape never writes into a gradient: it adds a tensor's gradients out
+of place, and backward rules never write into the output's gradient
+``g``.  So a rule may return ``g``, a view of it or an array that one
+of its deferred closures also reads, and one array may be the gradient
+of several tensors (``add`` hands ``g`` to both operands, ``concat``
+and ``tile_rows`` views of it); ``Tape.grad`` therefore hands out the
+gradients it holds read-only.
 
 Row convention: a batch of documents is a (B, n) matrix with one document
 per row, and a single document is a (1, n) row; ``affine`` takes nothing
@@ -156,21 +154,19 @@ def _wrap(values: np.ndarray) -> Tensor:
     return t
 
 
-_LOCAL = threading.local()
+class _ActiveTapes(threading.local):
+    """The tapes recording in one thread, innermost last."""
+
+    def __init__(self):
+        self.stack = []
 
 
-def _stack() -> list:
-    try:
-        return _LOCAL.stack
-    except AttributeError:
-        _LOCAL.stack = []
-        return _LOCAL.stack
+_LOCAL = _ActiveTapes()
 
 
 def _record(out: Tensor, inputs, backward) -> None:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack:
-        stack[-1]._records.append((out, inputs, backward))
+    if _LOCAL.stack:
+        _LOCAL.stack[-1]._records.append((out, inputs, backward))
 
 
 class Tape:
@@ -186,11 +182,11 @@ class Tape:
         self._grads = None
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _LOCAL.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _stack().pop()
+        popped = _LOCAL.stack.pop()
         if popped is not self:  # pragma: no cover - misuse guard
             raise TapeError("tape stack corrupted: exited a tape that is not innermost")
         return False
@@ -207,26 +203,22 @@ class Tape:
                 continue
             if callable(g):
                 g = grads[out] = g()
-            returned = backward(g)
-            for tensor, gi in zip(inputs, returned):
+            for tensor, gi in zip(inputs, backward(g)):
                 if gi is None:
                     continue
                 acc = grads.get(tensor)
-                if acc is None:
-                    # A deferred gradient is computed fresh once it is needed.
-                    dtype = tensor.data.dtype
-                    grads[tensor] = gi if callable(gi) or _owned(gi, g, returned, dtype) else np.array(gi, dtype=dtype)
-                else:
-                    if callable(acc):
-                        acc = grads[tensor] = acc()
-                    acc += gi() if callable(gi) else gi
+                if acc is not None:
+                    gi = (acc() if callable(acc) else acc) + (gi() if callable(gi) else gi)
+                grads[tensor] = gi
         self._grads = grads
 
     def grad(self, t: Tensor, out: np.ndarray | None = None) -> np.ndarray:
         """The gradient of the root in ``t``; zeros if ``t`` did not contribute.
 
-        Without ``out`` the tape returns the array it holds, computing a
-        deferred gradient on the first call and keeping it.  With ``out``,
+        Without ``out`` the tape returns the array it holds, read-only and
+        of ``t``'s dtype, computing a deferred gradient on the first call
+        and keeping it.  It is read-only because one array may be the
+        gradient of several tensors, or a view of another's.  With ``out``,
         a writable array of ``t``'s shape and dtype, the gradient is written
         into ``out``, which is returned: a deferred gradient is computed
         straight into it (``affine``'s weight and bias products are), any
@@ -238,9 +230,11 @@ class Tape:
         g = self._grads.get(t)
         if out is None:
             if g is None:
-                return np.zeros_like(t.data)
-            if callable(g):
-                g = self._grads[t] = g()
+                g = np.zeros_like(t.data)
+            else:
+                # A rule's product with a 0-d g can be a numpy scalar, which has no flags.
+                g = self._grads[t] = np.asarray(g() if callable(g) else g, dtype=t.data.dtype)
+            g.flags.writeable = False
             return g
         if out.shape != t.data.shape or out.dtype != t.data.dtype or not out.flags.writeable:
             raise ValueError(f"grad: out must be a writable {t.data.dtype} array of shape {t.data.shape}, got {out.dtype} {out.shape}")
@@ -252,21 +246,6 @@ class Tape:
         if g is not out:
             np.copyto(out, g)
         return out
-
-
-def _owned(gi, g, returned, dtype) -> bool:
-    """Whether the tape may keep a rule's returned ``gi`` as its own gradient of an input of ``dtype``.
-
-    It may when ``gi`` is a writable ``dtype`` array that owns its memory,
-    and neither ``g`` nor another array in ``returned`` is or views it.
-    An array that owns its memory (``base`` is None) shares it only with
-    its views, whose ``base`` numpy sets to it.  So these identity checks
-    can stand in for ``np.may_share_memory``, which cost more than the
-    copy it saved.
-    """
-    if type(gi) is not np.ndarray or gi.base is not None or gi is g or g.base is gi or gi.dtype != dtype or not gi.flags.writeable:
-        return False
-    return sum(1 for other in returned if other is gi or (type(other) is np.ndarray and other.base is gi)) == 1
 
 
 def custom_op(values, inputs, backward) -> Tensor:
@@ -281,13 +260,9 @@ def custom_op(values, inputs, backward) -> Tensor:
     then either writes the gradient into ``out`` and returns ``out``, or
     returns a fresh array, which the tape copies into ``out``.
 
-    The tape keeps a returned array as that input's gradient and may add
-    into it in place later; it copies first an array that is a view, is
-    ``g`` or ``g``'s base, or that another returned array is or views.  A
-    deferred function's array is never copied, so it must be fresh.  And
-    a rule never captures, in a deferred closure, an array it also returns
-    (``g`` itself excepted): the closure would read the array after the
-    tape has added into it.
+    Neither the rule nor the tape writes into ``g`` or into an array the
+    rule returned, so an entry may be ``g``, a view of it or an array a
+    deferred function also reads.
     """
     out = _wrap(values)
     _record(out, tuple(inputs), backward)
@@ -304,13 +279,12 @@ def _check_broadcast(sa: tuple, sb: tuple, op: str) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the axes along which an operand of ``shape`` was broadcast."""
+    """Sum a gradient over the leading axes along which an operand of trailing ``shape`` was broadcast."""
     if g.shape == shape:
         return g
     lead = g.shape[: g.ndim - len(shape)]
-    g = g.reshape(g.shape[len(lead) :]) if all(n == 1 for n in lead) else g.sum(axis=tuple(range(len(lead))))
-    ones = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=ones, keepdims=True) if ones else g
+    # Summing over axes of size 1 would turn -0.0 into +0.0; a reshape keeps it.
+    return g.reshape(shape) if all(n == 1 for n in lead) else g.sum(axis=tuple(range(len(lead))))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -361,8 +335,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = _wrap(xd @ wd.T + bd)
 
     # All three gradients are deferred, so a frozen model or an input
-    # document whose gradient nobody reads costs nothing.  The bias
-    # gradient is a fresh sum for any B, one row included.  Each product
+    # document whose gradient nobody reads costs nothing.  Each product
     # and sum is written into ``out`` when ``Tape.grad`` passes one.
     def backward(g):
         return (

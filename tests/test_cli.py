@@ -1,5 +1,6 @@
 """Command line: explicit dimensions reach the model as given; bad settings and checkpoints exit 1 before any report."""
 
+import gzip
 import os
 import subprocess
 import sys
@@ -241,3 +242,27 @@ def test_train_writes_float32_and_the_other_commands_follow_the_checkpoint(data,
     assert cli.main(["sensitivity", *args]) == 0
     assert cli.main(["export-means", *args, "--out", str(tmp_path / "means.tsv")]) == 0
     assert cli.main(["query", "--ckpt", ckpt, "--vocab", data + ".vocab", "--word", "w0", "--k", "2"]) == 0
+
+
+def test_query_reads_a_gzipped_vocabulary_like_a_plain_one(data, checkpoint, tmp_path, capsys):
+    """``query`` reads its vocabulary as every other command does: a ``.gz`` file gives the same neighbours, and an empty file's error names it."""
+    gz = tmp_path / "synth.vocab.gz"
+    with gzip.open(gz, "wb") as fh:
+        fh.write(Path(data + ".vocab").read_bytes())
+    outputs = []
+    for vocab in (data + ".vocab", str(gz)):
+        assert cli.main(["query", "--ckpt", checkpoint, "--vocab", vocab, "--word", "w0", "--k", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3
+    empty = tmp_path / "empty.vocab"
+    empty.write_text("", encoding="utf-8")
+    assert cli.main(["query", "--ckpt", checkpoint, "--vocab", str(empty), "--word", "w0"]) == cli.RUNTIME_ERROR
+    assert f"{empty}: empty vocabulary" in capsys.readouterr().err
+
+
+def test_synth_rejects_a_negative_split_count(tmp_path, capsys):
+    """Counts that sum to --docs with one below zero are a usage error, and nothing is written."""
+    args = ["synth", "--docs", "60", "--vocab", "10", "--out", str(tmp_path / "synth"), "--split", "70,-10,0"]
+    assert cli.main(args) == cli.USAGE_ERROR
+    assert "--split" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

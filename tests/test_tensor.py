@@ -7,6 +7,7 @@ from pwvae import nvdm
 from pwvae import tensor as T
 
 import nvdm_oracle as oracle
+import tape_oracle
 from gradcheck import max_rel_err, numerical_grad
 
 
@@ -290,6 +291,28 @@ class TestBackwardContract:
                 tape.grad(x)
             tape.backward(T.sum_all(T.mul(x, x)))
 
+    def test_held_gradients_are_read_only(self):
+        """``add`` hands g to both operands and ``concat`` views of it, so a caller writing into one gradient would change another."""
+        with T.Tape() as tape:
+            xt, yt, wt, bt, unused = (T.Tensor(a) for a in (np.ones((2, 3)), np.ones((2, 2)), np.ones((4, 5)), np.zeros(4), np.ones(2)))
+            joined = T.concat(xt, yt)
+            tape.backward(T.sum_all(T.affine(T.add(joined, joined), wt, bt)))
+        for t in (xt, yt, wt, bt, unused, joined):
+            g = tape.grad(t)
+            assert not g.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g[...] = 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_0d_gradient_is_a_0d_array_of_the_tensors_dtype(self, dtype):
+        """``scale_shift``'s rule turns a 0-d g into a numpy scalar; the tape hands out a 0-d array."""
+        x = T.Tensor(np.asarray(2.0, dtype=dtype))
+        with T.Tape() as tape:
+            tape.backward(T.add(T.scale_shift(x, 3.0, 1.0), T.scale_shift(x, 2.0, 0.0)))
+        g, out = tape.grad(x), np.full((), np.nan, dtype=dtype)
+        assert type(g) is np.ndarray and g.shape == () and g.dtype == dtype and g == 5.0
+        assert tape.grad(x, out=out) is out and out == 5.0
+
 
 class TestElementwiseAndReductions:
     def test_binary_op_gradients(self):
@@ -505,23 +528,26 @@ def gradients(build, leaves):
 
 
 class TestTapeAliasing:
-    """The tape keeps a rule's returned array uncopied only when nothing else holds it.
+    """Gradients when rules return one array for two inputs, ``g``, views of ``g`` or arrays that deferred closures read.
 
-    Each case's gradients are bit-identical to a tape that copies every
-    first gradient it stores, and match the analytic values.
+    Each case's gradients are bit-identical to those of ``tape_oracle``'s
+    tape, which added into the first array a rule returned, both as it
+    kept or copied that array and copying it always, and match the
+    analytic values.
     """
 
-    def check(self, build, leaves, expected, monkeypatch):
-        kept = gradients(build, leaves)
-        with monkeypatch.context() as patch:
-            patch.setattr(T, "_owned", lambda *args: False)
-            copied = gradients(build, leaves)
-        for grad, reference, want in zip(kept, copied, expected):
-            assert grad.shape == reference.shape and grad.tobytes() == reference.tobytes()
+    def check(self, build, leaves, expected):
+        got = gradients(build, leaves)
+        for copy_all in (False, True):
+            with tape_oracle.swapped_in(copy_all):
+                reference = gradients(build, leaves)
+            for grad, ref in zip(got, reference, strict=True):
+                assert grad.shape == ref.shape and grad.tobytes() == ref.tobytes(), copy_all
+        for grad, want in zip(got, expected, strict=True):
             np.testing.assert_allclose(grad, want, rtol=1e-12)
 
-    def test_one_array_returned_for_two_inputs(self, monkeypatch):
-        """u = x + y by a rule that returns one array for both; x's gradient then gets x*x's added in place."""
+    def test_one_array_returned_for_two_inputs(self):
+        """u = x + y by a rule that returns one array for both; x's gradient then gets x*x's added."""
         rng = np.random.default_rng(30)
         x, y = rng.normal(size=4), rng.normal(size=4)
 
@@ -533,10 +559,26 @@ class TestTapeAliasing:
             square = T.mul(xt, xt)
             return T.sum_all(T.add(square, T.custom_op(xt.data + yt.data, (xt, yt), rule)))
 
-        self.check(build, [x, y], [2.0 * x + 1.0, np.ones(4)], monkeypatch)
+        self.check(build, [x, y], [2.0 * x + 1.0, np.ones(4)])
 
-    def test_add_and_concat_return_g_and_its_views(self, monkeypatch):
-        """``add`` hands back g for both operands and ``concat`` slices of g; each operand's gradient is then added into."""
+    def test_a_deferred_closure_may_read_an_array_the_rule_returned(self):
+        """u = x + y by a rule that returns a fresh array for x and defers y's gradient as a copy of it; x then gets x*x's gradient too, which must not reach y's."""
+        rng = np.random.default_rng(36)
+        x, y = rng.normal(size=4), rng.normal(size=4)
+
+        def rule(g):
+            h = g * 1.0
+            return h, lambda out=None: np.multiply(h, 1.0, out=out)
+
+        with T.Tape() as tape:
+            xt, yt = T.Tensor(x), T.Tensor(y)
+            tape.backward(T.sum_all(T.add(T.mul(xt, xt), T.custom_op(x + y, (xt, yt), rule))))
+        np.testing.assert_array_equal(tape.grad(yt, out=np.empty(4)), np.ones(4))
+        np.testing.assert_array_equal(tape.grad(yt), np.ones(4))
+        np.testing.assert_allclose(tape.grad(xt), 2.0 * x + 1.0, rtol=1e-12)
+
+    def test_add_and_concat_return_g_and_its_views(self):
+        """``add`` hands back g for both operands and ``concat`` slices of g; each operand then gets further gradients."""
         rng = np.random.default_rng(31)
         x, y = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
 
@@ -548,11 +590,11 @@ class TestTapeAliasing:
             return T.add(squares, T.sum_all(T.add(doubled, T.concat(xt, yt))))
 
         # d/dx = 2 (2a + 2) + 1 with a = 2x, and d/dy = -(2b + 2) + 1 with b = -y.
-        self.check(build, [x, y], [8.0 * x + 5.0, 2.0 * y - 1.0], monkeypatch)
+        self.check(build, [x, y], [8.0 * x + 5.0, 2.0 * y - 1.0])
 
     @pytest.mark.parametrize("with_base", [False, True])
-    def test_reshaped_view_of_a_fresh_array(self, with_base, monkeypatch):
-        """u = x + y for (2, 3) x and (6,) y by a rule that returns a fresh array reshaped for y, and under ``with_base`` the fresh array itself for x; both gradients are then added into."""
+    def test_reshaped_view_of_a_fresh_array(self, with_base):
+        """u = x + y for (2, 3) x and (6,) y by a rule that returns a fresh array reshaped for y, and under ``with_base`` the fresh array itself for x; both then get further gradients."""
         rng = np.random.default_rng(33)
         x, y = rng.normal(size=(2, 3)), rng.normal(size=6)
 
@@ -564,19 +606,19 @@ class TestTapeAliasing:
             squares = T.add(T.sum_all(T.mul(xt, xt)), T.sum_all(T.mul(yt, yt)))
             return T.add(squares, T.sum_all(T.custom_op(xt.data + yt.data.reshape(2, 3), (xt, yt), rule)))
 
-        self.check(build, [x, y], [2.0 * x + 1.0, 2.0 * y + 1.0], monkeypatch)
+        self.check(build, [x, y], [2.0 * x + 1.0, 2.0 * y + 1.0])
 
-    def test_one_row_bias_gradient_does_not_alias_g(self, monkeypatch):
-        """``affine`` of one (1, m) row defers a bias gradient that sums g's one row, and input products that read g; the bias's later gradient, added into its sum, must not reach g."""
+    def test_one_row_bias_gradient_does_not_alias_g(self):
+        """``affine`` of one (1, m) row defers a bias gradient that sums g's one row, and input products that read g; the bias's later gradient, added to its sum, must not reach g."""
         rng = np.random.default_rng(34)
         x, w, b = rng.normal(size=(1, 2)), rng.normal(size=(3, 2)), rng.normal(size=3)
 
         def build(xt, wt, bt):
             return T.add(T.sum_all(T.mul(bt, bt)), T.sum_all(T.affine(xt, wt, bt)))
 
-        self.check(build, [x, w, b], [w.sum(axis=0, keepdims=True), np.ones((3, 1)) * x, 2.0 * b + 1.0], monkeypatch)
+        self.check(build, [x, w, b], [w.sum(axis=0, keepdims=True), np.ones((3, 1)) * x, 2.0 * b + 1.0])
 
-    def test_tiled_rows_split_back_into_blocks(self, monkeypatch):
+    def test_tiled_rows_split_back_into_blocks(self):
         """``tile_rows`` hands one input several views of g, and each ``row_block`` a full-size array; x also gets x*x's gradient."""
         rng = np.random.default_rng(35)
         x = rng.normal(size=(2, 3))
@@ -586,10 +628,10 @@ class TestTapeAliasing:
             blocks = [T.sum_all(T.scale_shift(T.row_block(tiled, 2 * s, 2 * s + 2), s + 1.0, 0.0)) for s in range(3)]
             return T.add(T.sum_all(T.mul(xt, xt)), T.add(T.add(blocks[0], blocks[1]), blocks[2]))
 
-        self.check(build, [x], [2.0 * x + 6.0], monkeypatch)
+        self.check(build, [x], [2.0 * x + 6.0])
 
     @pytest.mark.parametrize("deferred_last", [True, False])
-    def test_deferred_and_eager_gradients_accumulate_into_one_tensor(self, deferred_last, monkeypatch):
+    def test_deferred_and_eager_gradients_accumulate_into_one_tensor(self, deferred_last):
         """The weight's deferred ``affine`` product and an eager ``mul`` gradient, in either tape order."""
         rng = np.random.default_rng(32)
         x, w = rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
@@ -599,4 +641,4 @@ class TestTapeAliasing:
             first, second = parts if deferred_last else parts[::-1]
             return T.add(first(), second())
 
-        self.check(build, [x, w], [np.ones((4, 1)) * w.sum(axis=0), 2.0 * w + x.sum(axis=0)], monkeypatch)
+        self.check(build, [x, w], [np.ones((4, 1)) * w.sum(axis=0), 2.0 * w + x.sum(axis=0)])
