@@ -141,6 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    if args.docs < 1:
+        raise UsageError(f"--docs must be >= 1, got {args.docs}")
+    if args.vocab < 2 or args.vocab % 2:
+        raise UsageError(f"--vocab must be a positive even number, got {args.vocab}")
     corpus = make_synthetic_bimodal(args.docs, args.vocab, args.seed)
     if args.split is None:
         save_corpus(corpus, args.out + ".vocab", args.out + ".docs", args.out + ".labels")

@@ -174,8 +174,6 @@ def evaluate(
     """Sampled-bound perplexity over a corpus under the amortised posterior."""
     if len(corpus) == 0:
         raise ValueError("evaluate: empty corpus")
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
     _check_kl_weight(kl_weight)
     _check_documents(model, corpus, corpus.docs)
     root = _root(rng)

@@ -5,6 +5,10 @@ block every operation additionally records a backward rule; calling
 ``Tape.backward`` on a scalar result then accumulates gradients for every
 tensor that participated, visiting operations in exact reverse execution
 order.  Outside a tape the same functions are plain forward computations.
+Every op, built in here or defined elsewhere (the decoder likelihood,
+the KL ops, the piecewise sampler), is one call of ``custom_op``: it
+computes its values and backward rule and hands both, with its input
+tensors, to ``custom_op``, which alone wraps and records them.
 A backward rule may defer an input gradient (``affine`` defers all three
 of its gradients, the KL ops their prior-side gradients); the tape
 computes it only once it is needed, so a frozen weight or bias, an input
@@ -249,7 +253,11 @@ class Tape:
 
 
 def custom_op(values, inputs, backward) -> Tensor:
-    """Wrap externally computed values as one taped operation.
+    """Wrap computed values as one taped operation and return them as a Tensor.
+
+    This is the one way an op is built: every op in this module ends in
+    a call of it, as do the ops other modules define, so an op call that
+    computes anything is exactly one record on the active tape.
 
     ``backward`` maps the output gradient ``g`` to a tuple of input
     gradients aligned with ``inputs``.  An entry may be None (no gradient)
@@ -291,34 +299,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
     _check_broadcast(sa, sb, "add")
     _same_dtype("add", a.data, b.data)
-    out = _wrap(a.data + b.data)
-    _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-    return out
+    return custom_op(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
     _check_broadcast(sa, sb, "sub")
     _same_dtype("sub", a.data, b.data)
-    out = _wrap(a.data - b.data)
-    _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-    return out
+    return custom_op(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.data.shape, b.data.shape, "mul")
     ad, bd = a.data, b.data
     _same_dtype("mul", ad, bd)
-    out = _wrap(ad * bd)
-    _record(out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
-    return out
+    return custom_op(ad * bd, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)))
 
 
 def scale_shift(x: Tensor, scale: float, shift: float) -> Tensor:
     """Elementwise scale*x + shift for python-float scale and shift."""
-    out = _wrap(x.data * scale + shift)
-    _record(out, (x,), lambda g: (g * scale,))
-    return out
+    return custom_op(x.data * scale + shift, (x,), lambda g: (g * scale,))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -332,7 +332,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if wd.ndim != 2 or xd.ndim != 2 or xd.shape[1] != wd.shape[1] or bd.shape != wd.shape[:1]:
         raise ShapeError(f"affine: rows {xd.shape}, matrix {wd.shape} and bias {bd.shape} do not conform; expected (B, m) rows, a (k, m) matrix and a (k,) bias")
     _same_dtype("affine", wd, xd, bd)
-    out = _wrap(xd @ wd.T + bd)
 
     # All three gradients are deferred, so a frozen model or an input
     # document whose gradient nobody reads costs nothing.  Each product
@@ -344,15 +343,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             lambda out=None: np.sum(g, axis=0, out=out),
         )
 
-    _record(out, (x, w, b), backward)
-    return out
+    return custom_op(xd @ wd.T + bd, (x, w, b), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     xd = x.data
-    out = _wrap(np.asarray(xd.sum()))
-    _record(out, (x,), lambda g: (g * np.ones_like(xd),))
-    return out
+    return custom_op(xd.sum(), (x,), lambda g: (g * np.ones_like(xd),))
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -361,9 +357,7 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"concat: shapes {a.data.shape} and {b.data.shape} differ before the last axis")
     _same_dtype("concat", a.data, b.data)
     na = a.data.shape[-1]
-    out = _wrap(np.concatenate([a.data, b.data], axis=-1))
-    _record(out, (a, b), lambda g: (g[..., :na], g[..., na:]))
-    return out
+    return custom_op(np.concatenate([a.data, b.data], axis=-1), (a, b), lambda g: (g[..., :na], g[..., na:]))
 
 
 def tile_rows(x: Tensor, reps: int) -> Tensor:
@@ -380,9 +374,7 @@ def tile_rows(x: Tensor, reps: int) -> Tensor:
     if xd.ndim != 2:
         raise ShapeError(f"tile_rows: expected (B, n) rows, got shape {xd.shape}")
     b = xd.shape[0]
-    out = _wrap(np.tile(xd, (reps, 1)))
-    _record(out, (x,) * reps, lambda g: tuple(g[s * b : (s + 1) * b] for s in reversed(range(reps))))
-    return out
+    return custom_op(np.tile(xd, (reps, 1)), (x,) * reps, lambda g: tuple(g[s * b : (s + 1) * b] for s in reversed(range(reps))))
 
 
 def row_block(x: Tensor, lo: int, hi: int) -> Tensor:
@@ -390,7 +382,6 @@ def row_block(x: Tensor, lo: int, hi: int) -> Tensor:
     xd = x.data
     if lo == 0 and hi == xd.shape[0]:
         return x
-    out = _wrap(xd[lo:hi])
 
     def backward(g):
         # -0.0 is the additive identity, so summing the blocks of several
@@ -399,27 +390,22 @@ def row_block(x: Tensor, lo: int, hi: int) -> Tensor:
         grad[lo:hi] = g
         return (grad,)
 
-    _record(out, (x,), backward)
-    return out
+    return custom_op(xd[lo:hi], (x,), backward)
 
 
 def exp_clamped(x: Tensor, lo: float = -30.0, hi: float = 30.0) -> Tensor:
     """exp of x clamped to [lo, hi]; gradient is zero outside the clamp range."""
     xd = x.data
-    out_data = np.exp(np.minimum(np.maximum(xd, lo), hi))
-    out = _wrap(out_data)
-    _record(out, (x,), lambda g: (g * out_data * ((xd >= lo) & (xd <= hi)),))
-    return out
+    y = np.exp(np.minimum(np.maximum(xd, lo), hi))
+    return custom_op(y, (x,), lambda g: (g * y * ((xd >= lo) & (xd <= hi)),))
 
 
 def sqrt(x: Tensor) -> Tensor:
     xd = x.data
     if np.any(xd < 0.0):
         raise ValueError("sqrt: input must be non-negative")
-    out_data = np.sqrt(xd)
-    out = _wrap(out_data)
-    _record(out, (x,), lambda g: (g * 0.5 / out_data,))
-    return out
+    y = np.sqrt(xd)
+    return custom_op(y, (x,), lambda g: (g * 0.5 / y,))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -430,18 +416,14 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
 def softplus(x: Tensor) -> Tensor:
     """Elementwise log(1 + exp(x)), overflow safe; derivative is the sigmoid."""
     xd = x.data
-    out = _wrap(np.logaddexp(0.0, xd))
-    _record(out, (x,), lambda g: (g * _sigmoid(xd),))
-    return out
+    return custom_op(np.logaddexp(0.0, xd), (x,), lambda g: (g * _sigmoid(xd),))
 
 
 def softsign(x: Tensor) -> Tensor:
     """Elementwise v / (1 + |v|); derivative 1 / (1 + |v|)^2."""
     xd = x.data
     denom = 1.0 + np.abs(xd)
-    out = _wrap(xd / denom)
-    _record(out, (x,), lambda g: (g / (denom * denom),))
-    return out
+    return custom_op(xd / denom, (x,), lambda g: (g / (denom * denom),))
 
 
 def _select(cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -472,12 +454,10 @@ def prelu(x: Tensor, leak: Tensor) -> Tensor:
         raise ShapeError(f"prelu: leak shape {ld.shape} does not match input shape {xd.shape}")
     _same_dtype("prelu", xd, ld)
     one, zero = np.ones((), xd.dtype), np.zeros((), xd.dtype)
-    out = _wrap(_select(xd > 0, one, ld) * xd)
 
     def backward(g):
         gx = g * _select(xd >= 0, one, ld)
         gl = g * _select(xd < 0, xd, zero)
         return (gx, _unbroadcast(gl, ld.shape))
 
-    _record(out, (x, leak), backward)
-    return out
+    return custom_op(_select(xd > 0, one, ld) * xd, (x, leak), backward)

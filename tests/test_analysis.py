@@ -63,6 +63,12 @@ class TestWordNeighbors:
         assert [t for t, _ in out] == ["w0", "w1", "w2", "w4"]
 
 
+    @pytest.mark.parametrize("size", [11, 13])
+    def test_vocabulary_of_another_size_rejected(self, corpus, size):
+        with pytest.raises(ValueError, match=f"vocabulary size {size} != model vocabulary size 12"):
+            analysis.word_neighbors(model_for(corpus), [f"w{i}" for i in range(size)], "w0", 3)
+
+
 class TestKlSensitivity:
     def test_zero_piecewise_head_falls_to_tie_break(self, corpus):
         model = model_for(corpus, variant="h")

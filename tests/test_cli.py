@@ -12,6 +12,7 @@ import pytest
 import pwvae
 from pwvae import cli
 from pwvae.checkpoint import load_checkpoint, save_checkpoint
+from pwvae.corpus import load_corpus, make_synthetic_bimodal
 from pwvae.nvdm import init_model
 from pwvae.training import TrainConfig
 
@@ -260,9 +261,92 @@ def test_query_reads_a_gzipped_vocabulary_like_a_plain_one(data, checkpoint, tmp
     assert f"{empty}: empty vocabulary" in capsys.readouterr().err
 
 
-def test_synth_rejects_a_negative_split_count(tmp_path, capsys):
-    """Counts that sum to --docs with one below zero are a usage error, and nothing is written."""
-    args = ["synth", "--docs", "60", "--vocab", "10", "--out", str(tmp_path / "synth"), "--split", "70,-10,0"]
+@pytest.mark.parametrize(
+    "split, message",
+    [("70,-10,0", "--split must name 3 non-negative counts summing to --docs (60)"), ("20,five,35", "--split must be comma-separated integers")],
+    ids=["negative-count", "non-integer"],
+)
+def test_synth_rejects_a_bad_split(tmp_path, capsys, split, message):
+    """Counts that sum to --docs with one below zero, or a field that is no integer, are a usage error, and nothing is written."""
+    args = ["synth", "--docs", "60", "--vocab", "10", "--out", str(tmp_path / "synth"), "--split", split]
     assert cli.main(args) == cli.USAGE_ERROR
-    assert "--split" in capsys.readouterr().err
+    assert f"usage error: {message}, got {split!r}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--docs", "0"), ("--docs", "-3"), ("--vocab", "0"), ("--vocab", "-2"), ("--vocab", "7")],
+)
+def test_synth_rejects_a_size_that_cannot_make_a_corpus(tmp_path, capsys, flag, value):
+    """Too few documents, or a vocabulary that is not a positive even number, is a usage error naming the flag, and nothing is written."""
+    sizes = {"--docs": "10", "--vocab": "6", flag: value}
+    args = ["synth", *(item for pair in sizes.items() for item in pair), "--out", str(tmp_path / "synth")]
+    assert cli.main(args) == cli.USAGE_ERROR
+    assert f"usage error: {flag} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_without_split_writes_the_generated_corpus(tmp_path, capsys):
+    """The vocabulary, documents and labels files load back as the corpus the generator makes."""
+    prefix = str(tmp_path / "synth")
+    assert cli.main(["synth", "--docs", "25", "--vocab", "8", "--seed", "4", "--out", prefix]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.docs", "synth.labels", "synth.vocab"]
+    loaded = load_corpus(prefix + ".vocab", prefix + ".docs", labels_path=prefix + ".labels")
+    generated = make_synthetic_bimodal(25, 8, 4)
+    assert loaded == generated
+    assert [doc.label for doc in loaded.docs] == [doc.label for doc in generated.docs]
+    assert f"wrote 25 documents to {prefix}.docs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing, what", [("--ckpt", "checkpoint"), ("--corpus", "corpus"), ("--vocab", "vocabulary")])
+def test_a_missing_input_file_is_a_usage_error_naming_its_kind(data, checkpoint, tmp_path, capsys, missing, what):
+    paths = {"--ckpt": checkpoint, "--corpus": data + ".test.docs", "--vocab": data + ".vocab", missing: str(tmp_path / "absent")}
+    assert cli.main(["eval", *(item for pair in paths.items() for item in pair)]) == cli.USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert f"usage error: {what} file not found: {tmp_path / 'absent'}" in err
+    assert out == ""
+
+
+def test_export_means_writes_the_labels_file_s_labels(data, checkpoint, tmp_path, capsys):
+    out = tmp_path / "means.tsv"
+    args = ["export-means", "--ckpt", checkpoint, "--corpus", data + ".test.docs", "--vocab", data + ".vocab", "--out", str(out)]
+    assert cli.main([*args, "--labels", data + ".test.labels"]) == 0
+    rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+    assert [row[1] for row in rows] == Path(data + ".test.labels").read_text(encoding="utf-8").splitlines()
+    assert {row[1] for row in rows} <= {"0", "1"}
+    out.unlink()
+    assert cli.main([*args, "--labels", str(tmp_path / "absent.labels")]) == cli.USAGE_ERROR
+    assert f"usage error: labels file not found: {tmp_path / 'absent.labels'}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "variant, flags, message",
+    [
+        ("g", ("--pieces", "3"), "--pieces/--piece-dims are not valid with --variant g"),
+        ("g", ("--piece-dims", "2"), "--pieces/--piece-dims are not valid with --variant g"),
+        ("p", ("--gauss-dims", "2"), "--gauss-dims is not valid with --variant p"),
+    ],
+)
+def test_a_dimension_flag_of_the_absent_family_is_a_usage_error(data, tmp_path, capsys, variant, flags, message):
+    assert cli.main(train_args(data, tmp_path, variant, *flags)) == cli.USAGE_ERROR
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_a_config_line_without_equals_is_a_usage_error(data, tmp_path, capsys):
+    config = tmp_path / "train.cfg"
+    config.write_text("hidden = 4\nbatch_size 10\n", encoding="utf-8")
+    assert cli.main(train_args(data, tmp_path, "g", "--config", str(config))) == cli.USAGE_ERROR
+    assert f"{config}:2: expected 'key = value'" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_eval_on_a_vocabulary_of_another_size_names_both_sizes(data, checkpoint, tmp_path, capsys):
+    vocab = tmp_path / "wider.vocab"
+    vocab.write_text("".join(f"w{i}\n" for i in range(12)), encoding="utf-8")
+    assert cli.main(["eval", "--ckpt", checkpoint, "--corpus", data + ".test.docs", "--vocab", str(vocab)]) == cli.RUNTIME_ERROR
+    out, err = capsys.readouterr()
+    assert "error: checkpoint vocabulary size 10 != corpus vocabulary size 12" in err
+    assert out == ""

@@ -71,6 +71,16 @@ class TestLoading:
         assert corpus.dropped_docs == 1
         np.testing.assert_array_equal(corpus.docs[0].term_ids, [3])
 
+    def test_blank_lines_are_skipped(self, tmp_path, vocab_path):
+        docs = write(tmp_path, "docs.txt", "\n0 3:2\n   \n\n1 1:1\n")
+        corpus = cio.load_corpus(vocab_path, docs)
+        assert [doc.doc_id for doc in corpus.docs] == ["0", "1"] and corpus.dropped_docs == 0
+
+    def test_every_document_out_of_vocabulary_rejected(self, tmp_path, vocab_path):
+        docs = write(tmp_path, "docs.txt", "0 10:2\n1 42:1 99:3\n")
+        with pytest.raises(cio.CorpusFormatError, match=r"docs\.txt: no documents"):
+            cio.load_corpus(vocab_path, docs)
+
     def test_gzip_round_trip(self, tmp_path):
         corpus = cio.make_synthetic_bimodal(20, 10, seed=3)
         vocab_gz = str(tmp_path / "v.vocab.gz")

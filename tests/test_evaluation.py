@@ -643,6 +643,25 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="num_samples must be >= 1"):
             evaluation.evaluate_iterative(fresh_model("h"), corpus, num_samples=0, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("num_samples", [0, -2])
+    def test_evaluate_rejects_a_sample_count_below_one(self, corpus, monkeypatch, num_samples):
+        """The first block's noise draw rejects the count, before any bound is computed."""
+
+        def bound(*args, **kwargs):
+            raise AssertionError("a bound was computed")
+
+        monkeypatch.setattr(evaluation, "batch_bound", bound)
+        with pytest.raises(ValueError, match="num_samples must be >= 1"):
+            evaluation.evaluate(fresh_model("h"), corpus, num_samples=num_samples, rng=np.random.default_rng(0))
+
+    def test_iterative_inference_rejects_no_documents(self, corpus):
+        with pytest.raises(ValueError, match="iterative_inference: no documents"):
+            evaluation.iterative_inference(fresh_model("h"), corpus, [], rng=np.random.default_rng(0))
+
+    def test_evaluate_iterative_rejects_an_empty_corpus(self, corpus):
+        with pytest.raises(ValueError, match="evaluate_iterative: empty corpus"):
+            evaluation.evaluate_iterative(fresh_model("h"), replace(corpus, docs=()), 1, np.random.default_rng(0))
+
     @pytest.mark.parametrize(
         "setting, value, message",
         [

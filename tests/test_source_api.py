@@ -78,3 +78,15 @@ def test_every_exported_name_is_defined():
         stale |= {(path.stem, name) for name in exports if name not in bound}
     assert stale == set(), "named in __all__ but defined nowhere in the module"
 
+
+def test_only_custom_op_records_on_the_tape():
+    """Every taped op, in ``tensor`` or elsewhere, is one ``custom_op``: no other function calls ``tensor._record``."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_record":
+                        callers.add((path.stem, func.name))
+    assert callers == {("tensor", "custom_op")}

@@ -314,6 +314,59 @@ class TestBackwardContract:
         assert tape.grad(x, out=out) is out and out == 5.0
 
 
+# Each op function of ``tensor.__all__``, from ``add`` on: a call of it on
+# ``op_leaves()`` and the names of the Tensor operands it passes, in order.
+OP_CALLS = {
+    "add": (lambda t: T.add(t["a"], t["a2"]), ("a", "a2")),
+    "sub": (lambda t: T.sub(t["a"], t["v"]), ("a", "v")),
+    "mul": (lambda t: T.mul(t["v"], t["a"]), ("v", "a")),
+    "scale_shift": (lambda t: T.scale_shift(t["a"], 2.0, 1.0), ("a",)),
+    "affine": (lambda t: T.affine(t["a"], t["w"], t["b"]), ("a", "w", "b")),
+    "sum_all": (lambda t: T.sum_all(t["a"]), ("a",)),
+    "concat": (lambda t: T.concat(t["a"], t["c"]), ("a", "c")),
+    "tile_rows": (lambda t: T.tile_rows(t["a"], 3), ("a", "a", "a")),
+    "row_block": (lambda t: T.row_block(t["a"], 1, 3), ("a",)),
+    "exp_clamped": (lambda t: T.exp_clamped(t["a"]), ("a",)),
+    "sqrt": (lambda t: T.sqrt(t["c"]), ("c",)),
+    "softplus": (lambda t: T.softplus(t["a"]), ("a",)),
+    "softsign": (lambda t: T.softsign(t["a"]), ("a",)),
+    "prelu": (lambda t: T.prelu(t["a"], t["v"]), ("a", "v")),
+}
+
+
+def op_leaves():
+    rng = np.random.default_rng(31)
+    shapes = {"a": (3, 4), "a2": (3, 4), "c": (3, 2), "v": (4,), "w": (5, 4), "b": (5,)}
+    return {name: T.Tensor(np.abs(rng.normal(size=shape)) if name == "c" else rng.normal(size=shape)) for name, shape in shapes.items()}
+
+
+class TestOneRecordPerOp:
+    """Every op is one ``custom_op``: one call under a tape appends exactly one record, of the returned Tensor and its operands."""
+
+    def test_every_op_of_the_module_is_covered(self):
+        assert list(OP_CALLS) == T.__all__[T.__all__.index("add") :]
+
+    @pytest.mark.parametrize("name", list(OP_CALLS))
+    def test_one_call_appends_one_record(self, name):
+        call, operands = OP_CALLS[name]
+        leaves = op_leaves()
+        with T.Tape() as tape:
+            out = call(leaves)
+        ((recorded, inputs, backward),) = tape._records
+        assert recorded is out and isinstance(out, T.Tensor)
+        assert not out.data.flags.writeable
+        assert len(inputs) == len(operands) and all(got is leaves[key] for got, key in zip(inputs, operands))
+        assert callable(backward)
+
+    def test_a_whole_input_comes_back_unrecorded(self):
+        """``tile_rows`` of one copy and ``row_block`` of every row are x itself, and no op."""
+        x = op_leaves()["a"]
+        with T.Tape() as tape:
+            assert T.tile_rows(x, 1) is x
+            assert T.row_block(x, 0, 3) is x
+        assert tape._records == []
+
+
 class TestElementwiseAndReductions:
     def test_binary_op_gradients(self):
         rng = np.random.default_rng(17)
