@@ -49,8 +49,11 @@ def word_neighbors(model: NvdmModel, vocab, query: str, k: int):
     """k nearest words to the query in decoder-column space, query excluded.
 
     Distances are Euclidean; ties break on the lower word id.  Returns
-    (token, distance) pairs.
+    (token, distance) pairs, fewer than k when the vocabulary has fewer
+    other words; k below 1 raises ValueError.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     tokens = list(vocab)
     if len(tokens) != model.vocab_size:
         raise ValueError(f"vocabulary size {len(tokens)} != model vocabulary size {model.vocab_size}")
@@ -62,7 +65,6 @@ def word_neighbors(model: NvdmModel, vocab, query: str, k: int):
     r = model.params["dec_r"].data
     dist = np.linalg.norm(r - r[:, qid : qid + 1], axis=0)
     order = [i for i in np.argsort(dist, kind="stable") if i != qid]
-    k = max(0, min(k, len(order)))
     return [(tokens[i], float(dist[i])) for i in order[:k]]
 
 

@@ -145,6 +145,8 @@ def _cmd_synth(args) -> int:
         raise UsageError(f"--docs must be >= 1, got {args.docs}")
     if args.vocab < 2 or args.vocab % 2:
         raise UsageError(f"--vocab must be a positive even number, got {args.vocab}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     corpus = make_synthetic_bimodal(args.docs, args.vocab, args.seed)
     if args.split is None:
         save_corpus(corpus, args.out + ".vocab", args.out + ".docs", args.out + ".labels")

@@ -328,12 +328,12 @@ def iterative_inference(
                 else:
                     _abort_non_finite(tracked, live, aborted)
                     improved = live & (tracked > best_bound)
-                    best_bound[improved] = tracked[improved]
+                    np.copyto(best_bound, tracked, where=improved)
                     for name, rows in params.items():
                         if rows is not None:
-                            best[name][improved] = rows[improved]
+                            np.copyto(best[name], rows, where=improved[:, None])
+                    since_improve += live
                     since_improve[improved] = 0
-                    since_improve[live & ~improved] += 1
                     live &= since_improve < stop_patience
                 if not stepping:
                     break
@@ -344,9 +344,11 @@ def iterative_inference(
                 grads = {name: tape.grad(tensor) for name, tensor in tensors.items() if tensor is not None}
             norm = np.sqrt(sum(np.sum(g * g, axis=1) for g in grads.values()))
             step = lr * (REFINE_CLIP_NORM / np.maximum(norm, REFINE_CLIP_NORM))
+            # Every row's step is formed, a frozen row's perhaps not finite,
+            # but only live rows add it.
             for name, g in grads.items():
-                params[name][live] += step[live, None] * g[live]
-            steps[live] += 1
+                np.add(params[name], step[:, None] * g, out=params[name], where=live[:, None])
+            steps += live
 
     _clip_pieces(best)
     return [

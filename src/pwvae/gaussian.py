@@ -10,8 +10,10 @@ posterior's interpolate them with estimates from the encoding through
 gate vectors that start at zero, so an untrained posterior equals the
 prior exactly.  Gates are used raw, since squashing them would break that
 identity, and act before the softplus, so no gate value can make a
-variance <= 0.  Samples are reparametrised, z = mu + sqrt(var) * eps, for
-noise eps drawn by the caller.
+variance <= 0.  ``from_raw``'s variance is one taped op.  Samples are
+reparametrised, z = mu + sqrt(var) * eps, for noise eps drawn by the
+caller: ``sample_with_noise`` draws S samples of every posterior row,
+one (B, G) block of noise each, in one taped op.
 
 Priors are (G,) vectors and posteriors (B, G) rows, one per document,
 a single document being a (1, G) row; the prior biases and the gates
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _same_dtype, _unbroadcast, add, affine, custom_op, mul, scale_shift, softplus, sqrt
+from .tensor import ShapeError, Tensor, _same_dtype, _unbroadcast, add, affine, custom_op, mul, scale_shift
 
 __all__ = ["GaussianParams", "GaussianHead", "VAR_FLOOR", "from_raw", "prior_forward", "posterior_forward", "sample_with_noise", "kl"]
 
@@ -71,9 +73,21 @@ class GaussianHead:
     alpha_sigma: Tensor
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def from_raw(mu: Tensor, raw_sigma: Tensor) -> GaussianParams:
-    """Gaussian parameters from pre-activations: mean mu, var = softplus(raw_sigma) + floor."""
-    return GaussianParams(mu=mu, var=softplus(raw_sigma) + VAR_FLOOR)
+    """Gaussian parameters from pre-activations: mean mu, and var = softplus(raw_sigma) + floor as one taped op.
+
+    The softplus log(1 + exp(x)) is overflow safe, and its derivative is
+    the sigmoid.
+    """
+    raw = raw_sigma.data
+    var = np.logaddexp(0.0, raw)
+    var += VAR_FLOOR
+    return GaussianParams(mu=mu, var=custom_op(var, (raw_sigma,), lambda g: (g * _sigmoid(raw),)))
 
 
 def prior_forward(head: GaussianHead) -> GaussianParams:
@@ -100,8 +114,36 @@ def posterior_forward(head: GaussianHead, enc: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def sample_with_noise(g: GaussianParams, eps: np.ndarray) -> Tensor:
-    """Reparametrised sample z = mu + sqrt(var) * eps for fixed noise eps of the same shape."""
-    return add(g.mu, mul(sqrt(g.var), Tensor(eps)))
+    """Reparametrised samples z = mu + sqrt(var) * eps of (B, G) posterior rows, as one taped op.
+
+    ``eps`` is (S*B, G) noise of the rows' dtype: S blocks of B rows,
+    block s holding every row's s-th sample, and z is laid out the same
+    way; other shapes or dtypes raise ShapeError.  Like
+    ``piecewise.sample_through``, the backward hands mu and var one
+    gradient per block, the last block's first, so each adds up as under
+    S separate draws.
+    """
+    mu, var = g.mu.data, g.var.data
+    eps = np.asarray(eps)
+    rows = mu.shape[0] if mu.ndim == 2 else 0
+    samples = len(eps) // rows if rows and eps.ndim == 2 else 0
+    if samples < 1 or eps.shape != (samples * rows, mu.shape[1]):
+        raise ShapeError(f"sample_with_noise: expected (B, G) posterior rows and (S*B, G) noise, got {mu.shape} and {eps.shape}")
+    _same_dtype("sample_with_noise", mu, var, eps)
+    inputs = (g.mu,) * samples + (g.var,) * samples
+    std = np.sqrt(var)
+    noise = eps.reshape(samples, rows, -1)
+    z = std * noise
+    z += mu
+
+    def backward(g):
+        blocks = g.reshape(samples, rows, -1)
+        g_var = blocks * noise
+        g_var *= 0.5
+        g_var /= std
+        return (*blocks[::-1], *g_var[::-1])
+
+    return custom_op(z.reshape(eps.shape), inputs, backward)
 
 
 def kl(post: GaussianParams, prior: GaussianParams) -> Tensor:

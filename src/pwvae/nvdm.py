@@ -3,19 +3,20 @@
 Three variants share one architecture: a two-layer bag-of-words encoder,
 latent heads producing prior/posterior parameters, and a softmax word
 decoder with logits b - R z, whose count-weighted log-likelihood
-(``decode_logprob``) is one taped op.  It forms the logits and their
-log-probabilities in one (B, V) buffer, which is all it keeps for its
-backward, and the backward builds the logits' gradient in that buffer
-and one more.  ``dec_r`` holds R^T, the (L, V) matrix that latent rows
-are multiplied by.  Variant "g" uses
-Gaussian latent variables only, "p" piecewise constant only, and "h"
-both, sampled independently and concatenated (Gaussian dimensions first).
+(``decode_logprob``) is one taped op for all posterior samples.  It
+forms each sample's logits and their log-probabilities in one (B, V)
+buffer, which is all it keeps of that sample for its backward, and the
+backward builds the logits' gradient in that buffer and one more.
+``dec_r`` holds R^T, the (L, V) matrix that latent rows are multiplied
+by.  Variant "g" uses Gaussian latent variables only, "p" piecewise
+constant only, and "h" both, sampled independently and concatenated
+(Gaussian dimensions first).
 
-Piecewise samples are shifted onto [-1, 1] before entering the decoder;
-KL terms are computed on the unshifted parametrisation.  The variational
-bound for one document is the count-weighted reconstruction
-log-likelihood, averaged over posterior samples, minus the weighted sum
-of the per-family KL terms.
+``combine_latents`` shifts piecewise samples onto [-1, 1] as it joins
+them to the Gaussian ones, in one op; KL terms are computed on the
+unshifted parametrisation.  The variational bound for one document is
+the count-weighted reconstruction log-likelihood, averaged over
+posterior samples, minus the weighted sum of the per-family KL terms.
 
 ``priors`` builds both priors from bias vectors alone, and the callers
 of ``posterior_bound`` pass them in.  Every posterior, amortised or
@@ -39,15 +40,20 @@ of (S, B, dims) arrays, None for an absent family, whose rows belong to
 the documents in order.
 
 ``posterior_bound`` draws the latents of all S posterior samples in one
-pass over each family's noise as (S*B, dims) rows.  ``tile_rows``
-stacks the Gaussian posterior rows S times, and
-``piecewise.sample_through`` takes the piecewise weight rows as they are
-and reads each row's weights once for its S samples.  The decoder still
-reads each sample's (B, L) block on its own (``row_block``), so every
-decoder product and log-softmax keeps its shape and its bits; one
-log-softmax over S*B rows at V=2000 was slower than S over B rows.
-Bounds and gradients equal those of one sampling pass per sample bit
-for bit, and with one sample nothing is tiled or split.
+pass over each family's noise as (S*B, dims) rows, one taped op a step:
+``gaussian.sample_with_noise`` and ``piecewise.sample_through`` take
+the (B, dims) posterior rows as they are and read each row once for its
+S samples, ``combine_latents`` joins the families, and
+``decode_logprob`` decodes the S blocks and averages them.  The decoder
+still multiplies and log-softmaxes each sample's (B, L) block on its
+own, so every product and log-softmax keeps its shape and its bits
+under any BLAS kernel; one log-softmax over S*B rows at V=2000 was
+slower than S over B rows.  The KL sum, its weight, the subtraction and
+the taped total are one more op, and the bounds come back as plain
+arrays.  Each op that reads an input for S samples hands it one
+gradient per sample, the last sample's first, so bounds and gradients
+equal those of one sampling pass per sample bit for bit, and a bound
+records as many ops for S samples as for one.
 
 ``draw_noises`` draws a whole batch's noise in one vectorised call from a
 (B,) array of uint64 keys, one per document.  It is counter-based (Salmon
@@ -83,21 +89,7 @@ import numpy as np
 from . import gaussian, piecewise
 from .corpus import Corpus, Document
 from .gaussian import GaussianHead, GaussianParams
-from .tensor import (
-    ShapeError,
-    Tensor,
-    _same_dtype,
-    _wrap,
-    affine,
-    concat,
-    custom_op,
-    prelu,
-    row_block,
-    scale_shift,
-    softsign,
-    sum_all,
-    tile_rows,
-)
+from .tensor import ShapeError, Tensor, _same_dtype, _wrap, affine, custom_op, prelu, recording, softsign
 
 __all__ = [
     "VARIANTS",
@@ -318,56 +310,105 @@ def encode(model: NvdmModel, x: Tensor) -> Tensor:
 
 
 def decode_logprob(model: NvdmModel, z: Tensor, counts: Tensor) -> Tensor:
-    """Log-likelihood sum_w c_w log softmax(b - z R)_w of (B, V) ``counts`` at (B, L) latent rows: a (B,) array, as one taped op.
+    """Log-likelihood sum_w c_w log softmax(b - z R)_w of (B, V) ``counts``, averaged over S samples: a (B,) array, as one taped op.
 
-    The logits b - z @ R are formed in one (B, V) buffer, which the max
-    shift and the log-sum-exp turn into log-probabilities in place; that
-    buffer is all a taped call keeps for its backward.  Rows are
-    independent: a row with a non-finite logit gets a non-finite value,
-    the others keep theirs, and the caller checks the result.  Only z,
-    ``dec_r`` and ``dec_b`` get gradients, all three deferred and each
-    written into ``out`` when ``Tape.grad`` passes one.
+    ``z`` is (S*B, L) latent rows: S blocks of B rows, block s holding
+    every document's s-th sample.  Each block's logits b - z_s @ R are
+    formed in one (B, V) buffer, which the max shift and the log-sum-exp
+    turn into log-probabilities in place; a taped call keeps the S
+    buffers for its backward, an untaped one reuses one.  The blocks'
+    likelihoods are summed in order and the sum scaled by 1/S; with one
+    sample nothing is scaled.  Rows are independent: a row with a
+    non-finite logit gets a non-finite value, the others keep theirs,
+    and the caller checks the result.  Only z, ``dec_r`` and ``dec_b``
+    get gradients, all deferred and each written into ``out`` when
+    ``Tape.grad`` passes one; ``dec_r`` and ``dec_b`` get one per
+    sample, the last sample's first.
     """
     r, b = model.params["dec_r"], model.params["dec_b"]
     zd, cd, rd = z.data, counts.data, r.data
     if zd.ndim != 2 or zd.shape[1] != model.latent_dim:
-        raise ShapeError(f"decode: expected (B, {model.latent_dim}) latent rows, got {zd.shape}")
-    if cd.shape != (zd.shape[0], model.vocab_size):
-        raise ShapeError(f"decode: expected counts and logits of one shape, (B, n) rows, got {cd.shape} and {(zd.shape[0], model.vocab_size)}")
+        raise ShapeError(f"decode: expected (B, {model.latent_dim}) latent rows, or S blocks of them, got {zd.shape}")
+    rows = cd.shape[0] if cd.ndim == 2 else 0
+    if cd.shape != (rows, model.vocab_size) or not rows or not zd.shape[0] or zd.shape[0] % rows:
+        raise ShapeError(f"decode: expected (B, {model.vocab_size}) counts and S blocks of B latent rows, got {cd.shape} and {zd.shape}")
     _same_dtype("decode", zd, rd, cd)
-    logp = zd @ rd
-    np.subtract(b.data, logp, out=logp)
-    logp -= logp.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    samples = zd.shape[0] // rows
+    blocks = [zd[s * rows : (s + 1) * rows] for s in range(samples)]
+    kept = [] if recording() else None
+    value = logp = None
+    for zs in blocks:
+        logp = zs @ rd if kept is not None or logp is None else np.matmul(zs, rd, out=logp)
+        np.subtract(b.data, logp, out=logp)
+        logp -= logp.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        term = (cd[:, None, :] @ logp[:, :, None])[:, 0, 0]
+        value = term if value is None else value + term
+        if kept is not None:
+            kept.append(logp)
+    if samples > 1:
+        # Adding 0.0, as ``scale_shift`` does, makes a mean of -0.0 +0.0.
+        value = value * (1.0 / samples) + 0.0
 
     def backward(g):
-        # gl = g c becomes the logits' gradient g c - exp(logp) sum(g c) in
-        # place, and logp's buffer its negation.  b's gradient is gl's
-        # column sum, z's -gl @ R.T (read through a view of R) and R's
-        # z.T @ -gl.  Negating gl, rather than subtracting the other way
-        # round, keeps the sign of a zero: x - x is +0.0 either way.
+        # gl = g c becomes each block's logits gradient g c - exp(logp)
+        # sum(g c), in a buffer of its own (the last block's in gl), and
+        # logp's buffer its negation.  b's gradient is gl's column sum,
+        # z's -gl @ R.T (read through a view of R) and R's z.T @ -gl.
+        # Negating gl, rather than subtracting the other way round, keeps
+        # the sign of a zero: x - x is +0.0 either way.
+        if samples > 1:
+            g = g * (1.0 / samples)
         gl = g[:, None] * cd
-        np.multiply(np.exp(logp, out=logp), gl.sum(axis=1, keepdims=True), out=logp)
-        np.subtract(gl, logp, out=gl)
-        neg = np.negative(gl, out=logp)
-        return (
-            lambda out=None: np.matmul(neg, rd.T, out=out),
-            lambda out=None: np.matmul(zd.T, neg, out=out),
-            lambda out=None: np.sum(gl, axis=0, out=out),
-        )
+        total = gl.sum(axis=1, keepdims=True)
+        grads = []
+        for s, logp in enumerate(kept):
+            np.multiply(np.exp(logp, out=logp), total, out=logp)
+            gs = np.subtract(gl, logp, out=gl if s == samples - 1 else None)
+            grads.append((gs, np.negative(gs, out=logp)))
 
-    return custom_op((cd[:, None, :] @ logp[:, :, None])[:, 0, 0], (z, r, b), backward)
+        def z_grad(out=None):
+            out = np.empty(zd.shape, zd.dtype) if out is None else out
+            for s, (_, neg) in enumerate(grads):
+                np.matmul(neg, rd.T, out=out[s * rows : (s + 1) * rows])
+            return out
+
+        def r_grad(s):
+            return lambda out=None: np.matmul(blocks[s].T, grads[s][1], out=out)
+
+        def b_grad(s):
+            return lambda out=None: np.sum(grads[s][0], axis=0, out=out)
+
+        last_first = range(samples - 1, -1, -1)
+        return (z_grad, *(r_grad(s) for s in last_first), *(b_grad(s) for s in last_first))
+
+    return custom_op(value, (z,) + (r,) * samples + (b,) * samples, backward)
 
 
 def combine_latents(z_gauss: Tensor | None, z_piece: Tensor | None) -> Tensor:
-    """Concatenate family samples, Gaussian dimensions first."""
-    if z_gauss is None and z_piece is None:
-        raise ValueError("combine_latents: nothing to combine")
-    if z_gauss is None:
-        return z_piece
+    """The decoder's (B, L) latent rows: Gaussian draws first, then piecewise draws shifted from [0, 1] onto [-1, 1] as 2z - 1.
+
+    Either family may be None.  Gaussian rows alone pass through as they
+    are; any piecewise rows make one taped op.  Rows must be (B, dims)
+    of one B and one dtype, else ShapeError.
+    """
     if z_piece is None:
+        if z_gauss is None:
+            raise ValueError("combine_latents: nothing to combine")
         return z_gauss
-    return concat(z_gauss, z_piece)
+    zp = z_piece.data
+    zg = None if z_gauss is None else z_gauss.data
+    if zp.ndim != 2 or zg is not None and (zg.ndim != 2 or zg.shape[0] != zp.shape[0]):
+        raise ShapeError(f"combine_latents: expected (B, G) Gaussian and (B, P) piecewise rows, got {None if zg is None else zg.shape} and {zp.shape}")
+    if zg is None:
+        return custom_op(zp * 2.0 + -1.0, (z_piece,), lambda g: (g * 2.0,))
+    _same_dtype("combine_latents", zg, zp)
+    split = zg.shape[1]
+    z = np.empty((zp.shape[0], split + zp.shape[1]), zp.dtype)
+    z[:, :split] = zg
+    shifted = np.multiply(zp, 2.0, out=z[:, split:])
+    shifted += -1.0
+    return custom_op(z, (z_gauss, z_piece), lambda g: (g[:, :split], g[:, split:] * 2.0))
 
 
 def priors(model: NvdmModel) -> tuple[GaussianParams | None, Tensor | None]:
@@ -511,21 +552,14 @@ def _noise_samples(model: NvdmModel, noise, rows: int, name: str) -> int:
 
 
 def _reconstruction(model: NvdmModel, counts: Tensor, gauss_post: GaussianParams | None, a_post: Tensor | None, noise, rows: int, samples: int) -> Tensor:
-    """The (B,) reconstruction term averaged over ``noise``'s S samples, all drawn in one pass and decoded one by one."""
+    """The (B,) reconstruction term averaged over ``noise``'s S samples: each family's draws, their combination and the decoder are one op each."""
     eps_g, eps_p = noise
     z_g = z_p = None
     if gauss_post is not None:
-        tiled = GaussianParams(mu=tile_rows(gauss_post.mu, samples), var=tile_rows(gauss_post.var, samples))
-        z_g = gaussian.sample_with_noise(tiled, eps_g.reshape(samples * rows, model.gauss_dims))
+        z_g = gaussian.sample_with_noise(gauss_post, eps_g.reshape(samples * rows, model.gauss_dims))
     if a_post is not None:
-        z01 = piecewise.sample_through(a_post, eps_p.reshape(samples * rows, model.piece_dims), model.piece_dims, model.n_pieces)
-        z_p = scale_shift(z01, 2.0, -1.0)
-    z = combine_latents(z_g, z_p)
-    recon = None
-    for s in range(samples):
-        term = decode_logprob(model, row_block(z, s * rows, (s + 1) * rows), counts)
-        recon = term if recon is None else recon + term
-    return recon * (1.0 / samples) if samples > 1 else recon
+        z_p = piecewise.sample_through(a_post, eps_p.reshape(samples * rows, model.piece_dims), model.piece_dims, model.n_pieces)
+    return decode_logprob(model, combine_latents(z_g, z_p), counts)
 
 
 def posterior_bound(
@@ -555,11 +589,14 @@ def posterior_bound(
     None for a family the model lacks; anything else raises ShapeError, as
     does noise whose dtype is not the model's, and counts or rows of
     another dtype raise it at the first op that mixes them.
-    All S samples are drawn in one pass and decoded one by one.  A mean
-    over one sample and a KL weight of 1 are not multiplied out: the
-    product would change no bit.  Values are never checked: a row whose
-    variances or logits overflow gets a non-finite bound, the other rows
-    keep theirs, and each caller checks finiteness once.
+    All S samples are drawn in one pass and decoded in one op, and the
+    KL terms, their weight and the bounds' sum make one more op, so
+    ``bounds``, ``reconstruction`` and the KL fields are plain arrays and
+    only ``total`` is taped.  A mean over one sample and a KL weight of 1
+    are not multiplied out: the product would change no bit.  Values are
+    never checked: a row whose variances or logits overflow gets a
+    non-finite bound, the other rows keep theirs, and each caller checks
+    finiteness once.
 
     ``track_noise``, a second such pair (any S), also gives the rows'
     bounds under it, as ``RowBounds.tracked``: iterative inference tracks
@@ -580,18 +617,23 @@ def posterior_bound(
 
     kl_g_t = gaussian.kl(gauss_post, gauss_prior) if gauss_post is not None else None
     kl_p_t = piecewise.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces) if a_post is not None else None
-    kl_total = None
-    for term in (kl_g_t, kl_p_t):
-        if term is not None:
-            kl_total = term if kl_total is None else kl_total + term
-    kl_term = kl_total if kl_weight == 1.0 else kl_total * kl_weight
-    bound = recon - kl_term
-    total = sum_all(bound)
+    kl_terms = tuple(term for term in (kl_g_t, kl_p_t) if term is not None)
+    kl_total = kl_terms[0].data if len(kl_terms) == 1 else kl_terms[0].data + kl_terms[1].data
+    # A weight other than 1 scales as ``scale_shift`` does, adding 0.0.
+    kl_term = kl_total if kl_weight == 1.0 else kl_total * kl_weight + 0.0
+    bounds = recon.data - kl_term
+
+    def backward(g):
+        g_rows = g * np.ones_like(bounds)
+        g_kl = -g_rows if kl_weight == 1.0 else -g_rows * kl_weight
+        return (g_rows,) + (g_kl,) * len(kl_terms)
+
+    total = custom_op(bounds.sum(), (recon, *kl_terms), backward)
     tracked = None
     if track_noise is not None:
-        tracked = (_reconstruction(model, counts, gauss_post, a_post, track_noise, rows, track_samples) - kl_term).data
+        tracked = _reconstruction(model, counts, gauss_post, a_post, track_noise, rows, track_samples).data - kl_term
     return RowBounds(
-        bounds=bound.data,
+        bounds=bounds,
         reconstruction=recon.data,
         kl_gaussian=np.maximum(kl_g_t.data, 0.0) if kl_g_t is not None else np.zeros_like(recon.data),
         kl_piecewise=np.maximum(kl_p_t.data, 0.0) if kl_p_t is not None else np.zeros_like(recon.data),

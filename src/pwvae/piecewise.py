@@ -147,9 +147,9 @@ def sample_through(a_flat: Tensor, eps: np.ndarray, dims: int, pieces: int) -> T
     once for all S samples.
     The noise values are captured for the backward rule, which applies
     the exact derivative of the active segment's expression and zero for
-    segment selection.  Like ``tile_rows``, the rule hands the weights one
-    gradient per block, the last block's first, so they add up as under S
-    separate calls.
+    segment selection.  The rule hands the weights one gradient per
+    block, the last block's first, so they add up as under S separate
+    calls.
     """
     shape = a_flat.data.shape
     eps = np.array(eps)

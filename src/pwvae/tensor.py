@@ -20,18 +20,18 @@ The tape never writes into a gradient: it adds a tensor's gradients out
 of place, and backward rules never write into the output's gradient
 ``g``.  So a rule may return ``g``, a view of it or an array that one
 of its deferred closures also reads, and one array may be the gradient
-of several tensors (``add`` hands ``g`` to both operands, ``concat``
-and ``tile_rows`` views of it); ``Tape.grad`` therefore hands out the
-gradients it holds read-only.
+of several tensors (``add`` hands ``g`` to both operands, and an op
+that reads one input for several samples hands it a view of ``g`` per
+sample); ``Tape.grad`` therefore hands out the gradients it holds
+read-only.
 
 Row convention: a batch of documents is a (B, n) matrix with one document
 per row, and a single document is a (1, n) row; ``affine`` takes nothing
 else.  It multiplies every row by the same weight matrix, so the weight
-gradient of a whole batch is one product ``g.T @ x``; ``concat`` acts
-along the last axis.  In ``add``, ``sub``, ``mul`` and ``prelu`` an
-operand whose shape is the trailing shape of the other (a (n,) parameter
-against (B, n) rows) is broadcast, and its gradient is summed over the
-broadcast axes.
+gradient of a whole batch is one product ``g.T @ x``.  In ``add``,
+``sub``, ``mul`` and ``prelu`` an operand whose shape is the trailing
+shape of the other (a (n,) parameter against (B, n) rows) is broadcast,
+and its gradient is summed over the broadcast axes.
 
 ``prelu`` picks each value and gradient factor with ``_select``, a
 bitwise blend on the integer views, not ``np.where``: on rows of random
@@ -40,9 +40,14 @@ time, and at (100, 500) took several times as long as the blend.  The
 blend copies the chosen operand's bits, so results equal ``np.where``'s
 at every input; an arithmetic blend such as max(x, 0) + leak * min(x, 0)
 would not, since with a negative leak it turns the sign of an exact zero.
-``tile_rows`` stacks S copies of rows, and ``row_block`` takes a block of
-rows back out; their gradients add the same arrays in the same order as
-S separate uses of the rows would, so they keep every bit.
+
+An op that reads an input once for each of S samples (the Gaussian and
+piecewise draws their posterior rows, the decoder likelihood its
+weights) lists that input S times among its inputs and hands it one
+gradient per sample, the last sample's first.  That is the order in
+which a tape reaches S separate uses of the input, last use first, so
+its gradient adds the same arrays in the same order and keeps their
+bits.
 
 Every op computes in its inputs' dtype, float32 or float64: a Tensor
 keeps the dtype of a float32 or float64 array and makes anything else
@@ -67,6 +72,7 @@ __all__ = [
     "Tape",
     "ShapeError",
     "TapeError",
+    "recording",
     "custom_op",
     "add",
     "sub",
@@ -74,12 +80,7 @@ __all__ = [
     "scale_shift",
     "affine",
     "sum_all",
-    "concat",
-    "tile_rows",
-    "row_block",
     "exp_clamped",
-    "sqrt",
-    "softplus",
     "softsign",
     "prelu",
 ]
@@ -171,6 +172,15 @@ _LOCAL = _ActiveTapes()
 def _record(out: Tensor, inputs, backward) -> None:
     if _LOCAL.stack:
         _LOCAL.stack[-1]._records.append((out, inputs, backward))
+
+
+def recording() -> bool:
+    """Whether a tape records in this thread, so that an op's backward rule will be kept.
+
+    An op may then keep its forward buffers for the rule; off the tape it
+    can reuse them.
+    """
+    return bool(_LOCAL.stack)
 
 
 class Tape:
@@ -351,72 +361,11 @@ def sum_all(x: Tensor) -> Tensor:
     return custom_op(xd.sum(), (x,), lambda g: (g * np.ones_like(xd),))
 
 
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenation along the last axis; leading axes must agree."""
-    if a.data.ndim == 0 or a.data.shape[:-1] != b.data.shape[:-1]:
-        raise ShapeError(f"concat: shapes {a.data.shape} and {b.data.shape} differ before the last axis")
-    _same_dtype("concat", a.data, b.data)
-    na = a.data.shape[-1]
-    return custom_op(np.concatenate([a.data, b.data], axis=-1), (a, b), lambda g: (g[..., :na], g[..., na:]))
-
-
-def tile_rows(x: Tensor, reps: int) -> Tensor:
-    """``reps`` copies of (B, n) rows stacked into (reps * B, n); x itself when ``reps`` is 1.
-
-    The backward hands x one block of g per copy, the last copy's first:
-    the order in which a tape reaches ``reps`` separate uses of x, last
-    use first.  So x's gradient adds the same arrays in the same order as
-    under separate uses, and keeps their bits.
-    """
-    if reps == 1:
-        return x
-    xd = x.data
-    if xd.ndim != 2:
-        raise ShapeError(f"tile_rows: expected (B, n) rows, got shape {xd.shape}")
-    b = xd.shape[0]
-    return custom_op(np.tile(xd, (reps, 1)), (x,) * reps, lambda g: tuple(g[s * b : (s + 1) * b] for s in reversed(range(reps))))
-
-
-def row_block(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Rows lo:hi of x as one taped op; x itself when that is every row."""
-    xd = x.data
-    if lo == 0 and hi == xd.shape[0]:
-        return x
-
-    def backward(g):
-        # -0.0 is the additive identity, so summing the blocks of several
-        # row_block calls keeps every bit of each, the sign of a zero too.
-        grad = np.full(xd.shape, -0.0, dtype=xd.dtype)
-        grad[lo:hi] = g
-        return (grad,)
-
-    return custom_op(xd[lo:hi], (x,), backward)
-
-
 def exp_clamped(x: Tensor, lo: float = -30.0, hi: float = 30.0) -> Tensor:
     """exp of x clamped to [lo, hi]; gradient is zero outside the clamp range."""
     xd = x.data
     y = np.exp(np.minimum(np.maximum(xd, lo), hi))
     return custom_op(y, (x,), lambda g: (g * y * ((xd >= lo) & (xd <= hi)),))
-
-
-def sqrt(x: Tensor) -> Tensor:
-    xd = x.data
-    if np.any(xd < 0.0):
-        raise ValueError("sqrt: input must be non-negative")
-    y = np.sqrt(xd)
-    return custom_op(y, (x,), lambda g: (g * 0.5 / y,))
-
-
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def softplus(x: Tensor) -> Tensor:
-    """Elementwise log(1 + exp(x)), overflow safe; derivative is the sigmoid."""
-    xd = x.data
-    return custom_op(np.logaddexp(0.0, xd), (x,), lambda g: (g * _sigmoid(xd),))
 
 
 def softsign(x: Tensor) -> Tensor:

@@ -1,12 +1,18 @@
-"""Test-side Gaussian oracle: the closed-form KL as the chain of 12 elementwise taped ops that ``gaussian.kl`` replaced.
+"""Test-side Gaussian oracles: the chains of taped ops that ``gaussian``'s one-op KL, variance and draw replaced.
 
-``log``, ``div`` and ``sum_last`` are the taped ops the chain used, rebuilt
-here with ``custom_op`` and their former backward rules.
+``kl`` is the closed-form KL as a chain of 12 elementwise ops; ``log``,
+``div`` and ``sum_last`` are the taped ops it used, rebuilt here with
+``custom_op`` and their former backward rules.  ``from_raw`` and
+``sample_with_noise`` are the variance and the S-sample draw as chains
+of ``tensor`` and ``tensor_oracle`` ops.
 """
 
 import numpy as np
 
-from pwvae.tensor import _unbroadcast, custom_op
+from pwvae.gaussian import VAR_FLOOR, GaussianParams
+from pwvae.tensor import Tensor, _unbroadcast, add, custom_op, mul
+
+from tensor_oracle import softplus, sqrt, tile_rows
 
 
 def log(x):
@@ -31,3 +37,14 @@ def kl(post, prior):
     dmu = post.mu - prior.mu
     terms = (log(prior.var) - log(post.var)) * 0.5 + div(post.var + dmu * dmu, prior.var * 2.0) - 0.5
     return sum_last(terms)
+
+
+def from_raw(mu, raw_sigma):
+    """Gaussian parameters as the two ops ``gaussian.from_raw`` replaced: ``softplus``, then the floor added by ``scale_shift``."""
+    return GaussianParams(mu=mu, var=softplus(raw_sigma) + VAR_FLOOR)
+
+
+def sample_with_noise(g, eps):
+    """Samples of (B, G) rows ``g`` for (S*B, G) noise as the chain ``gaussian.sample_with_noise`` replaced: the rows tiled S times, then ``sqrt``, ``mul`` and ``add``."""
+    samples = len(eps) // g.mu.data.shape[0]
+    return add(tile_rows(g.mu, samples), mul(sqrt(tile_rows(g.var, samples)), Tensor(eps)))

@@ -1,9 +1,13 @@
-"""Test-side oracles for the ops that ``nvdm.decode_logprob`` and ``tensor.prelu`` replaced, rebuilt with ``custom_op``.
+"""Test-side oracles for the ops that ``nvdm``'s fused ops and ``tensor.prelu`` replaced, rebuilt with ``custom_op``.
 
 ``decoder_logits`` and ``multinomial_loglik`` are the decoder's former two
 taped ops: the logits b - z @ r with all three gradients deferred, and the
 count-weighted log-softmax likelihood, which made fresh (B, V) arrays for
-each step.  ``decode_logprob`` chains them as the model did.  ``prelu``
+each step.  ``decode_logprob`` chains them as the model did for one
+sample, and ``decode_samples`` takes the mean of S samples as a chain of
+``row_block``, that decoder and ``add``.  ``combine_latents`` shifts and
+concatenates the two families' draws in two ops, and ``posterior_bound``
+is the whole bound assembly as the chain of taped ops it was.  ``prelu``
 chooses its values and gradients with ``np.where``.  The ops in ``src/``
 must reproduce every value and gradient here bit for bit;
 ``prelu_results`` reads them for either PReLU.
@@ -11,7 +15,11 @@ must reproduce every value and gradient here bit for bit;
 
 import numpy as np
 
-from pwvae.tensor import Tape, Tensor, _same_dtype, _unbroadcast, custom_op, mul, sum_all
+from pwvae import nvdm, piecewise
+from pwvae.tensor import Tape, Tensor, _same_dtype, _unbroadcast, custom_op, mul, scale_shift, sum_all
+
+import gaussian_oracle
+from tensor_oracle import concat, row_block
 
 
 def decoder_logits(z, r, b):
@@ -54,6 +62,66 @@ def multinomial_loglik(counts, logits):
 def decode_logprob(model, z, counts):
     """The model's likelihood of (B, V) ``counts`` at (B, L) latent rows through the two ops above."""
     return multinomial_loglik(counts, decoder_logits(z, model.params["dec_r"], model.params["dec_b"]))
+
+
+def decode_samples(model, z, counts):
+    """The likelihood of (B, V) ``counts`` averaged over the S blocks of (S*B, L) latent rows ``z``: each block decoded alone, the terms added in order and the sum scaled by 1/S."""
+    rows = counts.data.shape[0]
+    samples = z.data.shape[0] // rows
+    recon = None
+    for s in range(samples):
+        term = decode_logprob(model, row_block(z, s * rows, (s + 1) * rows), counts)
+        recon = term if recon is None else recon + term
+    return recon * (1.0 / samples) if samples > 1 else recon
+
+
+def combine_latents(z_gauss, z_piece):
+    """Gaussian draws, then piecewise draws shifted onto [-1, 1] by ``scale_shift``, joined by ``concat``; either may be None."""
+    z_p = None if z_piece is None else scale_shift(z_piece, 2.0, -1.0)
+    if z_gauss is None or z_p is None:
+        return z_p if z_gauss is None else z_gauss
+    return concat(z_gauss, z_p)
+
+
+def _reconstruction(model, counts, gauss_post, a_post, noise, rows, samples):
+    eps_g, eps_p = noise
+    z_g = z_p = None
+    if gauss_post is not None:
+        z_g = gaussian_oracle.sample_with_noise(gauss_post, eps_g.reshape(samples * rows, model.gauss_dims))
+    if a_post is not None:
+        z_p = piecewise.sample_through(a_post, eps_p.reshape(samples * rows, model.piece_dims), model.piece_dims, model.n_pieces)
+    return decode_samples(model, combine_latents(z_g, z_p), counts)
+
+
+def posterior_bound(model, counts, *, priors, gauss_mu, gauss_raw_sigma, piece_raw_a, kl_weight, noise, track_noise=None):
+    """``nvdm.posterior_bound`` as the chain it was: the KL terms added, weighted by ``scale_shift`` unless the weight is 1, subtracted and summed, each a taped op.
+
+    Returns a ``RowBounds``; ``tracked`` is taped too, off the path to ``total``.
+    """
+    gauss_prior, a_prior = priors
+    gauss_post = gaussian_oracle.from_raw(gauss_mu, gauss_raw_sigma) if gauss_mu is not None else None
+    a_post = piecewise.head_forward(piece_raw_a) if piece_raw_a is not None else None
+    rows = (gauss_mu if gauss_mu is not None else piece_raw_a).data.shape[0]
+    samples = len(next(eps for eps in noise if eps is not None))
+    recon = _reconstruction(model, counts, gauss_post, a_post, noise, rows, samples)
+    kl_g = gaussian_oracle.kl(gauss_post, gauss_prior) if gauss_post is not None else None
+    kl_p = piecewise.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces) if a_post is not None else None
+    terms = [term for term in (kl_g, kl_p) if term is not None]
+    kl_total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    kl_term = kl_total if kl_weight == 1.0 else kl_total * kl_weight
+    bound = recon - kl_term
+    tracked = None
+    if track_noise is not None:
+        track_samples = len(next(eps for eps in track_noise if eps is not None))
+        tracked = (_reconstruction(model, counts, gauss_post, a_post, track_noise, rows, track_samples) - kl_term).data
+    return nvdm.RowBounds(
+        bounds=bound.data,
+        reconstruction=recon.data,
+        kl_gaussian=np.maximum(kl_g.data, 0.0) if kl_g is not None else np.zeros_like(recon.data),
+        kl_piecewise=np.maximum(kl_p.data, 0.0) if kl_p is not None else np.zeros_like(recon.data),
+        total=sum_all(bound),
+        tracked=tracked,
+    )
 
 
 def prelu(x, leak):

@@ -38,9 +38,14 @@ class TestWordNeighbors:
         assert analysis.word_neighbors(model, vocab, vocab[2], 1)[0] == (vocab[7], 0.0)
         assert analysis.word_neighbors(model, vocab, vocab[7], 1)[0] == (vocab[2], 0.0)
 
-    def test_k_zero_empty(self, corpus):
-        model = model_for(corpus)
-        assert analysis.word_neighbors(model, list(corpus.vocab), corpus.vocab[0], 0) == []
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_is_rejected(self, corpus, k):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            analysis.word_neighbors(model_for(corpus), list(corpus.vocab), corpus.vocab[0], k)
+
+    def test_k_beyond_the_vocabulary_gives_every_other_word(self, corpus):
+        out = analysis.word_neighbors(model_for(corpus), list(corpus.vocab), corpus.vocab[0], 50)
+        assert sorted(t for t, _ in out) == sorted(corpus.vocab[1:])
 
     def test_distance_symmetry(self, corpus):
         model = model_for(corpus)

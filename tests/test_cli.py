@@ -165,10 +165,13 @@ def checkpoint(data, tmp_path_factory):
         ("eval", ("--iterative", "--inf-patience", "0"), "stop_patience must be >= 1"),
         ("eval", ("--kl-weight", "nan"), "kl_weight must be finite and >= 0"),
         ("sensitivity", ("--top-m", "0"), "top_m must be >= 1"),
+        ("query", ("--k", "0"), "k must be >= 1, got 0"),
+        ("query", ("--k", "-2"), "k must be >= 1, got -2"),
     ],
 )
 def test_bad_evaluation_setting_exits_before_any_report(data, checkpoint, capsys, command, flags, message):
-    args = [command, "--ckpt", checkpoint, "--corpus", data + ".test.docs", "--vocab", data + ".vocab", *flags]
+    inputs = ["--word", "w0"] if command == "query" else ["--corpus", data + ".test.docs"]
+    args = [command, "--ckpt", checkpoint, *inputs, "--vocab", data + ".vocab", *flags]
     assert cli.main(args) == cli.RUNTIME_ERROR
     out, err = capsys.readouterr()
     assert message in err
@@ -284,6 +287,15 @@ def test_synth_rejects_a_size_that_cannot_make_a_corpus(tmp_path, capsys, flag, 
     args = ["synth", *(item for pair in sizes.items() for item in pair), "--out", str(tmp_path / "synth")]
     assert cli.main(args) == cli.USAGE_ERROR
     assert f"usage error: {flag} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", "-9"])
+def test_synth_rejects_a_negative_seed(tmp_path, capsys, seed):
+    """A seed below zero is a usage error naming --seed and the value, and nothing is written."""
+    args = ["synth", "--docs", "10", "--vocab", "6", "--seed", seed, "--out", str(tmp_path / "synth")]
+    assert cli.main(args) == cli.USAGE_ERROR
+    assert f"usage error: --seed must be >= 0, got {seed}\n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -159,12 +159,12 @@ DECODER_3X3 = nvdm.init_model("g", 3, hidden=1, gauss_dims=3, seed=0)
         lambda a, b: T.add(a, b),
         lambda a, b: T.sub(a, b),
         lambda a, b: T.mul(a, b),
-        lambda a, b: T.concat(a, b),
+        lambda a, b: nvdm.combine_latents(a, b),
         lambda a, b: T.prelu(a, T.Tensor(b.data[0])),
         lambda a, b: nvdm.decode_logprob(DECODER_3X3, a, b),
         lambda a, b: T.affine(a, b, T.Tensor(b.data[:, 0])),
     ],
-    ids=["add", "sub", "mul", "concat", "prelu", "decode_logprob", "affine"],
+    ids=["add", "sub", "mul", "combine_latents", "prelu", "decode_logprob", "affine"],
 )
 def test_ops_reject_operands_of_two_dtypes(op):
     a32 = T.Tensor(np.ones((2, 3), dtype=np.float32))

@@ -147,38 +147,45 @@ def test_posterior_variance_is_positive_for_any_gate(case):
 
 class TestSampling:
     def test_floor_variance_concentrates_on_mean(self):
-        mu = np.array([1.5, -2.0])
-        g = params(mu, np.full(2, ga.VAR_FLOOR))
-        rng = np.random.default_rng(6)
-        draws = np.stack([ga.sample_with_noise(g, rng.standard_normal(2)).data for _ in range(200)])
+        mu = np.array([[1.5, -2.0]])
+        g = params(mu, np.full((1, 2), ga.VAR_FLOOR))
+        draws = ga.sample_with_noise(g, np.random.default_rng(6).standard_normal((200, 2))).data
         assert np.max(np.abs(draws - mu)) < 1e-3
 
     def test_standard_normal_moments(self):
-        g = params(np.zeros(1), np.ones(1))
-        rng = np.random.default_rng(7)
-        draws = np.concatenate([ga.sample_with_noise(g, rng.standard_normal(1)).data for _ in range(100_000)])
+        """100 000 samples of one row, drawn as that many (1, 1) blocks of noise."""
+        g = params(np.zeros((1, 1)), np.ones((1, 1)))
+        draws = ga.sample_with_noise(g, np.random.default_rng(7).standard_normal((100_000, 1))).data
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_fixed_seed_reproducible(self):
-        g = params(np.array([0.3]), np.array([2.0]))
-        a = [float(ga.sample_with_noise(g, np.random.default_rng(8).standard_normal(1)).data[0]) for _ in range(3)]
-        b = [float(ga.sample_with_noise(g, np.random.default_rng(8).standard_normal(1)).data[0]) for _ in range(3)]
+        g = params(np.array([[0.3]]), np.array([[2.0]]))
+        a = [float(ga.sample_with_noise(g, np.random.default_rng(8).standard_normal((1, 1))).data[0, 0]) for _ in range(3)]
+        b = [float(ga.sample_with_noise(g, np.random.default_rng(8).standard_normal((1, 1))).data[0, 0]) for _ in range(3)]
         assert a == b
 
-    def test_reparametrised_gradients(self):
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_reparametrised_gradients(self, samples):
+        """Two rows, each drawn ``samples`` times: every draw adds one to its row's mean gradient."""
         rng = np.random.default_rng(9)
-        mu = rng.normal(size=3)
-        var = np.exp(rng.normal(size=3))
-        eps = rng.standard_normal(3)
+        mu = rng.normal(size=(2, 3))
+        var = np.exp(rng.normal(size=(2, 3)))
+        eps = rng.standard_normal((samples * 2, 3))
         with T.Tape() as tape:
             g = params(mu, var)
             z = ga.sample_with_noise(g, eps)
             tape.backward(T.sum_all(z))
-        # d E[z] / d mu is exactly one.
-        np.testing.assert_array_equal(tape.grad(g.mu), np.ones(3))
-        num = numerical_grad(lambda v: float(np.sum(mu + np.sqrt(v) * eps)), var)
+        np.testing.assert_array_equal(z.data, (mu + np.sqrt(var) * eps.reshape(samples, 2, 3)).reshape(-1, 3))
+        np.testing.assert_array_equal(tape.grad(g.mu), np.full((2, 3), float(samples)))
+        num = numerical_grad(lambda v: float(np.sum(mu + np.sqrt(v) * eps.reshape(samples, 2, 3))), var)
         assert max_rel_err(tape.grad(g.var), num) < 1e-6
+
+    @pytest.mark.parametrize("eps_shape", [(3, 3), (4, 2), (0, 3), (4, 3, 1)])
+    def test_noise_that_is_not_blocks_of_the_rows_is_rejected(self, eps_shape):
+        g = params(np.zeros((2, 3)), np.ones((2, 3)))
+        with pytest.raises(T.ShapeError, match=r"sample_with_noise: expected \(B, G\) posterior rows and \(S\*B, G\) noise, got \(2, 3\) and "):
+            ga.sample_with_noise(g, np.zeros(eps_shape))
 
 
 class TestKl:

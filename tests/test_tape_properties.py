@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from pwvae import tensor as T
 
 import tape_oracle
+import tensor_oracle as TO
 
 deterministic = settings(derandomize=True, deadline=None, database=None)
 
@@ -96,10 +97,10 @@ def build(dtype, rows, width, with_vector, steps, seed):
         elif op == "scale_shift":
             pool.append(apply(T.scale_shift, a, (-2.0, 0.5, 3.0)[k % 3], 1.0))
         elif op == "concat":
-            pool.append(apply(T.concat, a, pool[k % len(pool)]))
+            pool.append(apply(TO.concat, a, pool[k % len(pool)]))
         elif op == "tile_rows":
-            tiled = apply(T.tile_rows, a, p)
-            pool.extend(apply(T.row_block, tiled, s * rows, (s + 1) * rows) for s in range(p))
+            tiled = apply(TO.tile_rows, a, p)
+            pool.extend(apply(TO.row_block, tiled, s * rows, (s + 1) * rows) for s in range(p))
         elif op == "affine":
             shape = (p, a.data.shape[1])
             leaf = [t for t in leaves if t.data.shape == shape]
