@@ -44,6 +44,12 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _require_parent_dir(path: str, flag: str) -> None:
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise UsageError(f"{flag} directory not found: {parent}")
+
+
 def _read_config_file(path: str) -> dict:
     """Flat ``key = value`` configuration; blank lines and # comments ignored."""
     values = {}
@@ -107,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", choices=TRANSFORMS, default="none")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kl-weight", type=float, default=1.0)
     p.add_argument("--iterative", action="store_true")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--inf-lr", type=float, default=0.1)
@@ -145,8 +150,6 @@ def _cmd_synth(args) -> int:
         raise UsageError(f"--docs must be >= 1, got {args.docs}")
     if args.vocab < 2 or args.vocab % 2:
         raise UsageError(f"--vocab must be a positive even number, got {args.vocab}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     corpus = make_synthetic_bimodal(args.docs, args.vocab, args.seed)
     if args.split is None:
         save_corpus(corpus, args.out + ".vocab", args.out + ".docs", args.out + ".labels")
@@ -191,6 +194,7 @@ def _model_dims(args) -> dict:
 def _cmd_train(args) -> int:
     for path, what in ((args.corpus, "corpus"), (args.vocab, "vocabulary"), (args.valid, "validation corpus")):
         _require_file(path, what)
+    _require_parent_dir(args.out, "--out")
     # A flag overrides the config file, which overrides the defaults of TrainConfig and init_model.
     settings = _read_config_file(args.config) if args.config else {}
     settings.update((key, getattr(args, key)) for key in _CONFIG_FIELDS if getattr(args, key, None) is not None)
@@ -236,9 +240,8 @@ def _cmd_eval(args) -> int:
             steps_max=args.steps,
             lr=args.inf_lr,
             stop_patience=args.inf_patience,
-            kl_weight=args.kl_weight,
         )
-    report = evaluation.evaluate(model, corpus, args.samples, np.random.default_rng(seed), kl_weight=args.kl_weight)
+    report = evaluation.evaluate(model, corpus, args.samples, np.random.default_rng(seed))
     sys.stdout.write(report.to_tsv())
     if args.iterative:
         sys.stdout.write(refined.to_tsv())
@@ -279,6 +282,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand with a --seed rejects a negative one before it reads or writes a file.
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

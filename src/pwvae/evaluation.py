@@ -168,13 +168,10 @@ def evaluate(
     corpus: Corpus,
     num_samples: int,
     rng: np.random.Generator,
-    *,
-    kl_weight: float = 1.0,
 ) -> EvalReport:
     """Sampled-bound perplexity over a corpus under the amortised posterior."""
     if len(corpus) == 0:
         raise ValueError("evaluate: empty corpus")
-    _check_kl_weight(kl_weight)
     _check_documents(model, corpus, corpus.docs)
     root = _root(rng)
     bounds = np.zeros(len(corpus))
@@ -182,7 +179,7 @@ def evaluate(
         docs = corpus.docs[lo : lo + EVAL_BLOCK]
         noise = _content_noise(model, num_samples, root, docs)
         with np.errstate(over="ignore", invalid="ignore"):
-            bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noise, kl_weight=kl_weight).bounds
+            bounds[lo : lo + len(docs)] = batch_bound(model, corpus, docs, noise).bounds
         _check_finite("evaluate", docs, bounds[lo : lo + len(docs)])
     tokens = np.array([doc.token_count for doc in corpus.docs], dtype=np.float64)
     return _aggregate(bounds, tokens, num_samples, "amortized")
@@ -218,11 +215,6 @@ def _tensors(params: dict) -> dict:
     return {name: None if rows is None else Tensor(rows) for name, rows in params.items()}
 
 
-def _check_kl_weight(kl_weight: float) -> None:
-    if not 0.0 <= kl_weight < np.inf:
-        raise ValueError(f"kl_weight must be finite and >= 0, got {kl_weight}")
-
-
 def _abort_non_finite(bounds: np.ndarray, live: np.ndarray, aborted: np.ndarray) -> None:
     """Refinement's one abort rule: every live row whose bound is not finite stops, marked aborted."""
     failed = live & ~np.isfinite(bounds)
@@ -230,15 +222,14 @@ def _abort_non_finite(bounds: np.ndarray, live: np.ndarray, aborted: np.ndarray)
     live &= ~failed
 
 
-def _check_refinement(steps_max, lr, stop_patience, kl_weight) -> None:
-    """Reject refinement settings that would step downhill, never stop or misreport, before any work."""
+def _check_refinement(steps_max, lr, stop_patience) -> None:
+    """Reject refinement settings that would step downhill or never stop, before any work."""
     if steps_max < 0:
         raise ValueError(f"steps_max must be >= 0, got {steps_max}")
     if stop_patience < 1:
         raise ValueError(f"stop_patience must be >= 1, got {stop_patience}")
     if not 0.0 <= lr < np.inf:
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
-    _check_kl_weight(kl_weight)
 
 
 @one_thread()
@@ -250,7 +241,6 @@ def iterative_inference(
     steps_max: int = 100,
     lr: float = 0.1,
     stop_patience: int = 10,
-    kl_weight: float = 1.0,
     rng: np.random.Generator,
 ) -> list[RefinementResult]:
     """Posterior refinement of a block of documents with the model frozen.
@@ -276,7 +266,7 @@ def iterative_inference(
     ``piecewise.CLAMP``.  A block whose amortised bound is not finite
     raises ValueError naming the block's first document.
     """
-    _check_refinement(steps_max, lr, stop_patience, kl_weight)
+    _check_refinement(steps_max, lr, stop_patience)
     docs = list(docs)
     if not docs:
         raise ValueError("iterative_inference: no documents")
@@ -317,10 +307,10 @@ def iterative_inference(
                 if stepping:
                     span = slice((t % _NOISE_RUN) * len(docs), (t % _NOISE_RUN + 1) * len(docs))
                     noise = tuple(None if eps is None else eps[:, span] for eps in run_noise)
-                    stepped = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=noise, track_noise=track_noise, **tensors)
+                    stepped = posterior_bound(model, counts, priors=prior, kl_weight=1.0, noise=noise, track_noise=track_noise, **tensors)
                     tracked = stepped.tracked
                 else:
-                    tracked = posterior_bound(model, counts, priors=prior, kl_weight=kl_weight, noise=track_noise, **tensors).bounds
+                    tracked = posterior_bound(model, counts, priors=prior, kl_weight=1.0, noise=track_noise, **tensors).bounds
                 if t == 0:
                     initial = tracked
                     _check_finite("iterative_inference", docs, initial)
@@ -372,7 +362,6 @@ def evaluate_iterative(
     steps_max: int = 100,
     lr: float = 0.1,
     stop_patience: int = 10,
-    kl_weight: float = 1.0,
 ):
     """Refine every document, then re-estimate bounds at the refined posteriors.
 
@@ -402,7 +391,6 @@ def evaluate_iterative(
             steps_max=steps_max,
             lr=lr,
             stop_patience=stop_patience,
-            kl_weight=kl_weight,
             # Every block gets an identical generator, so a document's
             # noise does not depend on its block.
             rng=np.random.default_rng((root, 3)),
@@ -410,7 +398,7 @@ def evaluate_iterative(
         params = {name: None if getattr(results[0], name) is None else np.array([getattr(r, name) for r in results]) for name in _PARAMS}
         noise = _content_noise(model, num_samples, root, docs)
         with np.errstate(over="ignore", invalid="ignore"):
-            final = posterior_bound(model, _wrap(corpus.dense_counts(docs, dtype=model.dtype)), priors=prior, kl_weight=kl_weight, noise=noise, **_tensors(params)).bounds
+            final = posterior_bound(model, _wrap(corpus.dense_counts(docs, dtype=model.dtype)), priors=prior, kl_weight=1.0, noise=noise, **_tensors(params)).bounds
         _check_finite("evaluate_iterative: re-estimate", docs, final)
         refined.update(zip(block, zip(results, final)))
     picked = [refined[content] for content in contents]

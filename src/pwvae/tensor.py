@@ -1,10 +1,13 @@
 """Dense float32 or float64 tensors with taped reverse-mode differentiation.
 
-Operations execute eagerly on numpy arrays.  Inside a ``with Tape():``
-block every operation additionally records a backward rule; calling
-``Tape.backward`` on a scalar result then accumulates gradients for every
-tensor that participated, visiting operations in exact reverse execution
-order.  Outside a tape the same functions are plain forward computations.
+Operations are functions called by name (``add``, ``scale_shift``,
+``affine``, ...), not through operators, which a Tensor does not
+define.  They execute eagerly on numpy arrays.  Inside a
+``with Tape():`` block every operation additionally records a backward
+rule; calling ``Tape.backward`` on a scalar result then accumulates
+gradients for every tensor that participated, visiting operations in
+exact reverse execution order.  Outside a tape the same functions are
+plain forward computations.
 Every op, built in here or defined elsewhere (the decoder likelihood,
 the KL ops, the piecewise sampler), is one call of ``custom_op``: it
 computes its values and backward rule and hands both, with its input
@@ -29,9 +32,9 @@ Row convention: a batch of documents is a (B, n) matrix with one document
 per row, and a single document is a (1, n) row; ``affine`` takes nothing
 else.  It multiplies every row by the same weight matrix, so the weight
 gradient of a whole batch is one product ``g.T @ x``.  In ``add``,
-``sub``, ``mul`` and ``prelu`` an operand whose shape is the trailing
-shape of the other (a (n,) parameter against (B, n) rows) is broadcast,
-and its gradient is summed over the broadcast axes.
+``mul`` and ``prelu`` an operand whose shape is the trailing shape of
+the other (a (n,) parameter against (B, n) rows) is broadcast, and its
+gradient is summed over the broadcast axes.
 
 ``prelu`` picks each value and gradient factor with ``_select``, a
 bitwise blend on the integer views, not ``np.where``: on rows of random
@@ -75,7 +78,6 @@ __all__ = [
     "recording",
     "custom_op",
     "add",
-    "sub",
     "mul",
     "scale_shift",
     "affine",
@@ -131,23 +133,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
-
-    # Arithmetic sugar; Tensor-Tensor ops broadcast a trailing shape, and a
-    # python scalar on the right broadcasts elementwise.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return scale_shift(self, 1.0, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return scale_shift(self, 1.0, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale_shift(self, float(other), 0.0)
 
 
 def _wrap(values: np.ndarray) -> Tensor:
@@ -310,13 +295,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(sa, sb, "add")
     _same_dtype("add", a.data, b.data)
     return custom_op(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    sa, sb = a.data.shape, b.data.shape
-    _check_broadcast(sa, sb, "sub")
-    _same_dtype("sub", a.data, b.data)
-    return custom_op(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

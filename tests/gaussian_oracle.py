@@ -10,9 +10,9 @@ of ``tensor`` and ``tensor_oracle`` ops.
 import numpy as np
 
 from pwvae.gaussian import VAR_FLOOR, GaussianParams
-from pwvae.tensor import Tensor, _unbroadcast, add, custom_op, mul
+from pwvae.tensor import Tensor, _unbroadcast, add, custom_op, mul, scale_shift
 
-from tensor_oracle import softplus, sqrt, tile_rows
+from tensor_oracle import softplus, sqrt, sub, tile_rows
 
 
 def log(x):
@@ -34,14 +34,15 @@ def sum_last(x):
 
 def kl(post, prior):
     """KL(post || prior) for diagonal ``GaussianParams``: one value per row, each op taped on its own."""
-    dmu = post.mu - prior.mu
-    terms = (log(prior.var) - log(post.var)) * 0.5 + div(post.var + dmu * dmu, prior.var * 2.0) - 0.5
+    dmu = sub(post.mu, prior.mu)
+    half_log_ratio = scale_shift(sub(log(prior.var), log(post.var)), 0.5, 0.0)
+    terms = scale_shift(add(half_log_ratio, div(add(post.var, mul(dmu, dmu)), scale_shift(prior.var, 2.0, 0.0))), 1.0, -0.5)
     return sum_last(terms)
 
 
 def from_raw(mu, raw_sigma):
     """Gaussian parameters as the two ops ``gaussian.from_raw`` replaced: ``softplus``, then the floor added by ``scale_shift``."""
-    return GaussianParams(mu=mu, var=softplus(raw_sigma) + VAR_FLOOR)
+    return GaussianParams(mu=mu, var=scale_shift(softplus(raw_sigma), 1.0, VAR_FLOOR))
 
 
 def sample_with_noise(g, eps):

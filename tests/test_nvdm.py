@@ -15,6 +15,7 @@ from pwvae.corpus import Corpus, Document
 
 import gaussian_oracle
 import nvdm_oracle as oracle
+import tensor_oracle as TO
 from gradcheck import max_rel_err, numerical_grad
 
 
@@ -162,7 +163,7 @@ def reference_decode(model, z, counts):
     so the logits equal ``decode_logprob``'s on any build.
     """
     product = T.affine(z, T._wrap(model.params["dec_r"].data.T), T.Tensor(np.zeros(model.vocab_size)))
-    return oracle.multinomial_loglik(counts, T.sub(model.params["dec_b"], product))
+    return oracle.multinomial_loglik(counts, TO.sub(model.params["dec_b"], product))
 
 
 DECODER_ROWS = [1, 2, 3, 20, 25, 64]
@@ -229,7 +230,7 @@ class TestDecoderLayout:
         z, view = T.Tensor(z_arr), T._wrap(r.data.T)
         with T.Tape() as tape:
             product = T.affine(z, view, T.Tensor(np.zeros(model.vocab_size)))
-            tape.backward(T.sum_all(oracle.multinomial_loglik(T.Tensor(counts_arr), T.sub(b, product))))
+            tape.backward(T.sum_all(oracle.multinomial_loglik(T.Tensor(counts_arr), TO.sub(b, product))))
         want = [tape.grad(z), tape.grad(view).T, tape.grad(b)]
         for got_grad, want_grad in zip(got, want):
             assert got_grad.tobytes() == want_grad.tobytes()
@@ -428,12 +429,12 @@ def per_sample_bound(model, counts, prior, rows, noise):
         z_g = gaussian_oracle.sample_with_noise(gauss_post, eps_g[s]) if gauss_post is not None else None
         z_p = pw.sample_through(a_post, eps_p[s], model.piece_dims, model.n_pieces) if a_post is not None else None
         term = oracle.decode_logprob(model, oracle.combine_latents(z_g, z_p), counts)
-        recon = term if recon is None else recon + term
+        recon = term if recon is None else T.add(recon, term)
     if samples > 1:
-        recon = recon * (1.0 / samples)
+        recon = T.scale_shift(recon, 1.0 / samples, 0.0)
     kl = [gaussian.kl(gauss_post, gauss_prior)] if gauss_post is not None else []
     kl += [pw.kl_between(a_post, a_prior, model.piece_dims, model.n_pieces)] if a_post is not None else []
-    return recon - (kl[0] if len(kl) == 1 else kl[0] + kl[1])
+    return TO.sub(recon, kl[0] if len(kl) == 1 else T.add(kl[0], kl[1]))
 
 
 # posterior_bound's row keywords of each variant.

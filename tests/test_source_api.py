@@ -1,7 +1,10 @@
 """Every function and method in ``src/pwvae`` has a caller in ``src/``: no API that only tests call.
 
-Every name a module exports in ``__all__`` is also defined there, so a
-deleted definition cannot linger as a stale export.
+The reference check skips dunder methods, which Python calls through
+syntax, so no class may define an arithmetic operator unless it is
+listed with a reason: the source calls ops by name.  Every name a
+module exports in ``__all__`` is also defined there, so a deleted
+definition cannot linger as a stale export.
 """
 
 import ast
@@ -19,6 +22,14 @@ ALLOWED = {
     # caller.
     ("piecewise", "pdf_rows"),
 }
+
+
+# Arithmetic operator dunders, binary (plain, reflected and in-place) and unary.
+_BINARY = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow", "lshift", "rshift", "and", "xor", "or")
+OPERATORS = {f"__{prefix}{op}__" for op in _BINARY for prefix in ("", "r", "i")} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+# (module, "Class.__operator__") a class in src/pwvae may define, and why.
+ALLOWED_OPERATORS: dict[tuple[str, str], str] = {}
 
 
 def _definitions_and_references():
@@ -52,6 +63,21 @@ def test_every_allowed_definition_still_exists_without_a_reference():
     defined, referenced = _definitions_and_references()
     assert ALLOWED <= set(defined)
     assert not {name for _, name in ALLOWED} & referenced
+
+
+def test_no_class_defines_an_arithmetic_operator():
+    """Protocol dunders (``__init__``, ``__float__``, ``__eq__``, ``__enter__`` and the like) are not operators and may stay."""
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    names = [item.name] if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) else []
+                    if isinstance(item, (ast.Assign, ast.AnnAssign)):
+                        names = [t.id for t in (item.targets if isinstance(item, ast.Assign) else [item.target]) if isinstance(t, ast.Name)]
+                    defined |= {(path.stem, f"{node.name}.{name}") for name in names if name in OPERATORS}
+    assert defined - set(ALLOWED_OPERATORS) == set(), "arithmetic operator defined in src/pwvae"
+    assert set(ALLOWED_OPERATORS) <= defined, "an allowed operator is no longer defined"
 
 
 def _exports_and_bindings(tree):

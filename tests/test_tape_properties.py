@@ -44,7 +44,9 @@ RULES = {
     "returns_one_array_for_two_inputs": (2, lambda a, b: a + b, _one_for_two),
     "defers_a_gradient_that_reads_g": (2, lambda a, b: a - b, lambda g: (g, lambda out=None: np.negative(g, out=out))),
 }
-OPS = ("add", "sub", "mul", "scale_shift", "concat", "tile_rows", "affine", "prelu", *RULES)
+# The binary ops; either operand may be a broadcast vector.
+BINARY = {"add": T.add, "sub": TO.sub, "mul": T.mul}
+OPS = (*BINARY, "scale_shift", "concat", "tile_rows", "affine", "prelu", *RULES)
 
 
 @st.composite
@@ -91,9 +93,9 @@ def build(dtype, rows, width, with_vector, steps, seed):
 
     for op, i, k, p in steps:
         a = pool[i % len(pool)]
-        if op in ("add", "sub", "mul"):
+        if op in BINARY:
             b = broadcast(a, k) or partner(a, k)
-            pool.append(apply(getattr(T, op), *((b, a) if p == 2 else (a, b))))
+            pool.append(apply(BINARY[op], *((b, a) if p == 2 else (a, b))))
         elif op == "scale_shift":
             pool.append(apply(T.scale_shift, a, (-2.0, 0.5, 3.0)[k % 3], 1.0))
         elif op == "concat":
